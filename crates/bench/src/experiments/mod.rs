@@ -16,7 +16,6 @@ pub mod pipeline;
 pub mod profile;
 pub mod serve;
 pub mod shard;
-pub mod simperf;
 pub mod utilization;
 
 use crate::artifact::ArtifactSink;
@@ -259,12 +258,6 @@ pub fn registry() -> Vec<Experiment> {
             paper_ref: "multi-device",
             description: "heterogeneous CPU/GPU sharding: placement, modeled vs observed, scaling",
             run: shard::shard,
-        },
-        Experiment {
-            name: "simperf",
-            paper_ref: "engine perf",
-            description: "simulator wall-clock throughput: events/sec vs recorded reference",
-            run: simperf::simperf,
         },
     ]
 }

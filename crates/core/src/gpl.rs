@@ -14,9 +14,9 @@
 
 use crate::error::ExecError;
 use crate::exec::{ExecContext, StageConfig};
-use crate::expr::{Expr, Pred, Slot};
+use crate::expr::{Expr, Slot};
 use crate::ht::{GroupStore, SimHashTable};
-use crate::ops::{self, apply_compute, apply_filter, apply_probe, Chunk};
+use crate::ops::{self, apply_compute, apply_probe, select_rows, Chunk, Filter};
 use crate::plan::{PipeOp, Stage, Terminal};
 use crate::segment::{InterSegmentEdge, SegmentIr};
 use gpl_sim::mem::MemRange;
@@ -118,7 +118,7 @@ struct ExecStep {
 
 /// What a pipeline op does to each chunk.
 enum OpExec {
-    Filter(Pred),
+    Filter(Filter),
     Probe {
         table: Rc<RefCell<SimHashTable>>,
         key: Slot,
@@ -133,7 +133,7 @@ enum OpExec {
 impl ExecStep {
     fn from_op(op: &PipeOp, hts: &[Option<Rc<RefCell<SimHashTable>>>]) -> Self {
         let exec = match op {
-            PipeOp::Filter(p) => OpExec::Filter(p.clone()),
+            PipeOp::Filter(p) => OpExec::Filter(Filter::new(p)),
             PipeOp::Probe { ht, key, payloads } => OpExec::Probe {
                 table: hts[*ht].as_ref().expect("probed table built").clone(),
                 key: *key,
@@ -169,7 +169,7 @@ fn apply_steps(
         *compute += chunk.rows as u64 * s.per_row_compute;
         *mem += chunk.rows as u64 * s.per_row_mem;
         chunk = match &s.exec {
-            OpExec::Filter(p) => apply_filter(&chunk, p),
+            OpExec::Filter(f) => f.apply(&chunk),
             OpExec::Probe {
                 table,
                 key,
@@ -274,29 +274,25 @@ impl gpl_sim::WorkSource for LeafSource {
         let mut out = apply_steps(&self.steps, chunk, &mut accesses, &mut compute, &mut mem);
         if out.rows > 0 && !self.lazy_cols.is_empty() {
             // Gather the shipped-only columns at surviving positions;
-            // consecutive survivors coalesce into contiguous reads.
-            let rowids: Vec<i64> = out.cols[self.rowid_slot].clone();
+            // consecutive survivors coalesce into contiguous reads — the
+            // same runs for every lazy column, so they are found once.
+            let rowids: Vec<usize> = out.cols[self.rowid_slot]
+                .iter()
+                .map(|&r| r as usize)
+                .collect();
+            let mut runs: Vec<(u64, u64)> = Vec::new(); // (start row, len)
+            for &r in &rowids {
+                match runs.last_mut() {
+                    Some((s, len)) if r as u64 == *s + *len => *len += 1,
+                    _ => runs.push((r as u64, 1)),
+                }
+            }
             for &(slot, ci, base, width) in &self.lazy_cols {
-                let col = t.col_at(ci);
-                out.fill(
-                    slot,
-                    rowids.iter().map(|&r| col.get_i64(r as usize)).collect(),
+                out.fill(slot, t.col_at(ci).gather_i64(&rowids));
+                accesses.extend(
+                    runs.iter()
+                        .map(|&(s, len)| MemRange::read(base + s * width, len * width)),
                 );
-                let mut run: Option<(i64, u64)> = None; // (start row, len)
-                for &r in &rowids {
-                    match run {
-                        Some((s, len)) if r == s + len as i64 => run = Some((s, len + 1)),
-                        _ => {
-                            if let Some((s, len)) = run {
-                                accesses.push(MemRange::read(base + s as u64 * width, len * width));
-                            }
-                            run = Some((r, 1));
-                        }
-                    }
-                }
-                if let Some((s, len)) = run {
-                    accesses.push(MemRange::read(base + s as u64 * width, len * width));
-                }
             }
             compute += out.rows as u64 * 2 * ops::INST_EXPANSION * self.lazy_cols.len() as u64;
             mem += out.rows as u64 * self.lazy_cols.len() as u64;
@@ -344,19 +340,6 @@ struct Gate {
     pub_q: DataQ,
     /// Per-slice buffers of not-yet-admissible chunks, arrival order.
     pending: Vec<VecDeque<Chunk>>,
-}
-
-/// Slot-wise row selection: gather `idx` from every filled slot.
-fn select_rows(c: &Chunk, idx: &[usize]) -> Chunk {
-    let mut out = Chunk::new(c.cols.len());
-    out.rows = idx.len();
-    for s in 0..c.cols.len() {
-        if c.filled[s] {
-            out.cols[s] = idx.iter().map(|&r| c.cols[s][r]).collect();
-            out.filled[s] = true;
-        }
-    }
-    out
 }
 
 /// Route one popped chunk through the slice gate: rows whose key slice

@@ -57,8 +57,7 @@ pub(crate) fn run_stage_range(
     };
     for (s, name) in stage.loads.iter().enumerate() {
         let col = t.col(name);
-        let vals: Vec<i64> = range.clone().map(|r| col.get_i64(r)).collect();
-        st.chunk.fill(s, vals);
+        st.chunk.fill(s, col.range_i64(range.start, range.end));
         let ci = t.col_index(name).expect("load column exists");
         let scan = layout.scan(ci, range.clone());
         let width = col.data_type().width();

@@ -6,7 +6,7 @@
 //! are pure Rust (results are exact); hash-table traffic is reported via
 //! the access vectors the callers pass down to the simulator.
 
-use crate::expr::{Expr, Pred, Slot};
+use crate::expr::{AtomPred, CmpOp, Expr, Pred, Slot};
 use crate::ht::SimHashTable;
 use crate::plan::{PipeOp, Stage, Terminal};
 use gpl_sim::mem::MemRange;
@@ -51,27 +51,104 @@ impl Chunk {
     }
 }
 
+/// A filter predicate prepared once for many chunks. Conjunctions of
+/// slot-vs-constant atoms (the common shape) are flattened here, so
+/// [`Pred::as_atoms`] — which clones every `InList` vector — runs once
+/// per kernel instead of once per chunk; everything else keeps the tree
+/// for the per-row interpreter. Same rows kept either way:
+/// `Pred::as_atoms` only flattens pure short-circuit ANDs.
+pub enum Filter {
+    Atoms(Vec<AtomPred>),
+    Tree(Pred),
+}
+
+impl Filter {
+    pub fn new(pred: &Pred) -> Self {
+        match pred.as_atoms() {
+            Some(atoms) => Filter::Atoms(atoms),
+            None => Filter::Tree(pred.clone()),
+        }
+    }
+
+    /// Retain the rows of `c` that satisfy the predicate, across all
+    /// filled slots, in their order.
+    pub fn apply(&self, c: &Chunk) -> Chunk {
+        let keep: Vec<usize> = match self {
+            Filter::Atoms(atoms) => {
+                // One sweep per atom, each narrowing the surviving index
+                // list, with the comparison chosen outside the loop.
+                let mut keep = None;
+                for a in atoms {
+                    let col = &c.cols[a.slot()][..c.rows];
+                    match a {
+                        AtomPred::Cmp(op, _, k) => {
+                            let k = *k;
+                            match op {
+                                CmpOp::Lt => narrow(&mut keep, col, |v| v < k),
+                                CmpOp::Le => narrow(&mut keep, col, |v| v <= k),
+                                CmpOp::Gt => narrow(&mut keep, col, |v| v > k),
+                                CmpOp::Ge => narrow(&mut keep, col, |v| v >= k),
+                                CmpOp::Eq => narrow(&mut keep, col, |v| v == k),
+                                CmpOp::Ne => narrow(&mut keep, col, |v| v != k),
+                            }
+                        }
+                        AtomPred::InList(_, list) => narrow(&mut keep, col, |v| list.contains(&v)),
+                    }
+                }
+                keep.unwrap_or_else(|| (0..c.rows).collect())
+            }
+            Filter::Tree(pred) => (0..c.rows).filter(|&r| pred.eval(&c.cols, r)).collect(),
+        };
+        select_rows(c, &keep)
+    }
+}
+
+/// One filter sweep: narrow `keep` to the rows whose value in `col`
+/// passes `test` — every row of `col` when no sweep has run yet.
+/// Branch-free: each candidate is stored and the length advances by the
+/// test's outcome, so a selectivity near one half costs no mispredicts.
+#[inline]
+fn narrow(keep: &mut Option<Vec<usize>>, col: &[i64], test: impl Fn(i64) -> bool) {
+    match keep {
+        None => {
+            // Block by block through a stack buffer, so the list grows
+            // with the survivors, not with the column.
+            let mut all = Vec::new();
+            let mut buf = [0usize; 1024];
+            for (b, block) in col.chunks(buf.len()).enumerate() {
+                let mut n = 0;
+                for (i, &v) in block.iter().enumerate() {
+                    buf[n] = b * buf.len() + i;
+                    n += test(v) as usize;
+                }
+                all.extend_from_slice(&buf[..n]);
+            }
+            *keep = Some(all);
+        }
+        Some(rows) => {
+            let mut n = 0;
+            for i in 0..rows.len() {
+                let r = rows[i];
+                rows[n] = r;
+                n += test(col[r]) as usize;
+            }
+            rows.truncate(n);
+        }
+    }
+}
+
 /// Filter: retain rows satisfying `pred` across all filled slots.
 pub fn apply_filter(c: &Chunk, pred: &Pred) -> Chunk {
-    // Conjunctions of slot-vs-constant atoms (the common shape) are
-    // evaluated in a flat loop over hoisted column slices; everything
-    // else goes through the per-row tree interpreter. Same rows kept
-    // either way — `Pred::as_atoms` only flattens pure short-circuit
-    // ANDs.
-    let keep: Vec<usize> = match pred.as_atoms() {
-        Some(atoms) => {
-            let cols: Vec<&[i64]> = atoms.iter().map(|a| c.cols[a.slot()].as_slice()).collect();
-            (0..c.rows)
-                .filter(|&r| atoms.iter().zip(&cols).all(|(a, col)| a.test(col[r])))
-                .collect()
-        }
-        None => (0..c.rows).filter(|&r| pred.eval(&c.cols, r)).collect(),
-    };
+    Filter::new(pred).apply(c)
+}
+
+/// Slot-wise row selection: gather `idx` from every filled slot.
+pub fn select_rows(c: &Chunk, idx: &[usize]) -> Chunk {
     let mut out = Chunk::new(c.cols.len());
-    out.rows = keep.len();
+    out.rows = idx.len();
     for s in 0..c.cols.len() {
         if c.filled[s] {
-            out.cols[s] = keep.iter().map(|&r| c.cols[s][r]).collect();
+            out.cols[s] = idx.iter().map(|&r| c.cols[s][r]).collect();
             out.filled[s] = true;
         }
     }
@@ -87,7 +164,6 @@ pub fn apply_probe(
     payloads: &[Slot],
     acc: &mut Vec<MemRange>,
 ) -> Chunk {
-    let mut out = Chunk::new(c.cols.len());
     let mut keep: Vec<usize> = Vec::new();
     let mut pay: Vec<Vec<i64>> = vec![Vec::new(); payloads.len()];
     // One bucket access lands in `acc` per input row.
@@ -100,13 +176,7 @@ pub fn apply_probe(
             }
         }
     }
-    out.rows = keep.len();
-    for s in 0..c.cols.len() {
-        if c.filled[s] {
-            out.cols[s] = keep.iter().map(|&r| c.cols[s][r]).collect();
-            out.filled[s] = true;
-        }
-    }
+    let mut out = select_rows(c, &keep);
     for (i, &s) in payloads.iter().enumerate() {
         out.cols[s] = std::mem::take(&mut pay[i]);
         out.filled[s] = true;

@@ -102,8 +102,7 @@ fn run_stage(
     };
     for (s, name) in stage.loads.iter().enumerate() {
         let col = t.col(name);
-        st.chunk
-            .fill(s, (0..rows).map(|r| col.get_i64(r)).collect());
+        st.chunk.fill(s, col.range_i64(0, rows));
         let ci = t.col_index(name).expect("load column exists");
         let scan = layout.scan(ci, 0..rows.max(1));
         // Ocelot sees at most 4-byte elements.

@@ -93,7 +93,7 @@ pub struct Simulator {
     clock: u64,
     /// Regions already counted toward the materialization footprint in
     /// the current epoch (see [`Simulator::reset_footprint`]).
-    footprint_seen: std::collections::HashSet<u32>,
+    footprint_seen: Vec<bool>,
     /// Per-work-unit execution spans, recorded while tracing is enabled
     /// (see [`Simulator::enable_trace`]). `None` = tracing off (free).
     trace: Option<Vec<crate::timeline::TraceSpan>>,
@@ -154,6 +154,29 @@ struct KState {
     ready_at: u64,
     idle_since: Option<u64>,
     prof: KernelProfile,
+}
+
+/// The region an address was last found in, as the per-range
+/// accounting in [`Simulator::try_run`] needs it: bounds to test the
+/// next address against, class index to count under, id for the
+/// footprint.
+#[derive(Clone, Copy)]
+struct RegionMemo {
+    base: u64,
+    bytes: u64,
+    id: u32,
+    class: usize,
+}
+
+impl RegionMemo {
+    /// An address outside every region: counted as scratch traffic,
+    /// never in the footprint, and (zero bytes) never a memo hit.
+    const UNMAPPED: RegionMemo = RegionMemo {
+        base: 0,
+        bytes: 0,
+        id: u32::MAX,
+        class: RegionClass::Scratch as usize,
+    };
 }
 
 #[derive(Clone, Copy, Default)]
@@ -314,7 +337,7 @@ impl Simulator {
             cache,
             channels: Vec::new(),
             clock: 0,
-            footprint_seen: std::collections::HashSet::new(),
+            footprint_seen: Vec::new(),
             trace: None,
             recorder: None,
             chan_counters: Vec::new(),
@@ -738,9 +761,11 @@ impl Simulator {
         let mut class_read = [0u64; RegionClass::COUNT];
         let mut class_written = [0u64; RegionClass::COUNT];
         let mut class_footprint = [0u64; RegionClass::COUNT];
-        // Last-region memo for address classification: work units touch
-        // runs of ranges in the same region.
-        let mut region_hint = 0u32;
+        // Memo of the region the last range fell in — work units touch
+        // runs of ranges in the same region — and of the region last
+        // written.
+        let mut region = RegionMemo::UNMAPPED;
+        let mut last_written = u32::MAX;
 
         macro_rules! occ_tick {
             ($now:expr) => {
@@ -863,25 +888,38 @@ impl Simulator {
                                         if r.bytes == 0 {
                                             continue;
                                         }
-                                        let (rid, class) = self
-                                            .mem
-                                            .classify_id_hinted(r.addr, &mut region_hint)
-                                            .unwrap_or((
-                                                crate::mem::RegionId(u32::MAX),
-                                                RegionClass::Scratch,
-                                            ));
-                                        let slot = if r.write {
-                                            &mut class_written
-                                        } else {
-                                            &mut class_read
-                                        };
-                                        slot[class.index()] += r.bytes;
-                                        if r.write
-                                            && rid.0 != u32::MAX
-                                            && self.footprint_seen.insert(rid.0)
-                                        {
-                                            class_footprint[class.index()] +=
-                                                self.mem.region(rid).bytes;
+                                        if r.addr.wrapping_sub(region.base) >= region.bytes {
+                                            region = self.mem.region_at(r.addr).map_or(
+                                                RegionMemo::UNMAPPED,
+                                                |(id, reg)| RegionMemo {
+                                                    base: reg.base,
+                                                    bytes: reg.bytes,
+                                                    id: id.0,
+                                                    class: reg.class.index(),
+                                                },
+                                            );
+                                        }
+                                        if !r.write {
+                                            class_read[region.class] += r.bytes;
+                                            continue;
+                                        }
+                                        class_written[region.class] += r.bytes;
+                                        // A region enters the footprint at
+                                        // its first write; `last_written`
+                                        // keeps a run of writes to one
+                                        // region off the seen-table.
+                                        if region.id != last_written {
+                                            last_written = region.id;
+                                            let seen = &mut self.footprint_seen;
+                                            let i = region.id as usize;
+                                            if region.id != u32::MAX {
+                                                if seen.len() <= i {
+                                                    seen.resize(self.mem.len(), false);
+                                                }
+                                                if !std::mem::replace(&mut seen[i], true) {
+                                                    class_footprint[region.class] += region.bytes;
+                                                }
+                                            }
                                         }
                                     }
                                     let mut mem_cycles = hit_bytes

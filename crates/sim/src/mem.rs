@@ -148,35 +148,17 @@ impl MemoryMap {
     /// Classify an address. Addresses are dense-ish and region count is
     /// modest (columns + intermediates), so a binary search is plenty.
     pub fn classify(&self, addr: u64) -> Option<RegionClass> {
-        self.classify_id(addr).map(|(_, c)| c)
+        self.region_at(addr).map(|(_, r)| r.class)
     }
 
-    /// Like [`MemoryMap::classify`] but also returns the owning region id.
-    pub fn classify_id(&self, addr: u64) -> Option<(RegionId, RegionClass)> {
+    /// The region holding `addr`, with its id. The engine keeps the
+    /// answer as a memo — work units touch runs of ranges inside one
+    /// region — and asks again only when an address leaves it.
+    pub fn region_at(&self, addr: u64) -> Option<(RegionId, &Region)> {
         // Regions are allocated in increasing base order.
         let idx = self.regions.partition_point(|r| r.base <= addr);
-        if idx == 0 {
-            return None;
-        }
-        let r = &self.regions[idx - 1];
-        (addr < r.base + r.bytes).then_some((RegionId(idx as u32 - 1), r.class))
-    }
-
-    /// [`MemoryMap::classify_id`] with a caller-held last-region memo:
-    /// work units touch runs of ranges inside one region, so checking
-    /// the memo first skips the binary search on the hot path. `hint`
-    /// is an opaque region index (any starting value self-corrects).
-    pub fn classify_id_hinted(&self, addr: u64, hint: &mut u32) -> Option<(RegionId, RegionClass)> {
-        if let Some(r) = self.regions.get(*hint as usize) {
-            if addr >= r.base && addr < r.base + r.bytes {
-                return Some((RegionId(*hint), r.class));
-            }
-        }
-        let hit = self.classify_id(addr);
-        if let Some((id, _)) = hit {
-            *hint = id.0;
-        }
-        hit
+        let r = self.regions.get(idx.checked_sub(1)?)?;
+        (addr < r.base + r.bytes).then_some((RegionId(idx as u32 - 1), r))
     }
 
     /// Total bytes allocated so far.

@@ -48,7 +48,13 @@ pub fn dec(units: i64, cents: i64) -> i64 {
 /// query results compare exactly.
 #[inline]
 pub fn dec_mul(a: i64, b: i64) -> i64 {
-    ((a as i128 * b as i128) / DECIMAL_SCALE as i128) as i64
+    // A 128-bit divide is a library call (`__divti3`); nearly every
+    // product fits 64 bits, where the divide is one instruction and
+    // truncates toward zero just the same.
+    match a.checked_mul(b) {
+        Some(p) => p / DECIMAL_SCALE,
+        None => ((a as i128 * b as i128) / DECIMAL_SCALE as i128) as i64,
+    }
 }
 
 /// Render a decimal for display.
@@ -207,6 +213,56 @@ mod tests {
         assert_eq!(dec_mul(i64::MAX / 200, 100), i64::MAX / 200);
         // Near-i64 operands must widen internally instead of overflowing.
         assert_eq!(dec_mul(i64::MAX / 200, 200), i64::MAX / 200 * 2);
+    }
+
+    /// The always-wide multiply `dec_mul` took before its 64-bit path.
+    fn dec_mul_wide(a: i64, b: i64) -> i64 {
+        ((a as i128 * b as i128) / DECIMAL_SCALE as i128) as i64
+    }
+
+    #[test]
+    fn dec_mul_matches_wide_at_edges() {
+        let edges = [
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MIN / 100,
+            -3_037_000_500, // ≈ -√(2^63): products straddle the overflow
+            -101,
+            -100,
+            -99,
+            -1,
+            0,
+            1,
+            99,
+            100,
+            101,
+            3_037_000_500,
+            i64::MAX / 100,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        for a in edges {
+            for b in edges {
+                assert_eq!(dec_mul(a, b), dec_mul_wide(a, b), "{a} × {b}");
+            }
+        }
+    }
+
+    gpl_check::prop! {
+        /// Both paths of `dec_mul` equal the always-wide multiply: over
+        /// all of `i64` (nearly always the 128-bit path) and over
+        /// operands near √(2^63), where products fall either side of it.
+        #[test]
+        fn dec_mul_matches_wide(
+            a in gpl_check::any::<i64>(),
+            b in gpl_check::any::<i64>(),
+            c in -4_000_000_000i64..4_000_000_000,
+            d in -4_000_000_000i64..4_000_000_000,
+        ) {
+            gpl_check::prop_assert_eq!(dec_mul(a, b), dec_mul_wide(a, b));
+            gpl_check::prop_assert_eq!(dec_mul(a, d), dec_mul_wide(a, d));
+            gpl_check::prop_assert_eq!(dec_mul(c, d), dec_mul_wide(c, d));
+        }
     }
 
     #[test]

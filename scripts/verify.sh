@@ -4,7 +4,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== 1/18 dependency-creep check =="
+echo "== 1/17 dependency-creep check =="
 # Every dependency must be an in-workspace path dependency; the three
 # crates the hermetic-build PR removed must never come back.
 if grep -rn "^rand\|^proptest\|^criterion" Cargo.toml crates/*/Cargo.toml; then
@@ -17,25 +17,25 @@ if grep -n '\(registry\|git\) *=' Cargo.toml crates/*/Cargo.toml; then
 fi
 echo "ok: all dependencies are in-tree path dependencies"
 
-echo "== 2/18 formatting =="
+echo "== 2/17 formatting =="
 cargo fmt --check
 
-echo "== 3/18 clippy (warnings are errors) =="
+echo "== 3/17 clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== 4/18 rustdoc (warnings are errors) =="
+echo "== 4/17 rustdoc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps
 
-echo "== 5/18 offline build =="
+echo "== 5/17 offline build =="
 cargo build --offline --workspace
 
-echo "== 6/18 tier-1: release build =="
+echo "== 6/17 tier-1: release build =="
 cargo build --offline --release
 
-echo "== 7/18 tier-1: full test suite =="
+echo "== 7/17 tier-1: full test suite =="
 cargo test --offline --workspace -q
 
-echo "== 8/18 observability smoke: repro profile q1 =="
+echo "== 8/17 observability smoke: repro profile q1 =="
 # `repro profile` re-parses every export with the in-tree JSON parser
 # before writing it (and panics otherwise), so a zero exit status
 # asserts the exported JSON parses; the loop below just guards against
@@ -49,19 +49,19 @@ for f in target/obs/profile-q1-kbe.trace.json \
 done
 echo "ok: all four exports present and parse-checked"
 
-echo "== 9/18 serving smoke: repro serve --workers 4 --queries 32 =="
+echo "== 9/17 serving smoke: repro serve --workers 4 --queries 32 =="
 # The experiment itself asserts a worker-count-independent result
 # fingerprint and that every corpus query succeeds; a zero exit status
 # is the gate.
 cargo run --offline --release -p gpl-bench --bin repro -- serve --workers 4 --queries 32 --sf 0.01
 
-echo "== 10/18 fault-injection smoke: repro faults =="
+echo "== 10/17 fault-injection smoke: repro faults =="
 # The experiment asserts that recovered runs reproduce the fault-free
 # rows fingerprint at every swept fault rate, that the breaker trips,
 # and that shedding rejects exactly the overflow; zero exit = gate.
 cargo run --offline --release -p gpl-bench --bin repro -- faults --sf 0.01
 
-echo "== 11/18 seeded-fault determinism: five byte-identical reports =="
+echo "== 11/17 seeded-fault determinism: five byte-identical reports =="
 # Same seed, same report — the faults experiment writes only
 # deterministic facts (no wall-clock), so five runs must produce a
 # byte-identical target/obs/faults-report.txt.
@@ -78,7 +78,7 @@ for i in 1 2 3 4 5; do
 done
 echo "ok: five byte-identical fault reports ($ref_hash)"
 
-echo "== 12/18 scheduler determinism, five runs =="
+echo "== 12/17 scheduler determinism, five runs =="
 # The 32-query seed-42 workload at 1/2/8 workers must match its pinned
 # fingerprint every time — run it repeatedly to shake out scheduling
 # races that a single lucky run could hide.
@@ -90,7 +90,7 @@ done
 echo "ok: five consecutive deterministic runs"
 
 
-echo "== 13/18 pipeline smoke: repro pipeline q14, byte-identical twice =="
+echo "== 13/17 pipeline smoke: repro pipeline q14, byte-identical twice =="
 # Cross-segment pipelining (DESIGN.md §9): the experiment asserts the
 # fused run's rows bit-identical to sequential GPL before printing
 # anything, and every reported number is simulated cycles — so stdout
@@ -106,7 +106,7 @@ h2_json=$(sha256sum target/obs/BENCH_pipeline.json | cut -d' ' -f1)
 [ -s target/obs/BENCH_pipeline.json ] || { echo "FAIL: missing BENCH_pipeline.json" >&2; exit 1; }
 echo "ok: pipeline experiment byte-identical across two runs ($h1_json)"
 
-echo "== 14/18 shard smoke: repro shard q9, byte-identical twice =="
+echo "== 14/17 shard smoke: repro shard q9, byte-identical twice =="
 # Multi-device sharding (DESIGN.md §10): the experiment asserts rows
 # bit-identical across placements and shard counts, and that 4 shards
 # beat 1 on observed cycles, before printing anything; every reported
@@ -123,7 +123,7 @@ h2_json=$(sha256sum target/obs/BENCH_shard.json | cut -d' ' -f1)
 [ -s target/obs/BENCH_shard.json ] || { echo "FAIL: missing BENCH_shard.json" >&2; exit 1; }
 echo "ok: shard experiment byte-identical across two runs ($h1_json)"
 
-echo "== 15/18 chaos smoke: repro chaos, byte-identical twice =="
+echo "== 15/17 chaos smoke: repro chaos, byte-identical twice =="
 # Straggler defense (DESIGN.md §11): the experiment asserts every
 # defended run's rows bit-identical to the fault-free baseline, that
 # checkpointed resume tightens the sweep-wide p95/p99 inflation tails
@@ -143,7 +143,7 @@ h2_json=$(sha256sum target/obs/BENCH_chaos.json | cut -d' ' -f1)
 [ -s target/obs/chaos-report.txt ] || { echo "FAIL: missing chaos-report.txt" >&2; exit 1; }
 echo "ok: chaos experiment byte-identical across two runs ($h1_json)"
 
-echo "== 16/18 bench artifacts: every cheap experiment emits a valid BENCH_*.json =="
+echo "== 16/17 bench artifacts: every cheap experiment emits a valid BENCH_*.json =="
 # The dispatcher validates every artifact against gpl-bench-artifact-v1
 # (and panics otherwise) before the experiment exits, so each zero
 # status below asserts a well-formed file; the loop only guards against
@@ -173,34 +173,12 @@ cmp -s target/obs/bench-run1.txt target/obs/bench-run2.txt \
     || { echo "FAIL: repro bench table differs across runs" >&2; exit 1; }
 echo "ok: seven artifacts valid, trajectory table byte-identical"
 
-echo "== 17/18 bench regression gate: repro bench check =="
+echo "== 17/17 bench regression gate: repro bench check =="
 # Diffs the artifacts regenerated in gates 15-16 against the pinned
 # baseline: fails if a pinned run disappeared or its simulated cycles
 # drifted beyond the pinned tolerance (10%). Re-pin deliberately with
 #   repro bench baseline scripts/bench_baseline.json
 # and explain the movement in the commit.
 cargo run --offline --release -p gpl-bench --bin repro -- bench check scripts/bench_baseline.json
-
-echo "== 18/18 simperf smoke: deterministic plane byte-identical, wall plane present =="
-# The simulator-throughput harness (DESIGN.md §12, OBSERVABILITY.md
-# "The wall-clock plane"): BENCH_simperf.json carries only the
-# deterministic facts (events, cycles, fingerprints) and must not
-# change between runs; the wall report is host-dependent, so it is
-# checked for presence and field shape only — never for magnitude.
-cargo run --offline --release -p gpl-bench --bin repro -- simperf --sf 0.02 --queries 6 > /dev/null
-cp target/obs/BENCH_simperf.json target/obs/simperf-det.run1.json
-cargo run --offline --release -p gpl-bench --bin repro -- simperf --sf 0.02 --queries 6 > /dev/null
-cmp -s target/obs/simperf-det.run1.json target/obs/BENCH_simperf.json \
-    || { echo "FAIL: simperf deterministic plane differs across runs" >&2; exit 1; }
-rm -f target/obs/simperf-det.run1.json
-for field in wall_ms events_per_sec launches_per_sec; do
-    grep -q "$field=" target/obs/simperf-wall.txt \
-        || { echo "FAIL: simperf wall report missing $field" >&2; exit 1; }
-done
-for arm in serve chaos shard; do
-    grep -q "^$arm " target/obs/simperf-wall.txt \
-        || { echo "FAIL: simperf wall report missing $arm arm" >&2; exit 1; }
-done
-echo "ok: simperf deterministic plane byte-identical; wall plane present (unpinned)"
 
 echo "verify: all green"

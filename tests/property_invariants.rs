@@ -43,15 +43,36 @@ prop! {
         prop_assert_eq!(next, rows);
     }
 
-    /// Filter equals the retain oracle for arbitrary data and thresholds.
+    /// Filter equals the per-row interpreter for arbitrary data, every
+    /// comparison, a mirrored `lit CMP slot` atom and an in-list — the
+    /// shape `apply_filter` evaluates as one narrowing sweep per atom,
+    /// the first in blocks of 1024 rows.
     #[test]
-    fn filter_matches_retain(vals in prop::collection::vec(-1000i64..1000, 0..300), lo in -500i64..500) {
+    fn filter_matches_retain(
+        vals in prop::collection::vec(-1000i64..1000, 0..2500),
+        op in 0usize..6,
+        lo in -500i64..500,
+        hi in -500i64..1500,
+        list in prop::collection::vec(-2000i64..2000, 0..6),
+        atoms in 1usize..4,
+    ) {
         let mut c = Chunk::new(2);
         c.fill(0, vals.clone());
         c.fill(1, vals.iter().map(|v| v * 2).collect());
-        let pred = Pred::cmp(CmpOp::Ge, Expr::slot(0), Expr::lit(lo));
+        let op = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne][op];
+        let mut conj = vec![
+            Pred::cmp(op, Expr::slot(0), Expr::lit(lo)),
+            Pred::cmp(CmpOp::Gt, Expr::lit(hi), Expr::slot(0)),
+            Pred::InList(Expr::slot(1), list),
+        ];
+        conj.truncate(atoms);
+        let pred = Pred::And(conj);
+        prop_assert!(pred.as_atoms().is_some());
         let out = apply_filter(&c, &pred);
-        let want: Vec<i64> = vals.iter().copied().filter(|&v| v >= lo).collect();
+        let want: Vec<i64> = (0..vals.len())
+            .filter(|&r| pred.eval(&c.cols, r))
+            .map(|r| vals[r])
+            .collect();
         prop_assert_eq!(&out.cols[0], &want);
         let want2: Vec<i64> = want.iter().map(|v| v * 2).collect();
         prop_assert_eq!(&out.cols[1], &want2);
