@@ -39,10 +39,14 @@ pub enum ExecError {
     /// so the request was rejected before execution (fast-fail instead
     /// of unbounded queueing latency).
     Rejected { queue_depth: u64, bound: u64 },
-    /// A [`StageConfig`](crate::exec::StageConfig) does not fit the
-    /// segment it configures (wg-count arity mismatch against the
-    /// lowered IR). A caller bug, not a device fault — never retried.
+    /// A configuration does not fit what it configures (wg-count arity
+    /// against the lowered IR, stage configs against the plan, a shard
+    /// assignment against the pool). A caller bug, not a device fault —
+    /// never retried.
     InvalidConfig(crate::segment::ConfigError),
+    /// The plan itself is malformed (slot discipline, hash-table wiring,
+    /// result shape). Rejected before anything launches.
+    InvalidPlan(crate::plan::PlanError),
 }
 
 impl ExecError {
@@ -96,6 +100,7 @@ impl fmt::Display for ExecError {
                 "admission rejected: queue depth {queue_depth} over bound {bound}"
             ),
             ExecError::InvalidConfig(e) => write!(f, "invalid stage config: {e}"),
+            ExecError::InvalidPlan(e) => write!(f, "invalid plan: {e}"),
         }
     }
 }
@@ -153,10 +158,15 @@ mod tests {
                 queue_depth: 9,
                 bound: 8,
             },
-            ExecError::InvalidConfig(crate::segment::ConfigError {
+            ExecError::InvalidConfig(crate::segment::ConfigError::WgCounts {
                 stage: "probe_lineitem".into(),
                 kernels: 3,
                 wg_counts: 2,
+            }),
+            ExecError::InvalidPlan(crate::plan::PlanError::Ht {
+                stage: "probe_lineitem".into(),
+                misuse: "probes unbuilt",
+                ht: 1,
             }),
         ]
     }
@@ -178,7 +188,8 @@ mod tests {
                 | ExecError::DeviceLost(_)
                 | ExecError::Oom(_)
                 | ExecError::Rejected { .. }
-                | ExecError::InvalidConfig(_) => {}
+                | ExecError::InvalidConfig(_)
+                | ExecError::InvalidPlan(_) => {}
             }
             let s = e.to_string();
             assert!(!s.is_empty());

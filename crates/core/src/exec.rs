@@ -6,14 +6,16 @@ use crate::gpl;
 use crate::ht::{GroupStore, SimHashTable};
 use crate::kbe;
 use crate::ops::sort_rows;
-use crate::plan::{QueryPlan, Stage, Terminal};
-use crate::recover::{RecoveryPolicy, RecoveryStats};
-use crate::segment::{overlap_pairs, InterSegmentEdge, SegmentIr};
+use crate::plan::{PlanError, QueryPlan, Stage, Terminal};
+use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats};
+use crate::segment::{overlap_pairs, ConfigError, InterSegmentEdge, SegmentIr};
+use crate::shard::Sharder;
 use gpl_sim::{DeviceSpec, KernelDesc, LaunchProfile, ResourceUsage, Simulator, Work, WorkUnit};
 use gpl_storage::{TableLayout, Tiling};
 use gpl_tpch::{QueryOutput, TpchDb};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -263,14 +265,142 @@ pub fn try_run_query(
     try_run_query_recovering(ctx, plan, mode, config, limits, None)
 }
 
-/// A stage's blocking output, handed back only on success so a retried
-/// attempt can never observe (or double-apply into) a failed attempt's
-/// partial state.
-type StageOut = (
-    LaunchProfile,
-    Option<(usize, Rc<RefCell<SimHashTable>>)>,
-    Option<Vec<Vec<i64>>>,
-);
+/// What one run on one device was asked to do (ROADMAP's `RunSpec`,
+/// internal): the borrowed, immutable inputs every stage shares.
+pub(crate) struct RunSpec<'a> {
+    pub plan: &'a QueryPlan,
+    pub config: &'a QueryConfig,
+    pub limits: &'a ExecLimits,
+    pub recovery: Option<&'a RecoveryPolicy>,
+}
+
+/// One stage of a [`RunSpec`] as one device sees it: everything an
+/// attempt borrows, for both drivers.
+pub(crate) struct StageRun<'a> {
+    pub spec: &'a RunSpec<'a>,
+    /// Index of the stage in the plan (and of its config).
+    pub idx: usize,
+    /// The stage lowered at this device's wavefront.
+    pub ir: &'a SegmentIr,
+    /// Tables built by earlier stages, as this device holds them.
+    pub hts: &'a [Option<Rc<RefCell<SimHashTable>>>],
+    /// Query cycles spent before this stage.
+    pub spent: u64,
+}
+
+impl StageRun<'_> {
+    pub(crate) fn stage(&self) -> &Stage {
+        &self.spec.plan.stages[self.idx]
+    }
+
+    pub(crate) fn cfg(&self) -> &StageConfig {
+        &self.spec.config.stages[self.idx]
+    }
+
+    /// The full recovery ladder for this stage, starting at `mode`.
+    pub(crate) fn ladder(&self, mode: ExecMode) -> Ladder<'_> {
+        Ladder::new(self.spec.recovery, mode, self.spec.limits, self.spent)
+    }
+}
+
+/// A stage's blocking terminal state, owned: the hash table it built or
+/// the aggregate store it filled. Handed back only by a successful
+/// attempt, so a retry can never observe (or double-apply into) a
+/// failed attempt's partial state.
+pub(crate) enum Blocking {
+    Build(usize, SimHashTable),
+    Agg(GroupStore),
+}
+
+/// One attempt's outcome: the launch profile plus the terminal state.
+pub(crate) type StageOut = (LaunchProfile, Blocking);
+
+type SharedBuild = Option<(usize, Rc<RefCell<SimHashTable>>)>;
+type SharedAgg = Option<Rc<RefCell<GroupStore>>>;
+
+impl Blocking {
+    /// Take back sole ownership of what [`make_blocking_outputs`] lent
+    /// to a launch (its kernels, and their handles, are gone by now).
+    fn owned(build: SharedBuild, agg: SharedAgg) -> Self {
+        fn unshare<T>(rc: Rc<RefCell<T>>) -> T {
+            match Rc::try_unwrap(rc) {
+                Ok(cell) => cell.into_inner(),
+                Err(_) => unreachable!("blocking output still shared after its launch"),
+            }
+        }
+        match (build, agg) {
+            (Some((slot, t)), _) => Blocking::Build(slot, unshare(t)),
+            (_, Some(a)) => Blocking::Agg(unshare(a)),
+            _ => unreachable!("a stage ends in a build or an aggregate"),
+        }
+    }
+
+    /// Content digest: what a checkpoint records and hedging compares.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        match self {
+            Blocking::Build(_, t) => t.fingerprint(),
+            Blocking::Agg(a) => a.fingerprint(),
+        }
+    }
+
+    /// Merge the state of a disjoint row range of the same stage: build
+    /// entries insert (key-unique across disjoint ranges, like shard
+    /// merges), aggregate stores absorb group-by-group.
+    fn absorb(&mut self, part: Blocking) {
+        match (self, part) {
+            (Blocking::Build(_, acc), Blocking::Build(_, t)) => {
+                let mut sink = Vec::new();
+                for (key, payload) in t.into_entries() {
+                    sink.clear();
+                    acc.insert(key, &payload, &mut sink);
+                }
+            }
+            (Blocking::Agg(acc), Blocking::Agg(s)) => acc.absorb(s),
+            _ => unreachable!("slices of one stage share its terminal"),
+        }
+    }
+}
+
+/// What the classic driver has accumulated so far.
+struct Progress {
+    hts: Vec<Option<Rc<RefCell<SimHashTable>>>>,
+    agg: Option<GroupStore>,
+    merged: LaunchProfile,
+    per_stage: Vec<LaunchProfile>,
+    stats: RecoveryStats,
+}
+
+impl Progress {
+    /// Install a blocking output — only ever a successful attempt's: a
+    /// failed attempt's partial hash table or aggregate store dropped
+    /// with its locals and can never leak into a retry.
+    fn install(&mut self, out: Blocking) {
+        match out {
+            Blocking::Build(slot, t) => self.hts[slot] = Some(Rc::new(RefCell::new(t))),
+            Blocking::Agg(store) => self.agg = Some(store),
+        }
+    }
+
+    fn record(&mut self, profile: LaunchProfile) {
+        self.merged.merge(&profile);
+        self.per_stage.push(profile);
+    }
+}
+
+/// The gate both drivers open with: a malformed plan, or a config with
+/// the wrong number of stages, is a structured error before anything
+/// launches.
+pub(crate) fn check_inputs<'a>(
+    plan: &QueryPlan,
+    configs: impl IntoIterator<Item = &'a QueryConfig>,
+) -> Result<(), ExecError> {
+    plan.check().map_err(ExecError::InvalidPlan)?;
+    for config in configs {
+        ConfigError::arity("stage configs", plan.stages.len(), config.stages.len())
+            .map_err(ExecError::InvalidConfig)?;
+    }
+    Ok(())
+}
 
 /// [`try_run_query`] with the recovery stack enabled: per-stage retries
 /// with deterministic exponential backoff, graceful degradation down the
@@ -287,12 +417,13 @@ pub fn try_run_query_recovering(
     limits: &ExecLimits,
     recovery: Option<&RecoveryPolicy>,
 ) -> Result<QueryRun, ExecError> {
-    plan.validate();
-    assert_eq!(
-        config.stages.len(),
-        plan.stages.len(),
-        "config/stage count mismatch"
-    );
+    check_inputs(plan, [config])?;
+    let spec = RunSpec {
+        plan,
+        config,
+        limits,
+        recovery,
+    };
     ctx.sim.reset_footprint();
     // Observability: one query span, with a child span per stage carrying
     // the chosen StageConfig. Timestamped in device cycles; gated on the
@@ -305,12 +436,19 @@ pub fn try_run_query_recovering(
         r.arg(s, "stages", plan.stages.len());
         s
     });
-    let mut hts: Vec<Option<Rc<RefCell<SimHashTable>>>> = vec![None; plan.num_hts];
-    let mut agg_rows: Option<Vec<Vec<i64>>> = None;
-    let mut per_stage = Vec::new();
-    let mut merged = LaunchProfile::default();
-    let mut stats = RecoveryStats::default();
+    let mut q = Progress {
+        hts: vec![None; plan.num_hts],
+        agg: None,
+        merged: LaunchProfile::default(),
+        per_stage: Vec::new(),
+        stats: RecoveryStats::default(),
+    };
 
+    // This stage loop and `shard::try_run_query_sharded`'s stay two:
+    // merging them means deciding whether pairs fuse under sharding,
+    // whether `checkpoint_slices` applies there, and whether a one-device
+    // pool skips the merge broadcast — each moves a pinned cycle count.
+    //
     // Under GPL-pipelined, eligible build→probe pairs with a non-zero
     // overlap knob run fused; everything else takes the per-stage path.
     let pairs = if mode == ExecMode::GplPipelined {
@@ -320,25 +458,12 @@ pub fn try_run_query_recovering(
     };
     let mut idx = 0;
     while idx < plan.stages.len() {
-        limits.check(merged.elapsed_cycles + stats.wasted_cycles)?;
+        limits.check(q.merged.elapsed_cycles + q.stats.wasted_cycles)?;
         if let Some(pair) = pairs
             .iter()
             .find(|p| p.build_stage == idx && config.stages[p.build_stage].overlap_slices > 0)
         {
-            run_pair_recovering(
-                ctx,
-                plan,
-                pair,
-                config,
-                &mut hts,
-                &mut agg_rows,
-                recovery,
-                limits,
-                &mut stats,
-                rec.as_ref(),
-                &mut merged,
-                &mut per_stage,
-            )?;
+            run_pair_recovering(ctx, &spec, pair, &mut q)?;
             idx += 2;
             continue;
         }
@@ -364,30 +489,15 @@ pub fn try_run_query_recovering(
             r.arg(s, "kernels", ir.nodes.len());
             s
         });
-        let spent = merged.elapsed_cycles;
-        let ((profile, built, rows_out), ran_on) = run_stage_recovering(
-            ctx,
-            plan,
-            &ir,
-            stage,
-            cfg,
-            mode,
-            &hts,
-            recovery,
-            limits,
-            spent,
-            &mut stats,
-            rec.as_ref(),
-        )?;
-        // Install the blocking outputs only now, on success: a failed
-        // attempt's partial hash table or aggregate store is dropped
-        // with its locals and can never leak into a retry.
-        if let Some((slot, ht)) = built {
-            hts[slot] = Some(ht);
-        }
-        if let Some(rows) = rows_out {
-            agg_rows = Some(rows);
-        }
+        let run = StageRun {
+            spec: &spec,
+            idx,
+            ir: &ir,
+            hts: &q.hts,
+            spent: q.merged.elapsed_cycles,
+        };
+        let ((profile, out), ran_on) = run_stage_recovering(ctx, &run, mode, &mut q.stats)?;
+        q.install(out);
         if let (Some(r), Some(s)) = (rec.as_ref(), stage_span) {
             if ran_on != mode {
                 r.arg(s, "degraded_to", ran_on.name());
@@ -395,39 +505,25 @@ pub fn try_run_query_recovering(
             r.arg(s, "stage_cycles", profile.elapsed_cycles);
             r.end(s, ctx.sim.clock());
         }
-        merged.merge(&profile);
-        per_stage.push(profile);
+        q.record(profile);
         idx += 1;
     }
 
-    let mut rows = agg_rows.expect("plan must end in an aggregate stage");
-    limits.check(merged.elapsed_cycles + stats.wasted_cycles)?;
-    // Final ORDER BY, as a (blocking) sort kernel, then LIMIT. The sort
-    // runs over host-side result rows, outside the fault domain: disarm
-    // injection so the output path cannot strand a pending fault.
-    if !plan.order_by.is_empty() {
-        let was_armed = ctx.sim.faults_armed();
-        ctx.sim.set_faults_armed(false);
-        let prof = run_sort_kernel(ctx, &mut rows, &plan.order_by);
-        ctx.sim.set_faults_armed(was_armed);
-        merged.merge(&prof);
-        per_stage.push(prof);
-    } else {
-        sort_rows(&mut rows, &[]);
+    let rows = q
+        .agg
+        .take()
+        .ok_or(ExecError::InvalidPlan(PlanError::NoAggregate))?;
+    let spent = q.merged.elapsed_cycles + q.stats.wasted_cycles;
+    let (output, sort) = finish_query(ctx, plan, rows.into_rows(), limits, spent)?;
+    if let Some(prof) = sort {
+        q.record(prof);
     }
-    // The final budget check: a query landing *exactly* on its budget
-    // succeeds (`spent > budget` times out, `spent == budget` passes) —
-    // the boundary `tests/fault_recovery.rs` pins at 1/2/8 workers.
-    limits.check(merged.elapsed_cycles + stats.wasted_cycles)?;
-    if let Some(limit) = plan.limit {
-        rows.truncate(limit);
-    }
-    if let Some(proj) = &plan.projection {
-        rows = rows
-            .into_iter()
-            .map(|r| proj.iter().map(|&i| r[i]).collect())
-            .collect();
-    }
+    let Progress {
+        merged,
+        per_stage,
+        stats,
+        ..
+    } = q;
 
     if let (Some(r), Some(s)) = (rec.as_ref(), query_span) {
         r.arg(s, "cycles", merged.elapsed_cycles);
@@ -439,10 +535,6 @@ pub fn try_run_query_recovering(
         }
         r.end(s, ctx.sim.clock());
     }
-    let output = QueryOutput::new(
-        plan.output_columns.iter().map(String::as_str).collect(),
-        rows,
-    );
     Ok(QueryRun {
         output,
         cycles: merged.elapsed_cycles + stats.wasted_cycles,
@@ -452,190 +544,191 @@ pub fn try_run_query_recovering(
     })
 }
 
-/// One attempt at one stage on one mode. Fresh blocking outputs (hash
-/// table / aggregate store) are created *per attempt*; the caller
-/// installs them into the query's state only on success. An injected
-/// fault surfaces as the corresponding [`ExecError`] variant.
-fn run_stage_attempt(
+/// The one query epilogue, for both drivers: the final `ORDER BY` as a
+/// (blocking) sort kernel on `ctx` — or the canonical full-row order —
+/// then `LIMIT`, projection and the named output. `spent` is the query's
+/// cycles so far; the sort's profile comes back for the caller's books.
+///
+/// The budget is checked before and after the sort: a query landing
+/// *exactly* on its budget succeeds (`spent > budget` times out,
+/// `spent == budget` passes) — the boundary `tests/fault_recovery.rs`
+/// pins at 1/2/8 workers.
+pub(crate) fn finish_query(
     ctx: &mut ExecContext,
     plan: &QueryPlan,
-    ir: &SegmentIr,
-    stage: &Stage,
-    cfg: &StageConfig,
+    mut rows: Vec<Vec<i64>>,
+    limits: &ExecLimits,
+    spent: u64,
+) -> Result<(QueryOutput, Option<LaunchProfile>), ExecError> {
+    limits.check(spent)?;
+    let sort = if plan.order_by.is_empty() {
+        sort_rows(&mut rows, &[]);
+        None
+    } else {
+        // The sort runs over host-side result rows, outside the fault
+        // domain: disarm injection so the output path cannot strand a
+        // pending fault.
+        let was_armed = ctx.sim.faults_armed();
+        ctx.sim.set_faults_armed(false);
+        let prof = run_sort_kernel(ctx, &mut rows, &plan.order_by);
+        ctx.sim.set_faults_armed(was_armed);
+        Some(prof)
+    };
+    limits.check(spent + sort.as_ref().map_or(0, |p| p.elapsed_cycles))?;
+    Ok((plan.output(rows), sort))
+}
+
+/// One attempt at one stage on one mode — the only way a stage runs.
+/// Fresh blocking outputs are created *per attempt*, every range of
+/// `part` (the whole driver, a checkpoint slice, a shard's partition)
+/// accumulates into them, and the terminal state is handed back owned,
+/// for the caller to install or merge only on success. An injected fault
+/// surfaces as the corresponding [`ExecError`] variant. `GplPipelined`
+/// runs the plain GPL pipeline: a lone stage has no pair to overlap with.
+pub(crate) fn attempt_stage(
+    ctx: &mut ExecContext,
+    run: &StageRun,
     mode: ExecMode,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
+    part: &[Range<usize>],
 ) -> Result<StageOut, ExecError> {
     debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a stage");
-    let (build, agg) = make_blocking_outputs(ctx, plan, stage);
-
-    let rows = ctx.db.table(&stage.driver).rows();
+    let (stage, ir, hts) = (run.stage(), run.ir, run.hts);
+    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, stage);
     let build_rc = build.as_ref().map(|(_, t)| t);
-    let profile = match mode {
-        ExecMode::Kbe => kbe::run_stage_range(ctx, ir, stage, hts, build_rc, agg.as_ref(), 0..rows),
-        ExecMode::GplNoCe => {
-            let tiling = Tiling::by_bytes(rows, ir.row_bytes, cfg.tile_bytes);
-            let mut p = LaunchProfile::default();
-            for tile in tiling.iter() {
-                p.merge(&kbe::run_stage_range(
-                    ctx,
-                    ir,
-                    stage,
-                    hts,
-                    build_rc,
-                    agg.as_ref(),
-                    tile,
-                ));
+    // A lone range's profile comes back as launched (stamps in device
+    // cycles, like any single launch); only further ranges merge.
+    let mut profile: Option<LaunchProfile> = None;
+    for range in part {
+        let p = match mode {
+            ExecMode::Kbe => {
+                kbe::run_stage_range(ctx, ir, stage, hts, build_rc, agg.as_ref(), range.clone())
             }
-            p
+            ExecMode::GplNoCe => {
+                let tiling = Tiling::by_bytes(range.len(), ir.row_bytes, run.cfg().tile_bytes);
+                let mut p = LaunchProfile::default();
+                for tile in tiling.iter() {
+                    p.merge(&kbe::run_stage_range(
+                        ctx,
+                        ir,
+                        stage,
+                        hts,
+                        build_rc,
+                        agg.as_ref(),
+                        range.start + tile.start..range.start + tile.end,
+                    ));
+                }
+                p
+            }
+            ExecMode::Gpl | ExecMode::GplPipelined => gpl::run_stage_range(
+                ctx,
+                ir,
+                stage,
+                hts,
+                build_rc,
+                agg.as_ref(),
+                run.cfg(),
+                range.clone(),
+            )?,
+        };
+        match profile.as_mut() {
+            Some(merged) => merged.merge(&p),
+            None => profile = Some(p),
         }
-        // A lone stage has no pair to overlap with: pipelined mode runs
-        // the plain GPL pipeline.
-        ExecMode::Gpl | ExecMode::GplPipelined => {
-            gpl::run_stage(ctx, ir, stage, hts, build_rc, agg.as_ref(), cfg)?
+        if let Some(record) = ctx.sim.take_fault() {
+            return Err(ExecError::from_fault(record));
         }
-    };
-    if let Some(record) = ctx.sim.take_fault() {
-        return Err(ExecError::from_fault(record));
     }
-    let agg_rows = agg.map(|a| {
-        Rc::try_unwrap(a)
-            .expect("aggregate store still shared")
-            .into_inner()
-            .into_rows()
-    });
-    Ok((profile, build, agg_rows))
+    Ok((profile.unwrap_or_default(), Blocking::owned(build, agg)))
 }
 
 /// Fresh blocking outputs (hash table / aggregate store) for one attempt
-/// at `stage` — created per attempt so a failed attempt's partial state
-/// drops with its locals.
-#[allow(clippy::type_complexity)]
-pub(crate) fn make_blocking_outputs(
+/// at `stage`, behind the shared handles its kernels write through.
+fn make_blocking_outputs(
     ctx: &mut ExecContext,
     plan: &QueryPlan,
     stage: &Stage,
-) -> (
-    Option<(usize, Rc<RefCell<SimHashTable>>)>,
-    Option<Rc<RefCell<GroupStore>>>,
-) {
-    let build = match &stage.terminal {
+) -> (SharedBuild, SharedAgg) {
+    match &stage.terminal {
         Terminal::HashBuild { ht, payloads, .. } => {
             let expected = estimate_build_rows(ctx, stage);
-            Some((
-                *ht,
-                Rc::new(RefCell::new(SimHashTable::new(
-                    &mut ctx.sim.mem,
-                    expected,
-                    payloads.len(),
-                    format!("{}::ht{}", plan.query.name(), ht),
-                ))),
-            ))
+            let table = SimHashTable::new(
+                &mut ctx.sim.mem,
+                expected,
+                payloads.len(),
+                format!("{}::ht{}", plan.query.name(), ht),
+            );
+            (Some((*ht, Rc::new(RefCell::new(table)))), None)
         }
-        Terminal::Aggregate { .. } => None,
-    };
-    let agg = match &stage.terminal {
         Terminal::Aggregate { groups, aggs } => {
-            Some(Rc::new(RefCell::new(GroupStore::with_kinds(
+            let store = GroupStore::with_kinds(
                 &mut ctx.sim.mem,
                 if groups.is_empty() { 1 } else { 4096 },
                 groups.len(),
                 aggs.iter().map(|a| a.kind).collect(),
                 format!("{}::agg", plan.query.name()),
-            ))))
+            );
+            (None, Some(Rc::new(RefCell::new(store))))
         }
-        Terminal::HashBuild { .. } => None,
-    };
-    (build, agg)
+    }
 }
 
 /// One fused attempt at an overlapped pair: both segments' kernels in a
 /// single launch, the shared hash table installed slice by slice and
 /// published through the inter-segment channel. Fresh blocking outputs
-/// per attempt, exactly like [`run_stage_attempt`] — so a mid-overlap
-/// fault can never double-publish or drop a slice: the retried attempt
-/// starts from nothing installed and nothing published.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+/// per attempt, exactly like [`attempt_stage`] — so a mid-overlap fault
+/// can never double-publish or drop a slice: the retried attempt starts
+/// from nothing installed and nothing published.
 fn run_pair_attempt(
     ctx: &mut ExecContext,
-    plan: &QueryPlan,
     edge: &InterSegmentEdge,
-    ir_b: &SegmentIr,
-    cfg_b: &StageConfig,
-    ir_p: &SegmentIr,
-    cfg_p: &StageConfig,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
-) -> Result<
-    (
-        LaunchProfile,
-        Vec<(usize, Rc<RefCell<SimHashTable>>)>,
-        Option<Vec<Vec<i64>>>,
-    ),
-    ExecError,
-> {
+    b: &StageRun,
+    p: &StageRun,
+) -> Result<(LaunchProfile, [Blocking; 2]), ExecError> {
     debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a pair");
-    let (stage_b, stage_p) = (
-        &plan.stages[edge.build_stage],
-        &plan.stages[edge.probe_stage],
-    );
-    let (shared_build, _) = make_blocking_outputs(ctx, plan, stage_b);
-    let (slot, shared) = shared_build.expect("pair build stage ends in a hash build");
-    debug_assert_eq!(slot, edge.ht, "pair edge names the built table");
-    let (build_p, agg) = make_blocking_outputs(ctx, plan, stage_p);
+    let plan = b.spec.plan;
+    let (shared, _) = make_blocking_outputs(ctx, plan, b.stage());
+    let (build_p, agg) = make_blocking_outputs(ctx, plan, p.stage());
     let profile = gpl::run_overlapped_pair(
         ctx,
         edge,
-        ir_b,
-        stage_b,
-        cfg_b,
-        ir_p,
-        stage_p,
-        cfg_p,
-        hts,
-        &shared,
+        b.ir,
+        b.stage(),
+        b.cfg(),
+        p.ir,
+        p.stage(),
+        p.cfg(),
+        b.hts,
+        shared
+            .as_ref()
+            .map(|(_, t)| t)
+            .expect("pair build stage ends in a hash build"),
         build_p.as_ref().map(|(_, t)| t),
         agg.as_ref(),
     )?;
     if let Some(record) = ctx.sim.take_fault() {
         return Err(ExecError::from_fault(record));
     }
-    let mut built = vec![(slot, shared)];
-    if let Some((s, t)) = build_p {
-        built.push((s, t));
-    }
-    let agg_rows = agg.map(|a| {
-        Rc::try_unwrap(a)
-            .expect("aggregate store still shared")
-            .into_inner()
-            .into_rows()
-    });
-    Ok((profile, built, agg_rows))
+    Ok((
+        profile,
+        [Blocking::owned(shared, None), Blocking::owned(build_p, agg)],
+    ))
 }
 
-/// Drive one eligible pair through the pipelined scheduler: fused
-/// attempts with the policy's retry budget and deterministic backoff,
-/// then degradation to the *sequential* pair — the two stages run one
-/// after the other through the normal recovery ladder starting at GPL.
-/// Installs blocking outputs into `hts`/`agg_rows` only on success, and
-/// merges profiles (the fused launch is split back into per-stage views
-/// by segment tag so `QueryRun::per_stage` keeps one entry per stage).
-#[allow(clippy::too_many_arguments)]
+/// Drive one eligible pair through the pipelined scheduler: the ladder's
+/// one rung is the fused launch (retries with backoff, no last resort);
+/// when it is exhausted the pair degrades to the *sequential* pair — the
+/// two stages one after the other, each down the normal ladder starting
+/// at GPL. Blocking outputs are installed only on success; the fused
+/// launch's profile is split back into per-stage views by segment tag so
+/// `QueryRun::per_stage` keeps one entry per stage.
 fn run_pair_recovering(
     ctx: &mut ExecContext,
-    plan: &QueryPlan,
+    spec: &RunSpec,
     pair: &InterSegmentEdge,
-    config: &QueryConfig,
-    hts: &mut [Option<Rc<RefCell<SimHashTable>>>],
-    agg_rows: &mut Option<Vec<Vec<i64>>>,
-    recovery: Option<&RecoveryPolicy>,
-    limits: &ExecLimits,
-    stats: &mut RecoveryStats,
-    rec: Option<&gpl_obs::Recorder>,
-    merged: &mut LaunchProfile,
-    per_stage: &mut Vec<LaunchProfile>,
-) -> Result<ExecMode, ExecError> {
+    q: &mut Progress,
+) -> Result<(), ExecError> {
     let (bi, pi) = (pair.build_stage, pair.probe_stage);
-    let (stage_b, stage_p) = (&plan.stages[bi], &plan.stages[pi]);
-    let (cfg_b, cfg_p) = (&config.stages[bi], &config.stages[pi]);
+    let (stage_b, stage_p) = (&spec.plan.stages[bi], &spec.plan.stages[pi]);
     let wf = ctx.sim.spec().wavefront_size;
     let ir_b = SegmentIr::lower(stage_b, ctx.db.table(&stage_b.driver), wf);
     let ir_p = SegmentIr::lower(stage_p, ctx.db.table(&stage_p.driver), wf);
@@ -645,9 +738,12 @@ fn run_pair_recovering(
     };
     let expected = estimate_build_rows(ctx, stage_b) as u64;
     let table_bytes = expected * 8 * (1 + payloads.len() as u64);
-    let edge = pair.clone().with_slices(cfg_b.overlap_slices, table_bytes);
+    let edge = pair
+        .clone()
+        .with_slices(spec.config.stages[bi].overlap_slices, table_bytes);
 
-    let span = rec.map(|r| {
+    let rec = ctx.sim.recorder().cloned();
+    let span = rec.as_ref().map(|r| {
         let t = r.track("exec");
         let s = r.begin(
             t,
@@ -660,479 +756,180 @@ fn run_pair_recovering(
         r.arg(s, "kernels", ir_b.nodes.len() + ir_p.nodes.len());
         s
     });
-    let instant = |name: &str, args: Vec<(&'static str, gpl_obs::Value)>, ctx: &ExecContext| {
-        if let Some(r) = rec {
-            let t = r.track("recover");
-            r.instant(t, "recover", name, ctx.sim.clock(), args);
-        }
+    let spent = q.merged.elapsed_cycles;
+    let fused = Ladder {
+        modes: vec![ExecMode::GplPipelined],
+        last_resort: LastResort::Never,
+        ..Ladder::new(spec.recovery, ExecMode::GplPipelined, spec.limits, spent)
     };
-    let spent = merged.elapsed_cycles;
-    let max_retries = recovery.map(|p| p.max_retries).unwrap_or(0);
-    for attempt in 0..=max_retries {
-        if attempt > 0 {
-            let policy = recovery.expect("retries imply a policy");
-            stats.retries += 1;
-            let delay = policy.backoff_for(attempt);
-            ctx.sim.advance(delay);
-            stats.backoff_cycles += delay;
-            stats.wasted_cycles += delay;
-            instant(
-                "retry",
-                vec![
-                    ("attempt", gpl_obs::Value::from(attempt)),
-                    ("backoff_cycles", gpl_obs::Value::from(delay)),
-                ],
-                ctx,
-            );
-        }
-        limits.check(spent + stats.wasted_cycles)?;
-        let c0 = ctx.sim.clock();
-        match run_pair_attempt(ctx, plan, &edge, &ir_b, cfg_b, &ir_p, cfg_p, hts) {
-            Ok((profile, built, rows)) => {
-                for (slot, t) in built {
-                    hts[slot] = Some(t);
-                }
-                if let Some(rows) = rows {
-                    *agg_rows = Some(rows);
-                }
-                if let Some(r) = rec {
-                    // The measured overlap window: where the two
-                    // segments' kernel activity intersects.
-                    if let (Some((a0, a1)), Some((b0, b1))) =
-                        (profile.segment_window(0), profile.segment_window(1))
-                    {
-                        let (lo, hi) = (a0.max(b0), a1.min(b1));
-                        if lo < hi {
-                            let t = r.track("exec");
-                            r.span(
-                                t,
-                                "overlap",
-                                format!("overlap:slices={}", edge.slices),
-                                lo,
-                                hi,
-                                vec![("cycles", gpl_obs::Value::from(hi - lo))],
-                            );
-                        }
-                    }
-                    if let Some(s) = span {
-                        r.arg(s, "stage_cycles", profile.elapsed_cycles);
-                        r.end(s, ctx.sim.clock());
+    let stage_run = |idx, ir| StageRun {
+        spec,
+        idx,
+        ir,
+        hts: &q.hts,
+        spent,
+    };
+    let (b, p) = (stage_run(bi, &ir_b), stage_run(pi, &ir_p));
+    let attempt = |ctx: &mut ExecContext, _| run_pair_attempt(ctx, &edge, &b, &p);
+    match fused.run(ctx, &mut q.stats, attempt, |_, _| {}) {
+        Ok(((profile, outs), _)) => {
+            outs.into_iter().for_each(|out| q.install(out));
+            if let Some(r) = rec.as_ref() {
+                // The measured overlap window: where the two segments'
+                // kernel activity intersects.
+                if let (Some((a0, a1)), Some((b0, b1))) =
+                    (profile.segment_window(0), profile.segment_window(1))
+                {
+                    let (lo, hi) = (a0.max(b0), a1.min(b1));
+                    if lo < hi {
+                        let t = r.track("exec");
+                        r.span(
+                            t,
+                            "overlap",
+                            format!("overlap:slices={}", edge.slices),
+                            lo,
+                            hi,
+                            vec![("cycles", gpl_obs::Value::from(hi - lo))],
+                        );
                     }
                 }
-                merged.merge(&profile);
-                per_stage.extend(profile.split_by_segment(&[0, 1]));
-                return Ok(ExecMode::GplPipelined);
-            }
-            Err(e) => {
-                let (record, lost) = match &e {
-                    ExecError::Fault(r) | ExecError::Oom(r) => (r.clone(), false),
-                    ExecError::DeviceLost(r) => (r.clone(), true),
-                    // Query problems, not device problems: propagate.
-                    _ => return Err(e),
-                };
-                stats.wasted_cycles += ctx.sim.clock().saturating_sub(c0);
-                instant(
-                    "fault",
-                    vec![
-                        ("kind", gpl_obs::Value::from(record.kind.name())),
-                        ("launch", gpl_obs::Value::from(record.launch)),
-                    ],
-                    ctx,
-                );
-                stats.faults.push(record);
-                if recovery.is_none() {
-                    return Err(e);
-                }
-                if lost {
-                    break;
+                if let Some(s) = span {
+                    r.arg(s, "stage_cycles", profile.elapsed_cycles);
+                    r.end(s, ctx.sim.clock());
                 }
             }
+            q.merged.merge(&profile);
+            q.per_stage.extend(profile.split_by_segment(&[0, 1]));
+            return Ok(());
         }
+        // Fused attempts exhausted: degrade below.
+        Err(e) if spec.recovery.is_some() && e.is_device_fault() => {}
+        Err(e) => return Err(e),
     }
-    let policy = recovery.expect("fused attempts exhausted implies a policy");
-    // Degrade to the sequential pair: both stages one after the other,
-    // each down the normal ladder starting at GPL.
-    stats.fallbacks += 1;
-    stats.degraded_to = Some(ExecMode::Gpl);
-    instant(
+    q.stats.fallbacks += 1;
+    q.stats.degraded_to = Some(ExecMode::Gpl);
+    recover::instant(
+        ctx,
         "fallback",
         vec![("to", gpl_obs::Value::from("GPL (sequential pair)"))],
-        ctx,
     );
     let mut ran = ExecMode::Gpl;
-    for (ir, stage, cfg) in [(&ir_b, stage_b, cfg_b), (&ir_p, stage_p, cfg_p)] {
-        let spent = merged.elapsed_cycles;
-        let ((profile, built, rows), ran_on) = run_stage_recovering(
-            ctx,
-            plan,
+    for (idx, ir) in [(bi, &ir_b), (pi, &ir_p)] {
+        let run = StageRun {
+            spec,
+            idx,
             ir,
-            stage,
-            cfg,
-            ExecMode::Gpl,
-            hts,
-            Some(policy),
-            limits,
-            spent,
-            stats,
-            rec,
-        )?;
-        if let Some((slot, t)) = built {
-            hts[slot] = Some(t);
-        }
-        if let Some(rows) = rows {
-            *agg_rows = Some(rows);
-        }
-        merged.merge(&profile);
-        per_stage.push(profile);
+            hts: &q.hts,
+            spent: q.merged.elapsed_cycles,
+        };
+        let ((profile, out), ran_on) =
+            run_stage_recovering(ctx, &run, ExecMode::Gpl, &mut q.stats)?;
+        q.install(out);
+        q.record(profile);
         ran = ran_on;
     }
-    if let (Some(r), Some(s)) = (rec, span) {
+    if let (Some(r), Some(s)) = (rec.as_ref(), span) {
         r.arg(s, "degraded_to", ran.name());
         r.end(s, ctx.sim.clock());
     }
-    Ok(ran)
+    Ok(())
 }
 
-/// Drive one stage through the recovery ladder (see [`crate::recover`]):
-/// `1 + max_retries` attempts per mode down the degradation chain, with
-/// deterministic backoff between same-mode attempts, then one disarmed
-/// last-resort KBE attempt. Device loss skips what is left of the armed
-/// ladder. Timeouts, cancellations and deadlocks propagate immediately.
-#[allow(clippy::too_many_arguments)]
+/// Drive one whole stage through the recovery ladder (see
+/// [`crate::recover`]), or slice by slice when the policy checkpoints.
 fn run_stage_recovering(
     ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    ir: &SegmentIr,
-    stage: &Stage,
-    cfg: &StageConfig,
+    run: &StageRun,
     mode: ExecMode,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
-    recovery: Option<&RecoveryPolicy>,
-    limits: &ExecLimits,
-    spent: u64,
     stats: &mut RecoveryStats,
-    rec: Option<&gpl_obs::Recorder>,
 ) -> Result<(StageOut, ExecMode), ExecError> {
-    let Some(policy) = recovery else {
-        return Ok((
-            run_stage_attempt(ctx, plan, ir, stage, cfg, mode, hts)?,
-            mode,
-        ));
-    };
-    if policy.checkpoint_slices >= 2 {
-        return run_stage_checkpointed(
-            ctx, plan, ir, stage, cfg, mode, hts, policy, limits, spent, stats, rec,
-        );
-    }
-    let instant = |name: &str, args: Vec<(&'static str, gpl_obs::Value)>, ctx: &ExecContext| {
-        if let Some(r) = rec {
-            let t = r.track("recover");
-            r.instant(t, "recover", name, ctx.sim.clock(), args);
+    match run.spec.recovery {
+        Some(policy) if policy.checkpoint_slices >= 2 => {
+            run_stage_checkpointed(ctx, run, mode, policy.checkpoint_slices, stats)
         }
-    };
-    let ladder = policy.ladder(mode);
-    let mut last_err: Option<ExecError> = None;
-    let mut first = true;
-    'modes: for &m in &ladder {
-        for attempt in 0..=policy.max_retries {
-            if !first {
-                if attempt == 0 {
-                    // Entering a degraded mode.
-                    stats.fallbacks += 1;
-                    stats.degraded_to = Some(m);
-                    instant(
-                        "fallback",
-                        vec![("to", gpl_obs::Value::from(m.name()))],
-                        ctx,
-                    );
-                } else {
-                    stats.retries += 1;
-                    let delay = policy.backoff_for(attempt);
-                    ctx.sim.advance(delay);
-                    stats.backoff_cycles += delay;
-                    stats.wasted_cycles += delay;
-                    instant(
-                        "retry",
-                        vec![
-                            ("attempt", gpl_obs::Value::from(attempt)),
-                            ("backoff_cycles", gpl_obs::Value::from(delay)),
-                        ],
-                        ctx,
-                    );
-                }
-            }
-            first = false;
-            limits.check(spent + stats.wasted_cycles)?;
-            let c0 = ctx.sim.clock();
-            match run_stage_attempt(ctx, plan, ir, stage, cfg, m, hts) {
-                Ok(out) => return Ok((out, m)),
-                Err(e) => {
-                    let device_lost = matches!(e, ExecError::DeviceLost(_));
-                    match &e {
-                        ExecError::Fault(record)
-                        | ExecError::Oom(record)
-                        | ExecError::DeviceLost(record) => {
-                            stats.wasted_cycles += ctx.sim.clock().saturating_sub(c0);
-                            instant(
-                                "fault",
-                                vec![
-                                    ("kind", gpl_obs::Value::from(record.kind.name())),
-                                    ("launch", gpl_obs::Value::from(record.launch)),
-                                ],
-                                ctx,
-                            );
-                            stats.faults.push(record.clone());
-                            last_err = Some(e);
-                        }
-                        // Query problems, not device problems: propagate.
-                        _ => return Err(e),
-                    }
-                    if device_lost {
-                        // Retrying a lost device is futile; go straight
-                        // to the disarmed last resort (if any).
-                        break 'modes;
-                    }
-                }
-            }
+        _ => {
+            let whole = 0..ctx.db.table(&run.stage().driver).rows();
+            let part = std::slice::from_ref(&whole);
+            let attempt = |ctx: &mut ExecContext, m| attempt_stage(ctx, run, m, part);
+            run.ladder(mode).run(ctx, stats, attempt, |_, _| {})
         }
     }
-    if policy.fallback {
-        // Last resort: KBE with injection disarmed — the hardened path
-        // outside the faulty device's blast radius (the CPU-fallback
-        // analogue). Guarantees termination even at fault rate 1.
-        stats.fallbacks += 1;
-        stats.degraded_to = Some(ExecMode::Kbe);
-        instant(
-            "fallback",
-            vec![("to", gpl_obs::Value::from("KBE (disarmed)"))],
-            ctx,
-        );
-        let was_armed = ctx.sim.faults_armed();
-        ctx.sim.set_faults_armed(false);
-        let result = run_stage_attempt(ctx, plan, ir, stage, cfg, ExecMode::Kbe, hts);
-        ctx.sim.set_faults_armed(was_armed);
-        return Ok((result?, ExecMode::Kbe));
-    }
-    Err(last_err.expect("at least one attempt ran"))
 }
 
 /// Slice-checkpoint execution of one stage (DESIGN.md §11): the driving
-/// relation splits into `RecoveryPolicy::checkpoint_slices` contiguous
-/// row slices, each run through the per-slice recovery ladder into
-/// *fresh* per-slice blocking outputs that merge into the stage's
-/// accumulated state only on success — the launch-admission invariant
-/// applied per slice. After every merge, a content checkpoint (the
-/// accumulated hash-table / group-store fingerprint) is recorded; a
-/// faulted slice re-verifies the accumulated state against the last
-/// checkpoint and retries *only itself*, so a mid-stage fault resumes
-/// from the last verified slice instead of row 0. Rows are
-/// bit-identical to the unsliced stage (disjoint ranges union exactly —
-/// the same facts the shard merge relies on); only cycles differ.
-#[allow(clippy::too_many_arguments)]
+/// relation splits into `slices` contiguous row slices, each run down
+/// the ladder into *fresh* per-slice blocking outputs that merge into
+/// the stage's accumulated state only on success — the launch-admission
+/// invariant applied per slice. After every merge, a content checkpoint
+/// (the accumulated state's fingerprint) is recorded; a faulted slice
+/// re-verifies the accumulated state against the last checkpoint and
+/// retries *only itself*, so a mid-stage fault resumes from the last
+/// verified slice instead of row 0. Rows are bit-identical to the
+/// unsliced stage (disjoint ranges union exactly — the same facts the
+/// shard merge relies on); only cycles differ.
 fn run_stage_checkpointed(
     ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    ir: &SegmentIr,
-    stage: &Stage,
-    cfg: &StageConfig,
+    run: &StageRun,
     mode: ExecMode,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
-    policy: &RecoveryPolicy,
-    limits: &ExecLimits,
-    spent: u64,
+    slices: u32,
     stats: &mut RecoveryStats,
-    rec: Option<&gpl_obs::Recorder>,
 ) -> Result<(StageOut, ExecMode), ExecError> {
-    let instant = |name: &str, args: Vec<(&'static str, gpl_obs::Value)>, ctx: &ExecContext| {
-        if let Some(r) = rec {
-            let t = r.track("recover");
-            r.instant(t, "recover", name, ctx.sim.clock(), args);
-        }
-    };
-    let rows = ctx.db.table(&stage.driver).rows();
-    let slices: Vec<std::ops::Range<usize>> = crate::shard::Sharder::Range
-        .partition(rows, policy.checkpoint_slices as usize)
-        .into_iter()
-        .flatten()
-        .collect();
+    let rows = ctx.db.table(&run.stage().driver).rows();
+    let slices = Sharder::Range.partition(rows, slices as usize);
     // Accumulated blocking state: created ONCE and kept across slice
     // attempts — sound because a faulted slice attempt only ever built
     // its own (dropped) per-slice outputs.
-    let (build, agg) = make_blocking_outputs(ctx, plan, stage);
-    let acc_fingerprint = |build: &Option<(usize, Rc<RefCell<SimHashTable>>)>,
-                           agg: &Option<Rc<RefCell<GroupStore>>>| {
-        match (build, agg) {
-            (Some((_, t)), _) => t.borrow().fingerprint(),
-            (_, Some(a)) => a.borrow().fingerprint(),
-            _ => unreachable!("a stage ends in a build or an aggregate"),
-        }
-    };
-    let mut checkpoint = acc_fingerprint(&build, &agg);
-    let mut verified = 0u64; // slices merged and checksummed
+    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, run.stage());
+    let mut acc = Blocking::owned(build, agg);
+    let mut checkpoint = acc.fingerprint();
     let mut kept_cycles = 0u64; // useful cycles the checkpoints protect
     let mut profile = LaunchProfile::default();
     let mut ran_on = mode;
-    let full_ladder = policy.ladder(mode);
+    let ladder = run.ladder(mode);
 
-    for slice in &slices {
-        let part = [slice.clone()];
-        let mut last_err: Option<ExecError> = None;
-        let mut first = true;
-        let mut slice_done = false;
-        'modes: for &m in &full_ladder {
-            for attempt in 0..=policy.max_retries {
-                if !first {
-                    if attempt == 0 {
-                        stats.fallbacks += 1;
-                        stats.degraded_to = Some(m);
-                        instant(
-                            "fallback",
-                            vec![("to", gpl_obs::Value::from(m.name()))],
-                            ctx,
-                        );
-                    } else {
-                        stats.retries += 1;
-                        let delay = policy.backoff_for(attempt);
-                        ctx.sim.advance(delay);
-                        stats.backoff_cycles += delay;
-                        stats.wasted_cycles += delay;
-                        instant(
-                            "retry",
-                            vec![
-                                ("attempt", gpl_obs::Value::from(attempt)),
-                                ("backoff_cycles", gpl_obs::Value::from(delay)),
-                            ],
-                            ctx,
-                        );
-                    }
-                }
-                first = false;
-                limits.check(spent + stats.wasted_cycles)?;
-                let c0 = ctx.sim.clock();
-                match crate::shard::run_shard_attempt(ctx, plan, ir, stage, cfg, m, hts, &part) {
-                    Ok((sp, sbuilt, sagg)) => {
-                        merge_slice(&build, &agg, sbuilt, sagg);
-                        checkpoint = acc_fingerprint(&build, &agg);
-                        verified += 1;
-                        kept_cycles += ctx.sim.clock().saturating_sub(c0);
-                        profile.merge(&sp);
-                        if m != mode {
-                            ran_on = m;
-                        }
-                        slice_done = true;
-                        break 'modes;
-                    }
-                    Err(e) => {
-                        let device_lost = matches!(e, ExecError::DeviceLost(_));
-                        match &e {
-                            ExecError::Fault(record)
-                            | ExecError::Oom(record)
-                            | ExecError::DeviceLost(record) => {
-                                stats.wasted_cycles += ctx.sim.clock().saturating_sub(c0);
-                                instant(
-                                    "fault",
-                                    vec![
-                                        ("kind", gpl_obs::Value::from(record.kind.name())),
-                                        ("launch", gpl_obs::Value::from(record.launch)),
-                                    ],
-                                    ctx,
-                                );
-                                stats.faults.push(record.clone());
-                                last_err = Some(e);
-                                // Partial-progress resume: the completed
-                                // slices stay. Verify them against the
-                                // last checkpoint before continuing —
-                                // a failed attempt must not have touched
-                                // the accumulated state.
-                                if verified > 0 {
-                                    assert_eq!(
-                                        acc_fingerprint(&build, &agg),
-                                        checkpoint,
-                                        "accumulated state diverged from its checkpoint"
-                                    );
-                                    stats.resumed_slices += verified;
-                                    stats.checkpoint_saved_cycles += kept_cycles;
-                                    instant(
-                                        "resume",
-                                        vec![
-                                            ("from_slice", gpl_obs::Value::from(verified)),
-                                            ("saved_cycles", gpl_obs::Value::from(kept_cycles)),
-                                        ],
-                                        ctx,
-                                    );
-                                }
-                            }
-                            _ => return Err(e),
-                        }
-                        if device_lost {
-                            break 'modes;
-                        }
-                    }
-                }
+    // `verified`: slices merged and checksummed so far.
+    for (verified, slice) in (0u64..).zip(slices.iter().flatten()) {
+        let part = std::slice::from_ref(slice);
+        // An armed success also reports its cycles, which later faults
+        // count as saved; the disarmed last resort reports none.
+        let attempt = |ctx: &mut ExecContext, m| {
+            let c0 = ctx.sim.clock();
+            let out = attempt_stage(ctx, run, m, part)?;
+            let armed = ctx.sim.faults_armed();
+            Ok((out, if armed { ctx.sim.clock() - c0 } else { 0 }))
+        };
+        // Partial-progress resume: the completed slices stay. Verify
+        // them against the last checkpoint before continuing — a failed
+        // attempt must not have touched the accumulated state.
+        let resume = |ctx: &mut ExecContext, stats: &mut RecoveryStats| {
+            if verified > 0 {
+                assert_eq!(
+                    acc.fingerprint(),
+                    checkpoint,
+                    "accumulated state diverged from its checkpoint"
+                );
+                stats.resumed_slices += verified;
+                stats.checkpoint_saved_cycles += kept_cycles;
+                recover::instant(
+                    ctx,
+                    "resume",
+                    vec![
+                        ("from_slice", gpl_obs::Value::from(verified)),
+                        ("saved_cycles", gpl_obs::Value::from(kept_cycles)),
+                    ],
+                );
             }
-        }
-        if !slice_done {
-            if !policy.fallback {
-                return Err(last_err.expect("at least one attempt ran"));
-            }
-            stats.fallbacks += 1;
-            stats.degraded_to = Some(ExecMode::Kbe);
-            instant(
-                "fallback",
-                vec![("to", gpl_obs::Value::from("KBE (disarmed)"))],
-                ctx,
-            );
-            let was_armed = ctx.sim.faults_armed();
-            ctx.sim.set_faults_armed(false);
-            let result = crate::shard::run_shard_attempt(
-                ctx,
-                plan,
-                ir,
-                stage,
-                cfg,
-                ExecMode::Kbe,
-                hts,
-                &part,
-            );
-            ctx.sim.set_faults_armed(was_armed);
-            let (sp, sbuilt, sagg) = result?;
-            merge_slice(&build, &agg, sbuilt, sagg);
-            checkpoint = acc_fingerprint(&build, &agg);
-            verified += 1;
-            profile.merge(&sp);
-            ran_on = ExecMode::Kbe;
+        };
+        let (((sp, out), cycles), m) = ladder.run(ctx, stats, attempt, resume)?;
+        acc.absorb(out);
+        checkpoint = acc.fingerprint();
+        kept_cycles += cycles;
+        profile.merge(&sp);
+        if m != mode {
+            ran_on = m;
         }
     }
-
-    let agg_rows = agg.map(|a| {
-        Rc::try_unwrap(a)
-            .expect("aggregate store still shared")
-            .into_inner()
-            .into_rows()
-    });
-    Ok(((profile, build, agg_rows), ran_on))
-}
-
-/// Merge one verified slice's owned blocking outputs into the stage's
-/// accumulated state: build entries insert (key-unique across disjoint
-/// slices, like shard merges), aggregate stores absorb group-by-group.
-fn merge_slice(
-    build: &Option<(usize, Rc<RefCell<SimHashTable>>)>,
-    agg: &Option<Rc<RefCell<GroupStore>>>,
-    sbuilt: Option<(usize, SimHashTable)>,
-    sagg: Option<GroupStore>,
-) {
-    if let (Some((_, acc)), Some((_, t))) = (build, sbuilt) {
-        let mut acc = acc.borrow_mut();
-        let mut sink = Vec::new();
-        for (key, payload) in t.into_entries() {
-            sink.clear();
-            acc.insert(key, &payload, &mut sink);
-        }
-    }
-    if let (Some(acc), Some(s)) = (agg, sagg) {
-        acc.borrow_mut().absorb(s);
-    }
+    Ok(((profile, acc), ran_on))
 }
 
 /// Estimate a build stage's output cardinality by evaluating its filters

@@ -394,6 +394,9 @@ struct ProbeSource {
     in_q: DataQ,
     out: ChannelId,
     out_q: DataQ,
+    /// Worst-case output rows an empty `out` holds (see
+    /// [`split_front_to_fit`]).
+    out_fit_rows: usize,
     out_row_bytes: u64,
     packet_bytes: u32,
     wavefront: u64,
@@ -401,6 +404,39 @@ struct ProbeSource {
     /// inside a fused launch.
     unit_rows_cap: usize,
     gate: Option<Gate>,
+}
+
+/// A probe *widens* rows, so a chunk that fit its input channel can have
+/// a worst-case output larger than the output channel's **total
+/// capacity**: no amount of draining would ever admit it, and every
+/// kernel downstream would block on an empty channel. Split such a front
+/// chunk by rows into the prefix that fits an empty output channel and
+/// the remainder, dividing its packets proportionally (each part keeps
+/// ≥ 1, so the timing side still pops exactly what was pushed).
+/// `fit_rows` is how many output rows that empty channel holds; a chunk
+/// that fits is left alone, so this fires only where the pipeline used
+/// to deadlock.
+fn split_front_to_fit(q: &mut VecDeque<(Chunk, u64, u64)>, input: ChannelId, fit_rows: usize) {
+    match q.front() {
+        Some((chunk, packets, _)) if chunk.rows > fit_rows && fit_rows > 0 && *packets > 1 => {}
+        _ => return,
+    }
+    let (mut head, packets, sum) = q.pop_front().expect("front exists");
+    verify_transit(&head, sum, input);
+    let mut tail = Chunk::new(head.cols.len());
+    for s in 0..head.cols.len() {
+        if head.filled[s] {
+            tail.cols[s] = head.cols[s].split_off(fit_rows);
+            tail.filled[s] = true;
+        }
+    }
+    tail.rows = head.rows - fit_rows;
+    head.rows = fit_rows;
+    let share = packets as u128 * fit_rows as u128 / (fit_rows + tail.rows) as u128;
+    let head_packets = (share as u64).clamp(1, packets - 1);
+    let (head_sum, tail_sum) = (transit_stamp(&head), transit_stamp(&tail));
+    q.push_front((tail, packets - head_packets, tail_sum));
+    q.push_front((head, head_packets, head_sum));
 }
 
 /// Pop as many whole chunks as the channel's available packets and the
@@ -582,10 +618,18 @@ impl ProbeSource {
                 .pop(gate.pub_in, pub_popped),
             );
         }
-        let merged = concat(admitted);
+        let pub_in = gate.pub_in;
+        // `routed_rows * 2`: the slice-routing cost.
+        let unit = self.probe_unit(admitted, routed_rows * 2, data_popped);
+        Work::Unit(unit.pop(pub_in, pub_popped))
+    }
+
+    /// Run the fused steps over the admitted chunks as one work unit:
+    /// pop `popped` input packets, push the surviving rows downstream.
+    fn probe_unit(&mut self, chunks: Vec<Chunk>, mut compute: u64, popped: u64) -> WorkUnit {
+        let merged = concat(chunks);
         let in_rows = merged.rows as u64;
         let mut acc = Vec::new();
-        let mut compute = routed_rows * 2; // slice-routing cost
         let mut mem = 0u64;
         let mut out = apply_steps(&self.steps, merged, &mut acc, &mut compute, &mut mem);
         let mut unit = WorkUnit {
@@ -595,8 +639,7 @@ impl ProbeSource {
             ..Default::default()
         }
         .rows(in_rows, out.rows as u64)
-        .pop(self.input, data_popped)
-        .pop(gate.pub_in, pub_popped);
+        .pop(self.input, popped);
         if out.rows > 0 {
             project_to(&mut out, &self.ship);
             let packets = packets_for(out.rows, self.out_row_bytes, self.packet_bytes);
@@ -604,12 +647,13 @@ impl ProbeSource {
             self.out_q.borrow_mut().push_back((out, packets, sum));
             unit = unit.push(self.out, packets);
         }
-        Work::Unit(unit)
+        unit
     }
 }
 
 impl gpl_sim::WorkSource for ProbeSource {
     fn next(&mut self, view: &dyn ChannelView) -> Work {
+        split_front_to_fit(&mut self.in_q.borrow_mut(), self.input, self.out_fit_rows);
         if self.gate.is_some() {
             return self.next_gated(view);
         }
@@ -622,30 +666,7 @@ impl gpl_sim::WorkSource for ProbeSource {
                     Work::Wait
                 }
             }
-            Some((chunks, popped)) => {
-                let merged = concat(chunks);
-                let in_rows = merged.rows as u64;
-                let mut acc = Vec::new();
-                let mut compute = 0u64;
-                let mut mem = 0u64;
-                let mut out = apply_steps(&self.steps, merged, &mut acc, &mut compute, &mut mem);
-                let mut unit = WorkUnit {
-                    compute_insts: compute.div_ceil(self.wavefront).max(1),
-                    mem_insts: mem.div_ceil(self.wavefront),
-                    accesses: acc,
-                    ..Default::default()
-                }
-                .rows(in_rows, out.rows as u64)
-                .pop(self.input, popped);
-                if out.rows > 0 {
-                    project_to(&mut out, &self.ship);
-                    let packets = packets_for(out.rows, self.out_row_bytes, self.packet_bytes);
-                    let sum = transit_stamp(&out);
-                    self.out_q.borrow_mut().push_back((out, packets, sum));
-                    unit = unit.push(self.out, packets);
-                }
-                Work::Unit(unit)
-            }
+            Some((chunks, popped)) => Work::Unit(self.probe_unit(chunks, 0, popped)),
         }
     }
 }
@@ -902,7 +923,7 @@ struct PublishSide {
 }
 
 /// Assemble one stage's kernels wired to freshly created channels —
-/// everything [`run_stage`] does short of launching. `segment` tags each
+/// everything [`run_stage_range`] does short of launching. `segment` tags each
 /// kernel for fused multi-segment launches; `publish` swaps the blocking
 /// hash-build terminal for the slice-publishing variant, and `gate`
 /// attaches slice-gated admission to the kernel at the given node index.
@@ -931,6 +952,7 @@ fn stage_kernels(
     // also kept large enough for the biggest single batch to avoid
     // artificial deadlock, and floored at 64 packets.
     let mut channels = Vec::with_capacity(num_edges);
+    let mut capacities = Vec::with_capacity(num_edges);
     let mut queues: Vec<DataQ> = Vec::with_capacity(num_edges);
     for edge in &ir.edges {
         // A quarter of the tile may be in flight per edge (Section 3.3:
@@ -946,6 +968,7 @@ fn stage_kernels(
             cfg.packet_bytes,
             cap_per_port,
         ));
+        capacities.push(cfg.n_channels as u64 * cap_per_port as u64);
         queues.push(Rc::new(RefCell::new(VecDeque::new())));
     }
 
@@ -1022,6 +1045,8 @@ fn stage_kernels(
                 in_q: queues[g - 1].clone(),
                 out: channels[g],
                 out_q: queues[g].clone(),
+                out_fit_rows: (capacities[g] * cfg.packet_bytes as u64
+                    / ir.edges[g].row_bytes.max(1)) as usize,
                 out_row_bytes: ir.edges[g].row_bytes,
                 packet_bytes: cfg.packet_bytes,
                 wavefront: wavefront as u64,
@@ -1103,41 +1128,15 @@ fn stage_kernels(
     Ok(kernels)
 }
 
-/// Run one stage as a GPL pipeline, launching the kernels and channels
-/// its lowered [`SegmentIr`] describes (`ir` must be the lowering of
-/// `stage` at this context's wavefront). The channel pipeline is the
-/// only execution path whose kernels can block on each other, so it is
-/// the only one that can deadlock — hence the `Result`; KBE and replay
-/// kernels never return `Work::Wait` and stay infallible.
-pub(crate) fn run_stage(
-    ctx: &mut ExecContext,
-    ir: &SegmentIr,
-    stage: &Stage,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
-    build: Option<&Rc<RefCell<SimHashTable>>>,
-    agg: Option<&Rc<RefCell<GroupStore>>>,
-    cfg: &StageConfig,
-) -> Result<LaunchProfile, ExecError> {
-    let kernels = stage_kernels(
-        ctx,
-        ir,
-        stage,
-        hts,
-        build,
-        agg,
-        cfg,
-        0,
-        usize::MAX,
-        None,
-        None,
-        None,
-    )?;
-    ctx.run_kernels(kernels)
-}
-
-/// [`run_stage`] over one shard of the driving relation: the leaf scans
-/// only `rows`, tiling within the shard; everything downstream is
-/// unchanged. With `rows == 0..t.rows()` this is exactly `run_stage`.
+/// Run one stage as a GPL pipeline over the rows `rows` of its driving
+/// relation (a shard, a checkpoint slice, or all of it), launching the
+/// kernels and channels its lowered [`SegmentIr`] describes (`ir` must
+/// be the lowering of `stage` at this context's wavefront). The leaf
+/// tiles within `rows`; everything downstream is range-agnostic. The
+/// channel pipeline is the only execution path whose kernels can block
+/// on each other, so it is the only one that can deadlock — hence the
+/// `Result`; KBE and replay kernels never return `Work::Wait` and stay
+/// infallible.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_stage_range(
     ctx: &mut ExecContext,
@@ -1283,7 +1282,7 @@ mod tests {
     use super::*;
     use crate::exec::{ExecContext, StageConfig};
     use crate::plan::{listing1_plan, q14_plan};
-    use gpl_sim::amd_a10;
+    use gpl_sim::{amd_a10, Simulator};
     use gpl_storage::days;
     use gpl_tpch::{Q14Params, TpchDb};
 
@@ -1301,6 +1300,63 @@ mod tests {
             ctx.db.table(&stage.driver),
             ctx.sim.spec().wavefront_size,
         )
+    }
+
+    /// The whole driving relation as one range.
+    fn run_stage(
+        ctx: &mut ExecContext,
+        ir: &SegmentIr,
+        stage: &Stage,
+        hts: &[Option<Rc<RefCell<SimHashTable>>>],
+        build: Option<&Rc<RefCell<SimHashTable>>>,
+        agg: Option<&Rc<RefCell<GroupStore>>>,
+        cfg: &StageConfig,
+    ) -> Result<LaunchProfile, ExecError> {
+        let rows = ctx.db.table(&stage.driver).rows();
+        run_stage_range(ctx, ir, stage, hts, build, agg, cfg, 0..rows)
+    }
+
+    #[test]
+    fn chunk_wider_than_the_downstream_capacity_is_split() {
+        // 1000 rows in 500 input packets; downstream rows are 64 bytes
+        // and the output channel holds 128 16-byte packets in total, so
+        // at most 128 * 16 / 64 = 32 rows can ever be admitted at once.
+        let mut wide = Chunk::new(3);
+        wide.fill(0, (0..1000).collect());
+        wide.fill(2, (0..1000).map(|v| v * 7).collect());
+        let sum = transit_stamp(&wide);
+        let mut q = VecDeque::from([(wide.clone(), 500, sum)]);
+        let ch = Simulator::new(amd_a10()).create_channel(1, 16);
+        split_front_to_fit(&mut q, ch, 32);
+        assert_eq!(q.len(), 2);
+        let (head, head_packets, head_sum) = &q[0];
+        let (tail, tail_packets, tail_sum) = &q[1];
+        assert_eq!((head.rows, tail.rows), (32, 968));
+        assert!(packets_for(head.rows, 64, 16) <= 128, "the prefix fits");
+        assert_eq!((*head_packets, *tail_packets), (16, 484));
+        assert_eq!(*head_sum, transit_stamp(head));
+        assert_eq!(*tail_sum, transit_stamp(tail));
+        assert_eq!(concat(vec![head.clone(), tail.clone()]), wide);
+        assert!(!head.filled[1] && !tail.filled[1]);
+        // The remainder splits again when it reaches the front; a chunk
+        // that fits, or holds a single packet, is left alone.
+        q.pop_front();
+        split_front_to_fit(&mut q, ch, 32);
+        assert_eq!(
+            (q[0].0.rows, q[0].1, q[1].0.rows, q[1].1),
+            (32, 16, 936, 468)
+        );
+        let before = q.clone();
+        split_front_to_fit(&mut q, ch, 32);
+        assert_eq!(q, before);
+        let mut one = VecDeque::from([(wide.clone(), 1, sum)]);
+        split_front_to_fit(&mut one, ch, 32);
+        assert_eq!(one.len(), 1);
+        // The split keeps a packet on each side even when the row share
+        // rounds to none.
+        let mut two = VecDeque::from([(wide, 2, sum)]);
+        split_front_to_fit(&mut two, ch, 32);
+        assert_eq!((two[0].1, two[1].1), (1, 1));
     }
 
     #[test]

@@ -16,11 +16,61 @@
 
 use crate::expr::{Expr, Pred, Slot};
 use crate::ht::AggKind;
-use gpl_tpch::{OrderBy, Q14Params, QueryId, TpchDb};
-use std::fmt::Write as _;
+use gpl_tpch::{OrderBy, Q14Params, QueryId, QueryOutput, TpchDb};
+use std::fmt::{self, Write as _};
 
 /// Identifies a hash table within a plan.
 pub type HtId = usize;
+
+/// Why a plan cannot run: the structured form of the slot-discipline
+/// and wiring checks, returned by [`Stage::check`] / [`QueryPlan::check`]
+/// and surfaced on the request path as
+/// [`ExecError::InvalidPlan`](crate::ExecError::InvalidPlan).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PlanError {
+    /// A stage `misuse`s a slot: reads one nothing filled, or lands a
+    /// probe payload on one already filled.
+    Slot {
+        stage: String,
+        misuse: &'static str,
+        slot: Slot,
+    },
+    /// A stage `misuse`s a hash table: probes it unbuilt, builds it
+    /// twice, or names one past `QueryPlan::num_hts`.
+    Ht {
+        stage: String,
+        misuse: &'static str,
+        ht: HtId,
+    },
+    /// No stage ends in an aggregate, so the plan has no result rows.
+    NoAggregate,
+    /// `order_by`/`projection` index a column, or `output_columns` count
+    /// columns, the `width`-column result does not have.
+    Output {
+        misuse: &'static str,
+        got: usize,
+        width: usize,
+    },
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanError::Slot {
+                stage,
+                misuse,
+                slot,
+            } => write!(f, "stage {stage}: {misuse} slot {slot}"),
+            PlanError::Ht { stage, misuse, ht } => write!(f, "stage {stage} {misuse} ht{ht}"),
+            PlanError::NoAggregate => write!(f, "plan must end in an aggregate stage"),
+            PlanError::Output { misuse, got, width } => {
+                write!(f, "{misuse} {got} of a {width}-column result")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
 
 /// A non-blocking pipeline operator.
 #[derive(Debug, Clone)]
@@ -157,63 +207,65 @@ impl Stage {
         max
     }
 
-    /// Verify slots are filled before use; panics with a diagnostic
-    /// otherwise. Returns the filled-slot count for convenience.
-    pub fn validate(&self) -> usize {
+    /// Verify slots are filled before use. Returns the filled-slot count.
+    pub fn check(&self) -> Result<usize, PlanError> {
         let mut filled = vec![false; self.num_slots()];
         for f in filled.iter_mut().take(self.loads.len()) {
             *f = true;
         }
-        let check = |filled: &[bool], slots: &[Slot], what: &str| {
-            for &s in slots {
-                assert!(
-                    filled[s],
-                    "stage {}: {what} reads unfilled slot {s}",
-                    self.name
-                );
-            }
+        let misuse = |misuse, slot| PlanError::Slot {
+            stage: self.name.clone(),
+            misuse,
+            slot,
+        };
+        let read = |filled: &[bool], slots: &[Slot], what| {
+            let unfilled = slots.iter().find(|&&s| !filled[s]);
+            unfilled.map_or(Ok(()), |&s| Err(misuse(what, s)))
         };
         for op in &self.ops {
             match op {
                 PipeOp::Filter(p) => {
                     let mut v = Vec::new();
                     p.slots(&mut v);
-                    check(&filled, &v, "filter");
+                    read(&filled, &v, "filter reads unfilled")?;
                 }
                 PipeOp::Probe { key, payloads, .. } => {
-                    check(&filled, &[*key], "probe key");
+                    read(&filled, &[*key], "probe key reads unfilled")?;
                     for &p in payloads {
-                        assert!(
-                            !filled[p],
-                            "stage {}: probe payload overwrites filled slot {p}",
-                            self.name
-                        );
-                        filled[p] = true;
+                        if std::mem::replace(&mut filled[p], true) {
+                            return Err(misuse("probe payload overwrites filled", p));
+                        }
                     }
                 }
                 PipeOp::Compute { expr, out } => {
                     let mut v = Vec::new();
                     expr.slots(&mut v);
-                    check(&filled, &v, "compute");
+                    read(&filled, &v, "compute reads unfilled")?;
                     filled[*out] = true;
                 }
             }
         }
         match &self.terminal {
             Terminal::HashBuild { key, payloads, .. } => {
-                check(&filled, &[*key], "build key");
-                check(&filled, payloads, "build payload");
+                read(&filled, &[*key], "build key reads unfilled")?;
+                read(&filled, payloads, "build payload reads unfilled")?;
             }
             Terminal::Aggregate { groups, aggs } => {
-                check(&filled, groups, "group key");
+                read(&filled, groups, "group key reads unfilled")?;
                 for a in aggs {
                     let mut v = Vec::new();
                     a.expr.slots(&mut v);
-                    check(&filled, &v, "aggregate input");
+                    read(&filled, &v, "aggregate input reads unfilled")?;
                 }
             }
         }
-        filled.iter().filter(|&&f| f).count()
+        Ok(filled.iter().filter(|&&f| f).count())
+    }
+
+    /// [`Stage::check`], panicking with the diagnostic (plan builders,
+    /// where a malformed stage is a bug in this program).
+    pub fn validate(&self) -> usize {
+        self.check().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// GPL kernel fusion (Section 3.2) — delegates to the canonical
@@ -266,21 +318,75 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Validate every stage (slot discipline, hash-table wiring).
-    pub fn validate(&self) {
+    /// Check every stage (slot discipline, hash-table wiring) and the
+    /// result shape: the plan aggregates, and its `order_by`,
+    /// `projection` and `output_columns` fit the final aggregate's row.
+    pub fn check(&self) -> Result<(), PlanError> {
         let mut built = vec![false; self.num_hts];
+        let mut width = None;
         for s in &self.stages {
-            s.validate();
+            s.check()?;
+            let misuse = |misuse, ht| PlanError::Ht {
+                stage: s.name.clone(),
+                misuse,
+                ht,
+            };
+            let known = |ht: HtId| (ht < self.num_hts).then_some(ht);
             for op in &s.ops {
                 if let PipeOp::Probe { ht, .. } = op {
-                    assert!(built[*ht], "stage {} probes unbuilt ht{}", s.name, ht);
+                    let ht = known(*ht).ok_or(misuse("probes out-of-range", *ht))?;
+                    if !built[ht] {
+                        return Err(misuse("probes unbuilt", ht));
+                    }
                 }
             }
-            if let Terminal::HashBuild { ht, .. } = &s.terminal {
-                assert!(!built[*ht], "ht{} built twice", ht);
-                built[*ht] = true;
+            match &s.terminal {
+                Terminal::HashBuild { ht, .. } => {
+                    let ht = known(*ht).ok_or(misuse("builds out-of-range", *ht))?;
+                    if std::mem::replace(&mut built[ht], true) {
+                        return Err(misuse("builds twice", ht));
+                    }
+                }
+                Terminal::Aggregate { groups, aggs } => width = Some(groups.len() + aggs.len()),
             }
         }
+        let width = width.ok_or(PlanError::NoAggregate)?;
+        let output = |misuse, got| PlanError::Output { misuse, got, width };
+        let mut indexed = (self.order_by.iter().map(|&(c, _)| c))
+            .chain(self.projection.iter().flatten().copied());
+        if let Some(c) = indexed.find(|&c| c >= width) {
+            return Err(output("output refers to column", c));
+        }
+        let names = self.output_columns.len();
+        if names != self.projection.as_ref().map_or(width, Vec::len) {
+            return Err(output("output names", names));
+        }
+        Ok(())
+    }
+
+    /// [`QueryPlan::check`], panicking with the diagnostic (plan
+    /// builders and tests; the request path calls `check`).
+    pub fn validate(&self) {
+        self.check().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The result epilogue every engine shares: `LIMIT`, the output
+    /// projection, and the named [`QueryOutput`]. `rows` are the final
+    /// aggregate's rows, already ordered.
+    pub fn output(&self, mut rows: Vec<Vec<i64>>) -> QueryOutput {
+        if let Some(limit) = self.limit {
+            rows.truncate(limit);
+        }
+        if let Some(proj) = &self.projection {
+            rows = rows
+                .into_iter()
+                .map(|r| proj.iter().map(|&i| r[i]).collect())
+                .collect();
+        }
+        QueryOutput::new(
+            self.output_columns.iter().map(String::as_str).collect(),
+            rows,
+        )
     }
 
     /// Render the plan comparison of Figure 7: the operator pipeline and

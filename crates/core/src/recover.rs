@@ -16,8 +16,15 @@
 //! CPU, outside the faulty device's blast radius), so recovery
 //! terminates even at fault probability 1. Faults cost cycles; they
 //! never change results.
+//!
+//! That policy is written once, in [`Ladder::run`]; the whole stage, the
+//! checkpoint slice, the fused pair and the shard are four callers that
+//! differ only in the attempt they hand it and in what exhaustion means
+//! to them.
 
-use crate::exec::ExecMode;
+use crate::error::ExecError;
+use crate::exec::{ExecContext, ExecLimits, ExecMode};
+use gpl_obs::Value;
 use gpl_sim::FaultRecord;
 
 /// Retry/fallback knobs, all in deterministic units (attempt counts and
@@ -94,17 +101,157 @@ impl RecoveryPolicy {
         if !self.fallback {
             return vec![mode];
         }
-        match mode {
-            ExecMode::GplPipelined => vec![
-                ExecMode::GplPipelined,
-                ExecMode::Gpl,
-                ExecMode::GplNoCe,
-                ExecMode::Kbe,
-            ],
-            ExecMode::Gpl => vec![ExecMode::Gpl, ExecMode::GplNoCe, ExecMode::Kbe],
-            ExecMode::GplNoCe => vec![ExecMode::GplNoCe, ExecMode::Kbe],
-            ExecMode::Kbe => vec![ExecMode::Kbe],
+        const CHAIN: [ExecMode; 4] = [
+            ExecMode::GplPipelined,
+            ExecMode::Gpl,
+            ExecMode::GplNoCe,
+            ExecMode::Kbe,
+        ];
+        CHAIN.into_iter().skip_while(|&m| m != mode).collect()
+    }
+}
+
+/// Whether a [`Ladder`] may end in the disarmed KBE attempt (always
+/// subject to [`RecoveryPolicy::fallback`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LastResort {
+    /// Exhaustion surfaces the last fault: the caller degrades its own
+    /// way (the fused pair falls back to the sequential pair).
+    Never,
+    /// Not on a lost device: the caller reassigns the shard instead.
+    UnlessLost,
+    Always,
+}
+
+/// Emit one `recover`-track instant on the context's recorder — `None`
+/// on pool contexts, so sharded runs record nothing.
+pub(crate) fn instant(ctx: &ExecContext, name: &str, args: Vec<(&'static str, Value)>) {
+    if let Some(r) = ctx.sim.recorder() {
+        let t = r.track("recover");
+        r.instant(t, "recover", name, ctx.sim.clock(), args);
+    }
+}
+
+/// The one retry/degrade loop. For each armed mode, `1 + max_retries`
+/// attempts separated by deterministic backoff on the context's clock;
+/// device faults are recorded and retried, query errors (timeout,
+/// cancellation, deadlock, bad config) propagate at once, device loss
+/// skips what is left of the armed modes; then, if allowed, one KBE
+/// attempt with injection disarmed. Without a policy it is a single
+/// unrecorded attempt.
+pub(crate) struct Ladder<'a> {
+    pub policy: Option<&'a RecoveryPolicy>,
+    /// Armed modes, most capable first.
+    pub modes: Vec<ExecMode>,
+    pub last_resort: LastResort,
+    pub limits: &'a ExecLimits,
+    /// Query cycles spent before this stage (the budget check adds the
+    /// waste accumulated since).
+    pub spent: u64,
+}
+
+impl<'a> Ladder<'a> {
+    /// The full degradation chain from `mode`, last resort included.
+    pub(crate) fn new(
+        policy: Option<&'a RecoveryPolicy>,
+        mode: ExecMode,
+        limits: &'a ExecLimits,
+        spent: u64,
+    ) -> Self {
+        Ladder {
+            policy,
+            modes: policy.map_or_else(|| vec![mode], |p| p.ladder(mode)),
+            last_resort: LastResort::Always,
+            limits,
+            spent,
         }
+    }
+
+    /// Drive `attempt` down the ladder; returns its output and the mode
+    /// it succeeded on. `on_fault` runs after each recorded device fault
+    /// (checkpoint verification hooks in here).
+    pub(crate) fn run<T>(
+        &self,
+        ctx: &mut ExecContext,
+        stats: &mut RecoveryStats,
+        mut attempt: impl FnMut(&mut ExecContext, ExecMode) -> Result<T, ExecError>,
+        mut on_fault: impl FnMut(&mut ExecContext, &mut RecoveryStats),
+    ) -> Result<(T, ExecMode), ExecError> {
+        let Some(policy) = self.policy else {
+            let mode = self.modes[0];
+            return attempt(ctx, mode).map(|out| (out, mode));
+        };
+        let mut last_fault = None;
+        'modes: for (rung, &mode) in self.modes.iter().enumerate() {
+            for retry in 0..=policy.max_retries {
+                if retry > 0 {
+                    stats.retries += 1;
+                    let delay = policy.backoff_for(retry);
+                    ctx.sim.advance(delay);
+                    stats.backoff_cycles += delay;
+                    stats.wasted_cycles += delay;
+                    instant(
+                        ctx,
+                        "retry",
+                        vec![
+                            ("attempt", Value::from(retry)),
+                            ("backoff_cycles", Value::from(delay)),
+                        ],
+                    );
+                } else if rung > 0 {
+                    stats.fallbacks += 1;
+                    stats.degraded_to = Some(mode);
+                    instant(ctx, "fallback", vec![("to", Value::from(mode.name()))]);
+                }
+                self.limits.check(self.spent + stats.wasted_cycles)?;
+                let c0 = ctx.sim.clock();
+                let e = match attempt(ctx, mode) {
+                    Ok(out) => return Ok((out, mode)),
+                    Err(e) => e,
+                };
+                // Query problems, not device problems: propagate.
+                let Some(record) = e.fault_record() else {
+                    return Err(e);
+                };
+                stats.wasted_cycles += ctx.sim.clock().saturating_sub(c0);
+                instant(
+                    ctx,
+                    "fault",
+                    vec![
+                        ("kind", Value::from(record.kind.name())),
+                        ("launch", Value::from(record.launch)),
+                    ],
+                );
+                stats.faults.push(record.clone());
+                on_fault(ctx, stats);
+                // Retrying a lost device is futile.
+                let lost = matches!(e, ExecError::DeviceLost(_));
+                last_fault = Some(e);
+                if lost {
+                    break 'modes;
+                }
+            }
+        }
+        let e = last_fault.expect("a ladder has at least one mode");
+        let allowed = match self.last_resort {
+            LastResort::Never => false,
+            LastResort::UnlessLost => !matches!(e, ExecError::DeviceLost(_)),
+            LastResort::Always => true,
+        };
+        if !(policy.fallback && allowed) {
+            return Err(e);
+        }
+        // Last resort: KBE with injection disarmed — the hardened path
+        // outside the faulty device's blast radius (the CPU-fallback
+        // analogue). Guarantees termination even at fault rate 1.
+        stats.fallbacks += 1;
+        stats.degraded_to = Some(ExecMode::Kbe);
+        instant(ctx, "fallback", vec![("to", Value::from("KBE (disarmed)"))]);
+        let was_armed = ctx.sim.faults_armed();
+        ctx.sim.set_faults_armed(false);
+        let result = attempt(ctx, ExecMode::Kbe);
+        ctx.sim.set_faults_armed(was_armed);
+        Ok((result?, ExecMode::Kbe))
     }
 }
 
@@ -167,6 +314,221 @@ mod tests {
         assert_eq!(p.backoff_for(3), 400);
         assert_eq!(p.backoff_for(4), 500, "capped");
         assert_eq!(p.backoff_for(30), 500, "no overflow");
+    }
+
+    /// The ladder against a scripted attempt, asserting the whole
+    /// `RecoveryStats` — the counters `shard_chaos` sums into
+    /// `core.recover.*` — and which (mode, armed) attempts ran.
+    #[test]
+    fn ladder_runs_the_scripted_cases() {
+        use gpl_sim::{FaultKind, FaultPlan, FaultSpec};
+        use ExecMode::{Gpl, GplNoCe, Kbe};
+
+        const COST: u64 = 1_000; // cycles every scripted attempt takes
+        let fault = |kind| FaultRecord {
+            kind,
+            kernel: None,
+            cycle: 0,
+            launch: 0,
+        };
+        let (soft, lost) = (fault(FaultKind::KernelFault), fault(FaultKind::DeviceLost));
+        let policy = |retries| RecoveryPolicy {
+            backoff_base_cycles: 100,
+            ..RecoveryPolicy::with_retries(retries)
+        };
+        let deadlock = ExecError::Deadlock {
+            cycle: 1,
+            diagnostic: String::new(),
+        };
+
+        struct Case {
+            name: &'static str,
+            policy: Option<RecoveryPolicy>,
+            last_resort: LastResort,
+            budget: Option<u64>,
+            /// One entry per attempt, in order; `None` succeeds.
+            script: Vec<Option<ExecError>>,
+            want: Result<ExecMode, ExecError>,
+            /// (mode, faults armed) of every attempt that ran.
+            ran: Vec<(ExecMode, bool)>,
+            stats: RecoveryStats,
+        }
+        let cases = vec![
+            Case {
+                name: "fault, fault, ok: two retries on the primary mode",
+                policy: Some(policy(2)),
+                last_resort: LastResort::Always,
+                budget: None,
+                script: vec![Some(ExecError::Fault(soft.clone())); 2],
+                want: Ok(Gpl),
+                ran: vec![(Gpl, true); 3],
+                stats: RecoveryStats {
+                    retries: 2,
+                    backoff_cycles: 100 + 200,
+                    wasted_cycles: 2 * COST + 100 + 200,
+                    faults: vec![soft.clone(); 2],
+                    ..Default::default()
+                },
+            },
+            Case {
+                name: "device loss goes straight to the last resort",
+                policy: Some(policy(2)),
+                last_resort: LastResort::Always,
+                budget: None,
+                script: vec![Some(ExecError::DeviceLost(lost.clone()))],
+                want: Ok(Kbe),
+                ran: vec![(Gpl, true), (Kbe, false)],
+                stats: RecoveryStats {
+                    fallbacks: 1,
+                    wasted_cycles: COST,
+                    faults: vec![lost.clone()],
+                    degraded_to: Some(Kbe),
+                    ..Default::default()
+                },
+            },
+            Case {
+                name: "device loss elsewhere than the last candidate surfaces",
+                policy: Some(policy(2)),
+                last_resort: LastResort::UnlessLost,
+                budget: None,
+                script: vec![Some(ExecError::DeviceLost(lost.clone()))],
+                want: Err(ExecError::DeviceLost(lost.clone())),
+                ran: vec![(Gpl, true)],
+                stats: RecoveryStats {
+                    wasted_cycles: COST,
+                    faults: vec![lost.clone()],
+                    ..Default::default()
+                },
+            },
+            Case {
+                name: "fallback: false surfaces the last fault",
+                policy: Some(policy(1).no_fallback()),
+                last_resort: LastResort::Always,
+                budget: None,
+                script: vec![
+                    Some(ExecError::Fault(soft.clone())),
+                    Some(ExecError::Oom(soft.clone())),
+                ],
+                want: Err(ExecError::Oom(soft.clone())),
+                ran: vec![(Gpl, true); 2],
+                stats: RecoveryStats {
+                    retries: 1,
+                    backoff_cycles: 100,
+                    wasted_cycles: 2 * COST + 100,
+                    faults: vec![soft.clone(); 2],
+                    ..Default::default()
+                },
+            },
+            Case {
+                name: "budget exhausted mid-backoff is a timeout",
+                policy: Some(policy(2)),
+                last_resort: LastResort::Always,
+                budget: Some(50 + COST + 99),
+                script: vec![Some(ExecError::Fault(soft.clone()))],
+                want: Err(ExecError::Timeout {
+                    budget_cycles: 50 + COST + 99,
+                    spent_cycles: 50 + COST + 100,
+                }),
+                ran: vec![(Gpl, true)],
+                stats: RecoveryStats {
+                    retries: 1,
+                    backoff_cycles: 100,
+                    wasted_cycles: COST + 100,
+                    faults: vec![soft.clone()],
+                    ..Default::default()
+                },
+            },
+            Case {
+                name: "every armed mode fails: degrade rung by rung, then disarm",
+                policy: Some(policy(0)),
+                last_resort: LastResort::Always,
+                budget: None,
+                script: vec![Some(ExecError::Fault(soft.clone())); 3],
+                want: Ok(Kbe),
+                ran: vec![(Gpl, true), (GplNoCe, true), (Kbe, true), (Kbe, false)],
+                stats: RecoveryStats {
+                    fallbacks: 3,
+                    wasted_cycles: 3 * COST,
+                    faults: vec![soft.clone(); 3],
+                    degraded_to: Some(Kbe),
+                    ..Default::default()
+                },
+            },
+            Case {
+                name: "no last resort: exhaustion surfaces for the caller to degrade",
+                policy: Some(policy(0)),
+                last_resort: LastResort::Never,
+                budget: None,
+                script: vec![Some(ExecError::Fault(soft.clone())); 3],
+                want: Err(ExecError::Fault(soft.clone())),
+                ran: vec![(Gpl, true), (GplNoCe, true), (Kbe, true)],
+                stats: RecoveryStats {
+                    fallbacks: 2,
+                    wasted_cycles: 3 * COST,
+                    faults: vec![soft.clone(); 3],
+                    degraded_to: Some(Kbe),
+                    ..Default::default()
+                },
+            },
+            Case {
+                name: "a query error propagates at once, unrecorded",
+                policy: Some(policy(2)),
+                last_resort: LastResort::Always,
+                budget: None,
+                script: vec![Some(deadlock.clone())],
+                want: Err(deadlock),
+                ran: vec![(Gpl, true)],
+                stats: RecoveryStats::default(),
+            },
+            Case {
+                name: "no policy: one unrecorded attempt",
+                policy: None,
+                last_resort: LastResort::Always,
+                budget: None,
+                script: vec![Some(ExecError::Fault(soft.clone()))],
+                want: Err(ExecError::Fault(soft.clone())),
+                ran: vec![(Gpl, true)],
+                stats: RecoveryStats::default(),
+            },
+        ];
+
+        let db = std::sync::Arc::new(gpl_tpch::TpchDb::at_scale(0.001));
+        for case in cases {
+            let mut ctx = ExecContext::with_shared(gpl_sim::amd_a10(), db.clone());
+            ctx.sim.attach_faults(FaultPlan::new(FaultSpec::none(), 1));
+            let limits = ExecLimits {
+                max_cycles: case.budget,
+                cancel: None,
+            };
+            let ladder = Ladder {
+                last_resort: case.last_resort,
+                ..Ladder::new(case.policy.as_ref(), Gpl, &limits, 50)
+            };
+            let mut script = case.script.into_iter();
+            let mut ran = Vec::new();
+            let mut hooked = 0;
+            let mut stats = RecoveryStats::default();
+            let got = ladder.run(
+                &mut ctx,
+                &mut stats,
+                |ctx, mode| {
+                    ran.push((mode, ctx.sim.faults_armed()));
+                    ctx.sim.advance(COST);
+                    script.next().flatten().map_or(Ok(()), Err)
+                },
+                |_, _| hooked += 1,
+            );
+            assert_eq!(got.map(|((), mode)| mode), case.want, "{}", case.name);
+            assert_eq!(ran, case.ran, "{}", case.name);
+            assert_eq!(stats, case.stats, "{}", case.name);
+            assert_eq!(
+                hooked,
+                stats.faults.len(),
+                "{}: one hook per fault",
+                case.name
+            );
+            assert!(ctx.sim.faults_armed(), "{}: injection re-armed", case.name);
+        }
     }
 
     #[test]

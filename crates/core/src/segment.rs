@@ -126,26 +126,76 @@ pub struct ChannelEdge {
     pub row_bytes: u64,
 }
 
-/// A [`StageConfig`] that does not fit the segment it configures — the
-/// structured form of the scattered `wg_counts.len() == kernels` panics
-/// this IR consolidated.
+/// A configuration that does not fit what it configures — the
+/// structured form of the scattered arity panics this IR consolidated.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError {
-    /// Stage (segment) name.
-    pub stage: String,
-    /// Kernels the segment launches (one wg count needed per kernel).
-    pub kernels: usize,
-    /// Entries the rejected config supplied.
-    pub wg_counts: usize,
+pub enum ConfigError {
+    /// A [`StageConfig`] with the wrong number of wg counts for its
+    /// segment's kernels.
+    WgCounts {
+        /// Stage (segment) name.
+        stage: String,
+        /// Kernels the segment launches (one wg count needed per kernel).
+        kernels: usize,
+        /// Entries the rejected config supplied.
+        wg_counts: usize,
+    },
+    /// `what` must have exactly `expected` entries: stage configs per
+    /// plan stage, device configs or gamma tables per pool device,
+    /// stage anchors per plan stage.
+    Arity {
+        what: &'static str,
+        expected: usize,
+        got: usize,
+    },
+    /// A stage is anchored on a device index the pool does not have.
+    Anchor {
+        stage: usize,
+        device: usize,
+        devices: usize,
+    },
+}
+
+impl ConfigError {
+    /// `Ok` when `what` has exactly the `expected` number of entries.
+    pub(crate) fn arity(what: &'static str, expected: usize, got: usize) -> Result<(), Self> {
+        if expected == got {
+            Ok(())
+        } else {
+            Err(ConfigError::Arity {
+                what,
+                expected,
+                got,
+            })
+        }
+    }
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "stage {} needs {} wg counts, config has {}",
-            self.stage, self.kernels, self.wg_counts
-        )
+        match self {
+            ConfigError::WgCounts {
+                stage,
+                kernels,
+                wg_counts,
+            } => write!(
+                f,
+                "stage {stage} needs {kernels} wg counts, config has {wg_counts}"
+            ),
+            ConfigError::Arity {
+                what,
+                expected,
+                got,
+            } => write!(f, "expected {expected} {what}, got {got}"),
+            ConfigError::Anchor {
+                stage,
+                device,
+                devices,
+            } => write!(
+                f,
+                "stage {stage} anchored on device {device} of a {devices}-device pool"
+            ),
+        }
     }
 }
 
@@ -347,7 +397,7 @@ impl SegmentIr {
         if cfg.wg_counts.len() == self.nodes.len() {
             Ok(())
         } else {
-            Err(ConfigError {
+            Err(ConfigError::WgCounts {
                 stage: self.stage.clone(),
                 kernels: self.nodes.len(),
                 wg_counts: cfg.wg_counts.len(),
@@ -640,8 +690,14 @@ mod tests {
         assert!(ir.validate_config(&cfg).is_ok());
         cfg.wg_counts.pop();
         let err = ir.validate_config(&cfg).unwrap_err();
-        assert_eq!(err.kernels, 3);
-        assert_eq!(err.wg_counts, 2);
+        assert!(matches!(
+            err,
+            ConfigError::WgCounts {
+                kernels: 3,
+                wg_counts: 2,
+                ..
+            }
+        ));
         assert!(err.to_string().contains("needs 3 wg counts"));
     }
 

@@ -30,18 +30,14 @@
 
 use crate::error::ExecError;
 use crate::exec::{
-    make_blocking_outputs, run_sort_kernel, ExecContext, ExecLimits, ExecMode, QueryConfig,
-    StageConfig,
+    attempt_stage, check_inputs, finish_query, Blocking, ExecContext, ExecLimits, ExecMode,
+    QueryConfig, RunSpec, StageOut, StageRun,
 };
-use crate::gpl;
 use crate::ht::{mix64, GroupStore, SimHashTable};
-use crate::kbe;
-use crate::ops::sort_rows;
-use crate::plan::{QueryPlan, Stage, Terminal};
-use crate::recover::{RecoveryPolicy, RecoveryStats};
-use crate::segment::SegmentIr;
+use crate::plan::{PlanError, QueryPlan, Terminal};
+use crate::recover::{Ladder, LastResort, RecoveryPolicy, RecoveryStats};
+use crate::segment::{ConfigError, SegmentIr};
 use gpl_sim::{DeviceSpec, FaultPlan, FaultSpec, LaunchProfile};
-use gpl_storage::Tiling;
 use gpl_tpch::{QueryOutput, TpchDb};
 use std::cell::RefCell;
 use std::ops::Range;
@@ -329,16 +325,6 @@ impl HedgePlan {
     }
 }
 
-/// Content digest of a shard attempt's blocking output — what hedging
-/// compares to verify a backup reproduced the primary bit-identically
-/// before either is allowed to win the race.
-fn shard_out_digest(out: &ShardOut) -> (Option<(usize, u64)>, Option<u64>) {
-    (
-        out.1.as_ref().map(|(slot, t)| (*slot, t.fingerprint())),
-        out.2.as_ref().map(GroupStore::fingerprint),
-    )
-}
-
 /// One device's view of a sharded run.
 #[derive(Debug, Clone)]
 pub struct DeviceRun {
@@ -395,15 +381,6 @@ impl ShardedRun {
     }
 }
 
-/// A shard attempt's blocking output: the launch profile plus the
-/// *owned* terminal state (unwrapped from its `Rc` so the merge can
-/// consume it).
-pub(crate) type ShardOut = (
-    LaunchProfile,
-    Option<(usize, SimHashTable)>,
-    Option<GroupStore>,
-);
-
 /// Run `plan` sharded across `pool` under `mode`.
 ///
 /// Shards execute sequentially on the host (the simulation is
@@ -420,9 +397,18 @@ pub(crate) type ShardOut = (
 /// everything. `hedge` arms straggler defense: shards observed past
 /// their modeled deadline get a speculative backup on the
 /// modeled-cheapest other live device (see [`HedgePlan`]).
-/// `GplPipelined` runs its stages per shard like `Gpl`: the
-/// cross-shard merge is a barrier between stages, so there is no
-/// build→probe pair left to fuse inside one shard launch.
+///
+/// Two things the single-device driver does are deliberately absent
+/// here, and this is the one place that says so. **Pair fusion:**
+/// `GplPipelined` runs its stages per shard like `Gpl` — the cross-shard
+/// merge is a barrier between stages, so there is no build→probe pair
+/// left to fuse inside one shard launch. **Slice checkpoints:**
+/// [`RecoveryPolicy::checkpoint_slices`] is ignored — a shard already is
+/// a row-range slice of its stage with its own fresh outputs, merged
+/// only on success, so a fault re-runs one shard, not the stage.
+/// Honouring either (or skipping the merge broadcast on a one-device
+/// pool) changes cycle counts the benchmark and `repro chaos` pin, which
+/// is why this stage loop and the classic one are still two.
 #[allow(clippy::too_many_arguments)]
 pub fn try_run_query_sharded(
     pool: &DevicePool,
@@ -437,21 +423,29 @@ pub fn try_run_query_sharded(
     hedge: Option<&HedgePlan>,
     excluded: Option<&[bool]>,
 ) -> Result<ShardedRun, ExecError> {
-    plan.validate();
     let n = pool.len();
-    assert_eq!(assignment.configs.len(), n, "one config per pool device");
-    assert_eq!(
-        assignment.stage_device.len(),
-        plan.stages.len(),
-        "one anchor per stage"
-    );
-    for cfg in &assignment.configs {
-        assert_eq!(cfg.stages.len(), plan.stages.len(), "config/stage mismatch");
+    let stages = plan.stages.len();
+    ConfigError::arity("device configs", n, assignment.configs.len())
+        .and_then(|()| ConfigError::arity("stage anchors", stages, assignment.stage_device.len()))
+        .map_err(ExecError::InvalidConfig)?;
+    check_inputs(plan, &assignment.configs)?;
+    if let Some((stage, &device)) =
+        (assignment.stage_device.iter().enumerate()).find(|(_, &d)| d >= n)
+    {
+        return Err(ExecError::InvalidConfig(ConfigError::Anchor {
+            stage,
+            device,
+            devices: n,
+        }));
     }
-    assert!(
-        assignment.stage_device.iter().all(|&d| d < n),
-        "anchor out of range"
-    );
+    let specs: Vec<RunSpec> = (assignment.configs.iter())
+        .map(|config| RunSpec {
+            plan,
+            config,
+            limits,
+            recovery,
+        })
+        .collect();
 
     let mut ctxs: Vec<ExecContext> = pool
         .devices()
@@ -511,10 +505,16 @@ pub fn try_run_query_sharded(
             .map(|c| SegmentIr::lower(stage, db.table(&stage.driver), c.sim.spec().wavefront_size))
             .collect();
 
+        let stage_run = |d: usize| StageRun {
+            spec: &specs[d],
+            idx: sidx,
+            ir: &irs[d],
+            hts: &hts[d],
+            spent: total,
+        };
         let mut stage_profiles: Vec<LaunchProfile> = vec![LaunchProfile::default(); n];
         let mut shard_builds: Vec<SimHashTable> = Vec::new();
         let mut shard_aggs: Vec<GroupStore> = Vec::new();
-        let mut ht_slot = None;
 
         for (si, part) in parts.iter().enumerate() {
             // Candidate devices for this shard: the class rotated so
@@ -530,7 +530,7 @@ pub fn try_run_query_sharded(
             cands.extend(extra);
             let mut last_err: Option<ExecError> = None;
             // (device, output, observed cycles, clock at attempt start)
-            let mut winner: Option<(usize, ShardOut, u64, u64)> = None;
+            let mut winner: Option<(usize, StageOut, u64, u64)> = None;
             for (ci, &dev) in cands.iter().enumerate() {
                 let reassigned = ci > 0;
                 if reassigned {
@@ -540,16 +540,9 @@ pub fn try_run_query_sharded(
                 let a0 = ctxs[dev].sim.clock();
                 match run_shard_on_device(
                     &mut ctxs[dev],
-                    plan,
-                    &irs[dev],
-                    stage,
-                    &assignment.configs[dev].stages[sidx],
+                    &stage_run(dev),
                     mode,
-                    &hts[dev],
                     part,
-                    recovery,
-                    limits,
-                    total,
                     &mut stats,
                     // The disarmed last resort belongs to the final
                     // candidate only; earlier losses reassign instead.
@@ -597,7 +590,9 @@ pub fn try_run_query_sharded(
                 if part_rows > 0 && modeled_p.is_finite() && (observed as f64) > deadline {
                     let backup = (0..n)
                         .filter(|&d| d != wdev && alive[d])
-                        .filter(|&d| modeled_row.is_some_and(|row| row[d].is_finite()))
+                        .filter(|&d| {
+                            modeled_row.is_some_and(|row| row.get(d).is_some_and(|m| m.is_finite()))
+                        })
                         .min_by(|&a, &b| {
                             let row = modeled_row.expect("filtered on modeled_row");
                             row[a].total_cmp(&row[b])
@@ -613,25 +608,21 @@ pub fn try_run_query_sharded(
                         let b0 = ctxs[b].sim.clock();
                         match run_shard_on_device(
                             &mut ctxs[b],
-                            plan,
-                            &irs[b],
-                            stage,
-                            &assignment.configs[b].stages[sidx],
+                            &stage_run(b),
                             mode,
-                            &hts[b],
                             part,
-                            recovery,
-                            limits,
-                            total,
                             &mut stats,
                             false,
                         ) {
                             Ok(bout) => {
                                 let d_backup = ctxs[b].sim.clock().saturating_sub(b0);
                                 let launch = deadline.ceil() as u64;
+                                // Verified first finisher: both attempts'
+                                // blocking outputs must be bit-identical
+                                // before either may win.
                                 assert_eq!(
-                                    shard_out_digest(&out),
-                                    shard_out_digest(&bout),
+                                    out.1.fingerprint(),
+                                    bout.1.fingerprint(),
                                     "hedged backup diverged from primary"
                                 );
                                 if launch + d_backup < observed {
@@ -670,21 +661,17 @@ pub fn try_run_query_sharded(
                 }
             }
 
-            let (profile, built, agg) = out;
-            stage_profiles[wdev].merge(&profile);
-            if let Some((slot, t)) = built {
-                ht_slot = Some(slot);
-                shard_builds.push(t);
-            }
-            if let Some(a) = agg {
-                shard_aggs.push(a);
+            stage_profiles[wdev].merge(&out.0);
+            match out.1 {
+                Blocking::Build(_, t) => shard_builds.push(t),
+                Blocking::Agg(a) => shard_aggs.push(a),
             }
         }
 
         // Deterministic merge of the blocking-terminal state.
         match &stage.terminal {
-            Terminal::HashBuild { payloads, .. } => {
-                let slot = ht_slot.expect("build stage produced tables");
+            Terminal::HashBuild { ht, payloads, .. } => {
+                let slot = *ht;
                 let mut entries: Vec<(i64, Vec<i64>)> = shard_builds
                     .drain(..)
                     .flat_map(SimHashTable::into_entries)
@@ -740,40 +727,20 @@ pub fn try_run_query_sharded(
         }
     }
 
-    let store = agg_store.expect("plan must end in an aggregate stage");
-    let mut rows = store.into_rows();
-    limits.check(total + stats.wasted_cycles)?;
-    if !plan.order_by.is_empty() {
-        // The sort runs on the final stage's primary device, disarmed
-        // like the single-device path: the output path cannot fault.
-        let ctx = &mut ctxs[primary];
-        let c0 = ctx.sim.clock();
-        let was_armed = ctx.sim.faults_armed();
-        ctx.sim.set_faults_armed(false);
-        let prof = run_sort_kernel(ctx, &mut rows, &plan.order_by);
-        ctx.sim.set_faults_armed(was_armed);
-        let wall = ctx.sim.clock().saturating_sub(c0);
-        total += wall;
-        stage_cycles.push(wall);
+    let store = agg_store.ok_or(ExecError::InvalidPlan(PlanError::NoAggregate))?;
+    // The sort runs on the final stage's primary device.
+    let (output, sort) = finish_query(
+        &mut ctxs[primary],
+        plan,
+        store.into_rows(),
+        limits,
+        total + stats.wasted_cycles,
+    )?;
+    if let Some(prof) = sort {
+        total += prof.elapsed_cycles;
+        stage_cycles.push(prof.elapsed_cycles);
         dev_stages[primary].push(prof);
-    } else {
-        sort_rows(&mut rows, &[]);
     }
-    limits.check(total + stats.wasted_cycles)?;
-    if let Some(limit) = plan.limit {
-        rows.truncate(limit);
-    }
-    if let Some(proj) = &plan.projection {
-        rows = rows
-            .into_iter()
-            .map(|r| proj.iter().map(|&i| r[i]).collect())
-            .collect();
-    }
-
-    let output = QueryOutput::new(
-        plan.output_columns.iter().map(String::as_str).collect(),
-        rows,
-    );
     let per_device = ctxs
         .iter()
         .enumerate()
@@ -800,158 +767,30 @@ fn broadcast_bandwidth(spec: &DeviceSpec) -> u64 {
     (spec.mem_bytes_per_cycle * spec.num_cus as u64).max(1)
 }
 
-/// One shard on one device, through the recovery ladder: `1 +
-/// max_retries` attempts per mode down the degradation chain with
-/// deterministic backoff on this device's clock, then — when this is
-/// the shard's last candidate device — a disarmed last-resort KBE
-/// attempt. Device loss returns early so the caller can reassign.
-#[allow(clippy::too_many_arguments)]
+/// One shard on one device, down the recovery ladder on this device's
+/// clock. The disarmed last resort belongs to the shard's last candidate
+/// device; elsewhere a device loss returns at once so the caller can
+/// reassign the shard.
 fn run_shard_on_device(
     ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    ir: &SegmentIr,
-    stage: &Stage,
-    cfg: &StageConfig,
+    run: &StageRun,
     mode: ExecMode,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
     part: &[Range<usize>],
-    recovery: Option<&RecoveryPolicy>,
-    limits: &ExecLimits,
-    spent: u64,
     stats: &mut RecoveryStats,
     last_resort_here: bool,
-) -> Result<ShardOut, ExecError> {
-    let Some(policy) = recovery else {
-        return run_shard_attempt(ctx, plan, ir, stage, cfg, mode, hts, part);
+) -> Result<StageOut, ExecError> {
+    let ladder = Ladder {
+        last_resort: if last_resort_here {
+            LastResort::Always
+        } else {
+            LastResort::UnlessLost
+        },
+        ..run.ladder(mode)
     };
-    let ladder = policy.ladder(mode);
-    let mut last_err: Option<ExecError> = None;
-    let mut first = true;
-    'modes: for &m in &ladder {
-        for attempt in 0..=policy.max_retries {
-            if !first {
-                if attempt == 0 {
-                    stats.fallbacks += 1;
-                    stats.degraded_to = Some(m);
-                } else {
-                    stats.retries += 1;
-                    let delay = policy.backoff_for(attempt);
-                    ctx.sim.advance(delay);
-                    stats.backoff_cycles += delay;
-                    stats.wasted_cycles += delay;
-                }
-            }
-            first = false;
-            limits.check(spent + stats.wasted_cycles)?;
-            let c0 = ctx.sim.clock();
-            match run_shard_attempt(ctx, plan, ir, stage, cfg, m, hts, part) {
-                Ok(out) => return Ok(out),
-                Err(e) => {
-                    let device_lost = matches!(e, ExecError::DeviceLost(_));
-                    match &e {
-                        ExecError::Fault(record)
-                        | ExecError::Oom(record)
-                        | ExecError::DeviceLost(record) => {
-                            stats.wasted_cycles += ctx.sim.clock().saturating_sub(c0);
-                            stats.faults.push(record.clone());
-                            last_err = Some(e);
-                        }
-                        // Query problems, not device problems.
-                        _ => return Err(e),
-                    }
-                    if device_lost {
-                        break 'modes;
-                    }
-                }
-            }
-        }
-    }
-    let lost = matches!(last_err, Some(ExecError::DeviceLost(_)));
-    if policy.fallback && (last_resort_here || !lost) {
-        stats.fallbacks += 1;
-        stats.degraded_to = Some(ExecMode::Kbe);
-        let was_armed = ctx.sim.faults_armed();
-        ctx.sim.set_faults_armed(false);
-        let result = run_shard_attempt(ctx, plan, ir, stage, cfg, ExecMode::Kbe, hts, part);
-        ctx.sim.set_faults_armed(was_armed);
-        return result;
-    }
-    Err(last_err.expect("at least one attempt ran"))
-}
-
-/// One attempt at one shard: fresh blocking outputs, every range of the
-/// shard's partition accumulated into them, terminal state handed back
-/// *owned* for the merge. Mirrors `exec::run_stage_attempt` with the
-/// leaf scan restricted to the shard's ranges. `GplPipelined` executes
-/// like `Gpl` (see [`try_run_query_sharded`]). Also the slice-attempt
-/// primitive of checkpoint resume (`exec::run_stage_checkpointed`),
-/// with `part` a single checkpoint slice.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_shard_attempt(
-    ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    ir: &SegmentIr,
-    stage: &Stage,
-    cfg: &StageConfig,
-    mode: ExecMode,
-    hts: &[Option<Rc<RefCell<SimHashTable>>>],
-    part: &[Range<usize>],
-) -> Result<ShardOut, ExecError> {
-    debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a shard");
-    let (build, agg) = make_blocking_outputs(ctx, plan, stage);
-    let build_rc = build.as_ref().map(|(_, t)| t);
-    let mut profile = LaunchProfile::default();
-    for range in part {
-        let p = match mode {
-            ExecMode::Kbe => {
-                kbe::run_stage_range(ctx, ir, stage, hts, build_rc, agg.as_ref(), range.clone())
-            }
-            ExecMode::GplNoCe => {
-                let tiling = Tiling::by_bytes(range.len(), ir.row_bytes, cfg.tile_bytes);
-                let mut p = LaunchProfile::default();
-                for tile in tiling.iter() {
-                    p.merge(&kbe::run_stage_range(
-                        ctx,
-                        ir,
-                        stage,
-                        hts,
-                        build_rc,
-                        agg.as_ref(),
-                        range.start + tile.start..range.start + tile.end,
-                    ));
-                }
-                p
-            }
-            ExecMode::Gpl | ExecMode::GplPipelined => gpl::run_stage_range(
-                ctx,
-                ir,
-                stage,
-                hts,
-                build_rc,
-                agg.as_ref(),
-                cfg,
-                range.clone(),
-            )?,
-        };
-        profile.merge(&p);
-        if let Some(record) = ctx.sim.take_fault() {
-            return Err(ExecError::from_fault(record));
-        }
-    }
-    let built = build.map(|(slot, rc)| {
-        (
-            slot,
-            Rc::try_unwrap(rc)
-                .expect("hash table still shared")
-                .into_inner(),
-        )
-    });
-    let agg_store = agg.map(|a| {
-        Rc::try_unwrap(a)
-            .expect("aggregate store still shared")
-            .into_inner()
-    });
-    Ok((profile, built, agg_store))
+    let attempt = |ctx: &mut ExecContext, m| attempt_stage(ctx, run, m, part);
+    ladder
+        .run(ctx, stats, attempt, |_, _| {})
+        .map(|(out, _)| out)
 }
 
 #[cfg(test)]

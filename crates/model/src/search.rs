@@ -116,9 +116,15 @@ impl SearchCache {
         }
     }
 
+    /// The guard, recovered if a panicking thread poisoned it: the LRU's
+    /// updates are single inserts, pushes and pops, valid at every step.
+    fn lock(&self) -> std::sync::MutexGuard<'_, SearchCacheInner> {
+        (self.inner.lock()).unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Cached `(config, estimate)` for `key`, refreshing its recency.
     pub fn get(&self, key: &str) -> Option<(QueryConfig, f64)> {
-        let mut inner = self.inner.lock().expect("search cache poisoned");
+        let mut inner = self.lock();
         match inner.map.get(key).cloned() {
             Some(v) => {
                 inner.hits += 1;
@@ -135,7 +141,7 @@ impl SearchCache {
 
     /// Insert, evicting the least-recently-used entry past capacity.
     pub fn insert(&self, key: String, config: QueryConfig, estimate: f64) {
-        let mut inner = self.inner.lock().expect("search cache poisoned");
+        let mut inner = self.lock();
         if inner.map.insert(key.clone(), (config, estimate)).is_none() {
             inner.order.push_back(key);
         } else {
@@ -152,12 +158,12 @@ impl SearchCache {
 
     /// Cumulative `(hits, misses)`.
     pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("search cache poisoned");
+        let inner = self.lock();
         (inner.hits, inner.misses)
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("search cache poisoned").map.len()
+        self.lock().map.len()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -27,7 +27,6 @@ use gpl_core::replay::{alloc_array, kernel_resources, launch, ArrayRef, ReplayKe
 use gpl_core::QueryRun;
 use gpl_sim::mem::{MemRange, RegionClass};
 use gpl_sim::LaunchProfile;
-use gpl_tpch::QueryOutput;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -380,21 +379,8 @@ pub fn run_query(ctx: &mut ExecContext, oc: &mut OcelotContext, plan: &QueryPlan
         per_stage.push(p);
     }
 
-    if let Some(limit) = plan.limit {
-        rows.truncate(limit);
-    }
-    if let Some(proj) = &plan.projection {
-        rows = rows
-            .into_iter()
-            .map(|r| proj.iter().map(|&i| r[i]).collect())
-            .collect();
-    }
-    let output = QueryOutput::new(
-        plan.output_columns.iter().map(String::as_str).collect(),
-        rows,
-    );
     QueryRun {
-        output,
+        output: plan.output(rows),
         cycles: merged.elapsed_cycles,
         profile: merged,
         per_stage,

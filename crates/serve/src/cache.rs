@@ -38,19 +38,61 @@ pub struct ShardEntry {
     pub placement: Placement,
 }
 
-struct PlanCacheInner {
-    map: HashMap<String, Arc<PlanEntry>>,
+/// A recency-ordered map with hit/miss counters: the one LRU behind
+/// both plan caches.
+struct Lru<V> {
+    map: HashMap<String, Arc<V>>,
     /// Recency order, least-recent first.
     order: VecDeque<String>,
     hits: u64,
     misses: u64,
 }
 
-struct ShardCacheInner {
-    map: HashMap<String, Arc<ShardEntry>>,
-    order: VecDeque<String>,
-    hits: u64,
-    misses: u64,
+impl<V> Lru<V> {
+    fn new() -> Self {
+        Lru {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// Counted lookup; a hit becomes the most recent entry.
+    fn get(&mut self, key: &str) -> Option<Arc<V>> {
+        let Some(entry) = self.map.get(key).cloned() else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        self.touch(key);
+        Some(entry)
+    }
+
+    /// Move `key` (already in `order`) to the most-recent end.
+    fn touch(&mut self, key: &str) {
+        if let Some(k) =
+            (self.order.iter().position(|k| k == key)).and_then(|i| self.order.remove(i))
+        {
+            self.order.push_back(k);
+        }
+    }
+
+    /// Insert (or replace) as the most recent entry, then evict down to
+    /// `capacity`.
+    fn insert(&mut self, key: String, entry: Arc<V>, capacity: usize) {
+        if self.map.insert(key.clone(), entry).is_some() {
+            self.touch(&key);
+        } else {
+            self.order.push_back(key);
+        }
+        while self.map.len() > capacity {
+            let Some(victim) = self.order.pop_front() else {
+                break;
+            };
+            self.map.remove(&victim);
+        }
+    }
 }
 
 /// Thread-safe LRU cache of [`PlanEntry`]s shared by all workers. When
@@ -58,8 +100,8 @@ struct ShardCacheInner {
 /// keys that add the pool and the `ExecMode`-orthogonal [`ShardPlan`]
 /// component.
 pub struct PlanCache {
-    inner: Mutex<PlanCacheInner>,
-    sharded: Mutex<ShardCacheInner>,
+    inner: Mutex<Lru<PlanEntry>>,
+    sharded: Mutex<Lru<ShardEntry>>,
     search: SearchCache,
     capacity: usize,
 }
@@ -67,18 +109,8 @@ pub struct PlanCache {
 impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            inner: Mutex::new(PlanCacheInner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                hits: 0,
-                misses: 0,
-            }),
-            sharded: Mutex::new(ShardCacheInner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                hits: 0,
-                misses: 0,
-            }),
+            inner: Mutex::new(Lru::new()),
+            sharded: Mutex::new(Lru::new()),
             search: SearchCache::new(capacity.max(1)),
             capacity: capacity.max(1),
         }
@@ -113,10 +145,7 @@ impl PlanCache {
     }
 
     /// Look up (or compile + optimize and insert) the plan for `sql`.
-    /// Returns the entry and whether it was a cache hit. The cache lock
-    /// is *not* held while planning, so a slow miss never blocks other
-    /// workers; two workers racing on the same cold query both plan it
-    /// (deterministically identically) and the second insert wins.
+    /// Returns the entry and whether it was a cache hit.
     pub fn get_or_plan(
         &self,
         db: &TpchDb,
@@ -126,48 +155,46 @@ impl PlanCache {
         mode: ExecMode,
     ) -> Result<(Arc<PlanEntry>, bool), String> {
         let normalized = Self::normalize(sql);
-        let key = Self::key(spec, mode, &normalized);
-        {
-            let mut inner = self.inner.lock().expect("plan cache poisoned");
-            if let Some(entry) = inner.map.get(&key).cloned() {
-                inner.hits += 1;
-                inner.order.retain(|k| k != &key);
-                inner.order.push_back(key);
-                return Ok((entry, true));
+        self.get_or_insert(&self.inner, Self::key(spec, mode, &normalized), || {
+            let plan = gpl_sql::compile_optimized(db, sql).map_err(|e| e.to_string())?;
+            let stats = estimate_stats(db, &plan);
+            let models = build_models(db, &plan, &stats, spec);
+            let search_key = format!("{}\u{1f}{normalized}", mode.name());
+            let out =
+                optimize_models_cached(spec, gamma, &plan, &models, &self.search, &search_key);
+            let mut config = out.config;
+            // Cross-segment pipelining is a post-pass over the searched
+            // config: only the pipelined mode consults the overlap predicate,
+            // so the three sequential modes' cached outcomes stay
+            // byte-identical to the base search.
+            if mode == ExecMode::GplPipelined {
+                gpl_model::attach_overlap(spec, gamma, &plan, &models, &mut config);
             }
-            inner.misses += 1;
+            Ok(PlanEntry {
+                plan,
+                config,
+                estimate: out.estimate,
+            })
+        })
+    }
+
+    /// The one get-or-insert behind [`PlanCache::get_or_plan`] and
+    /// [`PlanCache::get_or_place`]. Returns the entry and whether it was
+    /// a hit. The lock is *not* held while `make` plans, so a slow miss
+    /// never blocks other workers; two workers racing on the same cold
+    /// query both plan it (deterministically identically) and the second
+    /// insert wins.
+    fn get_or_insert<V>(
+        &self,
+        cache: &Mutex<Lru<V>>,
+        key: String,
+        make: impl FnOnce() -> Result<V, String>,
+    ) -> Result<(Arc<V>, bool), String> {
+        if let Some(entry) = crate::lock(cache).get(&key) {
+            return Ok((entry, true));
         }
-        let plan = gpl_sql::compile_optimized(db, sql).map_err(|e| e.to_string())?;
-        let stats = estimate_stats(db, &plan);
-        let models = build_models(db, &plan, &stats, spec);
-        let search_key = format!("{}\u{1f}{normalized}", mode.name());
-        let out = optimize_models_cached(spec, gamma, &plan, &models, &self.search, &search_key);
-        let mut config = out.config;
-        // Cross-segment pipelining is a post-pass over the searched
-        // config: only the pipelined mode consults the overlap predicate,
-        // so the three sequential modes' cached outcomes stay
-        // byte-identical to the base search.
-        if mode == ExecMode::GplPipelined {
-            gpl_model::attach_overlap(spec, gamma, &plan, &models, &mut config);
-        }
-        let entry = Arc::new(PlanEntry {
-            plan,
-            config,
-            estimate: out.estimate,
-        });
-        let mut inner = self.inner.lock().expect("plan cache poisoned");
-        if inner.map.insert(key.clone(), entry.clone()).is_none() {
-            inner.order.push_back(key);
-        } else {
-            inner.order.retain(|k| k != &key);
-            inner.order.push_back(key);
-        }
-        while inner.map.len() > self.capacity {
-            let Some(victim) = inner.order.pop_front() else {
-                break;
-            };
-            inner.map.remove(&victim);
-        }
+        let entry = Arc::new(make()?);
+        crate::lock(cache).insert(key, entry.clone(), self.capacity);
         Ok((entry, false))
     }
 
@@ -200,46 +227,23 @@ impl PlanCache {
         mode: ExecMode,
         shard: &ShardPlan,
     ) -> Result<(Arc<ShardEntry>, bool), String> {
-        let normalized = Self::normalize(sql);
-        let key = Self::shard_key(pool, shard, mode, &normalized);
-        {
-            let mut inner = self.sharded.lock().expect("shard cache poisoned");
-            if let Some(entry) = inner.map.get(&key).cloned() {
-                inner.hits += 1;
-                inner.order.retain(|k| k != &key);
-                inner.order.push_back(key);
-                return Ok((entry, true));
-            }
-            inner.misses += 1;
-        }
-        let plan = gpl_sql::compile_optimized(db, sql).map_err(|e| e.to_string())?;
-        let placement = place_query(pool, gammas, db, &plan, None);
-        let entry = Arc::new(ShardEntry { plan, placement });
-        let mut inner = self.sharded.lock().expect("shard cache poisoned");
-        if inner.map.insert(key.clone(), entry.clone()).is_none() {
-            inner.order.push_back(key);
-        } else {
-            inner.order.retain(|k| k != &key);
-            inner.order.push_back(key);
-        }
-        while inner.map.len() > self.capacity {
-            let Some(victim) = inner.order.pop_front() else {
-                break;
-            };
-            inner.map.remove(&victim);
-        }
-        Ok((entry, false))
+        let key = Self::shard_key(pool, shard, mode, &Self::normalize(sql));
+        self.get_or_insert(&self.sharded, key, || {
+            let plan = gpl_sql::compile_optimized(db, sql).map_err(|e| e.to_string())?;
+            let placement = place_query(pool, gammas, db, &plan, None);
+            Ok(ShardEntry { plan, placement })
+        })
     }
 
     /// Cumulative `(hits, misses)` of the sharded plan cache.
     pub fn shard_stats(&self) -> (u64, u64) {
-        let inner = self.sharded.lock().expect("shard cache poisoned");
+        let inner = crate::lock(&self.sharded);
         (inner.hits, inner.misses)
     }
 
     /// Cumulative `(hits, misses)` of the plan cache.
     pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("plan cache poisoned");
+        let inner = crate::lock(&self.inner);
         (inner.hits, inner.misses)
     }
 
@@ -249,7 +253,7 @@ impl PlanCache {
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache poisoned").map.len()
+        crate::lock(&self.inner).map.len()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -37,6 +37,15 @@ pub mod request;
 pub mod scheduler;
 pub mod telemetry;
 
+/// Lock a serve-layer mutex, recovering the guard if a panicking thread
+/// poisoned it. Sound for every mutex in this crate: each protects a
+/// plain queue, LRU map or list whose updates are single pushes, pops
+/// and inserts — valid at every step — and no caller-supplied code runs
+/// under a lock.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use cache::{PlanCache, PlanEntry, ShardEntry};
 pub use report::BatchReport;

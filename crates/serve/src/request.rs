@@ -71,6 +71,10 @@ pub enum ServeError {
     /// The worker's circuit breaker is open: the request was rejected
     /// without touching the device while its fault streak cools down.
     CircuitOpen,
+    /// The worker panicked while running this request (a bug in this
+    /// program, with the panic message). The worker survives and the
+    /// request is answered, so `collect` never hangs on it.
+    Internal(String),
 }
 
 impl fmt::Display for ServeError {
@@ -84,6 +88,7 @@ impl fmt::Display for ServeError {
             ServeError::CircuitOpen => {
                 write!(f, "circuit breaker open: device cooling down after faults")
             }
+            ServeError::Internal(msg) => write!(f, "internal error: worker panicked: {msg}"),
         }
     }
 }

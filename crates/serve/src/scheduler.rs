@@ -10,17 +10,21 @@
 //! latencies only.
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::cache::PlanCache;
+use crate::cache::{PlanCache, PlanEntry, ShardEntry};
+use crate::lock;
 use crate::report::BatchReport;
 use crate::request::{KernelRows, Priority, QueryRequest, QueryResponse, QueryResult, ServeError};
 use crate::telemetry::BreakerTransition;
 use gpl_core::shard::{try_run_query_sharded, DevicePool, ShardFaults, ShardPlan};
-use gpl_core::{try_run_query_recovering, ExecContext, ExecError, ExecLimits, RecoveryPolicy};
+use gpl_core::{
+    try_run_query_recovering, ExecContext, ExecError, ExecLimits, ExecMode, RecoveryPolicy,
+};
 use gpl_model::GammaTable;
 use gpl_obs::Recorder;
 use gpl_sim::{DeviceSpec, FaultPlan, FaultSpec};
 use gpl_tpch::TpchDb;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -126,11 +130,7 @@ struct Shared {
     plans: Arc<PlanCache>,
     queue: Mutex<Queue>,
     available: Condvar,
-    record_traces: bool,
-    faults: Option<FaultConfig>,
-    recovery: Option<RecoveryPolicy>,
-    breaker: Option<BreakerConfig>,
-    sharding: Option<ShardServeConfig>,
+    config: ServeConfig,
     /// `serve.queued/running/done` gauge backing (snapshot into the
     /// metrics registry by [`BatchReport::metrics`]).
     queued: AtomicU64,
@@ -152,32 +152,73 @@ struct Shared {
     breaker_transitions: Mutex<Vec<BreakerTransition>>,
 }
 
+impl Shared {
+    /// Devices a query runs on: the pool's, or the one worker device.
+    fn devices(&self) -> usize {
+        self.config.sharding.as_ref().map_or(1, |sc| sc.pool.len())
+    }
+
+    fn new(config: ServeConfig, spec: DeviceSpec, db: Arc<TpchDb>, gamma: Arc<GammaTable>) -> Self {
+        Shared {
+            spec,
+            db,
+            gamma,
+            plans: Arc::new(PlanCache::new(config.plan_cache_capacity)),
+            queue: Mutex::new(Queue {
+                high: VecDeque::new(),
+                normal: VecDeque::new(),
+                shutdown: false,
+            }),
+            available: Condvar::new(),
+            config,
+            queued: AtomicU64::new(0),
+            running: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+            sheds: AtomicU64::new(0),
+            breaker_rejections: AtomicU64::new(0),
+            breaker_opens: AtomicU64::new(0),
+            busy_wall_ns: AtomicU64::new(0),
+            breaker_transitions: Mutex::new(Vec::new()),
+        }
+    }
+}
+
 /// The query server: owns the worker pool, the admission queue and the
 /// shared [`PlanCache`].
 pub struct Server {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    max_queue_depth: Option<usize>,
     /// Producer side of the response stream, for responses that never
     /// reach a worker (shed at admission, drained at shutdown).
     tx: Sender<QueryResponse>,
     results: Mutex<Receiver<QueryResponse>>,
 }
 
-/// A response manufactured outside any worker (shed / drained).
-fn synthetic_response(req: QueryRequest, err: ExecError) -> QueryResponse {
+/// The one response constructor: `result` as answered by `worker`, every
+/// wall time zero and nothing planned, traced or recovered — callers
+/// fill in what they measured with struct-update syntax.
+fn response(
+    worker: usize,
+    (id, mode): (u64, ExecMode),
+    result: Result<QueryResult, ServeError>,
+) -> QueryResponse {
     QueryResponse {
-        id: req.id,
-        mode: req.mode,
-        result: Err(ServeError::Exec(err)),
+        id,
+        mode,
+        result,
         plan_cache_hit: false,
         plan_wall: Default::default(),
         queue_wall: Default::default(),
         exec_wall: Default::default(),
-        worker: usize::MAX,
+        worker,
         trace: None,
         recovery: Default::default(),
     }
+}
+
+/// A response manufactured outside any worker (shed / drained).
+fn synthetic_response(req: QueryRequest, err: ExecError) -> QueryResponse {
+    response(usize::MAX, (req.id, req.mode), Err(ServeError::Exec(err)))
 }
 
 impl Server {
@@ -189,6 +230,12 @@ impl Server {
         db: Arc<TpchDb>,
         gamma: Arc<GammaTable>,
     ) -> Self {
+        // Deployment errors, caught at construction (not on the request
+        // path): every query builds a `FaultPlan` from the spec, and
+        // placement indexes `gammas` by pool device.
+        if let Some(Err(e)) = config.faults.as_ref().map(|fc| fc.spec.validate()) {
+            panic!("{e}");
+        }
         if let Some(sc) = &config.sharding {
             assert_eq!(
                 sc.gammas.len(),
@@ -196,46 +243,26 @@ impl Server {
                 "one gamma table per pool device"
             );
         }
-        let shared = Arc::new(Shared {
-            spec,
-            db,
-            gamma,
-            plans: Arc::new(PlanCache::new(config.plan_cache_capacity)),
-            queue: Mutex::new(Queue {
-                high: VecDeque::new(),
-                normal: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-            record_traces: config.record_traces,
-            faults: config.faults,
-            recovery: config.recovery,
-            breaker: config.breaker,
-            sharding: config.sharding,
-            queued: AtomicU64::new(0),
-            running: AtomicU64::new(0),
-            done: AtomicU64::new(0),
-            sheds: AtomicU64::new(0),
-            breaker_rejections: AtomicU64::new(0),
-            breaker_opens: AtomicU64::new(0),
-            busy_wall_ns: AtomicU64::new(0),
-            breaker_transitions: Mutex::new(Vec::new()),
-        });
+        let shared = Arc::new(Shared::new(config, spec, db, gamma));
         let (tx, rx) = channel();
-        let workers = (0..config.workers.max(1))
+        let workers = (0..shared.config.workers.max(1))
             .map(|idx| {
                 let shared = shared.clone();
                 let tx: Sender<QueryResponse> = tx.clone();
                 std::thread::Builder::new()
                     .name(format!("gpl-serve-{idx}"))
-                    .spawn(move || worker_loop(idx, &shared, &tx))
+                    .spawn(move || {
+                        let mut devices = Devices::new(&shared);
+                        worker_loop(idx, &shared, &tx, |job| {
+                            run_job(idx, &shared, job, &mut devices)
+                        })
+                    })
                     .expect("spawn worker")
             })
             .collect();
         Server {
             shared,
             workers,
-            max_queue_depth: config.max_queue_depth,
             tx,
             results: Mutex::new(rx),
         }
@@ -275,20 +302,17 @@ impl Server {
         let mut n = 0u64;
         let mut sheds = 0u64;
         {
-            let mut q = self.shared.queue.lock().expect("queue poisoned");
+            let mut q = lock(&self.shared.queue);
             for req in reqs {
                 let depth = q.high.len() + q.normal.len();
-                if let Some(bound) = self.max_queue_depth {
+                if let Some(bound) = self.shared.config.max_queue_depth {
                     if depth >= bound {
                         sheds += 1;
-                        let resp = synthetic_response(
-                            req,
-                            ExecError::Rejected {
-                                queue_depth: depth as u64,
-                                bound: bound as u64,
-                            },
-                        );
-                        let _ = self.tx.send(resp);
+                        let shed = ExecError::Rejected {
+                            queue_depth: depth as u64,
+                            bound: bound as u64,
+                        };
+                        let _ = self.tx.send(synthetic_response(req, shed));
                         continue;
                     }
                 }
@@ -311,10 +335,10 @@ impl Server {
     /// Collect `n` responses, blocking until all have arrived. Responses
     /// arrive in completion order (worker-count dependent).
     pub fn collect(&self, n: usize) -> Vec<QueryResponse> {
-        let rx = self.results.lock().expect("results poisoned");
-        (0..n)
-            .map(|_| rx.recv().expect("worker pool alive"))
-            .collect()
+        // `Server` holds a sender of its own, so `recv` cannot fail while
+        // `self` is alive; the `map_while` is for the type checker.
+        let rx = lock(&self.results);
+        (0..n).map_while(|_| rx.recv().ok()).collect()
     }
 
     /// Submit a batch, wait for every response, and return them sorted
@@ -369,12 +393,7 @@ impl Server {
     /// Every breaker state change so far, sorted by (device cycle,
     /// worker) for a stable view.
     pub fn breaker_transitions(&self) -> Vec<BreakerTransition> {
-        let mut v = self
-            .shared
-            .breaker_transitions
-            .lock()
-            .expect("transitions poisoned")
-            .clone();
+        let mut v = lock(&self.shared.breaker_transitions).clone();
         v.sort_by_key(|t| (t.cycle, t.worker));
         v
     }
@@ -392,7 +411,7 @@ impl Server {
             .map(|job| synthetic_response(job.req, ExecError::Cancelled))
             .collect();
         {
-            let rx = self.results.lock().expect("results poisoned");
+            let rx = lock(&self.results);
             responses.extend(rx.try_iter());
         }
         responses.sort_by_key(|r| r.id);
@@ -405,7 +424,7 @@ impl Server {
     /// here and executed there.
     fn shutdown_inner(&mut self) -> Vec<Job> {
         let drained: Vec<Job> = {
-            let mut q = self.shared.queue.lock().expect("queue poisoned");
+            let mut q = lock(&self.shared.queue);
             q.shutdown = true;
             let mut d: Vec<Job> = q.high.drain(..).collect();
             d.extend(q.normal.drain(..));
@@ -428,37 +447,41 @@ impl Drop for Server {
     }
 }
 
-fn worker_loop(idx: usize, shared: &Shared, tx: &Sender<QueryResponse>) {
-    // The worker's circuit breaker and its device clock: the sum of
-    // simulated cycles this worker's device has executed (plus reject
-    // costs), driving the breaker's deterministic cool-down timer.
-    // Under sharding the single breaker is replaced by one breaker and
-    // one clock *per pool device*: a tripped device is excluded from
-    // this worker's next sharded runs while it cools down, instead of
-    // rejecting whole queries.
-    let mut breaker = if shared.sharding.is_none() {
-        shared.breaker.clone().map(CircuitBreaker::new)
-    } else {
-        None
-    };
-    let mut device_cycles = 0u64;
-    let mut device_breakers: Option<Vec<CircuitBreaker>> = match (&shared.sharding, &shared.breaker)
-    {
-        (Some(sc), Some(cfg)) => Some(
-            (0..sc.pool.len())
-                .map(|_| CircuitBreaker::new(cfg.clone()))
-                .collect(),
-        ),
-        _ => None,
-    };
-    let mut device_clocks: Vec<u64> = shared
-        .sharding
-        .as_ref()
-        .map(|sc| vec![0; sc.pool.len()])
-        .unwrap_or_default();
+/// One worker's view of the devices it runs queries on — the pool's
+/// under sharding, its single device otherwise (a pool of one): a
+/// circuit breaker each (none without [`ServeConfig::breaker`]) and a
+/// device clock each — the simulated cycles the device has executed plus
+/// reject costs, driving its breaker's deterministic cool-down timer.
+struct Devices {
+    breakers: Vec<CircuitBreaker>,
+    clocks: Vec<u64>,
+}
+
+impl Devices {
+    fn new(shared: &Shared) -> Self {
+        let n = shared.devices();
+        let breakers = (shared.config.breaker.as_ref())
+            .map_or_else(Vec::new, |cfg| vec![CircuitBreaker::new(cfg.clone()); n]);
+        Devices {
+            breakers,
+            clocks: vec![0; n],
+        }
+    }
+}
+
+/// Pop jobs until shutdown, answering each exactly once: `body` runs the
+/// job, and a panic inside it becomes a [`ServeError::Internal`]
+/// response with the worker's slot freed, instead of a dead thread, a
+/// stuck `running` gauge and a `collect` that never returns.
+fn worker_loop(
+    idx: usize,
+    shared: &Shared,
+    tx: &Sender<QueryResponse>,
+    mut body: impl FnMut(Job) -> QueryResponse,
+) {
     loop {
         let job = {
-            let mut q = shared.queue.lock().expect("queue poisoned");
+            let mut q = lock(&shared.queue);
             loop {
                 if let Some(job) = q.high.pop_front().or_else(|| q.normal.pop_front()) {
                     break job;
@@ -466,57 +489,25 @@ fn worker_loop(idx: usize, shared: &Shared, tx: &Sender<QueryResponse>) {
                 if q.shutdown {
                     return;
                 }
-                q = shared.available.wait(q).expect("queue poisoned");
+                q = (shared.available.wait(q)).unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
         shared.queued.fetch_sub(1, Ordering::Relaxed);
         shared.running.fetch_add(1, Ordering::Relaxed);
         let busy_t0 = Instant::now();
-        let resp = if let Some(sc) = &shared.sharding {
-            run_sharded_job(
-                idx,
-                shared,
-                sc,
-                job,
-                device_breakers.as_mut(),
-                &mut device_clocks,
-            )
-        } else {
-            let admitted = match breaker.as_mut() {
-                Some(b) => {
-                    let before = b.state();
-                    let admitted = b.admit(device_cycles);
-                    record_transition(shared, idx, None, device_cycles, before, b.state());
-                    admitted
-                }
-                None => true,
-            };
-            if !admitted {
-                let cfg = shared.breaker.as_ref().expect("breaker configured");
-                device_cycles += cfg.reject_cost_cycles;
-                shared.breaker_rejections.fetch_add(1, Ordering::Relaxed);
-                synthetic_response_on(idx, job, ServeError::CircuitOpen)
-            } else {
-                let (resp, spent) = process(idx, shared, job);
-                device_cycles += spent;
-                if let Some(b) = breaker.as_mut() {
-                    let opens_before = b.stats().opens;
-                    let before = b.state();
-                    match &resp.result {
-                        Err(ServeError::Exec(e)) if e.is_device_fault() => {
-                            b.on_fault(device_cycles)
-                        }
-                        Err(_) => {} // query problem: no breaker signal
-                        Ok(_) => b.on_success(),
-                    }
-                    record_transition(shared, idx, None, device_cycles, before, b.state());
-                    shared
-                        .breaker_opens
-                        .fetch_add(b.stats().opens - opens_before, Ordering::Relaxed);
-                }
-                resp
+        let (who, submitted) = ((job.req.id, job.req.mode), job.submitted);
+        // Unwind safety: what `body` can leave half-updated is this
+        // worker's breakers and device clocks — plain counters, valid at
+        // every step — and the shared state behind `lock`.
+        let resp = catch_unwind(AssertUnwindSafe(|| body(job))).unwrap_or_else(|panic| {
+            let msg = (panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_string());
+            QueryResponse {
+                queue_wall: submitted.elapsed(),
+                ..response(idx, who, Err(ServeError::Internal(msg)))
             }
-        };
+        });
         shared
             .busy_wall_ns
             .fetch_add(busy_t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -529,8 +520,7 @@ fn worker_loop(idx: usize, shared: &Shared, tx: &Sender<QueryResponse>) {
     }
 }
 
-/// What one sharded query did on one pool device, as seen by that
-/// device's breaker.
+/// What one query did on one device, as seen by that device's breaker.
 #[derive(Debug, Clone, Copy, Default)]
 struct DeviceOutcome {
     cycles: u64,
@@ -540,60 +530,54 @@ struct DeviceOutcome {
     ran: bool,
 }
 
-/// One sharded job end to end: per-device breaker admission (a tripped
-/// device is excluded, the query only rejects when *every* device is
-/// open), execution across the pool, and per-device breaker feedback
-/// from each device's outcome.
-fn run_sharded_job(
-    idx: usize,
-    shared: &Shared,
-    sc: &ShardServeConfig,
-    job: Job,
-    mut breakers: Option<&mut Vec<CircuitBreaker>>,
-    clocks: &mut [u64],
-) -> QueryResponse {
-    let excluded: Option<Vec<bool>> = breakers.as_deref_mut().map(|bs| {
-        bs.iter_mut()
-            .enumerate()
-            .map(|(d, b)| {
-                let before = b.state();
-                let ok = b.admit(clocks[d]);
-                record_transition(shared, idx, Some(d), clocks[d], before, b.state());
-                !ok
-            })
-            .collect()
-    });
-    if excluded.as_ref().is_some_and(|e| e.iter().all(|&x| x)) {
-        let cfg = shared.breaker.as_ref().expect("breaker configured");
+/// The one job path: per-device breaker admission (a tripped device is
+/// excluded; the query is rejected only when *every* device is open —
+/// with one device, when its breaker does not admit), execution, and
+/// per-device breaker feedback from each device's outcome.
+fn run_job(idx: usize, shared: &Shared, job: Job, devices: &mut Devices) -> QueryResponse {
+    let Devices { breakers, clocks } = devices;
+    // Transitions name the pool device; the single-device server's one
+    // breaker is the worker's own.
+    let label = |d: usize| shared.config.sharding.as_ref().map(|_| d);
+    let excluded: Vec<bool> = (breakers.iter_mut().enumerate())
+        .map(|(d, b)| {
+            let before = b.state();
+            let ok = b.admit(clocks[d]);
+            record_transition(shared, idx, label(d), clocks[d], before, b.state());
+            !ok
+        })
+        .collect();
+    if let (Some(cfg), true) = (&shared.config.breaker, excluded.iter().all(|&x| x)) {
         for c in clocks.iter_mut() {
             *c += cfg.reject_cost_cycles;
         }
         shared.breaker_rejections.fetch_add(1, Ordering::Relaxed);
-        return synthetic_response_on(idx, job, ServeError::CircuitOpen);
+        return QueryResponse {
+            queue_wall: job.submitted.elapsed(),
+            ..response(
+                idx,
+                (job.req.id, job.req.mode),
+                Err(ServeError::CircuitOpen),
+            )
+        };
     }
-    let (resp, outcomes) = process_sharded(idx, shared, sc, job, excluded.as_deref());
-    if let Some(bs) = breakers {
-        for (d, b) in bs.iter_mut().enumerate() {
-            clocks[d] += outcomes[d].cycles;
-            if !outcomes[d].ran {
-                continue;
-            }
-            let opens_before = b.stats().opens;
-            let before = b.state();
-            if outcomes[d].lost {
-                b.on_fault(clocks[d]);
-            } else {
-                b.on_success();
-            }
-            record_transition(shared, idx, Some(d), clocks[d], before, b.state());
-            shared
-                .breaker_opens
-                .fetch_add(b.stats().opens - opens_before, Ordering::Relaxed);
+    let (resp, outcomes) = process(idx, shared, job, &excluded);
+    for (d, o) in outcomes.iter().enumerate() {
+        clocks[d] += o.cycles;
+        let Some(b) = breakers.get_mut(d).filter(|_| o.ran) else {
+            continue;
+        };
+        let opens_before = b.stats().opens;
+        let before = b.state();
+        if o.lost {
+            b.on_fault(clocks[d]);
+        } else {
+            b.on_success();
         }
-    } else {
-        for (d, o) in outcomes.iter().enumerate() {
-            clocks[d] += o.cycles;
-        }
+        record_transition(shared, idx, label(d), clocks[d], before, b.state());
+        shared
+            .breaker_opens
+            .fetch_add(b.stats().opens - opens_before, Ordering::Relaxed);
     }
     resp
 }
@@ -608,269 +592,271 @@ fn record_transition(
     to: crate::breaker::BreakerState,
 ) {
     if from != to {
-        shared
-            .breaker_transitions
-            .lock()
-            .expect("transitions poisoned")
-            .push(BreakerTransition {
-                worker,
-                device,
-                cycle,
-                from,
-                to,
-            });
+        lock(&shared.breaker_transitions).push(BreakerTransition {
+            worker,
+            device,
+            cycle,
+            from,
+            to,
+        });
     }
 }
 
-/// A breaker rejection, attributed to the worker whose breaker is open.
-fn synthetic_response_on(idx: usize, job: Job, err: ServeError) -> QueryResponse {
-    QueryResponse {
-        id: job.req.id,
-        mode: job.req.mode,
-        result: Err(err),
-        plan_cache_hit: false,
-        plan_wall: Default::default(),
-        queue_wall: job.submitted.elapsed(),
-        exec_wall: Default::default(),
-        worker: idx,
-        trace: None,
-        recovery: Default::default(),
-    }
+/// A cached planning outcome for whichever way the server executes.
+enum Planned<'a> {
+    Single(Arc<PlanEntry>),
+    Pool(&'a ShardServeConfig, Arc<ShardEntry>),
 }
 
-/// Run one job; returns the response plus the simulated device cycles
-/// the attempt consumed (successful or not — wasted cycles count toward
-/// the worker's device clock).
-fn process(idx: usize, shared: &Shared, job: Job) -> (QueryResponse, u64) {
-    let queue_wall = job.submitted.elapsed();
-    let req = job.req;
-    let plan_t0 = Instant::now();
-    let planned =
-        shared
-            .plans
-            .get_or_plan(&shared.db, &shared.spec, &shared.gamma, &req.sql, req.mode);
-    let plan_wall = plan_t0.elapsed();
-    let (entry, hit) = match planned {
-        Ok(v) => v,
-        Err(msg) => {
-            return (
-                QueryResponse {
-                    id: req.id,
-                    mode: req.mode,
-                    result: Err(ServeError::Plan(msg)),
-                    plan_cache_hit: false,
-                    plan_wall,
-                    queue_wall,
-                    exec_wall: Default::default(),
-                    worker: idx,
-                    trace: None,
-                    recovery: Default::default(),
-                },
-                0,
-            )
-        }
-    };
-    // A fresh context per query: fresh simulator clock, cold data cache,
-    // private memory map — the isolation that makes cycles per-query
-    // pure. Layout installation is cheap (region bookkeeping, no copy).
-    let exec_t0 = Instant::now();
-    let mut ctx = ExecContext::with_shared(shared.spec.clone(), shared.db.clone());
-    let rec = shared.record_traces.then(Recorder::new);
-    if let Some(r) = &rec {
-        ctx.sim.attach_recorder(r.clone());
-    }
-    if let Some(fc) = &shared.faults {
-        // Seeded per query id, not per worker: the fault schedule a
-        // query sees is part of its deterministic identity.
-        ctx.sim.attach_faults(FaultPlan::new(
-            fc.spec.clone(),
-            per_query_seed(fc.seed, req.id),
-        ));
-    }
-    let limits = ExecLimits {
-        max_cycles: req.max_cycles,
-        cancel: req.cancel.clone(),
-    };
-    let mut recovery = Default::default();
-    let result = try_run_query_recovering(
-        &mut ctx,
-        &entry.plan,
-        req.mode,
-        &entry.config,
-        &limits,
-        shared.recovery.as_ref(),
-    )
-    .map(|run| {
-        recovery = run.recovery;
-        // The observed-λ plane, as served: per-kernel row flow keyed by
-        // the shared lowered-IR kernel names, in stage launch order.
-        let kernel_rows = run
-            .per_stage
-            .iter()
-            .flat_map(|s| s.kernels.iter())
-            .map(|k| KernelRows {
-                name: k.name.to_string(),
-                rows_in: k.rows_in,
-                rows_out: k.rows_out,
-            })
-            .collect();
-        QueryResult {
-            output: run.output,
-            cycles: run.cycles,
-            kernel_rows,
-        }
-    })
-    .map_err(ServeError::Exec);
-    let spent = ctx.sim.clock();
-    (
-        QueryResponse {
-            id: req.id,
-            mode: req.mode,
-            result,
-            plan_cache_hit: hit,
-            plan_wall,
-            queue_wall,
-            exec_wall: exec_t0.elapsed(),
-            worker: idx,
-            trace: rec.map(|r| r.dump()),
-            recovery,
-        },
-        spent,
-    )
-}
-
-/// Run one job across the device pool; returns the response plus each
-/// pool device's outcome (cycles it advanced, whether it was lost) for
-/// the caller's per-device breakers.
-///
-/// `record_traces` applies to the single-device path only: a sharded
-/// run builds one internal simulator per pool device and per-query
-/// tracing is not threaded through them.
-fn process_sharded(
+/// Plan and run one job; returns the response plus each device's outcome
+/// (cycles it advanced — successful or not, wasted cycles count toward
+/// its clock — and whether it was lost) for the caller's breakers.
+/// `excluded` is per device, empty when no breaker is configured.
+fn process(
     idx: usize,
     shared: &Shared,
-    sc: &ShardServeConfig,
     job: Job,
-    excluded: Option<&[bool]>,
+    excluded: &[bool],
 ) -> (QueryResponse, Vec<DeviceOutcome>) {
     let queue_wall = job.submitted.elapsed();
     let req = job.req;
     let plan_t0 = Instant::now();
-    let planned = shared.plans.get_or_place(
-        &shared.db, &sc.pool, &sc.gammas, &req.sql, req.mode, &sc.plan,
-    );
+    let planned = match &shared.config.sharding {
+        None => (shared.plans)
+            .get_or_plan(&shared.db, &shared.spec, &shared.gamma, &req.sql, req.mode)
+            .map(|(e, hit)| (Planned::Single(e), hit)),
+        Some(sc) => (shared.plans)
+            .get_or_place(
+                &shared.db, &sc.pool, &sc.gammas, &req.sql, req.mode, &sc.plan,
+            )
+            .map(|(e, hit)| (Planned::Pool(sc, e), hit)),
+    };
     let plan_wall = plan_t0.elapsed();
-    let mut outcomes = vec![DeviceOutcome::default(); sc.pool.len()];
-    let (entry, hit) = match planned {
+    let mut outcomes = vec![DeviceOutcome::default(); shared.devices()];
+    let (planned, plan_cache_hit) = match planned {
         Ok(v) => v,
         Err(msg) => {
-            return (
-                QueryResponse {
-                    id: req.id,
-                    mode: req.mode,
-                    result: Err(ServeError::Plan(msg)),
-                    plan_cache_hit: false,
-                    plan_wall,
-                    queue_wall,
-                    exec_wall: Default::default(),
-                    worker: idx,
-                    trace: None,
-                    recovery: Default::default(),
-                },
-                outcomes,
-            )
+            let resp = QueryResponse {
+                plan_wall,
+                queue_wall,
+                ..response(idx, (req.id, req.mode), Err(ServeError::Plan(msg)))
+            };
+            return (resp, outcomes);
         }
     };
     let exec_t0 = Instant::now();
-    // Same per-query fault identity as the single-device path; the
-    // sharded runner further mixes the pool index in, so each device
-    // draws an independent but reproducible fault stream.
-    let faults = shared.faults.as_ref().map(|fc| ShardFaults {
-        spec: fc.spec.clone(),
-        seed: per_query_seed(fc.seed, req.id),
-    });
     let limits = ExecLimits {
         max_cycles: req.max_cycles,
         cancel: req.cancel.clone(),
     };
-    // Straggler defense: the cached placement already scored every
-    // stage on every device, so the hedge plan is a free projection of
-    // it. The query's own cycle budget rides in via `limits`.
-    let hedge = sc
-        .hedge_threshold
-        .map(|t| gpl_model::hedge_plan(&entry.placement, t));
-    let mut recovery = Default::default();
-    let result = try_run_query_sharded(
-        &sc.pool,
-        &shared.db,
-        &entry.plan,
-        req.mode,
-        &sc.plan,
-        &entry.placement.assignment,
-        &limits,
-        shared.recovery.as_ref(),
-        faults.as_ref(),
-        hedge.as_ref(),
-        excluded,
-    )
-    .map(|run| {
-        recovery = run.recovery.clone();
-        for (d, dr) in run.per_device.iter().enumerate() {
-            outcomes[d] = DeviceOutcome {
-                cycles: dr.cycles,
-                lost: dr.lost,
-                ran: dr.cycles > 0 || dr.lost,
-            };
-        }
-        // The observed-λ plane, keyed `(kernel, device)`: the same
-        // kernel running on two pool devices yields two distinct rows.
-        let kernel_rows = run
-            .per_device
-            .iter()
-            .flat_map(|dr| {
-                dr.per_stage.iter().flat_map(|s| {
-                    s.kernels.iter().map(|k| KernelRows {
-                        name: format!("{}@{}", k.name, dr.device),
-                        rows_in: k.rows_in,
-                        rows_out: k.rows_out,
-                    })
-                })
-            })
-            .collect();
-        QueryResult {
-            output: run.output,
-            cycles: run.cycles,
-            kernel_rows,
-        }
-    })
-    .map_err(|e| {
-        if e.is_device_fault() {
-            // The run died before producing per-device facts; charge
-            // the fault to every device that was eligible to run —
-            // conservative, but a sticky pool-wide failure should trip
-            // the whole worker's pool anyway.
-            for (d, o) in outcomes.iter_mut().enumerate() {
-                if excluded.is_none_or(|x| !x[d]) {
-                    o.lost = true;
-                    o.ran = true;
-                }
+    // Seeded per query id, not per worker: the fault schedule a query
+    // sees is part of its deterministic identity.
+    let fault_seed = |fc: &FaultConfig| per_query_seed(fc.seed, req.id);
+    let mut trace = None;
+    let ran = match planned {
+        Planned::Single(entry) => {
+            // A fresh context per query: fresh simulator clock, cold data
+            // cache, private memory map — the isolation that makes cycles
+            // per-query pure. Layout installation is cheap (region
+            // bookkeeping, no copy).
+            let mut ctx = ExecContext::with_shared(shared.spec.clone(), shared.db.clone());
+            let rec = shared.config.record_traces.then(Recorder::new);
+            if let Some(r) = &rec {
+                ctx.sim.attach_recorder(r.clone());
             }
+            if let Some(fc) = &shared.config.faults {
+                ctx.sim
+                    .attach_faults(FaultPlan::new(fc.spec.clone(), fault_seed(fc)));
+            }
+            let run = try_run_query_recovering(
+                &mut ctx,
+                &entry.plan,
+                req.mode,
+                &entry.config,
+                &limits,
+                shared.config.recovery.as_ref(),
+            );
+            trace = rec.map(|r| r.dump());
+            let lost = run.as_ref().is_err_and(ExecError::is_device_fault);
+            outcomes[0] = DeviceOutcome {
+                cycles: ctx.sim.clock(),
+                lost,
+                ran: run.is_ok() || lost,
+            };
+            run.map(|run| {
+                // The observed-λ plane, as served: per-kernel row flow
+                // keyed by the shared lowered-IR kernel names, in stage
+                // launch order.
+                let kernels = run.per_stage.iter().flat_map(|s| s.kernels.iter());
+                let kernel_rows = kernels.map(|k| kernel_rows(k, None)).collect();
+                (run.output, run.cycles, kernel_rows, run.recovery)
+            })
         }
-        ServeError::Exec(e)
-    });
-    (
-        QueryResponse {
-            id: req.id,
-            mode: req.mode,
-            result,
-            plan_cache_hit: hit,
-            plan_wall,
-            queue_wall,
-            exec_wall: exec_t0.elapsed(),
-            worker: idx,
-            trace: None,
+        // `record_traces` applies to the single-device server only: a
+        // sharded run builds one internal simulator per pool device and
+        // per-query tracing is not threaded through them.
+        Planned::Pool(sc, entry) => {
+            // The sharded runner further mixes the pool index into the
+            // seed, so each device draws an independent but reproducible
+            // fault stream.
+            let faults = shared.config.faults.as_ref().map(|fc| ShardFaults {
+                spec: fc.spec.clone(),
+                seed: fault_seed(fc),
+            });
+            // Straggler defense: the cached placement already scored every
+            // stage on every device, so the hedge plan is a free projection
+            // of it. The query's own cycle budget rides in via `limits`.
+            let hedge = sc
+                .hedge_threshold
+                .map(|t| gpl_model::hedge_plan(&entry.placement, t));
+            let run = try_run_query_sharded(
+                &sc.pool,
+                &shared.db,
+                &entry.plan,
+                req.mode,
+                &sc.plan,
+                &entry.placement.assignment,
+                &limits,
+                shared.config.recovery.as_ref(),
+                faults.as_ref(),
+                hedge.as_ref(),
+                (!excluded.is_empty()).then_some(excluded),
+            );
+            match &run {
+                Ok(run) => {
+                    for (o, dr) in outcomes.iter_mut().zip(&run.per_device) {
+                        *o = DeviceOutcome {
+                            cycles: dr.cycles,
+                            lost: dr.lost,
+                            ran: dr.cycles > 0 || dr.lost,
+                        };
+                    }
+                }
+                // The run died before producing per-device facts; charge
+                // the fault to every device that was eligible to run —
+                // conservative, but a sticky pool-wide failure should trip
+                // the whole worker's pool anyway.
+                Err(e) if e.is_device_fault() => {
+                    for (d, o) in outcomes.iter_mut().enumerate() {
+                        if excluded.get(d) != Some(&true) {
+                            o.lost = true;
+                            o.ran = true;
+                        }
+                    }
+                }
+                Err(_) => {}
+            }
+            run.map(|run| {
+                // The observed-λ plane, keyed `(kernel, device)`: the same
+                // kernel running on two pool devices yields two distinct
+                // rows.
+                let kernel_rows = (run.per_device.iter())
+                    .flat_map(|dr| {
+                        let kernels = dr.per_stage.iter().flat_map(|s| s.kernels.iter());
+                        kernels.map(|k| kernel_rows(k, Some(&dr.device)))
+                    })
+                    .collect();
+                (run.output, run.cycles, kernel_rows, run.recovery)
+            })
+        }
+    };
+    let (result, recovery) = match ran {
+        Ok((output, cycles, kernel_rows, recovery)) => (
+            Ok(QueryResult {
+                output,
+                cycles,
+                kernel_rows,
+            }),
             recovery,
+        ),
+        Err(e) => (Err(ServeError::Exec(e)), Default::default()),
+    };
+    let resp = QueryResponse {
+        plan_cache_hit,
+        plan_wall,
+        queue_wall,
+        exec_wall: exec_t0.elapsed(),
+        trace,
+        recovery,
+        ..response(idx, (req.id, req.mode), result)
+    };
+    (resp, outcomes)
+}
+
+/// One kernel's observed row flow, named `kernel` or `kernel@device`.
+fn kernel_rows(k: &gpl_sim::KernelProfile, device: Option<&str>) -> KernelRows {
+    KernelRows {
+        name: match device {
+            Some(d) => format!("{}@{d}", k.name),
+            None => k.name.to_string(),
         },
-        outcomes,
-    )
+        rows_in: k.rows_in,
+        rows_out: k.rows_out,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panic inside the job body is answered as `ServeError::Internal`
+    /// with the slot freed, and the same worker serves the next job.
+    #[test]
+    fn a_panicking_job_is_answered_and_the_worker_serves_the_next_one() {
+        let spec = gpl_sim::amd_a10();
+        let gamma = GammaTable::calibrate_grid(&spec, vec![1], vec![16], vec![256 << 10]);
+        let db = Arc::new(TpchDb::at_scale(0.001));
+        let shared = Shared::new(ServeConfig::default(), spec, db, Arc::new(gamma));
+        {
+            let mut q = lock(&shared.queue);
+            for id in [7, 8] {
+                q.normal.push_back(Job {
+                    req: QueryRequest::new(id, "select 1", ExecMode::Gpl),
+                    submitted: Instant::now(),
+                });
+            }
+            // Queued jobs drain before the flag is honoured, so the loop
+            // below returns once both are answered.
+            q.shutdown = true;
+        }
+        shared.queued.store(2, Ordering::Relaxed);
+        let (tx, rx) = channel();
+        let mut calls = 0;
+        worker_loop(3, &shared, &tx, |job| {
+            calls += 1;
+            if job.req.id == 7 {
+                // Poison a shared lock on the way down, as a real panic
+                // under `record_transition` would.
+                let _guard = shared.breaker_transitions.lock().unwrap();
+                panic!("boom in job {}", job.req.id);
+            }
+            response(3, (job.req.id, job.req.mode), Err(ServeError::CircuitOpen))
+        });
+        assert_eq!(calls, 2, "the worker survived the first job's panic");
+        let answers: Vec<QueryResponse> = rx.try_iter().collect();
+        assert_eq!(answers.len(), 2, "every submission answered exactly once");
+        assert_eq!((answers[0].id, answers[0].worker), (7, 3));
+        assert_eq!(
+            answers[0].result,
+            Err(ServeError::Internal("boom in job 7".to_string()))
+        );
+        assert_eq!(
+            (answers[1].id, &answers[1].result),
+            (8, &Err(ServeError::CircuitOpen))
+        );
+        let gauge = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        assert_eq!(
+            (
+                gauge(&shared.queued),
+                gauge(&shared.running),
+                gauge(&shared.done)
+            ),
+            (0, 0, 2)
+        );
+        assert!(shared.breaker_transitions.is_poisoned());
+        assert!(
+            lock(&shared.breaker_transitions).is_empty(),
+            "poison is recovered"
+        );
+    }
 }

@@ -185,3 +185,95 @@ fn eviction_keeps_the_cache_bounded_and_correct() {
     let fresh = gpl_sql::compile_optimized(&db, SIMPLE).unwrap();
     assert_eq!(entry.plan.display, fresh.display);
 }
+
+/// The N = 1 claim behind the one job path: a one-device pool and the
+/// classic single-device server run the same breaker machine — "every
+/// device excluded" is "the breaker did not admit". The fault schedule is
+/// pinned, not drawn (the two paths mix their seeds differently): every
+/// query launching `k_reduce*` — SIMPLE's scalar aggregate — faults once,
+/// and without recovery that fails it; GROUPED never launches it.
+#[test]
+fn one_device_pool_and_classic_server_walk_the_same_breaker_transitions() {
+    use gpl_core::{DeviceKind, DevicePool, PoolDevice, ShardPlan};
+    use gpl_serve::{BreakerConfig, BreakerState, FaultConfig, ServeError, ShardServeConfig};
+    use gpl_sim::{FaultKind, FaultSpec, PinnedFault};
+
+    let db = Arc::new(TpchDb::at_scale(0.002));
+    let classic = ServeConfig {
+        workers: 1,
+        faults: Some(FaultConfig {
+            seed: 7,
+            spec: FaultSpec {
+                pinned: vec![PinnedFault {
+                    kind: FaultKind::KernelFault,
+                    kernel: "k_reduce*".to_string(),
+                    at_cycle: 0,
+                }],
+                ..FaultSpec::none()
+            },
+        }),
+        breaker: Some(BreakerConfig {
+            trip_after: 2,
+            open_cycles: 3 * 4_096,
+            reject_cost_cycles: 4_096,
+        }),
+        ..ServeConfig::default()
+    };
+    let pooled = ServeConfig {
+        sharding: Some(ShardServeConfig {
+            pool: DevicePool::new(vec![PoolDevice {
+                spec: amd_a10(),
+                kind: DeviceKind::Gpu,
+            }]),
+            gammas: vec![(*gamma()).clone()],
+            plan: ShardPlan::single(),
+            hedge_threshold: None,
+        }),
+        ..classic.clone()
+    };
+    // Two faults trip; three rejections cool down; the probe succeeds and
+    // closes; a success resets the streak; two more faults trip again.
+    let texts = [
+        SIMPLE, SIMPLE, SIMPLE, SIMPLE, SIMPLE, GROUPED, SIMPLE, GROUPED, SIMPLE, SIMPLE, SIMPLE,
+        GROUPED,
+    ];
+    let walk = |config: ServeConfig| {
+        let srv = Server::start(config, amd_a10(), db.clone(), gamma());
+        let reqs = (0..)
+            .zip(texts)
+            .map(|(i, sql)| QueryRequest::new(i, sql, ExecMode::Gpl));
+        let answers: Vec<&str> = (srv.run_batch(reqs.collect()).iter())
+            .map(|r| match &r.result {
+                Ok(_) => "ok",
+                Err(ServeError::CircuitOpen) => "open",
+                Err(ServeError::Exec(e)) if e.is_device_fault() => "fault",
+                Err(e) => panic!("{e}"),
+            })
+            .collect();
+        let moves: Vec<(BreakerState, BreakerState)> = (srv.breaker_transitions().iter())
+            .map(|t| (t.from, t.to))
+            .collect();
+        (answers, moves, srv.breaker_counts())
+    };
+    let (one_device, one_pool) = (walk(classic), walk(pooled));
+    assert_eq!(one_device, one_pool);
+    let (answers, moves, (rejections, opens)) = one_device;
+    assert_eq!(
+        answers,
+        [
+            "fault", "fault", "open", "open", "open", "ok", "fault", "ok", "fault", "fault",
+            "open", "open"
+        ]
+    );
+    use BreakerState::{Closed, HalfOpen, Open};
+    assert_eq!(
+        moves,
+        [
+            (Closed, Open),
+            (Open, HalfOpen),
+            (HalfOpen, Closed),
+            (Closed, Open)
+        ]
+    );
+    assert_eq!((rejections, opens), (5, 2));
+}

@@ -109,6 +109,91 @@ fn config_stage_count_mismatch_is_rejected() {
         run_query(&mut ctx, &plan, ExecMode::Gpl, &cfg);
     }));
     assert!(r.is_err());
+
+    // The `try_` path returns the same rejection as a structured error,
+    // without unwinding — for a short config, a malformed plan, and a
+    // shard assignment that does not fit the pool.
+    use gpl_repro::core::plan::PlanError;
+    use gpl_repro::core::segment::ConfigError;
+    use gpl_repro::core::{try_run_query_sharded, DevicePool, ShardAssignment, ShardPlan};
+    let limits = ExecLimits::none();
+    let tried = catch_unwind(AssertUnwindSafe(|| {
+        try_run_query(&mut ctx, &plan, ExecMode::Gpl, &cfg, &limits).map(|_| ())
+    }));
+    let stage_configs = ConfigError::Arity {
+        what: "stage configs",
+        expected: 2,
+        got: 1,
+    };
+    assert_eq!(
+        tried.expect("no unwind"),
+        Err(ExecError::InvalidConfig(stage_configs.clone()))
+    );
+
+    let full = QueryConfig::default_for(&amd_a10(), &plan);
+    let mut probe_first = plan.clone();
+    probe_first.stages.swap(0, 1);
+    let tried = catch_unwind(AssertUnwindSafe(|| {
+        try_run_query(&mut ctx, &probe_first, ExecMode::Kbe, &full, &limits).map(|_| ())
+    }));
+    let probes_unbuilt = PlanError::Ht {
+        stage: probe_first.stages[0].name.clone(),
+        misuse: "probes unbuilt",
+        ht: 0,
+    };
+    assert_eq!(
+        tried.expect("no unwind"),
+        Err(ExecError::InvalidPlan(probes_unbuilt))
+    );
+    let mut unnamed = plan.clone();
+    unnamed.output_columns.clear();
+    let err = try_run_query(&mut ctx, &unnamed, ExecMode::Kbe, &full, &limits).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "invalid plan: output names 0 of a 2-column result"
+    );
+
+    let pool = DevicePool::default_pool();
+    let good = ShardAssignment::default_for(&pool, &plan);
+    let sharded = |a: &ShardAssignment| {
+        let db = ctx.db.clone();
+        catch_unwind(AssertUnwindSafe(|| {
+            let shard = ShardPlan::range(2);
+            let mode = ExecMode::Gpl;
+            try_run_query_sharded(
+                &pool, &db, &plan, mode, &shard, a, &limits, None, None, None, None,
+            )
+            .map(|_| ())
+        }))
+        .expect("no unwind")
+    };
+    let mut short = good.clone();
+    short.configs[2] = cfg.clone();
+    assert_eq!(
+        sharded(&short),
+        Err(ExecError::InvalidConfig(stage_configs))
+    );
+    let mut fewer = good.clone();
+    fewer.configs.pop();
+    assert!(matches!(
+        sharded(&fewer),
+        Err(ExecError::InvalidConfig(ConfigError::Arity {
+            what: "device configs",
+            expected: 3,
+            got: 2
+        }))
+    ));
+    let mut astray = good.clone();
+    astray.stage_device[1] = 3;
+    assert_eq!(
+        sharded(&astray),
+        Err(ExecError::InvalidConfig(ConfigError::Anchor {
+            stage: 1,
+            device: 3,
+            devices: 3
+        }))
+    );
+    assert_eq!(sharded(&good), Ok(()));
 }
 
 #[test]
@@ -419,5 +504,32 @@ fn sql_errors_do_not_panic() {
             gpl_repro::sql::compile(&db, bad).is_err(),
             "{bad:?} should fail cleanly"
         );
+    }
+}
+
+/// Valid SQL must not deadlock the pipeline. PR 12 found about one
+/// `random_workload` text in 3000 returning `ExecError::Deadlock` under
+/// GPL with its Eq. 8-tuned config while KBE answered: a probe widens
+/// rows, so a chunk that filled one channel could never fit the next
+/// one's total capacity. The three texts found then, as GPL ≡ KBE rows.
+#[test]
+fn probe_widened_chunks_do_not_deadlock_the_pipeline() {
+    use gpl_repro::model::{build_models, estimate_stats, optimize_models};
+    let spec = amd_a10();
+    let db = TpchDb::at_scale(0.02);
+    let gamma = GammaTable::calibrate(&spec);
+    let texts = gpl_repro::sql::random_workload(0xad0c5eed, 5800);
+    let mut ctx = ExecContext::new(spec.clone(), db);
+    for i in [1003, 1025, 5732] {
+        let plan = gpl_repro::sql::compile_optimized(&ctx.db, &texts[i]).expect("valid SQL");
+        let stats = estimate_stats(&ctx.db, &plan);
+        let models = build_models(&ctx.db, &plan, &stats, &spec);
+        let config = optimize_models(&spec, &gamma, &plan, &models).config;
+        let limits = ExecLimits::none();
+        let kbe = try_run_query(&mut ctx, &plan, ExecMode::Kbe, &config, &limits).expect("KBE");
+        let gpl = try_run_query(&mut ctx, &plan, ExecMode::Gpl, &config, &limits)
+            .unwrap_or_else(|e| panic!("text {i} under GPL: {e}\n{}", texts[i]));
+        assert_eq!(gpl.output, kbe.output, "text {i}: {}", texts[i]);
+        assert!(gpl.cycles < kbe.cycles, "text {i}: the pipeline still wins");
     }
 }

@@ -2,17 +2,18 @@
 //! queries must agree with a direct row-at-a-time evaluation oracle.
 
 use gpl_check::prelude::*;
-use gpl_repro::core::{ExecContext, ExecMode};
+use gpl_repro::core::{try_run_query, ExecContext, ExecLimits, ExecMode, QueryConfig};
 use gpl_repro::sim::amd_a10;
-use gpl_repro::sql::run_sql;
-use gpl_repro::tpch::TpchDb;
+use gpl_repro::sql::{run_sql, sql_for};
+use gpl_repro::tpch::{QueryId, TpchDb};
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, OnceLock};
 
 /// One shared tiny database (generation is deterministic).
-fn db() -> &'static TpchDb {
-    static DB: OnceLock<TpchDb> = OnceLock::new();
-    DB.get_or_init(|| TpchDb::at_scale(0.002))
+fn db() -> &'static Arc<TpchDb> {
+    static DB: OnceLock<Arc<TpchDb>> = OnceLock::new();
+    DB.get_or_init(|| Arc::new(TpchDb::at_scale(0.002)))
 }
 
 #[derive(Debug, Clone)]
@@ -210,7 +211,7 @@ prop! {
             sql.push_str(" group by l_returnflag order by l_returnflag");
         }
 
-        let mut ctx = ExecContext::new(amd_a10(), db.clone());
+        let mut ctx = ExecContext::with_shared(amd_a10(), db.clone());
         let run = run_sql(&mut ctx, &sql, ExecMode::Gpl).expect("query compiles and runs");
 
         // Oracle.
@@ -240,5 +241,84 @@ prop! {
             prop_assert_eq!(run.output.rows.len(), 1, "{}", sql);
             prop_assert_eq!(run.output.rows[0][0], want, "{}", sql);
         }
+    }
+}
+
+/// One byte-level edit of a text; positions wrap to its length.
+#[derive(Debug, Clone)]
+enum Edit {
+    Delete(usize),
+    Insert(usize, u8),
+    Swap(usize, usize),
+}
+
+fn edit_strategy() -> impl Strategy<Value = Edit> {
+    // Inserted bytes are half arbitrary, half drawn from what SQL is
+    // made of, so that a useful share of the mutants still compiles.
+    const SQLISH: &[u8] = b" 0123456789.,()'<>=*-+_aeilnorst";
+    let byte = prop_oneof![any::<u8>(), (0..SQLISH.len()).prop_map(|i| SQLISH[i])];
+    prop_oneof![
+        any::<usize>().prop_map(Edit::Delete),
+        (any::<usize>(), byte).prop_map(|(at, b)| Edit::Insert(at, b)),
+        (any::<usize>(), any::<usize>()).prop_map(|(a, b)| Edit::Swap(a, b)),
+    ]
+}
+
+const MODES: [ExecMode; 4] = [
+    ExecMode::Kbe,
+    ExecMode::GplNoCe,
+    ExecMode::Gpl,
+    ExecMode::GplPipelined,
+];
+
+/// Whatever the bytes, `compile` — and, when they compile, the engine —
+/// must come back with `Ok` or a structured `Err`. Returns the unwind's
+/// message if either panicked instead.
+fn unwinds(bytes: &[u8], mode: ExecMode) -> Option<String> {
+    let sql = String::from_utf8_lossy(bytes);
+    let run = || {
+        let Ok(plan) = gpl_repro::sql::compile(db(), &sql) else {
+            return;
+        };
+        let mut ctx = ExecContext::with_shared(amd_a10(), db().clone());
+        let cfg = QueryConfig::default_for(&amd_a10(), &plan);
+        let _ = try_run_query(&mut ctx, &plan, mode, &cfg, &ExecLimits::none());
+    };
+    let panic = catch_unwind(AssertUnwindSafe(run)).err()?;
+    let msg = (panic.downcast_ref::<&str>().map(|s| s.to_string()))
+        .or_else(|| panic.downcast_ref::<String>().cloned());
+    Some(format!("{sql:?} unwound: {}", msg.unwrap_or_default()))
+}
+
+prop! {
+    /// Byte-level fuzz, arm one: arbitrary bytes.
+    #[test]
+    fn arbitrary_bytes_never_unwind(
+        bytes in prop::collection::vec(any::<u8>(), 0..160),
+        mode in 0usize..4,
+    ) {
+        prop_assert_eq!(unwinds(&bytes, MODES[mode]), None);
+    }
+
+    /// Arm two: corpus SQL with a few random byte deletions, insertions
+    /// and swaps — close enough to valid that much of it still compiles
+    /// and reaches the engine.
+    #[test]
+    fn mutated_corpus_sql_never_unwinds(
+        text in 0usize..10,
+        edits in prop::collection::vec(edit_strategy(), 1..4),
+        mode in 0usize..4,
+    ) {
+        let corpus: Vec<&str> = QueryId::all().into_iter().filter_map(sql_for).collect();
+        let mut bytes = corpus[text % corpus.len()].as_bytes().to_vec();
+        for edit in &edits {
+            let n = bytes.len();
+            match *edit {
+                Edit::Delete(at) => drop(bytes.remove(at % n)),
+                Edit::Insert(at, b) => bytes.insert(at % (n + 1), b),
+                Edit::Swap(a, b) => bytes.swap(a % n, b % n),
+            }
+        }
+        prop_assert_eq!(unwinds(&bytes, MODES[mode]), None);
     }
 }
