@@ -14,7 +14,7 @@
 use super::Opts;
 use crate::artifact::{mode_key, row_fingerprint, RunEntry};
 use gpl_core::{run_query, ExecMode, QueryConfig, QueryRun};
-use gpl_model::{build_models, drift_for_run, estimate_stats, optimize_models_traced};
+use gpl_model::{build_models, drift_for_run, optimize_models_traced};
 use gpl_obs::{chrome_trace_string, metrics_report, parse, DriftReport, MetricsRegistry, Recorder};
 use gpl_tpch::QueryId;
 
@@ -80,8 +80,7 @@ pub fn profile(opts: &Opts) {
         let mut ctx = opts.ctx(sf);
         let rec = Recorder::new();
         let plan = gpl_sql::compile_traced(&ctx.db, sql, Some(&rec)).expect("corpus SQL compiles");
-        let plan = gpl_model::optimize_join_order(&ctx.db, &plan);
-        let stats = estimate_stats(&ctx.db, &plan);
+        let (plan, stats) = gpl_model::optimize_with_stats(&ctx.db, &plan);
         let models = build_models(&ctx.db, &plan, &stats, &opts.device);
         let cfg = match mode {
             // KBE ignores the pipeline knobs; it runs the paper default.

@@ -53,37 +53,42 @@ pub struct StageEstimate {
     pub total: f64,
 }
 
-/// Eq. 2: allocate per-CU work-group residency among co-launched kernels
-/// (mirrors the simulator's allocator: one slot guaranteed, round-robin
-/// growth while the budgets hold, capped by each kernel's own wg count).
-pub fn allocate_residency(
+/// Eq. 2 core: grant per-CU work-group residency to `res.len()`
+/// co-launched kernels (mirrors the simulator's allocator: one slot
+/// guaranteed, round-robin growth while the budgets hold, capped by each
+/// kernel's own wg count). `kernel(i)` gives kernel i's private and local
+/// bytes per resident work-group and its work-group count; the three
+/// budgets are tracked as running sums, so a grant is three compares.
+fn grant_residency(
     spec: &DeviceSpec,
-    kernels: &[(ResourceUsage, u32)], // (resources, wg count)
-) -> Vec<u32> {
-    let want: Vec<u32> = kernels
-        .iter()
-        .map(|(_, wg)| wg.div_ceil(spec.num_cus).max(1))
-        .collect();
-    let mut res = vec![1u32; kernels.len()];
-    let fits = |res: &[u32], extra: usize| -> bool {
-        let mut pm = 0u64;
-        let mut lm = 0u64;
-        let mut wg = 0u64;
-        for (i, (r, _)) in kernels.iter().enumerate() {
-            let n = res[i] as u64 + u64::from(i == extra);
-            pm += r.private_bytes_per_wg() * n;
-            lm += r.local_bytes_per_wg as u64 * n;
-            wg += n;
-        }
-        pm <= spec.private_mem_per_cu
-            && lm <= spec.local_mem_per_cu
-            && wg <= spec.max_wg_per_cu as u64
-    };
+    kernel: impl Fn(usize) -> (u64, u64, u32),
+    want: &mut [u32],
+    res: &mut [u32],
+) {
+    let (mut pm, mut lm) = (0u64, 0u64);
+    for i in 0..res.len() {
+        let (p, l, wg) = kernel(i);
+        want[i] = wg.div_ceil(spec.num_cus).max(1);
+        res[i] = 1;
+        pm += p;
+        lm += l;
+    }
+    let mut wg = res.len() as u64;
     loop {
         let mut grew = false;
-        for i in 0..kernels.len() {
-            if res[i] < want[i] && fits(&res, i) {
+        for i in 0..res.len() {
+            if res[i] >= want[i] {
+                continue;
+            }
+            let (p, l, _) = kernel(i);
+            if pm + p <= spec.private_mem_per_cu
+                && lm + l <= spec.local_mem_per_cu
+                && wg < spec.max_wg_per_cu as u64
+            {
                 res[i] += 1;
+                pm += p;
+                lm += l;
+                wg += 1;
                 grew = true;
             }
         }
@@ -91,6 +96,24 @@ pub fn allocate_residency(
             break;
         }
     }
+}
+
+/// Eq. 2: allocate per-CU work-group residency among co-launched kernels.
+pub fn allocate_residency(
+    spec: &DeviceSpec,
+    kernels: &[(ResourceUsage, u32)], // (resources, wg count)
+) -> Vec<u32> {
+    let mut want = vec![0; kernels.len()];
+    let mut res = vec![0; kernels.len()];
+    grant_residency(
+        spec,
+        |i| {
+            let (r, wg) = &kernels[i];
+            (r.private_bytes_per_wg(), r.local_bytes_per_wg as u64, *wg)
+        },
+        &mut want,
+        &mut res,
+    );
     res
 }
 
@@ -106,6 +129,257 @@ fn cr_random(footprint: u64, tile_bytes: u64, cache_bytes: u64) -> f64 {
     (available / footprint as f64).clamp(0.05, 1.0)
 }
 
+/// What (Δ, n, p) fix for one kernel: every Eq. 2–6 quantity `wg_Ki`
+/// cannot change, carried as far as the f64 operations go before the
+/// first division by the CUs the kernel covers.
+#[derive(Debug, Clone, Copy)]
+struct KernelTerms {
+    /// Eq. 2: private and local bytes one resident work-group pins.
+    pm: u64,
+    lm: u64,
+    /// Eq. 3/4 numerator, `insts · issue_cycles`.
+    issue: f64,
+    /// Eq. 5 leaf scan, `bytes / mem_bytes_per_cycle` (leaf kernels only).
+    scan: Option<f64>,
+    /// Eq. 5 hash-structure traffic split by the cr surrogate, in cycles
+    /// before the division by CUs (kernels touching a structure only).
+    ht: Option<f64>,
+    /// Eq. 6, complete: Γ and the pressure curve see only (n, p, Δ·λ).
+    dc: f64,
+}
+
+/// Eq. 2–9 for one stage at one (Δ, n, p) grid point.
+///
+/// The search varies only `wg_Ki` at a grid point, so everything else —
+/// tiling, instruction counts, byte volumes, the four Γ/pressure look-ups
+/// per kernel — is computed once in [`StageEvaluator::new`], and
+/// [`StageEvaluator::total`] evaluates a `wg_counts` vector without
+/// allocating. The split never reassociates: each precomputed term is a
+/// prefix of the expression it came from, finished with the same
+/// operations in the same order, so every result is bit-identical to
+/// evaluating the equations from scratch (the search's `<` comparisons,
+/// and with them every chosen config and pinned cycle count, depend on
+/// the last bit).
+pub(crate) struct StageEvaluator<'a> {
+    spec: &'a DeviceSpec,
+    kernels: Vec<KernelTerms>,
+    num_tiles: u64,
+    batches_per_tile: f64,
+    /// Eq. 9's effective concurrency.
+    c_eff: f64,
+    /// `launch_cycles + num_tiles · 256 · issue_cycles`.
+    dispatch: f64,
+    lane_cost: f64,
+    // Scratch the evaluation overwrites: Eq. 2 demand and grant, and the
+    // per-kernel costs.
+    want: Vec<u32>,
+    residency: Vec<u32>,
+    per_kernel: Vec<KernelCost>,
+}
+
+impl<'a> StageEvaluator<'a> {
+    /// Fix (Δ, n, p) from `cfg` (whose shape is validated here, once).
+    pub(crate) fn new(
+        spec: &'a DeviceSpec,
+        gamma: &GammaTable,
+        sm: &StageModel,
+        cfg: &StageConfig,
+    ) -> Self {
+        sm.ir.validate_config(cfg).unwrap_or_else(|e| panic!("{e}"));
+        let tile_rows = (cfg.tile_bytes / sm.row_bytes).clamp(1, sm.driver_rows.max(1));
+        let num_tiles = sm.driver_rows.div_ceil(tile_rows).max(1);
+        let wavefront = spec.wavefront_size as f64;
+
+        let kernels = (sm.kernels.iter())
+            .map(|k| {
+                let rows_in = tile_rows as f64 * k.in_ratio;
+                let rows_out = rows_in * k.lambda;
+                // Eq. 3/4: instruction issue. Vector ALUs serialize the
+                // resident work-groups of a CU, so issue bandwidth scales
+                // with the number of CUs the kernel's work-groups actually
+                // cover — `wg_Ki` and the Eq. 2 residency bound how many
+                // that is.
+                let insts = rows_in * (k.per_row_compute + k.per_row_mem) as f64 / wavefront;
+
+                // Eq. 5: global memory for the leaf scan (set_l) — a cold
+                // stream, so it moves at the miss-path bandwidth — plus
+                // random hash-structure traffic split by the cr surrogate.
+                let scan = (k.scan_bytes_per_row > 0).then(|| {
+                    let bytes = rows_in * k.scan_bytes_per_row as f64
+                        + rows_out * k.lazy_bytes_per_row as f64;
+                    bytes / spec.mem_bytes_per_cycle as f64
+                });
+                let ht = (k.ht_access_bytes > 0).then(|| {
+                    // Hash-build bucket writes are first touches:
+                    // whole-line cold misses. Probe reads hit according to
+                    // the footprint.
+                    let (bytes, cr) = if k.cold_ht {
+                        (rows_in * 64.0, 0.0)
+                    } else {
+                        (
+                            rows_in * k.ht_access_bytes as f64,
+                            cr_random(k.ht_footprint, cfg.tile_bytes, spec.cache_bytes),
+                        )
+                    };
+                    bytes * cr / spec.cache_bytes_per_cycle as f64
+                        + bytes * (1.0 - cr) / spec.mem_bytes_per_cycle as f64
+                });
+                // Eq. 6: channel transfers, in and out, over the calibrated
+                // Γ, de-rated by the cache pressure of the in-flight
+                // working set (channel buffers hold up to a quarter tile
+                // per edge).
+                let inflight = |d: f64| (d as u64).min(cfg.tile_bytes / 4).max(1);
+                let mut dc = 0.0;
+                if k.in_width > 0 {
+                    let d = rows_in * k.in_width as f64;
+                    let g = gamma
+                        .lookup(cfg.n_channels, cfg.packet_bytes, d as u64)
+                        .max(1e-6);
+                    dc += d / (g * gamma.pressure(inflight(d)));
+                }
+                if k.out_width > 0 {
+                    let d = rows_out * k.out_width as f64;
+                    if d > 0.0 {
+                        let g = gamma
+                            .lookup(cfg.n_channels, cfg.packet_bytes, d as u64)
+                            .max(1e-6);
+                        dc += d / (g * gamma.pressure(inflight(d)));
+                    }
+                }
+                // The calibrated Γ covers a full producer→consumer round
+                // trip; each endpoint bears half.
+                dc *= 0.5;
+                KernelTerms {
+                    pm: k.resources.private_bytes_per_wg(),
+                    lm: k.resources.local_bytes_per_wg as u64,
+                    issue: insts * spec.issue_cycles as f64,
+                    scan,
+                    ht,
+                    dc,
+                }
+            })
+            .collect::<Vec<_>>();
+
+        // Per-tile overheads beyond Eq. 9: the workload scheduler's
+        // dispatch, the pipeline-drain bubble at each tile barrier
+        // (downstream kernels finish the last batch with the scan idle —
+        // what makes very small tiles "dramatically degrade the data
+        // channel efficiency", Section 3.3), and ACE lane interleaving
+        // when the pipeline is deeper than `C`. Only the bubble depends on
+        // the kernel times.
+        let batches_per_tile = (tile_rows as f64 / gpl_core::gpl::SCAN_BATCH_ROWS as f64).max(1.0);
+        let lane_cost = spec.lane_switch_cycles as f64
+            * (sm.kernels.len() as f64 - spec.concurrency as f64).max(0.0)
+            * num_tiles as f64
+            * batches_per_tile
+            * 0.15;
+        let zero = KernelCost {
+            c: 0.0,
+            m: 0.0,
+            dc: 0.0,
+            a_wg: 0,
+        };
+        StageEvaluator {
+            spec,
+            num_tiles,
+            batches_per_tile,
+            // Eq. 9. The effective concurrency is capped by the pipeline
+            // depth and by the two hardware pipelines (VALU / memory unit)
+            // that actually overlap on a CU — the AMD device's C = 2
+            // coincides with that bound, which is why the paper's 1/C
+            // works there.
+            c_eff: spec.concurrency.min(sm.kernels.len() as u32).clamp(1, 2) as f64,
+            dispatch: spec.launch_cycles as f64
+                + num_tiles as f64 * 256.0 * spec.issue_cycles as f64,
+            lane_cost,
+            want: vec![0; kernels.len()],
+            residency: vec![0; kernels.len()],
+            per_kernel: vec![zero; kernels.len()],
+            kernels,
+        }
+    }
+
+    /// Eq. 2–9 under `wg_counts`: fills `per_kernel`, returns
+    /// `(delay, overhead, total)`.
+    fn evaluate(&mut self, wg_counts: &[u32]) -> (f64, f64, f64) {
+        let spec = self.spec;
+        let Self {
+            kernels,
+            want,
+            residency,
+            per_kernel,
+            ..
+        } = self;
+        assert_eq!(wg_counts.len(), kernels.len(), "one wg count per kernel");
+        grant_residency(
+            spec,
+            |i| (kernels[i].pm, kernels[i].lm, wg_counts[i]),
+            want,
+            residency,
+        );
+        let num_cus = spec.num_cus as u64;
+        for (i, k) in kernels.iter().enumerate() {
+            let slots = (residency[i] as u64 * num_cus).min(wg_counts[i] as u64);
+            let used_cus = (slots.min(num_cus)).max(1) as f64;
+            let c = k.issue / used_cus;
+            let mut m = 0.0;
+            if let Some(scan) = k.scan {
+                m += scan / used_cus + spec.mem_latency as f64;
+            }
+            if let Some(ht) = k.ht {
+                m += ht / used_cus + spec.cache_latency as f64;
+            }
+            m += k.dc;
+            per_kernel[i] = KernelCost {
+                c,
+                m,
+                dc: k.dc,
+                a_wg: residency[i],
+            };
+        }
+        let num_tiles = self.num_tiles as f64;
+
+        // Eq. 8: imbalance between adjacent kernels, accumulated per tile.
+        // The ½ is the pairwise-makespan identity max(a, b) = (a+b)/2 +
+        // |a−b|/2, which is what the imbalance of two concurrently
+        // executing kernels actually costs on top of the Eq. 9 term.
+        let delay: f64 = 0.5
+            * per_kernel
+                .windows(2)
+                .map(|w| (w[0].t() - w[1].t()).abs())
+                .sum::<f64>()
+            * num_tiles;
+
+        let sum_t: f64 = per_kernel.iter().map(KernelCost::t).sum::<f64>() * num_tiles;
+        let bubble: f64 = per_kernel.iter().skip(1).map(KernelCost::t).sum::<f64>()
+            / self.batches_per_tile
+            * num_tiles;
+        let overhead = self.dispatch + bubble + self.lane_cost;
+        // Eq. 9 refined with a makespan lower bound: the slowest kernel's
+        // total time floors the segment regardless of overlap.
+        let slowest = per_kernel.iter().map(KernelCost::t).fold(0.0, f64::max) * num_tiles;
+        let total = (sum_t / self.c_eff + delay).max(slowest) + overhead;
+        (delay, overhead, total)
+    }
+
+    /// Eq. 9 segment time under `wg_counts`; no allocation.
+    pub(crate) fn total(&mut self, wg_counts: &[u32]) -> f64 {
+        self.evaluate(wg_counts).2
+    }
+
+    /// The full estimate under `wg_counts`.
+    pub(crate) fn estimate(&mut self, wg_counts: &[u32]) -> StageEstimate {
+        let (delay, overhead, total) = self.evaluate(wg_counts);
+        StageEstimate {
+            per_kernel: self.per_kernel.clone(),
+            num_tiles: self.num_tiles,
+            delay,
+            overhead,
+            total,
+        }
+    }
+}
+
 /// Estimate one stage under `cfg` (Eq. 2–9).
 pub fn estimate_stage(
     spec: &DeviceSpec,
@@ -113,137 +387,7 @@ pub fn estimate_stage(
     sm: &StageModel,
     cfg: &StageConfig,
 ) -> StageEstimate {
-    sm.ir.validate_config(cfg).unwrap_or_else(|e| panic!("{e}"));
-    let tile_rows = (cfg.tile_bytes / sm.row_bytes).clamp(1, sm.driver_rows.max(1));
-    let num_tiles = sm.driver_rows.div_ceil(tile_rows).max(1);
-    let wavefront = spec.wavefront_size as f64;
-
-    let residency = allocate_residency(
-        spec,
-        &sm.kernels
-            .iter()
-            .zip(&cfg.wg_counts)
-            .map(|(k, &wg)| (k.resources, wg))
-            .collect::<Vec<_>>(),
-    );
-
-    let mut per_kernel = Vec::with_capacity(sm.kernels.len());
-    for (i, k) in sm.kernels.iter().enumerate() {
-        let rows_in = tile_rows as f64 * k.in_ratio;
-        let rows_out = rows_in * k.lambda;
-        // Eq. 3/4: instruction issue. Vector ALUs serialize the resident
-        // work-groups of a CU, so issue bandwidth scales with the number
-        // of CUs the kernel's work-groups actually cover — `wg_Ki` and
-        // the Eq. 2 residency bound how many that is.
-        let insts = rows_in * (k.per_row_compute + k.per_row_mem) as f64 / wavefront;
-        let slots = (residency[i] as u64 * spec.num_cus as u64).min(cfg.wg_counts[i] as u64);
-        let used_cus = (slots.min(spec.num_cus as u64)).max(1) as f64;
-        let c = insts * spec.issue_cycles as f64 / used_cus;
-
-        // Eq. 5: global memory for the leaf scan (set_l) — a cold stream,
-        // so it moves at the miss-path bandwidth — plus random
-        // hash-structure traffic split by the cr surrogate.
-        let mut m = 0.0;
-        if k.scan_bytes_per_row > 0 {
-            let bytes =
-                rows_in * k.scan_bytes_per_row as f64 + rows_out * k.lazy_bytes_per_row as f64;
-            m += bytes / spec.mem_bytes_per_cycle as f64 / used_cus + spec.mem_latency as f64;
-        }
-        if k.ht_access_bytes > 0 {
-            // Hash-build bucket writes are first touches: whole-line cold
-            // misses. Probe reads hit according to the footprint.
-            let (bytes, cr) = if k.cold_ht {
-                (rows_in * 64.0, 0.0)
-            } else {
-                (
-                    rows_in * k.ht_access_bytes as f64,
-                    cr_random(k.ht_footprint, cfg.tile_bytes, spec.cache_bytes),
-                )
-            };
-            m += (bytes * cr / spec.cache_bytes_per_cycle as f64
-                + bytes * (1.0 - cr) / spec.mem_bytes_per_cycle as f64)
-                / used_cus
-                + spec.cache_latency as f64;
-        }
-        // Eq. 6: channel transfers, in and out, over the calibrated Γ,
-        // de-rated by the cache pressure of the in-flight working set
-        // (channel buffers hold up to a quarter tile per edge).
-        let inflight = |d: f64| (d as u64).min(cfg.tile_bytes / 4).max(1);
-        let mut dc = 0.0;
-        if k.in_width > 0 {
-            let d = rows_in * k.in_width as f64;
-            let g = gamma
-                .lookup(cfg.n_channels, cfg.packet_bytes, d as u64)
-                .max(1e-6);
-            dc += d / (g * gamma.pressure(inflight(d)));
-        }
-        if k.out_width > 0 {
-            let d = rows_out * k.out_width as f64;
-            if d > 0.0 {
-                let g = gamma
-                    .lookup(cfg.n_channels, cfg.packet_bytes, d as u64)
-                    .max(1e-6);
-                dc += d / (g * gamma.pressure(inflight(d)));
-            }
-        }
-        // The calibrated Γ covers a full producer→consumer round trip;
-        // each endpoint bears half.
-        dc *= 0.5;
-        m += dc;
-        per_kernel.push(KernelCost {
-            c,
-            m,
-            dc,
-            a_wg: residency[i],
-        });
-    }
-
-    // Eq. 8: imbalance between adjacent kernels, accumulated per tile.
-    // The ½ is the pairwise-makespan identity max(a, b) = (a+b)/2 +
-    // |a−b|/2, which is what the imbalance of two concurrently executing
-    // kernels actually costs on top of the Eq. 9 term.
-    let delay: f64 = 0.5
-        * per_kernel
-            .windows(2)
-            .map(|w| (w[0].t() - w[1].t()).abs())
-            .sum::<f64>()
-        * num_tiles as f64;
-
-    // Eq. 9. The effective concurrency is capped by the pipeline depth
-    // and by the two hardware pipelines (VALU / memory unit) that
-    // actually overlap on a CU — the AMD device's C = 2 coincides with
-    // that bound, which is why the paper's 1/C works there.
-    let c_eff = spec.concurrency.min(sm.kernels.len() as u32).clamp(1, 2) as f64;
-    let sum_t: f64 = per_kernel.iter().map(KernelCost::t).sum::<f64>() * num_tiles as f64;
-    // Per-tile overheads beyond Eq. 9: the workload scheduler's dispatch,
-    // the pipeline-drain bubble at each tile barrier (downstream kernels
-    // finish the last batch with the scan idle — what makes very small
-    // tiles "dramatically degrade the data channel efficiency",
-    // Section 3.3), and ACE lane interleaving when the pipeline is deeper
-    // than `C`.
-    let batches_per_tile = (tile_rows as f64 / gpl_core::gpl::SCAN_BATCH_ROWS as f64).max(1.0);
-    let bubble: f64 = per_kernel.iter().skip(1).map(KernelCost::t).sum::<f64>() / batches_per_tile
-        * num_tiles as f64;
-    let lane_cost = spec.lane_switch_cycles as f64
-        * (sm.kernels.len() as f64 - spec.concurrency as f64).max(0.0)
-        * num_tiles as f64
-        * batches_per_tile
-        * 0.15;
-    let overhead = spec.launch_cycles as f64
-        + num_tiles as f64 * 256.0 * spec.issue_cycles as f64
-        + bubble
-        + lane_cost;
-    // Eq. 9 refined with a makespan lower bound: the slowest kernel's
-    // total time floors the segment regardless of overlap.
-    let slowest = per_kernel.iter().map(KernelCost::t).fold(0.0, f64::max) * num_tiles as f64;
-    let total = (sum_t / c_eff + delay).max(slowest) + overhead;
-    StageEstimate {
-        per_kernel,
-        num_tiles,
-        delay,
-        overhead,
-        total,
-    }
+    StageEvaluator::new(spec, gamma, sm, cfg).estimate(&cfg.wg_counts)
 }
 
 /// Estimate a whole query: the sum of its stage estimates (stages are
@@ -266,6 +410,197 @@ pub fn estimate_query(
     total
 }
 
+/// `estimate_stage` and `allocate_residency` as they stood before the
+/// per-grid-point evaluator: every term recomputed on every call, the
+/// residency budgets re-summed on every grant. Kept as the reference
+/// the evaluator must match to the last bit.
+#[cfg(test)]
+mod reference {
+    use super::{cr_random, KernelCost, StageEstimate};
+    use crate::analyze::StageModel;
+    use crate::gamma::GammaTable;
+    use gpl_core::StageConfig;
+    use gpl_sim::{DeviceSpec, ResourceUsage};
+
+    pub fn allocate_residency(
+        spec: &DeviceSpec,
+        kernels: &[(ResourceUsage, u32)], // (resources, wg count)
+    ) -> Vec<u32> {
+        let want: Vec<u32> = kernels
+            .iter()
+            .map(|(_, wg)| wg.div_ceil(spec.num_cus).max(1))
+            .collect();
+        let mut res = vec![1u32; kernels.len()];
+        let fits = |res: &[u32], extra: usize| -> bool {
+            let mut pm = 0u64;
+            let mut lm = 0u64;
+            let mut wg = 0u64;
+            for (i, (r, _)) in kernels.iter().enumerate() {
+                let n = res[i] as u64 + u64::from(i == extra);
+                pm += r.private_bytes_per_wg() * n;
+                lm += r.local_bytes_per_wg as u64 * n;
+                wg += n;
+            }
+            pm <= spec.private_mem_per_cu
+                && lm <= spec.local_mem_per_cu
+                && wg <= spec.max_wg_per_cu as u64
+        };
+        loop {
+            let mut grew = false;
+            for i in 0..kernels.len() {
+                if res[i] < want[i] && fits(&res, i) {
+                    res[i] += 1;
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+        res
+    }
+
+    pub fn estimate_stage(
+        spec: &DeviceSpec,
+        gamma: &GammaTable,
+        sm: &StageModel,
+        cfg: &StageConfig,
+    ) -> StageEstimate {
+        sm.ir.validate_config(cfg).unwrap_or_else(|e| panic!("{e}"));
+        let tile_rows = (cfg.tile_bytes / sm.row_bytes).clamp(1, sm.driver_rows.max(1));
+        let num_tiles = sm.driver_rows.div_ceil(tile_rows).max(1);
+        let wavefront = spec.wavefront_size as f64;
+
+        let residency = allocate_residency(
+            spec,
+            &sm.kernels
+                .iter()
+                .zip(&cfg.wg_counts)
+                .map(|(k, &wg)| (k.resources, wg))
+                .collect::<Vec<_>>(),
+        );
+
+        let mut per_kernel = Vec::with_capacity(sm.kernels.len());
+        for (i, k) in sm.kernels.iter().enumerate() {
+            let rows_in = tile_rows as f64 * k.in_ratio;
+            let rows_out = rows_in * k.lambda;
+            // Eq. 3/4: instruction issue. Vector ALUs serialize the resident
+            // work-groups of a CU, so issue bandwidth scales with the number
+            // of CUs the kernel's work-groups actually cover — `wg_Ki` and
+            // the Eq. 2 residency bound how many that is.
+            let insts = rows_in * (k.per_row_compute + k.per_row_mem) as f64 / wavefront;
+            let slots = (residency[i] as u64 * spec.num_cus as u64).min(cfg.wg_counts[i] as u64);
+            let used_cus = (slots.min(spec.num_cus as u64)).max(1) as f64;
+            let c = insts * spec.issue_cycles as f64 / used_cus;
+
+            // Eq. 5: global memory for the leaf scan (set_l) — a cold stream,
+            // so it moves at the miss-path bandwidth — plus random
+            // hash-structure traffic split by the cr surrogate.
+            let mut m = 0.0;
+            if k.scan_bytes_per_row > 0 {
+                let bytes =
+                    rows_in * k.scan_bytes_per_row as f64 + rows_out * k.lazy_bytes_per_row as f64;
+                m += bytes / spec.mem_bytes_per_cycle as f64 / used_cus + spec.mem_latency as f64;
+            }
+            if k.ht_access_bytes > 0 {
+                // Hash-build bucket writes are first touches: whole-line cold
+                // misses. Probe reads hit according to the footprint.
+                let (bytes, cr) = if k.cold_ht {
+                    (rows_in * 64.0, 0.0)
+                } else {
+                    (
+                        rows_in * k.ht_access_bytes as f64,
+                        cr_random(k.ht_footprint, cfg.tile_bytes, spec.cache_bytes),
+                    )
+                };
+                m += (bytes * cr / spec.cache_bytes_per_cycle as f64
+                    + bytes * (1.0 - cr) / spec.mem_bytes_per_cycle as f64)
+                    / used_cus
+                    + spec.cache_latency as f64;
+            }
+            // Eq. 6: channel transfers, in and out, over the calibrated Γ,
+            // de-rated by the cache pressure of the in-flight working set
+            // (channel buffers hold up to a quarter tile per edge).
+            let inflight = |d: f64| (d as u64).min(cfg.tile_bytes / 4).max(1);
+            let mut dc = 0.0;
+            if k.in_width > 0 {
+                let d = rows_in * k.in_width as f64;
+                let g = gamma
+                    .lookup(cfg.n_channels, cfg.packet_bytes, d as u64)
+                    .max(1e-6);
+                dc += d / (g * gamma.pressure(inflight(d)));
+            }
+            if k.out_width > 0 {
+                let d = rows_out * k.out_width as f64;
+                if d > 0.0 {
+                    let g = gamma
+                        .lookup(cfg.n_channels, cfg.packet_bytes, d as u64)
+                        .max(1e-6);
+                    dc += d / (g * gamma.pressure(inflight(d)));
+                }
+            }
+            // The calibrated Γ covers a full producer→consumer round trip;
+            // each endpoint bears half.
+            dc *= 0.5;
+            m += dc;
+            per_kernel.push(KernelCost {
+                c,
+                m,
+                dc,
+                a_wg: residency[i],
+            });
+        }
+
+        // Eq. 8: imbalance between adjacent kernels, accumulated per tile.
+        // The ½ is the pairwise-makespan identity max(a, b) = (a+b)/2 +
+        // |a−b|/2, which is what the imbalance of two concurrently executing
+        // kernels actually costs on top of the Eq. 9 term.
+        let delay: f64 = 0.5
+            * per_kernel
+                .windows(2)
+                .map(|w| (w[0].t() - w[1].t()).abs())
+                .sum::<f64>()
+            * num_tiles as f64;
+
+        // Eq. 9. The effective concurrency is capped by the pipeline depth
+        // and by the two hardware pipelines (VALU / memory unit) that
+        // actually overlap on a CU — the AMD device's C = 2 coincides with
+        // that bound, which is why the paper's 1/C works there.
+        let c_eff = spec.concurrency.min(sm.kernels.len() as u32).clamp(1, 2) as f64;
+        let sum_t: f64 = per_kernel.iter().map(KernelCost::t).sum::<f64>() * num_tiles as f64;
+        // Per-tile overheads beyond Eq. 9: the workload scheduler's dispatch,
+        // the pipeline-drain bubble at each tile barrier (downstream kernels
+        // finish the last batch with the scan idle — what makes very small
+        // tiles "dramatically degrade the data channel efficiency",
+        // Section 3.3), and ACE lane interleaving when the pipeline is deeper
+        // than `C`.
+        let batches_per_tile = (tile_rows as f64 / gpl_core::gpl::SCAN_BATCH_ROWS as f64).max(1.0);
+        let bubble: f64 = per_kernel.iter().skip(1).map(KernelCost::t).sum::<f64>()
+            / batches_per_tile
+            * num_tiles as f64;
+        let lane_cost = spec.lane_switch_cycles as f64
+            * (sm.kernels.len() as f64 - spec.concurrency as f64).max(0.0)
+            * num_tiles as f64
+            * batches_per_tile
+            * 0.15;
+        let overhead = spec.launch_cycles as f64
+            + num_tiles as f64 * 256.0 * spec.issue_cycles as f64
+            + bubble
+            + lane_cost;
+        // Eq. 9 refined with a makespan lower bound: the slowest kernel's
+        // total time floors the segment regardless of overlap.
+        let slowest = per_kernel.iter().map(KernelCost::t).fold(0.0, f64::max) * num_tiles as f64;
+        let total = (sum_t / c_eff + delay).max(slowest) + overhead;
+        StageEstimate {
+            per_kernel,
+            num_tiles,
+            delay,
+            overhead,
+            total,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,12 +610,7 @@ mod tests {
     use gpl_tpch::{QueryId, TpchDb};
 
     fn gamma() -> GammaTable {
-        GammaTable::calibrate_grid(
-            &amd_a10(),
-            vec![1, 4, 16],
-            vec![16, 64],
-            vec![256 << 10, 2 << 20, 16 << 20],
-        )
+        gamma_for(&amd_a10())
     }
 
     #[test]
@@ -293,6 +623,111 @@ mod tests {
         let r2 = allocate_residency(&spec, &[(small, 1024), (small, 1024)]);
         assert!(r2[0] > 4);
         assert!(r2.iter().map(|&x| x as u64).sum::<u64>() <= spec.max_wg_per_cu as u64);
+    }
+
+    /// A calibrated-enough Γ for any profile: three points per axis the
+    /// device allows.
+    fn gamma_for(spec: &DeviceSpec) -> GammaTable {
+        let ns = [1u32, 4, 16].into_iter();
+        let ns = ns.filter(|&n| n <= spec.channel.max_channels).collect();
+        let ps = if spec.channel.tunable_packet_size {
+            vec![16, 64]
+        } else {
+            vec![spec.channel.fixed_packet_bytes]
+        };
+        GammaTable::calibrate_grid(spec, ns, ps, vec![256 << 10, 2 << 20, 16 << 20])
+    }
+
+    #[test]
+    fn evaluator_is_bit_identical_to_the_reference_body() {
+        use crate::search::{channel_grid, packet_grid, tile_grid};
+        let db = TpchDb::at_scale(0.01);
+        // splitmix64: wg counts off the search's grid too (non-multiples
+        // of #CU, fewer work-groups than CUs).
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut compared = 0usize;
+        for spec in [amd_a10(), gpl_sim::nvidia_k40(), gpl_sim::cpu_host()] {
+            let g = gamma_for(&spec);
+            for q in QueryId::all() {
+                let plan = plan_for(&db, q);
+                let st = stats::estimate(&db, &plan);
+                for sm in &analyze::build_models(&db, &plan, &st, &spec) {
+                    for tile_bytes in tile_grid() {
+                        for n_channels in channel_grid() {
+                            for packet_bytes in packet_grid(&spec) {
+                                let mut cfg = StageConfig {
+                                    tile_bytes,
+                                    n_channels,
+                                    packet_bytes,
+                                    wg_counts: vec![4 * spec.num_cus; sm.kernels.len()],
+                                    overlap_slices: 0,
+                                };
+                                let mut at = StageEvaluator::new(&spec, &g, sm, &cfg);
+                                // One evaluator, several wg vectors: stale
+                                // scratch from the previous one must not leak.
+                                for _ in 0..3 {
+                                    for wg in &mut cfg.wg_counts {
+                                        *wg = 1 + (next() % (17 * spec.num_cus as u64)) as u32;
+                                    }
+                                    let want = reference::estimate_stage(&spec, &g, sm, &cfg);
+                                    let got = at.estimate(&cfg.wg_counts);
+                                    let ctx = format!("{} {} {cfg:?}", q.name(), sm.name);
+                                    assert_eq!(got.total.to_bits(), want.total.to_bits(), "{ctx}");
+                                    assert_eq!(got.delay.to_bits(), want.delay.to_bits(), "{ctx}");
+                                    assert_eq!(
+                                        got.overhead.to_bits(),
+                                        want.overhead.to_bits(),
+                                        "{ctx}"
+                                    );
+                                    assert_eq!(got.num_tiles, want.num_tiles, "{ctx}");
+                                    assert_eq!(got.per_kernel.len(), want.per_kernel.len());
+                                    for (a, b) in got.per_kernel.iter().zip(&want.per_kernel) {
+                                        assert_eq!(a.c.to_bits(), b.c.to_bits(), "{ctx}");
+                                        assert_eq!(a.m.to_bits(), b.m.to_bits(), "{ctx}");
+                                        assert_eq!(a.dc.to_bits(), b.dc.to_bits(), "{ctx}");
+                                        assert_eq!(a.a_wg, b.a_wg, "{ctx}");
+                                    }
+                                    assert_eq!(
+                                        at.total(&cfg.wg_counts).to_bits(),
+                                        want.total.to_bits(),
+                                        "{ctx}"
+                                    );
+                                    compared += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 10_000, "compared {compared} evaluations");
+    }
+
+    #[test]
+    fn residency_wrapper_matches_the_reference_allocator() {
+        for spec in [amd_a10(), gpl_sim::nvidia_k40(), gpl_sim::cpu_host()] {
+            for local in [0u32, 1024, 4096, 16 * 1024] {
+                for private in [16u32, 64, 256] {
+                    for wgs in [[1u32, 1, 1], [8, 64, 3], [1024, 2, 1024], [40, 40, 40]] {
+                        let r = ResourceUsage::new(spec.wavefront_size, private, local);
+                        let ks: Vec<_> = wgs.iter().map(|&wg| (r, wg)).collect();
+                        assert_eq!(
+                            allocate_residency(&spec, &ks),
+                            reference::allocate_residency(&spec, &ks),
+                            "{} local {local} private {private} wgs {wgs:?}",
+                            spec.name
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

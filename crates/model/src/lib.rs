@@ -39,9 +39,9 @@ pub use cost::{allocate_residency, estimate_query, estimate_stage, StageEstimate
 pub use drift::{drift_for_device_run, drift_for_run};
 pub use error::{evaluate, relative_error, ModelEval};
 pub use gamma::GammaTable;
-pub use joinopt::optimize_join_order;
+pub use joinopt::{optimize_join_order, optimize_with_stats};
 pub use overlap::{attach_overlap, OverlapDecision};
-pub use place::{hedge_plan, place_query, PlacedStage, Placement};
+pub use place::{hedge_plan, place_query, place_with_stats, PlacedStage, Placement};
 pub use search::{
     optimize, optimize_models, optimize_models_cached, optimize_models_traced, SearchCache,
     SearchOutcome,

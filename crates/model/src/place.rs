@@ -22,7 +22,7 @@ use crate::analyze::build_models;
 use crate::cost::estimate_stage;
 use crate::gamma::GammaTable;
 use crate::search::optimize_models;
-use crate::stats::estimate as estimate_stats;
+use crate::stats::{estimate as estimate_stats, PlanStats};
 use gpl_core::plan::QueryPlan;
 use gpl_core::shard::{DeviceKind, DevicePool, HedgePlan, ShardAssignment};
 use gpl_tpch::TpchDb;
@@ -68,8 +68,22 @@ pub fn place_query(
     plan: &QueryPlan,
     restrict: Option<DeviceKind>,
 ) -> Placement {
+    place_with_stats(pool, gammas, db, plan, &estimate_stats(db, plan), restrict)
+}
+
+/// [`place_query`] for a caller that already holds `plan`'s statistics
+/// (a planner from SQL gets them from
+/// [`crate::joinopt::optimize_with_stats`]), so the sample is not
+/// evaluated again.
+pub fn place_with_stats(
+    pool: &DevicePool,
+    gammas: &[GammaTable],
+    db: &TpchDb,
+    plan: &QueryPlan,
+    stats: &PlanStats,
+    restrict: Option<DeviceKind>,
+) -> Placement {
     assert_eq!(gammas.len(), pool.len(), "one gamma table per device");
-    let stats = estimate_stats(db, plan);
     let allowed: Vec<bool> = pool
         .devices()
         .iter()
@@ -84,7 +98,7 @@ pub fn place_query(
     // estimate_matrix[d][s]: tuned Eq. 9 total of stage s on device d.
     let mut matrix = Vec::with_capacity(pool.len());
     for (d, dev) in pool.devices().iter().enumerate() {
-        let models = build_models(db, plan, &stats, &dev.spec);
+        let models = build_models(db, plan, stats, &dev.spec);
         let outcome = optimize_models(&dev.spec, &gammas[d], plan, &models);
         let per_stage: Vec<f64> = models
             .iter()

@@ -6,7 +6,7 @@
 //! low-millisecond range ("generally smaller than 5 ms").
 
 use crate::analyze::{build_models, StageModel};
-use crate::cost::{estimate_query, estimate_stage};
+use crate::cost::{estimate_query, StageEvaluator};
 use crate::gamma::GammaTable;
 use crate::stats;
 use gpl_core::plan::QueryPlan;
@@ -276,9 +276,13 @@ fn optimize_stage(
         .into_iter()
         .filter(|&n| n <= spec.channel.max_channels)
         .collect();
+    let ps = packet_grid(spec);
+    let wgs: Vec<u32> = (wg_multiplier_grid().into_iter())
+        .map(|mult| mult * spec.num_cus)
+        .collect();
     for &tile in &tile_grid() {
         for &n in &ns {
-            for &p in &packet_grid(spec) {
+            for &p in &ps {
                 let mut cfg = StageConfig {
                     tile_bytes: tile,
                     n_channels: n,
@@ -286,21 +290,23 @@ fn optimize_stage(
                     wg_counts: vec![4 * spec.num_cus; kernels],
                     overlap_slices: 0,
                 };
+                // Everything (Δ, n, p) decide is computed here, once; the
+                // descent below only varies `wg_counts`.
+                let mut at = StageEvaluator::new(spec, gamma, sm, &cfg);
                 // Coordinate descent on the per-kernel work-group counts,
                 // which the paper tunes to minimize the delay cost.
-                let mut cur = estimate_stage(spec, gamma, sm, &cfg).total;
+                let mut cur = at.total(&cfg.wg_counts);
                 *evaluated += 1;
                 for _round in 0..2 {
                     let mut improved = false;
                     for k in 0..kernels {
                         let orig = cfg.wg_counts[k];
-                        for &mult in &wg_multiplier_grid() {
-                            let cand = mult * spec.num_cus;
+                        for &cand in &wgs {
                             if cand == cfg.wg_counts[k] {
                                 continue;
                             }
                             cfg.wg_counts[k] = cand;
-                            let e = estimate_stage(spec, gamma, sm, &cfg).total;
+                            let e = at.total(&cfg.wg_counts);
                             *evaluated += 1;
                             if e < cur {
                                 cur = e;

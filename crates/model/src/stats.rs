@@ -6,16 +6,24 @@
 //! evaluated on an evenly-spaced row sample, yielding per-kernel
 //! output/input ratios that capture even correlated predicates (e.g.
 //! Q5's `c_nationkey = s_nationkey` after two probes).
+//!
+//! A plan's sample is evaluated **once**, op by op (`SampledPass`):
+//! the row count after every op is kept, and λ under any grouping of
+//! consecutive ops is the ratio of two of those counts. The join-order
+//! optimizer reads them per op, Eq. 8 reads them per fusion group, and
+//! both see the integers one group-at-a-time evaluation would have
+//! divided — the same pass serves [`estimate`] and
+//! [`crate::joinopt::optimize_with_stats`].
 
 use gpl_core::ht::BuildMix64;
-use gpl_core::ops::{apply_compute, apply_filter, Chunk};
+use gpl_core::ops::{apply_compute, apply_filter, select_rows, Chunk};
 use gpl_core::plan::{PipeOp, QueryPlan, Stage, Terminal};
 
 use gpl_tpch::TpchDb;
 use std::collections::HashMap;
 
 /// Estimated statistics for one plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanStats {
     /// Per stage, per GPL kernel group (fusion groups, excluding the
     /// terminal): estimated output/input row ratio λ.
@@ -29,48 +37,51 @@ pub struct PlanStats {
 /// Rows sampled from the driving relation of fact-side stages.
 pub const SAMPLE_ROWS: usize = 4096;
 
-struct MiniHt {
-    map: HashMap<i64, Vec<i64>, BuildMix64>,
+/// One build side of the sampled evaluation: key → row of a flat,
+/// column-major payload arena (a duplicate key keeps its last row).
+struct BuildTable {
+    row_of: HashMap<i64, u32, BuildMix64>,
+    /// `rows` values per payload column, columns back to back.
+    payloads: Vec<i64>,
+    rows: usize,
 }
 
-fn eval_group(ops: &[&PipeOp], mut chunk: Chunk, hts: &[Option<MiniHt>]) -> (Chunk, f64) {
-    let rows_in = chunk.rows.max(1) as f64;
-    for op in ops {
-        if chunk.rows == 0 {
-            break;
+impl BuildTable {
+    fn new(chunk: &Chunk, key: usize, payloads: &[usize]) -> Self {
+        let mut row_of = HashMap::with_capacity_and_hasher(chunk.rows, BuildMix64::default());
+        for (r, &k) in (0u32..).zip(&chunk.cols[key][..chunk.rows]) {
+            row_of.insert(k, r);
         }
-        match op {
-            PipeOp::Filter(p) => chunk = apply_filter(&chunk, p),
-            PipeOp::Compute { expr, out } => apply_compute(&mut chunk, expr, *out),
-            PipeOp::Probe { ht, key, payloads } => {
-                let table = hts[*ht].as_ref().expect("probe after build");
-                let mut keep = Vec::new();
-                let mut pay: Vec<Vec<i64>> = vec![Vec::new(); payloads.len()];
-                for r in 0..chunk.rows {
-                    if let Some(p) = table.map.get(&chunk.cols[*key][r]) {
-                        keep.push(r);
-                        for (i, v) in p.iter().enumerate() {
-                            pay[i].push(*v);
-                        }
-                    }
-                }
-                let mut out = Chunk::new(chunk.cols.len());
-                out.rows = keep.len();
-                for s in 0..chunk.cols.len() {
-                    if chunk.filled[s] {
-                        out.cols[s] = keep.iter().map(|&r| chunk.cols[s][r]).collect();
-                        out.filled[s] = true;
-                    }
-                }
-                for (i, &s) in payloads.iter().enumerate() {
-                    out.cols[s] = std::mem::take(&mut pay[i]);
-                    out.filled[s] = true;
-                }
-                chunk = out;
-            }
+        let mut arena = Vec::with_capacity(payloads.len() * chunk.rows);
+        for &p in payloads {
+            arena.extend_from_slice(&chunk.cols[p][..chunk.rows]);
+        }
+        BuildTable {
+            row_of,
+            payloads: arena,
+            rows: chunk.rows,
         }
     }
-    (chunk, rows_in)
+
+    /// Keep the rows of `chunk` whose `key` matches, with the matched
+    /// build rows' payload columns in `payloads`.
+    fn probe(&self, chunk: &Chunk, key: usize, payloads: &[usize]) -> Chunk {
+        let mut keep = Vec::new();
+        let mut hits = Vec::new();
+        for (r, k) in chunk.cols[key][..chunk.rows].iter().enumerate() {
+            if let Some(&h) = self.row_of.get(k) {
+                keep.push(r);
+                hits.push(h as usize);
+            }
+        }
+        let mut out = select_rows(chunk, &keep);
+        for (i, &s) in payloads.iter().enumerate() {
+            let col = &self.payloads[i * self.rows..][..self.rows];
+            out.cols[s] = hits.iter().map(|&h| col[h]).collect();
+            out.filled[s] = true;
+        }
+        out
+    }
 }
 
 fn load_chunk(db: &TpchDb, stage: &Stage, rows: &[usize]) -> Chunk {
@@ -83,36 +94,65 @@ fn load_chunk(db: &TpchDb, stage: &Stage, rows: &[usize]) -> Chunk {
     chunk
 }
 
-/// Estimate λ for every kernel group of every stage of `plan`.
-pub fn estimate(db: &TpchDb, plan: &QueryPlan) -> PlanStats {
-    estimate_grouped(db, plan, |stage| stage.gpl_fusion())
+/// One stage's sample, evaluated op by op in the stage's op order.
+pub(crate) struct StageSample {
+    /// Row ids drawn from the driver.
+    drawn: usize,
+    /// Driver rows per drawn row.
+    scale: f64,
+    /// Rows entering the first op, then rows leaving each op.
+    counts: Vec<usize>,
+    /// The rows that reach the terminal.
+    chunk: Chunk,
 }
 
-/// Per-op λ estimates (used by the join-order optimizer): each op is its
-/// own group.
-pub fn estimate_per_op(db: &TpchDb, plan: &QueryPlan) -> Vec<Vec<f64>> {
-    estimate_grouped(db, plan, |stage| {
-        (0..stage.ops.len()).map(|i| vec![i]).collect()
-    })
-    .stage_lambdas
+impl StageSample {
+    /// λ of the consecutive ops `from..to`: rows out over rows in.
+    fn lambda(&self, from: usize, to: usize) -> f64 {
+        (self.counts[to] as f64 / self.counts[from].max(1) as f64).clamp(0.0, 1.0)
+    }
+
+    /// λ of every op on its own, in op order (the join-order DP's input).
+    pub(crate) fn op_lambdas(&self) -> Vec<f64> {
+        (1..self.counts.len())
+            .map(|to| self.lambda(to - 1, to))
+            .collect()
+    }
 }
 
-fn estimate_grouped(
-    db: &TpchDb,
-    plan: &QueryPlan,
-    grouping: impl Fn(&Stage) -> Vec<Vec<usize>>,
-) -> PlanStats {
-    let mut hts: Vec<Option<MiniHt>> = (0..plan.num_hts).map(|_| None).collect();
-    let mut stage_lambdas = Vec::with_capacity(plan.stages.len());
-    let mut stage_selectivity = Vec::with_capacity(plan.stages.len());
-    let mut ht_rows = vec![0.0; plan.num_hts];
+/// The single sampled evaluation of a plan, stage by stage: build sides
+/// are evaluated exactly (their tables must be populated for downstream
+/// probes), fact sides on [`SAMPLE_ROWS`] evenly spaced rows.
+///
+/// A stage may be walked again in another op order before it is
+/// finished: its ops commute and keep row order, so the rows reaching
+/// the terminal — and with them the stage's selectivity, its build
+/// table and every later stage's sample — do not depend on the order;
+/// only the per-op counts do.
+pub(crate) struct SampledPass<'a> {
+    db: &'a TpchDb,
+    tables: Vec<Option<BuildTable>>,
+    stats: PlanStats,
+}
 
-    for stage in &plan.stages {
-        let total = db.table(&stage.driver).rows();
+impl<'a> SampledPass<'a> {
+    pub(crate) fn new(db: &'a TpchDb, plan: &QueryPlan) -> Self {
+        SampledPass {
+            db,
+            tables: (0..plan.num_hts).map(|_| None).collect(),
+            stats: PlanStats {
+                stage_lambdas: Vec::with_capacity(plan.stages.len()),
+                stage_selectivity: Vec::with_capacity(plan.stages.len()),
+                ht_rows: vec![0.0; plan.num_hts],
+            },
+        }
+    }
+
+    /// Evaluate `stage`'s sample against the tables finished so far.
+    pub(crate) fn walk(&self, stage: &Stage) -> StageSample {
+        let total = self.db.table(&stage.driver).rows();
         let is_build = matches!(stage.terminal, Terminal::HashBuild { .. });
-        // Build sides are evaluated exactly (their tables must be
-        // populated for downstream probes); fact sides are sampled.
-        let rows: Vec<usize> = if is_build || total <= SAMPLE_ROWS {
+        let ids: Vec<usize> = if is_build || total <= SAMPLE_ROWS {
             (0..total).collect()
         } else {
             let step = total as f64 / SAMPLE_ROWS as f64;
@@ -120,40 +160,73 @@ fn estimate_grouped(
                 .map(|i| (i as f64 * step) as usize)
                 .collect()
         };
-        let scale = total as f64 / rows.len().max(1) as f64;
-
-        let mut chunk = load_chunk(db, stage, &rows);
-        let groups = grouping(stage);
-        let mut lambdas = Vec::with_capacity(groups.len());
-        for g in &groups {
-            let ops: Vec<&PipeOp> = g.iter().map(|&i| &stage.ops[i]).collect();
-            let (out, rows_in) = eval_group(&ops, chunk, &hts);
-            lambdas.push((out.rows as f64 / rows_in).clamp(0.0, 1.0));
-            chunk = out;
+        let mut chunk = load_chunk(self.db, stage, &ids);
+        // The count is the loaded chunk's, not `ids.len()`: a stage that
+        // loads no column (`count(*)` only) has a chunk of zero rows, so
+        // its λ and selectivity read 0 where 1 is meant. Pinned cycle
+        // counts rest on the configs that picks; ROADMAP lists the fix
+        // under the Eq. 8 item, for the PR that re-pins.
+        let mut counts = Vec::with_capacity(stage.ops.len() + 1);
+        counts.push(chunk.rows);
+        for op in &stage.ops {
+            if chunk.rows > 0 {
+                match op {
+                    PipeOp::Filter(p) => chunk = apply_filter(&chunk, p),
+                    PipeOp::Compute { expr, out } => apply_compute(&mut chunk, expr, *out),
+                    PipeOp::Probe { ht, key, payloads } => {
+                        let table = self.tables[*ht].as_ref().expect("probe after build");
+                        chunk = table.probe(&chunk, *key, payloads);
+                    }
+                }
+            }
+            counts.push(chunk.rows);
         }
-        let sel = if rows.is_empty() {
+        StageSample {
+            drawn: ids.len(),
+            scale: total as f64 / ids.len().max(1) as f64,
+            counts,
+            chunk,
+        }
+    }
+
+    /// Record `stage`'s statistics from `sample` (walked in `stage`'s
+    /// current op order) and install its build table, if it builds one.
+    pub(crate) fn finish(&mut self, stage: &Stage, sample: StageSample) {
+        let mut from = 0;
+        let lambdas = (stage.gpl_fusion().iter())
+            .map(|group| {
+                let to = from + group.len();
+                let l = sample.lambda(from, to);
+                from = to;
+                l
+            })
+            .collect();
+        self.stats.stage_lambdas.push(lambdas);
+        let rows = sample.chunk.rows;
+        self.stats.stage_selectivity.push(if sample.drawn == 0 {
             0.0
         } else {
-            chunk.rows as f64 / rows.len() as f64
-        };
-        stage_selectivity.push(sel);
-
+            rows as f64 / sample.drawn as f64
+        });
         if let Terminal::HashBuild { ht, key, payloads } = &stage.terminal {
-            let mut map = HashMap::with_capacity_and_hasher(chunk.rows, BuildMix64::default());
-            for r in 0..chunk.rows {
-                let pay: Vec<i64> = payloads.iter().map(|&p| chunk.cols[p][r]).collect();
-                map.insert(chunk.cols[*key][r], pay);
-            }
-            ht_rows[*ht] = chunk.rows as f64 * scale;
-            hts[*ht] = Some(MiniHt { map });
+            self.stats.ht_rows[*ht] = rows as f64 * sample.scale;
+            self.tables[*ht] = Some(BuildTable::new(&sample.chunk, *key, payloads));
         }
-        stage_lambdas.push(lambdas);
     }
-    PlanStats {
-        stage_lambdas,
-        stage_selectivity,
-        ht_rows,
+
+    pub(crate) fn into_stats(self) -> PlanStats {
+        self.stats
     }
+}
+
+/// Estimate λ for every kernel group of every stage of `plan`.
+pub fn estimate(db: &TpchDb, plan: &QueryPlan) -> PlanStats {
+    let mut pass = SampledPass::new(db, plan);
+    for stage in &plan.stages {
+        let sample = pass.walk(stage);
+        pass.finish(stage, sample);
+    }
+    pass.into_stats()
 }
 
 #[cfg(test)]
@@ -205,6 +278,49 @@ mod tests {
         let last = *probe.last().unwrap();
         assert!(last < 0.5, "correlated filter λ = {last}");
         assert!(last > 0.0);
+    }
+
+    /// Pinned, not endorsed: a `count(*)`-only stage loads no column, its
+    /// chunk has zero rows, and λ and selectivity read 0 where 1 is meant
+    /// (see the comment in `SampledPass::walk`).
+    #[test]
+    fn a_stage_that_loads_no_column_reads_lambda_zero() {
+        use gpl_core::plan::Agg;
+        let db = db();
+        let mut plan = plan_for(&db, QueryId::Q6);
+        let stage = &mut plan.stages[0];
+        stage.loads.clear();
+        stage.ops.clear();
+        stage.terminal = Terminal::Aggregate {
+            groups: vec![],
+            aggs: vec![Agg::count()],
+        };
+        let s = estimate(&db, &plan);
+        assert_eq!(s.stage_lambdas[0], vec![0.0]);
+        assert_eq!(s.stage_selectivity[0], 0.0);
+    }
+
+    /// What lets a reordered stage be walked again without rebuilding
+    /// anything: the rows reaching the terminal do not depend on op order.
+    #[test]
+    fn op_order_moves_the_counts_but_not_the_terminal_rows() {
+        let db = db();
+        let plan = plan_for(&db, QueryId::Q8);
+        let mut pass = SampledPass::new(&db, &plan);
+        let (probe, builds) = plan.stages.split_last().expect("probe stage");
+        for stage in builds {
+            let sample = pass.walk(stage);
+            pass.finish(stage, sample);
+        }
+        // The steel semi-join reads a load slot and fills none, so it may
+        // run last instead of first.
+        let mut moved = probe.clone();
+        let steel = moved.ops.remove(0);
+        moved.ops.push(steel);
+        let (a, b) = (pass.walk(probe), pass.walk(&moved));
+        assert_ne!(a.counts, b.counts);
+        assert_eq!(a.chunk.rows, b.chunk.rows);
+        assert_eq!(a.chunk.cols, b.chunk.cols);
     }
 
     #[test]

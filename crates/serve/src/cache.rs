@@ -1,9 +1,9 @@
 //! The shared plan/config cache.
 //!
-//! Planning a query costs two searches: join-order optimization at
-//! compile time and the Section-4 knob search (<5 ms each, but per
-//! query). A server answering the same normalized SQL thousands of
-//! times pays both once: [`PlanCache`] memoizes the compiled
+//! Planning a query costs one sampled evaluation and two searches over
+//! it: join-order optimization and the Section-4 knob search (<5 ms, but
+//! per query). A server answering the same normalized SQL thousands of
+//! times pays all of it once: [`PlanCache`] memoizes the compiled
 //! [`QueryPlan`] *and* the optimizer's chosen [`QueryConfig`], keyed by
 //! `normalized SQL × device × exec mode`. The config half additionally
 //! flows through `gpl-model`'s [`SearchCache`], whose hit/miss counters
@@ -12,8 +12,7 @@
 use gpl_core::shard::{DevicePool, ShardPlan};
 use gpl_core::{ExecMode, QueryConfig, QueryPlan};
 use gpl_model::{
-    build_models, estimate_stats, optimize_models_cached, place_query, GammaTable, Placement,
-    SearchCache,
+    build_models, optimize_models_cached, place_with_stats, GammaTable, Placement, SearchCache,
 };
 use gpl_sim::DeviceSpec;
 use gpl_tpch::TpchDb;
@@ -156,8 +155,7 @@ impl PlanCache {
     ) -> Result<(Arc<PlanEntry>, bool), String> {
         let normalized = Self::normalize(sql);
         self.get_or_insert(&self.inner, Self::key(spec, mode, &normalized), || {
-            let plan = gpl_sql::compile_optimized(db, sql).map_err(|e| e.to_string())?;
-            let stats = estimate_stats(db, &plan);
+            let (plan, stats) = gpl_sql::compile_with_stats(db, sql).map_err(|e| e.to_string())?;
             let models = build_models(db, &plan, &stats, spec);
             let search_key = format!("{}\u{1f}{normalized}", mode.name());
             let out =
@@ -229,8 +227,8 @@ impl PlanCache {
     ) -> Result<(Arc<ShardEntry>, bool), String> {
         let key = Self::shard_key(pool, shard, mode, &Self::normalize(sql));
         self.get_or_insert(&self.sharded, key, || {
-            let plan = gpl_sql::compile_optimized(db, sql).map_err(|e| e.to_string())?;
-            let placement = place_query(pool, gammas, db, &plan, None);
+            let (plan, stats) = gpl_sql::compile_with_stats(db, sql).map_err(|e| e.to_string())?;
+            let placement = place_with_stats(pool, gammas, db, &plan, &stats, None);
             Ok(ShardEntry { plan, placement })
         })
     }

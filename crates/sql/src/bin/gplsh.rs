@@ -18,11 +18,11 @@
 //! are non-deterministic and machine-dependent), `\tables`, `\q`.
 
 use gpl_core::shard::{try_run_query_sharded, DevicePool, ShardPlan};
-use gpl_core::{DisplayHint, ExecContext, ExecLimits, ExecMode, QueryConfig};
+use gpl_core::{run_query, DisplayHint, ExecContext, ExecLimits, ExecMode, QueryConfig};
 use gpl_model::GammaTable;
 use gpl_obs::{metrics_report, DriftReport, MetricsRegistry};
 use gpl_sim::{amd_a10, nvidia_k40};
-use gpl_sql::{compile_optimized, run_sql};
+use gpl_sql::{compile_optimized, compile_with_stats, run_sql};
 use gpl_storage::{decimal_to_string, Date};
 use gpl_tpch::TpchDb;
 use std::io::{BufRead, Write};
@@ -217,7 +217,8 @@ fn main() {
             }
             continue;
         }
-        let plan = match compile_optimized(&ctx.db, line) {
+        let planned_t0 = std::time::Instant::now();
+        let (plan, stats) = match compile_with_stats(&ctx.db, line) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("{e}");
@@ -242,7 +243,7 @@ fn main() {
                     .collect();
                 (pool, gammas)
             });
-            let placement = gpl_model::place_query(pool, gammas, &ctx.db, &plan, None);
+            let placement = gpl_model::place_with_stats(pool, gammas, &ctx.db, &plan, &stats, None);
             let hedge = hedge_threshold.map(|t| gpl_model::hedge_plan(&placement, t));
             let wall_t0 = std::time::Instant::now();
             match try_run_query_sharded(
@@ -295,57 +296,51 @@ fn main() {
             }
             continue;
         }
-        let wall_t0 = std::time::Instant::now();
-        match run_sql(&mut ctx, line, mode) {
-            Ok(run) => {
-                let wall = wall_t0.elapsed();
-                println!("{}", run.output.columns.join(" | "));
-                for row in &run.output.rows {
-                    let cells: Vec<String> = row
-                        .iter()
-                        .enumerate()
-                        .map(|(i, v)| render(&ctx, hints.get(i), *v))
-                        .collect();
-                    println!("{}", cells.join(" | "));
-                }
-                eprintln!(
-                    "-- {} rows, {} simulated cycles ({:.2} ms on the {})",
-                    run.output.num_rows(),
-                    run.cycles,
-                    run.ms(&spec),
-                    spec.name
+        // The statement is already planned: run that plan under the default
+        // configuration, as `run_sql` would after planning it again.
+        let cfg = QueryConfig::default_for(&spec, &plan);
+        let run = run_query(&mut ctx, &plan, mode, &cfg);
+        let wall = planned_t0.elapsed();
+        println!("{}", run.output.columns.join(" | "));
+        for row in &run.output.rows {
+            let cells: Vec<String> = row
+                .iter()
+                .enumerate()
+                .map(|(i, v)| render(&ctx, hints.get(i), *v))
+                .collect();
+            println!("{}", cells.join(" | "));
+        }
+        eprintln!(
+            "-- {} rows, {} simulated cycles ({:.2} ms on the {})",
+            run.output.num_rows(),
+            run.cycles,
+            run.ms(&spec),
+            spec.name
+        );
+        if timing {
+            eprintln!(
+                "-- wall: {:.1} ms on this host (non-deterministic) vs {} simulated cycles",
+                wall.as_secs_f64() * 1e3,
+                run.cycles
+            );
+        }
+        registry.counter_add("gplsh.queries", &[("mode", mode.name())], 1);
+        run.profile
+            .export_metrics(&mut registry, &[("mode", mode.name())]);
+        if tracing && mode == ExecMode::Gpl {
+            // The models of the plan and the default config that ran.
+            let g = gamma.get_or_insert_with(|| {
+                eprintln!("calibrating Γ for {} (cached under target/) ...", spec.name);
+                let file = format!(
+                    "target/gamma-{}.txt",
+                    spec.name.to_lowercase().replace(' ', "-")
                 );
-                if timing {
-                    eprintln!(
-                        "-- wall: {:.1} ms on this host (non-deterministic) vs {} simulated cycles",
-                        wall.as_secs_f64() * 1e3,
-                        run.cycles
-                    );
-                }
-                registry.counter_add("gplsh.queries", &[("mode", mode.name())], 1);
-                run.profile
-                    .export_metrics(&mut registry, &[("mode", mode.name())]);
-                if tracing && mode == ExecMode::Gpl {
-                    // Mirror run_sql's choices (optimized join order, the
-                    // default config) so the predictions match what ran.
-                    let g = gamma.get_or_insert_with(|| {
-                        eprintln!("calibrating Γ for {} (cached under target/) ...", spec.name);
-                        let file = format!(
-                            "target/gamma-{}.txt",
-                            spec.name.to_lowercase().replace(' ', "-")
-                        );
-                        GammaTable::load_or_calibrate(&spec, std::path::Path::new(&file))
-                    });
-                    let stats = gpl_model::estimate_stats(&ctx.db, &plan);
-                    let models = gpl_model::build_models(&ctx.db, &plan, &stats, &spec);
-                    let cfg = QueryConfig::default_for(&spec, &plan);
-                    let report =
-                        gpl_model::drift_for_run(&spec, g, &models, &cfg, &run, "sql", "gpl");
-                    eprint!("{}", report.render());
-                    last_drift = Some(report);
-                }
-            }
-            Err(e) => eprintln!("{e}"),
+                GammaTable::load_or_calibrate(&spec, std::path::Path::new(&file))
+            });
+            let models = gpl_model::build_models(&ctx.db, &plan, &stats, &spec);
+            let report = gpl_model::drift_for_run(&spec, g, &models, &cfg, &run, "sql", "gpl");
+            eprint!("{}", report.render());
+            last_drift = Some(report);
         }
     }
 }

@@ -40,13 +40,23 @@ pub use token::SqlError;
 
 use gpl_core::{run_query, ExecContext, ExecMode, QueryConfig, QueryRun};
 
+/// Compile with join-order optimization applied, returning the plan with
+/// the statistics of its one sampled evaluation — what every planner from
+/// SQL text goes on to feed `gpl_model::build_models`.
+pub fn compile_with_stats(
+    db: &gpl_tpch::TpchDb,
+    sql: &str,
+) -> Result<(gpl_core::QueryPlan, gpl_model::PlanStats), SqlError> {
+    let plan = compile(db, sql)?;
+    Ok(gpl_model::optimize_with_stats(db, &plan))
+}
+
 /// Compile with join-order optimization applied.
 pub fn compile_optimized(
     db: &gpl_tpch::TpchDb,
     sql: &str,
 ) -> Result<gpl_core::QueryPlan, SqlError> {
-    let plan = compile(db, sql)?;
-    Ok(gpl_model::optimize_join_order(db, &plan))
+    compile_with_stats(db, sql).map(|(plan, _)| plan)
 }
 
 /// Compile and execute in one call, with the default configuration.

@@ -1,0 +1,178 @@
+#!/usr/bin/env bash
+# Where does host time go *inside* the crates? The benchmark times layers
+# from outside (spans around public calls); this samples one workload of
+# the unmodified benchmark binary at 1 kHz of CPU time and attributes the
+# samples to functions, and reports the allocator's footprint beside them.
+#
+#   scripts/hostprof.sh <workload> [seconds] [top-N]
+#
+# Needs only cargo, gcc and addr2line. Builds benchmark/ with debuginfo
+# into target/hostprof/ (no file under benchmark/ changes; its release
+# profile is otherwise the one the benchmark measures), preloads a small
+# SIGPROF sampler into one run, symbolises with `addr2line -f -C -i`, and
+# prints: top-N functions by flat samples (the innermost frame, inlined
+# ones included, that belongs to a gpl_* crate or lies outside the
+# binary), top-N by inclusive samples (such a frame anywhere on the stack,
+# once per sample), then user/system seconds and minor faults per
+# operation from getrusage. The timer asks for 1 kHz; the kernel tick
+# bounds what it gets (250 Hz per busy thread on a HZ=250 kernel). Faults and seconds cover the whole
+# process — set-up included — measured from after the sampler's own
+# buffer is touched; operations are the benchmark's "attempted" count.
+set -euo pipefail
+workload="${1:?usage: scripts/hostprof.sh <workload> [seconds] [top-N]}"
+seconds="${2:-8}"
+top="${3:-25}"
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+dir="$root/target/hostprof"
+mkdir -p "$dir/out"
+
+CARGO_PROFILE_RELEASE_DEBUG=1 CARGO_TARGET_DIR="$dir" \
+    cargo build --offline --release --manifest-path "$root/benchmark/Cargo.toml" >&2
+bin="$dir/release/gpl-benchmark"
+
+cat > "$dir/sampler.c" <<'EOF'
+#define _GNU_SOURCE
+#include <dlfcn.h>
+#include <execinfo.h>
+#include <signal.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+#include <sys/resource.h>
+#include <sys/time.h>
+
+#define DEPTH 64
+#define CAP (8u << 20) /* stack slots: 64 MB, touched up front */
+static void **buf;
+static volatile size_t used;
+static struct rusage base;
+
+static void on_prof(int sig) {
+    (void)sig;
+    void *pcs[DEPTH];
+    int n = backtrace(pcs, DEPTH);
+    size_t at = __atomic_fetch_add(&used, (size_t)n + 1, __ATOMIC_RELAXED);
+    if (n <= 0 || at + (size_t)n + 1 > CAP) return;
+    buf[at] = (void *)(size_t)n;
+    memcpy(&buf[at + 1], pcs, (size_t)n * sizeof(void *));
+}
+
+__attribute__((constructor)) static void start(void) {
+    buf = malloc(CAP * sizeof(void *));
+    if (!buf) return;
+    memset(buf, 0, CAP * sizeof(void *));
+    void *warm[4];
+    backtrace(warm, 4); /* loads the unwinder outside the handler */
+    getrusage(RUSAGE_SELF, &base);
+    struct sigaction sa;
+    memset(&sa, 0, sizeof sa);
+    sa.sa_handler = on_prof;
+    sa.sa_flags = SA_RESTART;
+    sigaction(SIGPROF, &sa, NULL);
+    struct itimerval it = {{0, 1000}, {0, 1000}};
+    setitimer(ITIMER_PROF, &it, NULL);
+}
+
+static double secs(struct timeval a, struct timeval b) {
+    return (double)(a.tv_sec - b.tv_sec) + (double)(a.tv_usec - b.tv_usec) / 1e6;
+}
+
+__attribute__((destructor)) static void stop(void) {
+    struct itimerval off = {{0, 0}, {0, 0}};
+    setitimer(ITIMER_PROF, &off, NULL);
+    const char *path = getenv("HOSTPROF_SAMPLES");
+    FILE *f = path ? fopen(path, "w") : NULL;
+    if (!f || !buf) return;
+    struct rusage now;
+    getrusage(RUSAGE_SELF, &now);
+    fprintf(f, "rusage %ld %.3f %.3f\n", now.ru_minflt - base.ru_minflt,
+            secs(now.ru_utime, base.ru_utime), secs(now.ru_stime, base.ru_stime));
+    Dl_info self;
+    dladdr((void *)start, &self);
+    size_t end = used < CAP ? used : CAP;
+    for (size_t at = 0; at < end;) {
+        size_t n = (size_t)buf[at++];
+        if (n == 0 || at + n > end) break;
+        /* Frames 0 and 1 are this handler and the signal trampoline;
+         * frame 2 is the interrupted pc, the rest return addresses. */
+        for (size_t i = 2; i < n; i++) {
+            char *pc = (char *)buf[at + i] - (i > 2);
+            Dl_info in;
+            if (!dladdr(pc, &in) || !in.dli_fname) {
+                fputs(" s[unknown]", f);
+            } else if (in.dli_fbase == self.dli_fbase) {
+                fputs(" s[sampler]", f);
+            } else if (strstr(in.dli_fname, "gpl-benchmark")) {
+                fprintf(f, " x%lx", (unsigned long)(pc - (char *)in.dli_fbase));
+            } else {
+                const char *base_name = strrchr(in.dli_fname, '/');
+                fprintf(f, " s%s[%s]", in.dli_sname ? in.dli_sname : "",
+                        base_name ? base_name + 1 : in.dli_fname);
+            }
+        }
+        fputc('\n', f);
+        at += n;
+    }
+    fclose(f);
+}
+EOF
+gcc -O2 -fPIC -shared -o "$dir/sampler.so" "$dir/sampler.c" -ldl
+
+samples="$dir/out/$workload.samples"
+log="$dir/out/$workload.log"
+HOSTPROF_SAMPLES="$samples" LD_PRELOAD="$dir/sampler.so" \
+    "$bin" --out "$dir/out" --workload "$workload" --seconds "$seconds" --trace 0 > "$log" 2>&1 \
+    || { cat "$log" >&2; exit 1; }
+attempted="$(sed -n 's/^# operations attempted \([0-9]*\) failed.*/\1/p' "$log")"
+
+# One addr2line call for every distinct pc inside the benchmark binary:
+# `-a` heads each answer with its address, `-i` follows it with one
+# function/file pair per inlined frame, innermost first.
+tr ' ' '\n' < "$samples" | sed -n 's/^x//p' | sort -u > "$dir/out/$workload.pcs"
+addr2line -a -f -C -i -e "$bin" < "$dir/out/$workload.pcs" > "$dir/out/$workload.sym"
+
+awk -v top="$top" -v ops="${attempted:-0}" -v workload="$workload" '
+    function short(name) { # drop the crate hash and generic arguments
+        sub(/::h[0-9a-f]+$/, "", name)
+        return name
+    }
+    FNR == NR { # the addr2line answers
+        if ($0 ~ /^0x[0-9a-f]+$/) { pc = substr($0, 3); sub(/^0+/, "", pc); depth = 0; next }
+        if (depth % 2 == 0) chain[pc] = chain[pc] (depth ? "\n" : "") short($0)
+        depth++
+        next
+    }
+    $1 == "rusage" { faults = $2; user = $3; sys = $4; next }
+    {
+        total++
+        delete seen
+        innermost = ""
+        for (i = 1; i <= NF; i++) {
+            n = 1
+            names[1] = substr($i, 2)
+            inside = substr($i, 1, 1) == "x"
+            if (inside) n = split(chain[substr($i, 2)], names, "\n")
+            for (j = 1; j <= n; j++) {
+                if (inside && names[j] !~ /gpl_/) continue # std, core, alloc glue
+                if (innermost == "") innermost = names[j]
+                if (!(names[j] in seen)) { seen[names[j]] = 1; incl[names[j]]++ }
+            }
+        }
+        flat[innermost]++
+    }
+    function table(title, counts,    name, cmd) {
+        printf "\n%s\n", title
+        fflush()
+        cmd = "sort -t\"\t\" -k1,1nr -k2 | head -n " top
+        for (name in counts) printf "%d\t%6.2f%%  %s\n", counts[name], 100 * counts[name] / total, name | cmd
+        close(cmd)
+    }
+    END {
+        printf "# %s: %d samples of CPU time\n", workload, total
+        table("flat (innermost gpl_* or foreign frame):", flat)
+        table("inclusive (such a frame anywhere on the stack):", incl)
+        printf "\nuser %.2f s  system %.2f s  minor faults %d", user, sys, faults
+        if (ops > 0) printf "  operations %d  faults/operation %.1f", ops, faults / ops
+        printf "\n"
+    }
+' "$dir/out/$workload.sym" "$samples"

@@ -533,3 +533,46 @@ fn probe_widened_chunks_do_not_deadlock_the_pipeline() {
         assert!(gpl.cycles < kbe.cycles, "text {i}: the pipeline still wins");
     }
 }
+
+/// Aliases make a join of any arity valid SQL, and the join-order DP
+/// enumerates 2^probes subsets: at 16 probes it stalled planning for a
+/// quarter of a second, at 17 it hit an `assert!` on the probe count —
+/// reachable from every serve request. Past `MAX_DP_PROBES` (12) the DP
+/// keeps the compiled order. One text at the bound, two past it: planning
+/// does not unwind, and the wide pipeline answers as KBE does.
+#[test]
+fn wide_aliased_joins_plan_without_unwinding() {
+    let spec = amd_a10();
+    let mut ctx = ExecContext::new(spec.clone(), TpchDb::at_scale(0.002));
+    for aliases in [12, 16, 17] {
+        let tables: Vec<String> = (0..aliases).map(|i| format!("nation n{i}")).collect();
+        let joins: Vec<String> = (0..aliases)
+            .map(|i| format!("c.c_nationkey = n{i}.n_nationkey"))
+            .collect();
+        let sql = format!(
+            "select count(*) from customer c, {} where {}",
+            tables.join(", "),
+            joins.join(" and ")
+        );
+        let plan = catch_unwind(AssertUnwindSafe(|| {
+            gpl_repro::sql::compile_optimized(&ctx.db, &sql)
+        }))
+        .unwrap_or_else(|_| panic!("{aliases} aliases: planning unwound"))
+        .unwrap_or_else(|e| panic!("{aliases} aliases: {e}"));
+        let probes = (plan.stages.iter().flat_map(|s| &s.ops))
+            .filter(|op| matches!(op, gpl_repro::core::plan::PipeOp::Probe { .. }))
+            .count();
+        assert_eq!(probes, aliases, "one probe per alias");
+        let config = QueryConfig::default_for(&spec, &plan);
+        let limits = ExecLimits::none();
+        let kbe = try_run_query(&mut ctx, &plan, ExecMode::Kbe, &config, &limits).expect("KBE");
+        let gpl = try_run_query(&mut ctx, &plan, ExecMode::Gpl, &config, &limits)
+            .unwrap_or_else(|e| panic!("{aliases} aliases under GPL: {e}"));
+        assert_eq!(gpl.output, kbe.output, "{aliases} aliases");
+        assert_eq!(
+            gpl.output.rows,
+            vec![vec![ctx.db.customer.rows() as i64]],
+            "every customer has a nation"
+        );
+    }
+}

@@ -7,12 +7,15 @@ use gpl_repro::sim::{amd_a10, nvidia_k40, DeviceSpec};
 use gpl_repro::tpch::{QueryId, TpchDb};
 
 fn small_gamma(spec: &DeviceSpec) -> GammaTable {
+    // The CPU profile caps channel fan-out below 16.
+    let ns = [1u32, 4, 16].into_iter();
+    let ns = ns.filter(|&n| n <= spec.channel.max_channels).collect();
     let ps = if spec.channel.tunable_packet_size {
         vec![16, 64]
     } else {
-        vec![16]
+        vec![spec.channel.fixed_packet_bytes]
     };
-    GammaTable::calibrate_grid(spec, vec![1, 4, 16], ps, vec![256 << 10, 2 << 20, 16 << 20])
+    GammaTable::calibrate_grid(spec, ns, ps, vec![256 << 10, 2 << 20, 16 << 20])
 }
 
 #[test]
@@ -85,4 +88,40 @@ fn tuned_configs_do_not_regress_much_vs_default() {
             d.cycles
         );
     }
+}
+
+/// The Eq. 8 search is pinned end to end: which grid points it visits,
+/// in which order, what it picks and what it costs — `config`,
+/// `estimate.to_bits()` and `evaluated` of every TPC-H plan on the three
+/// device profiles, folded into one FNV-1a digest. The value was computed
+/// at the commit before the per-grid-point evaluator replaced the
+/// per-call `estimate_stage` body; any reordering of an f64 operation in
+/// the evaluator, or of the descent, moves it.
+#[test]
+fn search_outcomes_are_pinned_on_three_devices() {
+    use gpl_repro::sim::cpu_host;
+    let db = TpchDb::at_scale(0.01);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: u64| {
+        for b in v.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for spec in [amd_a10(), nvidia_k40(), cpu_host()] {
+        let gamma = small_gamma(&spec);
+        for q in QueryId::all() {
+            let out = optimize(&spec, &gamma, &db, &plan_for(&db, q));
+            eat(out.evaluated as u64);
+            eat(out.estimate.to_bits());
+            for s in &out.config.stages {
+                eat(s.tile_bytes);
+                eat(s.n_channels as u64);
+                eat(s.packet_bytes as u64);
+                eat(s.overlap_slices as u64);
+                eat(s.wg_counts.len() as u64);
+                s.wg_counts.iter().for_each(|&w| eat(w as u64));
+            }
+        }
+    }
+    assert_eq!(h, 0x64ee_1afd_5d4d_62b8, "search digest moved");
 }
