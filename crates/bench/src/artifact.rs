@@ -6,7 +6,9 @@
 //! the same experiment produce byte-identical artifacts and `repro
 //! bench` can diff trajectories across commits. The schema is
 //! versioned (`gpl-bench-artifact-v1`); [`validate`] is the gate the
-//! aggregator and `scripts/verify.sh` apply to every emitted file.
+//! dispatcher and the aggregator apply to every emitted file. The
+//! artifacts of the experiments `repro verify` pins are committed at
+//! the repo root and compared by bytes.
 //!
 //! Experiments do not write files themselves: the dispatcher hands each
 //! one an [`ArtifactSink`] through `Opts`, collects what it recorded

@@ -1,30 +1,16 @@
 //! `repro bench`: aggregate every `target/obs/BENCH_*.json` artifact
 //! into one trajectory table, sourced *only* from the artifacts (no
 //! re-execution) — so the table is byte-identical for identical
-//! artifact sets and can be diffed across commits.
-//!
-//! Subcommands (positional, after `bench`):
-//!
-//! * `repro bench` — print the trajectory table.
-//! * `repro bench baseline <path>` — pin the current per-run cycle
-//!   counts (plus a tolerance) to a baseline file.
-//! * `repro bench check <path>` — re-read the artifacts and exit
-//!   nonzero if any baselined run's cycles drifted beyond the pinned
-//!   tolerance, or disappeared. New runs are reported, not failed.
+//! artifact sets and can be diffed across commits. The pins themselves
+//! are the committed `BENCH_<experiment>.json` files at the repo root,
+//! byte-compared by `repro verify`.
 
-use super::Opts;
 use crate::artifact::{validate, OUT_DIR, SCHEMA};
-use gpl_obs::{parse, Json};
-use std::collections::BTreeMap;
+use gpl_obs::parse;
 
 pub const DESCRIPTION: &str = "aggregate BENCH_*.json artifacts into one trajectory table";
 
-/// Baseline schema tag.
-const BASELINE_SCHEMA: &str = "gpl-bench-baseline-v1";
-/// Default relative cycle tolerance pinned into new baselines.
-const DEFAULT_TOLERANCE: f64 = 0.10;
-
-/// One run row, keyed `experiment/label/mode`.
+/// One run row.
 struct Row {
     experiment: String,
     label: String,
@@ -33,12 +19,6 @@ struct Row {
     rows: u64,
     fingerprint: String,
     drift_max: Option<f64>,
-}
-
-impl Row {
-    fn key(&self) -> String {
-        format!("{}/{}/{}", self.experiment, self.label, self.mode)
-    }
 }
 
 /// Load, parse-check and validate every `BENCH_*.json`, in name order.
@@ -88,19 +68,7 @@ fn load() -> (Vec<String>, Vec<Row>) {
     (names, rows)
 }
 
-pub fn bench(opts: &Opts) {
-    match opts.extra.first().map(String::as_str) {
-        None => table(),
-        Some("baseline") => baseline(opts.extra.get(1).map(String::as_str)),
-        Some("check") => check(opts.extra.get(1).map(String::as_str)),
-        Some(other) => {
-            eprintln!("unknown bench subcommand {other:?}; use: bench [baseline|check] <path>");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn table() {
+pub fn bench() {
     let (names, rows) = load();
     if names.is_empty() {
         println!("no BENCH_*.json artifacts under {OUT_DIR}/; run some experiments first");
@@ -129,107 +97,4 @@ fn table() {
     for n in &names {
         println!("  {OUT_DIR}/{n}");
     }
-}
-
-fn baseline(path: Option<&str>) {
-    let Some(path) = path else {
-        eprintln!("usage: repro bench baseline <path>");
-        std::process::exit(2);
-    };
-    let (_, rows) = load();
-    if rows.is_empty() {
-        eprintln!("no runs to baseline; run some experiments first");
-        std::process::exit(1);
-    }
-    let entries: Vec<(String, Json)> = rows
-        .iter()
-        .map(|r| (r.key(), Json::Int(r.cycles as i64)))
-        .collect();
-    let j = Json::obj(vec![
-        ("schema", Json::Str(BASELINE_SCHEMA.to_string())),
-        ("tolerance", Json::Num(DEFAULT_TOLERANCE)),
-        ("entries", Json::Obj(entries)),
-    ]);
-    std::fs::write(path, j.to_pretty_string()).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(1);
-    });
-    println!(
-        "pinned {} run(s) at tolerance {DEFAULT_TOLERANCE} into {path}",
-        rows.len()
-    );
-}
-
-fn check(path: Option<&str>) {
-    let Some(path) = path else {
-        eprintln!("usage: repro bench check <path>");
-        std::process::exit(2);
-    };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("{path}: {e}");
-        std::process::exit(1);
-    });
-    let base = parse(&text).unwrap_or_else(|e| {
-        eprintln!("{path}: does not parse: {e}");
-        std::process::exit(1);
-    });
-    match base.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == BASELINE_SCHEMA => {}
-        other => {
-            eprintln!("{path}: not a {BASELINE_SCHEMA} file (schema {other:?})");
-            std::process::exit(1);
-        }
-    }
-    let tolerance = base
-        .get("tolerance")
-        .and_then(|t| t.as_f64())
-        .unwrap_or(DEFAULT_TOLERANCE);
-    let Some(Json::Obj(entries)) = base.get("entries") else {
-        eprintln!("{path}: missing entries object");
-        std::process::exit(1);
-    };
-
-    let (_, rows) = load();
-    let current: BTreeMap<String, u64> = rows.iter().map(|r| (r.key(), r.cycles)).collect();
-    let mut failures = 0usize;
-    let mut checked = 0usize;
-    for (key, v) in entries {
-        let pinned = v.as_f64().unwrap_or(0.0);
-        match current.get(key) {
-            None => {
-                eprintln!("REGRESSION {key}: baselined run missing from artifacts");
-                failures += 1;
-            }
-            Some(&cycles) => {
-                checked += 1;
-                let err = if pinned > 0.0 {
-                    (cycles as f64 - pinned).abs() / pinned
-                } else {
-                    0.0
-                };
-                if err > tolerance {
-                    eprintln!(
-                        "REGRESSION {key}: cycles {cycles} vs pinned {pinned:.0} \
-                         (rel {err:.4} > tolerance {tolerance})"
-                    );
-                    failures += 1;
-                }
-            }
-        }
-    }
-    let new: Vec<&String> = current
-        .keys()
-        .filter(|k| !entries.iter().any(|(bk, _)| bk == *k))
-        .collect();
-    if !new.is_empty() {
-        println!("{} run(s) not in the baseline (not failed):", new.len());
-        for k in new {
-            println!("  {k}");
-        }
-    }
-    if failures > 0 {
-        eprintln!("bench check FAILED: {failures} regression(s) across {checked} pinned run(s)");
-        std::process::exit(1);
-    }
-    println!("bench check passed: {checked} pinned run(s) within tolerance {tolerance}");
 }

@@ -29,15 +29,15 @@
 //! grid point the defended p95 must not regress the undefended p95.
 //!
 //! Everything printed is deterministic (simulated cycles only), so two
-//! runs of the same command are byte-identical — `scripts/verify.sh`
-//! diffs them. `target/obs/BENCH_chaos.json` carries the same numbers
-//! for the baseline pinning in `scripts/bench_baseline.json`.
+//! runs of the same command are byte-identical — `repro verify` diffs
+//! them, and `target/obs/BENCH_chaos.json` against the committed
+//! `BENCH_chaos.json` pin at the repo root.
 
 use super::Opts;
 use crate::artifact::RunEntry;
 use gpl_core::shard::{try_run_query_sharded, DevicePool, ShardFaults, ShardPlan};
 use gpl_core::{plan_for, ExecLimits, ExecMode, RecoveryPolicy};
-use gpl_model::{hedge_plan, place_query, GammaTable};
+use gpl_model::{hedge_plan, place_query};
 use gpl_obs::Json;
 use gpl_serve::{BatchReport, FaultConfig, QueryRequest, ServeConfig, Server};
 use gpl_sim::FaultSpec;
@@ -119,19 +119,6 @@ fn cycles_by_id(report: &BatchReport, n: usize) -> Vec<u64> {
         }
     }
     v
-}
-
-fn pool_gammas(pool: &DevicePool) -> Vec<GammaTable> {
-    pool.devices()
-        .iter()
-        .map(|d| {
-            let file = format!(
-                "target/gamma-{}.txt",
-                d.spec.name.to_lowercase().replace(' ', "-")
-            );
-            GammaTable::load_or_calibrate(&d.spec, std::path::Path::new(&file))
-        })
-        .collect()
 }
 
 pub fn chaos(opts: &Opts) {
@@ -300,7 +287,7 @@ pub fn chaos(opts: &Opts) {
     // ---- Sharded arm: hedging off vs on ----------------------------
     let shard_db = Arc::new(TpchDb::at_scale(SHARD_SF));
     let pool = DevicePool::default_pool();
-    let gammas = pool_gammas(&pool);
+    let gammas = super::shard::pool_gammas(&pool);
     let queries = [QueryId::Q6, QueryId::Q14, QueryId::Q5, QueryId::Q9];
     let shard = ShardPlan::range(2);
     emit(

@@ -21,8 +21,8 @@
 //!
 //! Everything printed is also written to `target/obs/faults-report.txt`;
 //! the report contains only deterministic facts (no wall-clock), so the
-//! file is byte-identical across runs — `scripts/verify.sh` re-runs it
-//! five times and compares hashes.
+//! file is byte-identical across runs — `repro verify` re-runs it five
+//! times and compares bytes.
 
 use super::Opts;
 use crate::artifact::RunEntry;

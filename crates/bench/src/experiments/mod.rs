@@ -17,6 +17,7 @@ pub mod profile;
 pub mod serve;
 pub mod shard;
 pub mod utilization;
+pub mod verify;
 
 use crate::artifact::ArtifactSink;
 use gpl_core::ExecContext;
@@ -54,23 +55,21 @@ impl Opts {
         ExecContext::new(self.device.clone(), TpchDb::at_scale(sf))
     }
 
-    /// The calibrated Γ table for this device: cached in-process and on
-    /// disk under `target/` (calibration is deterministic, so the file
-    /// is just a time saver across `repro` invocations).
+    /// The calibrated Γ table for the CLI device.
     pub fn gamma(&self) -> GammaTable {
-        static CACHE: OnceLock<Mutex<HashMap<String, GammaTable>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = cache.lock().expect("gamma cache lock");
-        map.entry(self.device.name.clone())
-            .or_insert_with(|| {
-                let file = format!(
-                    "target/gamma-{}.txt",
-                    self.device.name.to_lowercase().replace(' ', "-")
-                );
-                GammaTable::load_or_calibrate(&self.device, std::path::Path::new(&file))
-            })
-            .clone()
+        gamma_for(&self.device)
     }
+}
+
+/// The calibrated Γ table of `spec`, calibrated once per process (the
+/// sharding experiments want one per pool device, several more than once).
+pub(crate) fn gamma_for(spec: &DeviceSpec) -> GammaTable {
+    static CACHE: OnceLock<Mutex<HashMap<String, GammaTable>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+    let mut map = cache.lock().expect("gamma cache lock");
+    map.entry(spec.name.clone())
+        .or_insert_with(|| GammaTable::calibrate(spec))
+        .clone()
 }
 
 /// One runnable experiment.
@@ -322,7 +321,7 @@ pub fn dispatch(args: &[String]) {
         None | Some("list") => {
             println!("repro — regenerate the paper's tables and figures\n");
             println!(
-                "usage: repro <experiment|all|bench> [args] [--sf <f>] [--device amd|nvidia]\n"
+                "usage: repro <experiment|all|bench|verify> [args] [--sf <f>] [--device amd|nvidia]\n"
             );
             for e in registry() {
                 println!("  {:<8} {:<14} {}", e.name, e.paper_ref, e.description);
@@ -333,6 +332,7 @@ pub fn dispatch(args: &[String]) {
                 "trajectory",
                 bench::DESCRIPTION
             );
+            println!("  {:<8} {:<14} {}", "verify", "pins", verify::DESCRIPTION);
         }
         Some("all") => {
             for e in registry() {
@@ -344,7 +344,12 @@ pub fn dispatch(args: &[String]) {
                 println!();
             }
         }
-        Some("bench") => bench::bench(&opts),
+        Some(n @ ("bench" | "verify")) if args.len() > 1 => {
+            eprintln!("`repro {n}` takes no arguments");
+            std::process::exit(2);
+        }
+        Some("bench") => bench::bench(),
+        Some("verify") => verify::verify(),
         Some(n) => match registry().into_iter().find(|e| e.name == n) {
             Some(e) => run_with_artifact(&e, &opts),
             None => {

@@ -17,9 +17,9 @@
 //!   shards under the heterogeneous placement).
 //!
 //! Everything printed is deterministic (simulated cycles only), so two
-//! runs of the same command are byte-identical — `scripts/verify.sh`
-//! diffs them. The `target/obs/BENCH_shard.json` artifact carries the
-//! same numbers for the baseline pinning in `scripts/bench_baseline.json`.
+//! runs of the same command are byte-identical — `repro verify` diffs
+//! them, and `target/obs/BENCH_shard.json` against the committed
+//! `BENCH_shard.json` pin at the repo root.
 
 use super::Opts;
 use crate::artifact::RunEntry;
@@ -34,18 +34,11 @@ use gpl_obs::{DriftSummary, Json};
 use gpl_tpch::{QueryId, TpchDb};
 use std::sync::Arc;
 
-/// One calibrated Γ table per pool device, cached on disk under
-/// `target/` like [`Opts::gamma`] does for the CLI device.
+/// One calibrated Γ table per pool device.
 pub(crate) fn pool_gammas(pool: &DevicePool) -> Vec<GammaTable> {
     pool.devices()
         .iter()
-        .map(|d| {
-            let file = format!(
-                "target/gamma-{}.txt",
-                d.spec.name.to_lowercase().replace(' ', "-")
-            );
-            GammaTable::load_or_calibrate(&d.spec, std::path::Path::new(&file))
-        })
+        .map(|d| super::gamma_for(&d.spec))
         .collect()
 }
 

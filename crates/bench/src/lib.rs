@@ -1,13 +1,14 @@
 //! # gpl-bench — the experiment harness
 //!
 //! One subcommand per table/figure of the paper (see DESIGN.md's
-//! per-experiment index), plus wall-clock micro/macro benches (see
-//! [`harness`]). The `repro` binary prints the same rows and series the
-//! paper reports.
+//! per-experiment index); the `repro` binary prints the same rows and
+//! series the paper reports, in simulated cycles. `repro verify` re-runs
+//! the pinned ones and byte-compares them with the committed
+//! `BENCH_*.json` (see [`experiments::verify`]). Host wall-clock is the
+//! repository benchmark's job (`benchmark/`).
 
 pub mod artifact;
 pub mod cli;
 pub mod experiments;
-pub mod harness;
 
 pub use artifact::{ArtifactSink, BenchArtifact, RunEntry};

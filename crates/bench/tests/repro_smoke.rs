@@ -12,7 +12,7 @@ fn cheap_experiments_run_at_tiny_scale() {
     // argument and has its own smoke test below. chaos gates its tail
     // improvements at the pinned default scale (its hazard window is
     // sized for SF 0.3 launches, so a tiny-SF sweep never confirms a
-    // fault) — verify.sh runs it twice at the defaults instead.
+    // fault) — `repro verify` runs it twice at the defaults instead.
     let skip = ["fig2", "fig21", "fig22", "fig23", "profile", "chaos"];
     let opts = Opts {
         sf: Some(0.004),

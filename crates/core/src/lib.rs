@@ -19,8 +19,6 @@
 //! * [`exec`] — execution modes (KBE / GPL w/o CE / GPL), configuration
 //!   knobs (Δ, n, p, wg_Ki) and the query runner.
 //! * [`expr`], [`ops`], [`ht`] — the operator/kernel building blocks.
-//! * [`partitioned`] — the radix hash join Section 3.2 sketches as an
-//!   extension, measurable against monolithic probing.
 //! * [`shard`] — multi-device sharding: per-shard tile streams over a
 //!   heterogeneous CPU/GPU [`shard::DevicePool`] with a deterministic
 //!   merge of blocking-terminal state.
@@ -35,7 +33,6 @@ pub mod gpl;
 pub mod ht;
 pub mod kbe;
 pub mod ops;
-pub mod partitioned;
 pub mod plan;
 pub mod recover;
 pub mod replay;

@@ -21,24 +21,6 @@ pub struct GammaTable {
     pressure: Vec<f64>,
 }
 
-fn join<T: std::fmt::Display>(v: &[T]) -> String {
-    v.iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn joinf(v: &[f64]) -> String {
-    v.iter()
-        .map(|x| format!("{x:.6}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn parse_list<T: std::str::FromStr>(s: &str) -> Option<Vec<T>> {
-    s.split(',').map(|x| x.parse().ok()).collect()
-}
-
 /// The calibration grid used throughout the repository.
 pub fn default_grid(spec: &DeviceSpec) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
     // The CPU profile caps channel fan-out below 16; probing past the
@@ -104,7 +86,7 @@ impl GammaTable {
         }
     }
 
-    /// Build from precomputed points (tests / serialization).
+    /// Build from precomputed points (tests).
     pub fn from_points(spec: &DeviceSpec, points: &[CalibrationPoint]) -> Self {
         let mut ns: Vec<u32> = points.iter().map(|p| p.n).collect();
         ns.sort_unstable();
@@ -193,102 +175,6 @@ impl GammaTable {
         let (d0, d1) = (self.ds[lo] as f64, self.ds[hi] as f64);
         let t = ((b as f64).ln() - d0.ln()) / (d1.ln() - d0.ln());
         self.pressure[lo] + t * (self.pressure[hi] - self.pressure[lo])
-    }
-
-    /// Serialize to a small text format (one header line, one pressure
-    /// line, one line per (n, p) with the throughput row) — calibration
-    /// is deterministic but takes seconds, so CLIs cache it on disk.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "gamma v1 {:?} ns={} ps={} ds={}",
-            self.vendor,
-            join(&self.ns),
-            join(&self.ps),
-            join(&self.ds)
-        );
-        let _ = writeln!(out, "pressure {}", joinf(&self.pressure));
-        for (ni, &n) in self.ns.iter().enumerate() {
-            for (pi, &p) in self.ps.iter().enumerate() {
-                let _ = writeln!(out, "t {n} {p} {}", joinf(&self.throughput[ni][pi]));
-            }
-        }
-        out
-    }
-
-    /// Parse the [`GammaTable::to_text`] format.
-    pub fn from_text(text: &str) -> Option<Self> {
-        let mut lines = text.lines();
-        let header = lines.next()?;
-        let mut hp = header.split_whitespace();
-        if hp.next()? != "gamma" || hp.next()? != "v1" {
-            return None;
-        }
-        let vendor = match hp.next()? {
-            "Amd" => Vendor::Amd,
-            "Nvidia" => Vendor::Nvidia,
-            "Cpu" => Vendor::Cpu,
-            _ => return None,
-        };
-        let mut ns = None;
-        let mut ps = None;
-        let mut ds = None;
-        for kv in hp {
-            let (k, v) = kv.split_once('=')?;
-            match k {
-                "ns" => ns = parse_list::<u32>(v),
-                "ps" => ps = parse_list::<u32>(v),
-                "ds" => ds = parse_list::<u64>(v),
-                _ => return None,
-            }
-        }
-        let (ns, ps, ds) = (ns?, ps?, ds?);
-        let pressure_line = lines.next()?;
-        let pressure = parse_list::<f64>(pressure_line.strip_prefix("pressure ")?)?;
-        if pressure.len() != ds.len() {
-            return None;
-        }
-        let mut throughput = vec![vec![vec![0.0; ds.len()]; ps.len()]; ns.len()];
-        for line in lines {
-            let mut it = line.split_whitespace();
-            if it.next()? != "t" {
-                return None;
-            }
-            let n: u32 = it.next()?.parse().ok()?;
-            let p: u32 = it.next()?.parse().ok()?;
-            let row = parse_list::<f64>(it.next()?)?;
-            let ni = ns.iter().position(|&x| x == n)?;
-            let pi = ps.iter().position(|&x| x == p)?;
-            if row.len() != ds.len() {
-                return None;
-            }
-            throughput[ni][pi] = row;
-        }
-        Some(GammaTable {
-            vendor,
-            ns,
-            ps,
-            ds,
-            throughput,
-            pressure,
-        })
-    }
-
-    /// Load from `path`, or calibrate and save there. Corrupt or
-    /// mismatched files are recalibrated and overwritten.
-    pub fn load_or_calibrate(spec: &DeviceSpec, path: &std::path::Path) -> Self {
-        if let Ok(text) = std::fs::read_to_string(path) {
-            if let Some(t) = Self::from_text(&text) {
-                if t.vendor == spec.vendor {
-                    return t;
-                }
-            }
-        }
-        let t = Self::calibrate(spec);
-        let _ = std::fs::write(path, t.to_text());
-        t
     }
 
     /// The `(n_max, p_max)` maximizing Γ for data size `d` (Section 4.1).
@@ -383,48 +269,6 @@ mod tests {
         assert!(g.lookup(4, 16, 1 << 20) > g.lookup(1, 16, 1 << 20));
         let (n, _, _) = g.best_config(1 << 20);
         assert_eq!(n, 4);
-    }
-
-    #[test]
-    fn text_roundtrip_preserves_lookups() {
-        let spec = amd_a10();
-        let g = GammaTable::calibrate_grid(&spec, vec![1, 4], vec![16], vec![1 << 20, 8 << 20]);
-        let text = g.to_text();
-        let back = GammaTable::from_text(&text).expect("parses");
-        assert_eq!(back.vendor(), g.vendor());
-        for d in [1u64 << 18, 1 << 20, 3 << 20, 8 << 20, 1 << 24] {
-            let a = g.lookup(4, 16, d);
-            let b = back.lookup(4, 16, d);
-            assert!((a - b).abs() < 1e-4, "{a} vs {b} at d={d}");
-            assert!((g.pressure(d) - back.pressure(d)).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn corrupt_text_is_rejected() {
-        assert!(GammaTable::from_text("").is_none());
-        assert!(GammaTable::from_text("gamma v2 Amd ns=1 ps=16 ds=64").is_none());
-        assert!(GammaTable::from_text(
-            "gamma v1 Amd ns=1 ps=16 ds=64
-pressure 1.0
-t 9 9 zap"
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn load_or_calibrate_caches_to_disk() {
-        let dir = std::env::temp_dir().join("gpl-gamma-test");
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("amd.gamma");
-        let _ = std::fs::remove_file(&path);
-        let spec = amd_a10();
-        // Note: uses the full default grid; keep to one call pair.
-        let a = GammaTable::load_or_calibrate(&spec, &path);
-        assert!(path.exists(), "first call must write the cache");
-        let b = GammaTable::load_or_calibrate(&spec, &path);
-        assert!((a.lookup(4, 16, 1 << 20) - b.lookup(4, 16, 1 << 20)).abs() < 1e-4);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -229,17 +229,11 @@ fn main() {
         if shards > 0 {
             let (pool, gammas) = pool_state.get_or_insert_with(|| {
                 let pool = DevicePool::default_pool();
-                eprintln!("calibrating Γ per pool device (cached under target/) ...");
+                eprintln!("calibrating Γ per pool device ...");
                 let gammas = pool
                     .devices()
                     .iter()
-                    .map(|d| {
-                        let file = format!(
-                            "target/gamma-{}.txt",
-                            d.spec.name.to_lowercase().replace(' ', "-")
-                        );
-                        GammaTable::load_or_calibrate(&d.spec, std::path::Path::new(&file))
-                    })
+                    .map(|d| GammaTable::calibrate(&d.spec))
                     .collect();
                 (pool, gammas)
             });
@@ -330,12 +324,8 @@ fn main() {
         if tracing && mode == ExecMode::Gpl {
             // The models of the plan and the default config that ran.
             let g = gamma.get_or_insert_with(|| {
-                eprintln!("calibrating Γ for {} (cached under target/) ...", spec.name);
-                let file = format!(
-                    "target/gamma-{}.txt",
-                    spec.name.to_lowercase().replace(' ', "-")
-                );
-                GammaTable::load_or_calibrate(&spec, std::path::Path::new(&file))
+                eprintln!("calibrating Γ for {} ...", spec.name);
+                GammaTable::calibrate(&spec)
             });
             let models = gpl_model::build_models(&ctx.db, &plan, &stats, &spec);
             let report = gpl_model::drift_for_run(&spec, g, &models, &cfg, &run, "sql", "gpl");

@@ -14,7 +14,10 @@ use gpl_repro::ocelot::OcelotContext;
 use gpl_repro::serve::PlanCache;
 use gpl_repro::sim::{amd_a10, nvidia_k40};
 use gpl_repro::tpch::{reference, QueryId, TpchDb};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
+
+mod common;
+use common::db_sf001 as fuzz_db;
 
 #[test]
 fn ocelot_matches_reference_on_both_devices() {
@@ -127,13 +130,6 @@ fn gpl_beats_kbe_and_materializes_less_at_scale() {
     );
 }
 
-/// One shared SF-0.01 catalog for the fuzzer (generation is
-/// deterministic, and per-query contexts only borrow it via `Arc`).
-fn fuzz_db() -> Arc<TpchDb> {
-    static DB: OnceLock<Arc<TpchDb>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(TpchDb::at_scale(0.01))).clone()
-}
-
 prop! {
     #![cases(200)]
 
@@ -185,18 +181,7 @@ fn pool_state() -> &'static (DevicePool, Vec<GammaTable>) {
         let gammas = pool
             .devices()
             .iter()
-            .map(|d| {
-                let ns: Vec<u32> = [1u32, 4, 16]
-                    .into_iter()
-                    .filter(|&n| n <= d.spec.channel.max_channels)
-                    .collect();
-                GammaTable::calibrate_grid(
-                    &d.spec,
-                    ns,
-                    vec![16, 64],
-                    vec![256 << 10, 2 << 20, 16 << 20],
-                )
-            })
+            .map(|d| common::gamma_for(&d.spec))
             .collect();
         (pool, gammas)
     })

@@ -14,6 +14,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
+mod common;
+
 #[test]
 fn deadlocked_pipelines_are_reported() {
     let r = catch_unwind(|| {
@@ -301,12 +303,7 @@ fn timeout_and_cancellation_are_structured_errors() {
 /// and the error response carries the budget diagnostics.
 #[test]
 fn timed_out_query_frees_the_worker_slot() {
-    let gamma = Arc::new(GammaTable::calibrate_grid(
-        &amd_a10(),
-        vec![1, 4, 16],
-        vec![16, 64],
-        vec![256 << 10, 2 << 20, 16 << 20],
-    ));
+    let gamma = common::gamma();
     let srv = Server::start(
         ServeConfig {
             workers: 1,
@@ -347,12 +344,7 @@ fn timed_out_query_frees_the_worker_slot() {
 /// as a `Cancelled` response while the rest of the batch is unaffected.
 #[test]
 fn cancelled_request_is_a_response_not_a_casualty() {
-    let gamma = Arc::new(GammaTable::calibrate_grid(
-        &amd_a10(),
-        vec![1, 4, 16],
-        vec![16, 64],
-        vec![256 << 10, 2 << 20, 16 << 20],
-    ));
+    let gamma = common::gamma();
     let srv = Server::start(
         ServeConfig {
             workers: 2,
@@ -384,12 +376,7 @@ fn cancelled_request_is_a_response_not_a_casualty() {
 /// silently vanished work.
 #[test]
 fn shutdown_drains_queued_queries_as_cancelled_responses() {
-    let gamma = Arc::new(GammaTable::calibrate_grid(
-        &amd_a10(),
-        vec![1, 4, 16],
-        vec![16, 64],
-        vec![256 << 10, 2 << 20, 16 << 20],
-    ));
+    let gamma = common::gamma();
     let srv = Server::start(
         ServeConfig {
             workers: 1,
@@ -429,12 +416,7 @@ fn shutdown_drains_queued_queries_as_cancelled_responses() {
 /// count.
 #[test]
 fn timeout_boundary_is_exact_and_worker_count_independent() {
-    let gamma = Arc::new(GammaTable::calibrate_grid(
-        &amd_a10(),
-        vec![1, 4, 16],
-        vec![16, 64],
-        vec![256 << 10, 2 << 20, 16 << 20],
-    ));
+    let gamma = common::gamma();
     let db = Arc::new(TpchDb::at_scale(0.002));
     let sql = gpl_repro::sql::sql_for(QueryId::Q6).unwrap();
     let serve_cfg = || ServeConfig {

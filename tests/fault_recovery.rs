@@ -14,28 +14,11 @@ use gpl_repro::core::{
 use gpl_repro::model::GammaTable;
 use gpl_repro::serve::{BreakerConfig, FaultConfig, QueryRequest, ServeConfig, ServeError, Server};
 use gpl_repro::sim::{amd_a10, FaultKind, FaultPlan, FaultSpec, PinnedFault};
-use gpl_repro::tpch::{QueryId, TpchDb};
-use std::sync::{Arc, OnceLock};
+use gpl_repro::tpch::QueryId;
+use std::sync::OnceLock;
 
-/// One shared SF-0.01 catalog (generation is deterministic; per-query
-/// contexts borrow it via `Arc`).
-fn db() -> Arc<TpchDb> {
-    static DB: OnceLock<Arc<TpchDb>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(TpchDb::at_scale(0.01))).clone()
-}
-
-fn gamma() -> Arc<GammaTable> {
-    static G: OnceLock<Arc<GammaTable>> = OnceLock::new();
-    G.get_or_init(|| {
-        Arc::new(GammaTable::calibrate_grid(
-            &amd_a10(),
-            vec![1, 4, 16],
-            vec![16, 64],
-            vec![256 << 10, 2 << 20, 16 << 20],
-        ))
-    })
-    .clone()
-}
+mod common;
+use common::{db_sf001 as db, gamma};
 
 /// Run `sql` on a fresh context with `spec` faults attached and the
 /// given recovery policy, under full GPL.
@@ -556,8 +539,7 @@ fn mixed_fault_sweep_over_overlapped_queries_is_bit_identical() {
 }
 
 /// The heterogeneous pool plus one coarse Γ table per device for the
-/// placement pass (grids respect each device's channel fan-out cap —
-/// the CPU profile stops at 4).
+/// placement pass.
 fn shard_pool() -> &'static (gpl_repro::core::shard::DevicePool, Vec<GammaTable>) {
     use gpl_repro::core::shard::DevicePool;
     static POOL: OnceLock<(DevicePool, Vec<GammaTable>)> = OnceLock::new();
@@ -566,18 +548,7 @@ fn shard_pool() -> &'static (gpl_repro::core::shard::DevicePool, Vec<GammaTable>
         let gammas = pool
             .devices()
             .iter()
-            .map(|d| {
-                let ns: Vec<u32> = [1u32, 4, 16]
-                    .into_iter()
-                    .filter(|&n| n <= d.spec.channel.max_channels)
-                    .collect();
-                GammaTable::calibrate_grid(
-                    &d.spec,
-                    ns,
-                    vec![16, 64],
-                    vec![256 << 10, 2 << 20, 16 << 20],
-                )
-            })
+            .map(|d| common::gamma_for(&d.spec))
             .collect();
         (pool, gammas)
     })

@@ -6,24 +6,8 @@
 
 use gpl_repro::tpch::{reference, QueryId, TpchDb};
 
-/// FNV-1a over the row values — order matters, so this pins the ORDER BY
-/// output too.
-fn fingerprint(out: &gpl_repro::tpch::QueryOutput) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: i64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(out.rows.len() as i64);
-    for row in &out.rows {
-        for &v in row {
-            mix(v);
-        }
-    }
-    h
-}
+mod common;
+use common::fingerprint;
 
 #[test]
 fn reference_outputs_are_pinned_at_sf_001() {

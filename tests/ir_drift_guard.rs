@@ -15,14 +15,10 @@ use gpl_repro::core::{
 use gpl_repro::model::{build_models, estimate_stats};
 use gpl_repro::sim::amd_a10;
 use gpl_repro::tpch::{QueryId, TpchDb};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// One shared SF-0.002 catalog (generation is deterministic; per-query
-/// contexts only borrow it via `Arc`).
-fn shared_db() -> Arc<TpchDb> {
-    static DB: OnceLock<Arc<TpchDb>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(TpchDb::at_scale(0.002))).clone()
-}
+mod common;
+use common::db_sf0002 as shared_db;
 
 /// Assert that the cost model of every stage of `plan` describes the
 /// kernels, channels and leaf column split its lowered IR carries.

@@ -8,53 +8,14 @@
 
 use gpl_check::prelude::*;
 use gpl_prng::{SeedableRng, StdRng};
-use gpl_repro::core::{
-    overlap_pairs, plan_for, run_query, ExecContext, ExecMode, QueryConfig, QueryRun,
-};
+use gpl_repro::core::{overlap_pairs, plan_for, run_query, ExecContext, ExecMode, QueryConfig};
 use gpl_repro::model::GammaTable;
 use gpl_repro::serve::{QueryRequest, ServeConfig, Server};
 use gpl_repro::sim::amd_a10;
-use gpl_repro::tpch::{QueryId, TpchDb};
-use std::sync::{Arc, OnceLock};
+use gpl_repro::tpch::QueryId;
 
-/// One shared SF-0.01 catalog (generation is deterministic; per-query
-/// contexts borrow it via `Arc`).
-fn db() -> Arc<TpchDb> {
-    static DB: OnceLock<Arc<TpchDb>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(TpchDb::at_scale(0.01))).clone()
-}
-
-fn gamma() -> Arc<GammaTable> {
-    static G: OnceLock<Arc<GammaTable>> = OnceLock::new();
-    G.get_or_init(|| {
-        Arc::new(GammaTable::calibrate_grid(
-            &amd_a10(),
-            vec![1, 4, 16],
-            vec![16, 64],
-            vec![256 << 10, 2 << 20, 16 << 20],
-        ))
-    })
-    .clone()
-}
-
-/// FNV-1a over the result rows, so mismatches show up as one number in
-/// failure messages (the row-level assert still pinpoints the diff).
-fn fingerprint(run: &QueryRun) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(run.output.rows.len() as u64);
-    for row in &run.output.rows {
-        for v in row {
-            mix(*v as u64);
-        }
-    }
-    h
-}
+mod common;
+use common::{db_sf001 as db, fingerprint, gamma};
 
 /// Every TPC-H hand plan, every slice count: the fused run returns the
 /// same rows, the same fingerprint and the same (empty) recovery record
@@ -83,8 +44,8 @@ fn every_tpch_plan_is_bit_identical_at_every_slice_count() {
                 q.name()
             );
             assert_eq!(
-                fingerprint(&pipe),
-                fingerprint(&seq),
+                fingerprint(&pipe.output),
+                fingerprint(&seq.output),
                 "{} K={k}: fingerprint diverges",
                 q.name()
             );

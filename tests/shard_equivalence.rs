@@ -15,8 +15,11 @@ use gpl_repro::core::{
     plan_for, run_query, ExecContext, ExecLimits, ExecMode, QueryConfig, QueryPlan,
 };
 use gpl_repro::sim::amd_a10;
-use gpl_repro::tpch::{QueryId, TpchDb};
-use std::sync::{Arc, OnceLock};
+use gpl_repro::tpch::QueryId;
+use std::sync::OnceLock;
+
+mod common;
+use common::db_sf0002 as db;
 
 /// Shard counts exercised everywhere: the degenerate single shard, even
 /// splits, and a count coprime to both the pool size and the row counts
@@ -25,11 +28,6 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
 
 /// The modes the sharded executor supports end to end.
 const MODES: [ExecMode; 3] = [ExecMode::Gpl, ExecMode::GplPipelined, ExecMode::Kbe];
-
-fn db() -> Arc<TpchDb> {
-    static DB: OnceLock<Arc<TpchDb>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(TpchDb::at_scale(0.002))).clone()
-}
 
 fn pool() -> &'static DevicePool {
     static POOL: OnceLock<DevicePool> = OnceLock::new();

@@ -8,13 +8,9 @@ use gpl_repro::sql::{run_sql, sql_for};
 use gpl_repro::tpch::{QueryId, TpchDb};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
 
-/// One shared tiny database (generation is deterministic).
-fn db() -> &'static Arc<TpchDb> {
-    static DB: OnceLock<Arc<TpchDb>> = OnceLock::new();
-    DB.get_or_init(|| Arc::new(TpchDb::at_scale(0.002)))
-}
+mod common;
+use common::db_sf0002 as db;
 
 #[derive(Debug, Clone)]
 enum Col {
@@ -192,7 +188,7 @@ prop! {
         agg in agg_strategy(),
         grouped in any::<bool>(),
     ) {
-        let db = db();
+        let db = &db();
         let mut sql = String::from("select ");
         if grouped {
             sql.push_str("l_returnflag, ");
@@ -277,10 +273,10 @@ const MODES: [ExecMode; 4] = [
 fn unwinds(bytes: &[u8], mode: ExecMode) -> Option<String> {
     let sql = String::from_utf8_lossy(bytes);
     let run = || {
-        let Ok(plan) = gpl_repro::sql::compile(db(), &sql) else {
+        let Ok(plan) = gpl_repro::sql::compile(&db(), &sql) else {
             return;
         };
-        let mut ctx = ExecContext::with_shared(amd_a10(), db().clone());
+        let mut ctx = ExecContext::with_shared(amd_a10(), db());
         let cfg = QueryConfig::default_for(&amd_a10(), &plan);
         let _ = try_run_query(&mut ctx, &plan, mode, &cfg, &ExecLimits::none());
     };
