@@ -34,6 +34,7 @@ pub fn mode_key(mode: gpl_core::ExecMode) -> &'static str {
         gpl_core::ExecMode::GplNoCe => "gpl-noce",
         gpl_core::ExecMode::Gpl => "gpl",
         gpl_core::ExecMode::GplPipelined => "gpl-pipelined",
+        gpl_core::ExecMode::Ocelot => "ocelot",
     }
 }
 

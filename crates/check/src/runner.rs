@@ -149,7 +149,7 @@ fn run_seed<S: Strategy>(
     r.map_err(|p| (choices, payload_to_string(p)))
 }
 
-/// The main entry used by the [`prop!`](crate::prop) macro.
+/// The main entry used by the [`prop!`](macro@crate::prop) macro.
 pub fn run<S: Strategy>(file: &str, name: &str, cases: u32, strat: S, test: impl Fn(S::Value)) {
     run_config(file, name, cases, true, strat, test)
 }

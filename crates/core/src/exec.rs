@@ -1,13 +1,15 @@
-//! Query execution: context, configuration, and the three execution
-//! modes of Section 5.1 — KBE, GPL (w/o CE), and full GPL.
+//! Query execution: context, configuration, and the one driver behind
+//! every execution mode — Section 5.1's KBE, GPL (w/o CE) and full GPL,
+//! pipelined GPL, and Section 5.5's Ocelot baseline.
 
 use crate::error::ExecError;
 use crate::gpl;
 use crate::ht::{GroupStore, SimHashTable};
-use crate::kbe;
+use crate::kbe::{self, Selection};
 use crate::ops::sort_rows;
 use crate::plan::{PlanError, QueryPlan, Stage, Terminal};
 use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats};
+use crate::replay::{alloc_array, kernel_resources, launch, ReplayKernel};
 use crate::segment::{overlap_pairs, ConfigError, InterSegmentEdge, SegmentIr};
 use crate::shard::Sharder;
 use gpl_sim::{DeviceSpec, KernelDesc, LaunchProfile, ResourceUsage, Simulator, Work, WorkUnit};
@@ -20,7 +22,8 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// How a plan is executed (Section 5.1's three systems).
+/// How a plan is executed (Section 5.1's three systems, the pipelined
+/// scheduler, and Section 5.5's comparison baseline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Kernel-based execution: one kernel at a time over the whole input,
@@ -36,8 +39,15 @@ pub enum ExecMode {
     /// installed and published slice by slice so the probe segment's
     /// leaf (and the early slices' probes) overlap the build terminal.
     /// Stages outside an eligible pair — or pairs whose
-    /// [`StageConfig::overlap_slices`] is 0 — run exactly as [`Gpl`].
+    /// [`StageConfig::overlap_slices`] is 0 — run exactly as
+    /// [`ExecMode::Gpl`].
     GplPipelined,
+    /// The Ocelot baseline (Section 5.5): kernel-at-a-time like
+    /// [`ExecMode::Kbe`], but a selection hands the next kernel a bitmap
+    /// over the full input instead of compacted arrays, and no element is
+    /// wider than 4 bytes (Appendix B). Its third property, the
+    /// hash-table cache, is [`HtCache`].
+    Ocelot,
 }
 
 impl ExecMode {
@@ -47,6 +57,7 @@ impl ExecMode {
             ExecMode::GplNoCe => "GPL (w/o CE)",
             ExecMode::Gpl => "GPL",
             ExecMode::GplPipelined => "GPL (pipelined)",
+            ExecMode::Ocelot => "Ocelot",
         }
     }
 }
@@ -402,6 +413,28 @@ pub(crate) fn check_inputs<'a>(
     Ok(())
 }
 
+/// Hash tables kept across the queries of one [`ExecContext`] — Ocelot's
+/// memory manager (Section 5.5). The key is the whole build stage
+/// (driver and its row count, loads, ops, terminal), so a table is
+/// reused only by a stage that would rebuild it entry for entry.
+#[derive(Default)]
+pub struct HtCache {
+    tables: HashMap<String, Rc<RefCell<SimHashTable>>>,
+    pub cache_hits: usize,
+    pub cache_misses: usize,
+}
+
+impl HtCache {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Drop cached hash tables (e.g. between databases).
+    pub fn clear(&mut self) {
+        self.tables.clear();
+    }
+}
+
 /// [`try_run_query`] with the recovery stack enabled: per-stage retries
 /// with deterministic exponential backoff, graceful degradation down the
 /// GPL → GPL-w/o-CE → KBE ladder, and a disarmed last-resort KBE attempt
@@ -416,6 +449,23 @@ pub fn try_run_query_recovering(
     config: &QueryConfig,
     limits: &ExecLimits,
     recovery: Option<&RecoveryPolicy>,
+) -> Result<QueryRun, ExecError> {
+    try_run_query_cached(ctx, plan, mode, config, limits, recovery, None)
+}
+
+/// [`try_run_query_recovering`] over a hash-table cache: a build stage
+/// whose table `cache` already holds installs it and launches nothing
+/// (its `per_stage` entry is the default profile); every other build
+/// runs and is kept. `None` is a cold run. Fused pairs bypass the cache:
+/// their table is published slice by slice inside the launch.
+pub fn try_run_query_cached(
+    ctx: &mut ExecContext,
+    plan: &QueryPlan,
+    mode: ExecMode,
+    config: &QueryConfig,
+    limits: &ExecLimits,
+    recovery: Option<&RecoveryPolicy>,
+    mut cache: Option<&mut HtCache>,
 ) -> Result<QueryRun, ExecError> {
     check_inputs(plan, [config])?;
     let spec = RunSpec {
@@ -468,6 +518,23 @@ pub fn try_run_query_recovering(
             continue;
         }
         let (stage, cfg) = (&plan.stages[idx], &config.stages[idx]);
+        let mut built = None;
+        if let (Some(c), Terminal::HashBuild { ht, .. }) = (cache.as_deref_mut(), &stage.terminal) {
+            let rows = ctx.db.table(&stage.driver).rows();
+            let key = format!(
+                "{}#{rows}:{:?}:{:?}:{:?}",
+                stage.driver, stage.loads, stage.ops, stage.terminal
+            );
+            if let Some(kept) = c.tables.get(&key) {
+                c.cache_hits += 1;
+                q.hts[*ht] = Some(kept.clone());
+                q.record(LaunchProfile::default());
+                idx += 1;
+                continue;
+            }
+            c.cache_misses += 1;
+            built = Some((key, *ht));
+        }
         // Lower the stage once; every consumer below — mode dispatch,
         // span naming, both executors — reads this one IR.
         let ir = SegmentIr::lower(
@@ -498,6 +565,10 @@ pub fn try_run_query_recovering(
         };
         let ((profile, out), ran_on) = run_stage_recovering(ctx, &run, mode, &mut q.stats)?;
         q.install(out);
+        if let (Some(c), Some((key, ht))) = (cache.as_deref_mut(), built) {
+            c.tables
+                .insert(key, q.hts[ht].clone().expect("just installed"));
+        }
         if let (Some(r), Some(s)) = (rec.as_ref(), stage_span) {
             if ran_on != mode {
                 r.arg(s, "degraded_to", ran_on.name());
@@ -514,7 +585,7 @@ pub fn try_run_query_recovering(
         .take()
         .ok_or(ExecError::InvalidPlan(PlanError::NoAggregate))?;
     let spent = q.merged.elapsed_cycles + q.stats.wasted_cycles;
-    let (output, sort) = finish_query(ctx, plan, rows.into_rows(), limits, spent)?;
+    let (output, sort) = finish_query(ctx, plan, mode, rows.into_rows(), limits, spent)?;
     if let Some(prof) = sort {
         q.record(prof);
     }
@@ -556,6 +627,7 @@ pub fn try_run_query_recovering(
 pub(crate) fn finish_query(
     ctx: &mut ExecContext,
     plan: &QueryPlan,
+    mode: ExecMode,
     mut rows: Vec<Vec<i64>>,
     limits: &ExecLimits,
     spent: u64,
@@ -570,7 +642,11 @@ pub(crate) fn finish_query(
         // pending fault.
         let was_armed = ctx.sim.faults_armed();
         ctx.sim.set_faults_armed(false);
-        let prof = run_sort_kernel(ctx, &mut rows, &plan.order_by);
+        let prof = if mode == ExecMode::Ocelot {
+            run_ocelot_sort_kernel(ctx, &mut rows, &plan.order_by)
+        } else {
+            run_sort_kernel(ctx, &mut rows, &plan.order_by)
+        };
         ctx.sim.set_faults_armed(was_armed);
         Some(prof)
     };
@@ -593,16 +669,29 @@ pub(crate) fn attempt_stage(
 ) -> Result<StageOut, ExecError> {
     debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a stage");
     let (stage, ir, hts) = (run.stage(), run.ir, run.hts);
-    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, stage);
+    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, stage, mode);
     let build_rc = build.as_ref().map(|(_, t)| t);
+    // The kernel-at-a-time modes differ in one policy, chosen here only.
+    let sel = if mode == ExecMode::Ocelot {
+        Selection::Bitmap
+    } else {
+        Selection::Compact
+    };
     // A lone range's profile comes back as launched (stamps in device
     // cycles, like any single launch); only further ranges merge.
     let mut profile: Option<LaunchProfile> = None;
     for range in part {
         let p = match mode {
-            ExecMode::Kbe => {
-                kbe::run_stage_range(ctx, ir, stage, hts, build_rc, agg.as_ref(), range.clone())
-            }
+            ExecMode::Kbe | ExecMode::Ocelot => kbe::run_stage_range(
+                ctx,
+                ir,
+                stage,
+                hts,
+                build_rc,
+                agg.as_ref(),
+                range.clone(),
+                sel,
+            ),
             ExecMode::GplNoCe => {
                 let tiling = Tiling::by_bytes(range.len(), ir.row_bytes, run.cfg().tile_bytes);
                 let mut p = LaunchProfile::default();
@@ -615,6 +704,7 @@ pub(crate) fn attempt_stage(
                         build_rc,
                         agg.as_ref(),
                         range.start + tile.start..range.start + tile.end,
+                        sel,
                     ));
                 }
                 p
@@ -647,10 +737,18 @@ fn make_blocking_outputs(
     ctx: &mut ExecContext,
     plan: &QueryPlan,
     stage: &Stage,
+    mode: ExecMode,
 ) -> (SharedBuild, SharedAgg) {
     match &stage.terminal {
         Terminal::HashBuild { ht, payloads, .. } => {
-            let expected = estimate_build_rows(ctx, stage);
+            // Ocelot sizes a table at the driver cardinality — inherited
+            // from the retired `gpl-ocelot` engine, not a Section 5.5
+            // property (ROADMAP: re-pin candidate).
+            let expected = if mode == ExecMode::Ocelot {
+                ctx.db.table(&stage.driver).rows()
+            } else {
+                estimate_build_rows(ctx, stage)
+            };
             let table = SimHashTable::new(
                 &mut ctx.sim.mem,
                 expected,
@@ -686,8 +784,8 @@ fn run_pair_attempt(
 ) -> Result<(LaunchProfile, [Blocking; 2]), ExecError> {
     debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a pair");
     let plan = b.spec.plan;
-    let (shared, _) = make_blocking_outputs(ctx, plan, b.stage());
-    let (build_p, agg) = make_blocking_outputs(ctx, plan, p.stage());
+    let (shared, _) = make_blocking_outputs(ctx, plan, b.stage(), ExecMode::GplPipelined);
+    let (build_p, agg) = make_blocking_outputs(ctx, plan, p.stage(), ExecMode::GplPipelined);
     let profile = gpl::run_overlapped_pair(
         ctx,
         edge,
@@ -879,7 +977,7 @@ fn run_stage_checkpointed(
     // Accumulated blocking state: created ONCE and kept across slice
     // attempts — sound because a faulted slice attempt only ever built
     // its own (dropped) per-slice outputs.
-    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, run.stage());
+    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, run.stage(), mode);
     let mut acc = Blocking::owned(build, agg);
     let mut checkpoint = acc.fingerprint();
     let mut kept_cycles = 0u64; // useful cycles the checkpoints protect
@@ -972,6 +1070,12 @@ fn estimate_build_rows(ctx: &ExecContext, stage: &Stage) -> usize {
     ((total as f64 * sel * 1.25) as usize).clamp(16, total.max(16))
 }
 
+/// Bitonic sort: log^2(n) passes, each reading and writing everything.
+fn bitonic_passes(n: u64) -> u64 {
+    let lg = 64 - n.leading_zeros() as u64;
+    (lg * lg).max(1)
+}
+
 /// Simulate the final sort: a blocking bitonic-style kernel over the
 /// (small) aggregate output.
 pub(crate) fn run_sort_kernel(
@@ -987,11 +1091,7 @@ pub(crate) fn run_sort_kernel(
         .mem
         .alloc(n * width, gpl_sim::RegionClass::Output, "sort-output");
     let base = ctx.sim.mem.base(region);
-    // Bitonic sort: log^2(n) passes, each reading and writing everything.
-    let passes = {
-        let lg = 64 - n.leading_zeros() as u64;
-        (lg * lg).max(1)
-    };
+    let passes = bitonic_passes(n);
     let mut pass = 0u64;
     let src = move |_: &dyn gpl_sim::ChannelView| {
         if pass == passes {
@@ -1010,6 +1110,25 @@ pub(crate) fn run_sort_kernel(
     };
     let k = KernelDesc::new("k_sort", ResourceUsage::new(64, 64, 2048), 8, Box::new(src));
     ctx.sim.run(vec![k])
+}
+
+/// The final sort under [`ExecMode::Ocelot`], as the retired `gpl-ocelot`
+/// engine charged it: one replay launch over `n × passes` rows of a
+/// 4-byte array under `k_map` resources. Inherited, not a Section 5.5
+/// property (ROADMAP: re-pin candidate).
+fn run_ocelot_sort_kernel(
+    ctx: &mut ExecContext,
+    rows: &mut [Vec<i64>],
+    order: &[(usize, bool)],
+) -> LaunchProfile {
+    sort_rows(rows, order);
+    let n = rows.len().max(1);
+    let wavefront = ctx.sim.spec().wavefront_size;
+    let arr = alloc_array(ctx, n, 4, gpl_sim::RegionClass::Output, "sort-output");
+    let k = ReplayKernel::new(n * bitonic_passes(n as u64) as usize, wavefront, 6, 2)
+        .reads(vec![arr])
+        .writes(vec![arr]);
+    launch(ctx, "k_sort", kernel_resources("k_map", wavefront), k)
 }
 
 #[cfg(test)]

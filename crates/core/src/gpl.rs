@@ -944,7 +944,9 @@ fn stage_kernels(
 ) -> Result<Vec<KernelDesc>, ExecError> {
     let spec = ctx.sim.spec().clone();
     let wavefront = spec.wavefront_size;
-    ir.validate_config(cfg).map_err(ExecError::InvalidConfig)?;
+    ir.validate_config(cfg)
+        .and_then(|()| ir.validate_channels(cfg, spec.channel.max_channels))
+        .map_err(ExecError::InvalidConfig)?;
     let num_kernels = ir.nodes.len();
     let num_edges = ir.edges.len();
 
@@ -1484,8 +1486,16 @@ mod tests {
         let agg1 = Rc::new(RefCell::new(GroupStore::new(&mut c1.sim.mem, 4, 0, 1, "t")));
         let rows = c1.db.lineitem.rows();
         let kbe_ir = ir_for(&c1, stage);
-        let kbe_prof =
-            crate::kbe::run_stage_range(&mut c1, &kbe_ir, stage, &[], None, Some(&agg1), 0..rows);
+        let kbe_prof = crate::kbe::run_stage_range(
+            &mut c1,
+            &kbe_ir,
+            stage,
+            &[],
+            None,
+            Some(&agg1),
+            0..rows,
+            crate::kbe::Selection::Compact,
+        );
 
         let mut c2 = ctx();
         let agg2 = Rc::new(RefCell::new(GroupStore::new(&mut c2.sim.mem, 4, 0, 1, "t")));

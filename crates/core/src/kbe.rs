@@ -6,7 +6,8 @@
 //! device over the whole input, and every intermediate result — flags,
 //! offsets, compacted columns, probe payloads — is materialized in global
 //! memory. This module is also the per-tile engine of GPL (w/o CE), which
-//! runs the same kernel-at-a-time sequence per tile.
+//! runs the same kernel-at-a-time sequence per tile, and — under the
+//! other `Selection` policy — the Ocelot baseline of Section 5.5.
 
 use crate::exec::ExecContext;
 use crate::ht::{GroupStore, SimHashTable};
@@ -14,24 +15,123 @@ use crate::ops::{self, apply_compute, apply_filter, apply_probe, live_slots, Chu
 use crate::plan::{PipeOp, Stage, Terminal};
 use crate::replay::{alloc_array, kernel_resources, launch, ArrayRef, ReplayKernel};
 use crate::segment::SegmentIr;
-use gpl_sim::mem::RegionClass;
+use gpl_sim::mem::{MemRange, RegionClass};
 use gpl_sim::LaunchProfile;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
 
-/// Execution state threading through a stage: the functional chunk and
-/// the simulated array backing each filled slot.
+/// How a selection's survivors reach the next kernel — the one axis on
+/// which the kernel-at-a-time engines differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Selection {
+    /// Flags + `k_prefix_sum` + `k_scatter` into 8-byte arrays over the
+    /// surviving rows (KBE, and GPL (w/o CE) per tile).
+    Compact,
+    /// Ocelot (Section 5.5): a bit per logical row and no compaction, so
+    /// every kernel launches over the range's logical rows with dead
+    /// rows as zero-byte accesses; elements are capped at 4 bytes
+    /// (Appendix B).
+    Bitmap,
+}
+
+/// Execution state threading through a stage: the functional chunk
+/// (always compacted) and the simulated array backing each filled slot.
 struct MatState {
+    sel: Selection,
     chunk: Chunk,
     addr: Vec<Option<ArrayRef>>,
+    /// Rows of the scan range.
+    logical_rows: usize,
+    /// The latest selection bitmap, read by every later kernel.
+    mask: Option<ArrayRef>,
+}
+
+impl MatState {
+    /// Rows the next kernel launches over.
+    fn launch_rows(&self) -> usize {
+        match self.sel {
+            Selection::Compact => self.chunk.rows,
+            Selection::Bitmap => self.logical_rows,
+        }
+    }
+
+    /// Element width of an array `bytes` wide in the table or the plan.
+    fn width(&self, bytes: u64) -> u64 {
+        match self.sel {
+            Selection::Compact => bytes,
+            Selection::Bitmap => bytes.min(4),
+        }
+    }
+
+    /// Per-row instructions spent testing the input bit and setting the
+    /// output bit.
+    fn mask_insts(&self) -> u64 {
+        match self.sel {
+            Selection::Compact => 0,
+            Selection::Bitmap => 1,
+        }
+    }
+
+    /// The arrays behind `slots`, then the selection bitmap if any.
+    fn reads(&self, slots: &[usize]) -> Vec<ArrayRef> {
+        let filled = |&s: &usize| self.addr[s].expect("slot filled before it is read");
+        slots.iter().map(filled).chain(self.mask).collect()
+    }
+
+    /// Per-surviving-row traffic, padded under bitmaps to `per_row`
+    /// entries per launched row so the replay kernel can slice it.
+    fn pad(&self, mut extra: Vec<MemRange>, per_row: usize) -> Vec<MemRange> {
+        if self.sel == Selection::Bitmap {
+            let len = (self.logical_rows * per_row).max(extra.len());
+            extra.resize(len, MemRange::read(4096, 0));
+        }
+        extra
+    }
+
+    /// What a selecting kernel writes: a flag or a bit per launched row,
+    /// then its payload columns — scratch when a scatter compacts them
+    /// away next, the intermediate itself under bitmaps.
+    fn alloc_selection(&mut self, ctx: &mut ExecContext, payloads: &[usize]) -> Vec<ArrayRef> {
+        let rows = self.launch_rows();
+        let (mask_rows, class) = match self.sel {
+            Selection::Compact => (rows, RegionClass::Scratch),
+            Selection::Bitmap => (rows.div_ceil(8), RegionClass::Intermediate),
+        };
+        let mut writes = vec![alloc_array(ctx, mask_rows, 1, class, "kbe.mask")];
+        for &p in payloads {
+            let tmp = alloc_array(ctx, rows, self.width(8), class, "kbe.payload");
+            self.addr[p] = Some(tmp);
+            writes.push(tmp);
+        }
+        writes
+    }
+
+    /// Hand the survivors `out` of a selecting kernel to the next one.
+    fn select(
+        &mut self,
+        ctx: &mut ExecContext,
+        out: Chunk,
+        live_out: &[usize],
+        mask: ArrayRef,
+        merged: &mut LaunchProfile,
+    ) {
+        match self.sel {
+            Selection::Compact => scatter_phase(ctx, self, out, live_out, mask, merged),
+            Selection::Bitmap => {
+                self.chunk = out;
+                self.mask = Some(mask);
+            }
+        }
+    }
 }
 
 /// Run one stage's kernel sequence over `range` of the driving relation:
 /// each op of the stage's lowered IR nodes (in [`SegmentIr::op_order`])
-/// expands into its map / prefix-sum / scatter decomposition. `build` /
-/// `agg` receive the blocking terminal's output (shared across tiles in
-/// GPL (w/o CE) mode).
+/// expands into its map / prefix-sum / scatter decomposition, or into one
+/// bitmap-passing kernel, as `sel` says. `build` / `agg` receive the
+/// blocking terminal's output (shared across tiles in GPL (w/o CE) mode).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_stage_range(
     ctx: &mut ExecContext,
     ir: &SegmentIr,
@@ -40,6 +140,7 @@ pub(crate) fn run_stage_range(
     build: Option<&Rc<RefCell<SimHashTable>>>,
     agg: Option<&Rc<RefCell<GroupStore>>>,
     range: Range<usize>,
+    sel: Selection,
     // Per-kernel work-group counts are not tunable in KBE (each kernel is
     // individually optimized to fill the device), so none are taken here.
 ) -> LaunchProfile {
@@ -52,18 +153,20 @@ pub(crate) fn run_stage_range(
     let t = table.table(&stage.driver);
     let layout = ctx.layout(&stage.driver).clone();
     let mut st = MatState {
+        sel,
         chunk: Chunk::new(stage.num_slots()),
         addr: vec![None; stage.num_slots()],
+        logical_rows: range.len(),
+        mask: None,
     };
     for (s, name) in stage.loads.iter().enumerate() {
         let col = t.col(name);
         st.chunk.fill(s, col.range_i64(range.start, range.end));
         let ci = t.col_index(name).expect("load column exists");
         let scan = layout.scan(ci, range.clone());
-        let width = col.data_type().width();
         st.addr[s] = Some(ArrayRef {
             base: scan.addr,
-            width,
+            width: st.width(col.data_type().width()),
             rows: range.len(),
         });
     }
@@ -74,53 +177,37 @@ pub(crate) fn run_stage_range(
         st.chunk.rows = range.len();
     }
 
+    let map_insts = |st: &MatState, insts: u64| ops::INST_EXPANSION * (insts + 1 + st.mask_insts());
     for i in ir.op_order() {
         let op = &stage.ops[i];
-        let rows = st.chunk.rows;
+        let (rows, live_rows) = (st.launch_rows(), st.chunk.rows as u64);
         match op {
             PipeOp::Filter(pred) => {
                 let mut in_slots = Vec::new();
                 pred.slots(&mut in_slots);
                 in_slots.dedup();
-                let flags = alloc_array(ctx, rows, 1, RegionClass::Scratch, "kbe.flags");
+                let writes = st.alloc_selection(ctx, &[]);
+                let mask = writes[0];
                 let out = apply_filter(&st.chunk, pred);
                 merged.merge(&launch(
                     ctx,
                     "k_map",
                     kernel_resources("k_map", wavefront),
-                    ReplayKernel::new(rows, wavefront, ops::INST_EXPANSION * (pred.insts() + 1), 0)
-                        .reads(
-                            in_slots
-                                .iter()
-                                .map(|&s| st.addr[s].expect("filled"))
-                                .collect(),
-                        )
-                        .writes(vec![flags])
-                        .io_rows(rows as u64, out.rows as u64),
+                    ReplayKernel::new(rows, wavefront, map_insts(&st, pred.insts()), 0)
+                        .reads(st.reads(&in_slots))
+                        .writes(writes)
+                        .io_rows(live_rows, out.rows as u64),
                 ));
-                scatter_phase(
-                    ctx,
-                    &mut st,
-                    out,
-                    &live[i + 1],
-                    flags,
-                    &mut merged,
-                    wavefront,
-                );
+                st.select(ctx, out, &live[i + 1], mask, &mut merged);
             }
             PipeOp::Probe { ht, key, payloads } => {
                 let table = hts[*ht].as_ref().expect("probed table built").clone();
                 let table = table.borrow();
-                let mut extra = Vec::with_capacity(rows);
+                let mut extra = Vec::with_capacity(st.chunk.rows);
                 let out = apply_probe(&st.chunk, &table, *key, payloads, &mut extra);
-                let flags = alloc_array(ctx, rows, 1, RegionClass::Scratch, "kbe.match");
                 // Payload temporaries at input positions.
-                let mut writes = vec![flags];
-                for &p in payloads {
-                    let tmp = alloc_array(ctx, rows, 8, RegionClass::Scratch, "kbe.payload");
-                    st.addr[p] = Some(tmp);
-                    writes.push(tmp);
-                }
+                let writes = st.alloc_selection(ctx, payloads);
+                let mask = writes[0];
                 merged.merge(&launch(
                     ctx,
                     "k_hash_probe",
@@ -128,42 +215,35 @@ pub(crate) fn run_stage_range(
                     ReplayKernel::new(
                         rows,
                         wavefront,
-                        ops::op_compute_insts(op),
+                        ops::op_compute_insts(op) + 2 * st.mask_insts(),
                         ops::op_mem_insts(op),
                     )
-                    .reads(vec![st.addr[*key].expect("key filled")])
+                    .reads(st.reads(&[*key]))
                     .writes(writes)
-                    .extra(extra, 1)
-                    .io_rows(rows as u64, out.rows as u64),
+                    .extra(st.pad(extra, 1), 1)
+                    .io_rows(live_rows, out.rows as u64),
                 ));
-                scatter_phase(
-                    ctx,
-                    &mut st,
-                    out,
-                    &live[i + 1],
-                    flags,
-                    &mut merged,
-                    wavefront,
-                );
+                st.select(ctx, out, &live[i + 1], mask, &mut merged);
             }
             PipeOp::Compute { expr, out } => {
                 let mut in_slots = Vec::new();
                 expr.slots(&mut in_slots);
                 in_slots.dedup();
-                let arr = alloc_array(ctx, rows, 8, RegionClass::Intermediate, "kbe.compute");
+                let arr = alloc_array(
+                    ctx,
+                    rows,
+                    st.width(8),
+                    RegionClass::Intermediate,
+                    "kbe.compute",
+                );
                 merged.merge(&launch(
                     ctx,
                     "k_map",
                     kernel_resources("k_map", wavefront),
-                    ReplayKernel::new(rows, wavefront, ops::INST_EXPANSION * (expr.insts() + 1), 0)
-                        .reads(
-                            in_slots
-                                .iter()
-                                .map(|&s| st.addr[s].expect("filled"))
-                                .collect(),
-                        )
+                    ReplayKernel::new(rows, wavefront, map_insts(&st, expr.insts()), 0)
+                        .reads(st.reads(&in_slots))
                         .writes(vec![arr])
-                        .io_rows(rows as u64, rows as u64),
+                        .io_rows(live_rows, live_rows),
                 ));
                 apply_compute(&mut st.chunk, expr, *out);
                 st.addr[*out] = Some(arr);
@@ -172,43 +252,41 @@ pub(crate) fn run_stage_range(
     }
 
     // Terminal.
-    let rows = st.chunk.rows;
+    let (rows, live_rows) = (st.launch_rows(), st.chunk.rows);
+    let terminal = ReplayKernel::new(
+        rows,
+        wavefront,
+        ops::terminal_compute_insts(&stage.terminal),
+        ops::terminal_mem_insts(&stage.terminal),
+    )
+    .io_rows(live_rows as u64, 0);
     match &stage.terminal {
         Terminal::HashBuild { key, payloads, .. } => {
             let target = build.expect("hash-build stage needs a target table");
             let mut t = target.borrow_mut();
-            let mut extra = Vec::with_capacity(rows);
-            for r in 0..rows {
+            let mut extra = Vec::with_capacity(live_rows);
+            for r in 0..live_rows {
                 let pay: Vec<i64> = payloads.iter().map(|&p| st.chunk.cols[p][r]).collect();
                 t.insert(st.chunk.cols[*key][r], &pay, &mut extra);
             }
-            let mut reads = vec![st.addr[*key].expect("key filled")];
-            reads.extend(
-                payloads
-                    .iter()
-                    .map(|&p| st.addr[p].expect("payload filled")),
-            );
             drop(t);
+            let in_slots: Vec<usize> = std::iter::once(*key)
+                .chain(payloads.iter().copied())
+                .collect();
             merged.merge(&launch(
                 ctx,
                 "k_hash_build",
                 kernel_resources("k_hash_build", wavefront),
-                ReplayKernel::new(
-                    rows,
-                    wavefront,
-                    ops::terminal_compute_insts(&stage.terminal),
-                    ops::terminal_mem_insts(&stage.terminal),
-                )
-                .reads(reads)
-                .extra(extra, 1)
-                .io_rows(rows as u64, 0),
+                terminal
+                    .reads(st.reads(&in_slots))
+                    .extra(st.pad(extra, 1), 1),
             ));
         }
         Terminal::Aggregate { groups, aggs } => {
             let store = agg.expect("aggregate stage needs a store");
             let mut s = store.borrow_mut();
-            let mut extra = Vec::with_capacity(rows * 2);
-            for r in 0..rows {
+            let mut extra = Vec::with_capacity(live_rows * 2);
+            for r in 0..live_rows {
                 let keys: Vec<i64> = groups.iter().map(|&g| st.chunk.cols[g][r]).collect();
                 let values: Vec<i64> = aggs
                     .iter()
@@ -227,20 +305,9 @@ pub(crate) fn run_stage_range(
                 ctx,
                 "k_aggregate",
                 kernel_resources("k_aggregate", wavefront),
-                ReplayKernel::new(
-                    rows,
-                    wavefront,
-                    ops::terminal_compute_insts(&stage.terminal),
-                    ops::terminal_mem_insts(&stage.terminal),
-                )
-                .reads(
-                    in_slots
-                        .iter()
-                        .map(|&s| st.addr[s].expect("filled"))
-                        .collect(),
-                )
-                .extra(extra, 2)
-                .io_rows(rows as u64, 0),
+                terminal
+                    .reads(st.reads(&in_slots))
+                    .extra(st.pad(extra, 2), 2),
             ));
         }
     }
@@ -256,8 +323,8 @@ fn scatter_phase(
     live_out: &[usize],
     flags: ArrayRef,
     merged: &mut LaunchProfile,
-    wavefront: u32,
 ) {
+    let wavefront = ctx.sim.spec().wavefront_size;
     let rows = st.chunk.rows;
     let offsets = alloc_array(ctx, rows, 4, RegionClass::Scratch, "kbe.offsets");
     merged.merge(&launch(
@@ -345,7 +412,16 @@ mod tests {
         )));
         let rows = ctx.db.lineitem.rows();
         let ir = ir_for(&ctx, stage);
-        let p = run_stage_range(&mut ctx, &ir, stage, &[], None, Some(&agg), 0..rows);
+        let p = run_stage_range(
+            &mut ctx,
+            &ir,
+            stage,
+            &[],
+            None,
+            Some(&agg),
+            0..rows,
+            Selection::Compact,
+        );
         let got = Rc::try_unwrap(agg).unwrap().into_inner().into_rows();
         let want = gpl_tpch::reference::listing1(&ctx.db, cutoff);
         assert_eq!(got, want.rows);
@@ -376,6 +452,7 @@ mod tests {
             Some(&ht),
             None,
             0..rows0,
+            Selection::Compact,
         );
         assert_eq!(ht.borrow().len(), ctx.db.part.rows());
 
@@ -397,6 +474,7 @@ mod tests {
             None,
             Some(&agg),
             0..rows1,
+            Selection::Compact,
         );
         let got = Rc::try_unwrap(agg).unwrap().into_inner().into_rows();
         let want = gpl_tpch::reference::q14(&ctx.db, params);
@@ -419,8 +497,26 @@ mod tests {
         )));
         let mid = rows / 3;
         let ir = ir_for(&ctx, stage);
-        run_stage_range(&mut ctx, &ir, stage, &[], None, Some(&agg), 0..mid);
-        run_stage_range(&mut ctx, &ir, stage, &[], None, Some(&agg), mid..rows);
+        run_stage_range(
+            &mut ctx,
+            &ir,
+            stage,
+            &[],
+            None,
+            Some(&agg),
+            0..mid,
+            Selection::Compact,
+        );
+        run_stage_range(
+            &mut ctx,
+            &ir,
+            stage,
+            &[],
+            None,
+            Some(&agg),
+            mid..rows,
+            Selection::Compact,
+        );
         let got = Rc::try_unwrap(agg).unwrap().into_inner().into_rows();
         let want = gpl_tpch::reference::listing1(&ctx.db, cutoff);
         assert_eq!(got, want.rows);
@@ -438,7 +534,16 @@ mod tests {
             "t",
         )));
         let ir = ir_for(&ctx, &plan.stages[0]);
-        let p = run_stage_range(&mut ctx, &ir, &plan.stages[0], &[], None, Some(&agg), 0..0);
+        let p = run_stage_range(
+            &mut ctx,
+            &ir,
+            &plan.stages[0],
+            &[],
+            None,
+            Some(&agg),
+            0..0,
+            Selection::Compact,
+        );
         assert!(p.elapsed_cycles > 0, "launch overhead must be charged");
         assert_eq!(
             Rc::try_unwrap(agg).unwrap().into_inner().into_rows(),

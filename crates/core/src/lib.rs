@@ -41,8 +41,8 @@ pub mod shard;
 
 pub use error::ExecError;
 pub use exec::{
-    run_query, try_run_query, try_run_query_recovering, ExecContext, ExecLimits, ExecMode,
-    QueryConfig, QueryRun, StageConfig,
+    run_query, try_run_query, try_run_query_cached, try_run_query_recovering, ExecContext,
+    ExecLimits, ExecMode, HtCache, QueryConfig, QueryRun, StageConfig,
 };
 pub use expr::{CmpOp, Expr, Pred, Slot};
 pub use ht::AggKind;

@@ -17,7 +17,7 @@
 //! terminates even at fault probability 1. Faults cost cycles; they
 //! never change results.
 //!
-//! That policy is written once, in [`Ladder::run`]; the whole stage, the
+//! That policy is written once, in `Ladder::run`; the whole stage, the
 //! checkpoint slice, the fused pair and the shard are four callers that
 //! differ only in the attempt they hand it and in what exhaustion means
 //! to them.
@@ -39,9 +39,10 @@ pub struct RecoveryPolicy {
     pub backoff_base_cycles: u64,
     pub backoff_factor: u32,
     pub backoff_cap_cycles: u64,
-    /// Degrade through the mode ladder (GPL → GPL w/o CE → KBE) and run
-    /// the disarmed last-resort KBE attempt. With `false`, exhausting
-    /// the primary mode's retries surfaces the last fault as an error.
+    /// Degrade through the mode ladder (GPL → GPL w/o CE → KBE; Ocelot →
+    /// KBE) and run the disarmed last-resort KBE attempt. With `false`,
+    /// exhausting the primary mode's retries surfaces the last fault as
+    /// an error.
     pub fallback: bool,
     /// Slice-checkpoint resume (DESIGN.md §11): with `k >= 2`, a
     /// blocking stage executes as `k` row-range slices, each verified by
@@ -100,6 +101,10 @@ impl RecoveryPolicy {
     pub fn ladder(&self, mode: ExecMode) -> Vec<ExecMode> {
         if !self.fallback {
             return vec![mode];
+        }
+        if mode == ExecMode::Ocelot {
+            // Off the chain: its one degradation drops the bitmaps.
+            return vec![ExecMode::Ocelot, ExecMode::Kbe];
         }
         const CHAIN: [ExecMode; 4] = [
             ExecMode::GplPipelined,
@@ -322,7 +327,7 @@ mod tests {
     #[test]
     fn ladder_runs_the_scripted_cases() {
         use gpl_sim::{FaultKind, FaultPlan, FaultSpec};
-        use ExecMode::{Gpl, GplNoCe, Kbe};
+        use ExecMode::{Gpl, GplNoCe, Kbe, Ocelot};
 
         const COST: u64 = 1_000; // cycles every scripted attempt takes
         let fault = |kind| FaultRecord {
@@ -343,6 +348,8 @@ mod tests {
 
         struct Case {
             name: &'static str,
+            /// The mode the ladder starts at.
+            from: ExecMode,
             policy: Option<RecoveryPolicy>,
             last_resort: LastResort,
             budget: Option<u64>,
@@ -356,6 +363,7 @@ mod tests {
         let cases = vec![
             Case {
                 name: "fault, fault, ok: two retries on the primary mode",
+                from: Gpl,
                 policy: Some(policy(2)),
                 last_resort: LastResort::Always,
                 budget: None,
@@ -372,6 +380,7 @@ mod tests {
             },
             Case {
                 name: "device loss goes straight to the last resort",
+                from: Gpl,
                 policy: Some(policy(2)),
                 last_resort: LastResort::Always,
                 budget: None,
@@ -388,6 +397,7 @@ mod tests {
             },
             Case {
                 name: "device loss elsewhere than the last candidate surfaces",
+                from: Gpl,
                 policy: Some(policy(2)),
                 last_resort: LastResort::UnlessLost,
                 budget: None,
@@ -402,6 +412,7 @@ mod tests {
             },
             Case {
                 name: "fallback: false surfaces the last fault",
+                from: Gpl,
                 policy: Some(policy(1).no_fallback()),
                 last_resort: LastResort::Always,
                 budget: None,
@@ -421,6 +432,7 @@ mod tests {
             },
             Case {
                 name: "budget exhausted mid-backoff is a timeout",
+                from: Gpl,
                 policy: Some(policy(2)),
                 last_resort: LastResort::Always,
                 budget: Some(50 + COST + 99),
@@ -440,6 +452,7 @@ mod tests {
             },
             Case {
                 name: "every armed mode fails: degrade rung by rung, then disarm",
+                from: Gpl,
                 policy: Some(policy(0)),
                 last_resort: LastResort::Always,
                 budget: None,
@@ -455,7 +468,25 @@ mod tests {
                 },
             },
             Case {
+                name: "Ocelot exhausts: KBE, then disarmed KBE",
+                from: Ocelot,
+                policy: Some(policy(0)),
+                last_resort: LastResort::Always,
+                budget: None,
+                script: vec![Some(ExecError::Fault(soft.clone())); 2],
+                want: Ok(Kbe),
+                ran: vec![(Ocelot, true), (Kbe, true), (Kbe, false)],
+                stats: RecoveryStats {
+                    fallbacks: 2,
+                    wasted_cycles: 2 * COST,
+                    faults: vec![soft.clone(); 2],
+                    degraded_to: Some(Kbe),
+                    ..Default::default()
+                },
+            },
+            Case {
                 name: "no last resort: exhaustion surfaces for the caller to degrade",
+                from: Gpl,
                 policy: Some(policy(0)),
                 last_resort: LastResort::Never,
                 budget: None,
@@ -472,6 +503,7 @@ mod tests {
             },
             Case {
                 name: "a query error propagates at once, unrecorded",
+                from: Gpl,
                 policy: Some(policy(2)),
                 last_resort: LastResort::Always,
                 budget: None,
@@ -482,6 +514,7 @@ mod tests {
             },
             Case {
                 name: "no policy: one unrecorded attempt",
+                from: Gpl,
                 policy: None,
                 last_resort: LastResort::Always,
                 budget: None,
@@ -502,7 +535,7 @@ mod tests {
             };
             let ladder = Ladder {
                 last_resort: case.last_resort,
-                ..Ladder::new(case.policy.as_ref(), Gpl, &limits, 50)
+                ..Ladder::new(case.policy.as_ref(), case.from, &limits, 50)
             };
             let mut script = case.script.into_iter();
             let mut ran = Vec::new();
@@ -552,6 +585,10 @@ mod tests {
             vec![ExecMode::GplNoCe, ExecMode::Kbe]
         );
         assert_eq!(p.ladder(ExecMode::Kbe), vec![ExecMode::Kbe]);
+        assert_eq!(
+            p.ladder(ExecMode::Ocelot),
+            vec![ExecMode::Ocelot, ExecMode::Kbe]
+        );
         assert_eq!(
             p.clone().no_fallback().ladder(ExecMode::Gpl),
             vec![ExecMode::Gpl]

@@ -1,9 +1,10 @@
 //! Access-replay kernels: the timing side of kernel-at-a-time engines.
 //!
-//! KBE (and the Ocelot baseline in `gpl-ocelot`) perform their functional
-//! work eagerly on host structures and then launch a data-parallel kernel
-//! that *replays* the corresponding access pattern — sequential array
-//! reads/writes plus row-indexed scatter traffic — against the simulator.
+//! KBE and the Ocelot baseline (both in [`crate::kbe`]) perform their
+//! functional work eagerly on host structures and then launch a
+//! data-parallel kernel that *replays* the corresponding access pattern —
+//! sequential array reads/writes plus row-indexed scatter traffic —
+//! against the simulator.
 
 use crate::exec::ExecContext;
 use gpl_sim::mem::{MemRange, RegionClass};

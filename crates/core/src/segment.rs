@@ -154,6 +154,19 @@ pub enum ConfigError {
         device: usize,
         devices: usize,
     },
+    /// A zero packet size: no packet could carry a row.
+    ZeroPacket {
+        /// Stage (segment) name.
+        stage: String,
+    },
+    /// A channel count the device's pipes cannot provide.
+    Channels {
+        /// Stage (segment) name.
+        stage: String,
+        n_channels: u32,
+        /// The device's channels-per-edge ceiling.
+        max_channels: u32,
+    },
 }
 
 impl ConfigError {
@@ -194,6 +207,15 @@ impl fmt::Display for ConfigError {
             } => write!(
                 f,
                 "stage {stage} anchored on device {device} of a {devices}-device pool"
+            ),
+            ConfigError::ZeroPacket { stage } => write!(f, "stage {stage} has 0-byte packets"),
+            ConfigError::Channels {
+                stage,
+                n_channels,
+                max_channels,
+            } => write!(
+                f,
+                "stage {stage} asks for {n_channels} channels, device allows 1 to {max_channels}"
             ),
         }
     }
@@ -403,6 +425,27 @@ impl SegmentIr {
                 wg_counts: cfg.wg_counts.len(),
             })
         }
+    }
+
+    /// Check the channel knobs a GPL launch divides by, against the
+    /// device's `max_channels` per edge (which the simulator asserts).
+    pub fn validate_channels(
+        &self,
+        cfg: &StageConfig,
+        max_channels: u32,
+    ) -> Result<(), ConfigError> {
+        let stage = || self.stage.clone();
+        if cfg.packet_bytes == 0 {
+            return Err(ConfigError::ZeroPacket { stage: stage() });
+        }
+        if !(1..=max_channels).contains(&cfg.n_channels) {
+            return Err(ConfigError::Channels {
+                stage: stage(),
+                n_channels: cfg.n_channels,
+                max_channels,
+            });
+        }
+        Ok(())
     }
 
     /// Deterministic plain-text dump of the lowered segment, pinned by

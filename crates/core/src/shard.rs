@@ -732,6 +732,7 @@ pub fn try_run_query_sharded(
     let (output, sort) = finish_query(
         &mut ctxs[primary],
         plan,
+        mode,
         store.into_rows(),
         limits,
         total + stats.wasted_cycles,

@@ -15,6 +15,8 @@
 //!   against observed busy cycles over the kernel's effective CUs
 //!   (reconstructed from the residency the estimate carries, so both
 //!   sides are wall-style).
+//!
+//! [`KernelModel::lambda`]: crate::analyze::KernelModel::lambda
 
 use crate::analyze::StageModel;
 use crate::cost::estimate_stage;

@@ -22,6 +22,8 @@
 //! modeled pipelined time beats the sequential sum — a *post-pass* over
 //! the optimized config, so the base search (and the pinned outcomes of
 //! the three sequential modes) stays byte-identical.
+//!
+//! [`StageConfig::overlap_slices`]: gpl_core::StageConfig::overlap_slices
 
 use crate::analyze::StageModel;
 use crate::cost::{estimate_stage, StageEstimate};

@@ -1,8 +1,8 @@
 //! A hand-rolled JSON document model and writer.
 //!
 //! The workspace is hermetic (no serde), so exports build a [`Json`]
-//! tree and serialize it with [`Json::to_string`]. Serialization is
-//! fully deterministic: object members keep insertion order (callers
+//! tree and serialize it through [`std::fmt::Display`]. Serialization
+//! is fully deterministic: object members keep insertion order (callers
 //! that need canonical ordering insert in sorted order — the metrics
 //! registry iterates a `BTreeMap`), numbers format identically across
 //! runs and platforms, and non-finite floats — which JSON cannot

@@ -15,7 +15,7 @@
 //!   [`DriftReport`], [`DriftSummary`]): the model's λ / Eq. 8 cycle
 //!   estimates against the simulator's observed row counts and cycles,
 //!   keyed by the shared `SegmentIr` kernel names.
-//! * [`json`] / [`parse`] — a hand-rolled JSON writer (correct string
+//! * [`json`] / [`mod@parse`] — a hand-rolled JSON writer (correct string
 //!   escaping, deterministic number formatting, non-finite floats →
 //!   `null`) and the minimal parser that lets tests and the verify
 //!   smoke-run round-trip every export without external crates.

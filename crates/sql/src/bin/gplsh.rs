@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Reads one statement per line (`;` optional). Meta-commands:
-//! `\mode gpl|kbe|noce|pipelined`, `\explain <sql>`, `\timeline <sql>`
+//! `\mode gpl|kbe|noce|pipelined|ocelot`, `\explain <sql>`, `\timeline <sql>`
 //! (traced per-kernel Gantt chart), `\trace` (toggle per-query
 //! predicted-vs-observed drift), `\shard <n>` (run subsequent queries
 //! sharded over the heterogeneous device pool; `\shard off` returns to
@@ -355,6 +355,7 @@ fn parse_mode(s: &str) -> ExecMode {
         "kbe" => ExecMode::Kbe,
         "noce" => ExecMode::GplNoCe,
         "pipelined" | "gpl-pipelined" => ExecMode::GplPipelined,
+        "ocelot" => ExecMode::Ocelot,
         _ => ExecMode::Gpl,
     }
 }

@@ -44,10 +44,8 @@ gate "dependency-creep check" deps
 gate "formatting" cargo fmt --check
 gate "clippy (warnings are errors)" \
     cargo clippy --offline --workspace --all-targets -- -D warnings
-# The root package (the parent's scope) and gpl-bench; seven broken
-# intra-doc links in check/core/model/obs predate this gate's reach.
 gate "rustdoc (warnings are errors)" \
-    env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p gpl-repro -p gpl-bench
+    env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 gate "offline build" cargo build --offline --workspace
 gate "tier-1: release build" cargo build --offline --release
 gate "tier-1: workspace test suite" cargo test --offline -q

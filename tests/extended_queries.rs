@@ -3,7 +3,6 @@
 //! the new aggregate kinds / LIMIT machinery must behave.
 
 use gpl_repro::core::{plan_for, run_query, ExecContext, ExecMode, QueryConfig};
-use gpl_repro::ocelot::OcelotContext;
 use gpl_repro::sim::{amd_a10, nvidia_k40};
 use gpl_repro::tpch::{reference, QueryId, TpchDb};
 
@@ -11,12 +10,16 @@ use gpl_repro::tpch::{reference, QueryId, TpchDb};
 fn extended_queries_match_reference_in_every_mode() {
     for spec in [amd_a10(), nvidia_k40()] {
         let mut ctx = ExecContext::new(spec.clone(), TpchDb::at_scale(0.01));
-        let mut oc = OcelotContext::new();
         for q in QueryId::extended_set() {
             let plan = plan_for(&ctx.db, q);
             let cfg = QueryConfig::default_for(&spec, &plan);
             let want = reference::run(&ctx.db, q);
-            for mode in [ExecMode::Kbe, ExecMode::GplNoCe, ExecMode::Gpl] {
+            for mode in [
+                ExecMode::Kbe,
+                ExecMode::GplNoCe,
+                ExecMode::Gpl,
+                ExecMode::Ocelot,
+            ] {
                 let run = run_query(&mut ctx, &plan, mode, &cfg);
                 assert_eq!(
                     run.output,
@@ -27,14 +30,6 @@ fn extended_queries_match_reference_in_every_mode() {
                     spec.name
                 );
             }
-            let run = gpl_repro::ocelot::run_query(&mut ctx, &mut oc, &plan);
-            assert_eq!(
-                run.output,
-                want,
-                "{} under Ocelot on {}",
-                q.name(),
-                spec.name
-            );
         }
     }
 }

@@ -198,6 +198,77 @@ fn config_stage_count_mismatch_is_rejected() {
     assert_eq!(sharded(&good), Ok(()));
 }
 
+/// Channel knobs a GPL launch would divide by, or the simulator assert
+/// on, are structured errors through both `try_` drivers.
+#[test]
+fn channel_knobs_the_device_cannot_provide_are_rejected_without_unwinding() {
+    use gpl_repro::core::segment::ConfigError;
+    use gpl_repro::core::{try_run_query_sharded, DevicePool, ShardAssignment, ShardPlan};
+    let mut ctx = ExecContext::new(amd_a10(), TpchDb::at_scale(0.002));
+    let plan = plan_for(&ctx.db, QueryId::Q14);
+    let pool = DevicePool::default_pool();
+    let limits = ExecLimits::none();
+    let stage = plan.stages[0].name.clone();
+    for (packet_bytes, n_channels) in [(0, 4), (16, 0), (16, 1000)] {
+        let at = format!("packet_bytes={packet_bytes} n_channels={n_channels}");
+        let bend = |cfg: &mut QueryConfig| {
+            for s in &mut cfg.stages {
+                (s.packet_bytes, s.n_channels) = (packet_bytes, n_channels);
+            }
+        };
+        let mut cfg = QueryConfig::default_for(&amd_a10(), &plan);
+        bend(&mut cfg);
+        let classic = catch_unwind(AssertUnwindSafe(|| {
+            try_run_query(&mut ctx, &plan, ExecMode::Gpl, &cfg, &limits).map(|_| ())
+        }));
+        let want = if packet_bytes == 0 {
+            ConfigError::ZeroPacket {
+                stage: stage.clone(),
+            }
+        } else {
+            ConfigError::Channels {
+                stage: stage.clone(),
+                n_channels,
+                max_channels: amd_a10().channel.max_channels,
+            }
+        };
+        assert_eq!(
+            classic.expect("no unwind"),
+            Err(ExecError::InvalidConfig(want)),
+            "{at}"
+        );
+
+        let mut assignment = ShardAssignment::default_for(&pool, &plan);
+        assignment.configs.iter_mut().for_each(bend);
+        let sharded = catch_unwind(AssertUnwindSafe(|| {
+            let (shard, mode) = (ShardPlan::range(2), ExecMode::Gpl);
+            try_run_query_sharded(
+                &pool,
+                &ctx.db,
+                &plan,
+                mode,
+                &shard,
+                &assignment,
+                &limits,
+                None,
+                None,
+                None,
+                None,
+            )
+            .map(|_| ())
+        }));
+        assert!(
+            matches!(
+                sharded.expect("no unwind"),
+                Err(ExecError::InvalidConfig(
+                    ConfigError::ZeroPacket { .. } | ConfigError::Channels { .. }
+                ))
+            ),
+            "{at} sharded"
+        );
+    }
+}
+
 #[test]
 fn wg_count_mismatch_is_rejected() {
     let mut ctx = ExecContext::new(amd_a10(), TpchDb::at_scale(0.002));

@@ -20,9 +20,15 @@ use std::sync::OnceLock;
 mod common;
 use common::{db_sf001 as db, gamma};
 
-/// Run `sql` on a fresh context with `spec` faults attached and the
-/// given recovery policy, under full GPL.
-fn run_faulted(sql: &str, spec: FaultSpec, seed: u64, policy: &RecoveryPolicy) -> (QueryRun, u64) {
+/// Run `sql` under `mode` on a fresh context with `spec` faults attached
+/// and the given recovery policy.
+fn run_faulted(
+    sql: &str,
+    mode: ExecMode,
+    spec: FaultSpec,
+    seed: u64,
+    policy: &RecoveryPolicy,
+) -> (QueryRun, u64) {
     let plan = gpl_repro::sql::compile(&db(), sql).expect("query compiles");
     let device = amd_a10();
     let cfg = QueryConfig::default_for(&device, &plan);
@@ -31,7 +37,7 @@ fn run_faulted(sql: &str, spec: FaultSpec, seed: u64, policy: &RecoveryPolicy) -
     let run = try_run_query_recovering(
         &mut ctx,
         &plan,
-        ExecMode::Gpl,
+        mode,
         &cfg,
         &ExecLimits::none(),
         Some(policy),
@@ -60,7 +66,13 @@ fn two_hundred_fuzzed_queries_survive_injection_bit_identically() {
     let mut recovered_total = 0;
     for (i, sql) in gpl_repro::sql::random_workload(42, 200).iter().enumerate() {
         let want = clean_rows(sql);
-        let (run, injected) = run_faulted(sql, FaultSpec::uniform(1e-3), i as u64, &policy);
+        let (run, injected) = run_faulted(
+            sql,
+            ExecMode::Gpl,
+            FaultSpec::uniform(1e-3),
+            i as u64,
+            &policy,
+        );
         assert_eq!(run.output, want, "query {i} rows changed: {sql:?}");
         injected_total += injected;
         recovered_total += run.recovery.faults.len();
@@ -89,8 +101,14 @@ prop! {
         let mut rng = gpl_prng::StdRng::seed_from_u64(seed);
         let sql = gpl_repro::sql::random_query(&mut rng);
         let want = clean_rows(&sql);
-        let (run, _) = run_faulted(&sql, FaultSpec::uniform(3e-2), seed, &RecoveryPolicy::default());
-        prop_assert_eq!(&run.output, &want, "rows changed under faults: {:?}", sql);
+        for mode in [ExecMode::Gpl, ExecMode::Ocelot] {
+            let spec = FaultSpec::uniform(3e-2);
+            let (run, _) = run_faulted(&sql, mode, spec, seed, &RecoveryPolicy::default());
+            prop_assert_eq!(
+                &run.output, &want,
+                "rows changed under faults on {}: {:?}", mode.name(), sql
+            );
+        }
     }
 }
 
@@ -104,7 +122,7 @@ fn pinned_fault_fires_on_the_named_kernel_and_is_retried() {
         kernel: "k_reduce*".into(),
         at_cycle: 0,
     });
-    let (run, injected) = run_faulted(sql, spec, 0, &RecoveryPolicy::default());
+    let (run, injected) = run_faulted(sql, ExecMode::Gpl, spec, 0, &RecoveryPolicy::default());
     assert_eq!(run.output, want);
     assert_eq!(injected, 1, "a pinned fault fires exactly once");
     assert_eq!(run.recovery.faults.len(), 1);
@@ -129,7 +147,7 @@ fn exhausted_retries_degrade_down_the_ladder_to_disarmed_kbe() {
         ..FaultSpec::none()
     };
     let policy = RecoveryPolicy::with_retries(1);
-    let (run, _) = run_faulted(sql, spec.clone(), 7, &policy);
+    let (run, _) = run_faulted(sql, ExecMode::Gpl, spec.clone(), 7, &policy);
     assert_eq!(run.output, want, "last-resort KBE must still be correct");
     // Ladder for one stage: GPL (2 attempts) -> GPL w/o CE (2) -> KBE
     // armed (2) -> KBE disarmed. Three mode transitions, six faults.
@@ -165,7 +183,13 @@ fn device_loss_skips_the_ladder_and_only_disarming_escapes() {
         device_lost: 1.0,
         ..FaultSpec::none()
     };
-    let (run, _) = run_faulted(sql, spec.clone(), 3, &RecoveryPolicy::default());
+    let (run, _) = run_faulted(
+        sql,
+        ExecMode::Gpl,
+        spec.clone(),
+        3,
+        &RecoveryPolicy::default(),
+    );
     assert_eq!(run.output, want);
     // Retrying a lost device is futile: one fault, one fallback
     // (straight to the disarmed last resort), no same-mode retries.
@@ -201,7 +225,7 @@ fn oom_respects_the_memory_pressure_watermark() {
         mem_pressure_bytes: Some(u64::MAX),
         ..FaultSpec::none()
     };
-    let (run, injected) = run_faulted(sql, calm, 5, &RecoveryPolicy::default());
+    let (run, injected) = run_faulted(sql, ExecMode::Gpl, calm, 5, &RecoveryPolicy::default());
     assert_eq!(run.output, want);
     assert_eq!(injected, 0, "no pressure, no OOM");
     assert!(!run.recovery.eventful());
@@ -212,7 +236,7 @@ fn oom_respects_the_memory_pressure_watermark() {
         mem_pressure_bytes: Some(0),
         ..FaultSpec::none()
     };
-    let (run, injected) = run_faulted(sql, squeezed, 5, &RecoveryPolicy::default());
+    let (run, injected) = run_faulted(sql, ExecMode::Gpl, squeezed, 5, &RecoveryPolicy::default());
     assert_eq!(run.output, want, "recovery absorbs OOM too");
     assert!(injected > 0);
     assert!(run.recovery.faults.iter().all(|f| f.kind == FaultKind::Oom));

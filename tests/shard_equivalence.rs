@@ -99,6 +99,25 @@ fn all_tpch_plans_agree_across_shard_counts_and_modes() {
     }
 }
 
+/// Ocelot reaches the sharded driver through the one stage attempt, with
+/// no code of its own there: each shard's ranges get their own bitmaps.
+#[test]
+fn ocelot_agrees_with_the_classic_engine_when_sharded() {
+    for q in QueryId::evaluation_set() {
+        let plan = plan_for(&db(), q);
+        let want = oracle(&plan, ExecMode::Ocelot);
+        for shards in [1, 4] {
+            let run = run_sharded(&plan, ExecMode::Ocelot, shards);
+            assert_eq!(
+                run.output,
+                want.output,
+                "{} under Ocelot with {shards} shard(s) diverged",
+                q.name()
+            );
+        }
+    }
+}
+
 /// The hash sharder deals fixed-size blocks by a key mix, so shard
 /// sizes skew — results still must not move.
 #[test]
