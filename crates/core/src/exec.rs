@@ -355,17 +355,11 @@ impl Blocking {
     }
 
     /// Merge the state of a disjoint row range of the same stage: build
-    /// entries insert (key-unique across disjoint ranges, like shard
-    /// merges), aggregate stores absorb group-by-group.
+    /// tables absorb entries (key-unique across disjoint ranges, like
+    /// shard merges), aggregate stores absorb group-by-group.
     fn absorb(&mut self, part: Blocking) {
         match (self, part) {
-            (Blocking::Build(_, acc), Blocking::Build(_, t)) => {
-                let mut sink = Vec::new();
-                for (key, payload) in t.into_entries() {
-                    sink.clear();
-                    acc.insert(key, &payload, &mut sink);
-                }
-            }
+            (Blocking::Build(_, acc), Blocking::Build(_, t)) => acc.absorb(t),
             (Blocking::Agg(acc), Blocking::Agg(s)) => acc.absorb(s),
             _ => unreachable!("slices of one stage share its terminal"),
         }

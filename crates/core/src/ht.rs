@@ -7,8 +7,9 @@
 //! intermediates that blocking kernels must materialize (Section 5.3.2).
 
 use gpl_sim::mem::{MemRange, MemoryMap, RegionClass, RegionId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{hash_map, BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 /// Mixer from splitmix64 — deterministic, well-spread bucket indexes.
 #[inline]
@@ -49,18 +50,38 @@ impl Hasher for Mix64Hasher {
 /// model plane's estimator tables, which face the same synthetic keys.
 pub type BuildMix64 = BuildHasherDefault<Mix64Hasher>;
 
-/// A unique-key hash table (all TPC-H joins here are key–FK joins).
-///
-/// Payloads live in one flat arena (`payload_width` values per entry,
-/// indexed by insertion order) rather than one heap `Vec` per entry:
-/// probes — once per input row of every join — read a contiguous
-/// slice, and the cross-shard merge's per-device rebuild does one
-/// arena append per entry instead of an allocation.
-#[derive(Debug)]
-pub struct SimHashTable {
+/// What a table holds, wherever a device put it. Payloads live in one
+/// flat arena (`payload_width` values per entry, indexed by insertion
+/// order) rather than one heap `Vec` per entry: probes — once per input
+/// row of every join — read a contiguous slice.
+#[derive(Debug, Clone)]
+struct Entries {
     map: HashMap<i64, u32, BuildMix64>,
     pay: Vec<i64>,
     payload_width: usize,
+}
+
+impl Entries {
+    fn payload(&self, idx: u32) -> &[i64] {
+        let w = self.payload_width;
+        &self.pay[idx as usize * w..][..w]
+    }
+}
+
+/// A unique-key hash table (all TPC-H joins here are key–FK joins).
+///
+/// *Content* (the entries) sits behind an `Rc`, so the tables a
+/// cross-shard merge hands to the devices of a pool are one set of
+/// entries, not a copy per device. *Placement* (`base`, `buckets`,
+/// `entry_bytes`, `region`) is where one device's simulated memory put
+/// it: the only per-device facts, and all a reported bucket access
+/// depends on. Every observer of content looks up by key or sorts by
+/// key, so the order entries arrived in is invisible. A write to shared
+/// content copies it first (`Rc::make_mut`); merged tables are
+/// probe-only, so no run pays for that.
+#[derive(Debug)]
+pub struct SimHashTable {
+    entries: Rc<Entries>,
     base: u64,
     buckets: u64,
     entry_bytes: u64,
@@ -76,13 +97,27 @@ impl SimHashTable {
         payload_width: usize,
         label: impl Into<String>,
     ) -> Self {
-        let buckets = (expected.max(1) * 2).next_power_of_two() as u64;
-        let entry_bytes = 8 * (1 + payload_width as u64);
-        let region = mem.alloc(buckets * entry_bytes, RegionClass::HashTable, label);
-        SimHashTable {
+        let entries = Entries {
             map: HashMap::with_capacity_and_hasher(expected, BuildMix64::default()),
             pay: Vec::with_capacity(expected * payload_width),
             payload_width,
+        };
+        Self::place(Rc::new(entries), mem, expected, label)
+    }
+
+    /// The one place table geometry is decided: a region of
+    /// power-of-two buckets at load factor ≤ ½ for `expected` keys.
+    fn place(
+        entries: Rc<Entries>,
+        mem: &mut MemoryMap,
+        expected: usize,
+        label: impl Into<String>,
+    ) -> Self {
+        let buckets = (expected.max(1) * 2).next_power_of_two() as u64;
+        let entry_bytes = 8 * (1 + entries.payload_width as u64);
+        let region = mem.alloc(buckets * entry_bytes, RegionClass::HashTable, label);
+        SimHashTable {
+            entries,
             base: mem.base(region),
             buckets,
             entry_bytes,
@@ -90,16 +125,47 @@ impl SimHashTable {
         }
     }
 
+    /// The same content in a fresh region of `mem`, with the geometry
+    /// [`SimHashTable::new`] gives a table sized for exactly these
+    /// entries — how a merged build reaches each device of a pool.
+    pub fn placed(&self, mem: &mut MemoryMap, label: impl Into<String>) -> Self {
+        Self::place(Rc::clone(&self.entries), mem, self.len(), label)
+    }
+
+    /// Take over the entries of `other`, a table built from a disjoint
+    /// part of the same build side (another shard, another checkpoint
+    /// slice). No simulated traffic: the merge is charged by its caller.
+    /// Panics, naming the key, if the parts were not disjoint.
+    pub fn absorb(&mut self, other: SimHashTable) {
+        assert_eq!(
+            self.payload_width(),
+            other.payload_width(),
+            "payload width mismatch"
+        );
+        let from = &*other.entries;
+        let into = Rc::make_mut(&mut self.entries);
+        into.map.reserve(from.map.len());
+        into.pay.reserve(from.pay.len());
+        for (&key, &idx) in &from.map {
+            let at = u32::try_from(into.map.len()).expect("build side exceeds u32 entries");
+            match into.map.entry(key) {
+                hash_map::Entry::Vacant(slot) => slot.insert(at),
+                hash_map::Entry::Occupied(_) => panic!("build key {key} in two shards"),
+            };
+            into.pay.extend_from_slice(from.payload(idx));
+        }
+    }
+
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.map.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.map.is_empty()
     }
 
     pub fn payload_width(&self) -> usize {
-        self.payload_width
+        self.entries.payload_width
     }
 
     /// Simulated bytes the table occupies (its materialization footprint).
@@ -114,24 +180,34 @@ impl SimHashTable {
 
     /// Insert a key; reports the bucket write into `acc`. Panics on
     /// duplicate keys — the workload's build sides are all unique.
+    /// Inlined, like `probe`, so a per-row loop reaches the content
+    /// through the `Rc` once per chunk rather than once per key.
+    #[inline]
     pub fn insert(&mut self, key: i64, payload: &[i64], acc: &mut Vec<MemRange>) {
-        assert_eq!(payload.len(), self.payload_width, "payload width mismatch");
+        assert_eq!(
+            payload.len(),
+            self.payload_width(),
+            "payload width mismatch"
+        );
         let mut a = self.bucket_access(key);
         a.write = true;
         acc.push(a);
-        let idx = u32::try_from(self.map.len()).expect("build side exceeds u32 entries");
-        let prev = self.map.insert(key, idx);
+        let entries = Rc::make_mut(&mut self.entries);
+        let idx = u32::try_from(entries.map.len()).expect("build side exceeds u32 entries");
+        // The map's only `insert` call site, on purpose: with a second
+        // one (a helper shared with `absorb`) LLVM stops inlining it
+        // here, and this runs once per build row (+25%, measured).
+        let prev = entries.map.insert(key, idx);
         assert!(prev.is_none(), "duplicate build key {key}");
-        self.pay.extend_from_slice(payload);
+        entries.pay.extend_from_slice(payload);
     }
 
     /// Probe a key; reports the bucket read into `acc`.
+    #[inline]
     pub fn probe(&self, key: i64, acc: &mut Vec<MemRange>) -> Option<&[i64]> {
         acc.push(self.bucket_access(key));
-        let w = self.payload_width;
-        self.map
-            .get(&key)
-            .map(|&i| &self.pay[i as usize * w..i as usize * w + w])
+        let entries = &*self.entries;
+        entries.map.get(&key).map(|&i| entries.payload(i))
     }
 
     /// Which of `slices` deterministic installation slices `key` belongs
@@ -143,22 +219,6 @@ impl SimHashTable {
         (mix64(key as u64) % slices.max(1) as u64) as u32
     }
 
-    /// Drain into `(key, payload)` entries in sorted key order — the
-    /// canonical form a shard merge unions before re-inserting into the
-    /// merged table. Keys are unique per table (insert panics on
-    /// duplicates), so the union of disjoint shard builds is exact.
-    pub fn into_entries(self) -> Vec<(i64, Vec<i64>)> {
-        let w = self.payload_width;
-        let pay = self.pay;
-        let mut entries: Vec<(i64, Vec<i64>)> = self
-            .map
-            .into_iter()
-            .map(|(k, i)| (k, pay[i as usize * w..i as usize * w + w].to_vec()))
-            .collect();
-        entries.sort_unstable_by_key(|(k, _)| *k);
-        entries
-    }
-
     /// FNV-1a over the `(key, payload)` entries of `slice`, in sorted
     /// key order — the per-slice content checksum the overlap protocol
     /// publishes with each installed slice and re-derives at the gate.
@@ -167,13 +227,12 @@ impl SimHashTable {
     pub fn slice_checksum(&self, slice: u32, slices: u32) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x100_0000_01b3;
-        let mut keys: Vec<i64> = self
-            .map
-            .keys()
-            .copied()
-            .filter(|&k| Self::slice_of(k, slices) == slice)
+        let entries = &*self.entries;
+        let mut keyed: Vec<(i64, u32)> = (entries.map.iter())
+            .map(|(&k, &i)| (k, i))
+            .filter(|&(k, _)| Self::slice_of(k, slices) == slice)
             .collect();
-        keys.sort_unstable();
+        keyed.sort_unstable_by_key(|&(k, _)| k);
         let mut h = OFFSET;
         let mut mix = |v: u64| {
             for b in v.to_le_bytes() {
@@ -181,11 +240,9 @@ impl SimHashTable {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        let w = self.payload_width;
-        for k in keys {
+        for (k, i) in keyed {
             mix(k as u64);
-            let i = self.map[&k] as usize;
-            for &p in &self.pay[i * w..i * w + w] {
+            for &p in entries.payload(i) {
                 mix(p as u64);
             }
         }
@@ -529,19 +586,114 @@ mod tests {
         }
     }
 
-    #[test]
-    fn into_entries_is_sorted_and_complete() {
-        let mut mem = MemoryMap::new();
-        let mut ht = SimHashTable::new(&mut mem, 8, 1, "t");
+    /// A table of `entries` (payload `width` values derived from the
+    /// entry's value), inserted in the given order.
+    fn table_of(mem: &mut MemoryMap, entries: &[(i64, i64)], width: usize) -> SimHashTable {
+        let mut ht = SimHashTable::new(mem, entries.len(), width, "t");
         let mut acc = Vec::new();
-        for k in [9i64, -3, 4, 0] {
-            ht.insert(k, &[k * 2], &mut acc);
+        for &(k, v) in entries {
+            ht.insert(k, &payload_of(v, width), &mut acc);
         }
-        let entries = ht.into_entries();
-        assert_eq!(
-            entries,
-            vec![(-3, vec![-6]), (0, vec![0]), (4, vec![8]), (9, vec![18]),]
-        );
+        ht
+    }
+
+    fn payload_of(v: i64, width: usize) -> Vec<i64> {
+        (0..width as i64)
+            .map(|j| v.wrapping_add(j * 7919))
+            .collect()
+    }
+
+    /// What one probe returns and the bucket access it reports.
+    fn probed(ht: &SimHashTable, key: i64) -> (Option<Vec<i64>>, MemRange) {
+        let mut acc = Vec::new();
+        let hit = ht.probe(key, &mut acc).map(<[i64]>::to_vec);
+        (hit, acc[0])
+    }
+
+    gpl_check::prop! {
+        #![cases(96)]
+        /// The merge contract: disjoint parts of a build side, built as
+        /// separate tables and absorbed in any order, are the table built
+        /// from the union — to every observer of content. A `placed` view
+        /// has exactly the geometry `new` gives a table of that size, and
+        /// writing to one view never shows through a sibling.
+        #[test]
+        fn absorbed_parts_are_the_union_and_placed_views_match_new(
+            union in gpl_check::collection::hash_map(-400i64..400, gpl_check::any::<i64>(), 0..160),
+            parts in 1usize..6,
+            width in 0usize..3,
+            order in gpl_check::collection::vec(gpl_check::any::<u64>(), 5..6),
+            before in 0u64..5000,
+        ) {
+            let mut union: Vec<(i64, i64)> = union.into_iter().collect();
+            union.sort_unstable();
+            let whole = table_of(&mut MemoryMap::new(), &union, width);
+
+            let mut mem = MemoryMap::new();
+            let mut tables: Vec<Option<SimHashTable>> = (0..parts)
+                .map(|p| {
+                    let part: Vec<(i64, i64)> =
+                        union.iter().copied().skip(p).step_by(parts).collect();
+                    Some(table_of(&mut mem, &part, width))
+                })
+                .collect();
+            let mut perm: Vec<usize> = (0..parts).collect();
+            perm.sort_by_key(|&p| (order[p], p));
+            let mut merged = tables[perm[0]].take().expect("each part taken once");
+            for &p in &perm[1..] {
+                merged.absorb(tables[p].take().expect("each part taken once"));
+            }
+
+            gpl_check::prop_assert_eq!(merged.len(), whole.len());
+            for key in -420i64..420 {
+                gpl_check::prop_assert_eq!(
+                    probed(&merged, key).0, probed(&whole, key).0,
+                    "key {} after absorbing in order {:?}", key, perm
+                );
+            }
+            gpl_check::prop_assert_eq!(merged.fingerprint(), whole.fingerprint());
+            for slices in [2u32, 8] {
+                for s in 0..slices {
+                    gpl_check::prop_assert_eq!(
+                        merged.slice_checksum(s, slices),
+                        whole.slice_checksum(s, slices)
+                    );
+                }
+            }
+
+            // Two maps prepared identically: `placed` lands where `new` does.
+            let (mut mem_new, mut mem_placed) = (MemoryMap::new(), MemoryMap::new());
+            mem_new.alloc(before, RegionClass::Scratch, "before");
+            mem_placed.alloc(before, RegionClass::Scratch, "before");
+            let fresh = SimHashTable::new(&mut mem_new, merged.len().max(1), width, "x");
+            let view = merged.placed(&mut mem_placed, "x");
+            gpl_check::prop_assert_eq!(view.bytes(), fresh.bytes());
+            gpl_check::prop_assert_eq!(mem_placed.base(view.region), mem_new.base(fresh.region));
+            for &(key, _) in &union {
+                gpl_check::prop_assert_eq!(probed(&view, key).1, probed(&fresh, key).1);
+                gpl_check::prop_assert_eq!(probed(&view, key).0, probed(&whole, key).0);
+            }
+
+            // Copy-on-write: an insert into one view leaves its sibling be.
+            let mut sibling = merged.placed(&mut mem_placed, "y");
+            sibling.insert(1000, &payload_of(1, width), &mut Vec::new());
+            gpl_check::prop_assert_eq!(sibling.len(), whole.len() + 1);
+            gpl_check::prop_assert_eq!(probed(&sibling, 1000).0, Some(payload_of(1, width)));
+            gpl_check::prop_assert_eq!(view.len(), whole.len());
+            gpl_check::prop_assert_eq!(probed(&view, 1000).0, None);
+            for &(key, _) in &union {
+                gpl_check::prop_assert_eq!(probed(&view, key).0, probed(&whole, key).0);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "build key 7 in two shards")]
+    fn absorbing_a_part_that_shares_a_key_panics_naming_it() {
+        let mut mem = MemoryMap::new();
+        let mut a = table_of(&mut mem, &[(1, 10), (7, 70)], 1);
+        let b = table_of(&mut mem, &[(7, 70), (9, 90)], 1);
+        a.absorb(b);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * **Builds are key-unique.** Every TPC-H build side here is a
 //!   key–FK join ([`SimHashTable::insert`] panics on duplicates), so
-//!   the union of disjoint shard builds is exactly the unsharded table
-//!   — probes cannot tell the difference.
+//!   the union of disjoint shard builds ([`SimHashTable::absorb`]) is
+//!   exactly the unsharded table — probes cannot tell the difference.
 //! * **Aggregates are commutative monoids.** [`AggKind::combine`](crate::ht::AggKind::combine)
 //!   merges partial accumulators group-by-group in `BTreeMap` order,
 //!   so merged state is independent of shard completion order.
@@ -392,6 +392,13 @@ impl ShardedRun {
 /// attempt on the last candidate when the pool is exhausted — rows
 /// stay bit-identical throughout, mirroring the single-device ladder.
 ///
+/// Between stages the shards' blocking state merges once, on the host:
+/// build tables fold into one by [`SimHashTable::absorb`] and every live
+/// device gets a [`SimHashTable::placed`] view of it — its own region,
+/// charged at its copy bandwidth, over the one shared content — while
+/// aggregate stores fold by [`GroupStore::absorb`] onto the stage's
+/// primary device. Neither merge depends on the order shards finished.
+///
 /// `excluded` (pool order) lets a caller with per-device breakers keep
 /// a device out of admission; it is ignored when it would exclude
 /// everything. `hedge` arms straggler defense: shards observed past
@@ -670,30 +677,21 @@ pub fn try_run_query_sharded(
 
         // Deterministic merge of the blocking-terminal state.
         match &stage.terminal {
-            Terminal::HashBuild { ht, payloads, .. } => {
+            Terminal::HashBuild { ht, .. } => {
                 let slot = *ht;
-                let mut entries: Vec<(i64, Vec<i64>)> = shard_builds
-                    .drain(..)
-                    .flat_map(SimHashTable::into_entries)
-                    .collect();
-                entries.sort_unstable_by_key(|(k, _)| *k);
-                for w in entries.windows(2) {
-                    assert_ne!(w[0].0, w[1].0, "build key in two shards");
+                let mut it = shard_builds.drain(..);
+                let mut merged = it.next().expect("build stage produced tables");
+                for t in it {
+                    merged.absorb(t);
                 }
                 // Broadcast the merged table to every live device at its
-                // copy bandwidth so the next stage can probe locally.
-                let mut sink = Vec::new();
+                // copy bandwidth so the next stage can probe locally: one
+                // content, one placement per device.
                 for d in (0..n).filter(|&d| alive[d]) {
-                    let mut t = SimHashTable::new(
+                    let t = merged.placed(
                         &mut ctxs[d].sim.mem,
-                        entries.len().max(1),
-                        payloads.len(),
                         format!("{}::ht{}@{d}", plan.query.name(), slot),
                     );
-                    for (k, p) in &entries {
-                        sink.clear();
-                        t.insert(*k, p, &mut sink);
-                    }
                     let bw = broadcast_bandwidth(ctxs[d].sim.spec());
                     ctxs[d].sim.advance(t.bytes() / bw + 64);
                     hts[d][slot] = Some(Rc::new(RefCell::new(t)));

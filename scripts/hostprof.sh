@@ -4,7 +4,7 @@
 # the unmodified benchmark binary at 1 kHz of CPU time and attributes the
 # samples to functions, and reports the allocator's footprint beside them.
 #
-#   scripts/hostprof.sh <workload> [seconds] [top-N]
+#   scripts/hostprof.sh <workload> [seconds] [top-N] [under-regex [not-under-regex]]
 #
 # Needs only cargo, gcc and addr2line. Builds benchmark/ with debuginfo
 # into target/hostprof/ (no file under benchmark/ changes; its release
@@ -13,15 +13,23 @@
 # prints: top-N functions by flat samples (the innermost frame, inlined
 # ones included, that belongs to a gpl_* crate or lies outside the
 # binary), top-N by inclusive samples (such a frame anywhere on the stack,
-# once per sample), then user/system seconds and minor faults per
-# operation from getrusage. The timer asks for 1 kHz; the kernel tick
-# bounds what it gets (250 Hz per busy thread on a HZ=250 kernel). Faults and seconds cover the whole
+# once per sample), the samples whose innermost frame is foreign (libc's
+# memcpy, memset, malloc, ...) by the first gpl_* frame that called into
+# it, then user/system seconds and minor faults per operation from
+# getrusage. With an under-regex, also the share and flat top-N of the
+# samples that have a frame matching it and none matching the
+# not-under-regex: "time under f but not under g or h", e.g.
+#   scripts/hostprof.sh shard_chaos 8 25 try_run_query_sharded 'run_shard_on_device|finish_query'
+# The timer asks for 1 kHz; the kernel tick bounds what it gets (250 Hz
+# per busy thread on a HZ=250 kernel). Faults and seconds cover the whole
 # process — set-up included — measured from after the sampler's own
 # buffer is touched; operations are the benchmark's "attempted" count.
 set -euo pipefail
-workload="${1:?usage: scripts/hostprof.sh <workload> [seconds] [top-N]}"
+workload="${1:?usage: scripts/hostprof.sh <workload> [seconds] [top-N] [under-regex [not-under-regex]]}"
 seconds="${2:-8}"
 top="${3:-25}"
+under="${4:-}"
+not_under="${5:-}"
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 dir="$root/target/hostprof"
 mkdir -p "$dir/out"
@@ -131,7 +139,8 @@ attempted="$(sed -n 's/^# operations attempted \([0-9]*\) failed.*/\1/p' "$log")
 tr ' ' '\n' < "$samples" | sed -n 's/^x//p' | sort -u > "$dir/out/$workload.pcs"
 addr2line -a -f -C -i -e "$bin" < "$dir/out/$workload.pcs" > "$dir/out/$workload.sym"
 
-awk -v top="$top" -v ops="${attempted:-0}" -v workload="$workload" '
+awk -v top="$top" -v ops="${attempted:-0}" -v workload="$workload" \
+    -v under="$under" -v not_under="$not_under" '
     function short(name) { # drop the crate hash and generic arguments
         sub(/::h[0-9a-f]+$/, "", name)
         return name
@@ -147,18 +156,27 @@ awk -v top="$top" -v ops="${attempted:-0}" -v workload="$workload" '
         total++
         delete seen
         innermost = ""
+        caller = ""
+        foreign = 0
+        is_under = 0
+        is_not_under = 0
         for (i = 1; i <= NF; i++) {
             n = 1
             names[1] = substr($i, 2)
             inside = substr($i, 1, 1) == "x"
             if (inside) n = split(chain[substr($i, 2)], names, "\n")
             for (j = 1; j <= n; j++) {
+                if (under != "" && names[j] ~ under) is_under = 1
+                if (not_under != "" && names[j] ~ not_under) is_not_under = 1
                 if (inside && names[j] !~ /gpl_/) continue # std, core, alloc glue
-                if (innermost == "") innermost = names[j]
+                if (innermost == "") { innermost = names[j]; foreign = !inside }
+                if (caller == "" && inside) caller = names[j]
                 if (!(names[j] in seen)) { seen[names[j]] = 1; incl[names[j]]++ }
             }
         }
         flat[innermost]++
+        if (foreign) { foreign_total++; by_caller[caller == "" ? "(no gpl_* frame)" : caller]++ }
+        if (is_under && !is_not_under) { selected_total++; selected[innermost]++ }
     }
     function table(title, counts,    name, cmd) {
         printf "\n%s\n", title
@@ -171,6 +189,14 @@ awk -v top="$top" -v ops="${attempted:-0}" -v workload="$workload" '
         printf "# %s: %d samples of CPU time\n", workload, total
         table("flat (innermost gpl_* or foreign frame):", flat)
         table("inclusive (such a frame anywhere on the stack):", incl)
+        table(sprintf("foreign innermost frame, %.2f%% of samples, by first gpl_* caller:", \
+            100 * foreign_total / total), by_caller)
+        if (under != "") {
+            title = sprintf("under /%s/", under)
+            if (not_under != "") title = title sprintf(" and not under /%s/", not_under)
+            table(sprintf("%s: %d samples, %.2f%% of all; flat:", title, selected_total, \
+                100 * selected_total / total), selected)
+        }
         printf "\nuser %.2f s  system %.2f s  minor faults %d", user, sys, faults
         if (ops > 0) printf "  operations %d  faults/operation %.1f", ops, faults / ops
         printf "\n"

@@ -9,12 +9,12 @@
 use gpl_check::prelude::*;
 use gpl_prng::{SeedableRng, StdRng};
 use gpl_repro::core::shard::{
-    try_run_query_sharded, DevicePool, ShardAssignment, ShardPlan, Sharder,
+    try_run_query_sharded, DevicePool, ShardAssignment, ShardFaults, ShardPlan, ShardedRun, Sharder,
 };
 use gpl_repro::core::{
-    plan_for, run_query, ExecContext, ExecLimits, ExecMode, QueryConfig, QueryPlan,
+    plan_for, run_query, ExecContext, ExecLimits, ExecMode, QueryConfig, QueryPlan, RecoveryPolicy,
 };
-use gpl_repro::sim::amd_a10;
+use gpl_repro::sim::{amd_a10, FaultKind, FaultSpec, PinnedFault};
 use gpl_repro::tpch::QueryId;
 use std::sync::OnceLock;
 
@@ -181,6 +181,98 @@ fn single_shard_on_the_anchor_device_matches_the_classic_engine() {
         assert_eq!(run.output, want.output, "{} unsharded pin moved", q.name());
     }
 }
+
+/// FNV-1a over the cycle plane of one sharded run: the query total, the
+/// per-stage walls and every device's final clock — everything a change
+/// to the cross-shard merge (allocation order, table geometry, broadcast
+/// charge) would move.
+fn cycle_digest(h: &mut u64, run: &ShardedRun) {
+    let cycles = std::iter::once(run.cycles)
+        .chain(run.stage_cycles.iter().copied())
+        .chain(run.per_device.iter().map(|d| d.cycles));
+    for b in cycles.flat_map(u64::to_le_bytes) {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The cycle plane of the merge, pinned: Q5 and Q9 build hash tables in
+/// several stages and broadcast each to all three devices. Rows and
+/// fingerprints alone would not see a moved address or a changed
+/// broadcast charge; these digests (first computed at 608add3) do.
+#[test]
+fn merge_cycle_plane_is_pinned_for_q5_and_q9() {
+    for (q, want) in [
+        (QueryId::Q5, Q5_CYCLE_DIGEST),
+        (QueryId::Q9, Q9_CYCLE_DIGEST),
+    ] {
+        let plan = plan_for(&db(), q);
+        let mut h = FNV_OFFSET;
+        let mut seen = Vec::new();
+        for mode in MODES {
+            for shards in SHARD_COUNTS {
+                let run = run_sharded(&plan, mode, shards);
+                cycle_digest(&mut h, &run);
+                seen.push((mode.name(), shards, run.cycles));
+            }
+        }
+        assert_eq!(
+            h,
+            want,
+            "{}: sharded cycle plane moved (digest {h:#x}); totals {seen:?}",
+            q.name()
+        );
+    }
+}
+
+const Q5_CYCLE_DIGEST: u64 = 0xe265_92d4_733e_4e13;
+const Q9_CYCLE_DIGEST: u64 = 0xc2f9_ac99_0775_0eb8;
+
+/// The merge under device loss: a pinned loss on the first build kernel
+/// kills every device that launches it armed, the shards reassign, and
+/// the merged table is broadcast to a pool with dead devices — rows
+/// still equal the KBE oracle and the cycle plane is the parent's.
+#[test]
+fn merge_after_device_loss_keeps_rows_and_pinned_cycles() {
+    let plan = plan_for(&db(), QueryId::Q5);
+    let mut spec = FaultSpec::none();
+    spec.pinned.push(PinnedFault {
+        kind: FaultKind::DeviceLost,
+        kernel: "k_hash_build(ht0)".into(),
+        at_cycle: 0,
+    });
+    let run = try_run_query_sharded(
+        pool(),
+        &db(),
+        &plan,
+        ExecMode::Gpl,
+        &ShardPlan::range(2),
+        &ShardAssignment::round_robin(pool(), &plan),
+        &ExecLimits::default(),
+        Some(&RecoveryPolicy::default()),
+        Some(&ShardFaults { spec, seed: 9 }),
+        None,
+        None,
+    )
+    .expect("recovery absorbs the device loss");
+    assert_eq!(run.output, oracle(&plan, ExecMode::Kbe).output);
+    let lost = run.per_device.iter().filter(|d| d.lost).count();
+    assert_eq!(
+        lost, 2,
+        "both GPUs die, the CPU survives to receive the merge"
+    );
+    let mut h = FNV_OFFSET;
+    cycle_digest(&mut h, &run);
+    assert_eq!(
+        h, FAULTED_Q5_CYCLE_DIGEST,
+        "faulted cycle plane moved (digest {h:#x}); total {}",
+        run.cycles
+    );
+}
+
+const FAULTED_Q5_CYCLE_DIGEST: u64 = 0xa82a_b854_3931_a830;
 
 prop! {
     #![cases(100)]
