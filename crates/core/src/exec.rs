@@ -1,18 +1,22 @@
-//! Query execution: context, configuration, and the one driver behind
-//! every execution mode — Section 5.1's KBE, GPL (w/o CE) and full GPL,
-//! pipelined GPL, and Section 5.5's Ocelot baseline.
+//! Query execution: context, configuration, the single-device entry
+//! points (a one-device pool of [`crate::shard`]'s stage loop) and the
+//! stage attempt behind every execution mode — Section 5.1's KBE, GPL
+//! (w/o CE) and full GPL, pipelined GPL, and Section 5.5's Ocelot
+//! baseline.
 
 use crate::error::ExecError;
 use crate::gpl;
 use crate::ht::{GroupStore, SimHashTable};
 use crate::kbe::{self, Selection};
 use crate::ops::sort_rows;
-use crate::plan::{PlanError, QueryPlan, Stage, Terminal};
-use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats};
+use crate::plan::{QueryPlan, Stage, Terminal};
+use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats, Spent};
 use crate::replay::{alloc_array, kernel_resources, launch, ReplayKernel};
-use crate::segment::{overlap_pairs, ConfigError, InterSegmentEdge, SegmentIr};
-use crate::shard::Sharder;
-use gpl_sim::{DeviceSpec, KernelDesc, LaunchProfile, ResourceUsage, Simulator, Work, WorkUnit};
+use crate::segment::{InterSegmentEdge, SegmentIr};
+use crate::shard::{run_pool, DeviceKind, HedgePlan, ShardPlan};
+use gpl_sim::{
+    DeviceSpec, KernelDesc, LaunchProfile, RegionClass, ResourceUsage, Simulator, Work, WorkUnit,
+};
 use gpl_storage::{TableLayout, Tiling};
 use gpl_tpch::{QueryOutput, TpchDb};
 use std::cell::RefCell;
@@ -224,9 +228,10 @@ impl ExecLimits {
 #[derive(Debug, Clone)]
 pub struct QueryRun {
     pub output: QueryOutput,
-    /// Simulated cycles for the whole query: all successful launches
-    /// plus any cycles wasted on failed attempts and backoff
-    /// (`recovery.wasted_cycles`; zero on a fault-free run).
+    /// Simulated cycles for the whole query — the device's clock over it:
+    /// all successful launches, channel stalls included, plus any cycles
+    /// wasted on failed attempts and backoff (`recovery.wasted_cycles`;
+    /// zero on a fault-free run).
     pub cycles: u64,
     /// Merged profile across all successful launches.
     pub profile: LaunchProfile,
@@ -276,19 +281,26 @@ pub fn try_run_query(
     try_run_query_recovering(ctx, plan, mode, config, limits, None)
 }
 
-/// What one run on one device was asked to do (ROADMAP's `RunSpec`,
-/// internal): the borrowed, immutable inputs every stage shares.
+/// What one query asks of a device pool: the borrowed, immutable inputs
+/// every stage shares.
 pub(crate) struct RunSpec<'a> {
     pub plan: &'a QueryPlan,
-    pub config: &'a QueryConfig,
+    pub mode: ExecMode,
+    pub shard: &'a ShardPlan,
+    /// Pool-device index per plan stage.
+    pub anchors: &'a [usize],
+    /// One config per pool device.
+    pub configs: &'a [QueryConfig],
     pub limits: &'a ExecLimits,
     pub recovery: Option<&'a RecoveryPolicy>,
+    pub hedge: Option<&'a HedgePlan>,
 }
 
-/// One stage of a [`RunSpec`] as one device sees it: everything an
-/// attempt borrows, for both drivers.
+/// One stage of a [`RunSpec`] on one pool device: everything an attempt
+/// borrows.
 pub(crate) struct StageRun<'a> {
     pub spec: &'a RunSpec<'a>,
+    pub device: usize,
     /// Index of the stage in the plan (and of its config).
     pub idx: usize,
     /// The stage lowered at this device's wavefront.
@@ -296,7 +308,7 @@ pub(crate) struct StageRun<'a> {
     /// Tables built by earlier stages, as this device holds them.
     pub hts: &'a [Option<Rc<RefCell<SimHashTable>>>],
     /// Query cycles spent before this stage.
-    pub spent: u64,
+    pub spent: Spent,
 }
 
 impl StageRun<'_> {
@@ -305,12 +317,7 @@ impl StageRun<'_> {
     }
 
     pub(crate) fn cfg(&self) -> &StageConfig {
-        &self.spec.config.stages[self.idx]
-    }
-
-    /// The full recovery ladder for this stage, starting at `mode`.
-    pub(crate) fn ladder(&self, mode: ExecMode) -> Ladder<'_> {
-        Ladder::new(self.spec.recovery, mode, self.spec.limits, self.spent)
+        &self.spec.configs[self.device].stages[self.idx]
     }
 }
 
@@ -357,7 +364,7 @@ impl Blocking {
     /// Merge the state of a disjoint row range of the same stage: build
     /// tables absorb entries (key-unique across disjoint ranges, like
     /// shard merges), aggregate stores absorb group-by-group.
-    fn absorb(&mut self, part: Blocking) {
+    pub(crate) fn absorb(&mut self, part: Blocking) {
         match (self, part) {
             (Blocking::Build(_, acc), Blocking::Build(_, t)) => acc.absorb(t),
             (Blocking::Agg(acc), Blocking::Agg(s)) => acc.absorb(s),
@@ -366,54 +373,13 @@ impl Blocking {
     }
 }
 
-/// What the classic driver has accumulated so far.
-struct Progress {
-    hts: Vec<Option<Rc<RefCell<SimHashTable>>>>,
-    agg: Option<GroupStore>,
-    merged: LaunchProfile,
-    per_stage: Vec<LaunchProfile>,
-    stats: RecoveryStats,
-}
-
-impl Progress {
-    /// Install a blocking output — only ever a successful attempt's: a
-    /// failed attempt's partial hash table or aggregate store dropped
-    /// with its locals and can never leak into a retry.
-    fn install(&mut self, out: Blocking) {
-        match out {
-            Blocking::Build(slot, t) => self.hts[slot] = Some(Rc::new(RefCell::new(t))),
-            Blocking::Agg(store) => self.agg = Some(store),
-        }
-    }
-
-    fn record(&mut self, profile: LaunchProfile) {
-        self.merged.merge(&profile);
-        self.per_stage.push(profile);
-    }
-}
-
-/// The gate both drivers open with: a malformed plan, or a config with
-/// the wrong number of stages, is a structured error before anything
-/// launches.
-pub(crate) fn check_inputs<'a>(
-    plan: &QueryPlan,
-    configs: impl IntoIterator<Item = &'a QueryConfig>,
-) -> Result<(), ExecError> {
-    plan.check().map_err(ExecError::InvalidPlan)?;
-    for config in configs {
-        ConfigError::arity("stage configs", plan.stages.len(), config.stages.len())
-            .map_err(ExecError::InvalidConfig)?;
-    }
-    Ok(())
-}
-
 /// Hash tables kept across the queries of one [`ExecContext`] — Ocelot's
 /// memory manager (Section 5.5). The key is the whole build stage
 /// (driver and its row count, loads, ops, terminal), so a table is
 /// reused only by a stage that would rebuild it entry for entry.
 #[derive(Default)]
 pub struct HtCache {
-    tables: HashMap<String, Rc<RefCell<SimHashTable>>>,
+    pub(crate) tables: HashMap<String, Rc<RefCell<SimHashTable>>>,
     pub cache_hits: usize,
     pub cache_misses: usize,
 }
@@ -452,6 +418,9 @@ pub fn try_run_query_recovering(
 /// (its `per_stage` entry is the default profile); every other build
 /// runs and is kept. `None` is a cold run. Fused pairs bypass the cache:
 /// their table is published slice by slice inside the launch.
+///
+/// The one driver ([`crate::shard`]'s stage loop) on a one-device pool:
+/// one shard, every stage anchored on `ctx`.
 pub fn try_run_query_cached(
     ctx: &mut ExecContext,
     plan: &QueryPlan,
@@ -459,193 +428,29 @@ pub fn try_run_query_cached(
     config: &QueryConfig,
     limits: &ExecLimits,
     recovery: Option<&RecoveryPolicy>,
-    mut cache: Option<&mut HtCache>,
+    cache: Option<&mut HtCache>,
 ) -> Result<QueryRun, ExecError> {
-    check_inputs(plan, [config])?;
     let spec = RunSpec {
         plan,
-        config,
+        mode,
+        shard: &ShardPlan::single(),
+        anchors: &vec![0; plan.stages.len()],
+        configs: std::slice::from_ref(config),
         limits,
         recovery,
+        hedge: None,
     };
-    ctx.sim.reset_footprint();
-    // Observability: one query span, with a child span per stage carrying
-    // the chosen StageConfig. Timestamped in device cycles; gated on the
-    // simulator's recorder so disabled runs pay a branch, not allocations.
-    let rec = ctx.sim.recorder().cloned();
-    let query_span = rec.as_ref().map(|r| {
-        let t = r.track("exec");
-        let s = r.begin(t, "exec", plan.query.name(), ctx.sim.clock());
-        r.arg(s, "mode", mode.name());
-        r.arg(s, "stages", plan.stages.len());
-        s
-    });
-    let mut q = Progress {
-        hts: vec![None; plan.num_hts],
-        agg: None,
-        merged: LaunchProfile::default(),
-        per_stage: Vec::new(),
-        stats: RecoveryStats::default(),
-    };
-
-    // This stage loop and `shard::try_run_query_sharded`'s stay two:
-    // merging them means deciding whether pairs fuse under sharding,
-    // whether `checkpoint_slices` applies there, and whether a one-device
-    // pool skips the merge broadcast — each moves a pinned cycle count.
-    //
-    // Under GPL-pipelined, eligible build→probe pairs with a non-zero
-    // overlap knob run fused; everything else takes the per-stage path.
-    let pairs = if mode == ExecMode::GplPipelined {
-        overlap_pairs(&plan.stages)
-    } else {
-        Vec::new()
-    };
-    let mut idx = 0;
-    while idx < plan.stages.len() {
-        limits.check(q.merged.elapsed_cycles + q.stats.wasted_cycles)?;
-        if let Some(pair) = pairs
-            .iter()
-            .find(|p| p.build_stage == idx && config.stages[p.build_stage].overlap_slices > 0)
-        {
-            run_pair_recovering(ctx, &spec, pair, &mut q)?;
-            idx += 2;
-            continue;
-        }
-        let (stage, cfg) = (&plan.stages[idx], &config.stages[idx]);
-        let mut built = None;
-        if let (Some(c), Terminal::HashBuild { ht, .. }) = (cache.as_deref_mut(), &stage.terminal) {
-            let rows = ctx.db.table(&stage.driver).rows();
-            let key = format!(
-                "{}#{rows}:{:?}:{:?}:{:?}",
-                stage.driver, stage.loads, stage.ops, stage.terminal
-            );
-            if let Some(kept) = c.tables.get(&key) {
-                c.cache_hits += 1;
-                q.hts[*ht] = Some(kept.clone());
-                q.record(LaunchProfile::default());
-                idx += 1;
-                continue;
-            }
-            c.cache_misses += 1;
-            built = Some((key, *ht));
-        }
-        // Lower the stage once; every consumer below — mode dispatch,
-        // span naming, both executors — reads this one IR.
-        let ir = SegmentIr::lower(
-            stage,
-            ctx.db.table(&stage.driver),
-            ctx.sim.spec().wavefront_size,
-        );
-        let stage_span = rec.as_ref().map(|r| {
-            let t = r.track("exec");
-            let s = r.begin(
-                t,
-                "stage",
-                format!("stage{idx}:{}", ir.driver),
-                ctx.sim.clock(),
-            );
-            r.arg(s, "tile_bytes", cfg.tile_bytes);
-            r.arg(s, "n_channels", cfg.n_channels);
-            r.arg(s, "packet_bytes", cfg.packet_bytes);
-            r.arg(s, "kernels", ir.nodes.len());
-            s
-        });
-        let run = StageRun {
-            spec: &spec,
-            idx,
-            ir: &ir,
-            hts: &q.hts,
-            spent: q.merged.elapsed_cycles,
-        };
-        let ((profile, out), ran_on) = run_stage_recovering(ctx, &run, mode, &mut q.stats)?;
-        q.install(out);
-        if let (Some(c), Some((key, ht))) = (cache.as_deref_mut(), built) {
-            c.tables
-                .insert(key, q.hts[ht].clone().expect("just installed"));
-        }
-        if let (Some(r), Some(s)) = (rec.as_ref(), stage_span) {
-            if ran_on != mode {
-                r.arg(s, "degraded_to", ran_on.name());
-            }
-            r.arg(s, "stage_cycles", profile.elapsed_cycles);
-            r.end(s, ctx.sim.clock());
-        }
-        q.record(profile);
-        idx += 1;
-    }
-
-    let rows = q
-        .agg
-        .take()
-        .ok_or(ExecError::InvalidPlan(PlanError::NoAggregate))?;
-    let spent = q.merged.elapsed_cycles + q.stats.wasted_cycles;
-    let (output, sort) = finish_query(ctx, plan, mode, rows.into_rows(), limits, spent)?;
-    if let Some(prof) = sort {
-        q.record(prof);
-    }
-    let Progress {
-        merged,
-        per_stage,
-        stats,
-        ..
-    } = q;
-
-    if let (Some(r), Some(s)) = (rec.as_ref(), query_span) {
-        r.arg(s, "cycles", merged.elapsed_cycles);
-        if stats.eventful() {
-            r.arg(s, "faults", stats.faults.len());
-            r.arg(s, "retries", stats.retries);
-            r.arg(s, "fallbacks", stats.fallbacks);
-            r.arg(s, "wasted_cycles", stats.wasted_cycles);
-        }
-        r.end(s, ctx.sim.clock());
-    }
+    // A one-device pool has no class to choose within: the kind is moot.
+    let ctxs = std::slice::from_mut(ctx);
+    let (run, profile) = run_pool(ctxs, &[DeviceKind::Gpu], &spec, vec![true], cache)?;
+    let device = run.per_device.into_iter().next().expect("one device");
     Ok(QueryRun {
-        output,
-        cycles: merged.elapsed_cycles + stats.wasted_cycles,
-        profile: merged,
-        per_stage,
-        recovery: stats,
+        output: run.output,
+        cycles: run.cycles,
+        profile,
+        per_stage: device.per_stage,
+        recovery: run.recovery,
     })
-}
-
-/// The one query epilogue, for both drivers: the final `ORDER BY` as a
-/// (blocking) sort kernel on `ctx` — or the canonical full-row order —
-/// then `LIMIT`, projection and the named output. `spent` is the query's
-/// cycles so far; the sort's profile comes back for the caller's books.
-///
-/// The budget is checked before and after the sort: a query landing
-/// *exactly* on its budget succeeds (`spent > budget` times out,
-/// `spent == budget` passes) — the boundary `tests/fault_recovery.rs`
-/// pins at 1/2/8 workers.
-pub(crate) fn finish_query(
-    ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    mode: ExecMode,
-    mut rows: Vec<Vec<i64>>,
-    limits: &ExecLimits,
-    spent: u64,
-) -> Result<(QueryOutput, Option<LaunchProfile>), ExecError> {
-    limits.check(spent)?;
-    let sort = if plan.order_by.is_empty() {
-        sort_rows(&mut rows, &[]);
-        None
-    } else {
-        // The sort runs over host-side result rows, outside the fault
-        // domain: disarm injection so the output path cannot strand a
-        // pending fault.
-        let was_armed = ctx.sim.faults_armed();
-        ctx.sim.set_faults_armed(false);
-        let prof = if mode == ExecMode::Ocelot {
-            run_ocelot_sort_kernel(ctx, &mut rows, &plan.order_by)
-        } else {
-            run_sort_kernel(ctx, &mut rows, &plan.order_by)
-        };
-        ctx.sim.set_faults_armed(was_armed);
-        Some(prof)
-    };
-    limits.check(spent + sort.as_ref().map_or(0, |p| p.elapsed_cycles))?;
-    Ok((plan.output(rows), sort))
 }
 
 /// One attempt at one stage on one mode — the only way a stage runs.
@@ -764,61 +569,24 @@ fn make_blocking_outputs(
     }
 }
 
-/// One fused attempt at an overlapped pair: both segments' kernels in a
-/// single launch, the shared hash table installed slice by slice and
-/// published through the inter-segment channel. Fresh blocking outputs
-/// per attempt, exactly like [`attempt_stage`] — so a mid-overlap fault
-/// can never double-publish or drop a slice: the retried attempt starts
-/// from nothing installed and nothing published.
-fn run_pair_attempt(
-    ctx: &mut ExecContext,
-    edge: &InterSegmentEdge,
-    b: &StageRun,
-    p: &StageRun,
-) -> Result<(LaunchProfile, [Blocking; 2]), ExecError> {
-    debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a pair");
-    let plan = b.spec.plan;
-    let (shared, _) = make_blocking_outputs(ctx, plan, b.stage(), ExecMode::GplPipelined);
-    let (build_p, agg) = make_blocking_outputs(ctx, plan, p.stage(), ExecMode::GplPipelined);
-    let profile = gpl::run_overlapped_pair(
-        ctx,
-        edge,
-        b.ir,
-        b.stage(),
-        b.cfg(),
-        p.ir,
-        p.stage(),
-        p.cfg(),
-        b.hts,
-        shared
-            .as_ref()
-            .map(|(_, t)| t)
-            .expect("pair build stage ends in a hash build"),
-        build_p.as_ref().map(|(_, t)| t),
-        agg.as_ref(),
-    )?;
-    if let Some(record) = ctx.sim.take_fault() {
-        return Err(ExecError::from_fault(record));
-    }
-    Ok((
-        profile,
-        [Blocking::owned(shared, None), Blocking::owned(build_p, agg)],
-    ))
-}
-
-/// Drive one eligible pair through the pipelined scheduler: the ladder's
-/// one rung is the fused launch (retries with backoff, no last resort);
-/// when it is exhausted the pair degrades to the *sequential* pair — the
-/// two stages one after the other, each down the normal ladder starting
-/// at GPL. Blocking outputs are installed only on success; the fused
-/// launch's profile is split back into per-stage views by segment tag so
-/// `QueryRun::per_stage` keeps one entry per stage.
-fn run_pair_recovering(
+/// Drive one eligible pair through the pipelined scheduler on `device`:
+/// the ladder's one rung is the fused launch — both segments' kernels in
+/// one launch, the shared hash table installed slice by slice and
+/// published through the inter-segment channel — retried with backoff,
+/// no last resort. `None` when device faults exhaust it under a recovery
+/// policy: the driver then runs the *sequential* pair. Fresh blocking
+/// outputs per attempt, like [`attempt_stage`], so a mid-overlap fault
+/// can never double-publish or drop a slice; they come back only on
+/// success, with the fused launch's profile.
+pub(crate) fn run_pair_fused(
     ctx: &mut ExecContext,
     spec: &RunSpec,
+    device: usize,
     pair: &InterSegmentEdge,
-    q: &mut Progress,
-) -> Result<(), ExecError> {
+    hts: &[Option<Rc<RefCell<SimHashTable>>>],
+    spent: Spent,
+    stats: &mut RecoveryStats,
+) -> Result<Option<(LaunchProfile, [Blocking; 2])>, ExecError> {
     let (bi, pi) = (pair.build_stage, pair.probe_stage);
     let (stage_b, stage_p) = (&spec.plan.stages[bi], &spec.plan.stages[pi]);
     let wf = ctx.sim.spec().wavefront_size;
@@ -830,42 +598,54 @@ fn run_pair_recovering(
     };
     let expected = estimate_build_rows(ctx, stage_b) as u64;
     let table_bytes = expected * 8 * (1 + payloads.len() as u64);
+    let cfgs = &spec.configs[device].stages;
     let edge = pair
         .clone()
-        .with_slices(spec.config.stages[bi].overlap_slices, table_bytes);
+        .with_slices(cfgs[bi].overlap_slices, table_bytes);
 
     let rec = ctx.sim.recorder().cloned();
     let span = rec.as_ref().map(|r| {
         let t = r.track("exec");
-        let s = r.begin(
-            t,
-            "stage",
-            format!("stage{bi}+{pi}:{}+{}", ir_b.driver, ir_p.driver),
-            ctx.sim.clock(),
-        );
+        let name = format!("stage{bi}+{pi}:{}+{}", ir_b.driver, ir_p.driver);
+        let s = r.begin(t, "stage", name, ctx.sim.clock());
         r.arg(s, "overlap_slices", edge.slices);
         r.arg(s, "slice_bytes", edge.slice_bytes);
         r.arg(s, "kernels", ir_b.nodes.len() + ir_p.nodes.len());
         s
     });
-    let spent = q.merged.elapsed_cycles;
     let fused = Ladder {
         modes: vec![ExecMode::GplPipelined],
         last_resort: LastResort::Never,
         ..Ladder::new(spec.recovery, ExecMode::GplPipelined, spec.limits, spent)
     };
-    let stage_run = |idx, ir| StageRun {
-        spec,
-        idx,
-        ir,
-        hts: &q.hts,
-        spent,
+    let attempt = |ctx: &mut ExecContext, _| {
+        debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a pair");
+        let mode = ExecMode::GplPipelined;
+        let (shared, _) = make_blocking_outputs(ctx, spec.plan, stage_b, mode);
+        let (build_p, agg) = make_blocking_outputs(ctx, spec.plan, stage_p, mode);
+        let table = shared.as_ref().map(|(_, t)| t);
+        let profile = gpl::run_overlapped_pair(
+            ctx,
+            &edge,
+            &ir_b,
+            stage_b,
+            &cfgs[bi],
+            &ir_p,
+            stage_p,
+            &cfgs[pi],
+            hts,
+            table.expect("pair build stage ends in a hash build"),
+            build_p.as_ref().map(|(_, t)| t),
+            agg.as_ref(),
+        )?;
+        if let Some(record) = ctx.sim.take_fault() {
+            return Err(ExecError::from_fault(record));
+        }
+        let outs = [Blocking::owned(shared, None), Blocking::owned(build_p, agg)];
+        Ok((profile, outs))
     };
-    let (b, p) = (stage_run(bi, &ir_b), stage_run(pi, &ir_p));
-    let attempt = |ctx: &mut ExecContext, _| run_pair_attempt(ctx, &edge, &b, &p);
-    match fused.run(ctx, &mut q.stats, attempt, |_, _| {}) {
+    match fused.run(ctx, stats, attempt, |_, _| {}) {
         Ok(((profile, outs), _)) => {
-            outs.into_iter().for_each(|out| q.install(out));
             if let Some(r) = rec.as_ref() {
                 // The measured overlap window: where the two segments'
                 // kernel activity intersects.
@@ -890,84 +670,37 @@ fn run_pair_recovering(
                     r.end(s, ctx.sim.clock());
                 }
             }
-            q.merged.merge(&profile);
-            q.per_stage.extend(profile.split_by_segment(&[0, 1]));
-            return Ok(());
+            Ok(Some((profile, outs)))
         }
-        // Fused attempts exhausted: degrade below.
-        Err(e) if spec.recovery.is_some() && e.is_device_fault() => {}
-        Err(e) => return Err(e),
-    }
-    q.stats.fallbacks += 1;
-    q.stats.degraded_to = Some(ExecMode::Gpl);
-    recover::instant(
-        ctx,
-        "fallback",
-        vec![("to", gpl_obs::Value::from("GPL (sequential pair)"))],
-    );
-    let mut ran = ExecMode::Gpl;
-    for (idx, ir) in [(bi, &ir_b), (pi, &ir_p)] {
-        let run = StageRun {
-            spec,
-            idx,
-            ir,
-            hts: &q.hts,
-            spent: q.merged.elapsed_cycles,
-        };
-        let ((profile, out), ran_on) =
-            run_stage_recovering(ctx, &run, ExecMode::Gpl, &mut q.stats)?;
-        q.install(out);
-        q.record(profile);
-        ran = ran_on;
-    }
-    if let (Some(r), Some(s)) = (rec.as_ref(), span) {
-        r.arg(s, "degraded_to", ran.name());
-        r.end(s, ctx.sim.clock());
-    }
-    Ok(())
-}
-
-/// Drive one whole stage through the recovery ladder (see
-/// [`crate::recover`]), or slice by slice when the policy checkpoints.
-fn run_stage_recovering(
-    ctx: &mut ExecContext,
-    run: &StageRun,
-    mode: ExecMode,
-    stats: &mut RecoveryStats,
-) -> Result<(StageOut, ExecMode), ExecError> {
-    match run.spec.recovery {
-        Some(policy) if policy.checkpoint_slices >= 2 => {
-            run_stage_checkpointed(ctx, run, mode, policy.checkpoint_slices, stats)
+        Err(e) if spec.recovery.is_some() && e.is_device_fault() => {
+            if let (Some(r), Some(s)) = (rec.as_ref(), span) {
+                r.arg(s, "degraded_to", "GPL (sequential pair)");
+                r.end(s, ctx.sim.clock());
+            }
+            Ok(None)
         }
-        _ => {
-            let whole = 0..ctx.db.table(&run.stage().driver).rows();
-            let part = std::slice::from_ref(&whole);
-            let attempt = |ctx: &mut ExecContext, m| attempt_stage(ctx, run, m, part);
-            run.ladder(mode).run(ctx, stats, attempt, |_, _| {})
-        }
+        Err(e) => Err(e),
     }
 }
 
-/// Slice-checkpoint execution of one stage (DESIGN.md §11): the driving
-/// relation splits into `slices` contiguous row slices, each run down
-/// the ladder into *fresh* per-slice blocking outputs that merge into
-/// the stage's accumulated state only on success — the launch-admission
-/// invariant applied per slice. After every merge, a content checkpoint
-/// (the accumulated state's fingerprint) is recorded; a faulted slice
-/// re-verifies the accumulated state against the last checkpoint and
-/// retries *only itself*, so a mid-stage fault resumes from the last
-/// verified slice instead of row 0. Rows are bit-identical to the
-/// unsliced stage (disjoint ranges union exactly — the same facts the
-/// shard merge relies on); only cycles differ.
-fn run_stage_checkpointed(
+/// Slice-checkpoint execution of one part of a stage (DESIGN.md §11):
+/// each of `slices` runs down `ladder` into *fresh* per-slice blocking
+/// outputs that merge into the part's accumulated state only on success
+/// — the launch-admission invariant applied per slice. After every
+/// merge, a content checkpoint (the accumulated state's fingerprint) is
+/// recorded; a faulted slice re-verifies the accumulated state against
+/// the last checkpoint and retries *only itself*, so a mid-stage fault
+/// resumes from the last verified slice instead of row 0. Rows are
+/// bit-identical to the unsliced stage (disjoint ranges union exactly —
+/// the same facts the shard merge relies on); only cycles differ.
+pub(crate) fn run_stage_checkpointed(
     ctx: &mut ExecContext,
     run: &StageRun,
     mode: ExecMode,
-    slices: u32,
+    ladder: &Ladder,
+    slices: &[Range<usize>],
     stats: &mut RecoveryStats,
 ) -> Result<(StageOut, ExecMode), ExecError> {
-    let rows = ctx.db.table(&run.stage().driver).rows();
-    let slices = Sharder::Range.partition(rows, slices as usize);
     // Accumulated blocking state: created ONCE and kept across slice
     // attempts — sound because a faulted slice attempt only ever built
     // its own (dropped) per-slice outputs.
@@ -977,10 +710,9 @@ fn run_stage_checkpointed(
     let mut kept_cycles = 0u64; // useful cycles the checkpoints protect
     let mut profile = LaunchProfile::default();
     let mut ran_on = mode;
-    let ladder = run.ladder(mode);
 
     // `verified`: slices merged and checksummed so far.
-    for (verified, slice) in (0u64..).zip(slices.iter().flatten()) {
+    for (verified, slice) in (0u64..).zip(slices) {
         let part = std::slice::from_ref(slice);
         // An armed success also reports its cycles, which later faults
         // count as saved; the disarmed last resort reports none.
@@ -1064,65 +796,61 @@ fn estimate_build_rows(ctx: &ExecContext, stage: &Stage) -> usize {
     ((total as f64 * sel * 1.25) as usize).clamp(16, total.max(16))
 }
 
-/// Bitonic sort: log^2(n) passes, each reading and writing everything.
-fn bitonic_passes(n: u64) -> u64 {
-    let lg = 64 - n.leading_zeros() as u64;
-    (lg * lg).max(1)
-}
-
-/// Simulate the final sort: a blocking bitonic-style kernel over the
-/// (small) aggregate output.
+/// Simulate the final `ORDER BY` over the (small) aggregate output: a
+/// blocking bitonic-style kernel, log²(n) passes each reading and writing
+/// everything. Under [`ExecMode::Ocelot`] it is charged as the retired
+/// `gpl-ocelot` engine did — one replay launch over `n × passes` rows of
+/// a 4-byte array under `k_map` resources; inherited, not a Section 5.5
+/// property (ROADMAP: re-pin candidate). The rows are host-side results,
+/// outside the fault domain: injection is disarmed so the output path
+/// cannot strand a pending fault.
 pub(crate) fn run_sort_kernel(
     ctx: &mut ExecContext,
+    mode: ExecMode,
     rows: &mut [Vec<i64>],
     order: &[(usize, bool)],
 ) -> LaunchProfile {
     sort_rows(rows, order);
     let n = rows.len().max(1) as u64;
-    let width = rows.first().map(|r| r.len()).unwrap_or(1) as u64 * 8;
-    let region = ctx
-        .sim
-        .mem
-        .alloc(n * width, gpl_sim::RegionClass::Output, "sort-output");
-    let base = ctx.sim.mem.base(region);
-    let passes = bitonic_passes(n);
-    let mut pass = 0u64;
-    let src = move |_: &dyn gpl_sim::ChannelView| {
-        if pass == passes {
-            return Work::Done;
-        }
-        pass += 1;
-        Work::Unit(WorkUnit {
-            compute_insts: 4 * n,
-            mem_insts: 2 * n,
-            accesses: vec![
-                gpl_sim::MemRange::read(base, n * width),
-                gpl_sim::MemRange::write(base, n * width),
-            ],
-            ..Default::default()
-        })
+    let lg = 64 - n.leading_zeros() as u64;
+    let passes = (lg * lg).max(1);
+    let was_armed = ctx.sim.faults_armed();
+    ctx.sim.set_faults_armed(false);
+    let profile = if mode == ExecMode::Ocelot {
+        let wavefront = ctx.sim.spec().wavefront_size;
+        let arr = alloc_array(ctx, n as usize, 4, RegionClass::Output, "sort-output");
+        let k = ReplayKernel::new((n * passes) as usize, wavefront, 6, 2)
+            .reads(vec![arr])
+            .writes(vec![arr]);
+        launch(ctx, "k_sort", kernel_resources("k_map", wavefront), k)
+    } else {
+        let width = rows.first().map(|r| r.len()).unwrap_or(1) as u64 * 8;
+        let region = ctx
+            .sim
+            .mem
+            .alloc(n * width, RegionClass::Output, "sort-output");
+        let base = ctx.sim.mem.base(region);
+        let mut pass = 0u64;
+        let src = move |_: &dyn gpl_sim::ChannelView| {
+            if pass == passes {
+                return Work::Done;
+            }
+            pass += 1;
+            Work::Unit(WorkUnit {
+                compute_insts: 4 * n,
+                mem_insts: 2 * n,
+                accesses: vec![
+                    gpl_sim::MemRange::read(base, n * width),
+                    gpl_sim::MemRange::write(base, n * width),
+                ],
+                ..Default::default()
+            })
+        };
+        let k = KernelDesc::new("k_sort", ResourceUsage::new(64, 64, 2048), 8, Box::new(src));
+        ctx.sim.run(vec![k])
     };
-    let k = KernelDesc::new("k_sort", ResourceUsage::new(64, 64, 2048), 8, Box::new(src));
-    ctx.sim.run(vec![k])
-}
-
-/// The final sort under [`ExecMode::Ocelot`], as the retired `gpl-ocelot`
-/// engine charged it: one replay launch over `n × passes` rows of a
-/// 4-byte array under `k_map` resources. Inherited, not a Section 5.5
-/// property (ROADMAP: re-pin candidate).
-fn run_ocelot_sort_kernel(
-    ctx: &mut ExecContext,
-    rows: &mut [Vec<i64>],
-    order: &[(usize, bool)],
-) -> LaunchProfile {
-    sort_rows(rows, order);
-    let n = rows.len().max(1);
-    let wavefront = ctx.sim.spec().wavefront_size;
-    let arr = alloc_array(ctx, n, 4, gpl_sim::RegionClass::Output, "sort-output");
-    let k = ReplayKernel::new(n * bitonic_passes(n as u64) as usize, wavefront, 6, 2)
-        .reads(vec![arr])
-        .writes(vec![arr]);
-    launch(ctx, "k_sort", kernel_resources("k_map", wavefront), k)
+    ctx.sim.set_faults_armed(was_armed);
+    profile
 }
 
 #[cfg(test)]
@@ -1198,7 +926,7 @@ mod tests {
     fn sort_kernel_sorts_and_costs() {
         let mut ctx = ExecContext::new(amd_a10(), TpchDb::at_scale(0.002));
         let mut rows = vec![vec![3, 1], vec![1, 9], vec![2, 4]];
-        let p = run_sort_kernel(&mut ctx, &mut rows, &[(1, true)]);
+        let p = run_sort_kernel(&mut ctx, ExecMode::Gpl, &mut rows, &[(1, true)]);
         assert_eq!(rows, vec![vec![1, 9], vec![2, 4], vec![3, 1]]);
         assert!(p.elapsed_cycles > 0);
     }

@@ -17,10 +17,10 @@
 //! terminates even at fault probability 1. Faults cost cycles; they
 //! never change results.
 //!
-//! That policy is written once, in `Ladder::run`; the whole stage, the
-//! checkpoint slice, the fused pair and the shard are four callers that
-//! differ only in the attempt they hand it and in what exhaustion means
-//! to them.
+//! That policy is written once, in `Ladder::run`; the shard (a whole
+//! stage on a one-device pool), the checkpoint slice and the fused pair
+//! are three callers that differ only in the attempt they hand it and in
+//! what exhaustion means to them.
 
 use crate::error::ExecError;
 use crate::exec::{ExecContext, ExecLimits, ExecMode};
@@ -137,6 +137,22 @@ pub(crate) fn instant(ctx: &ExecContext, name: &str, args: Vec<(&'static str, Va
     }
 }
 
+/// The query's cycles as every budget check reads them: the stage walls
+/// so far plus the waste since the current stage began (a wall already
+/// holds its own stage's waste, so none counts twice, on any pool size).
+#[derive(Clone, Copy)]
+pub(crate) struct Spent {
+    pub walls: u64,
+    /// `RecoveryStats::wasted_cycles` when the current stage began.
+    pub wasted0: u64,
+}
+
+impl Spent {
+    pub(crate) fn at(self, stats: &RecoveryStats) -> u64 {
+        self.walls + (stats.wasted_cycles - self.wasted0)
+    }
+}
+
 /// The one retry/degrade loop. For each armed mode, `1 + max_retries`
 /// attempts separated by deterministic backoff on the context's clock;
 /// device faults are recorded and retried, query errors (timeout,
@@ -150,9 +166,7 @@ pub(crate) struct Ladder<'a> {
     pub modes: Vec<ExecMode>,
     pub last_resort: LastResort,
     pub limits: &'a ExecLimits,
-    /// Query cycles spent before this stage (the budget check adds the
-    /// waste accumulated since).
-    pub spent: u64,
+    pub spent: Spent,
 }
 
 impl<'a> Ladder<'a> {
@@ -161,7 +175,7 @@ impl<'a> Ladder<'a> {
         policy: Option<&'a RecoveryPolicy>,
         mode: ExecMode,
         limits: &'a ExecLimits,
-        spent: u64,
+        spent: Spent,
     ) -> Self {
         Ladder {
             policy,
@@ -208,7 +222,7 @@ impl<'a> Ladder<'a> {
                     stats.degraded_to = Some(mode);
                     instant(ctx, "fallback", vec![("to", Value::from(mode.name()))]);
                 }
-                self.limits.check(self.spent + stats.wasted_cycles)?;
+                self.limits.check(self.spent.at(stats))?;
                 let c0 = ctx.sim.clock();
                 let e = match attempt(ctx, mode) {
                     Ok(out) => return Ok((out, mode)),
@@ -526,6 +540,10 @@ mod tests {
         ];
 
         let db = std::sync::Arc::new(gpl_tpch::TpchDb::at_scale(0.001));
+        let spent = Spent {
+            walls: 50,
+            wasted0: 0,
+        };
         for case in cases {
             let mut ctx = ExecContext::with_shared(gpl_sim::amd_a10(), db.clone());
             ctx.sim.attach_faults(FaultPlan::new(FaultSpec::none(), 1));
@@ -535,7 +553,7 @@ mod tests {
             };
             let ladder = Ladder {
                 last_resort: case.last_resort,
-                ..Ladder::new(case.policy.as_ref(), case.from, &limits, 50)
+                ..Ladder::new(case.policy.as_ref(), case.from, &limits, spent)
             };
             let mut script = case.script.into_iter();
             let mut ran = Vec::new();

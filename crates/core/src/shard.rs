@@ -1,7 +1,8 @@
-//! Multi-device sharding: split the driving relation into per-shard
-//! tile streams, run each shard's `SegmentIr` launch on a device of a
-//! simulated heterogeneous pool, and merge the blocking-terminal state
-//! deterministically.
+//! Multi-device sharding and the one stage loop (`run_pool`) every query
+//! runs through — a single-device query as a one-device pool: split the
+//! driving relation into per-shard tile streams, run each shard's
+//! `SegmentIr` launch on a device of a simulated heterogeneous pool, and
+//! merge the blocking-terminal state deterministically.
 //!
 //! The shard/merge seam exploits two structural facts of the engine:
 //!
@@ -18,25 +19,22 @@
 //! oracle for every shard count — the invariant
 //! `tests/shard_equivalence.rs` pins.
 //!
-//! Cost model of the pool: devices simulate independently (one
-//! `Simulator` each, sharing the immutable `Arc<TpchDb>`); shards
-//! assigned to the same device serialize on its clock; a stage's wall
-//! time is the *maximum* per-device clock advance, since devices run
-//! concurrently; merged build state is broadcast to every live device
-//! at its copy bandwidth before the next stage probes it. Heterogeneous
+//! Devices simulate independently (one `Simulator` each, sharing the
+//! immutable `Arc<TpchDb>`); `run_pool` states the cost model. Heterogeneous
 //! CPU/GPU placement (He et al., arXiv:1307.1955) picks, per stage, the
 //! device class whose Eq. 8 estimate is lowest — `gpl_model`'s
 //! placement pass produces the [`ShardAssignment`] consumed here.
 
 use crate::error::ExecError;
 use crate::exec::{
-    attempt_stage, check_inputs, finish_query, Blocking, ExecContext, ExecLimits, ExecMode,
-    QueryConfig, RunSpec, StageOut, StageRun,
+    attempt_stage, run_pair_fused, run_sort_kernel, run_stage_checkpointed, Blocking, ExecContext,
+    ExecLimits, ExecMode, HtCache, QueryConfig, RunSpec, StageOut, StageRun,
 };
 use crate::ht::{mix64, GroupStore, SimHashTable};
+use crate::ops::sort_rows;
 use crate::plan::{PlanError, QueryPlan, Terminal};
-use crate::recover::{Ladder, LastResort, RecoveryPolicy, RecoveryStats};
-use crate::segment::{ConfigError, SegmentIr};
+use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats, Spent};
+use crate::segment::{overlap_pairs, ConfigError, InterSegmentEdge, SegmentIr};
 use gpl_sim::{DeviceSpec, FaultPlan, FaultSpec, LaunchProfile};
 use gpl_tpch::{QueryOutput, TpchDb};
 use std::cell::RefCell;
@@ -334,11 +332,11 @@ pub struct DeviceRun {
     /// This device's final simulated clock: launches it ran, backoff it
     /// charged, and merge broadcasts it received.
     pub cycles: u64,
-    /// Per plan stage, the merged profile of the shard launches this
-    /// device ran for that stage (`LaunchProfile::default()` when it
-    /// did not participate); the final sort, if this device ran it, is
-    /// appended as one extra entry. Positionally joinable against the
-    /// stage models, like `QueryRun::per_stage`.
+    /// Per plan stage, the profile of the parts this device ran for it:
+    /// the first part's as launched, later parts merged into it
+    /// (`LaunchProfile::default()` when it ran none); the final sort, if
+    /// this device ran it, is appended as one extra entry. Positionally
+    /// joinable against the stage models, like `QueryRun::per_stage`.
     pub per_stage: Vec<LaunchProfile>,
     /// Whether the device was lost to a sticky fault during the run.
     pub lost: bool,
@@ -353,7 +351,8 @@ pub struct ShardedRun {
     /// concurrently; shards on one device serialize), plus merge
     /// broadcasts and the final sort.
     pub cycles: u64,
-    /// Wall cycles per plan stage (the max-over-devices terms), with
+    /// Wall cycles per plan stage (the max-over-devices terms; a fused
+    /// pair's one wall is its build stage's, its probe stage's is 0), with
     /// the final sort appended when the plan orders.
     pub stage_cycles: Vec<u64>,
     pub per_device: Vec<DeviceRun>,
@@ -381,41 +380,13 @@ impl ShardedRun {
     }
 }
 
-/// Run `plan` sharded across `pool` under `mode`.
-///
-/// Shards execute sequentially on the host (the simulation is
-/// deterministic regardless of serve worker count); concurrency across
-/// devices is modeled by the per-stage max-over-devices wall. Faults,
-/// when configured, inject per device with independent seeded streams;
-/// a shard whose device suffers a sticky loss is reassigned to the
-/// next live device (same class first), falling back to a disarmed KBE
-/// attempt on the last candidate when the pool is exhausted — rows
-/// stay bit-identical throughout, mirroring the single-device ladder.
-///
-/// Between stages the shards' blocking state merges once, on the host:
-/// build tables fold into one by [`SimHashTable::absorb`] and every live
-/// device gets a [`SimHashTable::placed`] view of it — its own region,
-/// charged at its copy bandwidth, over the one shared content — while
-/// aggregate stores fold by [`GroupStore::absorb`] onto the stage's
-/// primary device. Neither merge depends on the order shards finished.
-///
-/// `excluded` (pool order) lets a caller with per-device breakers keep
-/// a device out of admission; it is ignored when it would exclude
-/// everything. `hedge` arms straggler defense: shards observed past
-/// their modeled deadline get a speculative backup on the
-/// modeled-cheapest other live device (see [`HedgePlan`]).
-///
-/// Two things the single-device driver does are deliberately absent
-/// here, and this is the one place that says so. **Pair fusion:**
-/// `GplPipelined` runs its stages per shard like `Gpl` — the cross-shard
-/// merge is a barrier between stages, so there is no build→probe pair
-/// left to fuse inside one shard launch. **Slice checkpoints:**
-/// [`RecoveryPolicy::checkpoint_slices`] is ignored — a shard already is
-/// a row-range slice of its stage with its own fresh outputs, merged
-/// only on success, so a fault re-runs one shard, not the stage.
-/// Honouring either (or skipping the merge broadcast on a one-device
-/// pool) changes cycle counts the benchmark and `repro chaos` pin, which
-/// is why this stage loop and the classic one are still two.
+/// Run `plan` sharded across `pool` under `mode`, with rows bit-identical
+/// to the single-device engine (DESIGN.md §10: cost model, the three
+/// rules): `run_pool` over one fresh context per pool device. Faults,
+/// when configured, inject per device with independent seeded streams.
+/// `excluded` (pool order) lets a caller with per-device breakers keep a
+/// device out of admission; it is ignored when it would exclude
+/// everything. `hedge` arms straggler defense (see [`HedgePlan`]).
 #[allow(clippy::too_many_arguments)]
 pub fn try_run_query_sharded(
     pool: &DevicePool,
@@ -431,137 +402,398 @@ pub fn try_run_query_sharded(
     excluded: Option<&[bool]>,
 ) -> Result<ShardedRun, ExecError> {
     let n = pool.len();
-    let stages = plan.stages.len();
-    ConfigError::arity("device configs", n, assignment.configs.len())
-        .and_then(|()| ConfigError::arity("stage anchors", stages, assignment.stage_device.len()))
-        .map_err(ExecError::InvalidConfig)?;
-    check_inputs(plan, &assignment.configs)?;
-    if let Some((stage, &device)) =
-        (assignment.stage_device.iter().enumerate()).find(|(_, &d)| d >= n)
-    {
-        return Err(ExecError::InvalidConfig(ConfigError::Anchor {
-            stage,
-            device,
-            devices: n,
-        }));
-    }
-    let specs: Vec<RunSpec> = (assignment.configs.iter())
-        .map(|config| RunSpec {
-            plan,
-            config,
-            limits,
-            recovery,
-        })
-        .collect();
-
-    let mut ctxs: Vec<ExecContext> = pool
-        .devices()
-        .iter()
-        .map(|d| ExecContext::with_shared(d.spec.clone(), db.clone()))
-        .collect();
+    let new_ctx = |d: &PoolDevice| ExecContext::with_shared(d.spec.clone(), db.clone());
+    let mut ctxs: Vec<ExecContext> = pool.devices().iter().map(new_ctx).collect();
     if let Some(f) = faults {
         for (i, ctx) in ctxs.iter_mut().enumerate() {
             ctx.sim
                 .attach_faults(FaultPlan::new(f.spec.clone(), f.seed_for(i)));
         }
     }
-
-    let mut alive: Vec<bool> = match excluded {
+    let alive = match excluded {
         Some(ex) if ex.len() == n && ex.iter().any(|&e| !e) => ex.iter().map(|&e| !e).collect(),
         _ => vec![true; n],
     };
-    // Per device, per plan stage (plus sort), the merged launch profile.
-    let mut dev_stages: Vec<Vec<LaunchProfile>> = vec![Vec::new(); n];
-    let mut hts: Vec<Vec<Option<Rc<RefCell<SimHashTable>>>>> = vec![vec![None; plan.num_hts]; n];
-    let mut agg_store: Option<GroupStore> = None;
-    let mut stats = RecoveryStats::default();
-    let mut stage_cycles = Vec::new();
-    let mut total = 0u64;
-    let mut primary = assignment.stage_device[plan.stages.len() - 1];
+    let kinds: Vec<DeviceKind> = pool.devices().iter().map(|d| d.kind).collect();
+    let spec = RunSpec {
+        plan,
+        mode,
+        shard,
+        anchors: &assignment.stage_device,
+        configs: &assignment.configs,
+        limits,
+        recovery,
+        hedge,
+    };
+    run_pool(&mut ctxs, &kinds, &spec, alive, None).map(|(run, _)| run)
+}
 
-    for (sidx, stage) in plan.stages.iter().enumerate() {
-        limits.check(total + stats.wasted_cycles)?;
-        let anchor = assignment.stage_device[sidx];
-        let kind = pool.devices()[anchor].kind;
+/// The one stage loop, behind every entry point: run `spec` over `ctxs`,
+/// one context per pool device (`kinds`, `alive` in pool order), and
+/// return the run plus every launch merged in order (`QueryRun::profile`).
+/// Each stage splits into `spec.shard` parts, each run down the recovery
+/// ladder on a device of its anchor's class (a lost device's part moves
+/// to the next live one); the parts' blocking state merges once, in shard
+/// order; the stage's wall — the largest clock advance over the devices,
+/// which run concurrently — adds to the query's cycles, so a backoff or a
+/// channel stall counts once, where it lands. Three rules follow from the
+/// inputs, not from options:
+///
+/// 1. **Broadcast.** On a one-device pool a merged build table is
+///    installed as it is; on a larger pool every live device gets a
+///    [`SimHashTable::placed`] view of it, charged at its copy bandwidth.
+/// 2. **Slice checkpoints.** [`RecoveryPolicy::checkpoint_slices`] split a
+///    stage only when it runs as one shard: a shard already is a slice,
+///    merged only on success, and slicing shards as well costs
+///    `shard_chaos` 55 % more simulated cycles.
+/// 3. **Pair fusion.** A `GplPipelined` build→probe pair with non-zero
+///    `overlap_slices` fuses when both stages run as one shard on the same
+///    live anchor; otherwise it runs as the sequential pair from GPL,
+///    recorded as a fallback (`degraded_to = Some(Gpl)`).
+///
+/// A device's stage profile is its first part's profile as launched,
+/// later parts merged into it. Spans go to `ctxs[0]`'s recorder; pool
+/// contexts carry none.
+pub(crate) fn run_pool(
+    ctxs: &mut [ExecContext],
+    kinds: &[DeviceKind],
+    spec: &RunSpec,
+    alive: Vec<bool>,
+    mut cache: Option<&mut HtCache>,
+) -> Result<(ShardedRun, LaunchProfile), ExecError> {
+    let (plan, mode, n) = (spec.plan, spec.mode, ctxs.len());
+    // The gate: a malformed plan, or configs and anchors that do not fit
+    // the plan and the pool, are structured errors before anything runs.
+    let stages = plan.stages.len();
+    ConfigError::arity("device configs", n, spec.configs.len())
+        .and_then(|()| ConfigError::arity("stage anchors", stages, spec.anchors.len()))
+        .map_err(ExecError::InvalidConfig)?;
+    plan.check().map_err(ExecError::InvalidPlan)?;
+    (spec.configs.iter())
+        .try_for_each(|c| ConfigError::arity("stage configs", stages, c.stages.len()))
+        .map_err(ExecError::InvalidConfig)?;
+    if let Some((stage, &device)) = spec.anchors.iter().enumerate().find(|(_, &d)| d >= n) {
+        let anchor = ConfigError::Anchor {
+            stage,
+            device,
+            devices: n,
+        };
+        return Err(ExecError::InvalidConfig(anchor));
+    }
+    ctxs.iter_mut().for_each(|c| c.sim.reset_footprint());
+    // Observability: one query span, with a child span per stage carrying
+    // the chosen StageConfig. Timestamped in device cycles; gated on the
+    // simulator's recorder so disabled runs pay a branch, not allocations.
+    let rec = ctxs[0].sim.recorder().cloned();
+    let query_span = rec.as_ref().map(|r| {
+        let t = r.track("exec");
+        let s = r.begin(t, "exec", plan.query.name(), ctxs[0].sim.clock());
+        r.arg(s, "mode", mode.name());
+        r.arg(s, "stages", plan.stages.len());
+        s
+    });
+    let mut d = Driver {
+        spec,
+        ctxs,
+        kinds,
+        alive,
+        rec,
+        hts: vec![vec![None; plan.num_hts]; n],
+        agg: None,
+        per_stage: vec![Vec::new(); n],
+        merged: LaunchProfile::default(),
+        stats: RecoveryStats::default(),
+        primary: 0,
+    };
+    let pairs = overlap_pairs(&plan.stages);
+    let (mut total, mut stage_cycles) = (0u64, Vec::new());
+    // Through this stage, a pair that did not fuse runs from GPL.
+    let mut sequential_until = None;
+    let mut idx = 0;
+    while idx < plan.stages.len() {
+        spec.limits.check(total)?;
+        let spent = Spent {
+            walls: total,
+            wasted0: d.stats.wasted_cycles,
+        };
+        let c_start: Vec<u64> = d.ctxs.iter().map(|c| c.sim.clock()).collect();
+        let wall = |d: &Driver| {
+            (d.ctxs.iter().zip(&c_start))
+                .map(|(c, &s)| c.sim.clock().saturating_sub(s))
+                .max()
+                .unwrap_or(0)
+        };
+        let anchor = spec.anchors[idx];
+        let pair = pairs.iter().find(|p| {
+            let knob = spec.configs[anchor].stages[idx].overlap_slices;
+            mode == ExecMode::GplPipelined && p.build_stage == idx && knob > 0
+        });
+        if let Some(pair) = pair {
+            let fusable = spec.shard.shards == 1
+                && spec.anchors[pair.probe_stage] == anchor
+                && d.alive[anchor];
+            if fusable && d.run_fused(pair, spent)? {
+                // One launch, one wall: charged to the build stage.
+                stage_cycles.extend([wall(&d), 0]);
+                total += stage_cycles[idx];
+                idx += 2;
+                continue;
+            }
+            d.stats.fallbacks += 1;
+            d.stats.degraded_to = Some(ExecMode::Gpl);
+            let to = gpl_obs::Value::from("GPL (sequential pair)");
+            recover::instant(&d.ctxs[anchor], "fallback", vec![("to", to)]);
+            sequential_until = Some(pair.probe_stage);
+        }
+        let from_gpl = sequential_until.is_some_and(|p| idx <= p);
+        let stage_mode = if from_gpl { ExecMode::Gpl } else { mode };
+        d.run_stage(idx, stage_mode, spent, cache.as_deref_mut())?;
+        stage_cycles.push(wall(&d));
+        total += stage_cycles[idx];
+        idx += 1;
+    }
+
+    let no_agg = ExecError::InvalidPlan(PlanError::NoAggregate);
+    let mut rows = d.agg.take().ok_or(no_agg)?.into_rows();
+    // The budget is checked before and after the final sort: a query
+    // landing *exactly* on its budget passes (`spent > budget` times out),
+    // the boundary `tests/failure_modes.rs` pins.
+    spec.limits.check(total)?;
+    if plan.order_by.is_empty() {
+        sort_rows(&mut rows, &[]); // the canonical full-row order
+    } else {
+        // The sort runs on the final stage's primary device.
+        let primary = d.primary;
+        let prof = run_sort_kernel(&mut d.ctxs[primary], mode, &mut rows, &plan.order_by);
+        total += prof.elapsed_cycles;
+        spec.limits.check(total)?;
+        stage_cycles.push(prof.elapsed_cycles);
+        d.merged.merge(&prof);
+        d.per_stage[primary].push(prof);
+    }
+    if let (Some(r), Some(s)) = (d.rec.as_ref(), query_span) {
+        r.arg(s, "cycles", d.merged.elapsed_cycles);
+        if d.stats.eventful() {
+            r.arg(s, "faults", d.stats.faults.len());
+            r.arg(s, "retries", d.stats.retries);
+            r.arg(s, "fallbacks", d.stats.fallbacks);
+            r.arg(s, "wasted_cycles", d.stats.wasted_cycles);
+        }
+        r.end(s, d.ctxs[0].sim.clock());
+    }
+    let per_device = (d.ctxs.iter().zip(d.per_stage).enumerate())
+        .map(|(i, (c, per_stage))| DeviceRun {
+            device: c.sim.spec().name.clone(),
+            kind: kinds[i],
+            cycles: c.sim.clock(),
+            per_stage,
+            lost: !d.alive[i],
+        })
+        .collect();
+    let run = ShardedRun {
+        output: plan.output(rows),
+        cycles: total,
+        stage_cycles,
+        per_device,
+        recovery: d.stats,
+    };
+    Ok((run, d.merged))
+}
+
+/// [`run_pool`]'s state between stages; vectors are per pool device.
+struct Driver<'a> {
+    spec: &'a RunSpec<'a>,
+    ctxs: &'a mut [ExecContext],
+    kinds: &'a [DeviceKind],
+    alive: Vec<bool>,
+    rec: Option<gpl_obs::Recorder>,
+    /// The tables built so far, as each device holds them.
+    hts: Vec<Vec<Option<Rc<RefCell<SimHashTable>>>>>,
+    agg: Option<GroupStore>,
+    /// Each device's profile per plan stage, plus the sort.
+    per_stage: Vec<Vec<LaunchProfile>>,
+    merged: LaunchProfile,
+    stats: RecoveryStats,
+    /// The latest stage's primary device (its anchor while live); the
+    /// sort runs there.
+    primary: usize,
+}
+
+impl Driver<'_> {
+    /// Install a stage's merged blocking state (rule 1 of [`run_pool`]).
+    fn install(&mut self, out: Blocking) {
+        match out {
+            Blocking::Build(slot, t) if self.ctxs.len() == 1 => {
+                self.hts[0][slot] = Some(Rc::new(RefCell::new(t)));
+            }
+            Blocking::Build(slot, t) => {
+                let name = self.spec.plan.query.name();
+                for d in (0..self.ctxs.len()).filter(|&d| self.alive[d]) {
+                    let sim = &mut self.ctxs[d].sim;
+                    let view = t.placed(&mut sim.mem, format!("{name}::ht{slot}@{d}"));
+                    let bw = broadcast_bandwidth(sim.spec());
+                    sim.advance(view.bytes() / bw + 64);
+                    self.hts[d][slot] = Some(Rc::new(RefCell::new(view)));
+                }
+            }
+            Blocking::Agg(store) => self.agg = Some(store),
+        }
+    }
+
+    /// Book one stage: every device's profile (the default where it ran
+    /// no part), each merged into the query's.
+    fn record(&mut self, profiles: Vec<Option<LaunchProfile>>) {
+        for (books, p) in self.per_stage.iter_mut().zip(profiles) {
+            let p = p.unwrap_or_default();
+            self.merged.merge(&p);
+            books.push(p);
+        }
+    }
+
+    /// An eligible pair as one fused launch on its anchor; `false` when
+    /// the fused rung is exhausted and the pair must run sequentially.
+    fn run_fused(&mut self, pair: &InterSegmentEdge, spent: Spent) -> Result<bool, ExecError> {
+        let a = self.spec.anchors[pair.build_stage];
+        let (ctx, hts) = (&mut self.ctxs[a], &self.hts[a]);
+        let fused = run_pair_fused(ctx, self.spec, a, pair, hts, spent, &mut self.stats)?;
+        let Some((profile, outs)) = fused else {
+            return Ok(false);
+        };
+        self.primary = a;
+        outs.into_iter().for_each(|out| self.install(out));
+        self.merged.merge(&profile);
+        // Split back into per-stage views by segment tag, so `per_stage`
+        // keeps one entry per stage.
+        let mut split = Some(profile.split_by_segment(&[0, 1]));
+        for (d, books) in self.per_stage.iter_mut().enumerate() {
+            let views = split.take_if(|_| d == a);
+            books.extend(views.unwrap_or_else(|| vec![LaunchProfile::default(); 2]));
+        }
+        Ok(true)
+    }
+
+    /// One stage under `mode`: the hash-table cache, then every part on
+    /// a candidate device (hedged when it straggles), then the merge.
+    fn run_stage(
+        &mut self,
+        idx: usize,
+        mode: ExecMode,
+        spent: Spent,
+        cache: Option<&mut HtCache>,
+    ) -> Result<(), ExecError> {
+        let (spec, n) = (self.spec, self.ctxs.len());
+        let stage = &spec.plan.stages[idx];
+        let db = Arc::clone(&self.ctxs[0].db);
+        let table = db.table(&stage.driver);
+        let mut built = None;
+        if let (Some(c), Terminal::HashBuild { ht, .. }) = (cache, &stage.terminal) {
+            let (s, rows) = (stage, table.rows());
+            let key = format!(
+                "{}#{rows}:{:?}:{:?}:{:?}",
+                s.driver, s.loads, s.ops, s.terminal
+            );
+            if let Some(kept) = c.tables.get(&key) {
+                c.cache_hits += 1;
+                self.hts
+                    .iter_mut()
+                    .for_each(|h| h[*ht] = Some(kept.clone()));
+                self.record(vec![None; n]);
+                return Ok(());
+            }
+            c.cache_misses += 1;
+            built = Some((c, key, *ht));
+        }
+        // Per-device lowering: the IR depends on the wavefront size.
+        let irs: Vec<SegmentIr> = (self.ctxs.iter())
+            .map(|c| SegmentIr::lower(stage, table, c.sim.spec().wavefront_size))
+            .collect();
+
         // Devices eligible for this stage: live devices of the anchor's
         // class, anchor first; any live device if the class died out.
+        let anchor = spec.anchors[idx];
         let mut class: Vec<usize> = (0..n)
-            .filter(|&d| alive[d] && pool.devices()[d].kind == kind)
+            .filter(|&d| self.alive[d] && self.kinds[d] == self.kinds[anchor])
             .collect();
         if class.is_empty() {
-            class = (0..n).filter(|&d| alive[d]).collect();
+            class = (0..n).filter(|&d| self.alive[d]).collect();
         }
         let exhausted = class.is_empty();
         if exhausted {
-            // Every device lost: the disarmed last resort runs on the
-            // anchor, like the single-device ladder's hardened path.
+            // Every device lost: the disarmed last resort runs on the anchor.
             class = vec![anchor];
         }
         if let Some(pos) = class.iter().position(|&d| d == anchor) {
             class.rotate_left(pos);
         }
-        primary = class[0];
+        let primary = class[0];
+        self.primary = primary;
 
-        let rows = db.table(&stage.driver).rows();
-        let parts = shard.sharder.partition(rows, shard.shards);
-        let c_start: Vec<u64> = ctxs.iter().map(|c| c.sim.clock()).collect();
+        let stage_span = self.rec.as_ref().map(|r| {
+            let cfg = &spec.configs[primary].stages[idx];
+            let t = r.track("exec");
+            let name = format!("stage{idx}:{}", irs[primary].driver);
+            let s = r.begin(t, "stage", name, self.ctxs[primary].sim.clock());
+            r.arg(s, "tile_bytes", cfg.tile_bytes);
+            r.arg(s, "n_channels", cfg.n_channels);
+            r.arg(s, "packet_bytes", cfg.packet_bytes);
+            r.arg(s, "kernels", irs[primary].nodes.len());
+            s
+        });
 
-        // Per-device lowering: the IR depends on the wavefront size.
-        let irs: Vec<SegmentIr> = ctxs
-            .iter()
-            .map(|c| SegmentIr::lower(stage, db.table(&stage.driver), c.sim.spec().wavefront_size))
-            .collect();
-
-        let stage_run = |d: usize| StageRun {
-            spec: &specs[d],
-            idx: sidx,
-            ir: &irs[d],
-            hts: &hts[d],
-            spent: total,
+        let shard = spec.shard;
+        let parts = shard.sharder.partition(table.rows(), shard.shards);
+        // Rule 2 of `run_pool`: only a one-shard stage is sliced.
+        let slices = match spec.recovery {
+            Some(p) if shard.shards == 1 => p.checkpoint_slices,
+            _ => 0,
         };
-        let mut stage_profiles: Vec<LaunchProfile> = vec![LaunchProfile::default(); n];
-        let mut shard_builds: Vec<SimHashTable> = Vec::new();
-        let mut shard_aggs: Vec<GroupStore> = Vec::new();
+        let stage_run = |device: usize| StageRun {
+            spec,
+            device,
+            idx,
+            ir: &irs[device],
+            hts: &self.hts[device],
+            spent,
+        };
+        let mut profiles: Vec<Option<LaunchProfile>> = vec![None; n];
+        let mut outs = Vec::with_capacity(parts.len());
+        let mut ran_on = mode;
 
         for (si, part) in parts.iter().enumerate() {
             // Candidate devices for this shard: the class rotated so
             // shard si starts at class[si % len], then (on loss) the
             // remaining live devices outside the class.
-            let mut cands: Vec<usize> = {
-                let len = class.len();
-                (0..len).map(|o| class[(si + o) % len]).collect()
-            };
+            let len = class.len();
+            let mut cands: Vec<usize> = (0..len).map(|o| class[(si + o) % len]).collect();
             let extra: Vec<usize> = (0..n)
-                .filter(|&d| alive[d] && !cands.contains(&d))
+                .filter(|&d| self.alive[d] && !cands.contains(&d))
                 .collect();
             cands.extend(extra);
             let mut last_err: Option<ExecError> = None;
             // (device, output, observed cycles, clock at attempt start)
             let mut winner: Option<(usize, StageOut, u64, u64)> = None;
             for (ci, &dev) in cands.iter().enumerate() {
-                let reassigned = ci > 0;
-                if reassigned {
-                    stats.fallbacks += 1;
+                if ci > 0 {
+                    self.stats.fallbacks += 1; // reassigned
                 }
-                let dev_is_last = ci + 1 == cands.len();
-                let a0 = ctxs[dev].sim.clock();
-                match run_shard_on_device(
-                    &mut ctxs[dev],
-                    &stage_run(dev),
-                    mode,
-                    part,
-                    &mut stats,
-                    // The disarmed last resort belongs to the final
-                    // candidate only; earlier losses reassign instead.
-                    dev_is_last || exhausted,
-                ) {
-                    Ok(out) => {
-                        let observed = ctxs[dev].sim.clock().saturating_sub(a0);
+                // The disarmed last resort belongs to the final candidate
+                // only; earlier losses reassign instead.
+                let last = match ci + 1 == cands.len() || exhausted {
+                    true => LastResort::Always,
+                    false => LastResort::UnlessLost,
+                };
+                let a0 = self.ctxs[dev].sim.clock();
+                let run = stage_run(dev);
+                let ctx = &mut self.ctxs[dev];
+                match run_part(ctx, &run, mode, part, slices, &mut self.stats, last) {
+                    Ok((out, m)) => {
+                        ran_on = if m != mode { m } else { ran_on };
+                        let observed = ctx.sim.clock().saturating_sub(a0);
                         winner = Some((dev, out, observed, a0));
                         break;
                     }
                     Err(e @ ExecError::DeviceLost(_)) => {
-                        alive[dev] = false;
+                        self.alive[dev] = false;
                         last_err = Some(e);
                     }
                     Err(e) => return Err(e),
@@ -571,193 +803,111 @@ pub fn try_run_query_sharded(
                 return Err(last_err.expect("at least one candidate attempted"));
             };
 
-            // Straggler hedging: the shard finished, but did it finish
-            // *late*? The deadline is the *whole stage's* modeled cost
-            // on this device times the lateness threshold — deliberately
-            // unscaled by the shard's row fraction, so neither ordinary
-            // model error nor the fixed per-launch overhead (which does
-            // not shrink with shard size) can trip it; only a genuinely
-            // pathological shard (slowdown window, retry storm) can. A
-            // straggler gets a speculative re-execution on the
-            // modeled-cheapest other live device; the race resolves in
-            // modeled-parallel time — the backup launches the moment the
-            // primary crossed its deadline, so it finishes at `deadline
-            // + d_backup` — and the loser's clock is capped at the
-            // winner's finish (cancellation). Duplicate cycles land in
-            // `wasted_cycles`, charged against `limits` like retry
-            // waste.
-            if let Some(h) = hedge {
+            // Straggler hedging (see `HedgePlan`): the race resolves in
+            // modeled-parallel time — the backup launches when the primary
+            // crossed its deadline — and the loser's clock is capped at the
+            // winner's finish. Duplicate cycles land in `wasted_cycles`.
+            if let Some(h) = spec.hedge {
                 let part_rows: usize = part.iter().map(|r| r.len()).sum();
-                let modeled_row = h.modeled.get(sidx);
-                let modeled_p = modeled_row
-                    .and_then(|row| row.get(wdev))
-                    .copied()
-                    .unwrap_or(f64::INFINITY);
+                let modeled_row = h.modeled.get(idx);
+                let modeled = |d: usize| modeled_row.and_then(|row| row.get(d).copied());
+                let modeled_p = modeled(wdev).unwrap_or(f64::INFINITY);
                 let deadline = modeled_p * h.threshold;
-                if part_rows > 0 && modeled_p.is_finite() && (observed as f64) > deadline {
-                    let backup = (0..n)
-                        .filter(|&d| d != wdev && alive[d])
-                        .filter(|&d| {
-                            modeled_row.is_some_and(|row| row.get(d).is_some_and(|m| m.is_finite()))
-                        })
-                        .min_by(|&a, &b| {
-                            let row = modeled_row.expect("filtered on modeled_row");
-                            row[a].total_cmp(&row[b])
-                        });
-                    let affordable = backup.is_some_and(|b| {
-                        let modeled_b = (modeled_row.expect("backup implies row")[b]).ceil() as u64;
-                        limits
-                            .max_cycles
-                            .is_none_or(|budget| total + stats.wasted_cycles + modeled_b <= budget)
+                let late = part_rows > 0 && modeled_p.is_finite() && observed as f64 > deadline;
+                let backup = (0..n)
+                    .filter(|&d| late && d != wdev && self.alive[d])
+                    .filter_map(|d| modeled(d).filter(|m| m.is_finite()).map(|m| (d, m)))
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .filter(|&(_, m)| {
+                        let budget = spec.limits.max_cycles;
+                        budget.is_none_or(|b| spent.at(&self.stats) + m.ceil() as u64 <= b)
                     });
-                    if let (Some(b), true) = (backup, affordable) {
-                        stats.hedges += 1;
-                        let b0 = ctxs[b].sim.clock();
-                        match run_shard_on_device(
-                            &mut ctxs[b],
-                            &stage_run(b),
-                            mode,
-                            part,
-                            &mut stats,
-                            false,
-                        ) {
-                            Ok(bout) => {
-                                let d_backup = ctxs[b].sim.clock().saturating_sub(b0);
-                                let launch = deadline.ceil() as u64;
-                                // Verified first finisher: both attempts'
-                                // blocking outputs must be bit-identical
-                                // before either may win.
-                                assert_eq!(
-                                    out.1.fingerprint(),
-                                    bout.1.fingerprint(),
-                                    "hedged backup diverged from primary"
-                                );
-                                if launch + d_backup < observed {
-                                    // Backup wins: cancel the straggling
-                                    // primary at the backup's finish.
-                                    stats.hedge_wins += 1;
-                                    ctxs[wdev].sim.cap_clock(p0 + launch + d_backup);
-                                    stats.wasted_cycles +=
-                                        ctxs[wdev].sim.clock().saturating_sub(p0);
-                                    wdev = b;
-                                    out = bout;
-                                } else {
-                                    // Primary wins: cancel the backup at
-                                    // the primary's finish.
-                                    let spent_b = d_backup.min(observed.saturating_sub(launch));
-                                    ctxs[b].sim.cap_clock(b0 + spent_b);
-                                    stats.wasted_cycles += spent_b;
-                                }
+                if let Some((b, _)) = backup {
+                    self.stats.hedges += 1;
+                    let (run_b, ctx) = (stage_run(b), &mut self.ctxs[b]);
+                    let b0 = ctx.sim.clock();
+                    let last = LastResort::UnlessLost;
+                    let hedged = run_part(ctx, &run_b, mode, part, slices, &mut self.stats, last);
+                    let d_backup = ctx.sim.clock().saturating_sub(b0);
+                    match hedged {
+                        Ok((bout, _)) => {
+                            let launch = deadline.ceil() as u64;
+                            // Verified first finisher: both attempts'
+                            // blocking outputs must be bit-identical
+                            // before either may win.
+                            assert_eq!(
+                                out.1.fingerprint(),
+                                bout.1.fingerprint(),
+                                "hedged backup diverged from primary"
+                            );
+                            if launch + d_backup < observed {
+                                // Backup wins: cancel the straggling
+                                // primary at the backup's finish.
+                                self.stats.hedge_wins += 1;
+                                let sim = &mut self.ctxs[wdev].sim;
+                                sim.cap_clock(p0 + launch + d_backup);
+                                self.stats.wasted_cycles += sim.clock().saturating_sub(p0);
+                                (wdev, out) = (b, bout);
+                            } else {
+                                // Primary wins: cancel the backup at the
+                                // primary's finish.
+                                let spent_b = d_backup.min(observed.saturating_sub(launch));
+                                self.ctxs[b].sim.cap_clock(b0 + spent_b);
+                                self.stats.wasted_cycles += spent_b;
                             }
-                            Err(ExecError::DeviceLost(_)) => {
-                                // The backup's device died mid-
-                                // speculation; the primary stands.
-                                alive[b] = false;
-                                stats.wasted_cycles += ctxs[b].sim.clock().saturating_sub(b0);
-                            }
-                            Err(e @ (ExecError::Timeout { .. } | ExecError::Cancelled)) => {
-                                return Err(e)
-                            }
-                            Err(_) => {
-                                // Any other backup failure leaves the
-                                // verified primary result standing.
-                                stats.wasted_cycles += ctxs[b].sim.clock().saturating_sub(b0);
-                            }
+                        }
+                        Err(e @ (ExecError::Timeout { .. } | ExecError::Cancelled)) => {
+                            return Err(e)
+                        }
+                        // Any other backup failure leaves the verified
+                        // primary standing; a lost backup device is dead.
+                        Err(e) => {
+                            self.alive[b] &= !matches!(e, ExecError::DeviceLost(_));
+                            self.stats.wasted_cycles += d_backup;
                         }
                     }
                 }
             }
 
-            stage_profiles[wdev].merge(&out.0);
-            match out.1 {
-                Blocking::Build(_, t) => shard_builds.push(t),
-                Blocking::Agg(a) => shard_aggs.push(a),
+            let (profile, blocking) = out;
+            match profiles[wdev].as_mut() {
+                Some(acc) => acc.merge(&profile),
+                None => profiles[wdev] = Some(profile),
             }
+            outs.push(blocking);
         }
 
-        // Deterministic merge of the blocking-terminal state.
-        match &stage.terminal {
-            Terminal::HashBuild { ht, .. } => {
-                let slot = *ht;
-                let mut it = shard_builds.drain(..);
-                let mut merged = it.next().expect("build stage produced tables");
-                for t in it {
-                    merged.absorb(t);
-                }
-                // Broadcast the merged table to every live device at its
-                // copy bandwidth so the next stage can probe locally: one
-                // content, one placement per device.
-                for d in (0..n).filter(|&d| alive[d]) {
-                    let t = merged.placed(
-                        &mut ctxs[d].sim.mem,
-                        format!("{}::ht{}@{d}", plan.query.name(), slot),
-                    );
-                    let bw = broadcast_bandwidth(ctxs[d].sim.spec());
-                    ctxs[d].sim.advance(t.bytes() / bw + 64);
-                    hts[d][slot] = Some(Rc::new(RefCell::new(t)));
-                }
+        // Merge the blocking-terminal state in shard order; aggregate
+        // stores gather onto the primary device.
+        let mut outs = outs.into_iter();
+        let mut merged = outs.next().expect("a stage has at least one shard");
+        let mut gathered = 0;
+        for part in outs {
+            if let Blocking::Agg(s) = &part {
+                gathered += s.bytes();
             }
-            Terminal::Aggregate { .. } => {
-                let mut it = shard_aggs.drain(..);
-                let mut merged = it.next().expect("aggregate stage produced stores");
-                let mut gathered = 0u64;
-                for s in it {
-                    gathered += s.bytes();
-                    merged.absorb(s);
-                }
-                // Gather charge on the stage's primary device.
-                let bw = broadcast_bandwidth(ctxs[primary].sim.spec());
-                ctxs[primary].sim.advance(gathered / bw);
-                agg_store = Some(merged);
+            merged.absorb(part);
+        }
+        if let Blocking::Agg(_) = merged {
+            let sim = &mut self.ctxs[primary].sim;
+            sim.advance(gathered / broadcast_bandwidth(sim.spec()));
+        }
+        self.install(merged);
+        if let Some((c, key, ht)) = built {
+            let kept = self.hts[primary][ht].clone().expect("just installed");
+            c.tables.insert(key, kept);
+        }
+        if let (Some(r), Some(s)) = (self.rec.as_ref(), stage_span) {
+            if ran_on != mode {
+                r.arg(s, "degraded_to", ran_on.name());
             }
+            let cycles = profiles[primary].as_ref().map_or(0, |p| p.elapsed_cycles);
+            r.arg(s, "stage_cycles", cycles);
+            r.end(s, self.ctxs[primary].sim.clock());
         }
-
-        let wall = ctxs
-            .iter()
-            .zip(&c_start)
-            .map(|(c, &s)| c.sim.clock().saturating_sub(s))
-            .max()
-            .unwrap_or(0);
-        total += wall;
-        stage_cycles.push(wall);
-        for (d, p) in stage_profiles.into_iter().enumerate() {
-            dev_stages[d].push(p);
-        }
+        self.record(profiles);
+        Ok(())
     }
-
-    let store = agg_store.ok_or(ExecError::InvalidPlan(PlanError::NoAggregate))?;
-    // The sort runs on the final stage's primary device.
-    let (output, sort) = finish_query(
-        &mut ctxs[primary],
-        plan,
-        mode,
-        store.into_rows(),
-        limits,
-        total + stats.wasted_cycles,
-    )?;
-    if let Some(prof) = sort {
-        total += prof.elapsed_cycles;
-        stage_cycles.push(prof.elapsed_cycles);
-        dev_stages[primary].push(prof);
-    }
-    let per_device = ctxs
-        .iter()
-        .enumerate()
-        .map(|(d, c)| DeviceRun {
-            device: pool.devices()[d].spec.name.clone(),
-            kind: pool.devices()[d].kind,
-            cycles: c.sim.clock(),
-            per_stage: std::mem::take(&mut dev_stages[d]),
-            lost: !alive[d],
-        })
-        .collect();
-    Ok(ShardedRun {
-        output,
-        cycles: total,
-        stage_cycles,
-        per_device,
-        recovery: stats,
-    })
 }
 
 /// Device-level copy bandwidth used to charge merge broadcasts/gathers:
@@ -766,30 +916,36 @@ fn broadcast_bandwidth(spec: &DeviceSpec) -> u64 {
     (spec.mem_bytes_per_cycle * spec.num_cus as u64).max(1)
 }
 
-/// One shard on one device, down the recovery ladder on this device's
-/// clock. The disarmed last resort belongs to the shard's last candidate
-/// device; elsewhere a device loss returns at once so the caller can
-/// reassign the shard.
-fn run_shard_on_device(
+/// One part of a stage on one device, down the recovery ladder on its
+/// clock — as that many checkpoint `slices` when 2 or more. Only the part's
+/// last candidate device may end in the disarmed last resort; elsewhere
+/// a device loss returns at once so the caller can reassign the part.
+fn run_part(
     ctx: &mut ExecContext,
     run: &StageRun,
     mode: ExecMode,
     part: &[Range<usize>],
+    slices: u32,
     stats: &mut RecoveryStats,
-    last_resort_here: bool,
-) -> Result<StageOut, ExecError> {
+    last_resort: LastResort,
+) -> Result<(StageOut, ExecMode), ExecError> {
+    let (policy, limits) = (run.spec.recovery, run.spec.limits);
     let ladder = Ladder {
-        last_resort: if last_resort_here {
-            LastResort::Always
-        } else {
-            LastResort::UnlessLost
-        },
-        ..run.ladder(mode)
+        last_resort,
+        ..Ladder::new(policy, mode, limits, run.spent)
     };
+    if slices >= 2 {
+        let slices: Vec<Range<usize>> = (part.iter())
+            .flat_map(|r| {
+                let cuts = Sharder::Range.partition(r.len(), slices as usize);
+                let offset = |s: Range<usize>| r.start + s.start..r.start + s.end;
+                cuts.into_iter().flatten().map(offset)
+            })
+            .collect();
+        return run_stage_checkpointed(ctx, run, mode, &ladder, &slices, stats);
+    }
     let attempt = |ctx: &mut ExecContext, m| attempt_stage(ctx, run, m, part);
-    ladder
-        .run(ctx, stats, attempt, |_, _| {})
-        .map(|(out, _)| out)
+    ladder.run(ctx, stats, attempt, |_, _| {})
 }
 
 #[cfg(test)]

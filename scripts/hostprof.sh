@@ -19,7 +19,7 @@
 # getrusage. With an under-regex, also the share and flat top-N of the
 # samples that have a frame matching it and none matching the
 # not-under-regex: "time under f but not under g or h", e.g.
-#   scripts/hostprof.sh shard_chaos 8 25 try_run_query_sharded 'run_shard_on_device|finish_query'
+#   scripts/hostprof.sh shard_chaos 8 25 run_pool 'run_part|run_sort_kernel'
 # The timer asks for 1 kHz; the kernel tick bounds what it gets (250 Hz
 # per busy thread on a HZ=250 kernel). Faults and seconds cover the whole
 # process — set-up included — measured from after the sampler's own

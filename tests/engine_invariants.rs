@@ -136,8 +136,8 @@ fn per_launch_events_and_profiles_pinned_across_modes() {
 /// shard count changes tiling so the cells legitimately differ from
 /// each other — what must never change is any cell on its own.
 const PINNED_SHARDED: &[&str] = &[
-    "q9 Gpl shards=1 events=106 fp=0xa7628dcb98c949e6",
-    "q9 Gpl shards=2 events=112 fp=0x09c6ed809f24e917",
+    "q9 Gpl shards=1 events=106 fp=0x71b6fc79cc43e296",
+    "q9 Gpl shards=2 events=112 fp=0xa6d29dc248c8fcaa",
     "q9 Gpl shards=4 events=124 fp=0x125653f858eea3da",
     "q5 Kbe shards=1 events=41 fp=0x52c003ba69c4f5fa",
     "q5 Kbe shards=2 events=61 fp=0xc068609a4609b119",

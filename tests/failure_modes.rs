@@ -540,6 +540,55 @@ fn timeout_boundary_is_exact_and_worker_count_independent() {
             other => panic!("one under budget must time out at {workers} workers: {other:?}"),
         }
     }
+
+    // The same boundary for a faulted sharded run: the retried fault's
+    // waste lies inside the wall of the stage it hit, counted once.
+    use gpl_repro::core::{
+        try_run_query_sharded, DevicePool, RecoveryPolicy, ShardAssignment, ShardFaults, ShardPlan,
+    };
+    use gpl_repro::sim::{FaultKind, FaultSpec, PinnedFault};
+    let plan = plan_for(&db, QueryId::Q5);
+    let pool = DevicePool::default_pool();
+    let assignment = ShardAssignment::round_robin(&pool, &plan);
+    let mut spec = FaultSpec::none();
+    spec.pinned.push(PinnedFault {
+        kind: FaultKind::KernelFault,
+        kernel: "k_hash_build(ht0)".into(),
+        at_cycle: 0,
+    });
+    let faults = ShardFaults { spec, seed: 3 };
+    let sharded = |max_cycles| {
+        let limits = ExecLimits {
+            max_cycles,
+            cancel: None,
+        };
+        let (shard, policy) = (ShardPlan::range(2), RecoveryPolicy::default());
+        try_run_query_sharded(
+            &pool,
+            &db,
+            &plan,
+            ExecMode::Gpl,
+            &shard,
+            &assignment,
+            &limits,
+            Some(&policy),
+            Some(&faults),
+            None,
+            None,
+        )
+    };
+    let run = sharded(None).expect("recovery absorbs the fault");
+    assert!(run.recovery.wasted_cycles > 0, "the pinned fault fired");
+    let cost = run.cycles;
+    let on_budget = sharded(Some(cost)).expect("exactly on budget must pass when sharded");
+    assert_eq!(on_budget.cycles, cost);
+    match sharded(Some(cost - 1)) {
+        Err(ExecError::Timeout {
+            budget_cycles,
+            spent_cycles,
+        }) => assert_eq!((budget_cycles, spent_cycles), (cost - 1, cost)),
+        other => panic!("one under budget must time out when sharded: {other:?}"),
+    }
 }
 
 #[test]

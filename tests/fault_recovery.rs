@@ -272,6 +272,31 @@ fn channel_stalls_cost_cycles_but_never_rows() {
     assert_eq!(stats.total_failures(), 0);
 }
 
+/// A stall delays its launch by `stall_cycles` (DESIGN.md §7), and a
+/// query's cycles are its device's clock: one pinned stall on a GPL
+/// launch costs the query exactly that, and nothing else moves.
+#[test]
+fn one_pinned_channel_stall_costs_exactly_its_stall_cycles() {
+    let sql = gpl_repro::sql::sql_for(QueryId::Q6).expect("Q6 in corpus");
+    let plan = gpl_repro::sql::compile(&db(), sql).unwrap();
+    let cfg = QueryConfig::default_for(&amd_a10(), &plan);
+    let mut ctx = ExecContext::with_shared(amd_a10(), db());
+    let clean = run_query(&mut ctx, &plan, ExecMode::Gpl, &cfg);
+    let mut spec = FaultSpec::none();
+    spec.pinned.push(PinnedFault {
+        kind: FaultKind::ChannelStall,
+        kernel: "k_reduce*".into(),
+        at_cycle: 0,
+    });
+    let stall_cycles = spec.stall_cycles;
+    let policy = RecoveryPolicy::default();
+    let (run, injected) = run_faulted(sql, ExecMode::Gpl, spec, 0, &policy);
+    assert_eq!(injected, 1, "a pinned stall fires exactly once");
+    assert_eq!(run.output, clean.output);
+    assert!(!run.recovery.eventful(), "a stall is latency, not a fault");
+    assert_eq!(run.cycles, clean.cycles + stall_cycles);
+}
+
 /// Per-query fault schedules are seeded by request id, so the full
 /// fingerprint — rows *and* recovered cycle counts — is identical at
 /// any worker count, and the rows match a fault-free server.
