@@ -38,25 +38,6 @@ pub fn mode_key(mode: gpl_core::ExecMode) -> &'static str {
     }
 }
 
-/// FNV-1a over a run's result rows — the same digest shape the serve
-/// report uses, so artifacts can be compared across tools.
-pub fn row_fingerprint(run: &gpl_core::QueryRun) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(&(run.output.rows.len() as u64).to_le_bytes());
-    for row in &run.output.rows {
-        for v in row {
-            mix(&v.to_le_bytes());
-        }
-    }
-    h
-}
-
 /// One executed query (or workload) inside an experiment.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunEntry {

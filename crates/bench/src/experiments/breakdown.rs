@@ -2,7 +2,7 @@
 //! under KBE vs GPL — the communication-cost claim of Section 5.3.2.
 
 use super::Opts;
-use crate::artifact::{mode_key, row_fingerprint, RunEntry};
+use crate::artifact::{mode_key, RunEntry};
 use gpl_core::{plan_for, run_query, ExecMode, QueryConfig, QueryRun};
 use gpl_obs::Json;
 use gpl_tpch::QueryId;
@@ -50,7 +50,7 @@ fn run_breakdown(opts: &Opts) {
             RunEntry::new("Q8", mode_key(mode))
                 .cycles(run.cycles)
                 .rows(run.output.rows.len() as u64)
-                .fingerprint(row_fingerprint(&run))
+                .fingerprint(run.output.fingerprint())
                 .extra("compute_pct", Json::Num(c))
                 .extra("mem_pct", Json::Num(m))
                 .extra("dc_pct", Json::Num(dc))

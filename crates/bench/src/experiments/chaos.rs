@@ -362,7 +362,7 @@ pub fn chaos(opts: &Opts) {
                             panic!("{} chaos run failed (hedge {hedged}): {e}", q.name())
                         });
                         rows_ok &= run.output.rows == clean.output.rows
-                            && run.fingerprint() == clean.fingerprint();
+                            && run.output.fingerprint() == clean.output.fingerprint();
                         assert!(
                             rows_ok,
                             "{} rows diverged under chaos (hedge {hedged}, seed {seed_ix})",

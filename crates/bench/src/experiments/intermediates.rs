@@ -2,7 +2,7 @@
 //! — Observation 1 and its resolution by channels.
 
 use super::Opts;
-use crate::artifact::{mode_key, row_fingerprint, RunEntry};
+use crate::artifact::{mode_key, RunEntry};
 use gpl_core::plan::q14_plan;
 use gpl_core::{plan_for, run_query, ExecMode, QueryConfig, QueryPlan};
 use gpl_obs::Json;
@@ -141,7 +141,7 @@ pub fn fig17(opts: &Opts) {
                 RunEntry::new(q.name(), mode_key(mode))
                     .cycles(run.cycles)
                     .rows(run.output.rows.len() as u64)
-                    .fingerprint(row_fingerprint(run))
+                    .fingerprint(run.output.fingerprint())
                     .extra("intermediate_bytes", Json::Int(bytes as i64)),
             );
         }

@@ -2,7 +2,7 @@
 //! 22, 27).
 
 use super::Opts;
-use crate::artifact::{mode_key, row_fingerprint, RunEntry};
+use crate::artifact::{mode_key, RunEntry};
 use gpl_core::{plan_for, run_query, ExecContext, ExecMode, QueryConfig};
 use gpl_model::{optimize, GammaTable};
 use gpl_obs::Json;
@@ -51,7 +51,7 @@ pub fn timeline(opts: &Opts) {
             RunEntry::new("Q8", mode_key(mode))
                 .cycles(run.cycles)
                 .rows(run.output.rows.len() as u64)
-                .fingerprint(row_fingerprint(&run)),
+                .fingerprint(run.output.fingerprint()),
         );
         let spans = ctx.sim.take_trace();
         println!(
@@ -116,7 +116,7 @@ fn mode_comparison(opts: &Opts) {
                 RunEntry::new(q.name(), mode_key(mode))
                     .cycles(run.cycles)
                     .rows(run.output.rows.len() as u64)
-                    .fingerprint(row_fingerprint(run)),
+                    .fingerprint(run.output.fingerprint()),
             );
         }
         let r_noce = noce.cycles as f64 / kbe.cycles as f64;
@@ -173,7 +173,7 @@ pub fn fig21(opts: &Opts) {
                     RunEntry::new(format!("{}@{sf}", q.name()), mode_key(mode))
                         .cycles(run.cycles)
                         .rows(run.output.rows.len() as u64)
-                        .fingerprint(row_fingerprint(run)),
+                        .fingerprint(run.output.fingerprint()),
                 );
             }
             cells.push((kbe.ms(&opts.device), gpl.ms(&opts.device)));
@@ -231,13 +231,13 @@ pub fn fig22(opts: &Opts) {
                 RunEntry::new(format!("{}@{sf}", q.name()), "gpl")
                     .cycles(gpl.cycles)
                     .rows(gpl.output.rows.len() as u64)
-                    .fingerprint(row_fingerprint(&gpl)),
+                    .fingerprint(gpl.output.fingerprint()),
             );
             opts.artifact.run(
                 RunEntry::new(format!("{}@{sf}", q.name()), "ocelot-warm")
                     .cycles(warm.cycles)
                     .rows(warm.output.rows.len() as u64)
-                    .fingerprint(row_fingerprint(&warm)),
+                    .fingerprint(warm.output.fingerprint()),
             );
             println!(
                 "{:>6} {:>5} {:>12} {:>12} {:>13.2}x",

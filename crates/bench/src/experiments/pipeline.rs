@@ -14,7 +14,7 @@
 //! command are byte-identical — the verify gate diffs them.
 
 use super::Opts;
-use crate::artifact::{row_fingerprint, RunEntry};
+use crate::artifact::RunEntry;
 use gpl_core::{plan_for, run_query, ExecMode, QueryConfig, QueryRun};
 use gpl_model::{attach_overlap, build_models, estimate_stats, OverlapDecision};
 use gpl_obs::Json;
@@ -90,8 +90,8 @@ pub fn pipeline(opts: &Opts) {
             "{}: pipelined output must be bit-identical to sequential",
             query.name()
         );
-        let fp = row_fingerprint(&seq);
-        assert_eq!(fp, row_fingerprint(&pipe));
+        let fp = seq.output.fingerprint();
+        assert_eq!(fp, pipe.output.fingerprint());
 
         let model_seq: f64 = decisions.iter().map(|d| d.sequential).sum();
         let model_pipe: f64 = decisions.iter().map(|d| d.pipelined).sum();

@@ -12,7 +12,7 @@
 //! so a passing run guarantees well-formed files.
 
 use super::Opts;
-use crate::artifact::{mode_key, row_fingerprint, RunEntry};
+use crate::artifact::{mode_key, RunEntry};
 use gpl_core::{run_query, ExecMode, QueryConfig, QueryRun};
 use gpl_model::{build_models, drift_for_run, optimize_models_traced};
 use gpl_obs::{chrome_trace_string, metrics_report, parse, DriftReport, MetricsRegistry, Recorder};
@@ -114,7 +114,7 @@ pub fn profile(opts: &Opts) {
         let mut entry = RunEntry::new(query.name(), mode_key(mode))
             .cycles(run.cycles)
             .rows(run.output.rows.len() as u64)
-            .fingerprint(row_fingerprint(&run));
+            .fingerprint(run.output.fingerprint());
         if mode == ExecMode::Gpl {
             let report = drift_for_run(
                 &opts.device,

@@ -147,7 +147,7 @@ pub fn shard(opts: &Opts) {
         let mut best_gpu_observed = gpu_run.cycles;
         let mut best_gpu_modeled = gpu_only.modeled_total;
         for (d, dev) in pool.devices().iter().enumerate() {
-            if dev.kind != DeviceKind::Gpu {
+            if dev.kind() != DeviceKind::Gpu {
                 continue;
             }
             let homo = run(&pool, &db, &plan, &single, &pin_to(&hetero, d, stages));
@@ -202,7 +202,7 @@ pub fn shard(opts: &Opts) {
             reports.push(report);
         }
 
-        let fp = het_run.fingerprint();
+        let fp = het_run.output.fingerprint();
         opts.artifact.run(
             RunEntry::new(format!("{}-hetero", query.name()), "gpl")
                 .cycles(het_run.cycles)
@@ -280,7 +280,7 @@ pub fn shard(opts: &Opts) {
             RunEntry::new(format!("{}-shards-{shards}", query.name()), "gpl")
                 .cycles(r.cycles)
                 .rows(r.output.rows.len() as u64)
-                .fingerprint(r.fingerprint()),
+                .fingerprint(r.output.fingerprint()),
         );
         by_shards.push((shards, r.cycles));
     }

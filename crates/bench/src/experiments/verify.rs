@@ -63,6 +63,18 @@ pub const TABLE: &[Row] = &[
         repeats: 1,
         compared: &[STDOUT, "BENCH_fig3.json"],
     },
+    // Figures 11 and 24 print wall-clock search time, so only their
+    // artifacts compare.
+    Row {
+        args: &["fig11"],
+        repeats: 2,
+        compared: &["BENCH_fig11.json"],
+    },
+    Row {
+        args: &["fig24"],
+        repeats: 2,
+        compared: &["BENCH_fig24.json"],
+    },
     Row {
         args: &["profile", "q1", "--sf", "0.01"],
         repeats: 1,

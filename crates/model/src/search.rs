@@ -13,8 +13,6 @@ use gpl_core::plan::QueryPlan;
 use gpl_core::{QueryConfig, StageConfig};
 use gpl_sim::DeviceSpec;
 use gpl_tpch::TpchDb;
-use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The Δ grid of Figure 12: 256 KB to 16 MB.
@@ -80,130 +78,6 @@ pub fn optimize(
     let stats = stats::estimate(db, plan);
     let models = build_models(db, plan, &stats, spec);
     optimize_models(spec, gamma, plan, &models)
-}
-
-/// A thread-safe LRU memo for Section-4 search outcomes.
-///
-/// The paper keeps the knob search under 5 ms *per query*; a server
-/// planning the same normalized query thousands of times should pay it
-/// once. Keys are caller-composed (the serving layer uses
-/// `normalized SQL × device × exec mode`) so one cache can serve many
-/// devices without cross-talk. Hit/miss counters are cumulative and
-/// survive eviction.
-pub struct SearchCache {
-    inner: Mutex<SearchCacheInner>,
-    capacity: usize,
-}
-
-struct SearchCacheInner {
-    map: HashMap<String, (QueryConfig, f64)>,
-    /// Recency order, least-recent first.
-    order: VecDeque<String>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SearchCache {
-    pub fn new(capacity: usize) -> Self {
-        SearchCache {
-            inner: Mutex::new(SearchCacheInner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                hits: 0,
-                misses: 0,
-            }),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The guard, recovered if a panicking thread poisoned it: the LRU's
-    /// updates are single inserts, pushes and pops, valid at every step.
-    fn lock(&self) -> std::sync::MutexGuard<'_, SearchCacheInner> {
-        (self.inner.lock()).unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Cached `(config, estimate)` for `key`, refreshing its recency.
-    pub fn get(&self, key: &str) -> Option<(QueryConfig, f64)> {
-        let mut inner = self.lock();
-        match inner.map.get(key).cloned() {
-            Some(v) => {
-                inner.hits += 1;
-                inner.order.retain(|k| k != key);
-                inner.order.push_back(key.to_string());
-                Some(v)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Insert, evicting the least-recently-used entry past capacity.
-    pub fn insert(&self, key: String, config: QueryConfig, estimate: f64) {
-        let mut inner = self.lock();
-        if inner.map.insert(key.clone(), (config, estimate)).is_none() {
-            inner.order.push_back(key);
-        } else {
-            inner.order.retain(|k| k != &key);
-            inner.order.push_back(key);
-        }
-        while inner.map.len() > self.capacity {
-            let Some(victim) = inner.order.pop_front() else {
-                break;
-            };
-            inner.map.remove(&victim);
-        }
-    }
-
-    /// Cumulative `(hits, misses)`.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.lock();
-        (inner.hits, inner.misses)
-    }
-
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The cache key the serving layer uses: device × plan identity.
-    /// `plan_key` must uniquely identify the plan's structure (the server
-    /// passes normalized SQL + exec mode; tests may pass a query name).
-    pub fn key_for(spec: &DeviceSpec, plan_key: &str) -> String {
-        format!("{}\u{1f}{}", spec.name, plan_key)
-    }
-}
-
-/// [`optimize_models`] through a [`SearchCache`]: a hit skips the grid
-/// search entirely (`evaluated == 0`, `elapsed` ≈ lock time); a miss runs
-/// the full search and populates the cache. Because the search is
-/// deterministic, a cached config is identical to a freshly searched one
-/// — the differential property `tests` pin exactly that.
-pub fn optimize_models_cached(
-    spec: &DeviceSpec,
-    gamma: &GammaTable,
-    plan: &QueryPlan,
-    models: &[StageModel],
-    cache: &SearchCache,
-    plan_key: &str,
-) -> SearchOutcome {
-    let key = SearchCache::key_for(spec, plan_key);
-    let start = Instant::now();
-    if let Some((config, estimate)) = cache.get(&key) {
-        return SearchOutcome {
-            config,
-            estimate,
-            elapsed: start.elapsed(),
-            evaluated: 0,
-        };
-    }
-    let out = optimize_models(spec, gamma, plan, models);
-    cache.insert(key, out.config.clone(), out.estimate);
-    out
 }
 
 /// Optimize given prebuilt stage models (lets callers reuse λ estimates).
@@ -386,50 +260,6 @@ mod tests {
             "search took {:?}",
             out.elapsed
         );
-    }
-
-    #[test]
-    fn cached_search_returns_the_identical_config_without_evaluations() {
-        let spec = amd_a10();
-        let g = gamma();
-        let db = TpchDb::at_scale(0.01);
-        let plan = plan_for(&db, QueryId::Q14);
-        let st = stats::estimate(&db, &plan);
-        let ms = build_models(&db, &plan, &st, &spec);
-        let cache = SearchCache::new(8);
-        let cold = optimize_models_cached(&spec, &g, &plan, &ms, &cache, "q14");
-        assert!(cold.evaluated > 0);
-        let warm = optimize_models_cached(&spec, &g, &plan, &ms, &cache, "q14");
-        assert_eq!(warm.evaluated, 0, "hit must skip the grid search");
-        assert_eq!(warm.config, cold.config);
-        assert_eq!(warm.estimate, cold.estimate);
-        let fresh = optimize_models(&spec, &g, &plan, &ms);
-        assert_eq!(
-            warm.config, fresh.config,
-            "cache must not change the answer"
-        );
-        assert_eq!(cache.stats(), (1, 1));
-    }
-
-    #[test]
-    fn search_cache_evicts_least_recently_used() {
-        let cache = SearchCache::new(2);
-        let cfg = QueryConfig { stages: vec![] };
-        cache.insert("a".into(), cfg.clone(), 1.0);
-        cache.insert("b".into(), cfg.clone(), 2.0);
-        assert!(cache.get("a").is_some()); // refresh a; b is now LRU
-        cache.insert("c".into(), cfg, 3.0);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get("b").is_none(), "b should have been evicted");
-        assert!(cache.get("a").is_some());
-        assert!(cache.get("c").is_some());
-    }
-
-    #[test]
-    fn device_name_separates_cache_keys() {
-        let a = SearchCache::key_for(&amd_a10(), "q1|Gpl");
-        let n = SearchCache::key_for(&gpl_sim::nvidia_k40(), "q1|Gpl");
-        assert_ne!(a, n);
     }
 
     #[test]

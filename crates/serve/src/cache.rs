@@ -1,44 +1,33 @@
-//! The shared plan/config cache.
+//! The shared plan cache.
 //!
 //! Planning a query costs one sampled evaluation and two searches over
 //! it: join-order optimization and the Section-4 knob search (<5 ms, but
-//! per query). A server answering the same normalized SQL thousands of
-//! times pays all of it once: [`PlanCache`] memoizes the compiled
-//! [`QueryPlan`] *and* the optimizer's chosen [`QueryConfig`], keyed by
-//! `normalized SQL × device × exec mode`. The config half additionally
-//! flows through `gpl-model`'s [`SearchCache`], whose hit/miss counters
-//! the batch report surfaces.
+//! per query and per device). A server answering the same normalized SQL
+//! thousands of times pays all of it once: [`PlanCache`] memoizes the
+//! compiled [`QueryPlan`] *and* the placement pass's output — per-stage
+//! device, per-device tuned configs — keyed by `pool × shard plan × exec
+//! mode × normalized SQL`. A single-device server plans over a one-device
+//! pool, whose placement is the single-device search, so there is one
+//! door ([`PlanCache::get_or_place`]) and one entry type.
 
 use gpl_core::shard::{DevicePool, ShardPlan};
-use gpl_core::{ExecMode, QueryConfig, QueryPlan};
-use gpl_model::{
-    build_models, optimize_models_cached, place_with_stats, GammaTable, Placement, SearchCache,
-};
-use gpl_sim::DeviceSpec;
+use gpl_core::{ExecMode, QueryPlan};
+use gpl_model::{attach_overlap, build_models, place_with_stats, GammaTable, Placement};
 use gpl_tpch::TpchDb;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-/// One cached planning outcome.
+/// One cached planning outcome: the compiled plan plus the placement
+/// pass's full output (per-stage device choice, per-device tuned configs,
+/// and the modeled-cycle matrix).
 #[derive(Debug, Clone)]
 pub struct PlanEntry {
-    pub plan: QueryPlan,
-    pub config: QueryConfig,
-    /// The cost model's Eq. 8 estimate for `config`, in cycles.
-    pub estimate: f64,
-}
-
-/// One cached sharded-planning outcome: the compiled plan plus the
-/// heterogeneous placement pass's full output (per-stage device choice,
-/// per-device tuned configs, and the modeled-cycle matrix).
-#[derive(Debug, Clone)]
-pub struct ShardEntry {
     pub plan: QueryPlan,
     pub placement: Placement,
 }
 
 /// A recency-ordered map with hit/miss counters: the one LRU behind
-/// both plan caches.
+/// the plan cache.
 struct Lru<V> {
     map: HashMap<String, Arc<V>>,
     /// Recency order, least-recent first.
@@ -94,14 +83,9 @@ impl<V> Lru<V> {
     }
 }
 
-/// Thread-safe LRU cache of [`PlanEntry`]s shared by all workers. When
-/// the server runs sharded, a sibling map caches [`ShardEntry`]s under
-/// keys that add the pool and the `ExecMode`-orthogonal [`ShardPlan`]
-/// component.
+/// Thread-safe LRU cache of [`PlanEntry`]s shared by all workers.
 pub struct PlanCache {
     inner: Mutex<Lru<PlanEntry>>,
-    sharded: Mutex<Lru<ShardEntry>>,
-    search: SearchCache,
     capacity: usize,
 }
 
@@ -109,8 +93,6 @@ impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             inner: Mutex::new(Lru::new()),
-            sharded: Mutex::new(Lru::new()),
-            search: SearchCache::new(capacity.max(1)),
             capacity: capacity.max(1),
         }
     }
@@ -139,68 +121,10 @@ impl PlanCache {
         out
     }
 
-    fn key(spec: &DeviceSpec, mode: ExecMode, normalized: &str) -> String {
-        format!("{}\u{1f}{}\u{1f}{normalized}", spec.name, mode.name())
-    }
-
-    /// Look up (or compile + optimize and insert) the plan for `sql`.
-    /// Returns the entry and whether it was a cache hit.
-    pub fn get_or_plan(
-        &self,
-        db: &TpchDb,
-        spec: &DeviceSpec,
-        gamma: &GammaTable,
-        sql: &str,
-        mode: ExecMode,
-    ) -> Result<(Arc<PlanEntry>, bool), String> {
-        let normalized = Self::normalize(sql);
-        self.get_or_insert(&self.inner, Self::key(spec, mode, &normalized), || {
-            let (plan, stats) = gpl_sql::compile_with_stats(db, sql).map_err(|e| e.to_string())?;
-            let models = build_models(db, &plan, &stats, spec);
-            let search_key = format!("{}\u{1f}{normalized}", mode.name());
-            let out =
-                optimize_models_cached(spec, gamma, &plan, &models, &self.search, &search_key);
-            let mut config = out.config;
-            // Cross-segment pipelining is a post-pass over the searched
-            // config: only the pipelined mode consults the overlap predicate,
-            // so the three sequential modes' cached outcomes stay
-            // byte-identical to the base search.
-            if mode == ExecMode::GplPipelined {
-                gpl_model::attach_overlap(spec, gamma, &plan, &models, &mut config);
-            }
-            Ok(PlanEntry {
-                plan,
-                config,
-                estimate: out.estimate,
-            })
-        })
-    }
-
-    /// The one get-or-insert behind [`PlanCache::get_or_plan`] and
-    /// [`PlanCache::get_or_place`]. Returns the entry and whether it was
-    /// a hit. The lock is *not* held while `make` plans, so a slow miss
-    /// never blocks other workers; two workers racing on the same cold
-    /// query both plan it (deterministically identically) and the second
-    /// insert wins.
-    fn get_or_insert<V>(
-        &self,
-        cache: &Mutex<Lru<V>>,
-        key: String,
-        make: impl FnOnce() -> Result<V, String>,
-    ) -> Result<(Arc<V>, bool), String> {
-        if let Some(entry) = crate::lock(cache).get(&key) {
-            return Ok((entry, true));
-        }
-        let entry = Arc::new(make()?);
-        crate::lock(cache).insert(key, entry.clone(), self.capacity);
-        Ok((entry, false))
-    }
-
-    /// The sharded sibling of [`PlanCache::key`]: the same mode ×
-    /// normalized-SQL core plus the pool identity and the
-    /// `ExecMode`-orthogonal shard-plan component, so one server can
-    /// cache the same query at several shard counts side by side.
-    fn shard_key(pool: &DevicePool, shard: &ShardPlan, mode: ExecMode, normalized: &str) -> String {
+    /// The pool identity, the `ExecMode`-orthogonal shard-plan component,
+    /// the mode and the normalized SQL, so one server can cache the same
+    /// query at several shard counts side by side.
+    fn key(pool: &DevicePool, shard: &ShardPlan, mode: ExecMode, normalized: &str) -> String {
         format!(
             "{}\u{1f}{}\u{1f}{}\u{1f}{normalized}",
             pool.key(),
@@ -209,13 +133,20 @@ impl PlanCache {
         )
     }
 
-    /// Look up (or compile + place and insert) the sharded plan for
-    /// `sql`: the heterogeneous placement pass runs once per (pool,
-    /// shard plan, mode, SQL) and its full output — including the
-    /// per-device tuned configs — is cached with the plan. Placement is
-    /// a pure function of its inputs, so a cache hit returns exactly
-    /// what a fresh search would (the drift guard in
-    /// `tests/cross_engine.rs` pins this).
+    /// Look up (or compile + place and insert) the plan for `sql` over
+    /// `pool`; returns the entry and whether it was a hit. The placement
+    /// pass runs the Eq. 8 search once per pool device, and under
+    /// [`ExecMode::GplPipelined`] the overlap predicate then sets each
+    /// device's `overlap_slices` — a post-pass, so the sequential modes'
+    /// entries stay byte-identical to the base search. Placement is a
+    /// pure function of its inputs, so a hit returns exactly what a fresh
+    /// search would (the drift guard in `tests/cross_engine.rs` pins
+    /// this).
+    ///
+    /// The lock is *not* held while a miss plans, so a slow miss never
+    /// blocks other workers; two workers racing on the same cold query
+    /// both plan it (deterministically identically) and the second insert
+    /// wins.
     pub fn get_or_place(
         &self,
         db: &TpchDb,
@@ -224,30 +155,41 @@ impl PlanCache {
         sql: &str,
         mode: ExecMode,
         shard: &ShardPlan,
-    ) -> Result<(Arc<ShardEntry>, bool), String> {
-        let key = Self::shard_key(pool, shard, mode, &Self::normalize(sql));
-        self.get_or_insert(&self.sharded, key, || {
-            let (plan, stats) = gpl_sql::compile_with_stats(db, sql).map_err(|e| e.to_string())?;
-            let placement = place_with_stats(pool, gammas, db, &plan, &stats, None);
-            Ok(ShardEntry { plan, placement })
-        })
+    ) -> Result<(Arc<PlanEntry>, bool), String> {
+        let key = Self::key(pool, shard, mode, &Self::normalize(sql));
+        if let Some(entry) = crate::lock(&self.inner).get(&key) {
+            return Ok((entry, true));
+        }
+        let (plan, stats) = gpl_sql::compile_with_stats(db, sql).map_err(|e| e.to_string())?;
+        let mut placement = place_with_stats(pool, gammas, db, &plan, &stats, None);
+        if mode == ExecMode::GplPipelined {
+            let configs = &mut placement.assignment.configs;
+            for ((dev, gamma), config) in pool.devices().iter().zip(gammas).zip(configs) {
+                let models = build_models(db, &plan, &stats, &dev.spec);
+                attach_overlap(&dev.spec, gamma, &plan, &models, config);
+            }
+        }
+        let entry = Arc::new(PlanEntry { plan, placement });
+        crate::lock(&self.inner).insert(key, entry.clone(), self.capacity);
+        Ok((entry, false))
     }
 
-    /// Cumulative `(hits, misses)` of the sharded plan cache.
-    pub fn shard_stats(&self) -> (u64, u64) {
-        let inner = crate::lock(&self.sharded);
-        (inner.hits, inner.misses)
-    }
-
-    /// Cumulative `(hits, misses)` of the plan cache.
+    /// Cumulative `(hits, misses)`.
     pub fn stats(&self) -> (u64, u64) {
         let inner = crate::lock(&self.inner);
         (inner.hits, inner.misses)
     }
 
-    /// Cumulative `(hits, misses)` of the inner config [`SearchCache`].
+    /// [`PlanCache::stats`], under the name the sharded server's callers
+    /// read.
+    pub fn shard_stats(&self) -> (u64, u64) {
+        self.stats()
+    }
+
+    /// `(hits, misses)` of the Eq. 8 searches: the search has no cache
+    /// of its own, so every plan-cache miss searches and none hits.
     pub fn search_stats(&self) -> (u64, u64) {
-        self.search.stats()
+        (0, self.stats().1)
     }
 
     pub fn len(&self) -> usize {

@@ -11,10 +11,11 @@
 //!   `Arc<TpchDb>`, so simulated cycles are a pure function of the
 //!   request — results and cycle counts are byte-identical at any
 //!   worker count (pinned by `tests/determinism.rs`).
-//! * [`cache`] — the shared [`PlanCache`]: compiled plans *and* the
-//!   Section-4 optimizer's chosen configurations, keyed by normalized
-//!   SQL × device × exec mode, LRU-evicted, with hit/miss counters at
-//!   both the plan and config-search layers.
+//! * [`cache`] — the shared [`PlanCache`]: compiled plans *and* their
+//!   placement (the Section-4 optimizer's configuration per pool device;
+//!   a single-device server plans over a one-device pool), keyed by
+//!   pool × shard plan × exec mode × normalized SQL, LRU-evicted, with
+//!   hit/miss counters.
 //! * [`request`] — request/response types; failures surface as
 //!   structured [`ServeError`]s (the simulator's deadlock diagnostic
 //!   survives verbatim) instead of aborting the process.
@@ -47,7 +48,7 @@ pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
-pub use cache::{PlanCache, PlanEntry, ShardEntry};
+pub use cache::{PlanCache, PlanEntry};
 pub use report::BatchReport;
 pub use request::{KernelRows, Priority, QueryRequest, QueryResponse, QueryResult, ServeError};
 pub use scheduler::{FaultConfig, ServeConfig, Server, ShardServeConfig};

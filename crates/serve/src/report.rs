@@ -18,8 +18,6 @@ pub struct BatchReport {
     pub wall: Duration,
     /// Plan-cache `(hits, misses)` at batch end (cumulative per server).
     pub plan_cache: (u64, u64),
-    /// Config search-cache `(hits, misses)` at batch end.
-    pub search_cache: (u64, u64),
     /// Load-shed rejections at batch end (cumulative per server).
     pub sheds: u64,
     /// Circuit-breaker `(rejections, opens)` across all workers.
@@ -265,8 +263,6 @@ impl BatchReport {
         m.counter_add("serve.queries.err", &[], self.err_count() as u64);
         m.counter_add("serve.plan_cache.hits", &[], self.plan_cache.0);
         m.counter_add("serve.plan_cache.misses", &[], self.plan_cache.1);
-        m.counter_add("serve.search_cache.hits", &[], self.search_cache.0);
-        m.counter_add("serve.search_cache.misses", &[], self.search_cache.1);
         let (faults, retries, fallbacks, wasted) = self.recovery_totals();
         m.counter_add("serve.faults.injected", &[], faults);
         m.counter_add("serve.faults.retries", &[], retries);
@@ -318,8 +314,8 @@ impl BatchReport {
             self.queue_latency_pct(95.0).as_secs_f64() * 1e3
         ));
         out.push_str(&format!(
-            "plan cache: {} hits / {} misses; config search cache: {} hits / {} misses\n",
-            self.plan_cache.0, self.plan_cache.1, self.search_cache.0, self.search_cache.1
+            "plan cache: {} hits / {} misses\n",
+            self.plan_cache.0, self.plan_cache.1
         ));
         let (faults, retries, fallbacks, wasted) = self.recovery_totals();
         if faults + retries + fallbacks + self.sheds + self.breaker.0 > 0 {

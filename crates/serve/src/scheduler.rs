@@ -10,12 +10,12 @@
 //! latencies only.
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::cache::{PlanCache, PlanEntry, ShardEntry};
+use crate::cache::PlanCache;
 use crate::lock;
 use crate::report::BatchReport;
 use crate::request::{KernelRows, Priority, QueryRequest, QueryResponse, QueryResult, ServeError};
 use crate::telemetry::BreakerTransition;
-use gpl_core::shard::{try_run_query_sharded, DevicePool, ShardFaults, ShardPlan};
+use gpl_core::shard::{try_run_query_sharded, DevicePool, PoolDevice, ShardFaults, ShardPlan};
 use gpl_core::{
     try_run_query_recovering, ExecContext, ExecError, ExecLimits, ExecMode, RecoveryPolicy,
 };
@@ -127,6 +127,9 @@ struct Shared {
     spec: DeviceSpec,
     db: Arc<TpchDb>,
     gamma: Arc<GammaTable>,
+    /// What an unsharded server plans over: a one-device pool of `spec`
+    /// at one shard.
+    solo: (DevicePool, ShardPlan),
     plans: Arc<PlanCache>,
     queue: Mutex<Queue>,
     available: Condvar,
@@ -153,16 +156,31 @@ struct Shared {
 }
 
 impl Shared {
+    /// The pool, Γ tables (pool order) and shard plan every query plans
+    /// over: the sharding config's, or the one worker device's.
+    fn planning(&self) -> (&DevicePool, &[GammaTable], &ShardPlan) {
+        match &self.config.sharding {
+            Some(sc) => (&sc.pool, &sc.gammas, &sc.plan),
+            None => (
+                &self.solo.0,
+                std::slice::from_ref(&*self.gamma),
+                &self.solo.1,
+            ),
+        }
+    }
+
     /// Devices a query runs on: the pool's, or the one worker device.
     fn devices(&self) -> usize {
-        self.config.sharding.as_ref().map_or(1, |sc| sc.pool.len())
+        self.planning().0.len()
     }
 
     fn new(config: ServeConfig, spec: DeviceSpec, db: Arc<TpchDb>, gamma: Arc<GammaTable>) -> Self {
+        let solo = DevicePool::new(vec![PoolDevice { spec: spec.clone() }]);
         Shared {
             spec,
             db,
             gamma,
+            solo: (solo, ShardPlan::single()),
             plans: Arc::new(PlanCache::new(config.plan_cache_capacity)),
             queue: Mutex::new(Queue {
                 high: VecDeque::new(),
@@ -362,7 +380,6 @@ impl Server {
             workers,
             wall: t0.elapsed(),
             plan_cache: self.shared.plans.stats(),
-            search_cache: self.shared.plans.search_stats(),
             sheds: self.shed_count(),
             breaker: self.breaker_counts(),
             breaker_transitions: self.breaker_transitions(),
@@ -602,12 +619,6 @@ fn record_transition(
     }
 }
 
-/// A cached planning outcome for whichever way the server executes.
-enum Planned<'a> {
-    Single(Arc<PlanEntry>),
-    Pool(&'a ShardServeConfig, Arc<ShardEntry>),
-}
-
 /// Plan and run one job; returns the response plus each device's outcome
 /// (cycles it advanced — successful or not, wasted cycles count toward
 /// its clock — and whether it was lost) for the caller's breakers.
@@ -621,19 +632,11 @@ fn process(
     let queue_wall = job.submitted.elapsed();
     let req = job.req;
     let plan_t0 = Instant::now();
-    let planned = match &shared.config.sharding {
-        None => (shared.plans)
-            .get_or_plan(&shared.db, &shared.spec, &shared.gamma, &req.sql, req.mode)
-            .map(|(e, hit)| (Planned::Single(e), hit)),
-        Some(sc) => (shared.plans)
-            .get_or_place(
-                &shared.db, &sc.pool, &sc.gammas, &req.sql, req.mode, &sc.plan,
-            )
-            .map(|(e, hit)| (Planned::Pool(sc, e), hit)),
-    };
+    let (pool, gammas, shard) = shared.planning();
+    let planned = (shared.plans).get_or_place(&shared.db, pool, gammas, &req.sql, req.mode, shard);
     let plan_wall = plan_t0.elapsed();
-    let mut outcomes = vec![DeviceOutcome::default(); shared.devices()];
-    let (planned, plan_cache_hit) = match planned {
+    let mut outcomes = vec![DeviceOutcome::default(); pool.len()];
+    let (entry, plan_cache_hit) = match planned {
         Ok(v) => v,
         Err(msg) => {
             let resp = QueryResponse {
@@ -653,8 +656,15 @@ fn process(
     // sees is part of its deterministic identity.
     let fault_seed = |fc: &FaultConfig| per_query_seed(fc.seed, req.id);
     let mut trace = None;
-    let ran = match planned {
-        Planned::Single(entry) => {
+    // One plan, two execution arms, because four pinned facts differ
+    // between a one-device server and a pool. The one device draws
+    // faults from the raw per-query seed (a pool mixes in
+    // `ShardFaults::seed_for(i)`); only it attaches the `record_traces`
+    // recorder (a pool's per-device simulators carry none); on an error
+    // it charges its clock with every cycle it ran (a pool charges only
+    // the fault); and it names kernel rows `kernel`, not `kernel@device`.
+    let ran = match &shared.config.sharding {
+        None => {
             // A fresh context per query: fresh simulator clock, cold data
             // cache, private memory map — the isolation that makes cycles
             // per-query pure. Layout installation is cheap (region
@@ -672,7 +682,7 @@ fn process(
                 &mut ctx,
                 &entry.plan,
                 req.mode,
-                &entry.config,
+                &entry.placement.assignment.configs[0],
                 &limits,
                 shared.config.recovery.as_ref(),
             );
@@ -692,10 +702,7 @@ fn process(
                 (run.output, run.cycles, kernel_rows, run.recovery)
             })
         }
-        // `record_traces` applies to the single-device server only: a
-        // sharded run builds one internal simulator per pool device and
-        // per-query tracing is not threaded through them.
-        Planned::Pool(sc, entry) => {
+        Some(sc) => {
             // The sharded runner further mixes the pool index into the
             // seed, so each device draws an independent but reproducible
             // fault stream.
@@ -710,11 +717,11 @@ fn process(
                 .hedge_threshold
                 .map(|t| gpl_model::hedge_plan(&entry.placement, t));
             let run = try_run_query_sharded(
-                &sc.pool,
+                pool,
                 &shared.db,
                 &entry.plan,
                 req.mode,
-                &sc.plan,
+                shard,
                 &entry.placement.assignment,
                 &limits,
                 shared.config.recovery.as_ref(),

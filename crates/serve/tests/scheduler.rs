@@ -3,7 +3,7 @@
 //! full 32-query 1/2/8-worker determinism pin and the failure-mode
 //! suite live in the workspace-level `tests/`.)
 
-use gpl_core::ExecMode;
+use gpl_core::{DevicePool, ExecMode, PoolDevice, ShardPlan};
 use gpl_model::GammaTable;
 use gpl_serve::{PlanCache, QueryRequest, ServeConfig, Server};
 use gpl_sim::amd_a10;
@@ -165,22 +165,23 @@ fn srv_trace_tracks(report: &gpl_serve::BatchReport) -> Vec<String> {
 #[test]
 fn eviction_keeps_the_cache_bounded_and_correct() {
     let db = TpchDb::at_scale(0.002);
-    let spec = amd_a10();
+    // A single-device server's planning: a one-device pool at one shard.
+    let pool = DevicePool::new(vec![PoolDevice { spec: amd_a10() }]);
     let g = gamma();
+    let gammas = std::slice::from_ref(&*g);
     let cache = PlanCache::new(2);
+    let plan = |sql| {
+        let shard = ShardPlan::single();
+        (cache.get_or_place(&db, &pool, gammas, sql, ExecMode::Gpl, &shard)).unwrap()
+    };
     let sqls = [SIMPLE, GROUPED, "select count(*) as c from orders"];
-    for sql in &sqls {
-        let (_, hit) = cache
-            .get_or_plan(&db, &spec, &g, sql, ExecMode::Gpl)
-            .unwrap();
-        assert!(!hit);
+    for sql in sqls {
+        assert!(!plan(sql).1);
     }
     assert_eq!(cache.len(), 2, "capacity bound holds");
     // The oldest entry (SIMPLE) was evicted; re-planning it is a miss
     // that evicts GROUPED in turn, but answers stay identical.
-    let (entry, hit) = cache
-        .get_or_plan(&db, &spec, &g, SIMPLE, ExecMode::Gpl)
-        .unwrap();
+    let (entry, hit) = plan(SIMPLE);
     assert!(!hit);
     let fresh = gpl_sql::compile_optimized(&db, SIMPLE).unwrap();
     assert_eq!(entry.plan.display, fresh.display);
@@ -194,7 +195,6 @@ fn eviction_keeps_the_cache_bounded_and_correct() {
 /// and without recovery that fails it; GROUPED never launches it.
 #[test]
 fn one_device_pool_and_classic_server_walk_the_same_breaker_transitions() {
-    use gpl_core::{DeviceKind, DevicePool, PoolDevice, ShardPlan};
     use gpl_serve::{BreakerConfig, BreakerState, FaultConfig, ServeError, ShardServeConfig};
     use gpl_sim::{FaultKind, FaultSpec, PinnedFault};
 
@@ -221,10 +221,7 @@ fn one_device_pool_and_classic_server_walk_the_same_breaker_transitions() {
     };
     let pooled = ServeConfig {
         sharding: Some(ShardServeConfig {
-            pool: DevicePool::new(vec![PoolDevice {
-                spec: amd_a10(),
-                kind: DeviceKind::Gpu,
-            }]),
+            pool: DevicePool::new(vec![PoolDevice { spec: amd_a10() }]),
             gammas: vec![(*gamma()).clone()],
             plan: ShardPlan::single(),
             hedge_threshold: None,

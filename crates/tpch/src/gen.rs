@@ -66,8 +66,10 @@ impl TpchParams {
     }
 
     fn rng(&self, table: &str) -> StdRng {
-        // Derive a per-table stream from the master seed; FNV-1a over the
-        // table name keeps streams independent of generation order.
+        // Derive a per-table stream from the master seed; a hash of the
+        // table name keeps streams independent of generation order. It is
+        // FNV-1a's shape with prime 0x1000_0000_01b3, not FNV's
+        // 0x100_0000_01b3; the constant seeds the pinned data, so it stays.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in table.bytes() {
             h ^= b as u64;

@@ -55,6 +55,26 @@ impl QueryOutput {
     pub fn num_rows(&self) -> usize {
         self.rows.len()
     }
+
+    /// FNV-1a over the row count and every value in row order (column
+    /// names excluded): the digest bench artifacts and sharded-run checks
+    /// compare results by.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        mix(&(self.rows.len() as u64).to_le_bytes());
+        for row in &self.rows {
+            for v in row {
+                mix(&v.to_le_bytes());
+            }
+        }
+        h
+    }
 }
 
 #[cfg(test)]

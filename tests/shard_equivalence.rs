@@ -9,8 +9,8 @@
 use gpl_check::prelude::*;
 use gpl_prng::{SeedableRng, StdRng};
 use gpl_repro::core::shard::{
-    try_run_query_sharded, DeviceKind, DevicePool, PoolDevice, ShardAssignment, ShardFaults,
-    ShardPlan, ShardedRun, Sharder,
+    try_run_query_sharded, DevicePool, PoolDevice, ShardAssignment, ShardFaults, ShardPlan,
+    ShardedRun, Sharder,
 };
 use gpl_repro::core::{
     plan_for, run_query, try_run_query, try_run_query_recovering, ExecContext, ExecLimits,
@@ -89,7 +89,7 @@ fn all_tpch_plans_agree_across_shard_counts_and_modes() {
                     q.name(),
                     mode.name()
                 );
-                fingerprints.push(run.fingerprint());
+                fingerprints.push(run.output.fingerprint());
             }
             assert!(
                 fingerprints.windows(2).all(|w| w[0] == w[1]),
@@ -199,10 +199,7 @@ fn one_device_pool_is_the_classic_engine() {
         ExecMode::GplPipelined,
         ExecMode::Ocelot,
     ];
-    let amd = DevicePool::new(vec![PoolDevice {
-        spec: amd_a10(),
-        kind: DeviceKind::Gpu,
-    }]);
+    let amd = DevicePool::new(vec![PoolDevice { spec: amd_a10() }]);
     let faults = ShardFaults {
         spec: FaultSpec::uniform(0.1),
         seed: 17,
