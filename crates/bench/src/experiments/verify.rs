@@ -75,6 +75,28 @@ pub const TABLE: &[Row] = &[
         repeats: 2,
         compared: &["BENCH_fig24.json"],
     },
+    // Figures 16, 20, 21 and 22: the paper's KBE, GPL (w/o CE) and
+    // Ocelot comparisons.
+    Row {
+        args: &["fig16"],
+        repeats: 2,
+        compared: &[STDOUT, "BENCH_fig16.json"],
+    },
+    Row {
+        args: &["fig20"],
+        repeats: 2,
+        compared: &[STDOUT, "BENCH_fig20.json"],
+    },
+    Row {
+        args: &["fig21"],
+        repeats: 2,
+        compared: &[STDOUT, "BENCH_fig21.json"],
+    },
+    Row {
+        args: &["fig22"],
+        repeats: 2,
+        compared: &[STDOUT, "BENCH_fig22.json"],
+    },
     Row {
         args: &["profile", "q1", "--sf", "0.01"],
         repeats: 1,

@@ -531,7 +531,7 @@ pub(crate) fn attempt_stage(
 
 /// Fresh blocking outputs (hash table / aggregate store) for one attempt
 /// at `stage`, behind the shared handles its kernels write through.
-fn make_blocking_outputs(
+pub(crate) fn make_blocking_outputs(
     ctx: &mut ExecContext,
     plan: &QueryPlan,
     stage: &Stage,

@@ -14,9 +14,9 @@
 
 use crate::error::ExecError;
 use crate::exec::{ExecContext, StageConfig};
-use crate::expr::{Expr, Slot};
+use crate::expr::Slot;
 use crate::ht::{GroupStore, SimHashTable};
-use crate::ops::{self, apply_compute, apply_probe, select_rows, Chunk, Filter};
+use crate::ops::{self, select_rows, Chunk, OpExec, TermExec};
 use crate::plan::{PipeOp, Stage, Terminal};
 use crate::segment::{InterSegmentEdge, SegmentIr};
 use gpl_sim::mem::MemRange;
@@ -116,36 +116,10 @@ struct ExecStep {
     per_row_mem: u64,
 }
 
-/// What a pipeline op does to each chunk.
-enum OpExec {
-    Filter(Filter),
-    Probe {
-        table: Rc<RefCell<SimHashTable>>,
-        key: Slot,
-        payloads: Vec<Slot>,
-    },
-    Compute {
-        expr: Expr,
-        out: Slot,
-    },
-}
-
 impl ExecStep {
     fn from_op(op: &PipeOp, hts: &[Option<Rc<RefCell<SimHashTable>>>]) -> Self {
-        let exec = match op {
-            PipeOp::Filter(p) => OpExec::Filter(Filter::new(p)),
-            PipeOp::Probe { ht, key, payloads } => OpExec::Probe {
-                table: hts[*ht].as_ref().expect("probed table built").clone(),
-                key: *key,
-                payloads: payloads.clone(),
-            },
-            PipeOp::Compute { expr, out } => OpExec::Compute {
-                expr: expr.clone(),
-                out: *out,
-            },
-        };
         ExecStep {
-            exec,
+            exec: OpExec::new(op, hts),
             per_row_compute: ops::op_compute_insts(op),
             per_row_mem: ops::op_mem_insts(op),
         }
@@ -168,18 +142,7 @@ fn apply_steps(
         }
         *compute += chunk.rows as u64 * s.per_row_compute;
         *mem += chunk.rows as u64 * s.per_row_mem;
-        chunk = match &s.exec {
-            OpExec::Filter(f) => f.apply(&chunk),
-            OpExec::Probe {
-                table,
-                key,
-                payloads,
-            } => apply_probe(&chunk, &table.borrow(), *key, payloads, acc),
-            OpExec::Compute { expr, out } => {
-                apply_compute(&mut chunk, expr, *out);
-                chunk
-            }
-        };
+        chunk = s.exec.apply(chunk, acc);
     }
     chunk
 }
@@ -671,20 +634,6 @@ impl gpl_sim::WorkSource for ProbeSource {
     }
 }
 
-/// What the blocking terminal does with each chunk.
-enum TermExec {
-    Build {
-        table: Rc<RefCell<SimHashTable>>,
-        key: Slot,
-        payloads: Vec<Slot>,
-    },
-    Aggregate {
-        store: Rc<RefCell<GroupStore>>,
-        groups: Vec<Slot>,
-        aggs: Vec<crate::plan::Agg>,
-    },
-}
-
 /// The terminal kernel: consumes packets and updates the blocking output
 /// (hash table or group store) — `k_hash_build` / `k_reduce*`.
 struct TermSource {
@@ -714,49 +663,7 @@ impl gpl_sim::WorkSource for TermSource {
                 let mut rows = 0usize;
                 for c in &chunks {
                     rows += c.rows;
-                    // Every row lands at least one table access in `acc`.
-                    acc.reserve(c.rows);
-                    match &self.exec {
-                        TermExec::Build {
-                            table,
-                            key,
-                            payloads,
-                        } => {
-                            let mut t = table.borrow_mut();
-                            // One payload buffer for the whole chunk;
-                            // `insert` copies out of it.
-                            let mut pay = Vec::with_capacity(payloads.len());
-                            for r in 0..c.rows {
-                                pay.clear();
-                                pay.extend(payloads.iter().map(|&p| c.cols[p][r]));
-                                t.insert(c.cols[*key][r], &pay, &mut acc);
-                            }
-                        }
-                        TermExec::Aggregate {
-                            store,
-                            groups,
-                            aggs,
-                        } => {
-                            let mut s = store.borrow_mut();
-                            // Agg inputs evaluated column-at-a-time once
-                            // per chunk; the row loop only gathers group
-                            // keys and folds.
-                            let vals: Vec<Vec<i64>> = aggs
-                                .iter()
-                                .map(|a| a.expr.eval_vec(&c.cols, c.rows))
-                                .collect();
-                            let mut keys = Vec::with_capacity(groups.len());
-                            let mut values = vec![0i64; aggs.len()];
-                            for r in 0..c.rows {
-                                keys.clear();
-                                keys.extend(groups.iter().map(|&g| c.cols[g][r]));
-                                for (slot, v) in values.iter_mut().zip(&vals) {
-                                    *slot = v[r];
-                                }
-                                s.update(&keys, &values, &mut acc);
-                            }
-                        }
-                    }
+                    self.exec.fold(c, &mut acc);
                 }
                 Work::Unit(
                     WorkUnit {
@@ -1090,29 +997,15 @@ fn stage_kernels(
             out_q: p.out_q,
         }),
         (_, Some(_)) => unreachable!("publishing requires a hash-build terminal"),
-        (terminal, None) => {
-            let exec = match terminal {
-                Terminal::HashBuild { key, payloads, .. } => TermExec::Build {
-                    table: build.expect("build target").clone(),
-                    key: *key,
-                    payloads: payloads.clone(),
-                },
-                Terminal::Aggregate { groups, aggs } => TermExec::Aggregate {
-                    store: agg.expect("aggregate store").clone(),
-                    groups: groups.clone(),
-                    aggs: aggs.clone(),
-                },
-            };
-            Box::new(TermSource {
-                exec,
-                input: channels[last],
-                in_q: queues[last].clone(),
-                per_row_compute: term.per_row_compute,
-                per_row_mem: term.per_row_mem,
-                wavefront: wavefront as u64,
-                unit_rows_cap,
-            })
-        }
+        (terminal, None) => Box::new(TermSource {
+            exec: TermExec::new(terminal, build, agg),
+            input: channels[last],
+            in_q: queues[last].clone(),
+            per_row_compute: term.per_row_compute,
+            per_row_mem: term.per_row_mem,
+            wavefront: wavefront as u64,
+            unit_rows_cap,
+        }),
     };
     let mut kd = KernelDesc::new(
         term.name.clone(),

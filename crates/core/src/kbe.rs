@@ -8,10 +8,20 @@
 //! memory. This module is also the per-tile engine of GPL (w/o CE), which
 //! runs the same kernel-at-a-time sequence per tile, and — under the
 //! other `Selection` policy — the Ocelot baseline of Section 5.5.
+//!
+//! A range runs in two passes. The *functional* pass walks it in host
+//! blocks of `HOST_BLOCK_ROWS` rows: each block goes through the stage's
+//! ops and folds into the terminal (the fold GPL's terminal kernel runs,
+//! `ops::TermExec`), and each op keeps only its surviving-row
+//! count and its row-indexed table traffic, so no host column outlives
+//! its block. The *timing* pass then launches the whole-input kernel
+//! sequence from those counts. Ops are row-wise and order-preserving and
+//! a stage reads only its input columns and tables earlier stages built,
+//! so the counts and traffic are exactly one whole-range pass's.
 
 use crate::exec::ExecContext;
 use crate::ht::{GroupStore, SimHashTable};
-use crate::ops::{self, apply_compute, apply_filter, apply_probe, live_slots, Chunk};
+use crate::ops::{self, live_slots, Chunk, OpExec, TermExec};
 use crate::plan::{PipeOp, Stage, Terminal};
 use crate::replay::{alloc_array, kernel_resources, launch, ArrayRef, ReplayKernel};
 use crate::segment::SegmentIr;
@@ -21,6 +31,9 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
 
+/// Rows of the range the functional pass holds on the host at a time.
+const HOST_BLOCK_ROWS: usize = 8192;
+
 /// How a selection's survivors reach the next kernel — the one axis on
 /// which the kernel-at-a-time engines differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,17 +42,27 @@ pub(crate) enum Selection {
     /// surviving rows (KBE, and GPL (w/o CE) per tile).
     Compact,
     /// Ocelot (Section 5.5): a bit per logical row and no compaction, so
-    /// every kernel launches over the range's logical rows with dead
-    /// rows as zero-byte accesses; elements are capped at 4 bytes
-    /// (Appendix B).
+    /// every kernel launches over the range's logical rows while only the
+    /// live rows carry row-indexed traffic; elements are capped at 4
+    /// bytes (Appendix B).
     Bitmap,
 }
 
-/// Execution state threading through a stage: the functional chunk
-/// (always compacted) and the simulated array backing each filled slot.
+/// What the functional pass leaves for one op's kernel.
+#[derive(Default)]
+struct OpTrace {
+    /// Rows surviving the op over the whole range.
+    rows_out: usize,
+    /// Its row-indexed table traffic in row order (probes only).
+    extra: Vec<MemRange>,
+}
+
+/// Timing-pass state threading through a stage: the live row count and
+/// the simulated array backing each filled slot.
 struct MatState {
     sel: Selection,
-    chunk: Chunk,
+    /// Live rows entering the next kernel.
+    rows: usize,
     addr: Vec<Option<ArrayRef>>,
     /// Rows of the scan range.
     logical_rows: usize,
@@ -51,7 +74,7 @@ impl MatState {
     /// Rows the next kernel launches over.
     fn launch_rows(&self) -> usize {
         match self.sel {
-            Selection::Compact => self.chunk.rows,
+            Selection::Compact => self.rows,
             Selection::Bitmap => self.logical_rows,
         }
     }
@@ -79,16 +102,6 @@ impl MatState {
         slots.iter().map(filled).chain(self.mask).collect()
     }
 
-    /// Per-surviving-row traffic, padded under bitmaps to `per_row`
-    /// entries per launched row so the replay kernel can slice it.
-    fn pad(&self, mut extra: Vec<MemRange>, per_row: usize) -> Vec<MemRange> {
-        if self.sel == Selection::Bitmap {
-            let len = (self.logical_rows * per_row).max(extra.len());
-            extra.resize(len, MemRange::read(4096, 0));
-        }
-        extra
-    }
-
     /// What a selecting kernel writes: a flag or a bit per launched row,
     /// then its payload columns — scratch when a scatter compacts them
     /// away next, the intermediate itself under bitmaps.
@@ -107,19 +120,19 @@ impl MatState {
         writes
     }
 
-    /// Hand the survivors `out` of a selecting kernel to the next one.
+    /// Hand the `out_rows` survivors of a selecting kernel to the next one.
     fn select(
         &mut self,
         ctx: &mut ExecContext,
-        out: Chunk,
+        out_rows: usize,
         live_out: &[usize],
         mask: ArrayRef,
         merged: &mut LaunchProfile,
     ) {
         match self.sel {
-            Selection::Compact => scatter_phase(ctx, self, out, live_out, mask, merged),
+            Selection::Compact => scatter_phase(ctx, self, out_rows, live_out, mask, merged),
             Selection::Bitmap => {
-                self.chunk = out;
+                self.rows = out_rows;
                 self.mask = Some(mask);
             }
         }
@@ -144,43 +157,78 @@ pub(crate) fn run_stage_range(
     // Per-kernel work-group counts are not tunable in KBE (each kernel is
     // individually optimized to fill the device), so none are taken here.
 ) -> LaunchProfile {
+    run_stage_blocks(ctx, ir, stage, hts, build, agg, range, sel, HOST_BLOCK_ROWS)
+}
+
+/// [`run_stage_range`] with the functional pass's block size as a
+/// parameter.
+#[allow(clippy::too_many_arguments)]
+fn run_stage_blocks(
+    ctx: &mut ExecContext,
+    ir: &SegmentIr,
+    stage: &Stage,
+    hts: &[Option<Rc<RefCell<SimHashTable>>>],
+    build: Option<&Rc<RefCell<SimHashTable>>>,
+    agg: Option<&Rc<RefCell<GroupStore>>>,
+    range: Range<usize>,
+    sel: Selection,
+    block: usize,
+) -> LaunchProfile {
+    let table = ctx.db.clone();
+    let t = table.table(&stage.driver);
+    let order: Vec<usize> = ir.op_order().collect();
+
+    // Functional pass, one host block at a time.
+    let cols: Vec<_> = stage.loads.iter().map(|name| t.col(name)).collect();
+    let execs: Vec<OpExec> = order
+        .iter()
+        .map(|&i| OpExec::new(&stage.ops[i], hts))
+        .collect();
+    let term = TermExec::new(&stage.terminal, build, agg);
+    let mut traces: Vec<OpTrace> = order.iter().map(|_| OpTrace::default()).collect();
+    let mut term_extra = Vec::new();
+    for lo in range.clone().step_by(block) {
+        let hi = lo + block.min(range.end - lo);
+        let mut chunk = Chunk::new(stage.num_slots());
+        for (s, col) in cols.iter().enumerate() {
+            chunk.fill(s, col.range_i64(lo, hi));
+        }
+        // A count(*)-only stage loads no columns; its rows are the block's.
+        chunk.rows = hi - lo;
+        for (exec, trace) in execs.iter().zip(&mut traces) {
+            chunk = exec.apply(chunk, &mut trace.extra);
+            trace.rows_out += chunk.rows;
+        }
+        term.fold(&chunk, &mut term_extra);
+    }
+
+    // Timing pass: the load phase's first kernel reads table columns
+    // directly.
     let wavefront = ctx.sim.spec().wavefront_size;
     let live = live_slots(stage);
     let mut merged = LaunchProfile::default();
-
-    // Load phase: the first kernel reads table columns directly.
-    let table = ctx.db.clone();
-    let t = table.table(&stage.driver);
-    let layout = ctx.layout(&stage.driver).clone();
+    let layout = ctx.layout(&stage.driver);
     let mut st = MatState {
         sel,
-        chunk: Chunk::new(stage.num_slots()),
+        rows: range.len(),
         addr: vec![None; stage.num_slots()],
         logical_rows: range.len(),
         mask: None,
     };
     for (s, name) in stage.loads.iter().enumerate() {
-        let col = t.col(name);
-        st.chunk.fill(s, col.range_i64(range.start, range.end));
         let ci = t.col_index(name).expect("load column exists");
-        let scan = layout.scan(ci, range.clone());
         st.addr[s] = Some(ArrayRef {
-            base: scan.addr,
-            width: st.width(col.data_type().width()),
+            base: layout.scan(ci, range.clone()).addr,
+            width: st.width(t.col_at(ci).data_type().width()),
             rows: range.len(),
         });
     }
-    // A count(*)-only stage loads no columns; the driving row count
-    // still comes from the scan range, not the (empty) materialized
-    // chunk, or the aggregate loop below would never run.
-    if stage.loads.is_empty() {
-        st.chunk.rows = range.len();
-    }
 
     let map_insts = |st: &MatState, insts: u64| ops::INST_EXPANSION * (insts + 1 + st.mask_insts());
-    for i in ir.op_order() {
+    for (&i, trace) in order.iter().zip(traces) {
         let op = &stage.ops[i];
-        let (rows, live_rows) = (st.launch_rows(), st.chunk.rows as u64);
+        let (rows, live_rows) = (st.launch_rows(), st.rows as u64);
+        let out_rows = trace.rows_out;
         match op {
             PipeOp::Filter(pred) => {
                 let mut in_slots = Vec::new();
@@ -188,7 +236,6 @@ pub(crate) fn run_stage_range(
                 in_slots.dedup();
                 let writes = st.alloc_selection(ctx, &[]);
                 let mask = writes[0];
-                let out = apply_filter(&st.chunk, pred);
                 merged.merge(&launch(
                     ctx,
                     "k_map",
@@ -196,15 +243,11 @@ pub(crate) fn run_stage_range(
                     ReplayKernel::new(rows, wavefront, map_insts(&st, pred.insts()), 0)
                         .reads(st.reads(&in_slots))
                         .writes(writes)
-                        .io_rows(live_rows, out.rows as u64),
+                        .io_rows(live_rows, out_rows as u64),
                 ));
-                st.select(ctx, out, &live[i + 1], mask, &mut merged);
+                st.select(ctx, out_rows, &live[i + 1], mask, &mut merged);
             }
-            PipeOp::Probe { ht, key, payloads } => {
-                let table = hts[*ht].as_ref().expect("probed table built").clone();
-                let table = table.borrow();
-                let mut extra = Vec::with_capacity(st.chunk.rows);
-                let out = apply_probe(&st.chunk, &table, *key, payloads, &mut extra);
+            PipeOp::Probe { key, payloads, .. } => {
                 // Payload temporaries at input positions.
                 let writes = st.alloc_selection(ctx, payloads);
                 let mask = writes[0];
@@ -220,10 +263,10 @@ pub(crate) fn run_stage_range(
                     )
                     .reads(st.reads(&[*key]))
                     .writes(writes)
-                    .extra(st.pad(extra, 1), 1)
-                    .io_rows(live_rows, out.rows as u64),
+                    .extra(trace.extra, 1)
+                    .io_rows(live_rows, out_rows as u64),
                 ));
-                st.select(ctx, out, &live[i + 1], mask, &mut merged);
+                st.select(ctx, out_rows, &live[i + 1], mask, &mut merged);
             }
             PipeOp::Compute { expr, out } => {
                 let mut in_slots = Vec::new();
@@ -245,87 +288,57 @@ pub(crate) fn run_stage_range(
                         .writes(vec![arr])
                         .io_rows(live_rows, live_rows),
                 ));
-                apply_compute(&mut st.chunk, expr, *out);
                 st.addr[*out] = Some(arr);
             }
         }
     }
 
-    // Terminal.
-    let (rows, live_rows) = (st.launch_rows(), st.chunk.rows);
-    let terminal = ReplayKernel::new(
-        rows,
-        wavefront,
-        ops::terminal_compute_insts(&stage.terminal),
-        ops::terminal_mem_insts(&stage.terminal),
-    )
-    .io_rows(live_rows as u64, 0);
-    match &stage.terminal {
+    // Terminal: one table access per build row, two per aggregated row.
+    let (name, in_slots, per_row) = match &stage.terminal {
         Terminal::HashBuild { key, payloads, .. } => {
-            let target = build.expect("hash-build stage needs a target table");
-            let mut t = target.borrow_mut();
-            let mut extra = Vec::with_capacity(live_rows);
-            for r in 0..live_rows {
-                let pay: Vec<i64> = payloads.iter().map(|&p| st.chunk.cols[p][r]).collect();
-                t.insert(st.chunk.cols[*key][r], &pay, &mut extra);
-            }
-            drop(t);
-            let in_slots: Vec<usize> = std::iter::once(*key)
-                .chain(payloads.iter().copied())
-                .collect();
-            merged.merge(&launch(
-                ctx,
-                "k_hash_build",
-                kernel_resources("k_hash_build", wavefront),
-                terminal
-                    .reads(st.reads(&in_slots))
-                    .extra(st.pad(extra, 1), 1),
-            ));
+            let in_slots = std::iter::once(*key).chain(payloads.iter().copied());
+            ("k_hash_build", in_slots.collect(), 1)
         }
         Terminal::Aggregate { groups, aggs } => {
-            let store = agg.expect("aggregate stage needs a store");
-            let mut s = store.borrow_mut();
-            let mut extra = Vec::with_capacity(live_rows * 2);
-            for r in 0..live_rows {
-                let keys: Vec<i64> = groups.iter().map(|&g| st.chunk.cols[g][r]).collect();
-                let values: Vec<i64> = aggs
-                    .iter()
-                    .map(|a| a.expr.eval(&st.chunk.cols, r))
-                    .collect();
-                s.update(&keys, &values, &mut extra);
-            }
-            drop(s);
             let mut in_slots: Vec<usize> = groups.clone();
             for a in aggs {
                 a.expr.slots(&mut in_slots);
             }
             in_slots.sort_unstable();
             in_slots.dedup();
-            merged.merge(&launch(
-                ctx,
-                "k_aggregate",
-                kernel_resources("k_aggregate", wavefront),
-                terminal
-                    .reads(st.reads(&in_slots))
-                    .extra(st.pad(extra, 2), 2),
-            ));
+            ("k_aggregate", in_slots, 2)
         }
-    }
+    };
+    merged.merge(&launch(
+        ctx,
+        name,
+        kernel_resources(name, wavefront),
+        ReplayKernel::new(
+            st.launch_rows(),
+            wavefront,
+            ops::terminal_compute_insts(&stage.terminal),
+            ops::terminal_mem_insts(&stage.terminal),
+        )
+        .reads(st.reads(&in_slots))
+        .extra(term_extra, per_row)
+        .io_rows(st.rows as u64, 0),
+    ));
     merged
 }
 
-/// The prefix-sum + scatter pair that compacts survivors after a map or
-/// probe kernel, materializing the live slots into a fresh intermediate.
+/// The prefix-sum + scatter pair that compacts the `out_rows` survivors
+/// after a map or probe kernel, materializing the live slots into a
+/// fresh intermediate.
 fn scatter_phase(
     ctx: &mut ExecContext,
     st: &mut MatState,
-    out: Chunk,
+    out_rows: usize,
     live_out: &[usize],
     flags: ArrayRef,
     merged: &mut LaunchProfile,
 ) {
     let wavefront = ctx.sim.spec().wavefront_size;
-    let rows = st.chunk.rows;
+    let rows = st.rows;
     let offsets = alloc_array(ctx, rows, 4, RegionClass::Scratch, "kbe.offsets");
     merged.merge(&launch(
         ctx,
@@ -337,7 +350,6 @@ fn scatter_phase(
             .io_rows(rows as u64, rows as u64),
     ));
 
-    let out_rows = out.rows;
     let mut reads = vec![offsets];
     let mut writes = Vec::with_capacity(live_out.len());
     for &s in live_out {
@@ -373,17 +385,18 @@ fn scatter_phase(
         addr[s] = Some(*dst);
     }
     st.addr = addr;
-    st.chunk = out;
+    st.rows = out_rows;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecContext;
-    use crate::plan::{listing1_plan, q14_plan};
+    use crate::exec::{make_blocking_outputs, ExecContext, ExecMode};
+    use crate::plan::{listing1_plan, plan_for, q14_plan, Agg, QueryPlan};
     use gpl_sim::amd_a10;
-    use gpl_storage::days;
-    use gpl_tpch::{Q14Params, TpchDb};
+    use gpl_storage::{days, Tiling};
+    use gpl_tpch::{Q14Params, QueryId, TpchDb};
+    use std::sync::Arc;
 
     fn ctx() -> ExecContext {
         ExecContext::new(amd_a10(), TpchDb::at_scale(0.002))
@@ -395,6 +408,114 @@ mod tests {
             ctx.db.table(&stage.driver),
             ctx.sim.spec().wavefront_size,
         )
+    }
+
+    /// What a run of a plan's stages leaves behind: each stage's profile
+    /// in Debug bytes, each build table's fingerprint, each aggregate's
+    /// rows.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        profiles: Vec<String>,
+        builds: Vec<u64>,
+        groups: Vec<Vec<Vec<i64>>>,
+    }
+
+    /// Run `plan`'s stages in order on a fresh context the way `mode`
+    /// does — KBE and Ocelot over one range, GPL (w/o CE) per 64 KB tile
+    /// — over the first `limit` rows of each driver, with functional
+    /// blocks of `block` rows.
+    fn run_blocked(
+        db: &Arc<TpchDb>,
+        plan: &QueryPlan,
+        mode: ExecMode,
+        limit: usize,
+        block: usize,
+    ) -> Outcome {
+        let mut ctx = ExecContext::with_shared(amd_a10(), db.clone());
+        let sel = match mode {
+            ExecMode::Ocelot => Selection::Bitmap,
+            _ => Selection::Compact,
+        };
+        let mut hts = vec![None; plan.num_hts];
+        let mut out = Outcome {
+            profiles: Vec::new(),
+            builds: Vec::new(),
+            groups: Vec::new(),
+        };
+        for stage in &plan.stages {
+            let ir = ir_for(&ctx, stage);
+            let rows = ctx.db.table(&stage.driver).rows().min(limit);
+            let ranges: Vec<Range<usize>> = match mode {
+                ExecMode::GplNoCe => Tiling::by_bytes(rows, ir.row_bytes, 64 << 10)
+                    .iter()
+                    .collect(),
+                _ => std::iter::once(0..rows).collect(),
+            };
+            let (build, agg) = make_blocking_outputs(&mut ctx, plan, stage);
+            let target = build.as_ref().map(|(_, t)| t);
+            let mut profile = LaunchProfile::default();
+            for range in ranges {
+                profile.merge(&run_stage_blocks(
+                    &mut ctx,
+                    &ir,
+                    stage,
+                    &hts,
+                    target,
+                    agg.as_ref(),
+                    range,
+                    sel,
+                    block,
+                ));
+            }
+            out.profiles.push(format!("{profile:?}"));
+            if let Some((ht, t)) = build {
+                out.builds.push(t.borrow().fingerprint());
+                hts[ht] = Some(t);
+            }
+            if let Some(a) = agg {
+                out.groups
+                    .push(Rc::try_unwrap(a).unwrap().into_inner().into_rows());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn block_boundaries_are_invisible() {
+        let db = Arc::new(TpchDb::at_scale(0.002));
+        let mut plans: Vec<QueryPlan> = QueryId::all()
+            .into_iter()
+            .map(|q| plan_for(&db, q))
+            .collect();
+        // A count(*)-only stage: no loads, no ops.
+        let mut count = listing1_plan(0);
+        count.stages = vec![Stage {
+            name: "count".into(),
+            driver: "lineitem".into(),
+            loads: Vec::new(),
+            ops: Vec::new(),
+            terminal: Terminal::Aggregate {
+                groups: Vec::new(),
+                aggs: vec![Agg::count()],
+            },
+        }];
+        plans.push(count);
+        for plan in &plans {
+            for mode in [ExecMode::Kbe, ExecMode::GplNoCe, ExecMode::Ocelot] {
+                // Every driver whole, then every range empty.
+                for limit in [usize::MAX, 0] {
+                    let whole = run_blocked(&db, plan, mode, limit, usize::MAX);
+                    for block in [1, 7] {
+                        assert_eq!(
+                            run_blocked(&db, plan, mode, limit, block),
+                            whole,
+                            "{:?} {mode:?}, limit {limit}, blocks of {block} rows",
+                            plan.query
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

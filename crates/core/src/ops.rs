@@ -2,15 +2,17 @@
 //! estimates both executors report to the simulator.
 //!
 //! A [`Chunk`] is the columnar row context flowing through a pipeline —
-//! a tile's worth of rows in GPL, the whole relation in KBE. Transforms
+//! a leaf scan batch in GPL, a host block of the range in KBE. Transforms
 //! are pure Rust (results are exact); hash-table traffic is reported via
 //! the access vectors the callers pass down to the simulator.
 
 use crate::expr::{AtomPred, CmpOp, Expr, Pred, Slot};
-use crate::ht::SimHashTable;
-use crate::plan::{PipeOp, Stage, Terminal};
+use crate::ht::{GroupStore, SimHashTable};
+use crate::plan::{Agg, PipeOp, Stage, Terminal};
 use gpl_sim::mem::MemRange;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// A batch of rows in slot-columnar form.
 #[derive(Debug, Clone, PartialEq)]
@@ -188,6 +190,144 @@ pub fn apply_probe(
 pub fn apply_compute(c: &mut Chunk, expr: &Expr, out: Slot) {
     let vals = expr.eval_vec(&c.cols, c.rows);
     c.fill(out, vals);
+}
+
+/// A pipeline op bound to the tables it probes, prepared once and then
+/// applied chunk by chunk — by GPL's kernels and KBE's host blocks alike.
+pub(crate) enum OpExec {
+    Filter(Filter),
+    Probe {
+        table: Rc<RefCell<SimHashTable>>,
+        key: Slot,
+        payloads: Vec<Slot>,
+    },
+    Compute {
+        expr: Expr,
+        out: Slot,
+    },
+}
+
+impl OpExec {
+    pub(crate) fn new(op: &PipeOp, hts: &[Option<Rc<RefCell<SimHashTable>>>]) -> Self {
+        match op {
+            PipeOp::Filter(p) => OpExec::Filter(Filter::new(p)),
+            PipeOp::Probe { ht, key, payloads } => OpExec::Probe {
+                table: hts[*ht].as_ref().expect("probed table built").clone(),
+                key: *key,
+                payloads: payloads.clone(),
+            },
+            PipeOp::Compute { expr, out } => OpExec::Compute {
+                expr: expr.clone(),
+                out: *out,
+            },
+        }
+    }
+
+    /// The rows of `chunk` that survive the op, in order; a probe reports
+    /// one bucket access per input row into `acc`.
+    pub(crate) fn apply(&self, mut chunk: Chunk, acc: &mut Vec<MemRange>) -> Chunk {
+        match self {
+            OpExec::Filter(f) => f.apply(&chunk),
+            OpExec::Probe {
+                table,
+                key,
+                payloads,
+            } => apply_probe(&chunk, &table.borrow(), *key, payloads, acc),
+            OpExec::Compute { expr, out } => {
+                apply_compute(&mut chunk, expr, *out);
+                chunk
+            }
+        }
+    }
+}
+
+/// A blocking terminal bound to the output it fills: the one fold both
+/// executors run over every chunk that reaches it.
+pub(crate) enum TermExec {
+    Build {
+        table: Rc<RefCell<SimHashTable>>,
+        key: Slot,
+        payloads: Vec<Slot>,
+    },
+    Aggregate {
+        store: Rc<RefCell<GroupStore>>,
+        groups: Vec<Slot>,
+        aggs: Vec<Agg>,
+    },
+}
+
+impl TermExec {
+    pub(crate) fn new(
+        terminal: &Terminal,
+        build: Option<&Rc<RefCell<SimHashTable>>>,
+        agg: Option<&Rc<RefCell<GroupStore>>>,
+    ) -> Self {
+        match terminal {
+            Terminal::HashBuild { key, payloads, .. } => TermExec::Build {
+                table: build
+                    .expect("hash-build stage needs a target table")
+                    .clone(),
+                key: *key,
+                payloads: payloads.clone(),
+            },
+            Terminal::Aggregate { groups, aggs } => TermExec::Aggregate {
+                store: agg.expect("aggregate stage needs a store").clone(),
+                groups: groups.clone(),
+                aggs: aggs.clone(),
+            },
+        }
+    }
+
+    /// Fold the rows of `c` into the output in row order, reporting each
+    /// row's table traffic into `acc`: one bucket write per build row, a
+    /// read and a write per aggregated row.
+    pub(crate) fn fold(&self, c: &Chunk, acc: &mut Vec<MemRange>) {
+        // Every row lands at least one table access in `acc`.
+        acc.reserve(c.rows);
+        match self {
+            TermExec::Build {
+                table,
+                key,
+                payloads,
+            } => {
+                let mut t = table.borrow_mut();
+                // One payload buffer for the whole chunk, overwritten in
+                // place per row (no per-row `extend` call); `insert`
+                // copies out of it.
+                let mut pay = vec![0i64; payloads.len()];
+                for r in 0..c.rows {
+                    for (v, &p) in pay.iter_mut().zip(payloads) {
+                        *v = c.cols[p][r];
+                    }
+                    t.insert(c.cols[*key][r], &pay, acc);
+                }
+            }
+            TermExec::Aggregate {
+                store,
+                groups,
+                aggs,
+            } => {
+                let mut s = store.borrow_mut();
+                // Agg inputs evaluated column-at-a-time once per chunk;
+                // the row loop only gathers group keys and folds.
+                let vals: Vec<Vec<i64>> = aggs
+                    .iter()
+                    .map(|a| a.expr.eval_vec(&c.cols, c.rows))
+                    .collect();
+                let mut keys = vec![0i64; groups.len()];
+                let mut values = vec![0i64; aggs.len()];
+                for r in 0..c.rows {
+                    for (k, &g) in keys.iter_mut().zip(groups) {
+                        *k = c.cols[g][r];
+                    }
+                    for (slot, v) in values.iter_mut().zip(&vals) {
+                        *slot = v[r];
+                    }
+                    s.update(&keys, &values, acc);
+                }
+            }
+        }
+    }
 }
 
 /// ISA expansion factor: every logical expression node costs several

@@ -1,10 +1,10 @@
 //! Access-replay kernels: the timing side of kernel-at-a-time engines.
 //!
 //! KBE and the Ocelot baseline (both in [`crate::kbe`]) perform their
-//! functional work eagerly on host structures and then launch a
-//! data-parallel kernel that *replays* the corresponding access pattern —
-//! sequential array reads/writes plus row-indexed scatter traffic —
-//! against the simulator.
+//! functional work first, a host block at a time, and then launch per op
+//! a data-parallel kernel that *replays* the corresponding access
+//! pattern — sequential array reads/writes plus row-indexed scatter
+//! traffic — against the simulator.
 
 use crate::exec::ExecContext;
 use gpl_sim::mem::{MemRange, RegionClass};
@@ -60,8 +60,11 @@ pub struct ReplayKernel {
     pub per_row_mem: u64,
     pub reads: Vec<ArrayRef>,
     pub writes: Vec<ArrayRef>,
-    /// Row-indexed scatter/gather traffic (hash buckets): `extra_per_row`
-    /// entries per driving row.
+    /// Row-indexed scatter/gather traffic (hash buckets), in row order:
+    /// the unit over rows `a..b` replays entries `a * extra_per_row ..
+    /// b * extra_per_row`, clamped to the list. A list shorter than
+    /// `rows * extra_per_row` — Ocelot's, where only live rows have
+    /// traffic — runs out early, and the units past its end carry none.
     pub extra: Vec<MemRange>,
     pub extra_per_row: usize,
     pub emitted_any: bool,
@@ -143,7 +146,10 @@ impl gpl_sim::WorkSource for ReplayKernel {
         self.cursor = end;
         self.emitted_any = true;
         let rows = (end - start) as u64;
-        let mut accesses: Vec<MemRange> = Vec::with_capacity(self.reads.len() + self.writes.len());
+        let clamp = |row: usize| (row * self.extra_per_row).min(self.extra.len());
+        let extra = &self.extra[clamp(start)..clamp(end)];
+        let mut accesses: Vec<MemRange> =
+            Vec::with_capacity(self.reads.len() + self.writes.len() + extra.len());
         for r in &self.reads {
             accesses.push(r.slice(start, end, self.rows));
         }
@@ -152,11 +158,7 @@ impl gpl_sim::WorkSource for ReplayKernel {
             m.write = true;
             accesses.push(m);
         }
-        if self.extra_per_row > 0 {
-            accesses.extend_from_slice(
-                &self.extra[start * self.extra_per_row..end * self.extra_per_row],
-            );
-        }
+        accesses.extend_from_slice(extra);
         let mem_ops = self.per_row_mem + self.reads.len() as u64 + self.writes.len() as u64;
         // Proportional shares of the declared totals: prefix(end) −
         // prefix(start) telescopes to the exact totals over the launch.
@@ -225,6 +227,41 @@ mod tests {
         // All input bytes read, all output bytes written.
         assert_eq!(p.bytes_read[&RegionClass::Intermediate], 20_000 * 8);
         assert_eq!(p.bytes_written[&RegionClass::Intermediate], 10_000 * 4);
+    }
+
+    /// A view for kernels that use no channels.
+    struct NoChannels;
+
+    impl ChannelView for NoChannels {
+        fn available(&self, _: gpl_sim::ChannelId) -> u64 {
+            0
+        }
+        fn space(&self, _: gpl_sim::ChannelId) -> u64 {
+            0
+        }
+        fn eof(&self, _: gpl_sim::ChannelId) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn replay_clamps_a_short_extra_list() {
+        use gpl_sim::WorkSource;
+        // 20 000 rows at two entries a row would be 40 000 entries; give
+        // half that. Units cover rows 0..8192, 8192..16384, 16384..20000.
+        let extra: Vec<MemRange> = (0..20_000).map(|i| MemRange::read(i * 64, 8)).collect();
+        let mut k = ReplayKernel::new(20_000, 64, 1, 0).extra(extra.clone(), 2);
+        let mut per_unit = Vec::new();
+        loop {
+            match k.next(&NoChannels) {
+                Work::Unit(u) => per_unit.push(u.accesses),
+                Work::Done => break,
+                Work::Wait => panic!("a replay kernel never waits"),
+            }
+        }
+        let lens: Vec<usize> = per_unit.iter().map(Vec::len).collect();
+        assert_eq!(lens, [2 * BATCH_ROWS, 20_000 - 2 * BATCH_ROWS, 0]);
+        assert_eq!(per_unit.concat(), extra, "every entry once, in order");
     }
 
     #[test]

@@ -554,6 +554,44 @@ mod tests {
         assert_eq!((s2.hit_lines, s2.miss_lines), (1, 0));
     }
 
+    /// A zero-byte range is skipped before it touches anything: replay
+    /// kernels rely on that when a short traffic list leaves a unit none.
+    #[test]
+    fn zero_byte_ranges_change_nothing() {
+        let traffic: Vec<MemRange> = (0..200u64)
+            .map(|i| MemRange {
+                addr: i * 712 % 20_000,
+                bytes: 1 + i % 150,
+                write: i % 3 == 0,
+            })
+            .collect();
+        let padded: Vec<MemRange> = (traffic.iter())
+            .flat_map(|&r| [MemRange::read(4096, 0), r, MemRange::write(r.addr, 0)])
+            .collect();
+        // The dynamic-width body (4-way) and the 16-way one.
+        for (ways, bytes) in [(4, 4096), (16, 16 * 64 * 16)] {
+            let (mut plain, mut spliced) = (
+                CacheSim::new(bytes, 64, ways),
+                CacheSim::new(bytes, 64, ways),
+            );
+            assert_eq!(
+                plain.access_batch(&traffic),
+                spliced.access_batch(&padded),
+                "{ways}-way"
+            );
+            assert_eq!(plain.cum, spliced.cum);
+            let cum = spliced.cum;
+            assert_eq!(
+                spliced.access_batch(&[MemRange::read(0, 0), MemRange::write(64, 0)]),
+                BatchAccess::default()
+            );
+            assert_eq!(spliced.cum, cum);
+            // Same contents and recency: the next pass sees the same.
+            assert_eq!(plain.access_batch(&traffic), spliced.access_batch(&traffic));
+            assert_eq!(plain.resident_lines(), spliced.resident_lines());
+        }
+    }
+
     #[test]
     fn range_expands_to_lines() {
         let mut c = small();
