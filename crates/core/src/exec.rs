@@ -11,8 +11,8 @@ use crate::kbe::{self, Selection};
 use crate::ops::sort_rows;
 use crate::plan::{QueryPlan, Stage, Terminal};
 use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats, Spent};
-use crate::replay::{alloc_array, kernel_resources, launch, ReplayKernel};
-use crate::segment::{InterSegmentEdge, SegmentIr};
+use crate::replay::{alloc_array, launch, ReplayKernel};
+use crate::segment::{InterSegmentEdge, KernelFlavour, SegmentIr};
 use crate::shard::{run_pool, HedgePlan, ShardPlan};
 use gpl_sim::{
     DeviceSpec, KernelDesc, LaunchProfile, RegionClass, ResourceUsage, Simulator, Work, WorkUnit,
@@ -550,7 +550,7 @@ pub(crate) fn make_blocking_outputs(
         Terminal::Aggregate { groups, aggs } => {
             let store = GroupStore::with_kinds(
                 &mut ctx.sim.mem,
-                if groups.is_empty() { 1 } else { 4096 },
+                GroupStore::expected_groups(groups.len()),
                 groups.len(),
                 aggs.iter().map(|a| a.kind).collect(),
                 format!("{}::agg", plan.query.name()),
@@ -588,7 +588,7 @@ pub(crate) fn run_pair_fused(
         unreachable!("pair build stage must end in a hash build");
     };
     let expected = estimate_build_rows(ctx, stage_b) as u64;
-    let table_bytes = expected * 8 * (1 + payloads.len() as u64);
+    let table_bytes = expected * SimHashTable::entry_bytes_for(payloads.len());
     let cfgs = &spec.configs[device].stages;
     let edge = pair
         .clone()
@@ -815,7 +815,7 @@ pub(crate) fn run_sort_kernel(
         let k = ReplayKernel::new((n * passes) as usize, wavefront, 6, 2)
             .reads(vec![arr])
             .writes(vec![arr]);
-        launch(ctx, "k_sort", kernel_resources("k_map", wavefront), k)
+        launch(ctx, "k_sort", KernelFlavour::Map, k)
     } else {
         let width = rows.first().map(|r| r.len()).unwrap_or(1) as u64 * 8;
         let region = ctx

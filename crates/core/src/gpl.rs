@@ -32,7 +32,7 @@ use std::sync::Arc;
 pub const SCAN_BATCH_ROWS: usize = 4096;
 /// Extra per-tile dispatch instructions charged to the leaf's first batch
 /// of each tile (the workload scheduler's cost, Section 3.1).
-const TILE_DISPATCH_INSTS: u64 = 256;
+pub const TILE_DISPATCH_INSTS: u64 = 256;
 /// Maximum chunks a consumer fuses into one work-group quantum.
 const MAX_CHUNKS_PER_UNIT: usize = 4;
 /// Unit row cap for kernels of a fused (cross-segment) launch. With two
@@ -107,6 +107,13 @@ pub(crate) fn chunk_checksum(c: &Chunk) -> u64 {
 
 fn packets_for(rows: usize, row_bytes: u64, packet_bytes: u32) -> u64 {
     ((rows as u64 * row_bytes).div_ceil(packet_bytes as u64)).max(1)
+}
+
+/// Bytes an edge's channel buffer holds at tile size `tile_bytes`: a
+/// quarter of the tile may be in flight per edge (Section 3.3: buffers
+/// scale with the tile, so the knob reaches the cache).
+pub fn edge_buffer_bytes(tile_bytes: u64) -> u64 {
+    tile_bytes / 4
 }
 
 /// One fused pipeline op with its per-row cost estimates.
@@ -232,8 +239,9 @@ impl gpl_sim::WorkSource for LeafSource {
             self.rowid_slot,
             (self.cursor..end).map(|r| (self.base + r) as i64).collect(),
         );
-        let mut compute = rows as u64 * 2 * ops::INST_EXPANSION * self.cols.len() as u64;
-        let mut mem = rows as u64 * self.cols.len() as u64;
+        let (load_compute, load_mem) = ops::COLUMN_LOAD_INSTS;
+        let mut compute = rows as u64 * load_compute * self.cols.len() as u64;
+        let mut mem = rows as u64 * load_mem * self.cols.len() as u64;
         let mut out = apply_steps(&self.steps, chunk, &mut accesses, &mut compute, &mut mem);
         if out.rows > 0 && !self.lazy_cols.is_empty() {
             // Gather the shipped-only columns at surviving positions;
@@ -257,8 +265,8 @@ impl gpl_sim::WorkSource for LeafSource {
                         .map(|&(s, len)| MemRange::read(base + s * width, len * width)),
                 );
             }
-            compute += out.rows as u64 * 2 * ops::INST_EXPANSION * self.lazy_cols.len() as u64;
-            mem += out.rows as u64 * self.lazy_cols.len() as u64;
+            compute += out.rows as u64 * load_compute * self.lazy_cols.len() as u64;
+            mem += out.rows as u64 * load_mem * self.lazy_cols.len() as u64;
         }
         let mut unit = WorkUnit {
             compute_insts: compute.div_ceil(self.wavefront)
@@ -864,9 +872,7 @@ fn stage_kernels(
     let mut capacities = Vec::with_capacity(num_edges);
     let mut queues: Vec<DataQ> = Vec::with_capacity(num_edges);
     for edge in &ir.edges {
-        // A quarter of the tile may be in flight per edge (Section 3.3:
-        // buffers scale with the tile so the knob reaches the cache).
-        let tile_packets = (cfg.tile_bytes / 4).div_ceil(cfg.packet_bytes as u64);
+        let tile_packets = edge_buffer_bytes(cfg.tile_bytes).div_ceil(cfg.packet_bytes as u64);
         let batch_packets = packets_for(SCAN_BATCH_ROWS, edge.row_bytes, cfg.packet_bytes);
         let cap_per_port = tile_packets
             .div_ceil(cfg.n_channels as u64)
@@ -989,7 +995,7 @@ fn stage_kernels(
             slices: p.slices,
             staged: Vec::new(),
             stage_base: p.stage_base,
-            entry_bytes: 8 * (1 + payloads.len() as u64),
+            entry_bytes: SimHashTable::entry_bytes_for(payloads.len()),
             parts: None,
             next_slice: 0,
             installed: 0,
@@ -1094,7 +1100,7 @@ pub(crate) fn run_overlapped_pair(
     let Terminal::HashBuild { payloads, .. } = &stage_b.terminal else {
         unreachable!("pair build stage must end in a hash build");
     };
-    let entry_bytes = 8 * (1 + payloads.len() as u64);
+    let entry_bytes = SimHashTable::entry_bytes_for(payloads.len());
     let bound = ctx.db.table(&stage_b.driver).rows() as u64;
     let region = ctx.sim.mem.alloc(
         (bound * entry_bytes).max(8),

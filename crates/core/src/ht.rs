@@ -105,16 +105,27 @@ impl SimHashTable {
         Self::place(Rc::new(entries), mem, expected, label)
     }
 
-    /// The one place table geometry is decided: a region of
-    /// power-of-two buckets at load factor ≤ ½ for `expected` keys.
+    /// Buckets of a table sized for `expected` keys: a power of two at
+    /// load factor ≤ ½. Group stores size the same way.
+    pub fn buckets_for(expected: usize) -> u64 {
+        (expected.max(1) * 2).next_power_of_two() as u64
+    }
+
+    /// Bytes of one bucket entry: the key and `payload_width` payloads.
+    pub fn entry_bytes_for(payload_width: usize) -> u64 {
+        8 * (1 + payload_width as u64)
+    }
+
+    /// Where a table's region is allocated, at the geometry
+    /// [`Self::buckets_for`] and [`Self::entry_bytes_for`] decide.
     fn place(
         entries: Rc<Entries>,
         mem: &mut MemoryMap,
         expected: usize,
         label: impl Into<String>,
     ) -> Self {
-        let buckets = (expected.max(1) * 2).next_power_of_two() as u64;
-        let entry_bytes = 8 * (1 + entries.payload_width as u64);
+        let buckets = Self::buckets_for(expected);
+        let entry_bytes = Self::entry_bytes_for(entries.payload_width);
         let region = mem.alloc(buckets * entry_bytes, RegionClass::HashTable, label);
         SimHashTable {
             entries,
@@ -336,6 +347,22 @@ impl GroupStore {
         )
     }
 
+    /// Groups an executor sizes a store for, by key width: one for a
+    /// scalar aggregate, 4096 otherwise.
+    pub fn expected_groups(key_width: usize) -> usize {
+        if key_width == 0 {
+            1
+        } else {
+            4096
+        }
+    }
+
+    /// Bytes of one bucket entry: the keys (at least one slot) and the
+    /// accumulators.
+    pub fn entry_bytes_for(key_width: usize, num_aggs: usize) -> u64 {
+        8 * (key_width.max(1) + num_aggs) as u64
+    }
+
     pub fn with_kinds(
         mem: &mut MemoryMap,
         expected_groups: usize,
@@ -343,8 +370,8 @@ impl GroupStore {
         kinds: Vec<AggKind>,
         label: impl Into<String>,
     ) -> Self {
-        let buckets = (expected_groups.max(1) * 2).next_power_of_two() as u64;
-        let entry_bytes = 8 * (key_width.max(1) + kinds.len()) as u64;
+        let buckets = SimHashTable::buckets_for(expected_groups);
+        let entry_bytes = Self::entry_bytes_for(key_width, kinds.len());
         let region = mem.alloc(buckets * entry_bytes, RegionClass::Intermediate, label);
         GroupStore {
             groups: BTreeMap::new(),

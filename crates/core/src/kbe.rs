@@ -23,8 +23,8 @@ use crate::exec::ExecContext;
 use crate::ht::{GroupStore, SimHashTable};
 use crate::ops::{self, live_slots, Chunk, OpExec, TermExec};
 use crate::plan::{PipeOp, Stage, Terminal};
-use crate::replay::{alloc_array, kernel_resources, launch, ArrayRef, ReplayKernel};
-use crate::segment::SegmentIr;
+use crate::replay::{alloc_array, launch, ArrayRef, ReplayKernel};
+use crate::segment::{KernelFlavour, SegmentIr};
 use gpl_sim::mem::{MemRange, RegionClass};
 use gpl_sim::LaunchProfile;
 use std::cell::RefCell;
@@ -239,7 +239,7 @@ fn run_stage_blocks(
                 merged.merge(&launch(
                     ctx,
                     "k_map",
-                    kernel_resources("k_map", wavefront),
+                    KernelFlavour::Map,
                     ReplayKernel::new(rows, wavefront, map_insts(&st, pred.insts()), 0)
                         .reads(st.reads(&in_slots))
                         .writes(writes)
@@ -254,7 +254,7 @@ fn run_stage_blocks(
                 merged.merge(&launch(
                     ctx,
                     "k_hash_probe",
-                    kernel_resources("k_hash_probe", wavefront),
+                    KernelFlavour::Probe,
                     ReplayKernel::new(
                         rows,
                         wavefront,
@@ -282,7 +282,7 @@ fn run_stage_blocks(
                 merged.merge(&launch(
                     ctx,
                     "k_map",
-                    kernel_resources("k_map", wavefront),
+                    KernelFlavour::Map,
                     ReplayKernel::new(rows, wavefront, map_insts(&st, expr.insts()), 0)
                         .reads(st.reads(&in_slots))
                         .writes(vec![arr])
@@ -294,10 +294,10 @@ fn run_stage_blocks(
     }
 
     // Terminal: one table access per build row, two per aggregated row.
-    let (name, in_slots, per_row) = match &stage.terminal {
+    let (name, flavour, in_slots, per_row) = match &stage.terminal {
         Terminal::HashBuild { key, payloads, .. } => {
             let in_slots = std::iter::once(*key).chain(payloads.iter().copied());
-            ("k_hash_build", in_slots.collect(), 1)
+            ("k_hash_build", KernelFlavour::Build, in_slots.collect(), 1)
         }
         Terminal::Aggregate { groups, aggs } => {
             let mut in_slots: Vec<usize> = groups.clone();
@@ -306,13 +306,13 @@ fn run_stage_blocks(
             }
             in_slots.sort_unstable();
             in_slots.dedup();
-            ("k_aggregate", in_slots, 2)
+            ("k_aggregate", KernelFlavour::Aggregate, in_slots, 2)
         }
     };
     merged.merge(&launch(
         ctx,
         name,
-        kernel_resources(name, wavefront),
+        flavour,
         ReplayKernel::new(
             st.launch_rows(),
             wavefront,
@@ -343,7 +343,7 @@ fn scatter_phase(
     merged.merge(&launch(
         ctx,
         "k_prefix_sum",
-        kernel_resources("k_prefix_sum", wavefront),
+        KernelFlavour::PrefixSum,
         ReplayKernel::new(rows, wavefront, 2 * ops::INST_EXPANSION, 0)
             .reads(vec![flags])
             .writes(vec![offsets])
@@ -368,7 +368,7 @@ fn scatter_phase(
     merged.merge(&launch(
         ctx,
         "k_scatter",
-        kernel_resources("k_scatter", wavefront),
+        KernelFlavour::Scatter,
         ReplayKernel::new(
             rows,
             wavefront,

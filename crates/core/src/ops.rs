@@ -335,6 +335,11 @@ impl TermExec {
 /// masking). Applied uniformly to all engines.
 pub const INST_EXPANSION: u64 = 3;
 
+/// Per-row `(compute, memory)` instructions of loading one leaf column:
+/// what the GPL leaf charges per streamed row and per gathered survivor,
+/// and what the cost model prices.
+pub const COLUMN_LOAD_INSTS: (u64, u64) = (2 * INST_EXPANSION, 1);
+
 /// Per-row compute-instruction estimate of a pipeline op (program-analysis
 /// input `c_inst`).
 pub fn op_compute_insts(op: &PipeOp) -> u64 {

@@ -7,8 +7,9 @@
 //! traffic — against the simulator.
 
 use crate::exec::ExecContext;
+use crate::segment::KernelFlavour;
 use gpl_sim::mem::{MemRange, RegionClass};
-use gpl_sim::{ChannelView, KernelDesc, LaunchProfile, ResourceUsage, Work, WorkUnit};
+use gpl_sim::{ChannelView, KernelDesc, LaunchProfile, Work, WorkUnit};
 
 /// Rows one replay work-group quantum covers.
 pub const BATCH_ROWS: usize = 8192;
@@ -53,8 +54,6 @@ pub fn alloc_array(
 pub struct ReplayKernel {
     pub rows: usize,
     pub cursor: usize,
-    /// Rows per work-group quantum (defaults to [`BATCH_ROWS`]).
-    pub batch: usize,
     pub wavefront: u64,
     pub per_row_compute: u64,
     pub per_row_mem: u64,
@@ -80,7 +79,6 @@ impl ReplayKernel {
         ReplayKernel {
             rows,
             cursor: 0,
-            batch: BATCH_ROWS,
             wavefront: wavefront as u64,
             per_row_compute,
             per_row_mem,
@@ -110,13 +108,6 @@ impl ReplayKernel {
         self
     }
 
-    /// Override the per-quantum row count (small launches can use finer
-    /// batches to fill the device).
-    pub fn batch(mut self, rows: usize) -> Self {
-        self.batch = rows.max(1);
-        self
-    }
-
     /// Declare the launch's observed row totals: `rows_in` consumed and
     /// `rows_out` surviving. Units report proportional shares that sum
     /// exactly to the totals, so the kernel profile's `rows_in/rows_out`
@@ -142,7 +133,7 @@ impl gpl_sim::WorkSource for ReplayKernel {
             });
         }
         let start = self.cursor;
-        let end = (start + self.batch).min(self.rows);
+        let end = (start + BATCH_ROWS).min(self.rows);
         self.cursor = end;
         self.emitted_any = true;
         let rows = (end - start) as u64;
@@ -179,30 +170,18 @@ impl gpl_sim::WorkSource for ReplayKernel {
 }
 
 /// Launch one replay kernel alone on the device (the KBE discipline),
-/// with enough work-groups to fill it.
+/// with `flavour`'s resources and enough work-groups to fill it.
 pub fn launch(
     ctx: &mut ExecContext,
     name: &str,
-    resources: ResourceUsage,
+    flavour: KernelFlavour,
     kernel: ReplayKernel,
 ) -> LaunchProfile {
     let spec = ctx.sim.spec();
     let wg = spec.num_cus * spec.max_wg_per_cu;
+    let resources = flavour.resources(spec.wavefront_size);
     let desc = KernelDesc::new(name, resources, wg, Box::new(kernel));
     ctx.sim.run(vec![desc])
-}
-
-/// Per-kernel-flavour resource declarations (program-analysis inputs).
-pub fn kernel_resources(kernel: &str, wavefront: u32) -> ResourceUsage {
-    match kernel {
-        "k_map" => ResourceUsage::new(wavefront, 64, 0),
-        "k_prefix_sum" => ResourceUsage::new(wavefront, 32, 4096),
-        "k_scatter" => ResourceUsage::new(wavefront, 48, 0),
-        "k_hash_probe" => ResourceUsage::new(wavefront, 96, 0),
-        "k_hash_build" => ResourceUsage::new(wavefront, 96, 2048),
-        "k_aggregate" => ResourceUsage::new(wavefront, 64, 8192),
-        other => panic!("unknown kernel flavour {other}"),
-    }
 }
 
 #[cfg(test)]
@@ -219,7 +198,7 @@ mod tests {
         let k = ReplayKernel::new(20_000, 64, 4, 1)
             .reads(vec![input])
             .writes(vec![output]);
-        let p = launch(&mut ctx, "k_map", kernel_resources("k_map", 64), k);
+        let p = launch(&mut ctx, "k_map", KernelFlavour::Map, k);
         assert_eq!(
             p.kernels[0].units,
             (20_000usize).div_ceil(BATCH_ROWS) as u64
@@ -268,7 +247,7 @@ mod tests {
     fn empty_replay_still_occupies_the_device() {
         let mut ctx = ExecContext::new(amd_a10(), TpchDb::at_scale(0.002));
         let k = ReplayKernel::new(0, 64, 1, 0);
-        let p = launch(&mut ctx, "k_map", kernel_resources("k_map", 64), k);
+        let p = launch(&mut ctx, "k_map", KernelFlavour::Map, k);
         assert!(p.elapsed_cycles > 0);
         assert_eq!(p.kernels[0].units, 1);
     }

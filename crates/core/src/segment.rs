@@ -42,18 +42,26 @@ use gpl_storage::Table;
 use std::fmt;
 use std::fmt::Write as _;
 
-/// What a kernel node fundamentally does — the key into the shared
-/// resource table of [`KernelFlavour::resources`].
+/// What a kernel fundamentally does — the key into the shared resource
+/// table of [`KernelFlavour::resources`]. IR nodes take the first four;
+/// KBE's compaction adds the last two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelFlavour {
-    /// The fused leaf `k_map*` (scan + leading non-probe ops).
+    /// The fused leaf `k_map*` (scan + leading non-probe ops); KBE's
+    /// per-op `k_map`.
     Map,
-    /// A fused `k_hash_probe*` (probe + trailing non-probe ops).
+    /// A fused `k_hash_probe*` (probe + trailing non-probe ops); KBE's
+    /// `k_hash_probe`.
     Probe,
     /// The blocking `k_hash_build` terminal.
     Build,
-    /// The blocking `k_reduce*` / `k_groupby*` terminal.
+    /// The blocking `k_reduce*` / `k_groupby*` terminal; KBE's
+    /// `k_aggregate`.
     Aggregate,
+    /// KBE's `k_prefix_sum` over a selection's flags.
+    PrefixSum,
+    /// KBE's `k_scatter` compacting the survivors.
+    Scatter,
 }
 
 impl KernelFlavour {
@@ -66,6 +74,8 @@ impl KernelFlavour {
             KernelFlavour::Probe => ResourceUsage::new(wavefront, 96, 0),
             KernelFlavour::Build => ResourceUsage::new(wavefront, 96, 2048),
             KernelFlavour::Aggregate => ResourceUsage::new(wavefront, 64, 8192),
+            KernelFlavour::PrefixSum => ResourceUsage::new(wavefront, 32, 4096),
+            KernelFlavour::Scatter => ResourceUsage::new(wavefront, 48, 0),
         }
     }
 
@@ -75,6 +85,8 @@ impl KernelFlavour {
             KernelFlavour::Probe => "probe",
             KernelFlavour::Build => "build",
             KernelFlavour::Aggregate => "aggregate",
+            KernelFlavour::PrefixSum => "prefix_sum",
+            KernelFlavour::Scatter => "scatter",
         }
     }
 }
@@ -635,28 +647,23 @@ pub fn gpl_kernel_names(stage: &Stage) -> Vec<String> {
     v
 }
 
-/// Kernel names of `stage` under KBE decomposition: selections and
-/// probes expand to map + prefix-sum + scatter (Figure 7b, the GDB
-/// selection \[13\]).
+/// Kernel names of `stage` under KBE decomposition, as [`crate::kbe`]
+/// launches them: selections and probes expand to map + prefix-sum +
+/// scatter (Figure 7b, the GDB selection \[13\]).
 pub fn kbe_kernel_names(stage: &Stage) -> Vec<String> {
     let mut v = Vec::new();
     for op in &stage.ops {
         match op {
-            PipeOp::Filter(_) => {
-                v.extend(["k_map", "k_prefix_sum", "k_scatter"].map(str::to_string));
-            }
-            PipeOp::Probe { ht, .. } => {
-                v.push(format!("k_hash_probe(ht{ht})"));
-                v.extend(["k_prefix_sum", "k_scatter"].map(str::to_string));
-            }
-            PipeOp::Compute { .. } => v.push("k_map".to_string()),
+            PipeOp::Filter(_) => v.extend(["k_map", "k_prefix_sum", "k_scatter"]),
+            PipeOp::Probe { .. } => v.extend(["k_hash_probe", "k_prefix_sum", "k_scatter"]),
+            PipeOp::Compute { .. } => v.push("k_map"),
         }
     }
     v.push(match &stage.terminal {
-        Terminal::HashBuild { ht, .. } => format!("k_hash_build(ht{ht})"),
-        Terminal::Aggregate { .. } => "k_aggregate".to_string(),
+        Terminal::HashBuild { .. } => "k_hash_build",
+        Terminal::Aggregate { .. } => "k_aggregate",
     });
-    v
+    v.into_iter().map(str::to_string).collect()
 }
 
 #[cfg(test)]

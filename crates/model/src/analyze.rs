@@ -11,6 +11,7 @@
 //! hash-table geometry from cardinality estimates).
 
 use crate::stats::PlanStats;
+use gpl_core::ht::{GroupStore, SimHashTable};
 use gpl_core::ops;
 use gpl_core::plan::{PipeOp, QueryPlan, Stage, Terminal};
 use gpl_core::segment::SegmentIr;
@@ -61,12 +62,6 @@ pub struct StageModel {
     /// The lowered segment these kernels describe, with the model's λ
     /// estimates attached — what the executors launch from.
     pub ir: SegmentIr,
-}
-
-fn ht_geometry(expected_rows: f64, payloads: usize) -> (u64, u64) {
-    let entry = 8 * (1 + payloads as u64);
-    let buckets = ((expected_rows.max(1.0) as usize) * 2).next_power_of_two() as u64;
-    (entry, buckets * entry)
 }
 
 /// Build the stage models for a plan, using the λ estimates of
@@ -147,19 +142,21 @@ fn build_stage_model(
         if g == 0 {
             // Eager columns are loaded for every row; lazy ones only for
             // the survivors (scale their issue cost by λ).
-            per_row_compute += 2 * ops::INST_EXPANSION * eager_cols
-                + (2.0 * ops::INST_EXPANSION as f64 * lazy_cols as f64 * lambdas[0]) as u64;
-            per_row_mem += eager_cols + (lazy_cols as f64 * lambdas[0]) as u64;
+            let (load_compute, load_mem) = ops::COLUMN_LOAD_INSTS;
+            let lazy = |insts: u64| (insts as f64 * lazy_cols as f64 * lambdas[0]) as u64;
+            per_row_compute += load_compute * eager_cols + lazy(load_compute);
+            per_row_mem += load_mem * eager_cols + lazy(load_mem);
         }
         // Hash-table geometry is the one per-op term lowering cannot
-        // provide (it needs cardinality estimates).
+        // provide (it needs cardinality estimates); the executor's table
+        // decides it.
         let mut ht_access = 0u64;
         let mut ht_foot = 0u64;
         for &i in &node.ops {
             if let PipeOp::Probe { ht, payloads, .. } = &stage.ops[i] {
-                let (entry, foot) = ht_geometry(stats.ht_rows[*ht], payloads.len());
+                let entry = SimHashTable::entry_bytes_for(payloads.len());
                 ht_access += entry;
-                ht_foot += foot;
+                ht_foot += SimHashTable::buckets_for(stats.ht_rows[*ht] as usize) * entry;
             }
         }
         kernels.push(KernelModel {
@@ -180,17 +177,18 @@ fn build_stage_model(
         in_ratio *= lambdas[g];
     }
 
-    // The terminal kernel.
+    // The terminal kernel: a build writes one entry a row, an aggregate
+    // reads and writes one.
     let (ht_access, ht_foot) = match &stage.terminal {
         Terminal::HashBuild { payloads, .. } => {
             let expected = in_ratio * ir.driver_rows as f64;
-            ht_geometry(expected.max(1.0), payloads.len())
+            let entry = SimHashTable::entry_bytes_for(payloads.len());
+            (entry, SimHashTable::buckets_for(expected as usize) * entry)
         }
         Terminal::Aggregate { groups, aggs } => {
-            let expected = if groups.is_empty() { 1.0 } else { 4096.0 };
-            let entry = 8 * (groups.len().max(1) + aggs.len()) as u64;
-            let buckets = ((expected as usize) * 2).next_power_of_two() as u64;
-            (2 * entry, buckets * entry)
+            let expected = GroupStore::expected_groups(groups.len());
+            let entry = GroupStore::entry_bytes_for(groups.len(), aggs.len());
+            (2 * entry, SimHashTable::buckets_for(expected) * entry)
         }
     };
     let term = ir.nodes.last().expect("terminal node");

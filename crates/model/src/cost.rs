@@ -4,8 +4,8 @@
 //! candidate configuration (Δ, n, p, wg_Ki), estimate the segment's
 //! execution time:
 //!
-//! * **Eq. 2** — residency: private-memory / local-memory / `wg_max`
-//!   budgets shared by the co-resident kernels bound `a_wg_Ki`.
+//! * **Eq. 2** — residency: the device's own grant,
+//!   [`DeviceSpec::residency`], the rule every simulated launch applies.
 //! * **Eq. 3/4** — computation cost: `(c_inst + m_inst) · w`, served by
 //!   `a_wg · #CU` work-group slots in `req` rounds.
 //! * **Eq. 5** — global-memory cost for leaf kernels (`set_l`) and
@@ -17,8 +17,8 @@
 
 use crate::analyze::StageModel;
 use crate::gamma::GammaTable;
-use gpl_core::StageConfig;
-use gpl_sim::{DeviceSpec, ResourceUsage};
+use gpl_core::{gpl, StageConfig};
+use gpl_sim::DeviceSpec;
 
 /// Estimated cost of one kernel, per tile (cycles).
 #[derive(Debug, Clone, Copy)]
@@ -51,70 +51,6 @@ pub struct StageEstimate {
     pub overhead: f64,
     /// Eq. 9, whole stage (cycles).
     pub total: f64,
-}
-
-/// Eq. 2 core: grant per-CU work-group residency to `res.len()`
-/// co-launched kernels (mirrors the simulator's allocator: one slot
-/// guaranteed, round-robin growth while the budgets hold, capped by each
-/// kernel's own wg count). `kernel(i)` gives kernel i's private and local
-/// bytes per resident work-group and its work-group count; the three
-/// budgets are tracked as running sums, so a grant is three compares.
-fn grant_residency(
-    spec: &DeviceSpec,
-    kernel: impl Fn(usize) -> (u64, u64, u32),
-    want: &mut [u32],
-    res: &mut [u32],
-) {
-    let (mut pm, mut lm) = (0u64, 0u64);
-    for i in 0..res.len() {
-        let (p, l, wg) = kernel(i);
-        want[i] = wg.div_ceil(spec.num_cus).max(1);
-        res[i] = 1;
-        pm += p;
-        lm += l;
-    }
-    let mut wg = res.len() as u64;
-    loop {
-        let mut grew = false;
-        for i in 0..res.len() {
-            if res[i] >= want[i] {
-                continue;
-            }
-            let (p, l, _) = kernel(i);
-            if pm + p <= spec.private_mem_per_cu
-                && lm + l <= spec.local_mem_per_cu
-                && wg < spec.max_wg_per_cu as u64
-            {
-                res[i] += 1;
-                pm += p;
-                lm += l;
-                wg += 1;
-                grew = true;
-            }
-        }
-        if !grew {
-            break;
-        }
-    }
-}
-
-/// Eq. 2: allocate per-CU work-group residency among co-launched kernels.
-pub fn allocate_residency(
-    spec: &DeviceSpec,
-    kernels: &[(ResourceUsage, u32)], // (resources, wg count)
-) -> Vec<u32> {
-    let mut want = vec![0; kernels.len()];
-    let mut res = vec![0; kernels.len()];
-    grant_residency(
-        spec,
-        |i| {
-            let (r, wg) = &kernels[i];
-            (r.private_bytes_per_wg(), r.local_bytes_per_wg as u64, *wg)
-        },
-        &mut want,
-        &mut res,
-    );
-    res
 }
 
 /// Cache-hit-ratio surrogate for randomly-accessed structures: the
@@ -167,7 +103,7 @@ pub(crate) struct StageEvaluator<'a> {
     batches_per_tile: f64,
     /// Eq. 9's effective concurrency.
     c_eff: f64,
-    /// `launch_cycles + num_tiles · 256 · issue_cycles`.
+    /// `launch_cycles + num_tiles · TILE_DISPATCH_INSTS · issue_cycles`.
     dispatch: f64,
     lane_cost: f64,
     // Scratch the evaluation overwrites: Eq. 2 demand and grant, and the
@@ -189,6 +125,7 @@ impl<'a> StageEvaluator<'a> {
         let tile_rows = (cfg.tile_bytes / sm.row_bytes).clamp(1, sm.driver_rows.max(1));
         let num_tiles = sm.driver_rows.div_ceil(tile_rows).max(1);
         let wavefront = spec.wavefront_size as f64;
+        let edge_buffer = gpl::edge_buffer_bytes(cfg.tile_bytes);
 
         let kernels = (sm.kernels.iter())
             .map(|k| {
@@ -226,9 +163,8 @@ impl<'a> StageEvaluator<'a> {
                 });
                 // Eq. 6: channel transfers, in and out, over the calibrated
                 // Γ, de-rated by the cache pressure of the in-flight
-                // working set (channel buffers hold up to a quarter tile
-                // per edge).
-                let inflight = |d: f64| (d as u64).min(cfg.tile_bytes / 4).max(1);
+                // working set (at most an edge's channel buffer).
+                let inflight = |d: f64| (d as u64).min(edge_buffer).max(1);
                 let mut dc = 0.0;
                 if k.in_width > 0 {
                     let d = rows_in * k.in_width as f64;
@@ -267,7 +203,7 @@ impl<'a> StageEvaluator<'a> {
         // channel efficiency", Section 3.3), and ACE lane interleaving
         // when the pipeline is deeper than `C`. Only the bubble depends on
         // the kernel times.
-        let batches_per_tile = (tile_rows as f64 / gpl_core::gpl::SCAN_BATCH_ROWS as f64).max(1.0);
+        let batches_per_tile = (tile_rows as f64 / gpl::SCAN_BATCH_ROWS as f64).max(1.0);
         let lane_cost = spec.lane_switch_cycles as f64
             * (sm.kernels.len() as f64 - spec.concurrency as f64).max(0.0)
             * num_tiles as f64
@@ -290,7 +226,7 @@ impl<'a> StageEvaluator<'a> {
             // works there.
             c_eff: spec.concurrency.min(sm.kernels.len() as u32).clamp(1, 2) as f64,
             dispatch: spec.launch_cycles as f64
-                + num_tiles as f64 * 256.0 * spec.issue_cycles as f64,
+                + num_tiles as f64 * gpl::TILE_DISPATCH_INSTS as f64 * spec.issue_cycles as f64,
             lane_cost,
             want: vec![0; kernels.len()],
             residency: vec![0; kernels.len()],
@@ -311,8 +247,7 @@ impl<'a> StageEvaluator<'a> {
             ..
         } = self;
         assert_eq!(wg_counts.len(), kernels.len(), "one wg count per kernel");
-        grant_residency(
-            spec,
+        spec.residency(
             |i| (kernels[i].pm, kernels[i].lm, wg_counts[i]),
             want,
             residency,
@@ -606,21 +541,36 @@ mod tests {
     use super::*;
     use crate::{analyze, stats};
     use gpl_core::{plan_for, QueryConfig};
-    use gpl_sim::amd_a10;
+    use gpl_sim::{amd_a10, ResourceUsage};
     use gpl_tpch::{QueryId, TpchDb};
 
     fn gamma() -> GammaTable {
         gamma_for(&amd_a10())
     }
 
+    /// The Eq. 2 grant the evaluator asks of the device, for kernels of
+    /// `(resources, wg count)`.
+    fn grant(spec: &DeviceSpec, kernels: &[(ResourceUsage, u32)]) -> Vec<u32> {
+        let (mut want, mut res) = (vec![0; kernels.len()], vec![0; kernels.len()]);
+        spec.residency(
+            |i| {
+                let (r, wg) = &kernels[i];
+                (r.private_bytes_per_wg(), r.local_bytes_per_wg as u64, *wg)
+            },
+            &mut want,
+            &mut res,
+        );
+        res
+    }
+
     #[test]
     fn residency_mirrors_simulator_budgets() {
         let spec = amd_a10();
         let big = ResourceUsage::new(64, 64, 16 * 1024);
-        let r = allocate_residency(&spec, &[(big, 1024), (big, 1024)]);
+        let r = grant(&spec, &[(big, 1024), (big, 1024)]);
         assert_eq!(r, vec![1, 1]);
         let small = ResourceUsage::new(64, 64, 1024);
-        let r2 = allocate_residency(&spec, &[(small, 1024), (small, 1024)]);
+        let r2 = grant(&spec, &[(small, 1024), (small, 1024)]);
         assert!(r2[0] > 4);
         assert!(r2.iter().map(|&x| x as u64).sum::<u64>() <= spec.max_wg_per_cu as u64);
     }
@@ -710,6 +660,8 @@ mod tests {
         assert!(compared > 10_000, "compared {compared} evaluations");
     }
 
+    /// The device's Eq. 2 grant, which the evaluator and every simulated
+    /// launch call, against the reference's re-summing allocator.
     #[test]
     fn residency_wrapper_matches_the_reference_allocator() {
         for spec in [amd_a10(), gpl_sim::nvidia_k40(), gpl_sim::cpu_host()] {
@@ -719,7 +671,7 @@ mod tests {
                         let r = ResourceUsage::new(spec.wavefront_size, private, local);
                         let ks: Vec<_> = wgs.iter().map(|&wg| (r, wg)).collect();
                         assert_eq!(
-                            allocate_residency(&spec, &ks),
+                            grant(&spec, &ks),
                             reference::allocate_residency(&spec, &ks),
                             "{} local {local} private {private} wgs {wgs:?}",
                             spec.name

@@ -35,7 +35,7 @@ pub mod search;
 pub mod stats;
 
 pub use analyze::{build_models, KernelModel, StageModel};
-pub use cost::{allocate_residency, estimate_query, estimate_stage, StageEstimate};
+pub use cost::{estimate_query, estimate_stage, StageEstimate};
 pub use drift::{drift_for_device_run, drift_for_run};
 pub use error::{evaluate, relative_error, ModelEval};
 pub use gamma::GammaTable;

@@ -112,6 +112,58 @@ impl DeviceSpec {
     pub fn max_wavefronts(&self) -> u64 {
         self.num_cus as u64 * self.max_wg_per_cu as u64
     }
+
+    /// Eq. 2: split each CU's private-memory, local-memory and `wg_max`
+    /// budgets across `res.len()` co-launched kernels — the one rule the
+    /// simulator's launches and the cost model's evaluations share.
+    /// Every kernel is guaranteed one resident work-group so pipelines
+    /// always make progress; beyond that, slots are handed out
+    /// round-robin while they fit, capped by each kernel's own work-group
+    /// count spread over the CUs. `kernel(i)` gives kernel i's private
+    /// and local bytes per resident work-group and its work-group count.
+    /// `want` and `res` (the kernels' length) are overwritten with the
+    /// demand and the grant; the budgets are running sums, so a grant is
+    /// three compares. Inlined: the cost model's search calls it once per
+    /// evaluation.
+    #[inline]
+    pub fn residency(
+        &self,
+        kernel: impl Fn(usize) -> (u64, u64, u32),
+        want: &mut [u32],
+        res: &mut [u32],
+    ) {
+        let (mut pm, mut lm) = (0u64, 0u64);
+        for i in 0..res.len() {
+            let (p, l, wg) = kernel(i);
+            want[i] = wg.div_ceil(self.num_cus).max(1);
+            res[i] = 1;
+            pm += p;
+            lm += l;
+        }
+        let mut wg = res.len() as u64;
+        loop {
+            let mut grew = false;
+            for i in 0..res.len() {
+                if res[i] >= want[i] {
+                    continue;
+                }
+                let (p, l, _) = kernel(i);
+                if pm + p <= self.private_mem_per_cu
+                    && lm + l <= self.local_mem_per_cu
+                    && wg < self.max_wg_per_cu as u64
+                {
+                    res[i] += 1;
+                    pm += p;
+                    lm += l;
+                    wg += 1;
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+    }
 }
 
 /// The AMD A10 APU used in Section 5 (8 CUs, OpenCL 2.0 pipes, C = 2).

@@ -498,64 +498,6 @@ impl Simulator {
         self.channels[id.0 as usize].stats
     }
 
-    /// Eq. 2: split each CU's private-memory, local-memory and `wg_max`
-    /// budgets across the co-launched kernels. Every kernel is guaranteed
-    /// one resident work-group so pipelines always make progress; beyond
-    /// that, slots are handed out round-robin while they fit, capped by
-    /// each kernel's own `wg_count` spread over the CUs.
-    #[cfg(test)]
-    fn allocate_residency(&self, kernels: &[KernelDesc]) -> Vec<u32> {
-        let mut want = Vec::new();
-        let mut res = Vec::new();
-        self.allocate_residency_into(kernels, &mut want, &mut res);
-        res
-    }
-
-    /// [`Simulator::allocate_residency`] writing into pooled scratch
-    /// vectors (the launch path reuses them across launches).
-    fn allocate_residency_into(
-        &self,
-        kernels: &[KernelDesc],
-        want: &mut Vec<u32>,
-        res: &mut Vec<u32>,
-    ) {
-        let pm_max = self.spec.private_mem_per_cu;
-        let lm_max = self.spec.local_mem_per_cu;
-        let wg_max = self.spec.max_wg_per_cu;
-        want.clear();
-        want.extend(
-            kernels
-                .iter()
-                .map(|k| k.wg_count.div_ceil(self.spec.num_cus).max(1)),
-        );
-        res.clear();
-        res.resize(kernels.len(), 1);
-        let fits = |res: &[u32], extra: usize| -> bool {
-            let mut pm = 0u64;
-            let mut lm = 0u64;
-            let mut wg = 0u64;
-            for (i, k) in kernels.iter().enumerate() {
-                let r = res[i] as u64 + u64::from(i == extra);
-                pm += k.resources.private_bytes_per_wg() * r;
-                lm += k.resources.local_bytes_per_wg as u64 * r;
-                wg += r;
-            }
-            pm <= pm_max && lm <= lm_max && wg <= wg_max as u64
-        };
-        loop {
-            let mut grew = false;
-            for i in 0..kernels.len() {
-                if res[i] < want[i] && fits(res, i) {
-                    res[i] += 1;
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-    }
-
     /// Launch `kernels` concurrently and run to completion. Returns the
     /// launch profile; the device clock, cache contents and channel state
     /// persist for subsequent launches. Panics on deadlock — use
@@ -675,7 +617,10 @@ impl Simulator {
         // (restored at every exit below), so borrows of its pools are
         // independent of `self`.
         let mut scr = std::mem::take(&mut self.scratch);
-        self.allocate_residency_into(&kernels, &mut scr.want, &mut scr.res);
+        scr.want.resize(kernels.len(), 0);
+        scr.res.resize(kernels.len(), 0);
+        self.spec
+            .residency(|i| kernels[i].budget(), &mut scr.want, &mut scr.res);
 
         // Channel wiring sanity: unique producer and consumer per channel
         // (`u32::MAX` = unbound).
@@ -1476,9 +1421,17 @@ mod tests {
         assert!(err.to_string().contains("simulator deadlock at cycle"));
     }
 
+    /// The residency a launch of `kernels` grants: Eq. 2, the rule the
+    /// cost model's evaluator applies too.
+    fn residency(spec: &DeviceSpec, kernels: &[KernelDesc]) -> Vec<u32> {
+        let (mut want, mut res) = (vec![0; kernels.len()], vec![0; kernels.len()]);
+        spec.residency(|i| kernels[i].budget(), &mut want, &mut res);
+        res
+    }
+
     #[test]
     fn residency_respects_local_memory_budget() {
-        let sim = Simulator::new(amd_a10());
+        let spec = amd_a10();
         // One kernel wanting all the local memory per group: 32 KiB / CU
         // allows exactly 1 resident group of 16 KiB + the guaranteed one of
         // the second kernel (which overflows by design but is clamped).
@@ -1486,14 +1439,14 @@ mod tests {
         let mk = |name: &str| {
             KernelDesc::new(name, big, 1024, Box::new(|_: &dyn ChannelView| Work::Done))
         };
-        let r = sim.allocate_residency(&[mk("a"), mk("b")]);
+        let r = residency(&spec, &[mk("a"), mk("b")]);
         assert_eq!(r, vec![1, 1], "16KiB groups: only one each fits in 32KiB");
         let small = ResourceUsage::new(64, 64, 1024);
         let mk2 = || KernelDesc::new("s", small, 1024, Box::new(|_: &dyn ChannelView| Work::Done));
-        let r2 = sim.allocate_residency(&[mk2(), mk2()]);
+        let r2 = residency(&spec, &[mk2(), mk2()]);
         assert!(r2[0] > 4, "small groups must get many slots, got {:?}", r2);
         // wg_max shared: total residency bounded by the device budget.
-        assert!(r2.iter().map(|&x| x as u64).sum::<u64>() <= sim.spec.max_wg_per_cu as u64);
+        assert!(r2.iter().map(|&x| x as u64).sum::<u64>() <= spec.max_wg_per_cu as u64);
     }
 
     gpl_check::prop! {
@@ -1509,8 +1462,7 @@ mod tests {
                 1..6,
             )
         ) {
-            let sim = Simulator::new(amd_a10());
-            let spec = sim.spec().clone();
+            let spec = amd_a10();
             let descs: Vec<KernelDesc> = kernels
                 .iter()
                 .map(|&(wg, pm, lm)| {
@@ -1522,7 +1474,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let res = sim.allocate_residency(&descs);
+            let res = residency(&spec, &descs);
             gpl_check::prop_assert_eq!(res.len(), descs.len());
             let mut pm_total = 0u64;
             let mut lm_total = 0u64;

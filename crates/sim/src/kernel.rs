@@ -205,6 +205,17 @@ impl KernelDesc {
         self.segment = seg;
         self
     }
+
+    /// What Eq. 2 ([`crate::DeviceSpec::residency`]) weighs: private and
+    /// local bytes per resident work-group, and the work-group count.
+    pub(crate) fn budget(&self) -> (u64, u64, u32) {
+        let r = &self.resources;
+        (
+            r.private_bytes_per_wg(),
+            r.local_bytes_per_wg as u64,
+            self.wg_count,
+        )
+    }
 }
 
 impl std::fmt::Debug for KernelDesc {

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 n=0
 gate() {
     n=$((n + 1))
-    echo "== $n/9 $1 =="
+    echo "== $n/8 $1 =="
     shift
     local t0=$SECONDS
     "$@"
@@ -46,7 +46,6 @@ gate "clippy (warnings are errors)" \
     cargo clippy --offline --workspace --all-targets -- -D warnings
 gate "rustdoc (warnings are errors)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
-gate "offline build" cargo build --offline --workspace
 gate "tier-1: release build" cargo build --offline --release
 gate "tier-1: workspace test suite" cargo test --offline -q
 gate "scheduler determinism, five runs" scheduler_determinism

@@ -198,6 +198,30 @@ fn model_matches_executor_on_every_tpch_plan() {
     );
 }
 
+/// `explain`'s KBE line names the kernels a KBE run launches, stage for
+/// stage.
+#[test]
+fn kbe_explain_names_the_launched_kernels() {
+    let db = shared_db();
+    let spec = amd_a10();
+    for q in QueryId::all() {
+        let plan = plan_for(&db, q);
+        let cfg = QueryConfig::default_for(&spec, &plan);
+        let mut ctx = ExecContext::with_shared(spec.clone(), db.clone());
+        let run = run_query(&mut ctx, &plan, ExecMode::Kbe, &cfg);
+        for (si, stage) in plan.stages.iter().enumerate() {
+            let launched: Vec<&str> = run.per_stage[si].kernels.iter().map(|k| &*k.name).collect();
+            assert_eq!(
+                stage.kbe_kernel_names(),
+                launched,
+                "{}, stage {}",
+                q.name(),
+                stage.name
+            );
+        }
+    }
+}
+
 #[test]
 fn model_matches_executor_on_100_generator_queries() {
     let db = shared_db();
