@@ -23,6 +23,11 @@ pub const DESCRIPTION: &str =
 /// Pseudo-output naming the child's captured standard output.
 pub const STDOUT: &str = "stdout";
 
+/// The one root `BENCH_*.json` that is not a pin: the append-only host
+/// wall-clock trajectory of alternating-pair benchmark runs. No
+/// experiment writes it and nothing byte-compares it.
+pub const HOST_TRAJECTORY: &str = "BENCH_wall.json";
+
 /// One verified `repro` invocation.
 pub struct Row {
     /// Arguments after `repro`; `args[0]` is the experiment name.

@@ -4,7 +4,7 @@
 //! experiment consumes is the unrounded calibration, whatever is on disk.
 
 use gpl_bench::artifact::{validate, ArtifactSink};
-use gpl_bench::experiments::verify::TABLE;
+use gpl_bench::experiments::verify::{HOST_TRAJECTORY, TABLE};
 use gpl_bench::experiments::{registry, Opts};
 use gpl_model::GammaTable;
 use gpl_sim::{cpu_host, nvidia_k40, DeviceSpec};
@@ -32,7 +32,7 @@ fn committed_pins_validate_and_match_the_pinned_rows() {
     let mut committed: Vec<String> = std::fs::read_dir(ROOT)
         .expect("repo root")
         .filter_map(|e| e.ok()?.file_name().into_string().ok())
-        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json") && n != HOST_TRAJECTORY)
         .collect();
     committed.sort();
     let mut pinned: Vec<String> = TABLE

@@ -1,15 +1,122 @@
 //! Simulated-placement hash tables and group-aggregation stores.
 //!
-//! Functionally these are ordinary Rust maps; *architecturally* each
-//! insert/probe reports a random-access touch on the table's simulated
-//! region, so the cache simulator sees realistic hash-join traffic. Hash
-//! tables live in `HashTable` regions — the paper counts them among the
-//! intermediates that blocking kernels must materialize (Section 5.3.2).
+//! Functionally these are ordinary Rust maps over flat arenas;
+//! *architecturally* each insert/probe/update reports a random-access
+//! touch on one bucket of the table's simulated region, so the cache
+//! simulator sees realistic hash-join traffic. Hash tables live in
+//! `HashTable` regions — the paper counts them among the intermediates
+//! that blocking kernels must materialize (Section 5.3.2).
+//!
+//! A touch goes to a [`BucketSink`] as `(site, pattern, bucket)`. GPL's
+//! work units collect the accesses themselves (`Vec<MemRange>`); the
+//! kernel-at-a-time engines keep a whole range's traffic as a
+//! [`BucketTrace`] of 4-byte bucket ids and expand it per replay unit.
 
 use gpl_sim::mem::{MemRange, MemoryMap, RegionClass, RegionId};
-use std::collections::{hash_map, BTreeMap, HashMap};
+use std::collections::{hash_map, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::rc::Rc;
+
+/// Where a table's simulated buckets sit: bucket `b` is the
+/// `entry_bytes` at `base + b * entry_bytes`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TableSite {
+    pub base: u64,
+    pub entry_bytes: u64,
+}
+
+/// What one table operation does to its bucket: a probe reads it, a
+/// build insert writes it, a group update reads then writes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Pattern {
+    #[default]
+    Read,
+    Write,
+    ReadWrite,
+}
+
+/// Where table operations report their simulated bucket traffic.
+pub trait BucketSink {
+    /// One operation with `pattern` on `bucket` of the table at `site`.
+    fn touch(&mut self, site: TableSite, pattern: Pattern, bucket: u64);
+    /// Make room ahead of `touches` more operations (a capacity hint).
+    fn reserve(&mut self, touches: usize);
+}
+
+/// The accesses themselves, in operation order — and the one rule for
+/// which accesses a pattern is.
+impl BucketSink for Vec<MemRange> {
+    #[inline]
+    fn touch(&mut self, site: TableSite, pattern: Pattern, bucket: u64) {
+        let (addr, bytes) = (site.base + bucket * site.entry_bytes, site.entry_bytes);
+        match pattern {
+            Pattern::Read => self.push(MemRange::read(addr, bytes)),
+            Pattern::Write => self.push(MemRange::write(addr, bytes)),
+            Pattern::ReadWrite => {
+                self.push(MemRange::read(addr, bytes));
+                self.push(MemRange::write(addr, bytes));
+            }
+        }
+    }
+
+    fn reserve(&mut self, touches: usize) {
+        Vec::reserve(self, touches);
+    }
+}
+
+/// One table's bucket traffic as bucket ids in operation order, 4 bytes
+/// an operation: what the kernel-at-a-time engines keep per op and per
+/// terminal over a whole range. Every operation recorded into one trace
+/// has the same site and pattern, so an aggregated row's read and write
+/// are one id.
+#[derive(Debug, Default)]
+pub struct BucketTrace {
+    site: TableSite,
+    pattern: Pattern,
+    ids: Vec<u32>,
+}
+
+impl BucketTrace {
+    /// Operations recorded.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Accesses that `ops` recorded operations expand to.
+    pub(crate) fn accesses(&self, ops: usize) -> usize {
+        match self.pattern {
+            Pattern::Read | Pattern::Write => ops,
+            Pattern::ReadWrite => 2 * ops,
+        }
+    }
+
+    /// Append the accesses of operations `ops` to `out`, in order:
+    /// exactly what the `Vec<MemRange>` sink records for them.
+    pub(crate) fn expand(&self, ops: Range<usize>, out: &mut Vec<MemRange>) {
+        for &b in &self.ids[ops] {
+            out.touch(self.site, self.pattern, u64::from(b));
+        }
+    }
+}
+
+impl BucketSink for BucketTrace {
+    #[inline]
+    fn touch(&mut self, site: TableSite, pattern: Pattern, bucket: u64) {
+        debug_assert!(
+            self.ids.is_empty() || (self.site, self.pattern) == (site, pattern),
+            "a trace records one table's operations"
+        );
+        self.site = site;
+        self.pattern = pattern;
+        self.ids
+            .push(u32::try_from(bucket).expect("bucket index fits in u32"));
+    }
+
+    fn reserve(&mut self, touches: usize) {
+        self.ids.reserve(touches);
+    }
+}
 
 /// Mixer from splitmix64 — deterministic, well-spread bucket indexes.
 #[inline]
@@ -72,8 +179,8 @@ impl Entries {
 ///
 /// *Content* (the entries) sits behind an `Rc`, so the tables a
 /// cross-shard merge hands to the devices of a pool are one set of
-/// entries, not a copy per device. *Placement* (`base`, `buckets`,
-/// `entry_bytes`, `region`) is where one device's simulated memory put
+/// entries, not a copy per device. *Placement* (`site`, `buckets`,
+/// `region`) is where one device's simulated memory put
 /// it: the only per-device facts, and all a reported bucket access
 /// depends on. Every observer of content looks up by key or sorts by
 /// key, so the order entries arrived in is invisible. A write to shared
@@ -82,9 +189,8 @@ impl Entries {
 #[derive(Debug)]
 pub struct SimHashTable {
     entries: Rc<Entries>,
-    base: u64,
+    site: TableSite,
     buckets: u64,
-    entry_bytes: u64,
     pub region: RegionId,
 }
 
@@ -129,9 +235,11 @@ impl SimHashTable {
         let region = mem.alloc(buckets * entry_bytes, RegionClass::HashTable, label);
         SimHashTable {
             entries,
-            base: mem.base(region),
+            site: TableSite {
+                base: mem.base(region),
+                entry_bytes,
+            },
             buckets,
-            entry_bytes,
             region,
         }
     }
@@ -181,12 +289,11 @@ impl SimHashTable {
 
     /// Simulated bytes the table occupies (its materialization footprint).
     pub fn bytes(&self) -> u64 {
-        self.buckets * self.entry_bytes
+        self.buckets * self.site.entry_bytes
     }
 
-    fn bucket_access(&self, key: i64) -> MemRange {
-        let b = mix64(key as u64) & (self.buckets - 1);
-        MemRange::read(self.base + b * self.entry_bytes, self.entry_bytes)
+    fn bucket_of(&self, key: i64) -> u64 {
+        mix64(key as u64) & (self.buckets - 1)
     }
 
     /// Insert a key; reports the bucket write into `acc`. Panics on
@@ -194,15 +301,13 @@ impl SimHashTable {
     /// Inlined, like `probe`, so a per-row loop reaches the content
     /// through the `Rc` once per chunk rather than once per key.
     #[inline]
-    pub fn insert(&mut self, key: i64, payload: &[i64], acc: &mut Vec<MemRange>) {
+    pub fn insert(&mut self, key: i64, payload: &[i64], acc: &mut impl BucketSink) {
         assert_eq!(
             payload.len(),
             self.payload_width(),
             "payload width mismatch"
         );
-        let mut a = self.bucket_access(key);
-        a.write = true;
-        acc.push(a);
+        acc.touch(self.site, Pattern::Write, self.bucket_of(key));
         let entries = Rc::make_mut(&mut self.entries);
         let idx = u32::try_from(entries.map.len()).expect("build side exceeds u32 entries");
         // The map's only `insert` call site, on purpose: with a second
@@ -215,8 +320,8 @@ impl SimHashTable {
 
     /// Probe a key; reports the bucket read into `acc`.
     #[inline]
-    pub fn probe(&self, key: i64, acc: &mut Vec<MemRange>) -> Option<&[i64]> {
-        acc.push(self.bucket_access(key));
+    pub fn probe(&self, key: i64, acc: &mut impl BucketSink) -> Option<&[i64]> {
+        acc.touch(self.site, Pattern::Read, self.bucket_of(key));
         let entries = &*self.entries;
         entries.map.get(&key).map(|&i| entries.payload(i))
     }
@@ -316,16 +421,30 @@ impl AggKind {
     }
 }
 
+/// Slots of a fresh store's group index (a power of two).
+const GROUP_INDEX_SLOTS: usize = 16;
+
 /// Hash-aggregation store: `groups → running aggregates`, with simulated
 /// read-modify-write traffic per update.
+///
+/// Groups live in three flat arenas indexed by group id (first-seen
+/// order): `key_width` keys, `kinds.len()` accumulators and the keys'
+/// `mix64` fold, which also picks the simulated bucket. An
+/// open-addressing index over the folds finds a group; every observer
+/// of the whole content (`into_rows`, `fingerprint`) visits groups in
+/// key order, so the order groups arrived in is invisible.
 #[derive(Debug)]
 pub struct GroupStore {
-    groups: BTreeMap<Vec<i64>, Vec<i64>>,
+    keys: Vec<i64>,
+    accs: Vec<i64>,
+    hashes: Vec<u64>,
+    /// Linear-probing slots holding group id + 1, 0 when empty; at most
+    /// half full.
+    index: Vec<u32>,
     kinds: Vec<AggKind>,
     key_width: usize,
-    base: u64,
+    site: TableSite,
     buckets: u64,
-    entry_bytes: u64,
     pub region: RegionId,
 }
 
@@ -374,51 +493,121 @@ impl GroupStore {
         let entry_bytes = Self::entry_bytes_for(key_width, kinds.len());
         let region = mem.alloc(buckets * entry_bytes, RegionClass::Intermediate, label);
         GroupStore {
-            groups: BTreeMap::new(),
+            keys: Vec::new(),
+            accs: Vec::new(),
+            hashes: Vec::new(),
+            index: vec![0; GROUP_INDEX_SLOTS],
             kinds,
             key_width,
-            base: mem.base(region),
+            site: TableSite {
+                base: mem.base(region),
+                entry_bytes,
+            },
             buckets,
-            entry_bytes,
             region,
         }
     }
 
     pub fn num_groups(&self) -> usize {
-        self.groups.len()
+        self.hashes.len()
     }
 
     /// Simulated bytes the store occupies (its materialization footprint).
     pub fn bytes(&self) -> u64 {
-        self.buckets * self.entry_bytes
+        self.buckets * self.site.entry_bytes
+    }
+
+    /// The `mix64` fold of a group's keys.
+    #[inline]
+    fn fold_keys(keys: &[i64]) -> u64 {
+        keys.iter().fold(0, |h, &k| mix64(h ^ k as u64))
+    }
+
+    fn key(&self, g: usize) -> &[i64] {
+        &self.keys[g * self.key_width..][..self.key_width]
+    }
+
+    fn accs_of(&self, g: usize) -> &[i64] {
+        let w = self.kinds.len();
+        &self.accs[g * w..][..w]
+    }
+
+    /// The id of the group with `keys`, whose fold is `h`; a new group
+    /// starts at the fold identities.
+    #[inline]
+    fn group(&mut self, keys: &[i64], h: u64) -> usize {
+        let mask = self.index.len() - 1;
+        let mut slot = h as usize & mask;
+        loop {
+            let id = self.index[slot] as usize;
+            if id == 0 {
+                return self.add_group(slot, keys, h);
+            }
+            // Compared key by key: `[i64] ==` calls `memcmp`, which
+            // costs more than the one to three keys a group has.
+            let g = id - 1;
+            if self.hashes[g] == h && self.key(g).iter().zip(keys).all(|(a, b)| a == b) {
+                return g;
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Add the group `keys` (fold `h`) at the empty index `slot`.
+    #[cold]
+    fn add_group(&mut self, slot: usize, keys: &[i64], h: u64) -> usize {
+        let g = self.hashes.len();
+        self.index[slot] = u32::try_from(g + 1).expect("group store exceeds u32 groups");
+        self.hashes.push(h);
+        self.keys.extend_from_slice(keys);
+        self.accs.extend(self.kinds.iter().map(|k| k.init()));
+        if 2 * self.hashes.len() > self.index.len() {
+            let slots = 2 * self.index.len();
+            let mut index = vec![0u32; slots];
+            for (g, &h) in self.hashes.iter().enumerate() {
+                let mut slot = h as usize & (slots - 1);
+                while index[slot] != 0 {
+                    slot = (slot + 1) & (slots - 1);
+                }
+                index[slot] = g as u32 + 1;
+            }
+            self.index = index;
+        }
+        g
+    }
+
+    /// Group ids in key order: the order every observer of the whole
+    /// content sees, whatever order the groups arrived in.
+    fn key_order(&self) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.num_groups()).collect();
+        order.sort_unstable_by(|&a, &b| self.key(a).cmp(self.key(b)));
+        order
     }
 
     /// Merge another shard's partial aggregate state into this store,
-    /// combining accumulators group-by-group with [`AggKind::combine`].
-    /// Both stores must have the same shape (key width + kinds). The
-    /// groups live in `BTreeMap`s, so the merged state — and therefore
+    /// combining accumulators group-by-group, by key, with
+    /// [`AggKind::combine`] (a group new to this store starts at the
+    /// identities, which `combine` leaves the other side's value). Both
+    /// stores must have the same shape (key width + kinds). Observers
+    /// see groups in key order, so the merged state — and therefore
     /// [`GroupStore::into_rows`] — is independent of the order shards
     /// complete in.
     pub fn absorb(&mut self, other: GroupStore) {
         assert_eq!(self.key_width, other.key_width, "key width mismatch");
         assert_eq!(self.kinds, other.kinds, "aggregate kinds mismatch");
-        for (keys, aggs) in other.groups {
-            match self.groups.entry(keys) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(aggs);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    for ((a, b), k) in e.get_mut().iter_mut().zip(aggs).zip(&self.kinds) {
-                        *a = k.combine(*a, b);
-                    }
-                }
+        let w = self.kinds.len();
+        for (g, &h) in other.hashes.iter().enumerate() {
+            let mine = self.group(other.key(g), h);
+            let into = &mut self.accs[mine * w..][..w];
+            for ((a, &b), k) in into.iter_mut().zip(other.accs_of(g)).zip(&self.kinds) {
+                *a = k.combine(*a, b);
             }
         }
     }
 
     /// Content fingerprint of the partial aggregate state: FNV-1a over
     /// the shape (key width + kinds) and every `(keys, accumulators)`
-    /// group in `BTreeMap` order. Two stores that would produce the
+    /// group in key order. Two stores that would produce the
     /// same rows agree — the checkpoint-verification digest of
     /// slice-resume, mirroring [`SimHashTable::fingerprint`].
     pub fn fingerprint(&self) -> u64 {
@@ -433,12 +622,9 @@ impl GroupStore {
         };
         mix(self.key_width as u64);
         mix(self.kinds.len() as u64);
-        for (keys, aggs) in &self.groups {
-            for &k in keys {
-                mix(k as u64);
-            }
-            for &a in aggs {
-                mix(a as u64);
+        for g in self.key_order() {
+            for &v in self.key(g).iter().chain(self.accs_of(g)) {
+                mix(v as u64);
             }
         }
         h
@@ -446,32 +632,19 @@ impl GroupStore {
 
     /// Fold `values` into the aggregates of group `keys`; reports the
     /// read-modify-write on the group's bucket.
-    pub fn update(&mut self, keys: &[i64], values: &[i64], acc: &mut Vec<MemRange>) {
+    pub fn update(&mut self, keys: &[i64], values: &[i64], acc: &mut impl BucketSink) {
+        debug_assert_eq!(keys.len(), self.key_width);
         debug_assert_eq!(values.len(), self.kinds.len());
-        let mut h = 0u64;
-        for &k in keys {
-            h = mix64(h ^ k as u64);
-        }
-        let b = h & (self.buckets - 1);
-        let addr = self.base + b * self.entry_bytes;
-        acc.push(MemRange::read(addr, self.entry_bytes));
-        acc.push(MemRange::write(addr, self.entry_bytes));
-        // Per-row fast path: look the group up by slice so the common
-        // case (group already exists) allocates nothing. `Vec<i64>`
-        // borrows as `[i64]`, so no owned key is built until a group is
-        // first seen.
-        if let Some(aggs) = self.groups.get_mut(keys) {
-            for ((a, v), k) in aggs.iter_mut().zip(values).zip(&self.kinds) {
-                *a = k.fold(*a, *v);
-            }
-        } else {
-            let aggs: Vec<i64> = self
-                .kinds
-                .iter()
-                .zip(values)
-                .map(|(k, &v)| k.fold(k.init(), v))
-                .collect();
-            self.groups.insert(keys.to_vec(), aggs);
+        let h = Self::fold_keys(keys);
+        acc.touch(self.site, Pattern::ReadWrite, h & (self.buckets - 1));
+        let g = self.group(keys, h);
+        let w = self.kinds.len();
+        for ((a, &v), k) in self.accs[g * w..][..w]
+            .iter_mut()
+            .zip(values)
+            .zip(&self.kinds)
+        {
+            *a = k.fold(*a, v);
         }
     }
 
@@ -481,16 +654,12 @@ impl GroupStore {
     /// MIN/MAX); a grouped aggregate over no input yields no rows, as in
     /// SQL.
     pub fn into_rows(mut self) -> Vec<Vec<i64>> {
-        if self.groups.is_empty() && self.key_width == 0 && !self.kinds.is_empty() {
-            self.groups
-                .insert(Vec::new(), self.kinds.iter().map(|k| k.init()).collect());
+        if self.num_groups() == 0 && self.key_width == 0 && !self.kinds.is_empty() {
+            self.group(&[], Self::fold_keys(&[]));
         }
-        self.groups
+        self.key_order()
             .into_iter()
-            .map(|(mut k, s)| {
-                k.extend(s);
-                k
-            })
+            .map(|g| [self.key(g), self.accs_of(g)].concat())
             .collect()
     }
 }
@@ -755,6 +924,179 @@ mod tests {
         // Two empty scalar shards merge to the single identity row.
         a.absorb(b);
         assert_eq!(a.into_rows(), vec![vec![0, 0]]);
+    }
+
+    /// The group store as a `BTreeMap` from keys to accumulators: the
+    /// reference the flat store is checked against.
+    struct RefStore {
+        groups: std::collections::BTreeMap<Vec<i64>, Vec<i64>>,
+        kinds: Vec<AggKind>,
+        key_width: usize,
+        site: TableSite,
+        buckets: u64,
+    }
+
+    impl RefStore {
+        /// An empty reference with `store`'s shape and placement.
+        fn shadowing(store: &GroupStore) -> Self {
+            RefStore {
+                groups: Default::default(),
+                kinds: store.kinds.clone(),
+                key_width: store.key_width,
+                site: store.site,
+                buckets: store.buckets,
+            }
+        }
+
+        fn update(&mut self, keys: &[i64], values: &[i64], acc: &mut Vec<MemRange>) {
+            let mut h = 0u64;
+            for &k in keys {
+                h = mix64(h ^ k as u64);
+            }
+            let addr = self.site.base + (h & (self.buckets - 1)) * self.site.entry_bytes;
+            acc.push(MemRange::read(addr, self.site.entry_bytes));
+            acc.push(MemRange::write(addr, self.site.entry_bytes));
+            if let Some(aggs) = self.groups.get_mut(keys) {
+                for ((a, v), k) in aggs.iter_mut().zip(values).zip(&self.kinds) {
+                    *a = k.fold(*a, *v);
+                }
+            } else {
+                let aggs = (self.kinds.iter().zip(values))
+                    .map(|(k, &v)| k.fold(k.init(), v))
+                    .collect();
+                self.groups.insert(keys.to_vec(), aggs);
+            }
+        }
+
+        fn absorb(&mut self, other: RefStore) {
+            for (keys, aggs) in other.groups {
+                match self.groups.entry(keys) {
+                    std::collections::btree_map::Entry::Vacant(e) => {
+                        e.insert(aggs);
+                    }
+                    std::collections::btree_map::Entry::Occupied(mut e) => {
+                        for ((a, b), k) in e.get_mut().iter_mut().zip(aggs).zip(&self.kinds) {
+                            *a = k.combine(*a, b);
+                        }
+                    }
+                }
+            }
+        }
+
+        fn fingerprint(&self) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let mut mix = |v: u64| {
+                for b in v.to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x100_0000_01b3);
+                }
+            };
+            mix(self.key_width as u64);
+            mix(self.kinds.len() as u64);
+            for (keys, aggs) in &self.groups {
+                for &v in keys.iter().chain(aggs) {
+                    mix(v as u64);
+                }
+            }
+            h
+        }
+
+        fn into_rows(mut self) -> Vec<Vec<i64>> {
+            if self.groups.is_empty() && self.key_width == 0 && !self.kinds.is_empty() {
+                let identities = self.kinds.iter().map(|k| k.init()).collect();
+                self.groups.insert(Vec::new(), identities);
+            }
+            (self.groups.into_iter())
+                .map(|(mut k, s)| {
+                    k.extend(s);
+                    k
+                })
+                .collect()
+        }
+    }
+
+    /// `count` distinct key tuples of `width` whose key fold agrees in
+    /// its low 6 bits, so they share a home slot in every index of up
+    /// to 64 slots and chain there.
+    fn colliding_keys(width: usize, count: usize) -> Vec<Vec<i64>> {
+        let tuple = |n: i64| -> Vec<i64> { [n, n % 5 - 2, -(n % 3)][..width].to_vec() };
+        if width == 0 {
+            return vec![Vec::new()];
+        }
+        (0i64..)
+            .map(tuple)
+            .filter(|keys| GroupStore::fold_keys(keys) & 63 == 0)
+            .take(count)
+            .collect()
+    }
+
+    gpl_check::prop! {
+        #![cases(64)]
+        /// The flat store is the `BTreeMap` store it replaced, to every
+        /// observer: rows, fingerprint and bucket traffic, over key
+        /// widths 0–3, every aggregate kind, keys that chain in the
+        /// index past its first capacity, absorbs of disjoint row parts
+        /// in a seeded order, and empty scalar and grouped stores.
+        #[test]
+        fn flat_group_store_matches_the_btreemap_reference(
+            width in 0usize..4,
+            kinds in gpl_check::collection::vec(0usize..4, 1..6),
+            rows in gpl_check::collection::vec((gpl_check::any::<u64>(), -1000i64..1000), 0..400),
+            parts in 1usize..5,
+            order in gpl_check::collection::vec(gpl_check::any::<u64>(), 4..5),
+        ) {
+            let kinds: Vec<AggKind> = (kinds.iter())
+                .map(|&k| [AggKind::Sum, AggKind::Count, AggKind::Min, AggKind::Max][k])
+                .collect();
+            let chained = colliding_keys(width, 40);
+            let key_of = |pick: u64| -> Vec<i64> {
+                if pick.is_multiple_of(2) {
+                    chained[(pick / 2) as usize % chained.len()].clone()
+                } else {
+                    (0..width).map(|j| ((pick >> (8 * j + 1)) % 7) as i64 - 3).collect()
+                }
+            };
+            let mut mem = MemoryMap::new();
+            let mut new_store = || GroupStore::with_kinds(&mut mem, 64, width, kinds.clone(), "g");
+
+            // Empty: the scalar identity row, or no rows.
+            let empty = new_store();
+            let reference = RefStore::shadowing(&empty);
+            gpl_check::prop_assert_eq!(empty.fingerprint(), reference.fingerprint());
+            gpl_check::prop_assert_eq!(empty.into_rows(), reference.into_rows());
+
+            // Row parts folded apart, then absorbed in a seeded order.
+            let mut stores: Vec<Option<(GroupStore, RefStore)>> = (0..parts)
+                .map(|p| {
+                    let mut store = new_store();
+                    let mut reference = RefStore::shadowing(&store);
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    for &(pick, v) in rows.iter().skip(p).step_by(parts) {
+                        let keys = key_of(pick);
+                        let values = vec![v; kinds.len()];
+                        store.update(&keys, &values, &mut got);
+                        reference.update(&keys, &values, &mut want);
+                    }
+                    assert_eq!(got, want, "bucket traffic of part {p}");
+                    if store.num_groups() > GROUP_INDEX_SLOTS / 2 {
+                        assert!(store.index.len() > GROUP_INDEX_SLOTS, "the index grew");
+                    }
+                    assert_eq!(store.fingerprint(), reference.fingerprint());
+                    Some((store, reference))
+                })
+                .collect();
+            let mut perm: Vec<usize> = (0..parts).collect();
+            perm.sort_by_key(|&p| (order[p], p));
+            let (mut store, mut reference) = stores[perm[0]].take().expect("each part once");
+            for &p in &perm[1..] {
+                let (s, r) = stores[p].take().expect("each part once");
+                store.absorb(s);
+                reference.absorb(r);
+            }
+            gpl_check::prop_assert_eq!(store.num_groups(), reference.groups.len());
+            gpl_check::prop_assert_eq!(store.fingerprint(), reference.fingerprint());
+            gpl_check::prop_assert_eq!(store.into_rows(), reference.into_rows());
+        }
     }
 
     #[test]

@@ -13,19 +13,21 @@
 //! blocks of `HOST_BLOCK_ROWS` rows: each block goes through the stage's
 //! ops and folds into the terminal (the fold GPL's terminal kernel runs,
 //! `ops::TermExec`), and each op keeps only its surviving-row
-//! count and its row-indexed table traffic, so no host column outlives
-//! its block. The *timing* pass then launches the whole-input kernel
-//! sequence from those counts. Ops are row-wise and order-preserving and
+//! count and its row-indexed table traffic as a [`BucketTrace`] of
+//! 4-byte bucket ids, so no host column or access list outlives its
+//! block. The *timing* pass then launches the whole-input kernel
+//! sequence from those counts, each replay unit expanding its own rows'
+//! ids. Ops are row-wise and order-preserving and
 //! a stage reads only its input columns and tables earlier stages built,
 //! so the counts and traffic are exactly one whole-range pass's.
 
 use crate::exec::ExecContext;
-use crate::ht::{GroupStore, SimHashTable};
+use crate::ht::{BucketTrace, GroupStore, SimHashTable};
 use crate::ops::{self, live_slots, Chunk, OpExec, TermExec};
 use crate::plan::{PipeOp, Stage, Terminal};
 use crate::replay::{alloc_array, launch, ArrayRef, ReplayKernel};
 use crate::segment::{KernelFlavour, SegmentIr};
-use gpl_sim::mem::{MemRange, RegionClass};
+use gpl_sim::mem::RegionClass;
 use gpl_sim::LaunchProfile;
 use std::cell::RefCell;
 use std::ops::Range;
@@ -54,7 +56,7 @@ struct OpTrace {
     /// Rows surviving the op over the whole range.
     rows_out: usize,
     /// Its row-indexed table traffic in row order (probes only).
-    extra: Vec<MemRange>,
+    extra: BucketTrace,
 }
 
 /// Timing-pass state threading through a stage: the live row count and
@@ -186,7 +188,7 @@ fn run_stage_blocks(
         .collect();
     let term = TermExec::new(&stage.terminal, build, agg);
     let mut traces: Vec<OpTrace> = order.iter().map(|_| OpTrace::default()).collect();
-    let mut term_extra = Vec::new();
+    let mut term_extra = BucketTrace::default();
     for lo in range.clone().step_by(block) {
         let hi = lo + block.min(range.end - lo);
         let mut chunk = Chunk::new(stage.num_slots());
@@ -263,7 +265,7 @@ fn run_stage_blocks(
                     )
                     .reads(st.reads(&[*key]))
                     .writes(writes)
-                    .extra(trace.extra, 1)
+                    .extra(trace.extra)
                     .io_rows(live_rows, out_rows as u64),
                 ));
                 st.select(ctx, out_rows, &live[i + 1], mask, &mut merged);
@@ -293,11 +295,12 @@ fn run_stage_blocks(
         }
     }
 
-    // Terminal: one table access per build row, two per aggregated row.
-    let (name, flavour, in_slots, per_row) = match &stage.terminal {
+    // Terminal: one table operation per row, a bucket write per build
+    // row and a read and a write per aggregated row.
+    let (name, flavour, in_slots) = match &stage.terminal {
         Terminal::HashBuild { key, payloads, .. } => {
             let in_slots = std::iter::once(*key).chain(payloads.iter().copied());
-            ("k_hash_build", KernelFlavour::Build, in_slots.collect(), 1)
+            ("k_hash_build", KernelFlavour::Build, in_slots.collect())
         }
         Terminal::Aggregate { groups, aggs } => {
             let mut in_slots: Vec<usize> = groups.clone();
@@ -306,7 +309,7 @@ fn run_stage_blocks(
             }
             in_slots.sort_unstable();
             in_slots.dedup();
-            ("k_aggregate", KernelFlavour::Aggregate, in_slots, 2)
+            ("k_aggregate", KernelFlavour::Aggregate, in_slots)
         }
     };
     merged.merge(&launch(
@@ -320,7 +323,7 @@ fn run_stage_blocks(
             ops::terminal_mem_insts(&stage.terminal),
         )
         .reads(st.reads(&in_slots))
-        .extra(term_extra, per_row)
+        .extra(term_extra)
         .io_rows(st.rows as u64, 0),
     ));
     merged

@@ -3,13 +3,12 @@
 //!
 //! A [`Chunk`] is the columnar row context flowing through a pipeline —
 //! a leaf scan batch in GPL, a host block of the range in KBE. Transforms
-//! are pure Rust (results are exact); hash-table traffic is reported via
-//! the access vectors the callers pass down to the simulator.
+//! are pure Rust (results are exact); hash-table traffic is reported to
+//! the [`BucketSink`] each caller passes down.
 
 use crate::expr::{AtomPred, CmpOp, Expr, Pred, Slot};
-use crate::ht::{GroupStore, SimHashTable};
+use crate::ht::{BucketSink, GroupStore, SimHashTable};
 use crate::plan::{Agg, PipeOp, Stage, Terminal};
-use gpl_sim::mem::MemRange;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
@@ -164,11 +163,11 @@ pub fn apply_probe(
     ht: &SimHashTable,
     key: Slot,
     payloads: &[Slot],
-    acc: &mut Vec<MemRange>,
+    acc: &mut impl BucketSink,
 ) -> Chunk {
     let mut keep: Vec<usize> = Vec::new();
     let mut pay: Vec<Vec<i64>> = vec![Vec::new(); payloads.len()];
-    // One bucket access lands in `acc` per input row.
+    // One bucket operation lands in `acc` per input row.
     acc.reserve(c.rows);
     for r in 0..c.rows {
         if let Some(p) = ht.probe(c.cols[key][r], acc) {
@@ -225,7 +224,7 @@ impl OpExec {
 
     /// The rows of `chunk` that survive the op, in order; a probe reports
     /// one bucket access per input row into `acc`.
-    pub(crate) fn apply(&self, mut chunk: Chunk, acc: &mut Vec<MemRange>) -> Chunk {
+    pub(crate) fn apply(&self, mut chunk: Chunk, acc: &mut impl BucketSink) -> Chunk {
         match self {
             OpExec::Filter(f) => f.apply(&chunk),
             OpExec::Probe {
@@ -281,8 +280,8 @@ impl TermExec {
     /// Fold the rows of `c` into the output in row order, reporting each
     /// row's table traffic into `acc`: one bucket write per build row, a
     /// read and a write per aggregated row.
-    pub(crate) fn fold(&self, c: &Chunk, acc: &mut Vec<MemRange>) {
-        // Every row lands at least one table access in `acc`.
+    pub(crate) fn fold(&self, c: &Chunk, acc: &mut impl BucketSink) {
+        // Every row is one table operation.
         acc.reserve(c.rows);
         match self {
             TermExec::Build {

@@ -3,10 +3,13 @@
 //! KBE and the Ocelot baseline (both in [`crate::kbe`]) perform their
 //! functional work first, a host block at a time, and then launch per op
 //! a data-parallel kernel that *replays* the corresponding access
-//! pattern — sequential array reads/writes plus row-indexed scatter
-//! traffic — against the simulator.
+//! pattern — sequential array reads/writes plus row-indexed hash-table
+//! traffic — against the simulator. The row-indexed traffic arrives as a
+//! [`BucketTrace`] of 4-byte bucket ids, and each work unit expands only
+//! its own rows' ids into accesses.
 
 use crate::exec::ExecContext;
+use crate::ht::BucketTrace;
 use crate::segment::KernelFlavour;
 use gpl_sim::mem::{MemRange, RegionClass};
 use gpl_sim::{ChannelView, KernelDesc, LaunchProfile, Work, WorkUnit};
@@ -52,26 +55,25 @@ pub fn alloc_array(
 /// A data-parallel kernel that replays a precomputed access pattern over
 /// its driving rows.
 pub struct ReplayKernel {
-    pub rows: usize,
-    pub cursor: usize,
-    pub wavefront: u64,
-    pub per_row_compute: u64,
-    pub per_row_mem: u64,
-    pub reads: Vec<ArrayRef>,
-    pub writes: Vec<ArrayRef>,
-    /// Row-indexed scatter/gather traffic (hash buckets), in row order:
-    /// the unit over rows `a..b` replays entries `a * extra_per_row ..
-    /// b * extra_per_row`, clamped to the list. A list shorter than
-    /// `rows * extra_per_row` — Ocelot's, where only live rows have
-    /// traffic — runs out early, and the units past its end carry none.
-    pub extra: Vec<MemRange>,
-    pub extra_per_row: usize,
-    pub emitted_any: bool,
+    rows: usize,
+    cursor: usize,
+    wavefront: u64,
+    per_row_compute: u64,
+    per_row_mem: u64,
+    reads: Vec<ArrayRef>,
+    writes: Vec<ArrayRef>,
+    /// Row-indexed hash-table traffic, one operation per row in row
+    /// order: the unit over rows `a..b` expands operations `a..b`,
+    /// clamped to the trace. A trace shorter than `rows` — Ocelot's,
+    /// where only live rows have traffic — runs out early, and the units
+    /// past its end carry none.
+    extra: BucketTrace,
+    emitted_any: bool,
     /// Observed-statistics totals (see [`ReplayKernel::io_rows`]): rows
     /// consumed and rows surviving over the whole launch, distributed
     /// proportionally across the emitted work units.
-    pub rows_in_total: u64,
-    pub rows_out_total: u64,
+    rows_in_total: u64,
+    rows_out_total: u64,
 }
 
 impl ReplayKernel {
@@ -84,8 +86,7 @@ impl ReplayKernel {
             per_row_mem,
             reads: Vec::new(),
             writes: Vec::new(),
-            extra: Vec::new(),
-            extra_per_row: 0,
+            extra: BucketTrace::default(),
             emitted_any: false,
             rows_in_total: 0,
             rows_out_total: 0,
@@ -102,9 +103,8 @@ impl ReplayKernel {
         self
     }
 
-    pub fn extra(mut self, extra: Vec<MemRange>, per_row: usize) -> Self {
+    pub fn extra(mut self, extra: BucketTrace) -> Self {
         self.extra = extra;
-        self.extra_per_row = per_row;
         self
     }
 
@@ -137,10 +137,11 @@ impl gpl_sim::WorkSource for ReplayKernel {
         self.cursor = end;
         self.emitted_any = true;
         let rows = (end - start) as u64;
-        let clamp = |row: usize| (row * self.extra_per_row).min(self.extra.len());
-        let extra = &self.extra[clamp(start)..clamp(end)];
-        let mut accesses: Vec<MemRange> =
-            Vec::with_capacity(self.reads.len() + self.writes.len() + extra.len());
+        let clamp = |row: usize| row.min(self.extra.len());
+        let extra = clamp(start)..clamp(end);
+        let mut accesses: Vec<MemRange> = Vec::with_capacity(
+            self.reads.len() + self.writes.len() + self.extra.accesses(extra.len()),
+        );
         for r in &self.reads {
             accesses.push(r.slice(start, end, self.rows));
         }
@@ -149,7 +150,7 @@ impl gpl_sim::WorkSource for ReplayKernel {
             m.write = true;
             accesses.push(m);
         }
-        accesses.extend_from_slice(extra);
+        self.extra.expand(extra, &mut accesses);
         let mem_ops = self.per_row_mem + self.reads.len() as u64 + self.writes.len() as u64;
         // Proportional shares of the declared totals: prefix(end) −
         // prefix(start) telescopes to the exact totals over the launch.
@@ -187,6 +188,7 @@ pub fn launch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ht::{BucketSink, Pattern, TableSite};
     use gpl_sim::amd_a10;
     use gpl_tpch::TpchDb;
 
@@ -226,10 +228,19 @@ mod tests {
     #[test]
     fn replay_clamps_a_short_extra_list() {
         use gpl_sim::WorkSource;
-        // 20 000 rows at two entries a row would be 40 000 entries; give
-        // half that. Units cover rows 0..8192, 8192..16384, 16384..20000.
-        let extra: Vec<MemRange> = (0..20_000).map(|i| MemRange::read(i * 64, 8)).collect();
-        let mut k = ReplayKernel::new(20_000, 64, 1, 0).extra(extra.clone(), 2);
+        // 20 000 rows with a read and a write each would be 40 000
+        // accesses; trace half the rows. Units cover rows 0..8192,
+        // 8192..16384, 16384..20000.
+        let site = TableSite {
+            base: 4096,
+            entry_bytes: 24,
+        };
+        let (mut trace, mut want) = (BucketTrace::default(), Vec::new());
+        for b in (0..10_000).map(|i| i * 7 % 16_384) {
+            trace.touch(site, Pattern::ReadWrite, b);
+            want.touch(site, Pattern::ReadWrite, b);
+        }
+        let mut k = ReplayKernel::new(20_000, 64, 1, 0).extra(trace);
         let mut per_unit = Vec::new();
         loop {
             match k.next(&NoChannels) {
@@ -240,7 +251,106 @@ mod tests {
         }
         let lens: Vec<usize> = per_unit.iter().map(Vec::len).collect();
         assert_eq!(lens, [2 * BATCH_ROWS, 20_000 - 2 * BATCH_ROWS, 0]);
-        assert_eq!(per_unit.concat(), extra, "every entry once, in order");
+        assert_eq!(per_unit.concat(), want, "every access once, in order");
+    }
+
+    /// Records every operation into a trace and an access list at once.
+    struct Both(BucketTrace, Vec<MemRange>);
+
+    impl BucketSink for Both {
+        fn touch(&mut self, site: TableSite, pattern: Pattern, bucket: u64) {
+            self.0.touch(site, pattern, bucket);
+            self.1.touch(site, pattern, bucket);
+        }
+
+        fn reserve(&mut self, touches: usize) {
+            self.0.reserve(touches);
+            self.1.reserve(touches);
+        }
+    }
+
+    gpl_check::prop! {
+        #![cases(48)]
+        /// A trace replays exactly what the access-list sink records for
+        /// the same operations — probes, build inserts or aggregate
+        /// updates fed in host blocks of any size — with each unit
+        /// carrying its own rows' operations, and a trace shorter than
+        /// the launch (Ocelot's live rows) running out, the units past
+        /// its end carrying none.
+        #[test]
+        fn bucket_trace_replays_what_the_access_sink_records(
+            kind in 0usize..3,
+            ops in 0usize..20_000,
+            slack in 0usize..12_000,
+            block in 1usize..9000,
+            seed in gpl_check::any::<u64>(),
+        ) {
+            use crate::ht::{mix64, GroupStore, SimHashTable};
+            use crate::ops::{Chunk, OpExec, TermExec};
+            use crate::plan::{Agg, PipeOp, Terminal};
+            use gpl_sim::{MemoryMap, WorkSource};
+            use std::{cell::RefCell, rc::Rc};
+
+            let keys: Vec<i64> = (0..ops as u64).map(|i| mix64(seed ^ i) as i64).collect();
+            let mut mem = MemoryMap::new();
+            let table = Rc::new(RefCell::new(SimHashTable::new(&mut mem, ops, 0, "t")));
+            let store = Rc::new(RefCell::new(GroupStore::new(&mut mem, 64, 1, 1, "g")));
+            let probe = OpExec::new(
+                &PipeOp::Probe { ht: 0, key: 0, payloads: Vec::new() },
+                &[Some(table.clone())],
+            );
+            let build = TermExec::new(
+                &Terminal::HashBuild { ht: 0, key: 0, payloads: Vec::new() },
+                Some(&table),
+                None,
+            );
+            let agg = TermExec::new(
+                &Terminal::Aggregate { groups: vec![1], aggs: vec![Agg::count()] },
+                None,
+                Some(&store),
+            );
+            if kind == 0 {
+                for &k in keys.iter().step_by(2) {
+                    table.borrow_mut().insert(k, &[], &mut Vec::new());
+                }
+            }
+            let mut both = Both(BucketTrace::default(), Vec::new());
+            for block in keys.chunks(block) {
+                let mut c = Chunk::new(2);
+                c.fill(0, block.to_vec());
+                c.fill(1, block.iter().map(|k| k % 13).collect());
+                match kind {
+                    0 => drop(probe.apply(c, &mut both)),
+                    1 => build.fold(&c, &mut both),
+                    _ => agg.fold(&c, &mut both),
+                }
+            }
+            let Both(trace, want) = both;
+            // A probe reads its bucket, an insert writes it, an update
+            // reads then writes it.
+            let pattern: &[bool] = match kind {
+                0 => &[false],
+                1 => &[true],
+                _ => &[false, true],
+            };
+            let per_op = pattern.len();
+            let writes: Vec<bool> = want.iter().map(|a| a.write).collect();
+            gpl_check::prop_assert_eq!(writes, pattern.repeat(ops));
+
+            let rows = ops + slack;
+            let mut k = ReplayKernel::new(rows, 64, 1, 0).extra(trace);
+            let mut got = Vec::new();
+            for start in (0..rows.max(1)).step_by(BATCH_ROWS) {
+                let Work::Unit(u) = k.next(&NoChannels) else {
+                    panic!("a unit per {BATCH_ROWS} rows")
+                };
+                let live = (start + BATCH_ROWS).min(ops).saturating_sub(start.min(ops));
+                gpl_check::prop_assert_eq!(u.accesses.len(), per_op * live, "unit at row {}", start);
+                got.extend(u.accesses);
+            }
+            gpl_check::prop_assert!(matches!(k.next(&NoChannels), Work::Done));
+            gpl_check::prop_assert_eq!(got, want, "every access once, in order");
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 # binary), top-N by inclusive samples (such a frame anywhere on the stack,
 # once per sample), the samples whose innermost frame is foreign (libc's
 # memcpy, memset, malloc, ...) by the first gpl_* frame that called into
-# it, then user/system seconds and minor faults per operation from
-# getrusage. With an under-regex, also the share and flat top-N of the
+# it, then user/system seconds, minor faults per operation and peak RSS
+# from getrusage. With an under-regex, also the share and flat top-N of the
 # samples that have a frame matching it and none matching the
 # not-under-regex: "time under f but not under g or h", e.g.
 #   scripts/hostprof.sh shard_chaos 8 25 run_pool 'run_part|run_sort_kernel'
@@ -24,6 +24,10 @@
 # per busy thread on a HZ=250 kernel). Faults and seconds cover the whole
 # process — set-up included — measured from after the sampler's own
 # buffer is touched; operations are the benchmark's "attempted" count.
+# Peak RSS is `ru_maxrss` less that buffer, which stays resident from
+# start to end, in MB of 1024 KB, the unit of the benchmark's
+# `peak_rss_mb`. It is the whole process's peak, so it reads above
+# `peak_rss_mb`, which the benchmark takes before its later set-ups.
 set -euo pipefail
 workload="${1:?usage: scripts/hostprof.sh <workload> [seconds] [top-N] [under-regex [not-under-regex]]}"
 seconds="${2:-8}"
@@ -66,9 +70,12 @@ static void on_prof(int sig) {
 }
 
 __attribute__((constructor)) static void start(void) {
-    buf = malloc(CAP * sizeof(void *));
+    buf = calloc(CAP, sizeof(void *));
     if (!buf) return;
-    memset(buf, 0, CAP * sizeof(void *));
+    /* calloc's zero pages are not resident until written: touch each
+     * one, through a volatile pointer the compiler cannot drop. */
+    for (size_t at = 0; at < CAP * sizeof(void *); at += 4096)
+        ((volatile char *)buf)[at] = 0;
     void *warm[4];
     backtrace(warm, 4); /* loads the unwinder outside the handler */
     getrusage(RUSAGE_SELF, &base);
@@ -93,8 +100,9 @@ __attribute__((destructor)) static void stop(void) {
     if (!f || !buf) return;
     struct rusage now;
     getrusage(RUSAGE_SELF, &now);
-    fprintf(f, "rusage %ld %.3f %.3f\n", now.ru_minflt - base.ru_minflt,
-            secs(now.ru_utime, base.ru_utime), secs(now.ru_stime, base.ru_stime));
+    fprintf(f, "rusage %ld %.3f %.3f %ld\n", now.ru_minflt - base.ru_minflt,
+            secs(now.ru_utime, base.ru_utime), secs(now.ru_stime, base.ru_stime),
+            now.ru_maxrss - (long)(CAP * sizeof(void *) / 1024));
     Dl_info self;
     dladdr((void *)start, &self);
     size_t end = used < CAP ? used : CAP;
@@ -151,7 +159,7 @@ awk -v top="$top" -v ops="${attempted:-0}" -v workload="$workload" \
         depth++
         next
     }
-    $1 == "rusage" { faults = $2; user = $3; sys = $4; next }
+    $1 == "rusage" { faults = $2; user = $3; sys = $4; rss_kb = $5; next }
     {
         total++
         delete seen
@@ -199,6 +207,6 @@ awk -v top="$top" -v ops="${attempted:-0}" -v workload="$workload" \
         }
         printf "\nuser %.2f s  system %.2f s  minor faults %d", user, sys, faults
         if (ops > 0) printf "  operations %d  faults/operation %.1f", ops, faults / ops
-        printf "\n"
+        printf "  peak RSS %.1f MB\n", rss_kb / 1024
     }
 ' "$dir/out/$workload.sym" "$samples"

@@ -53,7 +53,8 @@ gate "scheduler determinism, five runs" scheduler_determinism
 # repeat count, outputs byte-compared across repeats, and committed pin:
 # profile's exports, serve/pipeline/shard/chaos twice, faults five times,
 # table1, fig3, fig11/fig24 twice (artifact only), fig16/fig20/fig21/
-# fig22 twice, `repro bench` twice, then the fourteen root BENCH_*.json.
+# fig22 twice, `repro bench` twice, then the fourteen root BENCH_*.json
+# pins (BENCH_wall.json beside them is the host trajectory, not a pin).
 # Re-pin a deliberate change with `cp target/obs/BENCH_*.json .` and
 # explain the movement in the commit.
 gate "repro verify: repeats and committed pins, by bytes" \
