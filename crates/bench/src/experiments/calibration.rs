@@ -76,13 +76,16 @@ fn channel_sweep(spec: &DeviceSpec) -> Json {
     );
     let header = "throughput (bytes/cycle) by #channels  n=1     n=2     n=4     n=8    n=16";
     println!("{:>10} {:>10} {header}", "N (ints)", "bytes");
+    let ns = [1u32, 2, 4, 8, 16];
+    let ds = calibrate::figure2_data_sizes();
+    let swept = calibrate(spec, &ns, &[packet], &ds);
     let mut points = Vec::new();
-    for ints in [512 * 1024u64, 1 << 20, 2 << 20, 4 << 20, 8 << 20] {
-        let d = ints * 4;
+    for (di, &d) in ds.iter().enumerate() {
+        let ints = d / 4;
         print!("{:>10} {:>10}", ints, d);
         print!("{:38}", " ");
-        for n in [1u32, 2, 4, 8, 16] {
-            let p = calibrate::run_producer_consumer(spec, n, packet, d);
+        for (ni, &n) in ns.iter().enumerate() {
+            let p = swept[ni * ds.len() + di];
             print!(" {:>7.3}", p.throughput);
             points.push(Json::obj(vec![
                 ("ints", Json::Int(ints as i64)),
@@ -106,9 +109,10 @@ pub fn fig2(opts: &Opts) {
     opts.artifact.fact("channel_sweep", series);
     // The paper additionally varies the packet size on AMD.
     println!("\npacket-size sweep at N = 1M ints, n = 4:");
+    let ps = [8u32, 16, 32, 64];
+    let swept = calibrate(&amd_a10(), &[4], &ps, &[4 << 20]);
     let mut pkt = Vec::new();
-    for p in [8u32, 16, 32, 64] {
-        let r = calibrate::run_producer_consumer(&amd_a10(), 4, p, 4 << 20);
+    for (&p, r) in ps.iter().zip(&swept) {
         println!("  p = {p:>3} B: {:.3} bytes/cycle", r.throughput);
         pkt.push(Json::obj(vec![
             ("packet_bytes", Json::Int(p as i64)),

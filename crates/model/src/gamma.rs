@@ -2,6 +2,10 @@
 //! of the number of channels `n`, packet size `p` (AMD only) and data
 //! size `d`, obtained by calibration (Section 2.1) and consulted by the
 //! memory-cost term of Eq. 6 / Eq. 12.
+//!
+//! A calibration is one list of independent simulator runs, which
+//! [`calibrate::run_jobs`] spreads over all cores; every Γ and pressure
+//! value is the same for any thread count.
 
 use gpl_sim::{calibrate, CalibrationPoint, DeviceSpec, Vendor};
 
@@ -54,15 +58,20 @@ impl GammaTable {
         Self::calibrate_grid(spec, ns, ps, ds)
     }
 
-    /// Run the calibration over an explicit grid.
+    /// Run the calibration over an explicit grid: the bounded-buffer rate
+    /// at every `(n, p, d)`, then the cache-pressure curve, as one job
+    /// list on all cores (the values do not depend on the thread count).
     pub fn calibrate_grid(spec: &DeviceSpec, ns: Vec<u32>, ps: Vec<u32>, ds: Vec<u64>) -> Self {
-        let mut throughput = vec![vec![vec![0.0; ds.len()]; ps.len()]; ns.len()];
-        for (ni, &n) in ns.iter().enumerate() {
-            for (pi, &p) in ps.iter().enumerate() {
-                for (di, &d) in ds.iter().enumerate() {
-                    throughput[ni][pi][di] =
-                        calibrate::run_channel_rate(spec, n, p, d).steady_throughput;
-                }
+        let job = |chain, n, packet_bytes, data_bytes| calibrate::Job {
+            chain,
+            n,
+            packet_bytes,
+            data_bytes,
+        };
+        let mut jobs = Vec::with_capacity((ns.len() * ps.len() + 1) * ds.len());
+        for &n in &ns {
+            for &p in &ps {
+                jobs.extend(ds.iter().map(|&d| job(calibrate::Chain::Rate, n, p, d)));
             }
         }
         // Cache-pressure curve from the unbounded-pipe chain (Figure 2):
@@ -70,9 +79,18 @@ impl GammaTable {
         // throughput is the penalty for keeping d bytes in flight.
         let mid_n = ns[ns.len() / 2];
         let mid_p = ps[ps.len() / 2];
-        let raw: Vec<f64> = ds
+        jobs.extend(
+            ds.iter()
+                .map(|&d| job(calibrate::Chain::Unbounded, mid_n, mid_p, d)),
+        );
+        let steady: Vec<f64> = calibrate::run_jobs(spec, &jobs)
             .iter()
-            .map(|&d| calibrate::run_producer_consumer(spec, mid_n, mid_p, d).steady_throughput)
+            .map(|p| p.steady_throughput)
+            .collect();
+        let (rates, raw) = steady.split_at(ns.len() * ps.len() * ds.len());
+        let throughput = rates
+            .chunks(ps.len() * ds.len())
+            .map(|per_n| per_n.chunks(ds.len()).map(<[f64]>::to_vec).collect())
             .collect();
         let peak = raw.iter().cloned().fold(f64::MIN, f64::max).max(1e-9);
         let pressure = raw.iter().map(|&t| (t / peak).clamp(0.05, 1.0)).collect();
@@ -269,6 +287,44 @@ mod tests {
         assert!(g.lookup(4, 16, 1 << 20) > g.lookup(1, 16, 1 << 20));
         let (n, _, _) = g.best_config(1 << 20);
         assert_eq!(n, 4);
+    }
+
+    #[test]
+    fn calibration_is_bit_identical_to_each_point_alone() {
+        for spec in [amd_a10(), gpl_sim::nvidia_k40(), gpl_sim::cpu_host()] {
+            let (ns, ps, ds) = (vec![1, 4], default_grid(&spec).1, vec![64 << 10, 1 << 20]);
+            let g = GammaTable::calibrate_grid(&spec, ns.clone(), ps.clone(), ds.clone());
+            for (ni, &n) in ns.iter().enumerate() {
+                for (pi, &p) in ps.iter().enumerate() {
+                    for (di, &d) in ds.iter().enumerate() {
+                        let alone = calibrate::run_channel_rate(&spec, n, p, d).steady_throughput;
+                        assert_eq!(
+                            g.throughput[ni][pi][di].to_bits(),
+                            alone.to_bits(),
+                            "{} Γ({n}, {p}, {d})",
+                            spec.name
+                        );
+                    }
+                }
+            }
+            let raw: Vec<f64> = ds
+                .iter()
+                .map(|&d| {
+                    calibrate::run_producer_consumer(&spec, ns[1], ps[ps.len() / 2], d)
+                        .steady_throughput
+                })
+                .collect();
+            let peak = raw.iter().cloned().fold(f64::MIN, f64::max).max(1e-9);
+            for (di, &t) in raw.iter().enumerate() {
+                let alone = (t / peak).clamp(0.05, 1.0);
+                assert_eq!(
+                    g.pressure[di].to_bits(),
+                    alone.to_bits(),
+                    "{} pressure",
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! mechanisms: small `N` cannot amortize kernel-launch and pipeline-fill
 //! overheads, while a working set larger than the data cache causes
 //! write-back thrashing on the consumer side.
+//!
+//! Every point runs on a fresh [`Simulator`] that shares nothing with any
+//! other, so a grid is a list of independent [`Job`]s: [`run_jobs`] runs
+//! them on all cores and returns their points in list order, each
+//! bit-identical to running that point alone, whatever the thread count.
+
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::device::DeviceSpec;
 use crate::engine::Simulator;
@@ -236,23 +244,98 @@ pub fn run_channel_rate(
     }
 }
 
-/// Sweep the calibration grid. On platforms without a tunable packet size
-/// (NVIDIA, Appendix A.1) callers pass a single packet size.
+/// Which producer→consumer chain a [`Job`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Chain {
+    /// [`run_channel_rate`]: the bounded-buffer steady rate.
+    Rate,
+    /// [`run_producer_consumer`]: the Figure 2 chain, pipe sized to the data.
+    Unbounded,
+}
+
+/// One calibration point to measure: a chain at `(n, p, d)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Job {
+    pub chain: Chain,
+    pub n: u32,
+    pub packet_bytes: u32,
+    pub data_bytes: u64,
+}
+
+impl Job {
+    fn run(&self, spec: &DeviceSpec) -> CalibrationPoint {
+        let run = match self.chain {
+            Chain::Rate => run_channel_rate,
+            Chain::Unbounded => run_producer_consumer,
+        };
+        run(spec, self.n, self.packet_bytes, self.data_bytes)
+    }
+}
+
+/// Run every job, on all cores, and return their points in `jobs` order.
+pub fn run_jobs(spec: &DeviceSpec, jobs: &[Job]) -> Vec<CalibrationPoint> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_jobs_on(spec, jobs, workers)
+}
+
+/// [`run_jobs`] on `workers` threads, the calling one included. Workers
+/// claim jobs in descending packet count `d / p`, so the longest runs
+/// start first, and each result lands at its job's index.
+fn run_jobs_on(spec: &DeviceSpec, jobs: &[Job], workers: usize) -> Vec<CalibrationPoint> {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&i| Reverse(jobs[i].data_bytes / jobs[i].packet_bytes as u64));
+    // `Relaxed`: the counter only hands out indices; a helper's points come
+    // back through `join`, which orders them before they are read.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((i, jobs[i].run(spec)));
+        }
+        done
+    };
+    let mut points = vec![None; jobs.len()];
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers.min(jobs.len()))
+            .map(|_| s.spawn(work))
+            .collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        for (i, p) in done {
+            points[i] = Some(p);
+        }
+    });
+    points
+        .into_iter()
+        .map(|p| p.expect("every job claimed once"))
+        .collect()
+}
+
+/// Sweep the Figure 2 / Figure 23 grid of the unbounded chain, `n`
+/// outermost and `d` innermost. On platforms without a tunable packet
+/// size (NVIDIA, Appendix A.1) callers pass a single packet size.
 pub fn calibrate(
     spec: &DeviceSpec,
     ns: &[u32],
     packet_sizes: &[u32],
     data_sizes: &[u64],
 ) -> Vec<CalibrationPoint> {
-    let mut points = Vec::with_capacity(ns.len() * packet_sizes.len() * data_sizes.len());
+    let mut jobs = Vec::with_capacity(ns.len() * packet_sizes.len() * data_sizes.len());
     for &n in ns {
-        for &p in packet_sizes {
-            for &d in data_sizes {
-                points.push(run_producer_consumer(spec, n, p, d));
+        for &packet_bytes in packet_sizes {
+            for &data_bytes in data_sizes {
+                jobs.push(Job {
+                    chain: Chain::Unbounded,
+                    n,
+                    packet_bytes,
+                    data_bytes,
+                });
             }
         }
     }
-    points
+    run_jobs(spec, &jobs)
 }
 
 /// The data sizes of Figure 2 / Figure 23: N from 512K to 8M integers.
@@ -310,14 +393,57 @@ mod tests {
     #[test]
     fn calibration_grid_has_all_points() {
         let spec = amd_a10();
-        let pts = calibrate(&spec, &[1, 2], &[16, 32], &[1 << 16, 1 << 18]);
+        let (ns, ps, ds) = ([1u32, 2], [16u32, 32], [1u64 << 16, 1 << 18]);
+        let pts: Vec<_> = calibrate(&spec, &ns, &ps, &ds).iter().map(bits).collect();
+        // Deterministic and in grid order: the sequential sweep, bit for bit.
+        let mut sequential = Vec::new();
+        for &n in &ns {
+            for &p in &ps {
+                for &d in &ds {
+                    sequential.push(bits(&run_producer_consumer(&spec, n, p, d)));
+                }
+            }
+        }
         assert_eq!(pts.len(), 8);
-        // Deterministic: same parameters, same cycles.
-        let again = run_producer_consumer(&spec, 1, 16, 1 << 16);
-        let orig = pts
-            .iter()
-            .find(|p| p.n == 1 && p.packet_bytes == 16 && p.data_bytes == 1 << 16);
-        assert_eq!(orig.unwrap().cycles, again.cycles);
+        assert_eq!(pts, sequential);
+    }
+
+    fn bits(p: &CalibrationPoint) -> (u32, u32, u64, u64, u64, u64) {
+        (
+            p.n,
+            p.packet_bytes,
+            p.data_bytes,
+            p.cycles,
+            p.throughput.to_bits(),
+            p.steady_throughput.to_bits(),
+        )
+    }
+
+    #[test]
+    fn fan_out_is_bit_identical_to_each_point_alone() {
+        let spec = amd_a10();
+        let mut jobs = Vec::new();
+        for chain in [Chain::Rate, Chain::Unbounded] {
+            for (n, p) in [(1, 16), (4, 8), (2, 64)] {
+                for d in [64 << 10, 1 << 20, 256 << 10] {
+                    jobs.push(Job {
+                        chain,
+                        n,
+                        packet_bytes: p,
+                        data_bytes: d,
+                    });
+                }
+            }
+        }
+        let alone: Vec<_> = jobs.iter().map(|j| bits(&j.run(&spec))).collect();
+        for workers in [1, 3, jobs.len() + 5] {
+            let got: Vec<_> = run_jobs_on(&spec, &jobs, workers)
+                .iter()
+                .map(bits)
+                .collect();
+            assert_eq!(got, alone, "{workers} workers");
+        }
+        assert!(run_jobs(&spec, &[]).is_empty());
     }
 
     #[test]

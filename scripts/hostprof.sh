@@ -15,7 +15,8 @@
 # binary), top-N by inclusive samples (such a frame anywhere on the stack,
 # once per sample), the samples whose innermost frame is foreign (libc's
 # memcpy, memset, malloc, ...) by the first gpl_* frame that called into
-# it, then user/system seconds, minor faults per operation and peak RSS
+# it, then wall seconds beside user/system ones (work spread over several
+# cores shows as user above wall), minor faults per operation and peak RSS
 # from getrusage. With an under-regex, also the share and flat top-N of the
 # samples that have a frame matching it and none matching the
 # not-under-regex: "time under f but not under g or h", e.g.
@@ -52,12 +53,14 @@ cat > "$dir/sampler.c" <<'EOF'
 #include <string.h>
 #include <sys/resource.h>
 #include <sys/time.h>
+#include <time.h>
 
 #define DEPTH 64
 #define CAP (8u << 20) /* stack slots: 64 MB, touched up front */
 static void **buf;
 static volatile size_t used;
 static struct rusage base;
+static struct timespec wall0;
 
 static void on_prof(int sig) {
     (void)sig;
@@ -79,6 +82,7 @@ __attribute__((constructor)) static void start(void) {
     void *warm[4];
     backtrace(warm, 4); /* loads the unwinder outside the handler */
     getrusage(RUSAGE_SELF, &base);
+    clock_gettime(CLOCK_MONOTONIC, &wall0);
     struct sigaction sa;
     memset(&sa, 0, sizeof sa);
     sa.sa_handler = on_prof;
@@ -100,9 +104,12 @@ __attribute__((destructor)) static void stop(void) {
     if (!f || !buf) return;
     struct rusage now;
     getrusage(RUSAGE_SELF, &now);
-    fprintf(f, "rusage %ld %.3f %.3f %ld\n", now.ru_minflt - base.ru_minflt,
+    struct timespec wall;
+    clock_gettime(CLOCK_MONOTONIC, &wall);
+    fprintf(f, "rusage %ld %.3f %.3f %ld %.3f\n", now.ru_minflt - base.ru_minflt,
             secs(now.ru_utime, base.ru_utime), secs(now.ru_stime, base.ru_stime),
-            now.ru_maxrss - (long)(CAP * sizeof(void *) / 1024));
+            now.ru_maxrss - (long)(CAP * sizeof(void *) / 1024),
+            (double)(wall.tv_sec - wall0.tv_sec) + (double)(wall.tv_nsec - wall0.tv_nsec) / 1e9);
     Dl_info self;
     dladdr((void *)start, &self);
     size_t end = used < CAP ? used : CAP;
@@ -159,7 +166,7 @@ awk -v top="$top" -v ops="${attempted:-0}" -v workload="$workload" \
         depth++
         next
     }
-    $1 == "rusage" { faults = $2; user = $3; sys = $4; rss_kb = $5; next }
+    $1 == "rusage" { faults = $2; user = $3; sys = $4; rss_kb = $5; wall = $6; next }
     {
         total++
         delete seen
@@ -205,7 +212,7 @@ awk -v top="$top" -v ops="${attempted:-0}" -v workload="$workload" \
             table(sprintf("%s: %d samples, %.2f%% of all; flat:", title, selected_total, \
                 100 * selected_total / total), selected)
         }
-        printf "\nuser %.2f s  system %.2f s  minor faults %d", user, sys, faults
+        printf "\nwall %.2f s  user %.2f s  system %.2f s  minor faults %d", wall, user, sys, faults
         if (ops > 0) printf "  operations %d  faults/operation %.1f", ops, faults / ops
         printf "  peak RSS %.1f MB\n", rss_kb / 1024
     }
