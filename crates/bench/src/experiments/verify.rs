@@ -55,13 +55,25 @@ impl Row {
     }
 }
 
-/// Every verified invocation, at the pinned scales. `bench` comes last:
-/// it renders the artifacts the rows above it regenerate.
+/// Every verified invocation, at the pinned scales: sixteen pinned rows,
+/// then `bench`, which comes last because it renders the artifacts the
+/// rows above it regenerate.
 pub const TABLE: &[Row] = &[
     Row {
         args: &["table1"],
         repeats: 1,
         compared: &[STDOUT, "BENCH_table1.json"],
+    },
+    // Figures 2 and 23: the unbounded-pipe channel calibration sweeps.
+    Row {
+        args: &["fig2"],
+        repeats: 2,
+        compared: &[STDOUT, "BENCH_fig2.json"],
+    },
+    Row {
+        args: &["fig23"],
+        repeats: 2,
+        compared: &[STDOUT, "BENCH_fig23.json"],
     },
     Row {
         args: &["fig3", "--sf", "0.01"],

@@ -3,9 +3,11 @@
 //! size `d`, obtained by calibration (Section 2.1) and consulted by the
 //! memory-cost term of Eq. 6 / Eq. 12.
 //!
-//! A calibration is one list of independent simulator runs, which
-//! [`calibrate::run_jobs`] spreads over all cores; every Γ and pressure
-//! value is the same for any thread count.
+//! A calibration is one list of jobs for [`calibrate::run_jobs`]: a
+//! bounded-pipe ladder per `(n, p)`, which simulates the chain once at
+//! the largest `d` and forks it at every smaller one, and the pressure
+//! curve's unbounded-pipe runs, spread over all cores. Every Γ and
+//! pressure value equals its point run alone, for any thread count.
 
 use gpl_sim::{calibrate, CalibrationPoint, DeviceSpec, Vendor};
 
@@ -23,6 +25,14 @@ pub struct GammaTable {
     /// in-flight working set of d, normalized to its peak. ≤ 1; drops
     /// once the in-flight channel data outgrows the cache.
     pressure: Vec<f64>,
+}
+
+/// A grid axis in the order `lookup` and `pressure` search it: sorted,
+/// each value once.
+fn axis<T: Ord>(mut values: Vec<T>) -> Vec<T> {
+    values.sort_unstable();
+    values.dedup();
+    values
 }
 
 /// The calibration grid used throughout the repository.
@@ -61,28 +71,36 @@ impl GammaTable {
     /// Run the calibration over an explicit grid: the bounded-buffer rate
     /// at every `(n, p, d)`, then the cache-pressure curve, as one job
     /// list on all cores (the values do not depend on the thread count).
+    /// Each axis is sorted and deduplicated first; every axis must be
+    /// non-empty and every packet size at least one byte.
     pub fn calibrate_grid(spec: &DeviceSpec, ns: Vec<u32>, ps: Vec<u32>, ds: Vec<u64>) -> Self {
-        let job = |chain, n, packet_bytes, data_bytes| calibrate::Job {
+        let (ns, ps, ds) = (axis(ns), axis(ps), axis(ds));
+        assert!(
+            !ns.is_empty() && !ps.is_empty() && !ds.is_empty() && ps[0] > 0,
+            "calibration grid needs non-empty axes and packets of at least one byte: \
+             n {ns:?}, p {ps:?}, d {ds:?}"
+        );
+        let job = |chain, n, packet_bytes| calibrate::Job {
             chain,
             n,
             packet_bytes,
-            data_bytes,
+            data_sizes: ds.clone(),
         };
-        let mut jobs = Vec::with_capacity((ns.len() * ps.len() + 1) * ds.len());
+        // One bounded-buffer ladder per (n, p) over every d.
+        let mut jobs = Vec::with_capacity(ns.len() * ps.len() + 1);
         for &n in &ns {
             for &p in &ps {
-                jobs.extend(ds.iter().map(|&d| job(calibrate::Chain::Rate, n, p, d)));
+                jobs.push(job(calibrate::Chain::Rate, n, p));
             }
         }
         // Cache-pressure curve from the unbounded-pipe chain (Figure 2):
         // its in-flight working set grows with d, so its normalized
         // throughput is the penalty for keeping d bytes in flight.
-        let mid_n = ns[ns.len() / 2];
-        let mid_p = ps[ps.len() / 2];
-        jobs.extend(
-            ds.iter()
-                .map(|&d| job(calibrate::Chain::Unbounded, mid_n, mid_p, d)),
-        );
+        jobs.push(job(
+            calibrate::Chain::Unbounded,
+            ns[ns.len() / 2],
+            ps[ps.len() / 2],
+        ));
         let steady: Vec<f64> = calibrate::run_jobs(spec, &jobs)
             .iter()
             .map(|p| p.steady_throughput)
@@ -106,15 +124,9 @@ impl GammaTable {
 
     /// Build from precomputed points (tests).
     pub fn from_points(spec: &DeviceSpec, points: &[CalibrationPoint]) -> Self {
-        let mut ns: Vec<u32> = points.iter().map(|p| p.n).collect();
-        ns.sort_unstable();
-        ns.dedup();
-        let mut ps: Vec<u32> = points.iter().map(|p| p.packet_bytes).collect();
-        ps.sort_unstable();
-        ps.dedup();
-        let mut ds: Vec<u64> = points.iter().map(|p| p.data_bytes).collect();
-        ds.sort_unstable();
-        ds.dedup();
+        let ns = axis(points.iter().map(|p| p.n).collect());
+        let ps = axis(points.iter().map(|p| p.packet_bytes).collect());
+        let ds = axis(points.iter().map(|p| p.data_bytes).collect());
         let mut throughput = vec![vec![vec![0.0; ds.len()]; ps.len()]; ns.len()];
         for pt in points {
             let ni = ns.binary_search(&pt.n).expect("grid point");
@@ -325,6 +337,67 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// FNV-1a over the bits of every Γ and pressure value of each
+    /// profile's default-grid calibration: any change to the chains, the
+    /// simulator or the way the grid runs that moves one value trips it.
+    #[test]
+    fn default_grids_are_pinned() {
+        let pins = [
+            (amd_a10(), 0x6ecb_7535_3f2f_ef4c_u64),
+            (gpl_sim::nvidia_k40(), 0xefe4_76d0_4b24_2705),
+            (gpl_sim::cpu_host(), 0x5ee9_89a7_a2d4_64a6),
+        ];
+        for (spec, pin) in pins {
+            let g = GammaTable::calibrate(&spec);
+            let mut h = 0xcbf2_9ce4_8422_2325_u64;
+            for v in g.throughput.iter().flatten().flatten().chain(&g.pressure) {
+                for b in v.to_bits().to_le_bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            assert_eq!(h, pin, "{}: {h:#018x}", spec.name);
+        }
+    }
+
+    #[test]
+    fn grid_axes_are_sorted_and_deduplicated() {
+        let spec = amd_a10();
+        let sorted =
+            GammaTable::calibrate_grid(&spec, vec![1, 4], vec![8, 32], vec![64 << 10, 1 << 20]);
+        let shuffled = GammaTable::calibrate_grid(
+            &spec,
+            vec![4, 1, 4],
+            vec![32, 8],
+            vec![1 << 20, 64 << 10, 1 << 20],
+        );
+        assert_eq!(
+            (shuffled.ns(), shuffled.ps(), shuffled.ds()),
+            (sorted.ns(), sorted.ps(), sorted.ds())
+        );
+        let bits = |g: &GammaTable| -> Vec<u64> {
+            let values = g.throughput.iter().flatten().flatten().chain(&g.pressure);
+            values.map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&shuffled), bits(&sorted));
+        // Interpolation between the two data sizes reads the sorted axis.
+        assert_eq!(
+            shuffled.lookup(4, 8, 256 << 10).to_bits(),
+            sorted.lookup(4, 8, 256 << 10).to_bits()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "calibration grid needs non-empty axes")]
+    fn empty_grid_axis_is_rejected() {
+        GammaTable::calibrate_grid(&amd_a10(), vec![1], vec![], vec![64 << 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "calibration grid needs non-empty axes")]
+    fn zero_packet_size_is_rejected() {
+        GammaTable::calibrate_grid(&amd_a10(), vec![1], vec![0, 16], vec![64 << 10]);
     }
 
     #[test]

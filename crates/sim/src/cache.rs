@@ -359,6 +359,34 @@ impl Ways<'_> {
     }
 }
 
+impl Clone for CacheSim {
+    fn clone(&self) -> Self {
+        CacheSim {
+            tags: self.tags.clone(),
+            stamps: self.stamps.clone(),
+            dirty: self.dirty.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies into this cache's way arrays instead of allocating new ones:
+    /// a large cache's arrays cost more to fault in than to copy.
+    fn clone_from(&mut self, source: &Self) {
+        let mut tags = std::mem::take(&mut self.tags);
+        let mut stamps = std::mem::take(&mut self.stamps);
+        let mut dirty = std::mem::take(&mut self.dirty);
+        tags.clone_from(&source.tags);
+        stamps.clone_from(&source.stamps);
+        dirty.clone_from(&source.dirty);
+        *self = CacheSim {
+            tags,
+            stamps,
+            dirty,
+            ..*source
+        };
+    }
+}
+
 impl CacheSim {
     /// Build a cache. Any set count ≥ 1 is supported (the NVIDIA profile's
     /// 1.5 MiB L2 yields a non-power-of-two set count).

@@ -13,17 +13,28 @@
 //! overheads, while a working set larger than the data cache causes
 //! write-back thrashing on the consumer side.
 //!
-//! Every point runs on a fresh [`Simulator`] that shares nothing with any
-//! other, so a grid is a list of independent [`Job`]s: [`run_jobs`] runs
-//! them on all cores and returns their points in list order, each
-//! bit-identical to running that point alone, whatever the thread count.
+//! A grid is a list of [`Job`]s, one chain at `(n, p)` over a list of
+//! data sizes each, and [`run_jobs`] runs them on all cores, returning
+//! every point bit-identical to its chain run alone on a fresh
+//! [`Simulator`], whatever the thread count. The Figure 2 chain sizes its
+//! pipe from the data, so its runs at different sizes share nothing and
+//! each is a task of its own. The bounded-pipe rate chain runs as a
+//! *ladder*: its producer reads the data size only once fewer than a
+//! batch of packets remains, so its runs at different sizes agree event
+//! for event until close to the smaller size's end. A ladder runs the
+//! chain once, at the largest size, and at each smaller size forks a copy
+//! of the simulator and launch just before the step that could first
+//! tell them apart, finishing the copy with a producer that stops at that
+//! size.
 
 use std::cmp::Reverse;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use crate::channel::ChannelId;
 use crate::device::DeviceSpec;
-use crate::engine::Simulator;
-use crate::kernel::{ChannelView, KernelDesc, ResourceUsage, Work, WorkUnit};
+use crate::engine::{DeadlockError, Simulator};
+use crate::kernel::{ChannelView, KernelDesc, ResourceUsage, Work, WorkSource, WorkUnit};
 use crate::mem::{MemRange, RegionClass};
 
 /// One calibration measurement.
@@ -91,7 +102,7 @@ pub fn run_producer_consumer_profiled(
     let out = sim.mem.alloc(256, RegionClass::Output, "calib-out");
     let out_base = sim.mem.base(out);
 
-    let total_packets = data_bytes.div_ceil(packet_bytes as u64).max(1);
+    let total_packets = packets(data_bytes, packet_bytes);
     let ints_per_packet = (packet_bytes as u64 / 4).max(1);
     let wavefront = spec.wavefront_size as u64;
 
@@ -147,24 +158,118 @@ pub fn run_producer_consumer_profiled(
             .reads_channel(ch),
     ]);
 
-    let cycles = profile.elapsed_cycles.max(1);
+    (
+        point(spec, n, packet_bytes, data_bytes, profile.elapsed_cycles),
+        profile,
+    )
+}
+
+/// A calibration point from a chain's elapsed cycles.
+fn point(
+    spec: &DeviceSpec,
+    n: u32,
+    packet_bytes: u32,
+    data_bytes: u64,
+    elapsed_cycles: u64,
+) -> CalibrationPoint {
+    let cycles = elapsed_cycles.max(1);
     // Eq. 6 costs steady-state transfers inside a running pipeline —
     // strip the one-off launch/fill overhead (bounded below so tiny runs
     // do not divide by nothing).
     let steady = cycles
         .saturating_sub(2 * spec.launch_cycles)
         .max(cycles / 4);
-    (
-        CalibrationPoint {
-            n,
-            packet_bytes,
-            data_bytes,
-            cycles,
-            throughput: data_bytes as f64 / cycles as f64,
-            steady_throughput: data_bytes as f64 / steady as f64,
-        },
-        profile,
-    )
+    CalibrationPoint {
+        n,
+        packet_bytes,
+        data_bytes,
+        cycles,
+        throughput: data_bytes as f64 / cycles as f64,
+        steady_throughput: data_bytes as f64 / steady as f64,
+    }
+}
+
+/// Packets a chain passes for `data_bytes` of data.
+fn packets(data_bytes: u64, packet_bytes: u32) -> u64 {
+    data_bytes.div_ceil(packet_bytes as u64).max(1)
+}
+
+/// The bounded-buffer chain of [`run_channel_rate`], set up on a fresh
+/// simulator: its pipe and the consumer's result cell.
+struct RateChain {
+    ch: ChannelId,
+    out_base: u64,
+    wavefront: u64,
+}
+
+impl RateChain {
+    fn new(sim: &mut Simulator, n: u32, packet_bytes: u32) -> Self {
+        let ch = sim.create_channel(n, packet_bytes);
+        let out = sim.mem.alloc(256, RegionClass::Output, "rate-out");
+        RateChain {
+            ch,
+            out_base: sim.mem.base(out),
+            wavefront: sim.spec().wavefront_size as u64,
+        }
+    }
+
+    /// The producer of a `total`-packet run, `produced` packets into it.
+    fn producer(&self, mut produced: u64, total: u64) -> Box<dyn WorkSource> {
+        let (ch, wavefront) = (self.ch, self.wavefront);
+        Box::new(move |view: &dyn ChannelView| {
+            if produced == total {
+                return Work::Done;
+            }
+            let k = view.space(ch).min(PRODUCER_BATCH).min(total - produced);
+            if k == 0 {
+                return Work::Wait;
+            }
+            produced += k;
+            Work::Unit(
+                WorkUnit {
+                    compute_insts: k.div_ceil(wavefront),
+                    ..Default::default()
+                }
+                .push(ch, k),
+            )
+        })
+    }
+
+    /// The consumer, which keeps no state of its own.
+    fn consumer(&self) -> Box<dyn WorkSource> {
+        let (ch, wavefront, out_base) = (self.ch, self.wavefront, self.out_base);
+        Box::new(move |view: &dyn ChannelView| {
+            let avail = view.available(ch);
+            if avail == 0 {
+                return if view.eof(ch) { Work::Done } else { Work::Wait };
+            }
+            let k = avail.min(PRODUCER_BATCH);
+            Work::Unit(
+                WorkUnit {
+                    compute_insts: k.div_ceil(wavefront),
+                    accesses: vec![MemRange::write(out_base, 8)],
+                    ..Default::default()
+                }
+                .pop(ch, k),
+            )
+        })
+    }
+
+    /// Both kernels of a `total`-packet run, from its start.
+    fn kernels(&self, total: u64) -> Vec<KernelDesc> {
+        let resources = ResourceUsage::new(self.wavefront as u32, 128, 1024);
+        vec![
+            KernelDesc::new(
+                "rate_producer",
+                resources,
+                CHAIN_WGS,
+                self.producer(0, total),
+            )
+            .writes_channel(self.ch),
+            KernelDesc::new("rate_consumer", resources, CHAIN_WGS, self.consumer())
+                .reads_channel(self.ch),
+        ]
+    }
 }
 
 /// Measure the *bounded-buffer* steady channel rate: a minimal-compute
@@ -181,67 +286,74 @@ pub fn run_channel_rate(
     data_bytes: u64,
 ) -> CalibrationPoint {
     let mut sim = Simulator::new(spec.clone());
-    let ch = sim.create_channel(n, packet_bytes);
-    let out = sim.mem.alloc(256, RegionClass::Output, "rate-out");
-    let out_base = sim.mem.base(out);
-    let total_packets = data_bytes.div_ceil(packet_bytes as u64).max(1);
-    let wavefront = spec.wavefront_size as u64;
+    let chain = RateChain::new(&mut sim, n, packet_bytes);
+    let profile = sim.run(chain.kernels(packets(data_bytes, packet_bytes)));
+    point(spec, n, packet_bytes, data_bytes, profile.elapsed_cycles)
+}
 
-    let mut produced = 0u64;
-    let producer = move |view: &dyn ChannelView| {
-        if produced == total_packets {
-            return Work::Done;
-        }
-        let k = view
-            .space(ch)
-            .min(PRODUCER_BATCH)
-            .min(total_packets - produced);
-        if k == 0 {
-            return Work::Wait;
-        }
-        produced += k;
-        Work::Unit(
-            WorkUnit {
-                compute_insts: k.div_ceil(wavefront),
-                ..Default::default()
-            }
-            .push(ch, k),
-        )
+/// How far below a smaller size's packet count a ladder's pushed count
+/// must stay for its next step to be shared with that size's run. A step
+/// polls the producer only while fewer than `CHAIN_WGS` of its
+/// work-groups are in flight, so its polls see at most `CHAIN_WGS - 1`
+/// batches pushed past the boundary, and the producer reads its total
+/// only once fewer than a batch remain: `CHAIN_WGS` batches suffice, and
+/// one more is slack.
+const LADDER_MARGIN: u64 = (CHAIN_WGS as u64 + 1) * PRODUCER_BATCH;
+
+/// [`run_channel_rate`] at every size in `data_sizes`, in that order,
+/// bit-identical to each run alone, from one simulated chain: it runs
+/// at the largest size, and at every smaller size forks a copy whose
+/// producer stops there, as long as no step so far could have seen the
+/// difference.
+fn run_rate_ladder(
+    spec: &DeviceSpec,
+    n: u32,
+    packet_bytes: u32,
+    data_sizes: &[u64],
+) -> Vec<CalibrationPoint> {
+    let mut sizes = data_sizes.to_vec();
+    sizes.sort_unstable();
+    sizes.dedup();
+    let Some((&largest, smaller)) = sizes.split_last() else {
+        return Vec::new();
     };
-    let consumer = move |view: &dyn ChannelView| {
-        let avail = view.available(ch);
-        if avail == 0 {
-            return if view.eof(ch) { Work::Done } else { Work::Wait };
-        }
-        let k = avail.min(PRODUCER_BATCH);
-        Work::Unit(
-            WorkUnit {
-                compute_insts: k.div_ceil(wavefront),
-                accesses: vec![MemRange::write(out_base, 8)],
-                ..Default::default()
-            }
-            .pop(ch, k),
-        )
+    let mut sim = Simulator::new(spec.clone());
+    let chain = RateChain::new(&mut sim, n, packet_bytes);
+    let ControlFlow::Continue(mut base) = sim.begin(chain.kernels(packets(largest, packet_bytes)))
+    else {
+        unreachable!("a simulator without a fault plan admits every launch")
     };
-    let resources = ResourceUsage::new(spec.wavefront_size, 128, 1024);
-    let profile = sim.run(vec![
-        KernelDesc::new("rate_producer", resources, CHAIN_WGS, Box::new(producer))
-            .writes_channel(ch),
-        KernelDesc::new("rate_consumer", resources, CHAIN_WGS, Box::new(consumer))
-            .reads_channel(ch),
-    ]);
-    let cycles = profile.elapsed_cycles.max(1);
-    let steady = cycles
-        .saturating_sub(2 * spec.launch_cycles)
-        .max(cycles / 4);
-    CalibrationPoint {
-        n,
-        packet_bytes,
-        data_bytes,
-        cycles,
-        throughput: data_bytes as f64 / cycles as f64,
-        steady_throughput: data_bytes as f64 / steady as f64,
+    // The chain cannot stall; a deadlock panics, as in `Simulator::run`.
+    fn expect<T>(r: Result<T, DeadlockError>) -> T {
+        r.unwrap_or_else(|e| panic!("{e}"))
     }
+    // Every fork is copied into this one simulator.
+    let mut forked = Simulator::new(spec.clone());
+    // Elapsed cycles per size, in `sizes` order.
+    let mut cycles = Vec::with_capacity(sizes.len());
+    for &d in smaller {
+        let total = packets(d, packet_bytes);
+        while sim.channel_stats(chain.ch).packets_pushed + LADDER_MARGIN <= total {
+            assert!(
+                !expect(sim.step(&mut base)),
+                "the larger run outlasts every smaller one"
+            );
+        }
+        // Every step so far began inside the margin, so this boundary is
+        // still a state of `d`'s own run.
+        let pushed = sim.channel_stats(chain.ch).packets_pushed;
+        let sources = vec![chain.producer(pushed, total), chain.consumer()];
+        let launch = sim.fork(&base, sources, &mut forked);
+        cycles.push(expect(forked.complete(launch)).elapsed_cycles);
+    }
+    cycles.push(expect(sim.complete(base)).elapsed_cycles);
+    data_sizes
+        .iter()
+        .map(|&d| {
+            let i = sizes.binary_search(&d).expect("every size ran");
+            point(spec, n, packet_bytes, d, cycles[i])
+        })
+        .collect()
 }
 
 /// Which producer→consumer chain a [`Job`] runs.
@@ -253,63 +365,86 @@ pub enum Chain {
     Unbounded,
 }
 
-/// One calibration point to measure: a chain at `(n, p, d)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One chain at `(n, p)`, measured at every size in `data_sizes`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Job {
     pub chain: Chain,
     pub n: u32,
     pub packet_bytes: u32,
-    pub data_bytes: u64,
+    pub data_sizes: Vec<u64>,
 }
 
-impl Job {
-    fn run(&self, spec: &DeviceSpec) -> CalibrationPoint {
-        let run = match self.chain {
-            Chain::Rate => run_channel_rate,
-            Chain::Unbounded => run_producer_consumer,
-        };
-        run(spec, self.n, self.packet_bytes, self.data_bytes)
-    }
-}
-
-/// Run every job, on all cores, and return their points in `jobs` order.
+/// Run every job, on all cores, and return their points in `jobs` order,
+/// each job's in `data_sizes` order: every point bit-identical to its
+/// chain run alone. A [`Chain::Rate`] job is one task, a ladder over its
+/// sizes; a [`Chain::Unbounded`] job sizes its pipe from the data, so
+/// each of its points is a task of its own. The longest tasks start
+/// first.
 pub fn run_jobs(spec: &DeviceSpec, jobs: &[Job]) -> Vec<CalibrationPoint> {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     run_jobs_on(spec, jobs, workers)
 }
 
-/// [`run_jobs`] on `workers` threads, the calling one included. Workers
-/// claim jobs in descending packet count `d / p`, so the longest runs
-/// start first, and each result lands at its job's index.
+/// [`run_jobs`] on `workers` threads, the calling one included. A task is
+/// a job's run over some of its sizes; workers claim tasks in descending
+/// packet count of their largest size, so the longest runs start first,
+/// and each point lands at its own index.
 fn run_jobs_on(spec: &DeviceSpec, jobs: &[Job], workers: usize) -> Vec<CalibrationPoint> {
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| Reverse(jobs[i].data_bytes / jobs[i].packet_bytes as u64));
+    let mut tasks: Vec<(usize, Range<usize>)> = Vec::new();
+    for (j, job) in jobs.iter().enumerate() {
+        match job.chain {
+            Chain::Rate => tasks.push((j, 0..job.data_sizes.len())),
+            Chain::Unbounded => tasks.extend((0..job.data_sizes.len()).map(|i| (j, i..i + 1))),
+        }
+    }
+    tasks.sort_by_key(|(j, sizes)| {
+        let job = &jobs[*j];
+        let largest = job.data_sizes[sizes.clone()].iter().max().copied();
+        Reverse(largest.unwrap_or(0) / job.packet_bytes as u64)
+    });
+    let run = |(j, sizes): &(usize, Range<usize>)| {
+        let job = &jobs[*j];
+        let ds = &job.data_sizes[sizes.clone()];
+        match job.chain {
+            Chain::Rate => run_rate_ladder(spec, job.n, job.packet_bytes, ds),
+            Chain::Unbounded => ds
+                .iter()
+                .map(|&d| run_producer_consumer(spec, job.n, job.packet_bytes, d))
+                .collect(),
+        }
+    };
     // `Relaxed`: the counter only hands out indices; a helper's points come
     // back through `join`, which orders them before they are read.
     let next = AtomicUsize::new(0);
     let work = || {
         let mut done = Vec::new();
-        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-            done.push((i, jobs[i].run(spec)));
+        while let Some(task) = tasks.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((task, run(task)));
         }
         done
     };
-    let mut points = vec![None; jobs.len()];
+    let mut points: Vec<Vec<Option<CalibrationPoint>>> = jobs
+        .iter()
+        .map(|job| vec![None; job.data_sizes.len()])
+        .collect();
     std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..workers.min(jobs.len()))
+        let helpers: Vec<_> = (1..workers.min(tasks.len()))
             .map(|_| s.spawn(work))
             .collect();
         let mut done = work();
         for h in helpers {
             done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
-        for (i, p) in done {
-            points[i] = Some(p);
+        for ((j, sizes), pts) in done {
+            for (slot, p) in points[*j][sizes.clone()].iter_mut().zip(pts) {
+                *slot = Some(p);
+            }
         }
     });
     points
         .into_iter()
-        .map(|p| p.expect("every job claimed once"))
+        .flatten()
+        .map(|p| p.expect("every point measured once"))
         .collect()
 }
 
@@ -322,17 +457,15 @@ pub fn calibrate(
     packet_sizes: &[u32],
     data_sizes: &[u64],
 ) -> Vec<CalibrationPoint> {
-    let mut jobs = Vec::with_capacity(ns.len() * packet_sizes.len() * data_sizes.len());
+    let mut jobs = Vec::with_capacity(ns.len() * packet_sizes.len());
     for &n in ns {
         for &packet_bytes in packet_sizes {
-            for &data_bytes in data_sizes {
-                jobs.push(Job {
-                    chain: Chain::Unbounded,
-                    n,
-                    packet_bytes,
-                    data_bytes,
-                });
-            }
+            jobs.push(Job {
+                chain: Chain::Unbounded,
+                n,
+                packet_bytes,
+                data_sizes: data_sizes.to_vec(),
+            });
         }
     }
     run_jobs(spec, &jobs)
@@ -349,7 +482,7 @@ pub fn figure2_data_sizes() -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{amd_a10, nvidia_k40};
+    use crate::device::{amd_a10, cpu_host, nvidia_k40};
 
     #[test]
     fn throughput_has_inverted_u_shape_in_data_size() {
@@ -425,17 +558,24 @@ mod tests {
         let mut jobs = Vec::new();
         for chain in [Chain::Rate, Chain::Unbounded] {
             for (n, p) in [(1, 16), (4, 8), (2, 64)] {
-                for d in [64 << 10, 1 << 20, 256 << 10] {
-                    jobs.push(Job {
-                        chain,
-                        n,
-                        packet_bytes: p,
-                        data_bytes: d,
-                    });
-                }
+                jobs.push(Job {
+                    chain,
+                    n,
+                    packet_bytes: p,
+                    data_sizes: vec![64 << 10, 1 << 20, 256 << 10],
+                });
             }
         }
-        let alone: Vec<_> = jobs.iter().map(|j| bits(&j.run(&spec))).collect();
+        let mut alone = Vec::new();
+        for job in &jobs {
+            let run = match job.chain {
+                Chain::Rate => run_channel_rate,
+                Chain::Unbounded => run_producer_consumer,
+            };
+            for &d in &job.data_sizes {
+                alone.push(bits(&run(&spec, job.n, job.packet_bytes, d)));
+            }
+        }
         for workers in [1, 3, jobs.len() + 5] {
             let got: Vec<_> = run_jobs_on(&spec, &jobs, workers)
                 .iter()
@@ -444,6 +584,41 @@ mod tests {
             assert_eq!(got, alone, "{workers} workers");
         }
         assert!(run_jobs(&spec, &[]).is_empty());
+    }
+
+    #[test]
+    fn every_ladder_point_equals_its_run_alone() {
+        // Unsorted, with a duplicate. 64 KiB is below the fork margin at
+        // every packet size here, so its fork comes before the first
+        // step: a straight run.
+        let ds = [1 << 20, 64 << 10, 4 << 20, 256 << 10, 1 << 20];
+        for spec in [amd_a10(), nvidia_k40(), cpu_host()] {
+            let ps = if spec.channel.tunable_packet_size {
+                vec![8, 64]
+            } else {
+                vec![spec.channel.fixed_packet_bytes]
+            };
+            for n in [1, 4] {
+                for &p in &ps {
+                    assert!(packets(64 << 10, p) < LADDER_MARGIN);
+                    let ladder: Vec<_> =
+                        run_rate_ladder(&spec, n, p, &ds).iter().map(bits).collect();
+                    let alone: Vec<_> = ds
+                        .iter()
+                        .map(|&d| bits(&run_channel_rate(&spec, n, p, d)))
+                        .collect();
+                    assert_eq!(ladder, alone, "{} n={n} p={p}", spec.name);
+                }
+            }
+        }
+        // On a pipe this wide the first step dispatches every producer
+        // work-group, polling it up to `CHAIN_WGS - 1` batches in: a size
+        // that many batches long would clip inside that step, so the
+        // ladder must not share it.
+        let (spec, d) = (amd_a10(), (CHAIN_WGS as u64 * PRODUCER_BATCH - 1) * 8);
+        let ladder: Vec<_> = run_rate_ladder(&spec, 16, 8, &[d, 1 << 20]);
+        assert_eq!(bits(&ladder[0]), bits(&run_channel_rate(&spec, 16, 8, d)));
+        assert!(run_rate_ladder(&spec, 1, 16, &[]).is_empty());
     }
 
     #[test]

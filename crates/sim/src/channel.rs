@@ -74,6 +74,22 @@ pub struct Channel {
     pub stats: ChannelStats,
 }
 
+/// A copy keeps the committed-run queue's spare capacity, which
+/// [`Channel::begin_push`] reserved so that commits never allocate.
+impl Clone for Channel {
+    fn clone(&self) -> Self {
+        let mut avail = VecDeque::with_capacity(self.avail.capacity());
+        avail.extend(self.avail.iter().copied());
+        Channel {
+            port_free: self.port_free.clone(),
+            write_seq: self.write_seq.clone(),
+            staged: self.staged.clone(),
+            avail,
+            ..*self
+        }
+    }
+}
+
 /// `len` packets written to `port` starting at per-port sequence `seq`.
 /// Adjacent same-port runs in a queue always have contiguous sequences
 /// (per-port sequences are monotone and nothing is ever dropped), so

@@ -4,7 +4,10 @@
 //! launches: the simulated clock, the global-memory map, the data cache
 //! and the channels. [`Simulator::run`] launches a set of kernels
 //! *concurrently* (a GPL segment — or a single kernel, which is exactly
-//! KBE) and plays the discrete-event schedule to completion.
+//! KBE) and plays the discrete-event schedule to completion. Inside the
+//! crate a launch can also be played one step at a time and forked
+//! mid-flight into an independent copy, which the calibration ladders
+//! of [`mod@crate::calibrate`] use.
 //!
 //! ## Execution model
 //!
@@ -35,13 +38,14 @@ use crate::fault::{Admission, FaultPlan, FaultRecord};
 use crate::kernel::{ChannelIo, ChannelView, KernelDesc, Work};
 use crate::mem::{MemRange, MemoryMap, RegionClass};
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// Debug-build allocation sentinel for the engine's pooled structures.
 ///
 /// Every pool the steady-state event loop touches (the calendar queue's
 /// buckets, a channel's committed-run deque) bumps this thread-local
 /// counter when it is about to grow its backing storage. The event-drain
-/// phase of [`Simulator::try_run`] asserts the counter does not move
+/// phase of [`Simulator::step`] asserts the counter does not move
 /// between popping a completion event and finishing its processing —
 /// i.e. the hot loop performs zero engine-pool heap allocations per
 /// event. Release builds compile all of this out.
@@ -157,7 +161,7 @@ struct KState {
 }
 
 /// The region an address was last found in, as the per-range
-/// accounting in [`Simulator::try_run`] needs it: bounds to test the
+/// accounting in [`Simulator::step`] needs it: bounds to test the
 /// next address against, class index to count under, id for the
 /// footprint.
 #[derive(Clone, Copy)]
@@ -186,6 +190,7 @@ struct Cu {
 }
 
 /// A scheduled work-group completion, ordered by `(time, seq)`.
+#[derive(Clone)]
 struct Ev {
     time: u64,
     seq: u64,
@@ -212,7 +217,7 @@ const NUM_BUCKETS: usize = 1024;
 /// Completion times are never below the device clock (the last popped
 /// time), so the scan position `cur` only moves forward; pushed events
 /// always belong to `cur` or later.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct EventQueue {
     buckets: Vec<Vec<Ev>>,
     /// Bucket ordinal (`time >> BUCKET_SHIFT`, unmasked) of the scan
@@ -303,12 +308,13 @@ impl EventQueue {
 }
 
 /// Reusable per-launch working memory, owned by the [`Simulator`] and
-/// taken (`std::mem::take`) for the duration of one [`Simulator::try_run`]
-/// so the borrow checker sees it as independent of `self`. Pooling these
+/// taken (`std::mem::take`) into the [`Launch`] from
+/// [`Simulator::begin`] to [`Simulator::finish`], so the borrow checker
+/// sees it as independent of `self`. Pooling these
 /// across launches removes every per-launch `Vec` rebuild from the hot
 /// path; together with the calendar queue it makes the steady-state event
 /// loop allocation-free (asserted in debug builds via [`alloc_guard`]).
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct SimScratch {
     events: EventQueue,
     /// Residency allocator scratch (Eq. 2): per-kernel want/granted.
@@ -326,6 +332,41 @@ struct SimScratch {
     lane_queue: VecDeque<usize>,
     /// Per-work-unit access staging (channel traffic + unit accesses).
     acc: Vec<MemRange>,
+}
+
+/// A launch in flight, between [`Simulator::begin`] and
+/// [`Simulator::finish`]: the kernels' run state, the pooled working
+/// memory (event queue, CU and lane state) and the profile and counters
+/// accumulated so far. Everything else the launch touches lives in the
+/// [`Simulator`].
+pub(crate) struct Launch {
+    st: Vec<KState>,
+    scr: SimScratch,
+    profile: LaunchProfile,
+    start: u64,
+    /// Sequence number of the last scheduled completion event.
+    seq: u64,
+    /// Kernels done and drained.
+    finished: usize,
+    /// In-flight work-groups, and the clock the occupancy integral was
+    /// last advanced to.
+    inflight_total: u64,
+    last_occ_update: u64,
+    /// Per-class byte counters as flat arrays (indexed by
+    /// `RegionClass::index`), flushed into the profile's maps once at
+    /// launch end instead of a BTreeMap probe per range.
+    class_read: [u64; RegionClass::COUNT],
+    class_written: [u64; RegionClass::COUNT],
+    class_footprint: [u64; RegionClass::COUNT],
+    /// Memo of the region the last range fell in — work units touch runs
+    /// of ranges in the same region — and of the region last written.
+    region: RegionMemo,
+    last_written: u32,
+    /// A fault admitted under `fail_progress > 0`, charged at the end
+    /// (record, fraction, detection cost).
+    deferred_fail: Option<(FaultRecord, f64, u64)>,
+    /// Kernel names for trace spans, while tracing.
+    trace_names: Option<Vec<std::sync::Arc<str>>>,
 }
 
 impl Simulator {
@@ -511,6 +552,16 @@ impl Simulator {
     /// dump) instead of panicking. On error the launch is abandoned
     /// mid-flight; the simulator should be discarded, not relaunched.
     pub fn try_run(&mut self, kernels: Vec<KernelDesc>) -> Result<LaunchProfile, DeadlockError> {
+        match self.begin(kernels) {
+            ControlFlow::Continue(launch) => self.complete(launch),
+            ControlFlow::Break(stub) => Ok(stub),
+        }
+    }
+
+    /// Admit `kernels` and set up their launch without polling any
+    /// source. `Break` carries the profile of a launch that ended at
+    /// fault admission.
+    pub(crate) fn begin(&mut self, kernels: Vec<KernelDesc>) -> ControlFlow<LaunchProfile, Launch> {
         assert!(!kernels.is_empty(), "launching zero kernels");
         // Fault admission (see `crate::fault`): decided BEFORE any
         // `WorkSource` is polled, so a failed launch has zero functional
@@ -518,7 +569,7 @@ impl Simulator {
         // on. While a fault is pending collection, the segment is
         // aborting: subsequent launches return stubs immediately.
         if self.pending_fault.is_some() {
-            return Ok(LaunchProfile {
+            return ControlFlow::Break(LaunchProfile {
                 start_cycle: self.clock,
                 num_cus: self.spec.num_cus,
                 max_wavefronts: self.spec.max_wavefronts(),
@@ -526,9 +577,9 @@ impl Simulator {
             });
         }
         // A fault admitted under `fail_progress > 0` surfaces mid-launch
-        // instead of at admission: the launch simulates normally below,
-        // then the deferred record fails it after charging the executed
-        // fraction (record, fraction, detection cost).
+        // instead of at admission: the launch simulates normally, then
+        // `finish` fails it on the deferred record after charging the
+        // executed fraction (record, fraction, detection cost).
         let mut deferred_fail: Option<(FaultRecord, f64, u64)> = None;
         if let Some(plan) = self.faults.as_mut() {
             let clock = self.clock;
@@ -601,7 +652,7 @@ impl Simulator {
                     }
                     let elapsed = self.clock - start;
                     self.pending_fault = Some(record);
-                    return Ok(LaunchProfile {
+                    return ControlFlow::Break(LaunchProfile {
                         start_cycle: start,
                         elapsed_cycles: elapsed,
                         num_cus: self.spec.num_cus,
@@ -614,8 +665,8 @@ impl Simulator {
         let start = self.clock;
         let num_cus = self.spec.num_cus as usize;
         // Take the pooled working memory for the duration of the launch
-        // (restored at every exit below), so borrows of its pools are
-        // independent of `self`.
+        // (returned by `finish`), so borrows of its pools are independent
+        // of `self`.
         let mut scr = std::mem::take(&mut self.scratch);
         scr.want.resize(kernels.len(), 0);
         scr.res.resize(kernels.len(), 0);
@@ -643,7 +694,7 @@ impl Simulator {
             }
         }
 
-        let mut st: Vec<KState> = kernels
+        let st: Vec<KState> = kernels
             .into_iter()
             .enumerate()
             .map(|(i, k)| KState {
@@ -681,8 +732,6 @@ impl Simulator {
             },
         );
         scr.events.reset(start);
-        let mut seq = 0u64;
-        let mut finished = 0usize;
         let total = st.len();
         scr.inflight_per_cu.clear();
         scr.inflight_per_cu.resize(total * num_cus, 0);
@@ -692,30 +741,65 @@ impl Simulator {
         scr.lane_queue.clear();
         scr.lane_queue.extend(total.min(c_lanes)..total);
 
-        let mut profile = LaunchProfile {
-            start_cycle: start,
-            num_cus: self.spec.num_cus,
-            max_wavefronts: self.spec.max_wavefronts(),
-            ..Default::default()
-        };
-        let mut inflight_total = 0u64;
-        let mut last_occ_update = start;
-        // Per-class byte counters as flat arrays (indexed by
-        // `RegionClass::index`), flushed into the profile's maps once at
-        // launch end instead of a BTreeMap probe per range.
-        let mut class_read = [0u64; RegionClass::COUNT];
-        let mut class_written = [0u64; RegionClass::COUNT];
-        let mut class_footprint = [0u64; RegionClass::COUNT];
-        // Memo of the region the last range fell in — work units touch
-        // runs of ranges in the same region — and of the region last
-        // written.
-        let mut region = RegionMemo::UNMAPPED;
-        let mut last_written = u32::MAX;
+        ControlFlow::Continue(Launch {
+            st,
+            scr,
+            profile: LaunchProfile {
+                start_cycle: start,
+                num_cus: self.spec.num_cus,
+                max_wavefronts: self.spec.max_wavefronts(),
+                ..Default::default()
+            },
+            start,
+            seq: 0,
+            finished: 0,
+            inflight_total: 0,
+            last_occ_update: start,
+            class_read: [0; RegionClass::COUNT],
+            class_written: [0; RegionClass::COUNT],
+            class_footprint: [0; RegionClass::COUNT],
+            region: RegionMemo::UNMAPPED,
+            last_written: u32::MAX,
+            deferred_fail,
+            trace_names,
+        })
+    }
+
+    /// Run `launch` to its end: [`Simulator::step`] until every kernel
+    /// has finished, then [`Simulator::finish`].
+    pub(crate) fn complete(&mut self, mut launch: Launch) -> Result<LaunchProfile, DeadlockError> {
+        while !self.step(&mut launch)? {}
+        Ok(self.finish(launch))
+    }
+
+    /// One schedule pass (dispatch everything that can dispatch), then
+    /// one drained completion event. Returns `true`, draining nothing,
+    /// once every kernel has finished.
+    pub(crate) fn step(&mut self, launch: &mut Launch) -> Result<bool, DeadlockError> {
+        let Launch {
+            st,
+            scr,
+            profile,
+            seq,
+            finished,
+            inflight_total,
+            last_occ_update,
+            class_read,
+            class_written,
+            class_footprint,
+            region,
+            last_written,
+            trace_names,
+            ..
+        } = launch;
+        let num_cus = self.spec.num_cus as usize;
+        let total = st.len();
+        let c_lanes = self.spec.concurrency as usize;
 
         macro_rules! occ_tick {
             ($now:expr) => {
-                profile.inflight_integral += inflight_total * ($now - last_occ_update);
-                last_occ_update = $now;
+                profile.inflight_integral += *inflight_total * ($now - *last_occ_update);
+                *last_occ_update = $now;
             };
         }
 
@@ -834,7 +918,7 @@ impl Simulator {
                                             continue;
                                         }
                                         if r.addr.wrapping_sub(region.base) >= region.bytes {
-                                            region = self.mem.region_at(r.addr).map_or(
+                                            *region = self.mem.region_at(r.addr).map_or(
                                                 RegionMemo::UNMAPPED,
                                                 |(id, reg)| RegionMemo {
                                                     base: reg.base,
@@ -853,8 +937,8 @@ impl Simulator {
                                         // its first write; `last_written`
                                         // keeps a run of writes to one
                                         // region off the seen-table.
-                                        if region.id != last_written {
-                                            last_written = region.id;
+                                        if region.id != *last_written {
+                                            *last_written = region.id;
                                             let seen = &mut self.footprint_seen;
                                             let i = region.id as usize;
                                             if region.id != u32::MAX {
@@ -907,7 +991,7 @@ impl Simulator {
                                     scr.inflight_per_cu[k * num_cus + cu] += 1;
                                     s.prof.peak_inflight = s.prof.peak_inflight.max(s.inflight);
                                     occ_tick!(self.clock);
-                                    inflight_total += 1;
+                                    *inflight_total += 1;
                                     if let Some(tr) = self.trace.as_mut() {
                                         tr.push(crate::timeline::TraceSpan {
                                             kernel: trace_names.as_ref().expect("names")[k].clone(),
@@ -916,10 +1000,10 @@ impl Simulator {
                                             end: me,
                                         });
                                     }
-                                    seq += 1;
+                                    *seq += 1;
                                     scr.events.push(Ev {
                                         time: me,
-                                        seq,
+                                        seq: *seq,
                                         kernel: k,
                                         cu,
                                         pushes: u.pushes,
@@ -933,7 +1017,7 @@ impl Simulator {
                             st[k].finished = true;
                             st[k].idle_since = None;
                             st[k].prof.last_complete = st[k].prof.last_complete.max(self.clock);
-                            finished += 1;
+                            *finished += 1;
                             for ch in st[k].outputs.clone() {
                                 self.channels[ch.0 as usize].set_eof();
                                 let c = scr.consumer[ch.0 as usize];
@@ -992,67 +1076,83 @@ impl Simulator {
             }};
         }
 
-        loop {
-            schedule!();
-            if finished == total {
-                break;
-            }
-            let Some(ev) = scr.events.pop_min() else {
-                let mut diag = String::new();
-                for s in &st {
-                    diag.push_str(&format!(
-                        "\n  kernel {:<20} done={} finished={} blocked={} inflight={}",
-                        s.name, s.done, s.finished, s.blocked, s.inflight
-                    ));
-                }
-                for (i, c) in self.channels.iter().enumerate() {
-                    diag.push_str(&format!(
-                        "\n  channel {i}: avail={} space={} eof={}",
-                        c.available(),
-                        c.space(),
-                        c.eof()
-                    ));
-                }
-                self.scratch = scr;
-                return Err(DeadlockError {
-                    cycle: self.clock,
-                    diagnostic: diag,
-                });
-            };
-            // Drain phase: from here to the end of the iteration the
-            // engine's pools must not grow (the channels pre-reserved
-            // their committed-run capacity at dispatch).
-            #[cfg(debug_assertions)]
-            let guard0 = alloc_guard::count();
-            debug_assert!(ev.time >= self.clock, "time must be monotone");
-            occ_tick!(ev.time);
-            self.clock = ev.time;
-            let k = ev.kernel;
-            inflight_total -= 1;
-            st[k].inflight -= 1;
-            scr.inflight_per_cu[k * num_cus + ev.cu] -= 1;
-            st[k].prof.last_complete = self.clock;
-            for io in &ev.pushes {
-                self.channels[io.channel.0 as usize].commit_push(self.clock, io.packets);
-                chan_sample!(io.channel, self.clock);
-                let c = scr.consumer[io.channel.0 as usize];
-                if c != u32::MAX {
-                    st[c as usize].blocked = false;
-                }
-            }
-            if st[k].inflight == 0 && !st[k].done {
-                st[k].idle_since = Some(self.clock);
-            }
-            // A completed unit may unblock its own kernel (slot freed).
-            st[k].blocked = false;
-            #[cfg(debug_assertions)]
-            debug_assert_eq!(
-                alloc_guard::count(),
-                guard0,
-                "steady-state event processing must not allocate in engine pools"
-            );
+        schedule!();
+        if *finished == total {
+            return Ok(true);
         }
+        let Some(ev) = scr.events.pop_min() else {
+            let mut diag = String::new();
+            for s in st.iter() {
+                diag.push_str(&format!(
+                    "\n  kernel {:<20} done={} finished={} blocked={} inflight={}",
+                    s.name, s.done, s.finished, s.blocked, s.inflight
+                ));
+            }
+            for (i, c) in self.channels.iter().enumerate() {
+                diag.push_str(&format!(
+                    "\n  channel {i}: avail={} space={} eof={}",
+                    c.available(),
+                    c.space(),
+                    c.eof()
+                ));
+            }
+            return Err(DeadlockError {
+                cycle: self.clock,
+                diagnostic: diag,
+            });
+        };
+        // Drain phase: from here to the end of the step the engine's
+        // pools must not grow (the channels pre-reserved their
+        // committed-run capacity at dispatch).
+        #[cfg(debug_assertions)]
+        let guard0 = alloc_guard::count();
+        debug_assert!(ev.time >= self.clock, "time must be monotone");
+        occ_tick!(ev.time);
+        self.clock = ev.time;
+        let k = ev.kernel;
+        *inflight_total -= 1;
+        st[k].inflight -= 1;
+        scr.inflight_per_cu[k * num_cus + ev.cu] -= 1;
+        st[k].prof.last_complete = self.clock;
+        for io in &ev.pushes {
+            self.channels[io.channel.0 as usize].commit_push(self.clock, io.packets);
+            chan_sample!(io.channel, self.clock);
+            let c = scr.consumer[io.channel.0 as usize];
+            if c != u32::MAX {
+                st[c as usize].blocked = false;
+            }
+        }
+        if st[k].inflight == 0 && !st[k].done {
+            st[k].idle_since = Some(self.clock);
+        }
+        // A completed unit may unblock its own kernel (slot freed).
+        st[k].blocked = false;
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            alloc_guard::count(),
+            guard0,
+            "steady-state event processing must not allocate in engine pools"
+        );
+        Ok(false)
+    }
 
+    /// Close a launch [`Simulator::step`] reported done: charge any
+    /// slowdown or deferred fault, fill in the profile and hand the
+    /// pooled working memory back.
+    pub(crate) fn finish(&mut self, launch: Launch) -> LaunchProfile {
+        let Launch {
+            st,
+            scr,
+            mut profile,
+            start,
+            finished,
+            class_read,
+            class_written,
+            class_footprint,
+            deferred_fail,
+            ..
+        } = launch;
+        debug_assert_eq!(finished, st.len(), "finishing a running launch");
         profile.elapsed_cycles = self.clock - start;
         // Gray-failure surcharge: the part of the launch overlapping a
         // slowdown window ran at degraded throughput. Charged after the
@@ -1072,7 +1172,7 @@ impl Simulator {
         // detection point and the caller sees a pending fault. The
         // launch's outputs were produced, so they are poisoned; the
         // recovery layer discards a failed attempt's outputs wholesale.
-        let confirmed_fail = deferred_fail.take().filter(|(record, _, _)| {
+        let confirmed_fail = deferred_fail.filter(|(record, _, _)| {
             self.faults
                 .as_mut()
                 .expect("deferred fault implies an attached plan")
@@ -1147,7 +1247,72 @@ impl Simulator {
                 );
             }
         }
-        Ok(profile)
+        profile
+    }
+
+    /// Make `into` a copy of this simulator, reusing its buffers, and
+    /// return a copy of the unfinished `launch` that runs on it
+    /// independently of both originals, its kernels polling `sources`
+    /// (one per kernel, in launch order) from here on. When every source
+    /// stands where its original stands, the copy finishes exactly as
+    /// the original would. Refuses a simulator with a recorder, fault
+    /// plan or trace attached: their state lives outside it.
+    pub(crate) fn fork(
+        &self,
+        launch: &Launch,
+        sources: Vec<Box<dyn crate::kernel::WorkSource>>,
+        into: &mut Simulator,
+    ) -> Launch {
+        assert!(
+            self.recorder.is_none() && self.faults.is_none() && self.trace.is_none(),
+            "only a simulator without recorder, fault plan or trace forks"
+        );
+        assert_eq!(sources.len(), launch.st.len(), "one source per kernel");
+        let Simulator {
+            spec,
+            mem,
+            cache,
+            channels,
+            clock,
+            footprint_seen,
+            trace,
+            recorder,
+            chan_counters,
+            faults,
+            pending_fault,
+            slow_until,
+            slow_factor,
+            scratch: _,
+        } = into;
+        spec.clone_from(&self.spec);
+        mem.clone_from(&self.mem);
+        cache.clone_from(&self.cache);
+        channels.clone_from(&self.channels);
+        *clock = self.clock;
+        footprint_seen.clone_from(&self.footprint_seen);
+        chan_counters.clone_from(&self.chan_counters);
+        (*trace, *recorder, *faults, *pending_fault) = (None, None, None, None);
+        (*slow_until, *slow_factor) = (self.slow_until, self.slow_factor);
+        let st = launch
+            .st
+            .iter()
+            .zip(sources)
+            .map(|(s, source)| KState {
+                name: s.name.clone(),
+                outputs: s.outputs.clone(),
+                source,
+                prof: s.prof.clone(),
+                ..*s
+            })
+            .collect();
+        Launch {
+            st,
+            scr: launch.scr.clone(),
+            profile: launch.profile.clone(),
+            deferred_fail: None,
+            trace_names: None,
+            ..*launch
+        }
     }
 }
 
@@ -1155,7 +1320,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::device::{amd_a10, nvidia_k40};
-    use crate::kernel::{KernelDesc, ResourceUsage, WorkUnit};
+    use crate::kernel::{KernelDesc, ResourceUsage, WorkSource, WorkUnit};
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -1400,6 +1565,115 @@ mod tests {
         // counts of the launch, pinned.
         assert_eq!(units, vec![157, 157]);
         assert_eq!(p.elapsed_cycles, 45_744, "final clock is pinned");
+    }
+
+    /// Producer and consumer of a bounded chain of `total` packets, the
+    /// producer `pushed` packets in. The count is the producer's only
+    /// state, so sources built from a channel's pushed count stand where
+    /// the chain's own sources stand.
+    fn chain_sources(ch: ChannelId, out: u64, pushed: u64, total: u64) -> Vec<Box<dyn WorkSource>> {
+        let mut produced = pushed;
+        let prod = move |view: &dyn ChannelView| {
+            if produced == total {
+                return Work::Done;
+            }
+            let k = view.space(ch).min(96).min(total - produced);
+            if k == 0 {
+                return Work::Wait;
+            }
+            produced += k;
+            Work::Unit(
+                WorkUnit {
+                    compute_insts: 4 * k,
+                    ..Default::default()
+                }
+                .push(ch, k),
+            )
+        };
+        let cons = move |view: &dyn ChannelView| {
+            let avail = view.available(ch);
+            if avail == 0 {
+                return if view.eof(ch) { Work::Done } else { Work::Wait };
+            }
+            let k = avail.min(64);
+            Work::Unit(
+                WorkUnit {
+                    compute_insts: 2 * k,
+                    accesses: vec![MemRange::write(out, 8)],
+                    ..Default::default()
+                }
+                .pop(ch, k),
+            )
+        };
+        vec![Box::new(prod), Box::new(cons)]
+    }
+
+    #[test]
+    fn a_forked_launch_finishes_as_the_unforked_one() {
+        const TOTAL: u64 = 6_000;
+        let begin = || {
+            let mut sim = Simulator::new(amd_a10());
+            let ch = sim.create_channel(4, 16);
+            let out = sim.mem.alloc(256, RegionClass::Output, "out");
+            let out = sim.mem.base(out);
+            let mut sources = chain_sources(ch, out, 0, TOTAL).into_iter();
+            let kernels = vec![
+                KernelDesc::new("producer", res(), 16, sources.next().unwrap()).writes_channel(ch),
+                KernelDesc::new("consumer", res(), 16, sources.next().unwrap()).reads_channel(ch),
+            ];
+            let ControlFlow::Continue(launch) = sim.begin(kernels) else {
+                unreachable!("no fault plan")
+            };
+            (sim, launch, ch, out)
+        };
+        let end = |sim: &Simulator, p: &LaunchProfile, ch| {
+            let cum = sim.cache.cum;
+            (
+                format!("{p:?}"),
+                sim.clock(),
+                format!("{cum:?}"),
+                format!("{:?}", sim.channel_stats(ch)),
+            )
+        };
+        let (mut sim, mut launch, ch, _) = begin();
+        let mut events = 0;
+        while !sim.step(&mut launch).unwrap() {
+            events += 1;
+        }
+        let p = sim.finish(launch);
+        let want = end(&sim, &p, ch);
+        assert!(events > 100, "{events} events");
+        // One simulator, of another device, takes every fork in turn.
+        let mut copy = Simulator::new(nvidia_k40());
+        for k in [0, 1, events / 2, events] {
+            let (mut sim, mut launch, ch, out) = begin();
+            for _ in 0..k {
+                assert!(!sim.step(&mut launch).unwrap());
+            }
+            let pushed = sim.channel_stats(ch).packets_pushed;
+            let forked = sim.fork(&launch, chain_sources(ch, out, pushed, TOTAL), &mut copy);
+            let p = copy.complete(forked).unwrap();
+            assert_eq!(
+                end(&copy, &p, ch),
+                want,
+                "fork after {k} of {events} events"
+            );
+            let p = sim.complete(launch).unwrap();
+            assert_eq!(end(&sim, &p, ch), want, "original after a fork at {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only a simulator without recorder, fault plan or trace forks")]
+    fn a_recorded_launch_does_not_fork() {
+        let mut sim = Simulator::new(amd_a10());
+        sim.attach_recorder(gpl_obs::Recorder::new());
+        let k = scan_kernel(&mut sim, 1 << 16, 4);
+        let ControlFlow::Continue(launch) = sim.begin(vec![k]) else {
+            unreachable!("no fault plan")
+        };
+        let src = |_: &dyn ChannelView| Work::Done;
+        sim.fork(&launch, vec![Box::new(src)], &mut Simulator::new(amd_a10()));
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl MemRange {
 /// Regions are aligned to 256 bytes (a cache-line multiple) so that
 /// distinct buffers never share a line, matching how GPU allocators align
 /// buffers.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MemoryMap {
     regions: Vec<Region>,
     next: u64,
