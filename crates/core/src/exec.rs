@@ -253,32 +253,16 @@ impl QueryRun {
 ///
 /// This is the single-query entry point used by benchmarks and tests,
 /// where a deadlock is a bug worth aborting on. Servers should call
-/// [`try_run_query`], which keeps the process alive and the diagnostic
-/// intact.
+/// [`try_run_query_recovering`], which keeps the process alive and the
+/// diagnostic intact.
 pub fn run_query(
     ctx: &mut ExecContext,
     plan: &QueryPlan,
     mode: ExecMode,
     config: &QueryConfig,
 ) -> QueryRun {
-    try_run_query(ctx, plan, mode, config, &ExecLimits::none()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Run `plan` under `mode` with `config`, subject to `limits`, with no
-/// recovery: the first injected fault (if a fault plan is attached)
-/// surfaces as an error. See [`try_run_query_recovering`].
-///
-/// Errors leave the context usable for the next query: the simulator's
-/// clock and memory map survive, and the serving layer discards the
-/// per-query state (hash tables, aggregate stores) with the locals here.
-pub fn try_run_query(
-    ctx: &mut ExecContext,
-    plan: &QueryPlan,
-    mode: ExecMode,
-    config: &QueryConfig,
-    limits: &ExecLimits,
-) -> Result<QueryRun, ExecError> {
-    try_run_query_recovering(ctx, plan, mode, config, limits, None)
+    try_run_query_recovering(ctx, plan, mode, config, &ExecLimits::none(), None)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// What one query asks of a device pool: the borrowed, immutable inputs
@@ -395,13 +379,18 @@ impl HtCache {
     }
 }
 
-/// [`try_run_query`] with the recovery stack enabled: per-stage retries
+/// Run `plan` under `mode` with `config`, subject to `limits`. With a
+/// `recovery` policy the recovery stack is enabled: per-stage retries
 /// with deterministic exponential backoff, graceful degradation down the
 /// GPL → GPL-w/o-CE → KBE ladder, and a disarmed last-resort KBE attempt
-/// (see [`crate::recover`]). `recovery: None` disables recovery.
+/// (see [`crate::recover`]). With `None`, the first injected fault (if a
+/// fault plan is attached) surfaces as an error.
 ///
 /// Recovered runs return bit-identical rows to fault-free runs — faults
 /// cost cycles (`QueryRun::recovery.wasted_cycles`), never correctness.
+/// Errors leave the context usable for the next query: the simulator's
+/// clock and memory map survive, and the serving layer discards the
+/// per-query state (hash tables, aggregate stores) with the locals here.
 pub fn try_run_query_recovering(
     ctx: &mut ExecContext,
     plan: &QueryPlan,
@@ -453,21 +442,26 @@ pub fn try_run_query_cached(
 }
 
 /// One attempt at one stage on one mode — the only way a stage runs.
-/// Fresh blocking outputs are created *per attempt*, every range of
-/// `part` (the whole driver, a checkpoint slice, a shard's partition)
-/// accumulates into them, and the terminal state is handed back owned,
-/// for the caller to install or merge only on success. An injected fault
-/// surfaces as the corresponding [`ExecError`] variant. `GplPipelined`
-/// runs the plain GPL pipeline: a lone stage has no pair to overlap with.
+/// Fresh blocking outputs are created *per attempt*, the part's `rows`
+/// (the whole driver, a checkpoint slice or a shard) accumulate into
+/// them, and the terminal state is handed back owned, for the caller to
+/// install or merge only on success. An empty part (a shard past the
+/// last row) still creates its outputs, since that allocation places
+/// every later one, but launches nothing. An injected fault surfaces as
+/// the corresponding [`ExecError`] variant. `GplPipelined` runs the plain
+/// GPL pipeline: a lone stage has no pair to overlap with.
 pub(crate) fn attempt_stage(
     ctx: &mut ExecContext,
     run: &StageRun,
     mode: ExecMode,
-    part: &[Range<usize>],
+    rows: Range<usize>,
 ) -> Result<StageOut, ExecError> {
     debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a stage");
     let (stage, ir, hts) = (run.stage(), run.ir, run.hts);
     let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, stage);
+    if rows.is_empty() {
+        return Ok((LaunchProfile::default(), Blocking::owned(build, agg)));
+    }
     let build_rc = build.as_ref().map(|(_, t)| t);
     // The kernel-at-a-time modes differ in one policy, chosen here only.
     let sel = if mode == ExecMode::Ocelot {
@@ -475,58 +469,35 @@ pub(crate) fn attempt_stage(
     } else {
         Selection::Compact
     };
-    // A lone range's profile comes back as launched (stamps in device
-    // cycles, like any single launch); only further ranges merge.
-    let mut profile: Option<LaunchProfile> = None;
-    for range in part {
-        let p = match mode {
-            ExecMode::Kbe | ExecMode::Ocelot => kbe::run_stage_range(
-                ctx,
-                ir,
-                stage,
-                hts,
-                build_rc,
-                agg.as_ref(),
-                range.clone(),
-                sel,
-            ),
-            ExecMode::GplNoCe => {
-                let tiling = Tiling::by_bytes(range.len(), ir.row_bytes, run.cfg().tile_bytes);
-                let mut p = LaunchProfile::default();
-                for tile in tiling.iter() {
-                    p.merge(&kbe::run_stage_range(
-                        ctx,
-                        ir,
-                        stage,
-                        hts,
-                        build_rc,
-                        agg.as_ref(),
-                        range.start + tile.start..range.start + tile.end,
-                        sel,
-                    ));
-                }
-                p
+    let profile = match mode {
+        ExecMode::Kbe | ExecMode::Ocelot => {
+            kbe::run_stage_range(ctx, ir, stage, hts, build_rc, agg.as_ref(), rows, sel)
+        }
+        ExecMode::GplNoCe => {
+            let tiling = Tiling::by_bytes(rows.len(), ir.row_bytes, run.cfg().tile_bytes);
+            let mut p = LaunchProfile::default();
+            for tile in tiling.iter() {
+                p.merge(&kbe::run_stage_range(
+                    ctx,
+                    ir,
+                    stage,
+                    hts,
+                    build_rc,
+                    agg.as_ref(),
+                    rows.start + tile.start..rows.start + tile.end,
+                    sel,
+                ));
             }
-            ExecMode::Gpl | ExecMode::GplPipelined => gpl::run_stage_range(
-                ctx,
-                ir,
-                stage,
-                hts,
-                build_rc,
-                agg.as_ref(),
-                run.cfg(),
-                range.clone(),
-            )?,
-        };
-        match profile.as_mut() {
-            Some(merged) => merged.merge(&p),
-            None => profile = Some(p),
+            p
         }
-        if let Some(record) = ctx.sim.take_fault() {
-            return Err(ExecError::from_fault(record));
+        ExecMode::Gpl | ExecMode::GplPipelined => {
+            gpl::run_stage_range(ctx, ir, stage, hts, build_rc, agg.as_ref(), run.cfg(), rows)?
         }
+    };
+    if let Some(record) = ctx.sim.take_fault() {
+        return Err(ExecError::from_fault(record));
     }
-    Ok((profile.unwrap_or_default(), Blocking::owned(build, agg)))
+    Ok((profile, Blocking::owned(build, agg)))
 }
 
 /// Fresh blocking outputs (hash table / aggregate store) for one attempt
@@ -674,7 +645,8 @@ pub(crate) fn run_pair_fused(
 }
 
 /// Slice-checkpoint execution of one part of a stage (DESIGN.md §11):
-/// each of `slices` runs down `ladder` into *fresh* per-slice blocking
+/// `rows` cut into `slices` balanced ranges (empty cuts dropped), each
+/// run down `ladder` into *fresh* per-slice blocking
 /// outputs that merge into the part's accumulated state only on success
 /// — the launch-admission invariant applied per slice. After every
 /// merge, a content checkpoint (the accumulated state's fingerprint) is
@@ -688,9 +660,13 @@ pub(crate) fn run_stage_checkpointed(
     run: &StageRun,
     mode: ExecMode,
     ladder: &Ladder,
-    slices: &[Range<usize>],
+    rows: Range<usize>,
+    slices: u32,
     stats: &mut RecoveryStats,
 ) -> Result<(StageOut, ExecMode), ExecError> {
+    let cuts = ShardPlan::range(slices as usize).partition(rows.len());
+    let slices = (cuts.into_iter().filter(|c| !c.is_empty()))
+        .map(|c| rows.start + c.start..rows.start + c.end);
     // Accumulated blocking state: created ONCE and kept across slice
     // attempts — sound because a faulted slice attempt only ever built
     // its own (dropped) per-slice outputs.
@@ -703,12 +679,11 @@ pub(crate) fn run_stage_checkpointed(
 
     // `verified`: slices merged and checksummed so far.
     for (verified, slice) in (0u64..).zip(slices) {
-        let part = std::slice::from_ref(slice);
         // An armed success also reports its cycles, which later faults
         // count as saved; the disarmed last resort reports none.
         let attempt = |ctx: &mut ExecContext, m| {
             let c0 = ctx.sim.clock();
-            let out = attempt_stage(ctx, run, m, part)?;
+            let out = attempt_stage(ctx, run, m, slice.clone())?;
             let armed = ctx.sim.faults_armed();
             Ok((out, if armed { ctx.sim.clock() - c0 } else { 0 }))
         };
@@ -880,14 +855,9 @@ mod tests {
         let plan = crate::plan::plan_for(&db, gpl_tpch::QueryId::Q5);
         let mut ctx = ExecContext::new(amd_a10(), db);
         let cfg = QueryConfig::default_for(&amd_a10(), &plan);
-        let err = try_run_query(
-            &mut ctx,
-            &plan,
-            ExecMode::Kbe,
-            &cfg,
-            &ExecLimits::with_max_cycles(1),
-        )
-        .unwrap_err();
+        let limits = ExecLimits::with_max_cycles(1);
+        let err = try_run_query_recovering(&mut ctx, &plan, ExecMode::Kbe, &cfg, &limits, None)
+            .unwrap_err();
         match err {
             ExecError::Timeout {
                 budget_cycles,
@@ -911,7 +881,8 @@ mod tests {
             max_cycles: None,
             cancel: Some(flag),
         };
-        let err = try_run_query(&mut ctx, &plan, ExecMode::Kbe, &cfg, &limits).unwrap_err();
+        let err = try_run_query_recovering(&mut ctx, &plan, ExecMode::Kbe, &cfg, &limits, None)
+            .unwrap_err();
         assert_eq!(err, ExecError::Cancelled);
     }
 

@@ -41,8 +41,8 @@ pub mod shard;
 
 pub use error::ExecError;
 pub use exec::{
-    run_query, try_run_query, try_run_query_cached, try_run_query_recovering, ExecContext,
-    ExecLimits, ExecMode, HtCache, QueryConfig, QueryRun, StageConfig,
+    run_query, try_run_query_cached, try_run_query_recovering, ExecContext, ExecLimits, ExecMode,
+    HtCache, QueryConfig, QueryRun, StageConfig,
 };
 pub use expr::{CmpOp, Expr, Pred, Slot};
 pub use ht::AggKind;
@@ -53,5 +53,5 @@ pub use segment::{
 };
 pub use shard::{
     try_run_query_sharded, DeviceKind, DevicePool, DeviceRun, HedgePlan, PoolDevice,
-    ShardAssignment, ShardFaults, ShardPlan, ShardedRun, Sharder,
+    ShardAssignment, ShardFaults, ShardPlan, ShardedRun,
 };

@@ -27,28 +27,18 @@ use crate::exec::{ExecContext, ExecLimits, ExecMode};
 use gpl_obs::Value;
 use gpl_sim::FaultRecord;
 
-/// Retry/fallback knobs, all in deterministic units (attempt counts and
-/// simulated cycles — never wall clock).
+/// Retry knobs, all in deterministic units (attempt counts and row
+/// slices — never wall clock).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Re-attempts per mode after the first try (0 = fail straight to
     /// the next mode in the ladder).
     pub max_retries: u32,
-    /// Backoff before retry `i` (1-based within a mode):
-    /// `base * factor^(i-1)`, capped. Charged to the simulated clock.
-    pub backoff_base_cycles: u64,
-    pub backoff_factor: u32,
-    pub backoff_cap_cycles: u64,
-    /// Degrade through the mode ladder (GPL → GPL w/o CE → KBE; Ocelot →
-    /// KBE) and run the disarmed last-resort KBE attempt. With `false`,
-    /// exhausting the primary mode's retries surfaces the last fault as
-    /// an error.
-    pub fallback: bool,
     /// Slice-checkpoint resume (DESIGN.md §11): with `k >= 2`, a
     /// blocking stage executes as `k` row-range slices, each verified by
     /// a content checksum on completion; a faulted slice retries from
     /// the last verified checkpoint instead of re-running the stage
-    /// from row 0. `0` (the default) keeps the PR 4 whole-stage retry.
+    /// from row 0. `0` (the default) keeps the whole-stage retry.
     pub checkpoint_slices: u32,
 }
 
@@ -56,10 +46,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             max_retries: 2,
-            backoff_base_cycles: 8_192,
-            backoff_factor: 2,
-            backoff_cap_cycles: 1 << 20,
-            fallback: true,
             checkpoint_slices: 0,
         }
     }
@@ -73,35 +59,15 @@ impl RecoveryPolicy {
         }
     }
 
-    pub fn no_fallback(mut self) -> Self {
-        self.fallback = false;
-        self
-    }
-
     /// Enable slice-checkpoint resume with `k` slices per stage.
     pub fn with_checkpoints(mut self, k: u32) -> Self {
         self.checkpoint_slices = k;
         self
     }
 
-    /// Backoff delay before the `attempt`-th retry (1-based) of a mode.
-    pub fn backoff_for(&self, attempt: u32) -> u64 {
-        let mut d = self.backoff_base_cycles;
-        for _ in 1..attempt {
-            d = d.saturating_mul(self.backoff_factor as u64);
-            if d >= self.backoff_cap_cycles {
-                break;
-            }
-        }
-        d.min(self.backoff_cap_cycles)
-    }
-
-    /// The degradation ladder starting at `mode`. Without `fallback`,
-    /// only the primary mode is tried.
+    /// The degradation ladder starting at `mode` (GPL → GPL w/o CE →
+    /// KBE; Ocelot → KBE).
     pub fn ladder(&self, mode: ExecMode) -> Vec<ExecMode> {
-        if !self.fallback {
-            return vec![mode];
-        }
         if mode == ExecMode::Ocelot {
             // Off the chain: its one degradation drops the bitmaps.
             return vec![ExecMode::Ocelot, ExecMode::Kbe];
@@ -116,8 +82,26 @@ impl RecoveryPolicy {
     }
 }
 
-/// Whether a [`Ladder`] may end in the disarmed KBE attempt (always
-/// subject to [`RecoveryPolicy::fallback`]).
+const BACKOFF_BASE_CYCLES: u64 = 8_192;
+const BACKOFF_FACTOR: u64 = 2;
+const BACKOFF_CAP_CYCLES: u64 = 1 << 20;
+
+/// Backoff delay before the `attempt`-th retry (1-based) of a mode:
+/// `BACKOFF_BASE_CYCLES * BACKOFF_FACTOR^(attempt-1)`, capped at
+/// `BACKOFF_CAP_CYCLES`. The ladder charges it to the simulated clock.
+fn backoff_for(attempt: u32) -> u64 {
+    let mut d = BACKOFF_BASE_CYCLES;
+    for _ in 1..attempt {
+        d = d.saturating_mul(BACKOFF_FACTOR);
+        if d >= BACKOFF_CAP_CYCLES {
+            break;
+        }
+    }
+    d.min(BACKOFF_CAP_CYCLES)
+}
+
+/// Whether a [`Ladder`] under a policy may end in the disarmed KBE
+/// attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LastResort {
     /// Exhaustion surfaces the last fault: the caller degrades its own
@@ -205,7 +189,7 @@ impl<'a> Ladder<'a> {
             for retry in 0..=policy.max_retries {
                 if retry > 0 {
                     stats.retries += 1;
-                    let delay = policy.backoff_for(retry);
+                    let delay = backoff_for(retry);
                     ctx.sim.advance(delay);
                     stats.backoff_cycles += delay;
                     stats.wasted_cycles += delay;
@@ -257,7 +241,7 @@ impl<'a> Ladder<'a> {
             LastResort::UnlessLost => !matches!(e, ExecError::DeviceLost(_)),
             LastResort::Always => true,
         };
-        if !(policy.fallback && allowed) {
+        if !allowed {
             return Err(e);
         }
         // Last resort: KBE with injection disarmed — the hardened path
@@ -320,19 +304,12 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RecoveryPolicy {
-            max_retries: 10,
-            backoff_base_cycles: 100,
-            backoff_factor: 2,
-            backoff_cap_cycles: 500,
-            fallback: true,
-            checkpoint_slices: 0,
-        };
-        assert_eq!(p.backoff_for(1), 100);
-        assert_eq!(p.backoff_for(2), 200);
-        assert_eq!(p.backoff_for(3), 400);
-        assert_eq!(p.backoff_for(4), 500, "capped");
-        assert_eq!(p.backoff_for(30), 500, "no overflow");
+        assert_eq!(backoff_for(1), 8_192);
+        assert_eq!(backoff_for(2), 16_384);
+        assert_eq!(backoff_for(3), 32_768);
+        assert_eq!(backoff_for(8), 1 << 20, "reaches the cap");
+        assert_eq!(backoff_for(9), 1 << 20, "capped");
+        assert_eq!(backoff_for(30), 1 << 20, "no overflow");
     }
 
     /// The ladder against a scripted attempt, asserting the whole
@@ -351,10 +328,7 @@ mod tests {
             launch: 0,
         };
         let (soft, lost) = (fault(FaultKind::KernelFault), fault(FaultKind::DeviceLost));
-        let policy = |retries| RecoveryPolicy {
-            backoff_base_cycles: 100,
-            ..RecoveryPolicy::with_retries(retries)
-        };
+        let policy = RecoveryPolicy::with_retries;
         let deadlock = ExecError::Deadlock {
             cycle: 1,
             diagnostic: String::new(),
@@ -386,8 +360,8 @@ mod tests {
                 ran: vec![(Gpl, true); 3],
                 stats: RecoveryStats {
                     retries: 2,
-                    backoff_cycles: 100 + 200,
-                    wasted_cycles: 2 * COST + 100 + 200,
+                    backoff_cycles: 8_192 + 16_384,
+                    wasted_cycles: 2 * COST + 8_192 + 16_384,
                     faults: vec![soft.clone(); 2],
                     ..Default::default()
                 },
@@ -425,41 +399,21 @@ mod tests {
                 },
             },
             Case {
-                name: "fallback: false surfaces the last fault",
-                from: Gpl,
-                policy: Some(policy(1).no_fallback()),
-                last_resort: LastResort::Always,
-                budget: None,
-                script: vec![
-                    Some(ExecError::Fault(soft.clone())),
-                    Some(ExecError::Oom(soft.clone())),
-                ],
-                want: Err(ExecError::Oom(soft.clone())),
-                ran: vec![(Gpl, true); 2],
-                stats: RecoveryStats {
-                    retries: 1,
-                    backoff_cycles: 100,
-                    wasted_cycles: 2 * COST + 100,
-                    faults: vec![soft.clone(); 2],
-                    ..Default::default()
-                },
-            },
-            Case {
                 name: "budget exhausted mid-backoff is a timeout",
                 from: Gpl,
                 policy: Some(policy(2)),
                 last_resort: LastResort::Always,
-                budget: Some(50 + COST + 99),
+                budget: Some(50 + COST + 8_191),
                 script: vec![Some(ExecError::Fault(soft.clone()))],
                 want: Err(ExecError::Timeout {
-                    budget_cycles: 50 + COST + 99,
-                    spent_cycles: 50 + COST + 100,
+                    budget_cycles: 50 + COST + 8_191,
+                    spent_cycles: 50 + COST + 8_192,
                 }),
                 ran: vec![(Gpl, true)],
                 stats: RecoveryStats {
                     retries: 1,
-                    backoff_cycles: 100,
-                    wasted_cycles: COST + 100,
+                    backoff_cycles: 8_192,
+                    wasted_cycles: COST + 8_192,
                     faults: vec![soft.clone()],
                     ..Default::default()
                 },
@@ -606,10 +560,6 @@ mod tests {
         assert_eq!(
             p.ladder(ExecMode::Ocelot),
             vec![ExecMode::Ocelot, ExecMode::Kbe]
-        );
-        assert_eq!(
-            p.clone().no_fallback().ladder(ExecMode::Gpl),
-            vec![ExecMode::Gpl]
         );
     }
 }

@@ -171,6 +171,8 @@ pub enum ConfigError {
         /// Stage (segment) name.
         stage: String,
     },
+    /// A shard plan of zero shards: every stage needs at least one.
+    ZeroShards,
     /// A channel count the device's pipes cannot provide.
     Channels {
         /// Stage (segment) name.
@@ -221,6 +223,7 @@ impl fmt::Display for ConfigError {
                 "stage {stage} anchored on device {device} of a {devices}-device pool"
             ),
             ConfigError::ZeroPacket { stage } => write!(f, "stage {stage} has 0-byte packets"),
+            ConfigError::ZeroShards => write!(f, "a shard plan needs at least one shard"),
             ConfigError::Channels {
                 stage,
                 n_channels,

@@ -30,7 +30,7 @@ use crate::exec::{
     attempt_stage, run_pair_fused, run_sort_kernel, run_stage_checkpointed, Blocking, ExecContext,
     ExecLimits, ExecMode, HtCache, QueryConfig, RunSpec, StageOut, StageRun,
 };
-use crate::ht::{mix64, GroupStore, SimHashTable};
+use crate::ht::{GroupStore, SimHashTable};
 use crate::ops::sort_rows;
 use crate::plan::{PlanError, QueryPlan, Terminal};
 use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats, Spent};
@@ -139,92 +139,46 @@ impl DevicePool {
     }
 }
 
-/// How the driving relation splits into shards.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Sharder {
-    /// Contiguous balanced row ranges (one range per shard).
-    Range,
-    /// Fixed-size row blocks dealt to shards by a key mix of the block
-    /// index — models hash partitioning's skew tolerance while staying
-    /// a pure function of (rows, shards).
-    Hash { block_rows: usize },
-}
-
-impl Sharder {
-    /// Split `rows` into `shards` disjoint, covering range lists —
-    /// shard `i` scans exactly the ranges of `partition(..)[i]`, in
-    /// order. Total/disjointness for arbitrary inputs is property-
-    /// tested in `tests/property_invariants.rs`.
-    pub fn partition(&self, rows: usize, shards: usize) -> Vec<Vec<Range<usize>>> {
-        let shards = shards.max(1);
-        let mut parts = vec![Vec::new(); shards];
-        match self {
-            Sharder::Range => {
-                let q = rows / shards;
-                let r = rows % shards;
-                let mut start = 0;
-                for (i, p) in parts.iter_mut().enumerate() {
-                    let len = q + usize::from(i < r);
-                    if len > 0 {
-                        p.push(start..start + len);
-                    }
-                    start += len;
-                }
-            }
-            Sharder::Hash { block_rows } => {
-                let block = (*block_rows).max(1);
-                let mut b = 0;
-                while b * block < rows {
-                    let range = b * block..((b + 1) * block).min(rows);
-                    let s = (mix64(b as u64) % shards as u64) as usize;
-                    // Coalesce blocks that land adjacently in one shard.
-                    match parts[s].last_mut() {
-                        Some(last) if last.end == range.start => last.end = range.end,
-                        _ => parts[s].push(range),
-                    }
-                    b += 1;
-                }
-            }
-        }
-        parts
-    }
-
-    /// Stable cache-key component.
-    pub fn key(&self) -> String {
-        match self {
-            Sharder::Range => "range".to_string(),
-            Sharder::Hash { block_rows } => format!("hash{block_rows}"),
-        }
-    }
-}
-
 /// The `ExecMode`-orthogonal sharding decision carried in plan-cache
-/// keys: how many shards, split how.
+/// keys: the driving relation splits into `shards` contiguous, balanced
+/// row ranges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     pub shards: usize,
-    pub sharder: Sharder,
 }
 
 impl ShardPlan {
     /// The degenerate single-shard plan (still runs through the pool).
     pub fn single() -> Self {
-        ShardPlan {
-            shards: 1,
-            sharder: Sharder::Range,
-        }
+        ShardPlan { shards: 1 }
     }
 
     pub fn range(shards: usize) -> Self {
-        ShardPlan {
-            shards,
-            sharder: Sharder::Range,
-        }
+        ShardPlan { shards }
+    }
+
+    /// Split `rows` into one contiguous range per shard, in order: the
+    /// first `rows % shards` ranges take one row more, and a shard past
+    /// the last row gets an empty range. Zero shards split as one
+    /// (`run_pool` rejects them before anything runs). Totality and
+    /// disjointness for arbitrary inputs are property-tested in
+    /// `tests/property_invariants.rs`.
+    pub fn partition(&self, rows: usize) -> Vec<Range<usize>> {
+        let shards = self.shards.max(1);
+        let (q, r) = (rows / shards, rows % shards);
+        let mut start = 0;
+        (0..shards)
+            .map(|i| {
+                let len = q + usize::from(i < r);
+                start += len;
+                start - len..start
+            })
+            .collect()
     }
 
     /// Stable plan-cache key component, e.g. `range:4`.
     pub fn cache_key(&self) -> String {
-        format!("{}:{}", self.sharder.key(), self.shards)
+        format!("range:{}", self.shards)
     }
 }
 
@@ -468,6 +422,9 @@ pub(crate) fn run_pool(
             devices: n,
         };
         return Err(ExecError::InvalidConfig(anchor));
+    }
+    if spec.shard.shards == 0 {
+        return Err(ExecError::InvalidConfig(ConfigError::ZeroShards));
     }
     ctxs.iter_mut().for_each(|c| c.sim.reset_footprint());
     // Observability: one query span, with a child span per stage carrying
@@ -731,11 +688,10 @@ impl Driver<'_> {
             s
         });
 
-        let shard = spec.shard;
-        let parts = shard.sharder.partition(table.rows(), shard.shards);
+        let parts = spec.shard.partition(table.rows());
         // Rule 2 of `run_pool`: only a one-shard stage is sliced.
         let slices = match spec.recovery {
-            Some(p) if shard.shards == 1 => p.checkpoint_slices,
+            Some(p) if spec.shard.shards == 1 => p.checkpoint_slices,
             _ => 0,
         };
         let stage_run = |device: usize| StageRun {
@@ -776,7 +732,7 @@ impl Driver<'_> {
                 let a0 = self.ctxs[dev].sim.clock();
                 let run = stage_run(dev);
                 let ctx = &mut self.ctxs[dev];
-                match run_part(ctx, &run, mode, part, slices, &mut self.stats, last) {
+                match run_part(ctx, &run, mode, part.clone(), slices, &mut self.stats, last) {
                     Ok((out, m)) => {
                         ran_on = if m != mode { m } else { ran_on };
                         let observed = ctx.sim.clock().saturating_sub(a0);
@@ -799,12 +755,11 @@ impl Driver<'_> {
             // crossed its deadline — and the loser's clock is capped at the
             // winner's finish. Duplicate cycles land in `wasted_cycles`.
             if let Some(h) = spec.hedge {
-                let part_rows: usize = part.iter().map(|r| r.len()).sum();
                 let modeled_row = h.modeled.get(idx);
                 let modeled = |d: usize| modeled_row.and_then(|row| row.get(d).copied());
                 let modeled_p = modeled(wdev).unwrap_or(f64::INFINITY);
                 let deadline = modeled_p * h.threshold;
-                let late = part_rows > 0 && modeled_p.is_finite() && observed as f64 > deadline;
+                let late = !part.is_empty() && modeled_p.is_finite() && observed as f64 > deadline;
                 let backup = (0..n)
                     .filter(|&d| late && d != wdev && self.alive[d])
                     .filter_map(|d| modeled(d).filter(|m| m.is_finite()).map(|m| (d, m)))
@@ -818,6 +773,7 @@ impl Driver<'_> {
                     let (run_b, ctx) = (stage_run(b), &mut self.ctxs[b]);
                     let b0 = ctx.sim.clock();
                     let last = LastResort::UnlessLost;
+                    let part = part.clone();
                     let hedged = run_part(ctx, &run_b, mode, part, slices, &mut self.stats, last);
                     let d_backup = ctx.sim.clock().saturating_sub(b0);
                     match hedged {
@@ -915,7 +871,7 @@ fn run_part(
     ctx: &mut ExecContext,
     run: &StageRun,
     mode: ExecMode,
-    part: &[Range<usize>],
+    part: Range<usize>,
     slices: u32,
     stats: &mut RecoveryStats,
     last_resort: LastResort,
@@ -926,16 +882,9 @@ fn run_part(
         ..Ladder::new(policy, mode, limits, run.spent)
     };
     if slices >= 2 {
-        let slices: Vec<Range<usize>> = (part.iter())
-            .flat_map(|r| {
-                let cuts = Sharder::Range.partition(r.len(), slices as usize);
-                let offset = |s: Range<usize>| r.start + s.start..r.start + s.end;
-                cuts.into_iter().flatten().map(offset)
-            })
-            .collect();
-        return run_stage_checkpointed(ctx, run, mode, &ladder, &slices, stats);
+        return run_stage_checkpointed(ctx, run, mode, &ladder, part, slices, stats);
     }
-    let attempt = |ctx: &mut ExecContext, m| attempt_stage(ctx, run, m, part);
+    let attempt = |ctx: &mut ExecContext, m| attempt_stage(ctx, run, m, part.clone());
     ladder.run(ctx, stats, attempt, |_, _| {})
 }
 
@@ -948,27 +897,12 @@ mod tests {
 
     #[test]
     fn range_partition_is_balanced_total_disjoint() {
-        let parts = Sharder::Range.partition(10, 3);
-        assert_eq!(parts, vec![vec![0..4], vec![4..7], vec![7..10]]);
-        assert!(Sharder::Range.partition(2, 7)[3..]
+        let parts = ShardPlan::range(3).partition(10);
+        assert_eq!(parts, vec![0..4, 4..7, 7..10]);
+        assert!(ShardPlan::range(7).partition(2)[2..]
             .iter()
-            .all(Vec::is_empty));
-        assert_eq!(Sharder::Range.partition(0, 4), vec![vec![]; 4]);
-    }
-
-    #[test]
-    fn hash_partition_covers_and_coalesces() {
-        let s = Sharder::Hash { block_rows: 8 };
-        let parts = s.partition(100, 3);
-        let mut rows: Vec<usize> = parts.iter().flatten().flat_map(|r| r.clone()).collect();
-        rows.sort_unstable();
-        assert_eq!(rows, (0..100).collect::<Vec<_>>());
-        // Coalescing: no shard holds two adjacent ranges.
-        for p in &parts {
-            for w in p.windows(2) {
-                assert!(w[0].end < w[1].start);
-            }
-        }
+            .all(|r| r == &(2..2)));
+        assert_eq!(ShardPlan::range(4).partition(0), vec![0..0; 4]);
     }
 
     #[test]
@@ -976,14 +910,7 @@ mod tests {
         let pool = DevicePool::default_pool();
         assert_eq!(pool.key(), "AMD A10 APU+NVIDIA Tesla K40+Host CPU x86");
         assert_eq!(ShardPlan::range(4).cache_key(), "range:4");
-        assert_eq!(
-            ShardPlan {
-                shards: 2,
-                sharder: Sharder::Hash { block_rows: 512 }
-            }
-            .cache_key(),
-            "hash512:2"
-        );
+        assert_eq!(ShardPlan::single().cache_key(), "range:1");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! north star is sustained traffic. This crate turns the reproduction
 //! into a query *server* while keeping every result deterministic:
 //!
-//! * [`scheduler`] — a bounded pool of `std::thread` workers behind a
-//!   two-class (high/normal) FIFO admission queue, with per-query
+//! * [`scheduler`] — a bounded pool of `std::thread` workers behind one
+//!   FIFO admission queue, with per-query
 //!   simulated-cycle timeouts and cooperative cancellation. Each worker
 //!   builds a fresh [`gpl_core::ExecContext`] per query over the shared
 //!   `Arc<TpchDb>`, so simulated cycles are a pure function of the
@@ -50,6 +50,6 @@ pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
 pub use cache::{PlanCache, PlanEntry};
 pub use report::BatchReport;
-pub use request::{KernelRows, Priority, QueryRequest, QueryResponse, QueryResult, ServeError};
+pub use request::{KernelRows, QueryRequest, QueryResponse, QueryResult, ServeError};
 pub use scheduler::{FaultConfig, ServeConfig, Server, ShardServeConfig};
 pub use telemetry::{BreakerTransition, Telemetry, TelemetrySample};

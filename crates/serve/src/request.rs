@@ -8,15 +8,6 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Admission class: `High` requests drain before any `Normal` one, FIFO
-/// within each class. Priority affects only *when* a query runs — never
-/// its result or simulated cycle count, which are per-query pure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Priority {
-    Normal,
-    High,
-}
-
 /// One SQL query submitted to the server.
 #[derive(Clone)]
 pub struct QueryRequest {
@@ -25,7 +16,6 @@ pub struct QueryRequest {
     pub id: u64,
     pub sql: String,
     pub mode: ExecMode,
-    pub priority: Priority,
     /// Per-query timeout in *simulated* cycles (deterministic), checked
     /// at stage boundaries.
     pub max_cycles: Option<u64>,
@@ -39,15 +29,9 @@ impl QueryRequest {
             id,
             sql: sql.into(),
             mode,
-            priority: Priority::Normal,
             max_cycles: None,
             cancel: None,
         }
-    }
-
-    pub fn high_priority(mut self) -> Self {
-        self.priority = Priority::High;
-        self
     }
 
     pub fn with_max_cycles(mut self, max_cycles: u64) -> Self {

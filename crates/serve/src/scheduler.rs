@@ -1,5 +1,5 @@
-//! The multi-query scheduler: a bounded pool of worker threads behind a
-//! two-class (high/normal) FIFO queue.
+//! The multi-query scheduler: a bounded pool of worker threads behind
+//! one FIFO queue.
 //!
 //! Each worker owns its own simulator: it builds a fresh
 //! [`ExecContext`] per query over the shared `Arc<TpchDb>`, so a
@@ -13,7 +13,7 @@ use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::cache::PlanCache;
 use crate::lock;
 use crate::report::BatchReport;
-use crate::request::{KernelRows, Priority, QueryRequest, QueryResponse, QueryResult, ServeError};
+use crate::request::{KernelRows, QueryRequest, QueryResponse, QueryResult, ServeError};
 use crate::telemetry::BreakerTransition;
 use gpl_core::shard::{try_run_query_sharded, DevicePool, PoolDevice, ShardFaults, ShardPlan};
 use gpl_core::{
@@ -57,7 +57,7 @@ pub struct ShardServeConfig {
     pub pool: DevicePool,
     /// One calibrated Γ table per pool device, in pool order.
     pub gammas: Vec<GammaTable>,
-    /// Shard count + sharder, applied to every query.
+    /// Shard count, applied to every query.
     pub plan: ShardPlan,
     /// Straggler hedging: shards observed past `modeled × threshold`
     /// cycles get a speculative backup on the modeled-cheapest other
@@ -118,8 +118,7 @@ struct Job {
 }
 
 struct Queue {
-    high: VecDeque<Job>,
-    normal: VecDeque<Job>,
+    jobs: VecDeque<Job>,
     shutdown: bool,
 }
 
@@ -183,8 +182,7 @@ impl Shared {
             solo: (solo, ShardPlan::single()),
             plans: Arc::new(PlanCache::new(config.plan_cache_capacity)),
             queue: Mutex::new(Queue {
-                high: VecDeque::new(),
-                normal: VecDeque::new(),
+                jobs: VecDeque::new(),
                 shutdown: false,
             }),
             available: Condvar::new(),
@@ -308,8 +306,7 @@ impl Server {
     /// Enqueue a batch atomically: the queue lock is held across every
     /// push, so no worker observes a partially-admitted batch. With one
     /// worker this makes the *execution order* of a batch fully
-    /// deterministic: all high-priority requests in submit order, then
-    /// all normal ones.
+    /// deterministic: submit order.
     ///
     /// Load shedding happens here, under the same lock: once the queue
     /// holds [`ServeConfig::max_queue_depth`] jobs, further requests are
@@ -322,7 +319,7 @@ impl Server {
         {
             let mut q = lock(&self.shared.queue);
             for req in reqs {
-                let depth = q.high.len() + q.normal.len();
+                let depth = q.jobs.len();
                 if let Some(bound) = self.shared.config.max_queue_depth {
                     if depth >= bound {
                         sheds += 1;
@@ -334,14 +331,10 @@ impl Server {
                         continue;
                     }
                 }
-                let job = Job {
+                q.jobs.push_back(Job {
                     req,
                     submitted: Instant::now(),
-                };
-                match job.req.priority {
-                    Priority::High => q.high.push_back(job),
-                    Priority::Normal => q.normal.push_back(job),
-                }
+                });
                 n += 1;
             }
         }
@@ -443,9 +436,7 @@ impl Server {
         let drained: Vec<Job> = {
             let mut q = lock(&self.shared.queue);
             q.shutdown = true;
-            let mut d: Vec<Job> = q.high.drain(..).collect();
-            d.extend(q.normal.drain(..));
-            d
+            q.jobs.drain(..).collect()
         };
         self.shared
             .queued
@@ -500,7 +491,7 @@ fn worker_loop(
         let job = {
             let mut q = lock(&shared.queue);
             loop {
-                if let Some(job) = q.high.pop_front().or_else(|| q.normal.pop_front()) {
+                if let Some(job) = q.jobs.pop_front() {
                     break job;
                 }
                 if q.shutdown {
@@ -817,7 +808,7 @@ mod tests {
         {
             let mut q = lock(&shared.queue);
             for id in [7, 8] {
-                q.normal.push_back(Job {
+                q.jobs.push_back(Job {
                     req: QueryRequest::new(id, "select 1", ExecMode::Gpl),
                     submitted: Instant::now(),
                 });

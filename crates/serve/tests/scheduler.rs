@@ -94,21 +94,17 @@ fn all_three_modes_agree_through_the_server() {
 }
 
 #[test]
-fn high_priority_jumps_the_queue() {
+fn one_worker_runs_a_batch_in_submit_order() {
     // One worker; the batch is admitted atomically, so execution order
-    // is exactly: high-priority requests in submit order, then normal
-    // ones. Collect in completion order to observe it.
+    // is exactly submit order. Collect in completion order to observe it.
     let srv = server(1);
-    let mut reqs: Vec<QueryRequest> = (0..4)
+    let reqs: Vec<QueryRequest> = [3, 1, 4, 0, 2]
+        .into_iter()
         .map(|i| QueryRequest::new(i, SIMPLE, ExecMode::Kbe))
         .collect();
-    reqs.push(QueryRequest::new(99, GROUPED, ExecMode::Kbe).high_priority());
     srv.submit_all(reqs);
-    let responses = srv.collect(5);
-    assert_eq!(
-        responses[0].id, 99,
-        "the high-priority request must run first"
-    );
+    let order: Vec<u64> = srv.collect(5).iter().map(|r| r.id).collect();
+    assert_eq!(order, [3, 1, 4, 0, 2]);
 }
 
 #[test]

@@ -60,10 +60,6 @@ impl Table {
         &self.columns[idx].1
     }
 
-    pub fn col_name(&self, idx: usize) -> &str {
-        &self.columns[idx].0
-    }
-
     pub fn columns(&self) -> impl Iterator<Item = (&str, &Column)> {
         self.columns.iter().map(|(n, c)| (n.as_str(), c))
     }

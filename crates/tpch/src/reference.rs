@@ -19,7 +19,7 @@
 use crate::db::TpchDb;
 use crate::output::QueryOutput;
 use crate::queries::{literals, order_spec, Q14Params, QueryId};
-use gpl_storage::{dec_mul, Column, Date};
+use gpl_storage::{dec_mul, Date};
 use std::collections::BTreeMap;
 
 /// Run any of the workloads with its default parameters.
@@ -521,25 +521,6 @@ pub fn listing1(db: &TpchDb, cutoff: i32) -> QueryOutput {
         }
     }
     QueryOutput::new(vec!["sum_charge"], vec![vec![sum]])
-}
-
-/// Count of lineitem rows matching the Q14 window (selectivity studies).
-pub fn q14_matching_rows(db: &TpchDb, params: Q14Params) -> usize {
-    let l_ship = db.lineitem.col("l_shipdate");
-    (0..db.lineitem.rows())
-        .filter(|&r| {
-            let d = l_ship.get_i64(r);
-            d >= params.lo as i64 && d < (params.hi as i64)
-        })
-        .count()
-}
-
-/// A nested-loop / filter oracle used by property tests: materialize the
-/// lineitem rows passing an arbitrary predicate on one column.
-pub fn filter_rows(col: &Column, pred: impl Fn(i64) -> bool) -> Vec<u32> {
-    (0..col.len() as u32)
-        .filter(|&r| pred(col.get_i64(r as usize)))
-        .collect()
 }
 
 #[cfg(test)]

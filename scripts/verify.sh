@@ -17,7 +17,23 @@ gate() {
 }
 
 # Every dependency must be an in-workspace path dependency; the three
-# crates the hermetic-build PR removed must never come back.
+# crates the hermetic-build PR removed must never come back. Panic sites
+# in library code may only go down: per crate, `panic!`, `.unwrap()`,
+# `.expect(`, `assert*!` (`debug_assert*!` included) and `unreachable!`
+# before each file's first `#[cfg(test)]`, comment lines and `src/bin`
+# excluded, must stay at or below the count committed here. Lower a
+# count when a change removes sites; a new crate starts at 0.
+PANIC_SITES="bench=71 check=10 core=75 model=19 obs=11 ocelot=1 prng=7 serve=5 sim=36 sql=43 storage=8 tpch=22"
+
+panic_sites() {
+    local re='panic!|\.unwrap\(\)|\.expect\(|assert[a-z_]*!|unreachable!'
+    find "$1/src" -name '*.rs' -not -path '*/src/bin/*' | sort | xargs awk -v re="$re" '
+        FNR == 1 { live = 1 }
+        /#\[cfg\(test\)\]/ { live = 0 }
+        live && !/^[[:space:]]*\/\// { n += gsub(re, "&") }
+        END { print n + 0 }'
+}
+
 deps() {
     if grep -rn "^rand\|^proptest\|^criterion" Cargo.toml crates/*/Cargo.toml; then
         echo "FAIL: external crate dependency found (see above)" >&2
@@ -27,6 +43,17 @@ deps() {
         echo "FAIL: non-path dependency source found (see above)" >&2
         return 1
     fi
+    local dir crate count limit over=0
+    for dir in crates/*/; do
+        crate=$(basename "$dir")
+        count=$(panic_sites "$dir")
+        limit=$(tr ' ' '\n' <<<"$PANIC_SITES" | sed -n "s/^$crate=//p")
+        if ((count > ${limit:-0})); then
+            echo "FAIL: $crate has $count panic sites, over its ${limit:-0}" >&2
+            over=1
+        fi
+    done
+    return $over
 }
 
 # The 32-query seed-42 workload at 1/2/8 workers must match its pinned

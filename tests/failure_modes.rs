@@ -4,7 +4,8 @@
 //! or cancellation takes down one query, never a worker or the pool.
 
 use gpl_repro::core::{
-    plan_for, run_query, try_run_query, ExecContext, ExecError, ExecLimits, ExecMode, QueryConfig,
+    plan_for, run_query, try_run_query_recovering, ExecContext, ExecError, ExecLimits, ExecMode,
+    QueryConfig,
 };
 use gpl_repro::model::GammaTable;
 use gpl_repro::serve::{QueryRequest, ServeConfig, ServeError, Server};
@@ -113,14 +114,15 @@ fn config_stage_count_mismatch_is_rejected() {
     assert!(r.is_err());
 
     // The `try_` path returns the same rejection as a structured error,
-    // without unwinding — for a short config, a malformed plan, and a
-    // shard assignment that does not fit the pool.
+    // without unwinding — for a short config, a malformed plan, a shard
+    // assignment that does not fit the pool, and zero shards (for which
+    // the driver's one-shard rules would silently not apply).
     use gpl_repro::core::plan::PlanError;
     use gpl_repro::core::segment::ConfigError;
     use gpl_repro::core::{try_run_query_sharded, DevicePool, ShardAssignment, ShardPlan};
     let limits = ExecLimits::none();
     let tried = catch_unwind(AssertUnwindSafe(|| {
-        try_run_query(&mut ctx, &plan, ExecMode::Gpl, &cfg, &limits).map(|_| ())
+        try_run_query_recovering(&mut ctx, &plan, ExecMode::Gpl, &cfg, &limits, None).map(|_| ())
     }));
     let stage_configs = ConfigError::Arity {
         what: "stage configs",
@@ -136,7 +138,8 @@ fn config_stage_count_mismatch_is_rejected() {
     let mut probe_first = plan.clone();
     probe_first.stages.swap(0, 1);
     let tried = catch_unwind(AssertUnwindSafe(|| {
-        try_run_query(&mut ctx, &probe_first, ExecMode::Kbe, &full, &limits).map(|_| ())
+        try_run_query_recovering(&mut ctx, &probe_first, ExecMode::Kbe, &full, &limits, None)
+            .map(|_| ())
     }));
     let probes_unbuilt = PlanError::Ht {
         stage: probe_first.stages[0].name.clone(),
@@ -149,7 +152,8 @@ fn config_stage_count_mismatch_is_rejected() {
     );
     let mut unnamed = plan.clone();
     unnamed.output_columns.clear();
-    let err = try_run_query(&mut ctx, &unnamed, ExecMode::Kbe, &full, &limits).unwrap_err();
+    let err = try_run_query_recovering(&mut ctx, &unnamed, ExecMode::Kbe, &full, &limits, None)
+        .unwrap_err();
     assert_eq!(
         err.to_string(),
         "invalid plan: output names 0 of a 2-column result"
@@ -157,10 +161,10 @@ fn config_stage_count_mismatch_is_rejected() {
 
     let pool = DevicePool::default_pool();
     let good = ShardAssignment::default_for(&pool, &plan);
-    let sharded = |a: &ShardAssignment| {
+    let sharded_at = |a: &ShardAssignment, shards| {
         let db = ctx.db.clone();
         catch_unwind(AssertUnwindSafe(|| {
-            let shard = ShardPlan::range(2);
+            let shard = ShardPlan::range(shards);
             let mode = ExecMode::Gpl;
             try_run_query_sharded(
                 &pool, &db, &plan, mode, &shard, a, &limits, None, None, None, None,
@@ -169,6 +173,7 @@ fn config_stage_count_mismatch_is_rejected() {
         }))
         .expect("no unwind")
     };
+    let sharded = |a: &ShardAssignment| sharded_at(a, 2);
     let mut short = good.clone();
     short.configs[2] = cfg.clone();
     assert_eq!(
@@ -196,6 +201,10 @@ fn config_stage_count_mismatch_is_rejected() {
         }))
     );
     assert_eq!(sharded(&good), Ok(()));
+    assert_eq!(
+        sharded_at(&good, 0),
+        Err(ExecError::InvalidConfig(ConfigError::ZeroShards))
+    );
 }
 
 /// Channel knobs a GPL launch would divide by, or the simulator assert
@@ -219,7 +228,8 @@ fn channel_knobs_the_device_cannot_provide_are_rejected_without_unwinding() {
         let mut cfg = QueryConfig::default_for(&amd_a10(), &plan);
         bend(&mut cfg);
         let classic = catch_unwind(AssertUnwindSafe(|| {
-            try_run_query(&mut ctx, &plan, ExecMode::Gpl, &cfg, &limits).map(|_| ())
+            try_run_query_recovering(&mut ctx, &plan, ExecMode::Gpl, &cfg, &limits, None)
+                .map(|_| ())
         }));
         let want = if packet_bytes == 0 {
             ConfigError::ZeroPacket {
@@ -342,14 +352,9 @@ fn timeout_and_cancellation_are_structured_errors() {
     let mut ctx = ExecContext::new(amd_a10(), TpchDb::at_scale(0.002));
     let plan = plan_for(&ctx.db, QueryId::Q5);
     let cfg = QueryConfig::default_for(&amd_a10(), &plan);
-    let err = try_run_query(
-        &mut ctx,
-        &plan,
-        ExecMode::Gpl,
-        &cfg,
-        &ExecLimits::with_max_cycles(1),
-    )
-    .expect_err("1-cycle budget must trip");
+    let limits = ExecLimits::with_max_cycles(1);
+    let err = try_run_query_recovering(&mut ctx, &plan, ExecMode::Gpl, &cfg, &limits, None)
+        .expect_err("1-cycle budget must trip");
     match err {
         ExecError::Timeout {
             budget_cycles,
@@ -364,7 +369,7 @@ fn timeout_and_cancellation_are_structured_errors() {
         max_cycles: None,
         cancel: Some(Arc::new(AtomicBool::new(true))),
     };
-    let err = try_run_query(&mut ctx, &plan, ExecMode::Gpl, &cfg, &limits)
+    let err = try_run_query_recovering(&mut ctx, &plan, ExecMode::Gpl, &cfg, &limits, None)
         .expect_err("raised flag must cancel");
     assert!(matches!(err, ExecError::Cancelled));
 }
@@ -628,8 +633,9 @@ fn probe_widened_chunks_do_not_deadlock_the_pipeline() {
         let models = build_models(&ctx.db, &plan, &stats, &spec);
         let config = optimize_models(&spec, &gamma, &plan, &models).config;
         let limits = ExecLimits::none();
-        let kbe = try_run_query(&mut ctx, &plan, ExecMode::Kbe, &config, &limits).expect("KBE");
-        let gpl = try_run_query(&mut ctx, &plan, ExecMode::Gpl, &config, &limits)
+        let kbe = try_run_query_recovering(&mut ctx, &plan, ExecMode::Kbe, &config, &limits, None)
+            .expect("KBE");
+        let gpl = try_run_query_recovering(&mut ctx, &plan, ExecMode::Gpl, &config, &limits, None)
             .unwrap_or_else(|e| panic!("text {i} under GPL: {e}\n{}", texts[i]));
         assert_eq!(gpl.output, kbe.output, "text {i}: {}", texts[i]);
         assert!(gpl.cycles < kbe.cycles, "text {i}: the pipeline still wins");
@@ -667,8 +673,9 @@ fn wide_aliased_joins_plan_without_unwinding() {
         assert_eq!(probes, aliases, "one probe per alias");
         let config = QueryConfig::default_for(&spec, &plan);
         let limits = ExecLimits::none();
-        let kbe = try_run_query(&mut ctx, &plan, ExecMode::Kbe, &config, &limits).expect("KBE");
-        let gpl = try_run_query(&mut ctx, &plan, ExecMode::Gpl, &config, &limits)
+        let kbe = try_run_query_recovering(&mut ctx, &plan, ExecMode::Kbe, &config, &limits, None)
+            .expect("KBE");
+        let gpl = try_run_query_recovering(&mut ctx, &plan, ExecMode::Gpl, &config, &limits, None)
             .unwrap_or_else(|e| panic!("{aliases} aliases under GPL: {e}"));
         assert_eq!(gpl.output, kbe.output, "{aliases} aliases");
         assert_eq!(

@@ -5,7 +5,7 @@ use gpl_check::prelude::*;
 use gpl_prng::{Rng, SeedableRng, StdRng};
 use gpl_repro::core::ht::{AggKind, GroupStore, SimHashTable};
 use gpl_repro::core::ops::{apply_compute, apply_filter, apply_probe, sort_rows, Chunk};
-use gpl_repro::core::shard::Sharder;
+use gpl_repro::core::shard::ShardPlan;
 use gpl_repro::core::{CmpOp, Expr, Pred};
 use gpl_repro::sim::{CacheSim, MemRange, MemoryMap};
 use gpl_repro::storage::{dec_mul, Date, Tiling};
@@ -175,35 +175,27 @@ prop! {
 }
 
 prop! {
-    /// Both sharders partition the row space for arbitrary row counts,
-    /// shard counts and block sizes: every row lands in exactly one
-    /// shard's ranges (total + disjoint), and each shard's ranges are
-    /// non-empty, in order and non-overlapping.
+    /// A shard plan partitions the row space for arbitrary row counts
+    /// and shard counts: one range per shard, in order, each starting
+    /// where the last ended and the last ending at `rows` (total and
+    /// disjoint), balanced to within one row with the longer ranges
+    /// first.
     #[test]
     fn sharder_partition_is_total_and_disjoint(
         rows in 0usize..50_000,
         shards in 1usize..12,
-        block_rows in 1usize..3_000,
     ) {
-        for sharder in [Sharder::Range, Sharder::Hash { block_rows }] {
-            let parts = sharder.partition(rows, shards);
-            prop_assert_eq!(parts.len(), shards, "one entry per shard: {:?}", sharder);
-            let mut covered = 0usize;
-            let mut seen = vec![false; rows];
-            for ranges in &parts {
-                let mut last_end = 0usize;
-                for r in ranges {
-                    prop_assert!(r.start < r.end, "empty range in {:?}", sharder);
-                    prop_assert!(r.start >= last_end, "unordered ranges in {:?}", sharder);
-                    last_end = r.end;
-                    for i in r.clone() {
-                        prop_assert!(!seen[i], "row {} dealt twice under {:?}", i, sharder);
-                        seen[i] = true;
-                        covered += 1;
-                    }
-                }
-            }
-            prop_assert_eq!(covered, rows, "rows dropped under {:?}", sharder);
+        let parts = ShardPlan::range(shards).partition(rows);
+        prop_assert_eq!(parts.len(), shards, "one range per shard");
+        let mut end = 0usize;
+        for r in &parts {
+            prop_assert_eq!(r.start, end, "ranges must tile the rows: {:?}", parts);
+            prop_assert!(r.start <= r.end);
+            end = r.end;
+        }
+        prop_assert_eq!(end, rows, "rows dropped: {:?}", parts);
+        for w in parts.windows(2) {
+            prop_assert!(w[0].len() >= w[1].len() && w[0].len() <= w[1].len() + 1, "{:?}", parts);
         }
     }
 

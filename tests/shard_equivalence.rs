@@ -10,11 +10,11 @@ use gpl_check::prelude::*;
 use gpl_prng::{SeedableRng, StdRng};
 use gpl_repro::core::shard::{
     try_run_query_sharded, DevicePool, PoolDevice, ShardAssignment, ShardFaults, ShardPlan,
-    ShardedRun, Sharder,
+    ShardedRun,
 };
 use gpl_repro::core::{
-    plan_for, run_query, try_run_query, try_run_query_recovering, ExecContext, ExecLimits,
-    ExecMode, QueryConfig, QueryPlan, RecoveryPolicy,
+    plan_for, run_query, try_run_query_recovering, ExecContext, ExecLimits, ExecMode, QueryConfig,
+    QueryPlan, RecoveryPolicy,
 };
 use gpl_repro::sim::{amd_a10, FaultKind, FaultPlan, FaultSpec, PinnedFault};
 use gpl_repro::tpch::QueryId;
@@ -102,7 +102,7 @@ fn all_tpch_plans_agree_across_shard_counts_and_modes() {
 }
 
 /// Ocelot reaches the sharded driver through the one stage attempt, with
-/// no code of its own there: each shard's ranges get their own bitmaps.
+/// no code of its own there: each shard's range gets its own bitmaps.
 #[test]
 fn ocelot_agrees_with_the_classic_engine_when_sharded() {
     for q in QueryId::evaluation_set() {
@@ -117,70 +117,6 @@ fn ocelot_agrees_with_the_classic_engine_when_sharded() {
                 q.name()
             );
         }
-    }
-}
-
-/// The hash sharder deals fixed-size blocks by a key mix, so shard
-/// sizes skew — results still must not move.
-#[test]
-fn hash_sharding_with_skewed_blocks_matches_range_sharding() {
-    for q in [QueryId::Q5, QueryId::Q9, QueryId::Q14] {
-        let plan = plan_for(&db(), q);
-        let assignment = ShardAssignment::round_robin(pool(), &plan);
-        let want = oracle(&plan, ExecMode::Gpl);
-        for block_rows in [64usize, 1000, 4096] {
-            let shard = ShardPlan {
-                shards: 3,
-                sharder: Sharder::Hash { block_rows },
-            };
-            let run = try_run_query_sharded(
-                pool(),
-                &db(),
-                &plan,
-                ExecMode::Gpl,
-                &shard,
-                &assignment,
-                &ExecLimits::default(),
-                None,
-                None,
-                None,
-                None,
-            )
-            .expect("fault-free sharded run");
-            assert_eq!(
-                run.output,
-                want.output,
-                "{} hash-sharded (block {block_rows}) diverged",
-                q.name()
-            );
-        }
-    }
-}
-
-/// The unsharded pin: one shard with every stage on device 0 is the
-/// classic engine wearing a pool coat — identical rows, and the classic
-/// path's outputs are untouched by the sharding layer's existence.
-#[test]
-fn single_shard_on_the_anchor_device_matches_the_classic_engine() {
-    for q in QueryId::evaluation_set() {
-        let plan = plan_for(&db(), q);
-        let want = oracle(&plan, ExecMode::Gpl);
-        let assignment = ShardAssignment::default_for(pool(), &plan);
-        let run = try_run_query_sharded(
-            pool(),
-            &db(),
-            &plan,
-            ExecMode::Gpl,
-            &ShardPlan::single(),
-            &assignment,
-            &ExecLimits::default(),
-            None,
-            None,
-            None,
-            None,
-        )
-        .expect("fault-free sharded run");
-        assert_eq!(run.output, want.output, "{} unsharded pin moved", q.name());
     }
 }
 
@@ -238,11 +174,9 @@ fn one_device_pool_is_the_classic_engine() {
                 ctx.sim
                     .attach_faults(FaultPlan::new(f.spec.clone(), f.seed_for(0)));
             }
-            let classic = match &policy {
-                None => try_run_query(&mut ctx, plan, mode, &cfg, &limits),
-                Some(p) => try_run_query_recovering(&mut ctx, plan, mode, &cfg, &limits, Some(p)),
-            }
-            .unwrap_or_else(|e| panic!("{at}: classic run failed: {e}"));
+            let classic =
+                try_run_query_recovering(&mut ctx, plan, mode, &cfg, &limits, policy.as_ref())
+                    .unwrap_or_else(|e| panic!("{at}: classic run failed: {e}"));
             assert_eq!(pooled.output, classic.output, "{at}: output");
             assert_eq!(pooled.cycles, classic.cycles, "{at}: cycles");
             assert_eq!(
@@ -405,6 +339,30 @@ fn merge_after_device_loss_keeps_rows_and_pinned_cycles() {
 }
 
 const FAULTED_Q5_CYCLE_DIGEST: u64 = 0xa82a_b854_3931_a830;
+
+/// Empty shards, pinned: the compiled Q5 drives `region` (5 rows) and
+/// `nation` (25 rows), so at 7 shards two `region` shards hold no rows.
+/// An empty shard launches nothing, yet still creates its attempt's
+/// blocking outputs — an allocation that shifts every later address —
+/// so its cycle plane is pinned here.
+#[test]
+fn empty_shards_keep_the_pinned_cycle_plane() {
+    let sql = gpl_repro::sql::sql_for(QueryId::Q5).expect("Q5 is in the corpus");
+    let plan = gpl_repro::sql::compile(&db(), sql).expect("corpus Q5 compiles");
+    let drivers: Vec<usize> = (plan.stages.iter())
+        .map(|s| db().table(&s.driver).rows())
+        .collect();
+    assert!(drivers.iter().any(|&rows| rows < 7), "{drivers:?}");
+    let mut h = FNV_OFFSET;
+    for mode in [ExecMode::Gpl, ExecMode::Kbe] {
+        let run = run_sharded(&plan, mode, 7);
+        assert_eq!(run.output, oracle(&plan, mode).output, "{}", mode.name());
+        cycle_digest(&mut h, &run);
+    }
+    assert_eq!(h, EMPTY_SHARD_Q5_CYCLE_DIGEST, "digest {h:#x}");
+}
+
+const EMPTY_SHARD_Q5_CYCLE_DIGEST: u64 = 0x4ae6_3416_a0c8_9233;
 
 prop! {
     #![cases(100)]

@@ -2,7 +2,7 @@
 //! queries must agree with a direct row-at-a-time evaluation oracle.
 
 use gpl_check::prelude::*;
-use gpl_repro::core::{try_run_query, ExecContext, ExecLimits, ExecMode, QueryConfig};
+use gpl_repro::core::{try_run_query_recovering, ExecContext, ExecLimits, ExecMode, QueryConfig};
 use gpl_repro::sim::amd_a10;
 use gpl_repro::sql::{run_sql, sql_for};
 use gpl_repro::tpch::{QueryId, TpchDb};
@@ -278,7 +278,7 @@ fn unwinds(bytes: &[u8], mode: ExecMode) -> Option<String> {
         };
         let mut ctx = ExecContext::with_shared(amd_a10(), db());
         let cfg = QueryConfig::default_for(&amd_a10(), &plan);
-        let _ = try_run_query(&mut ctx, &plan, mode, &cfg, &ExecLimits::none());
+        let _ = try_run_query_recovering(&mut ctx, &plan, mode, &cfg, &ExecLimits::none(), None);
     };
     let panic = catch_unwind(AssertUnwindSafe(run)).err()?;
     let msg = (panic.downcast_ref::<&str>().map(|s| s.to_string()))
