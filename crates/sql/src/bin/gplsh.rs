@@ -15,7 +15,8 @@
 //! other device), `\stats` (session metrics registry, plus the last
 //! drift table when tracing is on), `\timing` (toggle per-query host
 //! wall-clock milliseconds next to the simulated cycles — wall numbers
-//! are non-deterministic and machine-dependent), `\tables`, `\q`.
+//! are non-deterministic and machine-dependent), `\tables` (rows, and
+//! MB in simulated device memory beside MB held on the host), `\q`.
 
 use gpl_core::shard::{try_run_query_sharded, DevicePool, ShardPlan};
 use gpl_core::{run_query, DisplayHint, ExecContext, ExecLimits, ExecMode, QueryConfig};
@@ -106,8 +107,17 @@ fn main() {
             break;
         }
         if line == "\\tables" {
+            // Simulated MB price the device copy at each type's width;
+            // host MB is the narrower copy this process holds.
+            let mb = |b: u64| b as f64 / 1e6;
             for t in ctx.db.tables() {
-                eprintln!("  {:<10} {:>9} rows", t.name(), t.rows());
+                eprintln!(
+                    "  {:<10} {:>9} rows  {:>8.3} MB simulated  {:>8.3} MB host",
+                    t.name(),
+                    t.rows(),
+                    mb(t.total_bytes()),
+                    mb(t.host_bytes())
+                );
             }
             continue;
         }

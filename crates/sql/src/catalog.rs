@@ -62,12 +62,14 @@ impl<'a> Catalog<'a> {
         Ok(dict.code_of(value).map(|c| c as i64).unwrap_or(-1))
     }
 
-    /// Codes of all dictionary entries with the given prefix (`LIKE 'p%'`).
-    pub fn dict_prefix_codes(
+    /// Codes of all dictionary entries that `keep` accepts: `LIKE 'p%'`,
+    /// and `<`, `<=`, `>`, `>=` against a string, whose order is not code
+    /// order (codes are first-seen).
+    pub fn dict_codes_where(
         &self,
         table: &str,
         column: &str,
-        prefix: &str,
+        keep: impl Fn(&str) -> bool,
     ) -> Result<Vec<i64>, SqlError> {
         let t = self.table(table)?;
         let col = t.col(column);
@@ -78,7 +80,7 @@ impl<'a> Catalog<'a> {
             .entries()
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.starts_with(prefix))
+            .filter(|(_, e)| keep(e))
             .map(|(i, _)| i as i64)
             .collect())
     }
@@ -106,12 +108,51 @@ mod tests {
         assert!(c.dict_code("region", "r_name", "ASIA").unwrap() >= 0);
         assert_eq!(c.dict_code("region", "r_name", "MARS").unwrap(), -1);
         assert_eq!(
-            c.dict_prefix_codes("part", "p_type", "PROMO")
+            c.dict_codes_where("part", "p_type", |e| e.starts_with("PROMO"))
                 .unwrap()
                 .len(),
             25
         );
         assert!(c.dict_code("orders", "o_orderdate", "x").is_err());
+    }
+
+    fn count(db: &TpchDb, sql: &str) -> i64 {
+        let mut ctx = gpl_core::ExecContext::new(gpl_sim::amd_a10(), db.clone());
+        let run = crate::run_sql(&mut ctx, sql, gpl_core::ExecMode::Gpl).expect(sql);
+        run.output.rows[0][0]
+    }
+
+    #[test]
+    fn string_comparisons_follow_string_order_not_code_order() {
+        // Dictionaries keep first-seen order (nations in key order), so
+        // comparing codes would count `n_name < 'D'` as 0, not 5.
+        let db = TpchDb::at_scale(0.002);
+        let holds = |op: &str, a: &str, b: &str| match op {
+            "=" => a == b,
+            "<>" => a != b,
+            "<" => a < b,
+            "<=" => a <= b,
+            ">" => a > b,
+            _ => a >= b,
+        };
+        let cases = [
+            ("nation", "n_name", ["CHINA", "D", "PERU"]),
+            ("region", "r_name", ["ASIA", "B", "A"]),
+        ];
+        for (table, column, literals) in cases {
+            let col = db.table(table).col(column);
+            let dict = col.dictionary().expect("string column");
+            let names: Vec<&str> = (0..col.len())
+                .map(|r| dict.get(col.get_i64(r) as u32))
+                .collect();
+            for lit in literals {
+                for op in ["=", "<>", "<", "<=", ">", ">="] {
+                    let sql = format!("select count(*) from {table} where {column} {op} '{lit}'");
+                    let truth = names.iter().filter(|n| holds(op, n, lit)).count() as i64;
+                    assert_eq!(count(&db, &sql), truth, "{sql}");
+                }
+            }
+        }
     }
 
     #[test]

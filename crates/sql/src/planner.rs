@@ -21,6 +21,7 @@ use gpl_core::plan::{Agg, DisplayHint, PipeOp, QueryPlan, Stage, Terminal, COMPO
 use gpl_core::{CmpOp as CoreCmp, Expr, Pred, Slot};
 use gpl_storage::DataType;
 use gpl_tpch::{QueryId, TpchDb};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Compile SQL text into a validated query plan.
@@ -474,14 +475,30 @@ impl<'a> Planner<'a> {
                     CmpOp::Gt => CoreCmp::Gt,
                     CmpOp::Ge => CoreCmp::Ge,
                 };
-                // String comparisons resolve through the dictionary.
+                // String comparisons resolve through the dictionary:
+                // `=`/`<>` to one code, an ordering to the codes of the
+                // entries it accepts in byte-wise string order, as LIKE
+                // does — codes are first-seen, so code order is not string
+                // order.
                 if let SqlExpr::Str(s) = rhs {
                     let l = self.bind_expr(lhs, scope)?;
                     let Ty::Code { table, column } = &l.ty else {
                         return err(format!("cannot compare non-string column with {s:?}"));
                     };
-                    let code = self.catalog.dict_code(table, column, s)?;
-                    return Ok(Pred::Cmp(core_op, l.expr, Expr::Const(code)));
+                    let want: &[Ordering] = match op {
+                        CmpOp::Eq | CmpOp::Ne => {
+                            let code = self.catalog.dict_code(table, column, s)?;
+                            return Ok(Pred::Cmp(core_op, l.expr, Expr::Const(code)));
+                        }
+                        CmpOp::Lt => &[Ordering::Less],
+                        CmpOp::Le => &[Ordering::Less, Ordering::Equal],
+                        CmpOp::Gt => &[Ordering::Greater],
+                        CmpOp::Ge => &[Ordering::Greater, Ordering::Equal],
+                    };
+                    let codes = self
+                        .catalog
+                        .dict_codes_where(table, column, |e| want.contains(&e.cmp(s.as_str())))?;
+                    return Ok(Pred::InList(l.expr, codes));
                 }
                 let l = self.bind_expr(lhs, scope)?;
                 let r = self.bind_expr(rhs, scope)?;
@@ -522,7 +539,9 @@ impl<'a> Planner<'a> {
                 let Ty::Code { table, column } = &e.ty else {
                     return err("LIKE needs a string column");
                 };
-                let codes = self.catalog.dict_prefix_codes(table, column, prefix)?;
+                let codes = self
+                    .catalog
+                    .dict_codes_where(table, column, |e| e.starts_with(prefix.as_str()))?;
                 Ok(Pred::InList(e.expr, codes))
             }
             SqlPred::And(v) => Ok(Pred::And(

@@ -83,8 +83,8 @@ mod tests {
         let t = Table::new(
             "t",
             vec![
-                ("a".into(), Column::I32(vec![0; 100])),
-                ("b".into(), Column::Decimal(vec![0; 100])),
+                ("a".into(), Column::i32(vec![0; 100])),
+                ("b".into(), Column::decimal(vec![0; 100])),
             ],
         );
         let mut mem = MemoryMap::new();

@@ -77,6 +77,12 @@ impl Table {
         self.row_bytes() * self.rows as u64
     }
 
+    /// Bytes the table's values take in host memory, summed over
+    /// [`Column::host_bytes`].
+    pub fn host_bytes(&self) -> u64 {
+        self.columns.iter().map(|(_, c)| c.host_bytes()).sum()
+    }
+
     /// Schema as (name, type) pairs.
     pub fn schema(&self) -> Vec<(String, DataType)> {
         self.columns
@@ -94,8 +100,8 @@ mod tests {
         Table::new(
             "t",
             vec![
-                ("a".into(), Column::I32(vec![1, 2, 3])),
-                ("b".into(), Column::Decimal(vec![100, 200, 300])),
+                ("a".into(), Column::i32(vec![1, 2, 3])),
+                ("b".into(), Column::decimal(vec![100, 200, 300])),
             ],
         )
     }
@@ -110,6 +116,7 @@ mod tests {
         assert_eq!(t.col_index("z"), None);
         assert_eq!(t.row_bytes(), 4 + 8);
         assert_eq!(t.total_bytes(), 36);
+        assert_eq!(t.host_bytes(), 3 + 2 * 3, "1-byte a, 2-byte b");
         assert_eq!(t.schema()[1], ("b".to_string(), DataType::Decimal));
     }
 
@@ -125,8 +132,8 @@ mod tests {
         Table::new(
             "bad",
             vec![
-                ("a".into(), Column::I32(vec![1])),
-                ("b".into(), Column::I32(vec![1, 2])),
+                ("a".into(), Column::i32(vec![1])),
+                ("b".into(), Column::i32(vec![1, 2])),
             ],
         );
     }
@@ -136,5 +143,6 @@ mod tests {
         let t = Table::new("e", vec![]);
         assert_eq!(t.rows(), 0);
         assert_eq!(t.total_bytes(), 0);
+        assert_eq!(t.host_bytes(), 0);
     }
 }

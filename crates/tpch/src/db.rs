@@ -71,6 +71,11 @@ impl TpchDb {
         self.tables().iter().map(|t| t.total_bytes()).sum()
     }
 
+    /// Total host bytes of the relations' values ([`Table::host_bytes`]).
+    pub fn host_bytes(&self) -> u64 {
+        self.tables().iter().map(|t| t.host_bytes()).sum()
+    }
+
     /// Dictionary code of a region name ("ASIA", "AMERICA", ...).
     pub fn region_code(&self, name: &str) -> i64 {
         self.region
@@ -147,6 +152,16 @@ mod tests {
         assert!(db.lineitem.rows() > db.orders.rows());
         assert!(db.total_bytes() > 0);
         assert_eq!(db.table("orders").rows(), db.orders.rows());
+    }
+
+    /// Host storage is narrower than simulated storage, and both are
+    /// pinned: a change that widens host columns fails here even where
+    /// RSS noise would hide it.
+    #[test]
+    fn host_and_simulated_bytes_at_sf_0_01() {
+        let db = TpchDb::at_scale(0.01);
+        assert_eq!(db.total_bytes(), 5_016_804);
+        assert_eq!(db.host_bytes(), 1_676_461);
     }
 
     #[test]

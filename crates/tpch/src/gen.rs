@@ -13,7 +13,7 @@
 
 use crate::text;
 use gpl_prng::{Rng, SeedableRng, StdRng};
-use gpl_storage::{days, Column, DictBuilder, Table};
+use gpl_storage::{days, Column, ColumnBuilder, DataType, DictBuilder, Dictionary, Table};
 use std::sync::Arc;
 
 /// Generation parameters.
@@ -119,52 +119,56 @@ fn order_date_range() -> (i32, i32) {
 
 /// REGION: the five fixed regions.
 pub fn gen_region() -> Table {
-    let mut d = DictBuilder::new();
-    let codes: Vec<u32> = text::REGIONS.iter().map(|r| d.intern(r)).collect();
     Table::new(
         "region",
         vec![
-            ("r_regionkey".into(), Column::I32((0..5).collect())),
-            ("r_name".into(), Column::Dict(codes, Arc::new(d.finish()))),
+            ("r_regionkey".into(), Column::i32(0..5)),
+            ("r_name".into(), Column::dict(0..5, dict_of(text::REGIONS))),
         ],
     )
 }
 
 /// NATION: the 25 fixed nations with their spec region assignment.
 pub fn gen_nation() -> Table {
-    let mut d = DictBuilder::new();
-    let mut names = Vec::with_capacity(25);
-    let mut regions = Vec::with_capacity(25);
-    for (name, region) in text::NATIONS {
-        names.push(d.intern(name));
-        regions.push(*region);
-    }
+    let names = dict_of(text::NATIONS.iter().map(|(n, _)| n));
     Table::new(
         "nation",
         vec![
-            ("n_nationkey".into(), Column::I32((0..25).collect())),
-            ("n_name".into(), Column::Dict(names, Arc::new(d.finish()))),
-            ("n_regionkey".into(), Column::I32(regions)),
+            ("n_nationkey".into(), Column::i32(0..25)),
+            ("n_name".into(), Column::dict(0..25, names)),
+            (
+                "n_regionkey".into(),
+                Column::i32(text::NATIONS.iter().map(|(_, r)| *r)),
+            ),
         ],
     )
+}
+
+/// A dictionary of `entries` in order, so entry `i` has code `i`.
+fn dict_of(entries: impl IntoIterator<Item = impl AsRef<str>>) -> Arc<Dictionary> {
+    let mut d = DictBuilder::new();
+    for e in entries {
+        d.intern(e.as_ref());
+    }
+    Arc::new(d.finish())
 }
 
 /// SUPPLIER.
 pub fn gen_supplier(p: &TpchParams) -> Table {
     let n = p.num_suppliers();
     let mut rng = p.rng("supplier");
-    let mut nationkey = Vec::with_capacity(n);
-    let mut acctbal = Vec::with_capacity(n);
+    let mut nationkey = ColumnBuilder::with_capacity(DataType::I32, n);
+    let mut acctbal = ColumnBuilder::with_capacity(DataType::Decimal, n);
     for _ in 0..n {
-        nationkey.push(rng.gen_range(0..25i32));
+        nationkey.push(rng.gen_range(0..25i32).into());
         acctbal.push(rng.gen_range(-99_999..=999_999i64)); // -999.99 .. 9999.99
     }
     Table::new(
         "supplier",
         vec![
-            ("s_suppkey".into(), Column::I32((1..=n as i32).collect())),
-            ("s_nationkey".into(), Column::I32(nationkey)),
-            ("s_acctbal".into(), Column::Decimal(acctbal)),
+            ("s_suppkey".into(), Column::i32(1..=n as i32)),
+            ("s_nationkey".into(), nationkey.finish()),
+            ("s_acctbal".into(), acctbal.finish()),
         ],
     )
 }
@@ -173,38 +177,27 @@ pub fn gen_supplier(p: &TpchParams) -> Table {
 pub fn gen_part(p: &TpchParams) -> Table {
     let n = p.num_parts();
     let mut rng = p.rng("part");
-    let mut types = DictBuilder::new();
-    let type_codes: Vec<u32> = text::part_types().iter().map(|t| types.intern(t)).collect();
-    let mut brands = DictBuilder::new();
-    let brand_codes: Vec<u32> = text::part_brands()
-        .iter()
-        .map(|b| brands.intern(b))
-        .collect();
-
-    let mut p_type = Vec::with_capacity(n);
-    let mut p_brand = Vec::with_capacity(n);
-    let mut p_size = Vec::with_capacity(n);
-    let mut p_retail = Vec::with_capacity(n);
+    let types = dict_of(text::part_types());
+    let brands = dict_of(text::part_brands());
+    let (n_types, n_brands) = (types.len(), brands.len());
+    let mut p_type = ColumnBuilder::dict(types, n);
+    let mut p_brand = ColumnBuilder::dict(brands, n);
+    let mut p_size = ColumnBuilder::with_capacity(DataType::I32, n);
+    let mut p_retail = ColumnBuilder::with_capacity(DataType::Decimal, n);
     for key in 1..=n as i64 {
-        p_type.push(type_codes[rng.gen_range(0..type_codes.len())]);
-        p_brand.push(brand_codes[rng.gen_range(0..brand_codes.len())]);
-        p_size.push(rng.gen_range(1..=50i32));
+        p_type.push(rng.gen_range(0..n_types) as i64);
+        p_brand.push(rng.gen_range(0..n_brands) as i64);
+        p_size.push(rng.gen_range(1..=50i32).into());
         p_retail.push(retail_price_cents(key));
     }
     Table::new(
         "part",
         vec![
-            ("p_partkey".into(), Column::I32((1..=n as i32).collect())),
-            (
-                "p_type".into(),
-                Column::Dict(p_type, Arc::new(types.finish())),
-            ),
-            (
-                "p_brand".into(),
-                Column::Dict(p_brand, Arc::new(brands.finish())),
-            ),
-            ("p_size".into(), Column::I32(p_size)),
-            ("p_retailprice".into(), Column::Decimal(p_retail)),
+            ("p_partkey".into(), Column::i32(1..=n as i32)),
+            ("p_type".into(), p_type.finish()),
+            ("p_brand".into(), p_brand.finish()),
+            ("p_size".into(), p_size.finish()),
+            ("p_retailprice".into(), p_retail.finish()),
         ],
     )
 }
@@ -214,27 +207,26 @@ pub fn gen_partsupp(p: &TpchParams) -> Table {
     let parts = p.num_parts() as i64;
     let sups = p.num_suppliers() as i64;
     let mut rng = p.rng("partsupp");
-    let spp = p.suppliers_per_part();
-    let n = parts as usize * spp;
-    let mut ps_partkey = Vec::with_capacity(n);
-    let mut ps_suppkey = Vec::with_capacity(n);
-    let mut ps_availqty = Vec::with_capacity(n);
-    let mut ps_supplycost = Vec::with_capacity(n);
+    let n = parts as usize * p.suppliers_per_part();
+    let mut ps_partkey = ColumnBuilder::with_capacity(DataType::I32, n);
+    let mut ps_suppkey = ColumnBuilder::with_capacity(DataType::I32, n);
+    let mut ps_availqty = ColumnBuilder::with_capacity(DataType::I32, n);
+    let mut ps_supplycost = ColumnBuilder::with_capacity(DataType::Decimal, n);
     for pk in 1..=parts {
         for sk in part_suppliers(pk, sups) {
-            ps_partkey.push(pk as i32);
-            ps_suppkey.push(sk as i32);
-            ps_availqty.push(rng.gen_range(1..=9999i32));
+            ps_partkey.push(pk);
+            ps_suppkey.push(sk);
+            ps_availqty.push(rng.gen_range(1..=9999i32).into());
             ps_supplycost.push(rng.gen_range(100..=100_000i64)); // 1.00 .. 1000.00
         }
     }
     Table::new(
         "partsupp",
         vec![
-            ("ps_partkey".into(), Column::I32(ps_partkey)),
-            ("ps_suppkey".into(), Column::I32(ps_suppkey)),
-            ("ps_availqty".into(), Column::I32(ps_availqty)),
-            ("ps_supplycost".into(), Column::Decimal(ps_supplycost)),
+            ("ps_partkey".into(), ps_partkey.finish()),
+            ("ps_suppkey".into(), ps_suppkey.finish()),
+            ("ps_availqty".into(), ps_availqty.finish()),
+            ("ps_supplycost".into(), ps_supplycost.finish()),
         ],
     )
 }
@@ -243,28 +235,35 @@ pub fn gen_partsupp(p: &TpchParams) -> Table {
 pub fn gen_customer(p: &TpchParams) -> Table {
     let n = p.num_customers();
     let mut rng = p.rng("customer");
-    let mut seg = DictBuilder::new();
-    let seg_codes: Vec<u32> = text::SEGMENTS.iter().map(|s| seg.intern(s)).collect();
-    let mut nationkey = Vec::with_capacity(n);
-    let mut acctbal = Vec::with_capacity(n);
-    let mut mktsegment = Vec::with_capacity(n);
+    let segments = dict_of(text::SEGMENTS);
+    let n_segments = segments.len();
+    let mut nationkey = ColumnBuilder::with_capacity(DataType::I32, n);
+    let mut acctbal = ColumnBuilder::with_capacity(DataType::Decimal, n);
+    let mut mktsegment = ColumnBuilder::dict(segments, n);
     for _ in 0..n {
-        nationkey.push(rng.gen_range(0..25i32));
+        nationkey.push(rng.gen_range(0..25i32).into());
         acctbal.push(rng.gen_range(-99_999..=999_999i64));
-        mktsegment.push(seg_codes[rng.gen_range(0..seg_codes.len())]);
+        mktsegment.push(rng.gen_range(0..n_segments) as i64);
     }
     Table::new(
         "customer",
         vec![
-            ("c_custkey".into(), Column::I32((1..=n as i32).collect())),
-            ("c_nationkey".into(), Column::I32(nationkey)),
-            ("c_acctbal".into(), Column::Decimal(acctbal)),
-            (
-                "c_mktsegment".into(),
-                Column::Dict(mktsegment, Arc::new(seg.finish())),
-            ),
+            ("c_custkey".into(), Column::i32(1..=n as i32)),
+            ("c_nationkey".into(), nationkey.finish()),
+            ("c_acctbal".into(), acctbal.finish()),
+            ("c_mktsegment".into(), mktsegment.finish()),
         ],
     )
+}
+
+/// A dict column of `rows` codes drawn uniformly over `entries` from
+/// its own stream `rng`.
+fn drawn_dict(rng: &mut StdRng, entries: &[&str], rows: usize) -> Column {
+    let mut col = ColumnBuilder::dict(dict_of(entries), rows);
+    for _ in 0..rows {
+        col.push(rng.gen_range(0..entries.len()) as i64);
+    }
+    col.finish()
 }
 
 /// ORDERS and LINEITEM are generated together: each order has 1–7 lines
@@ -278,37 +277,30 @@ pub fn gen_orders_lineitem(p: &TpchParams) -> (Table, Table) {
     let mut rng = p.rng("orders");
     let (dlo, dhi) = order_date_range();
 
-    let mut o_custkey = Vec::with_capacity(orders);
-    let mut o_orderdate = Vec::with_capacity(orders);
-    let mut o_totalprice = Vec::with_capacity(orders);
-    // o_shippriority is 0 for every order in the spec; kept for Q3.
-    let o_shippriority = vec![0i32; orders];
+    let col = |ty, rows| ColumnBuilder::with_capacity(ty, rows);
+    let mut o_custkey = col(DataType::I32, orders);
+    let mut o_orderdate = col(DataType::Date, orders);
+    let mut o_totalprice = col(DataType::Decimal, orders);
 
-    let avg_lines = 4;
-    let mut l_orderkey = Vec::with_capacity(orders * avg_lines);
-    let mut l_partkey = Vec::with_capacity(orders * avg_lines);
-    let mut l_suppkey = Vec::with_capacity(orders * avg_lines);
-    let mut l_linenumber = Vec::with_capacity(orders * avg_lines);
-    let mut l_quantity = Vec::with_capacity(orders * avg_lines);
-    let mut l_extendedprice = Vec::with_capacity(orders * avg_lines);
-    let mut l_discount = Vec::with_capacity(orders * avg_lines);
-    let mut l_tax = Vec::with_capacity(orders * avg_lines);
-    let mut l_shipdate = Vec::with_capacity(orders * avg_lines);
-    let mut l_commitdate = Vec::with_capacity(orders * avg_lines);
-    let mut l_receiptdate = Vec::with_capacity(orders * avg_lines);
-    let mut l_returnflag = Vec::with_capacity(orders * avg_lines);
-    let mut l_linestatus = Vec::with_capacity(orders * avg_lines);
-    let mut flag_dict = DictBuilder::new();
-    let (f_r, f_a, f_n) = (
-        flag_dict.intern("R"),
-        flag_dict.intern("A"),
-        flag_dict.intern("N"),
-    );
-    let mut status_dict = DictBuilder::new();
-    let (s_o, s_f) = (status_dict.intern("O"), status_dict.intern("F"));
+    let lines = orders * 4; // 1–7 lines an order, 4 on average
+    let mut l_orderkey = col(DataType::I32, lines);
+    let mut l_partkey = col(DataType::I32, lines);
+    let mut l_suppkey = col(DataType::I32, lines);
+    let mut l_linenumber = col(DataType::I32, lines);
+    let mut l_quantity = col(DataType::Decimal, lines);
+    let mut l_extendedprice = col(DataType::Decimal, lines);
+    let mut l_discount = col(DataType::Decimal, lines);
+    let mut l_tax = col(DataType::Decimal, lines);
+    let mut l_shipdate = col(DataType::Date, lines);
+    let mut l_commitdate = col(DataType::Date, lines);
+    let mut l_receiptdate = col(DataType::Date, lines);
+    // Codes are entry indexes: R A N, and O F.
+    let mut l_returnflag = ColumnBuilder::dict(dict_of(["R", "A", "N"]), lines);
+    let mut l_linestatus = ColumnBuilder::dict(dict_of(["O", "F"]), lines);
+    let (f_r, f_a, f_n, s_o, s_f) = (0, 1, 2, 0, 1);
     let currentdate = days("1995-06-17");
 
-    for okey in 1..=orders as i32 {
+    for okey in 1..=orders as i64 {
         let odate = rng.gen_range(dlo..=dhi);
         let lines = rng.gen_range(1..=7u32);
         let mut total = 0i64;
@@ -324,16 +316,16 @@ pub fn gen_orders_lineitem(p: &TpchParams) -> (Table, Table) {
             let commit = odate + rng.gen_range(30..=90i32);
             let receipt = ship + rng.gen_range(1..=30i32);
             l_orderkey.push(okey);
-            l_partkey.push(pk as i32);
-            l_suppkey.push(sk as i32);
-            l_linenumber.push(line as i32);
+            l_partkey.push(pk);
+            l_suppkey.push(sk);
+            l_linenumber.push(line.into());
             l_quantity.push(qty * 100); // decimal
             l_extendedprice.push(price);
             l_discount.push(disc);
             l_tax.push(tax);
-            l_shipdate.push(ship);
-            l_commitdate.push(commit);
-            l_receiptdate.push(receipt);
+            l_shipdate.push(ship.into());
+            l_commitdate.push(commit.into());
+            l_receiptdate.push(receipt.into());
             // Spec clause 4.2.3: items received by CURRENTDATE are
             // randomly returned ("R") or accepted ("A"); later ones are
             // neither ("N"). Shipped items are "F"(inished), pending ones
@@ -350,70 +342,52 @@ pub fn gen_orders_lineitem(p: &TpchParams) -> (Table, Table) {
             l_linestatus.push(if ship > currentdate { s_o } else { s_f });
             total += price;
         }
-        o_custkey.push(rng.gen_range(1..=customers));
-        o_orderdate.push(odate);
+        o_custkey.push(rng.gen_range(1..=customers).into());
+        o_orderdate.push(odate.into());
         o_totalprice.push(total);
     }
+    let l_orderkey = l_orderkey.finish();
+    let lines = l_orderkey.len();
 
     // l_shipmode / o_orderpriority are drawn from their own derived
     // streams (not the shared "orders" stream) so adding them left every
     // previously generated column byte-identical — the golden-result
     // fingerprints pin this.
-    let o_orderpriority = {
-        let mut rng = p.rng("orders.orderpriority");
-        let mut d = DictBuilder::new();
-        let codes: Vec<u32> = text::ORDER_PRIORITIES.iter().map(|s| d.intern(s)).collect();
-        let col: Vec<u32> = (0..orders)
-            .map(|_| codes[rng.gen_range(0..codes.len())])
-            .collect();
-        Column::Dict(col, Arc::new(d.finish()))
-    };
-    let l_shipmode = {
-        let mut rng = p.rng("lineitem.shipmode");
-        let mut d = DictBuilder::new();
-        let codes: Vec<u32> = text::SHIP_MODES.iter().map(|s| d.intern(s)).collect();
-        let col: Vec<u32> = (0..l_orderkey.len())
-            .map(|_| codes[rng.gen_range(0..codes.len())])
-            .collect();
-        Column::Dict(col, Arc::new(d.finish()))
-    };
+    let o_orderpriority = drawn_dict(
+        &mut p.rng("orders.orderpriority"),
+        &text::ORDER_PRIORITIES,
+        orders,
+    );
+    let l_shipmode = drawn_dict(&mut p.rng("lineitem.shipmode"), &text::SHIP_MODES, lines);
 
     let orders_t = Table::new(
         "orders",
         vec![
-            (
-                "o_orderkey".into(),
-                Column::I32((1..=orders as i32).collect()),
-            ),
-            ("o_custkey".into(), Column::I32(o_custkey)),
-            ("o_orderdate".into(), Column::Date(o_orderdate)),
-            ("o_totalprice".into(), Column::Decimal(o_totalprice)),
-            ("o_shippriority".into(), Column::I32(o_shippriority)),
+            ("o_orderkey".into(), Column::i32(1..=orders as i32)),
+            ("o_custkey".into(), o_custkey.finish()),
+            ("o_orderdate".into(), o_orderdate.finish()),
+            ("o_totalprice".into(), o_totalprice.finish()),
+            // 0 for every order in the spec; kept for Q3.
+            ("o_shippriority".into(), Column::i32(vec![0; orders])),
             ("o_orderpriority".into(), o_orderpriority),
         ],
     );
     let lineitem_t = Table::new(
         "lineitem",
         vec![
-            ("l_orderkey".into(), Column::I32(l_orderkey)),
-            ("l_partkey".into(), Column::I32(l_partkey)),
-            ("l_suppkey".into(), Column::I32(l_suppkey)),
-            ("l_linenumber".into(), Column::I32(l_linenumber)),
-            ("l_quantity".into(), Column::Decimal(l_quantity)),
-            ("l_extendedprice".into(), Column::Decimal(l_extendedprice)),
-            ("l_discount".into(), Column::Decimal(l_discount)),
-            ("l_tax".into(), Column::Decimal(l_tax)),
-            ("l_shipdate".into(), Column::Date(l_shipdate)),
-            ("l_commitdate".into(), Column::Date(l_commitdate)),
-            ("l_receiptdate".into(), Column::Date(l_receiptdate)),
-            (
-                "l_returnflag".into(),
-                Column::Dict(l_returnflag, Arc::new(flag_dict.finish())),
-            ),
-            (
-                "l_linestatus".into(),
-                Column::Dict(l_linestatus, Arc::new(status_dict.finish())),
-            ),
+            ("l_orderkey".into(), l_orderkey),
+            ("l_partkey".into(), l_partkey.finish()),
+            ("l_suppkey".into(), l_suppkey.finish()),
+            ("l_linenumber".into(), l_linenumber.finish()),
+            ("l_quantity".into(), l_quantity.finish()),
+            ("l_extendedprice".into(), l_extendedprice.finish()),
+            ("l_discount".into(), l_discount.finish()),
+            ("l_tax".into(), l_tax.finish()),
+            ("l_shipdate".into(), l_shipdate.finish()),
+            ("l_commitdate".into(), l_commitdate.finish()),
+            ("l_receiptdate".into(), l_receiptdate.finish()),
+            ("l_returnflag".into(), l_returnflag.finish()),
+            ("l_linestatus".into(), l_linestatus.finish()),
             ("l_shipmode".into(), l_shipmode),
         ],
     );

@@ -14,23 +14,22 @@
 //! codes and all.
 
 use crate::db::TpchDb;
-use gpl_storage::{Column, Date, Table};
+use gpl_storage::{Column, ColumnBuilder, DataType, Date, Table};
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 
 /// Format one field of `col` at `row` in dbgen's text conventions.
 fn format_field(col: &Column, row: usize) -> String {
-    match col {
-        Column::I32(v) => v[row].to_string(),
-        Column::I64(v) => v[row].to_string(),
-        Column::Date(v) => Date::from_days(v[row]).to_string(),
-        Column::Decimal(v) => {
-            let x = v[row];
+    let x = col.get_i64(row);
+    match (col.data_type(), col.dictionary()) {
+        (DataType::Date, _) => Date::from_days(x as i32).to_string(),
+        (DataType::Decimal, _) => {
             let sign = if x < 0 { "-" } else { "" };
             let a = x.unsigned_abs();
             format!("{sign}{}.{:02}", a / 100, a % 100)
         }
-        Column::Dict(v, d) => d.get(v[row]).to_string(),
+        (DataType::Dict, Some(d)) => d.get(x as u32).to_string(),
+        _ => x.to_string(),
     }
 }
 
@@ -83,26 +82,9 @@ fn parse_decimal(s: &str) -> Option<i64> {
 /// count, types, and dictionary *domains* must match.
 pub fn read_tbl_like<R: BufRead>(template: &Table, r: R) -> io::Result<Table> {
     let name = template.name().to_string();
-    // Typed builders mirroring the template columns.
-    enum B {
-        I32(Vec<i32>),
-        I64(Vec<i64>),
-        Date(Vec<i32>),
-        Dec(Vec<i64>),
-        Dict(Vec<u32>, std::sync::Arc<gpl_storage::Dictionary>),
-    }
-    let mut builders: Vec<(String, B)> = template
+    let mut builders: Vec<(&str, ColumnBuilder)> = template
         .columns()
-        .map(|(n, c)| {
-            let b = match c {
-                Column::I32(_) => B::I32(Vec::new()),
-                Column::I64(_) => B::I64(Vec::new()),
-                Column::Date(_) => B::Date(Vec::new()),
-                Column::Decimal(_) => B::Dec(Vec::new()),
-                Column::Dict(_, d) => B::Dict(Vec::new(), d.clone()),
-            };
-            (n.to_string(), b)
-        })
+        .map(|(n, c)| (n, ColumnBuilder::like(c)))
         .collect();
     for (lineno, line) in r.lines().enumerate() {
         let line = line?;
@@ -121,47 +103,25 @@ pub fn read_tbl_like<R: BufRead>(template: &Table, r: R) -> io::Result<Table> {
             ));
         }
         for ((cname, b), f) in builders.iter_mut().zip(fields) {
-            match b {
-                B::I32(v) => {
-                    v.push(f.parse().map_err(|_| {
-                        perr(&name, lineno + 1, format!("{cname}: bad integer {f:?}"))
-                    })?)
-                }
-                B::I64(v) => {
-                    v.push(f.parse().map_err(|_| {
-                        perr(&name, lineno + 1, format!("{cname}: bad integer {f:?}"))
-                    })?)
-                }
-                B::Date(v) => v.push(
-                    Date::parse(f)
-                        .ok_or_else(|| perr(&name, lineno + 1, format!("{cname}: bad date {f:?}")))?
-                        .to_days(),
+            // Each field parses at its logical type, so an `I32` or `Date`
+            // field outside `i32` is an error before it reaches the builder.
+            let (x, what) = match b.data_type() {
+                DataType::I32 => (f.parse::<i32>().map(i64::from).ok(), "bad integer"),
+                DataType::I64 => (f.parse().ok(), "bad integer"),
+                DataType::Date => (Date::parse(f).map(|d| d.to_days().into()), "bad date"),
+                DataType::Decimal => (parse_decimal(f), "bad decimal"),
+                DataType::Dict => (
+                    b.dictionary().and_then(|d| d.code_of(f)).map(i64::from),
+                    "not in the template dictionary:",
                 ),
-                B::Dec(v) => v.push(parse_decimal(f).ok_or_else(|| {
-                    perr(&name, lineno + 1, format!("{cname}: bad decimal {f:?}"))
-                })?),
-                B::Dict(v, d) => v.push(d.code_of(f).ok_or_else(|| {
-                    perr(
-                        &name,
-                        lineno + 1,
-                        format!("{cname}: {f:?} not in the template dictionary"),
-                    )
-                })?),
-            }
+            };
+            let x = x.ok_or_else(|| perr(&name, lineno + 1, format!("{cname}: {what} {f:?}")))?;
+            b.push(x);
         }
     }
     let columns = builders
         .into_iter()
-        .map(|(n, b)| {
-            let c = match b {
-                B::I32(v) => Column::I32(v),
-                B::I64(v) => Column::I64(v),
-                B::Date(v) => Column::Date(v),
-                B::Dec(v) => Column::Decimal(v),
-                B::Dict(v, d) => Column::Dict(v, d),
-            };
-            (n, c)
-        })
+        .map(|(n, b)| (n.to_string(), b.finish()))
         .collect();
     Ok(Table::new(name, columns))
 }
@@ -242,6 +202,7 @@ mod tests {
             ("0|ALGERIA|0", "missing trailing"),
             ("0|ALGERIA|", "fields, schema has"),
             ("x|ALGERIA|0|", "bad integer"),
+            ("2147483648|ALGERIA|0|", "bad integer"),
             ("0|ATLANTIS|0|", "not in the template dictionary"),
         ];
         for (line, want) in cases {
