@@ -13,7 +13,7 @@ use crate::plan::{QueryPlan, Stage, Terminal};
 use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats, Spent};
 use crate::replay::{alloc_array, launch, ReplayKernel};
 use crate::segment::{InterSegmentEdge, KernelFlavour, SegmentIr};
-use crate::shard::{run_pool, HedgePlan, ShardPlan};
+use crate::shard::{run_pool, RunSpec, ShardPlan};
 use gpl_sim::{
     DeviceSpec, KernelDesc, LaunchProfile, RegionClass, ResourceUsage, Simulator, Work, WorkUnit,
 };
@@ -252,9 +252,10 @@ impl QueryRun {
 /// Run `plan` under `mode` with `config`, panicking on execution errors.
 ///
 /// This is the single-query entry point used by benchmarks and tests,
-/// where a deadlock is a bug worth aborting on. Servers should call
-/// [`try_run_query_recovering`], which keeps the process alive and the
-/// diagnostic intact.
+/// where a deadlock is a bug worth aborting on. The fallible doors keep
+/// the process alive and the diagnostic intact:
+/// [`try_run_query_recovering`] on one context, and [`run_pool`], which
+/// `gpl-serve` calls over the contexts it builds per request.
 pub fn run_query(
     ctx: &mut ExecContext,
     plan: &QueryPlan,
@@ -263,21 +264,6 @@ pub fn run_query(
 ) -> QueryRun {
     try_run_query_recovering(ctx, plan, mode, config, &ExecLimits::none(), None)
         .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// What one query asks of a device pool: the borrowed, immutable inputs
-/// every stage shares.
-pub(crate) struct RunSpec<'a> {
-    pub plan: &'a QueryPlan,
-    pub mode: ExecMode,
-    pub shard: &'a ShardPlan,
-    /// Pool-device index per plan stage.
-    pub anchors: &'a [usize],
-    /// One config per pool device.
-    pub configs: &'a [QueryConfig],
-    pub limits: &'a ExecLimits,
-    pub recovery: Option<&'a RecoveryPolicy>,
-    pub hedge: Option<&'a HedgePlan>,
 }
 
 /// One stage of a [`RunSpec`] on one pool device: everything an attempt
@@ -430,7 +416,7 @@ pub fn try_run_query_cached(
         hedge: None,
     };
     let ctxs = std::slice::from_mut(ctx);
-    let (run, profile) = run_pool(ctxs, &spec, vec![true], cache)?;
+    let (run, profile) = run_pool(ctxs, &spec, &[], cache)?;
     let device = run.per_device.into_iter().next().expect("one device");
     Ok(QueryRun {
         output: run.output,

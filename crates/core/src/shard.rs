@@ -28,7 +28,7 @@
 use crate::error::ExecError;
 use crate::exec::{
     attempt_stage, run_pair_fused, run_sort_kernel, run_stage_checkpointed, Blocking, ExecContext,
-    ExecLimits, ExecMode, HtCache, QueryConfig, RunSpec, StageOut, StageRun,
+    ExecLimits, ExecMode, HtCache, QueryConfig, StageOut, StageRun,
 };
 use crate::ht::{GroupStore, SimHashTable};
 use crate::ops::sort_rows;
@@ -230,7 +230,7 @@ impl ShardAssignment {
     }
 }
 
-/// Fault-injection configuration for a sharded run: one seeded plan per
+/// Fault-injection configuration for a pool run: one seeded plan per
 /// device, derived from `seed` and the pool index so per-device fault
 /// streams are independent but reproducible.
 #[derive(Debug, Clone)]
@@ -242,9 +242,19 @@ pub struct ShardFaults {
 const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl ShardFaults {
-    /// The per-device fault seed (device pool index mixed in).
-    pub fn seed_for(&self, device: usize) -> u64 {
-        self.seed ^ (device as u64 + 1).wrapping_mul(SEED_MIX)
+    /// Attach one fault plan per pool device, `ctxs` in pool order. On a
+    /// pool of more than one device, device `i` draws `seed` with its
+    /// index mixed in; a lone device draws `seed` unmixed. The mix only
+    /// decorrelates the devices of one query, and a lone device has
+    /// nothing to decorrelate from.
+    pub fn attach(&self, ctxs: &mut [ExecContext]) {
+        let mixed = ctxs.len() > 1;
+        for (i, ctx) in ctxs.iter_mut().enumerate() {
+            let mix = (i as u64 + 1).wrapping_mul(SEED_MIX);
+            let seed = if mixed { self.seed ^ mix } else { self.seed };
+            ctx.sim
+                .attach_faults(FaultPlan::new(self.spec.clone(), seed));
+        }
     }
 }
 
@@ -327,11 +337,10 @@ pub struct ShardedRun {
 
 /// Run `plan` sharded across `pool` under `mode`, with rows bit-identical
 /// to the single-device engine (DESIGN.md §10: cost model, the three
-/// rules): `run_pool` over one fresh context per pool device. Faults,
-/// when configured, inject per device with independent seeded streams.
-/// `excluded` (pool order) lets a caller with per-device breakers keep a
-/// device out of admission; it is ignored when it would exclude
-/// everything. `hedge` arms straggler defense (see [`HedgePlan`]).
+/// rules): [`run_pool`] over one fresh context per pool device. Faults,
+/// when configured, inject per device ([`ShardFaults::attach`]).
+/// `excluded` is [`run_pool`]'s; `hedge` arms straggler defense (see
+/// [`HedgePlan`]).
 #[allow(clippy::too_many_arguments)]
 pub fn try_run_query_sharded(
     pool: &DevicePool,
@@ -346,19 +355,11 @@ pub fn try_run_query_sharded(
     hedge: Option<&HedgePlan>,
     excluded: Option<&[bool]>,
 ) -> Result<ShardedRun, ExecError> {
-    let n = pool.len();
     let new_ctx = |d: &PoolDevice| ExecContext::with_shared(d.spec.clone(), db.clone());
     let mut ctxs: Vec<ExecContext> = pool.devices().iter().map(new_ctx).collect();
     if let Some(f) = faults {
-        for (i, ctx) in ctxs.iter_mut().enumerate() {
-            ctx.sim
-                .attach_faults(FaultPlan::new(f.spec.clone(), f.seed_for(i)));
-        }
+        f.attach(&mut ctxs);
     }
-    let alive = match excluded {
-        Some(ex) if ex.len() == n && ex.iter().any(|&e| !e) => ex.iter().map(|&e| !e).collect(),
-        _ => vec![true; n],
-    };
     let spec = RunSpec {
         plan,
         mode,
@@ -369,12 +370,30 @@ pub fn try_run_query_sharded(
         recovery,
         hedge,
     };
-    run_pool(&mut ctxs, &spec, alive, None).map(|(run, _)| run)
+    run_pool(&mut ctxs, &spec, excluded.unwrap_or_default(), None).map(|(run, _)| run)
+}
+
+/// What one query asks of a device pool: the borrowed, immutable inputs
+/// every stage shares.
+pub struct RunSpec<'a> {
+    pub plan: &'a QueryPlan,
+    pub mode: ExecMode,
+    pub shard: &'a ShardPlan,
+    /// Pool-device index per plan stage.
+    pub anchors: &'a [usize],
+    /// One config per pool device.
+    pub configs: &'a [QueryConfig],
+    pub limits: &'a ExecLimits,
+    pub recovery: Option<&'a RecoveryPolicy>,
+    pub hedge: Option<&'a HedgePlan>,
 }
 
 /// The one stage loop, behind every entry point: run `spec` over `ctxs`,
-/// one context per pool device (`alive` in pool order), and
-/// return the run plus every launch merged in order (`QueryRun::profile`).
+/// one context per pool device, and return the run plus every launch
+/// merged in order (`QueryRun::profile`). `excluded` (pool order) keeps
+/// devices out of the run, as a caller's per-device breakers decide; it
+/// is ignored when empty, of the wrong length, or when it would exclude
+/// every device. `cache` keeps built tables across queries ([`HtCache`]).
 /// Each stage splits into `spec.shard` parts, each run down the recovery
 /// ladder on a device of its anchor's class (a lost device's part moves
 /// to the next live one); the parts' blocking state merges once, in shard
@@ -396,15 +415,19 @@ pub fn try_run_query_sharded(
 ///    recorded as a fallback (`degraded_to = Some(Gpl)`).
 ///
 /// A device's stage profile is its first part's profile as launched,
-/// later parts merged into it. Spans go to `ctxs[0]`'s recorder; pool
-/// contexts carry none.
-pub(crate) fn run_pool(
+/// later parts merged into it. Spans go to `ctxs[0]`'s recorder, the
+/// one a caller attaches a recorder to.
+pub fn run_pool(
     ctxs: &mut [ExecContext],
     spec: &RunSpec,
-    alive: Vec<bool>,
+    excluded: &[bool],
     mut cache: Option<&mut HtCache>,
 ) -> Result<(ShardedRun, LaunchProfile), ExecError> {
     let (plan, mode, n) = (spec.plan, spec.mode, ctxs.len());
+    let alive = match excluded {
+        ex if ex.len() == n && ex.contains(&false) => ex.iter().map(|&e| !e).collect(),
+        _ => vec![true; n],
+    };
     // The gate: a malformed plan, or configs and anchors that do not fit
     // the plan and the pool, are structured errors before anything runs.
     let stages = plan.stages.len();
@@ -891,9 +914,6 @@ fn run_part(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_query, ExecContext};
-    use crate::plan::plan_for;
-    use gpl_tpch::QueryId;
 
     #[test]
     fn range_partition_is_balanced_total_disjoint() {
@@ -911,35 +931,5 @@ mod tests {
         assert_eq!(pool.key(), "AMD A10 APU+NVIDIA Tesla K40+Host CPU x86");
         assert_eq!(ShardPlan::range(4).cache_key(), "range:4");
         assert_eq!(ShardPlan::single().cache_key(), "range:1");
-    }
-
-    #[test]
-    fn sharded_q14_matches_single_device_oracle() {
-        let db = Arc::new(gpl_tpch::TpchDb::at_scale(0.002));
-        let plan = plan_for(&db, QueryId::Q14);
-        let pool = DevicePool::default_pool();
-        let assignment = ShardAssignment::round_robin(&pool, &plan);
-        let mut ctx = ExecContext::with_shared(gpl_sim::amd_a10(), db.clone());
-        let cfg = QueryConfig::default_for(&gpl_sim::amd_a10(), &plan);
-        let oracle = run_query(&mut ctx, &plan, ExecMode::Gpl, &cfg);
-        for shards in [1, 3] {
-            let run = try_run_query_sharded(
-                &pool,
-                &db,
-                &plan,
-                ExecMode::Gpl,
-                &ShardPlan::range(shards),
-                &assignment,
-                &ExecLimits::none(),
-                None,
-                None,
-                None,
-                None,
-            )
-            .expect("sharded run succeeds");
-            assert_eq!(run.output.rows, oracle.output.rows, "shards={shards}");
-            assert!(run.cycles > 0);
-            assert_eq!(run.per_device.len(), 3);
-        }
     }
 }

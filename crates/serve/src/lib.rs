@@ -6,8 +6,10 @@
 //!
 //! * [`scheduler`] — a bounded pool of `std::thread` workers behind one
 //!   FIFO admission queue, with per-query
-//!   simulated-cycle timeouts and cooperative cancellation. Each worker
-//!   builds a fresh [`gpl_core::ExecContext`] per query over the shared
+//!   simulated-cycle timeouts and cooperative cancellation. Every query
+//!   runs on a device pool — a single-device server's is a pool of one —
+//!   through [`gpl_core::shard::run_pool`]: each worker builds a fresh
+//!   [`gpl_core::ExecContext`] per pool device per query over the shared
 //!   `Arc<TpchDb>`, so simulated cycles are a pure function of the
 //!   request — results and cycle counts are byte-identical at any
 //!   worker count (pinned by `tests/determinism.rs`).

@@ -1,11 +1,11 @@
 //! The multi-query scheduler: a bounded pool of worker threads behind
 //! one FIFO queue.
 //!
-//! Each worker owns its own simulator: it builds a fresh
-//! [`ExecContext`] per query over the shared `Arc<TpchDb>`, so a
-//! query's simulated cycle count is a pure function of the request —
-//! never of which worker ran it, what ran before it, or how many
-//! workers exist. That is the scheduler's determinism contract
+//! Each worker owns its own simulators: it builds a fresh
+//! [`ExecContext`] per pool device per query over the shared
+//! `Arc<TpchDb>`, so a query's simulated cycle count is a pure function
+//! of the request — never of which worker ran it, what ran before it, or
+//! how many workers exist. That is the scheduler's determinism contract
 //! (`tests/determinism.rs` pins it): concurrency changes wall-clock
 //! latencies only.
 
@@ -15,13 +15,11 @@ use crate::lock;
 use crate::report::BatchReport;
 use crate::request::{KernelRows, QueryRequest, QueryResponse, QueryResult, ServeError};
 use crate::telemetry::BreakerTransition;
-use gpl_core::shard::{try_run_query_sharded, DevicePool, PoolDevice, ShardFaults, ShardPlan};
-use gpl_core::{
-    try_run_query_recovering, ExecContext, ExecError, ExecLimits, ExecMode, RecoveryPolicy,
-};
+use gpl_core::shard::{run_pool, DevicePool, PoolDevice, RunSpec, ShardFaults, ShardPlan};
+use gpl_core::{ExecContext, ExecError, ExecLimits, ExecMode, RecoveryPolicy};
 use gpl_model::GammaTable;
 use gpl_obs::Recorder;
-use gpl_sim::{DeviceSpec, FaultPlan, FaultSpec};
+use gpl_sim::{DeviceSpec, FaultSpec};
 use gpl_tpch::TpchDb;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,7 +49,9 @@ pub(crate) fn per_query_seed(seed: u64, id: u64) -> u64 {
 /// Multi-device serving: run every query sharded across a heterogeneous
 /// [`DevicePool`] instead of on the single worker device. The placement
 /// pass (cached with the plan) picks CPU vs GPU per stage; shards
-/// round-robin over live devices of the chosen class.
+/// round-robin over live devices of the chosen class. A server without
+/// one runs the one-device pool of its worker spec and Γ table, at one
+/// shard and without hedging.
 #[derive(Debug, Clone)]
 pub struct ShardServeConfig {
     pub pool: DevicePool,
@@ -74,8 +74,9 @@ pub struct ServeConfig {
     pub workers: usize,
     /// [`PlanCache`] capacity in entries.
     pub plan_cache_capacity: usize,
-    /// Attach a per-query recorder and ship its dump in the response
-    /// (merged into a multi-track trace by the batch report).
+    /// Attach a per-query recorder to pool device 0's simulator and ship
+    /// its dump in the response (merged into a multi-track trace by the
+    /// batch report).
     pub record_traces: bool,
     /// Load shedding: reject submissions once the admission queue holds
     /// this many jobs ([`ExecError::Rejected`]). `None` = unbounded.
@@ -85,15 +86,14 @@ pub struct ServeConfig {
     /// Recovery stack applied to every query (retries / degradation /
     /// last-resort KBE). `None` = first fault surfaces as an error.
     pub recovery: Option<RecoveryPolicy>,
-    /// Per-worker circuit breaker over device faults. Under
-    /// [`ServeConfig::sharding`] the same config instead seeds one
-    /// breaker *per pool device* per worker; a tripped device is
-    /// excluded from that worker's next sharded runs until it cools
-    /// down.
+    /// Circuit breakers over device faults: one per pool device per
+    /// worker (one per worker without [`ServeConfig::sharding`]). A
+    /// tripped device is excluded from that worker's next runs until it
+    /// cools down; a query is rejected only when every device is open.
     pub breaker: Option<BreakerConfig>,
     /// Run queries sharded over a heterogeneous device pool. `None`
-    /// (the default) keeps the classic single-device path — and its
-    /// pinned fingerprints — untouched.
+    /// (the default) runs them on a one-device pool of the worker spec
+    /// and Γ table, at one shard — the classic single-device server.
     pub sharding: Option<ShardServeConfig>,
 }
 
@@ -123,12 +123,10 @@ struct Queue {
 }
 
 struct Shared {
-    spec: DeviceSpec,
     db: Arc<TpchDb>,
-    gamma: Arc<GammaTable>,
-    /// What an unsharded server plans over: a one-device pool of `spec`
-    /// at one shard.
-    solo: (DevicePool, ShardPlan),
+    /// The pool every query plans and runs over: `config.sharding`,
+    /// taken out of `config`, or the one-device pool without it.
+    sharding: ShardServeConfig,
     plans: Arc<PlanCache>,
     queue: Mutex<Queue>,
     available: Condvar,
@@ -155,31 +153,28 @@ struct Shared {
 }
 
 impl Shared {
-    /// The pool, Γ tables (pool order) and shard plan every query plans
-    /// over: the sharding config's, or the one worker device's.
-    fn planning(&self) -> (&DevicePool, &[GammaTable], &ShardPlan) {
-        match &self.config.sharding {
-            Some(sc) => (&sc.pool, &sc.gammas, &sc.plan),
-            None => (
-                &self.solo.0,
-                std::slice::from_ref(&*self.gamma),
-                &self.solo.1,
-            ),
-        }
+    /// Kernel rows and breaker transitions name the device only when the
+    /// pool has more than one, so an explicit one-device pool reads like
+    /// a server without `sharding`.
+    fn names_devices(&self) -> bool {
+        self.sharding.pool.len() > 1
     }
 
-    /// Devices a query runs on: the pool's, or the one worker device.
-    fn devices(&self) -> usize {
-        self.planning().0.len()
-    }
-
-    fn new(config: ServeConfig, spec: DeviceSpec, db: Arc<TpchDb>, gamma: Arc<GammaTable>) -> Self {
-        let solo = DevicePool::new(vec![PoolDevice { spec: spec.clone() }]);
+    fn new(
+        mut config: ServeConfig,
+        spec: DeviceSpec,
+        db: Arc<TpchDb>,
+        gamma: Arc<GammaTable>,
+    ) -> Self {
+        let sharding = config.sharding.take().unwrap_or_else(|| ShardServeConfig {
+            pool: DevicePool::new(vec![PoolDevice { spec }]),
+            gammas: vec![GammaTable::clone(&gamma)],
+            plan: ShardPlan::single(),
+            hedge_threshold: None,
+        });
         Shared {
-            spec,
             db,
-            gamma,
-            solo: (solo, ShardPlan::single()),
+            sharding,
             plans: Arc::new(PlanCache::new(config.plan_cache_capacity)),
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
@@ -238,8 +233,9 @@ fn synthetic_response(req: QueryRequest, err: ExecError) -> QueryResponse {
 }
 
 impl Server {
-    /// Start `config.workers` workers over a shared database and
-    /// calibrated Γ table.
+    /// Start `config.workers` workers over a shared database. Without
+    /// [`ServeConfig::sharding`] they run a one-device pool of `spec` and
+    /// the calibrated Γ table `gamma`, at one shard and without hedging.
     pub fn start(
         config: ServeConfig,
         spec: DeviceSpec,
@@ -455,10 +451,9 @@ impl Drop for Server {
     }
 }
 
-/// One worker's view of the devices it runs queries on — the pool's
-/// under sharding, its single device otherwise (a pool of one): a
-/// circuit breaker each (none without [`ServeConfig::breaker`]) and a
-/// device clock each — the simulated cycles the device has executed plus
+/// One worker's view of its pool's devices: a circuit breaker each (none
+/// without [`ServeConfig::breaker`]) and a device clock each — the
+/// simulated cycles the device has executed, on success or error, plus
 /// reject costs, driving its breaker's deterministic cool-down timer.
 struct Devices {
     breakers: Vec<CircuitBreaker>,
@@ -467,7 +462,7 @@ struct Devices {
 
 impl Devices {
     fn new(shared: &Shared) -> Self {
-        let n = shared.devices();
+        let n = shared.sharding.pool.len();
         let breakers = (shared.config.breaker.as_ref())
             .map_or_else(Vec::new, |cfg| vec![CircuitBreaker::new(cfg.clone()); n]);
         Devices {
@@ -544,9 +539,8 @@ struct DeviceOutcome {
 /// per-device breaker feedback from each device's outcome.
 fn run_job(idx: usize, shared: &Shared, job: Job, devices: &mut Devices) -> QueryResponse {
     let Devices { breakers, clocks } = devices;
-    // Transitions name the pool device; the single-device server's one
-    // breaker is the worker's own.
-    let label = |d: usize| shared.config.sharding.as_ref().map(|_| d);
+    let named = shared.names_devices();
+    let label = |d: usize| named.then_some(d);
     let excluded: Vec<bool> = (breakers.iter_mut().enumerate())
         .map(|(d, b)| {
             let before = b.state();
@@ -610,10 +604,11 @@ fn record_transition(
     }
 }
 
-/// Plan and run one job; returns the response plus each device's outcome
-/// (cycles it advanced — successful or not, wasted cycles count toward
-/// its clock — and whether it was lost) for the caller's breakers.
-/// `excluded` is per device, empty when no breaker is configured.
+/// Plan and run one job over a fresh context per pool device; returns
+/// the response plus each device's outcome (the cycles its simulator
+/// advanced — successful or not, wasted cycles count toward its clock —
+/// and whether it was lost) for the caller's breakers. `excluded` is per
+/// device, empty when no breaker is configured.
 fn process(
     idx: usize,
     shared: &Shared,
@@ -622,11 +617,12 @@ fn process(
 ) -> (QueryResponse, Vec<DeviceOutcome>) {
     let queue_wall = job.submitted.elapsed();
     let req = job.req;
+    let sc = &shared.sharding;
     let plan_t0 = Instant::now();
-    let (pool, gammas, shard) = shared.planning();
-    let planned = (shared.plans).get_or_place(&shared.db, pool, gammas, &req.sql, req.mode, shard);
+    let planned = (shared.plans).get_or_place(
+        &shared.db, &sc.pool, &sc.gammas, &req.sql, req.mode, &sc.plan,
+    );
     let plan_wall = plan_t0.elapsed();
-    let mut outcomes = vec![DeviceOutcome::default(); pool.len()];
     let (entry, plan_cache_hit) = match planned {
         Ok(v) => v,
         Err(msg) => {
@@ -635,7 +631,7 @@ fn process(
                 queue_wall,
                 ..response(idx, (req.id, req.mode), Err(ServeError::Plan(msg)))
             };
-            return (resp, outcomes);
+            return (resp, vec![DeviceOutcome::default(); sc.pool.len()]);
         }
     };
     let exec_t0 = Instant::now();
@@ -643,130 +639,80 @@ fn process(
         max_cycles: req.max_cycles,
         cancel: req.cancel.clone(),
     };
+    // A fresh context per device per query: fresh simulator clock, cold
+    // data cache, private memory map — the isolation that makes cycles
+    // per-query pure. Layout installation is cheap (region bookkeeping,
+    // no copy).
+    let new_ctx = |d: &PoolDevice| ExecContext::with_shared(d.spec.clone(), shared.db.clone());
+    let mut ctxs: Vec<ExecContext> = sc.pool.devices().iter().map(new_ctx).collect();
     // Seeded per query id, not per worker: the fault schedule a query
     // sees is part of its deterministic identity.
-    let fault_seed = |fc: &FaultConfig| per_query_seed(fc.seed, req.id);
-    let mut trace = None;
-    // One plan, two execution arms, because four pinned facts differ
-    // between a one-device server and a pool. The one device draws
-    // faults from the raw per-query seed (a pool mixes in
-    // `ShardFaults::seed_for(i)`); only it attaches the `record_traces`
-    // recorder (a pool's per-device simulators carry none); on an error
-    // it charges its clock with every cycle it ran (a pool charges only
-    // the fault); and it names kernel rows `kernel`, not `kernel@device`.
-    let ran = match &shared.config.sharding {
-        None => {
-            // A fresh context per query: fresh simulator clock, cold data
-            // cache, private memory map — the isolation that makes cycles
-            // per-query pure. Layout installation is cheap (region
-            // bookkeeping, no copy).
-            let mut ctx = ExecContext::with_shared(shared.spec.clone(), shared.db.clone());
-            let rec = shared.config.record_traces.then(Recorder::new);
-            if let Some(r) = &rec {
-                ctx.sim.attach_recorder(r.clone());
-            }
-            if let Some(fc) = &shared.config.faults {
-                ctx.sim
-                    .attach_faults(FaultPlan::new(fc.spec.clone(), fault_seed(fc)));
-            }
-            let run = try_run_query_recovering(
-                &mut ctx,
-                &entry.plan,
-                req.mode,
-                &entry.placement.assignment.configs[0],
-                &limits,
-                shared.config.recovery.as_ref(),
-            );
-            trace = rec.map(|r| r.dump());
-            let lost = run.as_ref().is_err_and(ExecError::is_device_fault);
-            outcomes[0] = DeviceOutcome {
-                cycles: ctx.sim.clock(),
-                lost,
-                ran: run.is_ok() || lost,
-            };
-            run.map(|run| {
-                // The observed-λ plane, as served: per-kernel row flow
-                // keyed by the shared lowered-IR kernel names, in stage
-                // launch order.
-                let kernels = run.per_stage.iter().flat_map(|s| s.kernels.iter());
-                let kernel_rows = kernels.map(|k| kernel_rows(k, None)).collect();
-                (run.output, run.cycles, kernel_rows, run.recovery)
-            })
-        }
-        Some(sc) => {
-            // The sharded runner further mixes the pool index into the
-            // seed, so each device draws an independent but reproducible
-            // fault stream.
-            let faults = shared.config.faults.as_ref().map(|fc| ShardFaults {
-                spec: fc.spec.clone(),
-                seed: fault_seed(fc),
-            });
-            // Straggler defense: the cached placement already scored every
-            // stage on every device, so the hedge plan is a free projection
-            // of it. The query's own cycle budget rides in via `limits`.
-            let hedge = sc
-                .hedge_threshold
-                .map(|t| gpl_model::hedge_plan(&entry.placement, t));
-            let run = try_run_query_sharded(
-                pool,
-                &shared.db,
-                &entry.plan,
-                req.mode,
-                shard,
-                &entry.placement.assignment,
-                &limits,
-                shared.config.recovery.as_ref(),
-                faults.as_ref(),
-                hedge.as_ref(),
-                (!excluded.is_empty()).then_some(excluded),
-            );
-            match &run {
-                Ok(run) => {
-                    for (o, dr) in outcomes.iter_mut().zip(&run.per_device) {
-                        *o = DeviceOutcome {
-                            cycles: dr.cycles,
-                            lost: dr.lost,
-                            ran: dr.cycles > 0 || dr.lost,
-                        };
-                    }
-                }
-                // The run died before producing per-device facts; charge
-                // the fault to every device that was eligible to run —
-                // conservative, but a sticky pool-wide failure should trip
-                // the whole worker's pool anyway.
-                Err(e) if e.is_device_fault() => {
-                    for (d, o) in outcomes.iter_mut().enumerate() {
-                        if excluded.get(d) != Some(&true) {
-                            o.lost = true;
-                            o.ran = true;
-                        }
-                    }
-                }
-                Err(_) => {}
-            }
-            run.map(|run| {
-                // The observed-λ plane, keyed `(kernel, device)`: the same
-                // kernel running on two pool devices yields two distinct
-                // rows.
-                let kernel_rows = (run.per_device.iter())
-                    .flat_map(|dr| {
-                        let kernels = dr.per_stage.iter().flat_map(|s| s.kernels.iter());
-                        kernels.map(|k| kernel_rows(k, Some(&dr.device)))
-                    })
-                    .collect();
-                (run.output, run.cycles, kernel_rows, run.recovery)
-            })
-        }
+    if let Some(fc) = &shared.config.faults {
+        let seed = per_query_seed(fc.seed, req.id);
+        let spec = fc.spec.clone();
+        ShardFaults { spec, seed }.attach(&mut ctxs);
+    }
+    let rec = shared.config.record_traces.then(Recorder::new);
+    if let Some(r) = &rec {
+        ctxs[0].sim.attach_recorder(r.clone());
+    }
+    // Straggler defense: the cached placement already scored every stage
+    // on every device, so the hedge plan is a free projection of it. The
+    // query's own cycle budget rides in via `limits`.
+    let hedge = (sc.hedge_threshold).map(|t| gpl_model::hedge_plan(&entry.placement, t));
+    let assignment = &entry.placement.assignment;
+    let spec = RunSpec {
+        plan: &entry.plan,
+        mode: req.mode,
+        shard: &sc.plan,
+        anchors: &assignment.stage_device,
+        configs: &assignment.configs,
+        limits: &limits,
+        recovery: shared.config.recovery.as_ref(),
+        hedge: hedge.as_ref(),
     };
-    let (result, recovery) = match ran {
-        Ok((output, cycles, kernel_rows, recovery)) => (
-            Ok(QueryResult {
-                output,
-                cycles,
+    let run = run_pool(&mut ctxs, &spec, excluded, None).map(|(run, _)| run);
+    // Every device's clock is charged the cycles its simulator ran, on
+    // success or error. A run that died gives no per-device facts, so a
+    // device fault is charged to every device that was eligible to run —
+    // conservative, but a sticky pool-wide failure should trip the whole
+    // worker's pool anyway.
+    let outcomes = (ctxs.iter().enumerate())
+        .map(|(d, c)| {
+            let (lost, ran) = match &run {
+                Ok(run) => {
+                    let dr = &run.per_device[d];
+                    (dr.lost, dr.cycles > 0 || dr.lost)
+                }
+                Err(e) => {
+                    let lost = e.is_device_fault() && excluded.get(d) != Some(&true);
+                    (lost, lost)
+                }
+            };
+            let cycles = c.sim.clock();
+            DeviceOutcome { cycles, lost, ran }
+        })
+        .collect();
+    let (result, recovery) = match run {
+        Ok(run) => {
+            // The observed-λ plane, in stage launch order and keyed by
+            // the shared lowered-IR kernel names — `kernel@device` when
+            // the pool names its devices, so the same kernel on two
+            // devices yields two rows.
+            let named = shared.names_devices();
+            let kernel_rows = (run.per_device.iter())
+                .flat_map(|dr| {
+                    let kernels = dr.per_stage.iter().flat_map(|s| s.kernels.iter());
+                    kernels.map(move |k| kernel_rows(k, named.then_some(&dr.device)))
+                })
+                .collect();
+            let result = QueryResult {
+                output: run.output,
+                cycles: run.cycles,
                 kernel_rows,
-            }),
-            recovery,
-        ),
+            };
+            (Ok(result), run.recovery)
+        }
         Err(e) => (Err(ServeError::Exec(e)), Default::default()),
     };
     let resp = QueryResponse {
@@ -774,7 +720,7 @@ fn process(
         plan_wall,
         queue_wall,
         exec_wall: exec_t0.elapsed(),
-        trace,
+        trace: rec.map(|r| r.dump()),
         recovery,
         ..response(idx, (req.id, req.mode), result)
     };
@@ -782,7 +728,7 @@ fn process(
 }
 
 /// One kernel's observed row flow, named `kernel` or `kernel@device`.
-fn kernel_rows(k: &gpl_sim::KernelProfile, device: Option<&str>) -> KernelRows {
+fn kernel_rows(k: &gpl_sim::KernelProfile, device: Option<&String>) -> KernelRows {
     KernelRows {
         name: match device {
             Some(d) => format!("{}@{d}", k.name),

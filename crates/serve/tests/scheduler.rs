@@ -183,15 +183,26 @@ fn eviction_keeps_the_cache_bounded_and_correct() {
     assert_eq!(entry.plan.display, fresh.display);
 }
 
+/// An explicit one-device pool of `amd_a10` at one shard, without
+/// hedging: what a server without `sharding` runs.
+fn one_device_sharding() -> gpl_serve::ShardServeConfig {
+    gpl_serve::ShardServeConfig {
+        pool: DevicePool::new(vec![PoolDevice { spec: amd_a10() }]),
+        gammas: vec![(*gamma()).clone()],
+        plan: ShardPlan::single(),
+        hedge_threshold: None,
+    }
+}
+
 /// The N = 1 claim behind the one job path: a one-device pool and the
 /// classic single-device server run the same breaker machine — "every
-/// device excluded" is "the breaker did not admit". The fault schedule is
-/// pinned, not drawn (the two paths mix their seeds differently): every
-/// query launching `k_reduce*` — SIMPLE's scalar aggregate — faults once,
-/// and without recovery that fails it; GROUPED never launches it.
+/// device excluded" is "the breaker did not admit". Here the fault
+/// schedule is pinned: every query launching `k_reduce*` — SIMPLE's
+/// scalar aggregate — faults once, and without recovery that fails it;
+/// GROUPED never launches it.
 #[test]
 fn one_device_pool_and_classic_server_walk_the_same_breaker_transitions() {
-    use gpl_serve::{BreakerConfig, BreakerState, FaultConfig, ServeError, ShardServeConfig};
+    use gpl_serve::{BreakerConfig, BreakerState, FaultConfig, ServeError};
     use gpl_sim::{FaultKind, FaultSpec, PinnedFault};
 
     let db = Arc::new(TpchDb::at_scale(0.002));
@@ -216,12 +227,7 @@ fn one_device_pool_and_classic_server_walk_the_same_breaker_transitions() {
         ..ServeConfig::default()
     };
     let pooled = ServeConfig {
-        sharding: Some(ShardServeConfig {
-            pool: DevicePool::new(vec![PoolDevice { spec: amd_a10() }]),
-            gammas: vec![(*gamma()).clone()],
-            plan: ShardPlan::single(),
-            hedge_threshold: None,
-        }),
+        sharding: Some(one_device_sharding()),
         ..classic.clone()
     };
     // Two faults trip; three rejections cool down; the probe succeeds and
@@ -269,4 +275,116 @@ fn one_device_pool_and_classic_server_walk_the_same_breaker_transitions() {
         ]
     );
     assert_eq!((rejections, opens), (5, 2));
+}
+
+/// The N = 1 claim under a drawn fault schedule with recovery and
+/// traces on: a server without `sharding` and one with an explicit
+/// one-device pool draw the same faults, recover the same way and
+/// answer alike — result and rows fingerprints, and every response's
+/// trace and kernel rows.
+#[test]
+fn one_device_pool_and_classic_server_answer_a_drawn_schedule_alike() {
+    use gpl_core::RecoveryPolicy;
+    use gpl_serve::FaultConfig;
+    use gpl_sim::FaultSpec;
+
+    let db = Arc::new(TpchDb::at_scale(0.002));
+    let classic = ServeConfig {
+        workers: 1,
+        record_traces: true,
+        faults: Some(FaultConfig {
+            seed: 11,
+            spec: FaultSpec::uniform(0.05),
+        }),
+        recovery: Some(RecoveryPolicy::default()),
+        ..ServeConfig::default()
+    };
+    let pooled = ServeConfig {
+        sharding: Some(one_device_sharding()),
+        ..classic.clone()
+    };
+    let serve = |config: ServeConfig| {
+        let srv = Server::start(config, amd_a10(), db.clone(), gamma());
+        let reqs =
+            (0..12).map(|i| QueryRequest::new(i, [SIMPLE, GROUPED][i as usize % 2], ExecMode::Gpl));
+        srv.run_batch_report(reqs.collect())
+    };
+    let (one_device, one_pool) = (serve(classic), serve(pooled));
+    let (faults, _, _, _) = one_device.recovery_totals();
+    assert!(faults > 0, "the drawn schedule must fire");
+    assert_eq!(one_device.err_count(), 0, "recovery absorbs every fault");
+    assert_eq!(one_device.fingerprint(), one_pool.fingerprint());
+    assert_eq!(one_device.rows_fingerprint(), one_pool.rows_fingerprint());
+    for (a, b) in one_device.responses.iter().zip(&one_pool.responses) {
+        assert!(a.trace.is_some(), "q{} recorded no trace", a.id);
+        assert_eq!(
+            format!("{:?}", a.trace),
+            format!("{:?}", b.trace),
+            "q{}",
+            a.id
+        );
+        let rows = |r: &gpl_serve::QueryResponse| r.result.as_ref().unwrap().kernel_rows.clone();
+        assert_eq!(rows(a), rows(b), "q{}", a.id);
+    }
+}
+
+/// A pooled query that fails on a device fault still charges every
+/// device the cycles its simulator ran: the breaker of a device that ran
+/// the failed query opens at a cycle above 0, not at the clock it had
+/// before the query.
+#[test]
+fn an_errored_pooled_query_charges_its_devices_clocks() {
+    use gpl_serve::{BreakerConfig, BreakerState, FaultConfig};
+    use gpl_sim::{FaultKind, FaultSpec, PinnedFault};
+
+    let pool = DevicePool::default_pool();
+    let gammas = (pool.devices().iter())
+        .map(|d| GammaTable::calibrate_grid(&d.spec, vec![1], vec![16], vec![256 << 10]))
+        .collect();
+    let config = ServeConfig {
+        workers: 1,
+        faults: Some(FaultConfig {
+            seed: 7,
+            spec: FaultSpec {
+                pinned: vec![PinnedFault {
+                    kind: FaultKind::KernelFault,
+                    kernel: "k_reduce*".to_string(),
+                    at_cycle: 0,
+                }],
+                ..FaultSpec::none()
+            },
+        }),
+        breaker: Some(BreakerConfig {
+            trip_after: 1,
+            ..BreakerConfig::default()
+        }),
+        sharding: Some(gpl_serve::ShardServeConfig {
+            pool,
+            gammas,
+            plan: ShardPlan::range(2),
+            hedge_threshold: None,
+        }),
+        ..ServeConfig::default()
+    };
+    let srv = Server::start(
+        config,
+        amd_a10(),
+        Arc::new(TpchDb::at_scale(0.002)),
+        gamma(),
+    );
+    let answers = srv.run_batch(vec![QueryRequest::new(0, SIMPLE, ExecMode::Gpl)]);
+    assert!(
+        matches!(&answers[0].result, Err(gpl_serve::ServeError::Exec(e)) if e.is_device_fault()),
+        "{:?}",
+        answers[0].result
+    );
+    let opens: Vec<(Option<usize>, u64)> = (srv.breaker_transitions().iter())
+        .filter(|t| (t.from, t.to) == (BreakerState::Closed, BreakerState::Open))
+        .map(|t| (t.device, t.cycle))
+        .collect();
+    assert!(!opens.is_empty(), "the fault trips the breakers");
+    assert!(
+        opens.iter().any(|&(_, cycle)| cycle > 0),
+        "a device that ran the failed query is charged its cycles: {opens:?}"
+    );
 }

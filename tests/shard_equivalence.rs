@@ -9,14 +9,12 @@
 use gpl_check::prelude::*;
 use gpl_prng::{SeedableRng, StdRng};
 use gpl_repro::core::shard::{
-    try_run_query_sharded, DevicePool, PoolDevice, ShardAssignment, ShardFaults, ShardPlan,
-    ShardedRun,
+    try_run_query_sharded, DevicePool, ShardAssignment, ShardFaults, ShardPlan, ShardedRun,
 };
 use gpl_repro::core::{
-    plan_for, run_query, try_run_query_recovering, ExecContext, ExecLimits, ExecMode, QueryConfig,
-    QueryPlan, RecoveryPolicy,
+    plan_for, run_query, ExecContext, ExecLimits, ExecMode, QueryConfig, QueryPlan, RecoveryPolicy,
 };
-use gpl_repro::sim::{amd_a10, FaultKind, FaultPlan, FaultSpec, PinnedFault};
+use gpl_repro::sim::{amd_a10, FaultKind, FaultSpec, PinnedFault};
 use gpl_repro::tpch::QueryId;
 use std::sync::OnceLock;
 
@@ -118,88 +116,6 @@ fn ocelot_agrees_with_the_classic_engine_when_sharded() {
             );
         }
     }
-}
-
-/// A one-device pool is the classic engine on the whole result — one
-/// driver, so output, cycles, per-stage profiles (Debug bytes) and the
-/// recovery books all match: every TPC-H plan under all five modes, then
-/// two faulted cases on the same fault stream (`seed_for(0)` on the
-/// classic context), GPL under slice checkpoints and fused pairs under
-/// retries.
-#[test]
-fn one_device_pool_is_the_classic_engine() {
-    const ALL_MODES: [ExecMode; 5] = [
-        ExecMode::Kbe,
-        ExecMode::GplNoCe,
-        ExecMode::Gpl,
-        ExecMode::GplPipelined,
-        ExecMode::Ocelot,
-    ];
-    let amd = DevicePool::new(vec![PoolDevice { spec: amd_a10() }]);
-    let faults = ShardFaults {
-        spec: FaultSpec::uniform(0.1),
-        seed: 17,
-    };
-    let mut faulted_runs = 0;
-    let mut both =
-        |plan: &QueryPlan, mode: ExecMode, cfg: QueryConfig, policy: Option<RecoveryPolicy>| {
-            let faults = policy.is_some().then_some(&faults);
-            let at = format!(
-                "{} under {} (faults: {})",
-                plan.query.name(),
-                mode.name(),
-                faults.is_some()
-            );
-            let assignment = ShardAssignment {
-                stage_device: vec![0; plan.stages.len()],
-                configs: vec![cfg.clone()],
-            };
-            let (shard, limits) = (ShardPlan::single(), ExecLimits::none());
-            let pooled = try_run_query_sharded(
-                &amd,
-                &db(),
-                plan,
-                mode,
-                &shard,
-                &assignment,
-                &limits,
-                policy.as_ref(),
-                faults,
-                None,
-                None,
-            )
-            .unwrap_or_else(|e| panic!("{at}: pooled run failed: {e}"));
-            let mut ctx = ExecContext::with_shared(amd_a10(), db());
-            if let Some(f) = faults {
-                ctx.sim
-                    .attach_faults(FaultPlan::new(f.spec.clone(), f.seed_for(0)));
-            }
-            let classic =
-                try_run_query_recovering(&mut ctx, plan, mode, &cfg, &limits, policy.as_ref())
-                    .unwrap_or_else(|e| panic!("{at}: classic run failed: {e}"));
-            assert_eq!(pooled.output, classic.output, "{at}: output");
-            assert_eq!(pooled.cycles, classic.cycles, "{at}: cycles");
-            assert_eq!(
-                format!("{:?}", pooled.per_device[0].per_stage),
-                format!("{:?}", classic.per_stage),
-                "{at}: per-stage profiles"
-            );
-            assert_eq!(pooled.recovery, classic.recovery, "{at}: recovery");
-            faulted_runs += usize::from(!pooled.recovery.faults.is_empty());
-        };
-    for q in QueryId::all() {
-        let plan = plan_for(&db(), q);
-        let cfg = QueryConfig::default_for(&amd_a10(), &plan);
-        for mode in ALL_MODES {
-            both(&plan, mode, cfg.clone(), None);
-        }
-        let ckpt = RecoveryPolicy::default().with_checkpoints(2);
-        both(&plan, ExecMode::Gpl, cfg.clone(), Some(ckpt));
-        let overlapped = cfg.with_overlap_slices(2);
-        let retry = RecoveryPolicy::default();
-        both(&plan, ExecMode::GplPipelined, overlapped, Some(retry));
-    }
-    assert!(faulted_runs > 0, "the faulted cases must draw faults");
 }
 
 /// Rule 3 of the one driver on the three-device pool: an overlap pair
