@@ -30,11 +30,9 @@ pub enum ExecError {
     /// checksum-detected channel corruption) exhausted every retry and
     /// fallback. Carries the *last* structured fault record.
     Fault(FaultRecord),
-    /// The device was lost mid-query and no fallback was available.
+    /// The device was lost mid-query (a pinned
+    /// [`FaultKind::DeviceLost`]) and no fallback was available.
     DeviceLost(FaultRecord),
-    /// A simulated allocation failed under memory pressure and retries
-    /// / fallbacks were exhausted.
-    Oom(FaultRecord),
     /// Load shedding: the admission queue was over its configured bound,
     /// so the request was rejected before execution (fast-fail instead
     /// of unbounded queueing latency).
@@ -53,7 +51,6 @@ impl ExecError {
     /// Map an injected [`FaultRecord`] to its error variant.
     pub fn from_fault(record: FaultRecord) -> Self {
         match record.kind {
-            FaultKind::Oom => ExecError::Oom(record),
             FaultKind::DeviceLost => ExecError::DeviceLost(record),
             _ => ExecError::Fault(record),
         }
@@ -62,7 +59,7 @@ impl ExecError {
     /// The structured fault record, for the device-fault variants.
     pub fn fault_record(&self) -> Option<&FaultRecord> {
         match self {
-            ExecError::Fault(r) | ExecError::DeviceLost(r) | ExecError::Oom(r) => Some(r),
+            ExecError::Fault(r) | ExecError::DeviceLost(r) => Some(r),
             _ => None,
         }
     }
@@ -71,10 +68,7 @@ impl ExecError {
     /// serving layer's circuit breaker counts). Timeouts, cancellations
     /// and deadlocks are query problems, not device problems.
     pub fn is_device_fault(&self) -> bool {
-        matches!(
-            self,
-            ExecError::Fault(_) | ExecError::DeviceLost(_) | ExecError::Oom(_)
-        )
+        matches!(self, ExecError::Fault(_) | ExecError::DeviceLost(_))
     }
 }
 
@@ -94,7 +88,6 @@ impl fmt::Display for ExecError {
             ExecError::Cancelled => write!(f, "query cancelled"),
             ExecError::Fault(r) => write!(f, "transient device fault: {r}"),
             ExecError::DeviceLost(r) => write!(f, "device lost: {r}"),
-            ExecError::Oom(r) => write!(f, "device out of memory: {r}"),
             ExecError::Rejected { queue_depth, bound } => write!(
                 f,
                 "admission rejected: queue depth {queue_depth} over bound {bound}"
@@ -153,7 +146,6 @@ mod tests {
             ExecError::Cancelled,
             ExecError::Fault(record(FaultKind::KernelFault)),
             ExecError::DeviceLost(record(FaultKind::DeviceLost)),
-            ExecError::Oom(record(FaultKind::Oom)),
             ExecError::Rejected {
                 queue_depth: 9,
                 bound: 8,
@@ -186,7 +178,6 @@ mod tests {
                 | ExecError::Cancelled
                 | ExecError::Fault(_)
                 | ExecError::DeviceLost(_)
-                | ExecError::Oom(_)
                 | ExecError::Rejected { .. }
                 | ExecError::InvalidConfig(_)
                 | ExecError::InvalidPlan(_) => {}
@@ -225,10 +216,6 @@ mod tests {
             cycle: 1,
             launch: 0,
         };
-        assert!(matches!(
-            ExecError::from_fault(mk(FaultKind::Oom)),
-            ExecError::Oom(_)
-        ));
         assert!(matches!(
             ExecError::from_fault(mk(FaultKind::DeviceLost)),
             ExecError::DeviceLost(_)

@@ -230,18 +230,34 @@ impl ShardAssignment {
     }
 }
 
-/// Fault-injection configuration for a pool run: one seeded plan per
-/// device, derived from `seed` and the pool index so per-device fault
-/// streams are independent but reproducible.
+/// A seeded fault recipe: the [`FaultSpec`] every plan is built from
+/// and the seed they draw from. A pool run attaches one plan per device
+/// ([`ShardFaults::attach`]); a server re-seeds it per request
+/// ([`ShardFaults::for_request`]) and re-exports it as
+/// `gpl_serve::FaultConfig`.
 #[derive(Debug, Clone)]
 pub struct ShardFaults {
     pub spec: FaultSpec,
     pub seed: u64,
 }
 
-const SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+/// `seed` with `i` mixed in by a φ64 multiply (splitmix-style), so
+/// nearby `i` draw uncorrelated PCG streams.
+fn mix_seed(seed: u64, i: u64) -> u64 {
+    seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
 
 impl ShardFaults {
+    /// The recipe as request `id` draws it: the seed with `id` mixed
+    /// in, so a request's fault schedule is a pure function of (seed,
+    /// id) — independent of worker count and arrival order.
+    pub fn for_request(&self, id: u64) -> ShardFaults {
+        ShardFaults {
+            spec: self.spec.clone(),
+            seed: mix_seed(self.seed, id),
+        }
+    }
+
     /// Attach one fault plan per pool device, `ctxs` in pool order. On a
     /// pool of more than one device, device `i` draws `seed` with its
     /// index mixed in; a lone device draws `seed` unmixed. The mix only
@@ -250,8 +266,11 @@ impl ShardFaults {
     pub fn attach(&self, ctxs: &mut [ExecContext]) {
         let mixed = ctxs.len() > 1;
         for (i, ctx) in ctxs.iter_mut().enumerate() {
-            let mix = (i as u64 + 1).wrapping_mul(SEED_MIX);
-            let seed = if mixed { self.seed ^ mix } else { self.seed };
+            let seed = if mixed {
+                mix_seed(self.seed, i as u64 + 1)
+            } else {
+                self.seed
+            };
             ctx.sim
                 .attach_faults(FaultPlan::new(self.spec.clone(), seed));
         }
@@ -290,11 +309,21 @@ impl HedgePlan {
     /// by the calibration gates at well under 2×) never trips it.
     pub const DEFAULT_THRESHOLD: f64 = 3.0;
 
+    /// The rule every lateness threshold must meet: finite and at least
+    /// 1, so no shard is hedged before its model says it can finish.
+    pub fn check_threshold(threshold: f64) -> Result<(), String> {
+        if threshold.is_finite() && threshold >= 1.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "hedge threshold must be finite and >= 1, got {threshold}"
+            ))
+        }
+    }
+
+    /// Panics on a threshold [`HedgePlan::check_threshold`] rejects.
     pub fn new(modeled: Vec<Vec<f64>>, threshold: f64) -> Self {
-        assert!(
-            threshold.is_finite() && threshold >= 1.0,
-            "hedge threshold must be finite and >= 1, got {threshold}"
-        );
+        Self::check_threshold(threshold).unwrap_or_else(|e| panic!("{e}"));
         HedgePlan { modeled, threshold }
     }
 }

@@ -539,6 +539,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::{channel_grid, packet_grid, tile_grid};
     use crate::{analyze, stats};
     use gpl_core::{plan_for, QueryConfig};
     use gpl_sim::{amd_a10, ResourceUsage};
@@ -575,11 +576,11 @@ mod tests {
         assert!(r2.iter().map(|&x| x as u64).sum::<u64>() <= spec.max_wg_per_cu as u64);
     }
 
-    /// A calibrated-enough Γ for any profile: three points per axis the
-    /// device allows.
+    /// A calibrated-enough Γ for any profile: every other channel count
+    /// the device allows (1, 4, 16 under its cap), two packet sizes
+    /// where tunable, three data sizes.
     fn gamma_for(spec: &DeviceSpec) -> GammaTable {
-        let ns = [1u32, 4, 16].into_iter();
-        let ns = ns.filter(|&n| n <= spec.channel.max_channels).collect();
+        let ns = channel_grid(spec).into_iter().step_by(2).collect();
         let ps = if spec.channel.tunable_packet_size {
             vec![16, 64]
         } else {
@@ -590,7 +591,6 @@ mod tests {
 
     #[test]
     fn evaluator_is_bit_identical_to_the_reference_body() {
-        use crate::search::{channel_grid, packet_grid, tile_grid};
         let db = TpchDb::at_scale(0.01);
         // splitmix64: wg counts off the search's grid too (non-multiples
         // of #CU, fewer work-groups than CUs).
@@ -610,7 +610,10 @@ mod tests {
                 let st = stats::estimate(&db, &plan);
                 for sm in &analyze::build_models(&db, &plan, &st, &spec) {
                     for tile_bytes in tile_grid() {
-                        for n_channels in channel_grid() {
+                        // The uncapped grid on every profile, past
+                        // the CPU's fan-out too: the evaluator must
+                        // match the reference on any config.
+                        for n_channels in channel_grid(&amd_a10()) {
                             for packet_bytes in packet_grid(&spec) {
                                 let mut cfg = StageConfig {
                                     tile_bytes,

@@ -37,17 +37,8 @@ fn axis<T: Ord>(mut values: Vec<T>) -> Vec<T> {
 
 /// The calibration grid used throughout the repository.
 pub fn default_grid(spec: &DeviceSpec) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
-    // The CPU profile caps channel fan-out below 16; probing past the
-    // device limit would abort inside the simulator.
-    let ns: Vec<u32> = [1u32, 2, 4, 8, 16]
-        .into_iter()
-        .filter(|&n| n <= spec.channel.max_channels)
-        .collect();
-    let ps = if spec.channel.tunable_packet_size {
-        vec![8, 16, 32, 64]
-    } else {
-        vec![spec.channel.fixed_packet_bytes]
-    };
+    let ns = crate::search::channel_grid(spec);
+    let ps = crate::search::packet_grid(spec);
     let ds = vec![
         64 << 10,
         256 << 10,

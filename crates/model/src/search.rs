@@ -28,9 +28,14 @@ pub fn tile_grid() -> Vec<u64> {
     ]
 }
 
-/// Channel-count grid (the paper searches n in [1, 16]).
-pub fn channel_grid() -> Vec<u32> {
-    vec![1, 2, 4, 8, 16]
+/// Channel-count grid: the paper searches n in [1, 16], capped at the
+/// device's channel fan-out (the CPU profile stops at 4) — a config past
+/// the cap would abort at channel creation.
+pub fn channel_grid(spec: &DeviceSpec) -> Vec<u32> {
+    [1, 2, 4, 8, 16]
+        .into_iter()
+        .filter(|&n| n <= spec.channel.max_channels)
+        .collect()
 }
 
 /// Packet-size grid (AMD only; NVIDIA's packet size is fixed).
@@ -144,12 +149,7 @@ fn optimize_stage(
 ) -> StageConfig {
     let kernels = sm.ir.nodes.len();
     let mut best: Option<(f64, StageConfig)> = None;
-    // Respect the device's channel fan-out cap (the CPU profile stops
-    // at 4); a config past it would abort at channel creation.
-    let ns: Vec<u32> = channel_grid()
-        .into_iter()
-        .filter(|&n| n <= spec.channel.max_channels)
-        .collect();
+    let ns = channel_grid(spec);
     let ps = packet_grid(spec);
     let wgs: Vec<u32> = (wg_multiplier_grid().into_iter())
         .map(|mult| mult * spec.num_cus)

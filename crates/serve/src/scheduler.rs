@@ -15,11 +15,11 @@ use crate::lock;
 use crate::report::BatchReport;
 use crate::request::{KernelRows, QueryRequest, QueryResponse, QueryResult, ServeError};
 use crate::telemetry::BreakerTransition;
-use gpl_core::shard::{run_pool, DevicePool, PoolDevice, RunSpec, ShardFaults, ShardPlan};
+use gpl_core::shard::{run_pool, DevicePool, HedgePlan, PoolDevice, RunSpec, ShardPlan};
 use gpl_core::{ExecContext, ExecError, ExecLimits, ExecMode, RecoveryPolicy};
 use gpl_model::GammaTable;
 use gpl_obs::Recorder;
-use gpl_sim::{DeviceSpec, FaultSpec};
+use gpl_sim::DeviceSpec;
 use gpl_tpch::TpchDb;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,22 +29,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Seeded fault injection for every query the server runs. The
-/// per-query plan seed is `seed ^ (id * φ64)`, so a query's fault
-/// schedule is a pure function of (config seed, request id) —
-/// independent of worker count and arrival order, like every other
-/// deterministic per-query fact.
-#[derive(Debug, Clone)]
-pub struct FaultConfig {
-    pub seed: u64,
-    pub spec: FaultSpec,
-}
-
-/// Per-query fault-plan seed: splitmix-style id mixing keeps nearby ids'
-/// PCG streams uncorrelated.
-pub(crate) fn per_query_seed(seed: u64, id: u64) -> u64 {
-    seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
+/// Seeded fault injection for every query the server runs: the pool's
+/// seeded recipe, re-seeded per query by request id
+/// ([`FaultConfig::for_request`]), so a query's fault schedule is a
+/// pure function of (config seed, request id) — independent of worker
+/// count and arrival order, like every other deterministic per-query
+/// fact.
+pub use gpl_core::shard::ShardFaults as FaultConfig;
 
 /// Multi-device serving: run every query sharded across a heterogeneous
 /// [`DevicePool`] instead of on the single worker device. The placement
@@ -205,6 +196,28 @@ pub struct Server {
     results: Mutex<Receiver<QueryResponse>>,
 }
 
+/// Why `config` cannot be deployed, if it cannot: every query builds a
+/// `FaultPlan` from the fault spec, placement indexes `gammas` by pool
+/// device, and hedging builds a [`HedgePlan`] from the threshold.
+fn check_deployment(config: &ServeConfig) -> Result<(), String> {
+    if let Some(fc) = &config.faults {
+        fc.spec.validate().map_err(|e| e.to_string())?;
+    }
+    if let Some(sc) = &config.sharding {
+        if sc.gammas.len() != sc.pool.len() {
+            return Err(format!(
+                "one gamma table per pool device: {} tables for {} devices",
+                sc.gammas.len(),
+                sc.pool.len()
+            ));
+        }
+        if let Some(t) = sc.hedge_threshold {
+            HedgePlan::check_threshold(t)?;
+        }
+    }
+    Ok(())
+}
+
 /// The one response constructor: `result` as answered by `worker`, every
 /// wall time zero and nothing planned, traced or recovered — callers
 /// fill in what they measured with struct-update syntax.
@@ -243,17 +256,9 @@ impl Server {
         gamma: Arc<GammaTable>,
     ) -> Self {
         // Deployment errors, caught at construction (not on the request
-        // path): every query builds a `FaultPlan` from the spec, and
-        // placement indexes `gammas` by pool device.
-        if let Some(Err(e)) = config.faults.as_ref().map(|fc| fc.spec.validate()) {
+        // path).
+        if let Err(e) = check_deployment(&config) {
             panic!("{e}");
-        }
-        if let Some(sc) = &config.sharding {
-            assert_eq!(
-                sc.gammas.len(),
-                sc.pool.len(),
-                "one gamma table per pool device"
-            );
         }
         let shared = Arc::new(Shared::new(config, spec, db, gamma));
         let (tx, rx) = channel();
@@ -648,9 +653,7 @@ fn process(
     // Seeded per query id, not per worker: the fault schedule a query
     // sees is part of its deterministic identity.
     if let Some(fc) = &shared.config.faults {
-        let seed = per_query_seed(fc.seed, req.id);
-        let spec = fc.spec.clone();
-        ShardFaults { spec, seed }.attach(&mut ctxs);
+        fc.for_request(req.id).attach(&mut ctxs);
     }
     let rec = shared.config.record_traces.then(Recorder::new);
     if let Some(r) = &rec {

@@ -388,3 +388,23 @@ fn an_errored_pooled_query_charges_its_devices_clocks() {
         "a device that ran the failed query is charged its cycles: {opens:?}"
     );
 }
+
+/// A hedge threshold below 1 is a deployment error, caught when the
+/// server starts rather than on every request it would have served.
+#[test]
+#[should_panic(expected = "hedge threshold")]
+fn start_rejects_a_hedge_threshold_below_one() {
+    let _server = Server::start(
+        ServeConfig {
+            workers: 1,
+            sharding: Some(gpl_serve::ShardServeConfig {
+                hedge_threshold: Some(0.5),
+                ..one_device_sharding()
+            }),
+            ..ServeConfig::default()
+        },
+        amd_a10(),
+        Arc::new(TpchDb::at_scale(0.002)),
+        gamma(),
+    );
+}

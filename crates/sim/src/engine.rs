@@ -583,13 +583,12 @@ impl Simulator {
         let mut deferred_fail: Option<(FaultRecord, f64, u64)> = None;
         if let Some(plan) = self.faults.as_mut() {
             let clock = self.clock;
-            let allocated = self.mem.allocated();
             let names: Vec<&str> = kernels.iter().map(|k| &*k.name).collect();
             let uses_channels = kernels
                 .iter()
                 .any(|k| !k.inputs.is_empty() || !k.outputs.is_empty());
             let progress = plan.spec().fail_progress;
-            let admission = plan.admit(clock, &names, uses_channels, allocated);
+            let admission = plan.admit(clock, &names, uses_channels);
             match admission {
                 Admission::Clear => {}
                 Admission::Stall { record } => {
@@ -1394,7 +1393,7 @@ mod tests {
             assert_eq!(rec.cycle, sim.clock(), "record stamped at detection");
             p.elapsed_cycles
         };
-        let detect = FaultSpec::none().detect_cycles;
+        let detect = crate::fault::DETECT_CYCLES;
         // Admission-time model: only the detection cost, no work lost.
         assert_eq!(run_at(0.0), detect);
         // End-of-launch verification: the whole launch plus detection.

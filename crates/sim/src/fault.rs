@@ -1,10 +1,10 @@
 //! Deterministic fault injection — the simulator's fault plane.
 //!
 //! Real GPU serving fleets see transient kernel faults, wedged DMA
-//! channels, allocation failures under memory pressure, and whole-device
-//! loss; the paper never asks what happens then, but a production engine
-//! must (see "Accelerating Presto with GPUs" in PAPERS.md, which runs
-//! GPU operators behind a CPU-fallback path for exactly this reason).
+//! channels, throughput loss and whole-device loss; the paper never
+//! asks what happens then, but a production engine must (see
+//! "Accelerating Presto with GPUs" in PAPERS.md, which runs GPU
+//! operators behind a CPU-fallback path for exactly this reason).
 //! A [`FaultPlan`] attached to a [`crate::Simulator`] injects those
 //! failure modes *deterministically*: one seeded PCG32 draw per armed
 //! launch, timestamps in simulated cycles only, no ambient entropy. The
@@ -20,7 +20,7 @@
 //! That invariant is what makes segment-granularity retry in `gpl-core`
 //! sound: re-running a faulted segment can never double-apply work.
 //! Channel *stalls* and *slowdowns* are the non-failing kinds: a stalled
-//! launch proceeds after losing `stall_cycles` on the clock, and a
+//! launch proceeds after losing [`STALL_CYCLES`] on the clock, and a
 //! slowdown opens a duration-bounded window during which every launch's
 //! elapsed cycles are multiplied — a *gray* failure the retry ladder
 //! never sees (no launch fails), detectable only by comparing observed
@@ -34,6 +34,13 @@ use std::fmt;
 /// distinct from the property-test harness streams).
 const FAULT_STREAM: u64 = 0xfa17_fa17;
 
+/// Cycles from admission to fault *detection*, charged to the clock of
+/// every failing launch — the cost of noticing.
+pub const DETECT_CYCLES: u64 = 2_000;
+
+/// Cycles a [`FaultKind::ChannelStall`] costs before its launch runs.
+pub const STALL_CYCLES: u64 = 20_000;
+
 /// What kind of hardware misbehaviour was injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
@@ -41,17 +48,14 @@ pub enum FaultKind {
     /// illegal-address abort): the launch fails, the device survives.
     KernelFault,
     /// A wedged channel: the launch *succeeds* after losing
-    /// [`FaultSpec::stall_cycles`] to a drained-and-restarted pipe.
+    /// [`STALL_CYCLES`] to a drained-and-restarted pipe.
     ChannelStall,
     /// Corrupted channel traffic, surfaced by the per-tile checksum the
     /// consumer verifies (`gpl-core`'s data queues): the launch fails.
     ChannelCorrupt,
-    /// Tile/hash-table allocation failure under memory pressure: fires
-    /// only when the simulated allocator is past
-    /// [`FaultSpec::mem_pressure_bytes`].
-    Oom,
-    /// Whole-device loss: every subsequent armed launch fails until the
-    /// plan is disarmed. Not retryable on the same device.
+    /// Whole-device loss, injected only by a [`PinnedFault`]: every
+    /// subsequent armed launch fails until the plan is disarmed. Not
+    /// retryable on the same device.
     DeviceLost,
     /// A gray failure: the device keeps working but loses throughput for
     /// [`FaultSpec::slowdown_cycles`], every overlapping launch's elapsed
@@ -71,7 +75,6 @@ impl FaultKind {
             FaultKind::KernelFault => "kernel_fault",
             FaultKind::ChannelStall => "channel_stall",
             FaultKind::ChannelCorrupt => "channel_corrupt",
-            FaultKind::Oom => "oom",
             FaultKind::DeviceLost => "device_lost",
             FaultKind::Slowdown => "slowdown",
         }
@@ -89,17 +92,15 @@ impl FaultKind {
             FaultKind::KernelFault => 0,
             FaultKind::ChannelStall => 1,
             FaultKind::ChannelCorrupt => 2,
-            FaultKind::Oom => 3,
-            FaultKind::DeviceLost => 4,
-            FaultKind::Slowdown => 5,
+            FaultKind::DeviceLost => 3,
+            FaultKind::Slowdown => 4,
         }
     }
 
-    pub const ALL: [FaultKind; 6] = [
+    pub const ALL: [FaultKind; 5] = [
         FaultKind::KernelFault,
         FaultKind::ChannelStall,
         FaultKind::ChannelCorrupt,
-        FaultKind::Oom,
         FaultKind::DeviceLost,
         FaultKind::Slowdown,
     ];
@@ -113,7 +114,7 @@ pub struct FaultRecord {
     /// The victim kernel, for kinds that single one out.
     pub kernel: Option<String>,
     /// Device clock at which the fault was *detected* (admission clock
-    /// plus [`FaultSpec::detect_cycles`]).
+    /// plus [`DETECT_CYCLES`]).
     pub cycle: u64,
     /// Zero-based index of the armed launch that drew the fault.
     pub launch: u64,
@@ -131,8 +132,10 @@ impl fmt::Display for FaultRecord {
 
 /// A fault pinned to fire on a specific kernel: the first armed launch
 /// containing `kernel` fails with `kind` at `max(clock, at_cycle) +
-/// detect_cycles`. Pinned faults fire once each, before any
-/// probabilistic draw, and consume no randomness.
+/// DETECT_CYCLES` (a stall instead runs at `max(clock, at_cycle) +
+/// STALL_CYCLES`). Pinned faults fire once each, before any
+/// probabilistic draw, and consume no randomness. They are the only way
+/// to inject a [`FaultKind::DeviceLost`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PinnedFault {
     pub kind: FaultKind,
@@ -141,8 +144,8 @@ pub struct PinnedFault {
 }
 
 /// The (cloneable) fault-injection recipe: per-launch probabilities, the
-/// memory-pressure watermark gating OOM, latency charges, and pinned
-/// schedules. Build a [`FaultPlan`] from it with a seed.
+/// slowdown window's shape, mid-launch detection, and pinned schedules.
+/// Build a [`FaultPlan`] from it with a seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Per-launch probability of a transient kernel fault.
@@ -153,22 +156,9 @@ pub struct FaultSpec {
     /// Per-launch probability of checksum-detected channel corruption
     /// (channel-using launches only).
     pub channel_corrupt: f64,
-    /// Per-launch probability of an allocation failure — fires only when
-    /// simulated allocation exceeds [`FaultSpec::mem_pressure_bytes`].
-    pub oom: f64,
-    /// Per-launch probability of losing the whole device.
-    pub device_lost: f64,
     /// Per-launch probability of opening a [`FaultKind::Slowdown`]
     /// window (gray failure: launches keep succeeding, slower).
     pub slowdown: f64,
-    /// OOM watermark: injected OOMs require `MemoryMap::allocated()` to
-    /// exceed this. `None` disables pressure gating (OOM can always fire).
-    pub mem_pressure_bytes: Option<u64>,
-    /// Cycles from admission to fault *detection* (charged to the clock
-    /// of every failing launch — the cost of noticing).
-    pub detect_cycles: u64,
-    /// Cycles a [`FaultKind::ChannelStall`] costs before the launch runs.
-    pub stall_cycles: u64,
     /// Elapsed-cycle multiplier inside a slowdown window (≥ 1.0; 1.0
     /// makes the window a no-op).
     pub slowdown_factor: f64,
@@ -177,8 +167,8 @@ pub struct FaultSpec {
     pub slowdown_cycles: u64,
     /// Fraction of a failing launch that executes before the fault
     /// surfaces, in `[0, 1]`. At the default `0.0` a fault is decided at
-    /// launch admission and costs only [`FaultSpec::detect_cycles`] —
-    /// the PR-4 model where failed launches have zero side effects. At
+    /// launch admission and costs only [`DETECT_CYCLES`] — the
+    /// admission model where failed launches have zero side effects. At
     /// `1.0` the fault is caught by end-of-launch verification: the
     /// launch runs to completion, its full simulated cycles are charged
     /// (plus detection), and its outputs are poisoned. Intermediate
@@ -208,12 +198,7 @@ impl FaultSpec {
             kernel_fault: 0.0,
             channel_stall: 0.0,
             channel_corrupt: 0.0,
-            oom: 0.0,
-            device_lost: 0.0,
             slowdown: 0.0,
-            mem_pressure_bytes: None,
-            detect_cycles: 2_000,
-            stall_cycles: 20_000,
             slowdown_factor: 4.0,
             slowdown_cycles: 200_000,
             fail_progress: 0.0,
@@ -223,9 +208,9 @@ impl FaultSpec {
     }
 
     /// Transient faults only, all at probability `p` per launch: kernel
-    /// faults, channel stalls and channel corruption (no OOM, no device
-    /// loss, no slowdown windows) — the workhorse recipe of the fuzz
-    /// suites, kept slowdown-free so its fault streams stay stable.
+    /// faults, channel stalls and channel corruption (no slowdown
+    /// windows) — the workhorse recipe of the fuzz suites, kept
+    /// slowdown-free so its fault streams stay stable.
     pub fn uniform(p: f64) -> Self {
         FaultSpec {
             kernel_fault: p,
@@ -263,7 +248,7 @@ impl FaultSpec {
     /// Sum of failure probabilities (sanity bound; stalls and slowdowns
     /// excluded because they do not fail the launch).
     fn fail_mass(&self) -> f64 {
-        self.kernel_fault + self.channel_corrupt + self.oom + self.device_lost
+        self.kernel_fault + self.channel_corrupt
     }
 
     /// Structural validation: every probability must be a finite value
@@ -277,8 +262,6 @@ impl FaultSpec {
             ("kernel_fault", self.kernel_fault),
             ("channel_stall", self.channel_stall),
             ("channel_corrupt", self.channel_corrupt),
-            ("oom", self.oom),
-            ("device_lost", self.device_lost),
             ("slowdown", self.slowdown),
         ];
         for (field, p) in probs {
@@ -477,10 +460,9 @@ impl FaultPlan {
     /// cycles keeps its admission-drawn fault with probability
     /// `min(1, elapsed / window)` — constant hazard per executed cycle.
     /// Returns `false` when the fault is rescinded, in which case the
-    /// launch stands exactly as simulated (the injection is un-counted,
-    /// and a rescinded device loss restores the device). Consumes one
-    /// uniform draw only when hazard scaling is on, so classic fault
-    /// streams are untouched.
+    /// launch stands exactly as simulated (the injection is un-counted).
+    /// A device loss is always kept. Consumes one uniform draw only when
+    /// hazard scaling is on, so classic fault streams are untouched.
     pub(crate) fn confirm_mid_launch(&mut self, record: &FaultRecord, elapsed: u64) -> bool {
         let Some(window) = self.spec.fail_hazard_cycles else {
             return true;
@@ -499,22 +481,14 @@ impl FaultPlan {
     }
 
     /// Decide the fate of one launch. `kernels` are the launch's kernel
-    /// names; `uses_channels` gates the channel kinds; `allocated` is
-    /// the allocator's current total for the OOM watermark.
-    pub(crate) fn admit(
-        &mut self,
-        clock: u64,
-        kernels: &[&str],
-        uses_channels: bool,
-        allocated: u64,
-    ) -> Admission {
+    /// names; `uses_channels` gates the channel kinds.
+    pub(crate) fn admit(&mut self, clock: u64, kernels: &[&str], uses_channels: bool) -> Admission {
         if !self.armed {
             return Admission::Clear;
         }
         let launch = self.launch_no;
         self.launch_no += 1;
         self.stats.launches += 1;
-        let detect = self.spec.detect_cycles;
         if self.lost {
             // The device stays lost; repeat records count separately so
             // observed rates reflect every failed launch.
@@ -523,7 +497,7 @@ impl FaultPlan {
                 record: FaultRecord {
                     kind: FaultKind::DeviceLost,
                     kernel: None,
-                    cycle: clock + detect,
+                    cycle: clock + DETECT_CYCLES,
                     launch,
                 },
             };
@@ -548,7 +522,7 @@ impl FaultPlan {
                         record: FaultRecord {
                             kind,
                             kernel,
-                            cycle: at + self.spec.stall_cycles,
+                            cycle: at + STALL_CYCLES,
                             launch,
                         },
                     }
@@ -557,7 +531,7 @@ impl FaultPlan {
                         record: FaultRecord {
                             kind,
                             kernel,
-                            cycle: at + detect,
+                            cycle: at + DETECT_CYCLES,
                             launch,
                         },
                     }
@@ -565,40 +539,11 @@ impl FaultPlan {
             }
         }
         // One uniform draw per launch, walked against cumulative
-        // thresholds. Gated kinds (channel faults on channel-less
-        // launches, OOM under the watermark) still consume their slice
-        // of the draw, so the stream is stable across gating.
+        // thresholds. Channel kinds on channel-less launches still
+        // consume their slice of the draw, so the stream is stable
+        // across gating.
         let r = (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let mut cum = self.spec.device_lost;
-        if r < cum {
-            self.lost = true;
-            self.stats.injected[FaultKind::DeviceLost.idx()] += 1;
-            return Admission::Fail {
-                record: FaultRecord {
-                    kind: FaultKind::DeviceLost,
-                    kernel: None,
-                    cycle: clock + detect,
-                    launch,
-                },
-            };
-        }
-        cum += self.spec.oom;
-        if r < cum {
-            let pressured = self.spec.mem_pressure_bytes.is_none_or(|w| allocated > w);
-            if pressured {
-                self.stats.injected[FaultKind::Oom.idx()] += 1;
-                return Admission::Fail {
-                    record: FaultRecord {
-                        kind: FaultKind::Oom,
-                        kernel: None,
-                        cycle: clock + detect,
-                        launch,
-                    },
-                };
-            }
-            return Admission::Clear;
-        }
-        cum += self.spec.kernel_fault;
+        let mut cum = self.spec.kernel_fault;
         if r < cum {
             let victim = kernels[(self.rng.next_u32() as usize) % kernels.len().max(1)];
             self.stats.injected[FaultKind::KernelFault.idx()] += 1;
@@ -606,7 +551,7 @@ impl FaultPlan {
                 record: FaultRecord {
                     kind: FaultKind::KernelFault,
                     kernel: Some(victim.to_string()),
-                    cycle: clock + detect,
+                    cycle: clock + DETECT_CYCLES,
                     launch,
                 },
             };
@@ -619,7 +564,7 @@ impl FaultPlan {
                     record: FaultRecord {
                         kind: FaultKind::ChannelCorrupt,
                         kernel: None,
-                        cycle: clock + detect,
+                        cycle: clock + DETECT_CYCLES,
                         launch,
                     },
                 };
@@ -634,7 +579,7 @@ impl FaultPlan {
                     record: FaultRecord {
                         kind: FaultKind::ChannelStall,
                         kernel: None,
-                        cycle: clock + self.spec.stall_cycles,
+                        cycle: clock + STALL_CYCLES,
                         launch,
                     },
                 };
@@ -667,7 +612,7 @@ mod tests {
 
     fn admit_n(plan: &mut FaultPlan, n: usize) -> Vec<Admission> {
         (0..n)
-            .map(|i| plan.admit(i as u64 * 100, &["k_a", "k_b"], true, 0))
+            .map(|i| plan.admit(i as u64 * 100, &["k_a", "k_b"], true))
             .collect()
     }
 
@@ -717,13 +662,17 @@ mod tests {
     fn device_loss_is_sticky_until_disarmed() {
         let mut p = FaultPlan::new(
             FaultSpec {
-                device_lost: 1.0,
+                pinned: vec![PinnedFault {
+                    kind: FaultKind::DeviceLost,
+                    kernel: "k".into(),
+                    at_cycle: 0,
+                }],
                 ..FaultSpec::none()
             },
             1,
         );
         assert!(matches!(
-            p.admit(0, &["k"], false, 0),
+            p.admit(0, &["k"], false),
             Admission::Fail {
                 record: FaultRecord {
                     kind: FaultKind::DeviceLost,
@@ -733,33 +682,10 @@ mod tests {
         ));
         assert!(p.device_lost());
         // Still lost on the next launch...
-        assert!(matches!(
-            p.admit(10, &["k"], false, 0),
-            Admission::Fail { .. }
-        ));
+        assert!(matches!(p.admit(10, &["k"], false), Admission::Fail { .. }));
         // ...until disarmed (the hardened-path escape).
         p.set_armed(false);
-        assert!(matches!(p.admit(20, &["k"], false, 0), Admission::Clear));
-    }
-
-    #[test]
-    fn oom_respects_the_pressure_watermark() {
-        let spec = FaultSpec {
-            oom: 1.0,
-            mem_pressure_bytes: Some(1 << 20),
-            ..FaultSpec::none()
-        };
-        let mut p = FaultPlan::new(spec, 5);
-        assert!(matches!(p.admit(0, &["k"], false, 100), Admission::Clear));
-        assert!(matches!(
-            p.admit(0, &["k"], false, (1 << 20) + 1),
-            Admission::Fail {
-                record: FaultRecord {
-                    kind: FaultKind::Oom,
-                    ..
-                }
-            }
-        ));
+        assert!(matches!(p.admit(20, &["k"], false), Admission::Clear));
     }
 
     #[test]
@@ -771,7 +697,7 @@ mod tests {
         };
         let mut p = FaultPlan::new(spec, 11);
         for _ in 0..100 {
-            assert!(matches!(p.admit(0, &["k"], false, 0), Admission::Clear));
+            assert!(matches!(p.admit(0, &["k"], false), Admission::Clear));
         }
     }
 
@@ -785,23 +711,20 @@ mod tests {
             }],
             ..FaultSpec::none()
         };
-        let mut p = FaultPlan::new(spec.clone(), 1);
+        let mut p = FaultPlan::new(spec, 1);
         // Launch without the victim: clear.
-        assert!(matches!(p.admit(0, &["k_a"], false, 0), Admission::Clear));
+        assert!(matches!(p.admit(0, &["k_a"], false), Admission::Clear));
         // Launch with it, before at_cycle: fires at at_cycle + detect.
-        match p.admit(100, &["k_a", "k_b"], false, 0) {
+        match p.admit(100, &["k_a", "k_b"], false) {
             Admission::Fail { record } => {
                 assert_eq!(record.kind, FaultKind::KernelFault);
                 assert_eq!(record.kernel.as_deref(), Some("k_b"));
-                assert_eq!(record.cycle, 5_000 + spec.detect_cycles);
+                assert_eq!(record.cycle, 5_000 + DETECT_CYCLES);
             }
             a => panic!("expected pinned failure, got {a:?}"),
         }
         // Fires once.
-        assert!(matches!(
-            p.admit(9_000, &["k_b"], false, 0),
-            Admission::Clear
-        ));
+        assert!(matches!(p.admit(9_000, &["k_b"], false), Admission::Clear));
     }
 
     #[test]
@@ -898,10 +821,10 @@ mod tests {
         assert!(err.to_string().contains("kernel_fault = -0.1"));
 
         let over = FaultSpec {
-            oom: 1.5,
+            channel_stall: 1.5,
             ..FaultSpec::none()
         };
-        assert_eq!(over.validate().unwrap_err().field, "oom");
+        assert_eq!(over.validate().unwrap_err().field, "channel_stall");
 
         let nan = FaultSpec {
             slowdown: f64::NAN,
@@ -930,7 +853,7 @@ mod tests {
     fn plan_new_panics_on_invalid_spec() {
         FaultPlan::new(
             FaultSpec {
-                device_lost: 2.0,
+                channel_corrupt: 2.0,
                 ..FaultSpec::none()
             },
             0,
@@ -941,7 +864,7 @@ mod tests {
     fn slowdown_draw_opens_a_window_and_never_fails() {
         let spec = FaultSpec::none().with_slowdown(1.0, 8.0, 10_000);
         let mut p = FaultPlan::new(spec, 3);
-        match p.admit(500, &["k"], false, 0) {
+        match p.admit(500, &["k"], false) {
             Admission::Slow {
                 record,
                 until_cycle,
@@ -980,7 +903,7 @@ mod tests {
         let mut p = FaultPlan::new(spec, 11);
         let mut slows = 0;
         for _ in 0..200 {
-            match p.admit(0, &["k"], false, 0) {
+            match p.admit(0, &["k"], false) {
                 Admission::Clear => {}
                 Admission::Slow { .. } => slows += 1,
                 a => panic!("channel-less launch cannot stall: {a:?}"),
@@ -988,6 +911,70 @@ mod tests {
         }
         assert!(slows > 0, "slowdown band still reachable");
         assert_eq!(p.stats().injected(FaultKind::ChannelStall), 0);
+    }
+
+    /// FNV-1a over every admission two fixed recipes draw — the fuzz
+    /// suites' `uniform(0.05)` and the sharded chaos recipe — across
+    /// alternating channel-using and channel-less launches, with each
+    /// deferred fail put through `confirm_mid_launch`. Every pinned
+    /// fault and chaos number downstream reads this stream, so a change
+    /// to the fault plane must leave both digests where they are.
+    #[test]
+    fn fault_streams_are_pinned() {
+        fn mix(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h ^= u64::from(b);
+                *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let digest = |spec: FaultSpec| {
+            let deferred = spec.fail_progress > 0.0;
+            let mut plan = FaultPlan::new(spec, 0x5eed);
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for i in 0..4_000u64 {
+                let channels = i % 2 == 0;
+                let kernels: &[&str] = if channels {
+                    &["k_scan", "k_probe", "k_agg"]
+                } else {
+                    &["k_sort"]
+                };
+                let (tag, record) = match plan.admit(i * 1_000, kernels, channels) {
+                    Admission::Clear => (0u8, None),
+                    Admission::Stall { record } => (1, Some(record)),
+                    Admission::Fail { record } => (2, Some(record)),
+                    Admission::Slow {
+                        record,
+                        until_cycle,
+                        factor,
+                    } => {
+                        mix(&mut h, &until_cycle.to_le_bytes());
+                        mix(&mut h, &factor.to_bits().to_le_bytes());
+                        (3, Some(record))
+                    }
+                };
+                mix(&mut h, &[tag]);
+                let Some(record) = record else { continue };
+                mix(&mut h, record.kind.name().as_bytes());
+                mix(&mut h, record.kernel.as_deref().unwrap_or("-").as_bytes());
+                mix(&mut h, &record.cycle.to_le_bytes());
+                mix(&mut h, &record.launch.to_le_bytes());
+                if tag == 2 && deferred {
+                    let elapsed = (i * 7_919 % 64) << 20;
+                    mix(&mut h, &[plan.confirm_mid_launch(&record, elapsed) as u8]);
+                }
+            }
+            mix(&mut h, &plan.stats().total().to_le_bytes());
+            mix(&mut h, &plan.stats().total_failures().to_le_bytes());
+            h
+        };
+        let chaos = FaultSpec::uniform(0.15)
+            .with_slowdown(0.05, 4.0, 1 << 18)
+            .with_fail_progress(1.0)
+            .with_fail_hazard(1 << 25);
+        assert_eq!(
+            [digest(FaultSpec::uniform(0.05)), digest(chaos)],
+            [0x04f2_dc7d_396a_54b3, 0x7235_b67b_743b_81a8]
+        );
     }
 
     #[test]

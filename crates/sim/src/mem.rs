@@ -161,11 +161,6 @@ impl MemoryMap {
         (addr < r.base + r.bytes).then_some((RegionId(idx as u32 - 1), r))
     }
 
-    /// Total bytes allocated so far.
-    pub fn allocated(&self) -> u64 {
-        self.next
-    }
-
     /// Number of live regions.
     pub fn len(&self) -> usize {
         self.regions.len()

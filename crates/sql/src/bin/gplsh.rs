@@ -185,7 +185,7 @@ fn main() {
                     None => Some(gpl_core::shard::HedgePlan::DEFAULT_THRESHOLD),
                 },
                 v => match v.parse::<f64>() {
-                    Ok(t) if t.is_finite() && t >= 1.0 => Some(t),
+                    Ok(t) if gpl_core::shard::HedgePlan::check_threshold(t).is_ok() => Some(t),
                     _ => {
                         eprintln!("usage: \\chaos [threshold>=1|off]");
                         continue;

@@ -45,15 +45,3 @@ fn all_queries_all_modes_match_reference_on_amd() {
 fn all_queries_all_modes_match_reference_on_nvidia() {
     check_device(nvidia_k40(), 0.01);
 }
-
-#[test]
-fn simulated_cycles_are_deterministic_across_runs() {
-    let run_once = || {
-        let db = TpchDb::at_scale(0.005);
-        let mut ctx = ExecContext::new(amd_a10(), db);
-        let plan = plan_for(&ctx.db, QueryId::Q14);
-        let cfg = QueryConfig::default_for(&amd_a10(), &plan);
-        run_query(&mut ctx, &plan, ExecMode::Gpl, &cfg).cycles
-    };
-    assert_eq!(run_once(), run_once());
-}

@@ -1,7 +1,7 @@
 //! Fault injection and the recovery stack, end to end: seeded faults
 //! must cost cycles, never rows. The top half drives the executor
 //! directly (retries, degradation ladder, pinned schedules, device
-//! loss, OOM, stalls); the bottom half drives the serving layer
+//! loss, stalls); the bottom half drives the serving layer
 //! (per-query fault determinism across worker counts, load shedding,
 //! circuit breaking).
 
@@ -13,6 +13,7 @@ use gpl_repro::core::{
 };
 use gpl_repro::model::GammaTable;
 use gpl_repro::serve::{BreakerConfig, FaultConfig, QueryRequest, ServeConfig, ServeError, Server};
+use gpl_repro::sim::fault::STALL_CYCLES;
 use gpl_repro::sim::{amd_a10, FaultKind, FaultPlan, FaultSpec, PinnedFault};
 use gpl_repro::tpch::QueryId;
 use std::sync::OnceLock;
@@ -162,7 +163,11 @@ fn device_loss_skips_the_ladder_and_only_disarming_escapes() {
     let sql = gpl_repro::sql::sql_for(QueryId::Q6).expect("Q6 in corpus");
     let want = clean_rows(sql);
     let spec = FaultSpec {
-        device_lost: 1.0,
+        pinned: vec![PinnedFault {
+            kind: FaultKind::DeviceLost,
+            kernel: "k_reduce*".into(),
+            at_cycle: 0,
+        }],
         ..FaultSpec::none()
     };
     let (run, _) = run_faulted(sql, ExecMode::Gpl, spec, 3, &RecoveryPolicy::default());
@@ -173,33 +178,6 @@ fn device_loss_skips_the_ladder_and_only_disarming_escapes() {
     assert_eq!(run.recovery.faults[0].kind, FaultKind::DeviceLost);
     assert_eq!(run.recovery.retries, 0);
     assert_eq!(run.recovery.fallbacks, 1);
-}
-
-#[test]
-fn oom_respects_the_memory_pressure_watermark() {
-    let sql = gpl_repro::sql::sql_for(QueryId::Q6).expect("Q6 in corpus");
-    let want = clean_rows(sql);
-    // Watermark above any allocation: the OOM probability never fires.
-    let calm = FaultSpec {
-        oom: 1.0,
-        mem_pressure_bytes: Some(u64::MAX),
-        ..FaultSpec::none()
-    };
-    let (run, injected) = run_faulted(sql, ExecMode::Gpl, calm, 5, &RecoveryPolicy::default());
-    assert_eq!(run.output, want);
-    assert_eq!(injected, 0, "no pressure, no OOM");
-    assert!(!run.recovery.eventful());
-
-    // Watermark zero: every armed launch is over pressure and OOMs.
-    let squeezed = FaultSpec {
-        oom: 1.0,
-        mem_pressure_bytes: Some(0),
-        ..FaultSpec::none()
-    };
-    let (run, injected) = run_faulted(sql, ExecMode::Gpl, squeezed, 5, &RecoveryPolicy::default());
-    assert_eq!(run.output, want, "recovery absorbs OOM too");
-    assert!(injected > 0);
-    assert!(run.recovery.faults.iter().all(|f| f.kind == FaultKind::Oom));
 }
 
 #[test]
@@ -232,7 +210,7 @@ fn channel_stalls_cost_cycles_but_never_rows() {
     assert_eq!(stats.total_failures(), 0);
 }
 
-/// A stall delays its launch by `stall_cycles` (DESIGN.md §7), and a
+/// A stall delays its launch by `STALL_CYCLES` (DESIGN.md §7), and a
 /// query's cycles are its device's clock: one pinned stall on a GPL
 /// launch costs the query exactly that, and nothing else moves.
 #[test]
@@ -248,13 +226,12 @@ fn one_pinned_channel_stall_costs_exactly_its_stall_cycles() {
         kernel: "k_reduce*".into(),
         at_cycle: 0,
     });
-    let stall_cycles = spec.stall_cycles;
     let policy = RecoveryPolicy::default();
     let (run, injected) = run_faulted(sql, ExecMode::Gpl, spec, 0, &policy);
     assert_eq!(injected, 1, "a pinned stall fires exactly once");
     assert_eq!(run.output, clean.output);
     assert!(!run.recovery.eventful(), "a stall is latency, not a fault");
-    assert_eq!(run.cycles, clean.cycles + stall_cycles);
+    assert_eq!(run.cycles, clean.cycles + STALL_CYCLES);
 }
 
 /// Per-query fault schedules are seeded by request id, so the full
