@@ -279,6 +279,9 @@ pub(crate) struct StageRun<'a> {
     pub hts: &'a [Option<Rc<RefCell<SimHashTable>>>],
     /// Query cycles spent before this stage.
     pub spent: Spent,
+    /// The stage's build rows as [`estimate_build_rows`] expects them,
+    /// taken once per stage: every attempt's table is placed for them.
+    pub build_rows: usize,
 }
 
 impl StageRun<'_> {
@@ -288,6 +291,15 @@ impl StageRun<'_> {
 
     pub(crate) fn cfg(&self) -> &StageConfig {
         &self.spec.configs[self.device].stages[self.idx]
+    }
+
+    /// Host entries a build table reserves for an attempt over `rows` of
+    /// the driver: its share of [`Self::build_rows`],
+    /// `min(expected, ⌈expected × rows / total⌉)`. The whole driver
+    /// reserves the whole estimate.
+    pub(crate) fn reserve(&self, rows: usize) -> usize {
+        let (expected, total) = (self.build_rows as u64, self.ir.driver_rows.max(1));
+        expected.min((expected * rows as u64).div_ceil(total)) as usize
     }
 }
 
@@ -444,7 +456,8 @@ pub(crate) fn attempt_stage(
 ) -> Result<StageOut, ExecError> {
     debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a stage");
     let (stage, ir, hts) = (run.stage(), run.ir, run.hts);
-    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, stage);
+    let reserve = run.reserve(rows.len());
+    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, stage, run.build_rows, reserve);
     if rows.is_empty() {
         return Ok((LaunchProfile::default(), Blocking::owned(build, agg)));
     }
@@ -487,18 +500,24 @@ pub(crate) fn attempt_stage(
 }
 
 /// Fresh blocking outputs (hash table / aggregate store) for one attempt
-/// at `stage`, behind the shared handles its kernels write through.
+/// at `stage`, behind the shared handles its kernels write through. A
+/// table is placed for the stage's `expected` build rows whatever part
+/// of the driver the attempt covers, so its simulated geometry is the
+/// whole build's; its host content reserves `reserve` entries, the
+/// attempt's share ([`StageRun::reserve`]), and grows past them on demand.
 pub(crate) fn make_blocking_outputs(
     ctx: &mut ExecContext,
     plan: &QueryPlan,
     stage: &Stage,
+    expected: usize,
+    reserve: usize,
 ) -> (SharedBuild, SharedAgg) {
     match &stage.terminal {
         Terminal::HashBuild { ht, payloads, .. } => {
-            let expected = estimate_build_rows(ctx, stage);
-            let table = SimHashTable::new(
+            let table = SimHashTable::reserving(
                 &mut ctx.sim.mem,
                 expected,
+                reserve,
                 payloads.len(),
                 format!("{}::ht{}", plan.query.name(), ht),
             );
@@ -544,8 +563,12 @@ pub(crate) fn run_pair_fused(
     let Terminal::HashBuild { payloads, .. } = &stage_b.terminal else {
         unreachable!("pair build stage must end in a hash build");
     };
-    let expected = estimate_build_rows(ctx, stage_b) as u64;
-    let table_bytes = expected * SimHashTable::entry_bytes_for(payloads.len());
+    // A fused pair is one shard: its tables reserve their whole estimates.
+    let (rows_b, rows_p) = (
+        estimate_build_rows(&ctx.db, stage_b),
+        estimate_build_rows(&ctx.db, stage_p),
+    );
+    let table_bytes = rows_b as u64 * SimHashTable::entry_bytes_for(payloads.len());
     let cfgs = &spec.configs[device].stages;
     let edge = pair
         .clone()
@@ -568,8 +591,8 @@ pub(crate) fn run_pair_fused(
     };
     let attempt = |ctx: &mut ExecContext, _| {
         debug_assert!(!ctx.sim.fault_pending(), "stale fault entering a pair");
-        let (shared, _) = make_blocking_outputs(ctx, spec.plan, stage_b);
-        let (build_p, agg) = make_blocking_outputs(ctx, spec.plan, stage_p);
+        let (shared, _) = make_blocking_outputs(ctx, spec.plan, stage_b, rows_b, rows_b);
+        let (build_p, agg) = make_blocking_outputs(ctx, spec.plan, stage_p, rows_p, rows_p);
         let table = shared.as_ref().map(|(_, t)| t);
         let profile = gpl::run_overlapped_pair(
             ctx,
@@ -655,8 +678,10 @@ pub(crate) fn run_stage_checkpointed(
         .map(|c| rows.start + c.start..rows.start + c.end);
     // Accumulated blocking state: created ONCE and kept across slice
     // attempts — sound because a faulted slice attempt only ever built
-    // its own (dropped) per-slice outputs.
-    let (build, agg) = make_blocking_outputs(ctx, run.spec.plan, run.stage());
+    // its own (dropped) per-slice outputs. It covers the whole part.
+    let reserve = run.reserve(rows.len());
+    let (build, agg) =
+        make_blocking_outputs(ctx, run.spec.plan, run.stage(), run.build_rows, reserve);
     let mut acc = Blocking::owned(build, agg);
     let mut checkpoint = acc.fingerprint();
     let mut kept_cycles = 0u64; // useful cycles the checkpoints protect
@@ -710,10 +735,14 @@ pub(crate) fn run_stage_checkpointed(
 /// Estimate a build stage's output cardinality by evaluating its filters
 /// on a small driver sample (the role a query optimizer's estimate plays
 /// when an engine sizes a hash table). Stages with probes fall back to
-/// the driver cardinality.
-fn estimate_build_rows(ctx: &ExecContext, stage: &Stage) -> usize {
+/// the driver cardinality; a stage that ends in an aggregate builds
+/// nothing (0).
+pub(crate) fn estimate_build_rows(db: &TpchDb, stage: &Stage) -> usize {
     use crate::plan::PipeOp;
-    let total = ctx.db.table(&stage.driver).rows();
+    if !matches!(stage.terminal, Terminal::HashBuild { .. }) {
+        return 0;
+    }
+    let total = db.table(&stage.driver).rows();
     if stage
         .ops
         .iter()
@@ -729,7 +758,7 @@ fn estimate_build_rows(ctx: &ExecContext, stage: &Stage) -> usize {
         let step = total as f64 / SAMPLE as f64;
         (0..SAMPLE).map(|i| (i as f64 * step) as usize).collect()
     };
-    let t = ctx.db.table(&stage.driver);
+    let t = db.table(&stage.driver);
     let mut chunk = crate::ops::Chunk::new(stage.num_slots());
     for (s, name) in stage.loads.iter().enumerate() {
         let col = t.col(name);
@@ -870,6 +899,80 @@ mod tests {
         let err = try_run_query_recovering(&mut ctx, &plan, ExecMode::Kbe, &cfg, &limits, None)
             .unwrap_err();
         assert_eq!(err, ExecError::Cancelled);
+    }
+
+    /// The blocking output of one attempt at stage `idx` of `plan` over
+    /// `rows`, the stages before it run whole to supply its probes.
+    fn attempt_table(
+        db: &Arc<TpchDb>,
+        plan: &QueryPlan,
+        idx: usize,
+        rows: impl Fn(usize) -> Range<usize>,
+    ) -> SimHashTable {
+        let mut ctx = ExecContext::with_shared(amd_a10(), Arc::clone(db));
+        let configs = [QueryConfig::default_for(&amd_a10(), plan)];
+        let spec = RunSpec {
+            plan,
+            mode: ExecMode::Gpl,
+            shard: &ShardPlan::single(),
+            anchors: &vec![0; plan.stages.len()],
+            configs: &configs,
+            limits: &ExecLimits::none(),
+            recovery: None,
+            hedge: None,
+        };
+        let mut hts = vec![None; plan.num_hts];
+        for (i, stage) in plan.stages.iter().enumerate().take(idx + 1) {
+            let wf = amd_a10().wavefront_size;
+            let ir = SegmentIr::lower(stage, db.table(&stage.driver), wf);
+            let run = StageRun {
+                spec: &spec,
+                device: 0,
+                idx: i,
+                ir: &ir,
+                hts: &hts,
+                spent: Spent {
+                    walls: 0,
+                    wasted0: 0,
+                },
+                build_rows: estimate_build_rows(db, stage),
+            };
+            let total = db.table(&stage.driver).rows();
+            let part = if i == idx { rows(total) } else { 0..total };
+            let (_, out) = attempt_stage(&mut ctx, &run, ExecMode::Gpl, part).unwrap();
+            let Blocking::Build(slot, table) = out else {
+                panic!("stage {i} of {} builds", plan.query.name());
+            };
+            if i == idx {
+                return table;
+            }
+            hts[slot] = Some(Rc::new(RefCell::new(table)));
+        }
+        unreachable!("stage {idx} ran")
+    }
+
+    #[test]
+    fn a_part_reserves_host_room_for_its_rows_only() {
+        let db = Arc::new(TpchDb::at_scale(0.01));
+        // A sampled estimate (Q9's filtered partsupp) and a probe-fed one
+        // (Q3's orders, estimated at the whole driver).
+        for (q, name) in [
+            (gpl_tpch::QueryId::Q9, "build_partsupp"),
+            (gpl_tpch::QueryId::Q3, "build_orders"),
+        ] {
+            let plan = crate::plan::plan_for(&db, q);
+            let idx = plan.stages.iter().position(|s| s.name == name).unwrap();
+            let whole = attempt_table(&db, &plan, idx, |total| 0..total);
+            let quarter = attempt_table(&db, &plan, idx, |total| 0..total / 4);
+            assert!(quarter.len() < whole.len(), "{name}");
+            assert_eq!(quarter.bytes(), whole.bytes(), "{name}: simulated geometry");
+            assert!(
+                2 * quarter.host_bytes() <= whole.host_bytes(),
+                "{name}: host bytes {} for a quarter, {} for the whole",
+                quarter.host_bytes(),
+                whole.host_bytes()
+            );
+        }
     }
 
     #[test]

@@ -203,9 +203,24 @@ impl SimHashTable {
         payload_width: usize,
         label: impl Into<String>,
     ) -> Self {
+        Self::reserving(mem, expected, expected, payload_width, label)
+    }
+
+    /// [`SimHashTable::new`]'s simulated table, placed for `expected`
+    /// keys, whose host content reserves room for only `reserve` of them
+    /// and grows past that on demand. The two sizes are separate: a
+    /// shard part or checkpoint slice inserts only its share of the
+    /// build, but its buckets sit where the whole build's would.
+    pub fn reserving(
+        mem: &mut MemoryMap,
+        expected: usize,
+        reserve: usize,
+        payload_width: usize,
+        label: impl Into<String>,
+    ) -> Self {
         let entries = Entries {
-            map: HashMap::with_capacity_and_hasher(expected, BuildMix64::default()),
-            pay: Vec::with_capacity(expected * payload_width),
+            map: HashMap::with_capacity_and_hasher(reserve, BuildMix64::default()),
+            pay: Vec::with_capacity(reserve * payload_width),
             payload_width,
         };
         Self::place(Rc::new(entries), mem, expected, label)
@@ -290,6 +305,14 @@ impl SimHashTable {
     /// Simulated bytes the table occupies (its materialization footprint).
     pub fn bytes(&self) -> u64 {
         self.buckets * self.site.entry_bytes
+    }
+
+    /// Host bytes the content has room for, from capacity: the map's
+    /// slots (a key and an entry index each) plus the payload arena.
+    pub fn host_bytes(&self) -> u64 {
+        let e = &*self.entries;
+        let slots = e.map.capacity() * std::mem::size_of::<(i64, u32)>();
+        (slots + e.pay.capacity() * std::mem::size_of::<i64>()) as u64
     }
 
     fn bucket_of(&self, key: i64) -> u64 {

@@ -394,7 +394,7 @@ fn scatter_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{make_blocking_outputs, ExecContext, ExecMode};
+    use crate::exec::{estimate_build_rows, make_blocking_outputs, ExecContext, ExecMode};
     use crate::plan::{listing1_plan, plan_for, q14_plan, Agg, QueryPlan};
     use gpl_sim::amd_a10;
     use gpl_storage::{days, Tiling};
@@ -454,7 +454,8 @@ mod tests {
                     .collect(),
                 _ => std::iter::once(0..rows).collect(),
             };
-            let (build, agg) = make_blocking_outputs(&mut ctx, plan, stage);
+            let expected = estimate_build_rows(&ctx.db, stage);
+            let (build, agg) = make_blocking_outputs(&mut ctx, plan, stage, expected, expected);
             let target = build.as_ref().map(|(_, t)| t);
             let mut profile = LaunchProfile::default();
             for range in ranges {

@@ -27,8 +27,8 @@
 
 use crate::error::ExecError;
 use crate::exec::{
-    attempt_stage, run_pair_fused, run_sort_kernel, run_stage_checkpointed, Blocking, ExecContext,
-    ExecLimits, ExecMode, HtCache, QueryConfig, StageOut, StageRun,
+    attempt_stage, estimate_build_rows, run_pair_fused, run_sort_kernel, run_stage_checkpointed,
+    Blocking, ExecContext, ExecLimits, ExecMode, HtCache, QueryConfig, StageOut, StageRun,
 };
 use crate::ht::{GroupStore, SimHashTable};
 use crate::ops::sort_rows;
@@ -425,10 +425,11 @@ pub struct RunSpec<'a> {
 /// every device. `cache` keeps built tables across queries ([`HtCache`]).
 /// Each stage splits into `spec.shard` parts, each run down the recovery
 /// ladder on a device of its anchor's class (a lost device's part moves
-/// to the next live one); the parts' blocking state merges once, in shard
-/// order; the stage's wall — the largest clock advance over the devices,
-/// which run concurrently — adds to the query's cycles, so a backoff or a
-/// channel stall counts once, where it lands. Three rules follow from the
+/// to the next live one); the parts' blocking state merges in shard
+/// order, each part as it finishes; the stage's wall — the largest clock
+/// advance over the devices, which run concurrently — adds to the
+/// query's cycles, so a backoff or a channel stall counts once, where it
+/// lands. Three rules follow from the
 /// inputs, not from options:
 ///
 /// 1. **Broadcast.** On a one-device pool a merged build table is
@@ -746,6 +747,8 @@ impl Driver<'_> {
             Some(p) if spec.shard.shards == 1 => p.checkpoint_slices,
             _ => 0,
         };
+        // One build estimate for every part, retry, backup and slice.
+        let build_rows = estimate_build_rows(&db, stage);
         let stage_run = |device: usize| StageRun {
             spec,
             device,
@@ -753,9 +756,14 @@ impl Driver<'_> {
             ir: &irs[device],
             hts: &self.hts[device],
             spent,
+            build_rows,
         };
         let mut profiles: Vec<Option<LaunchProfile>> = vec![None; n];
-        let mut outs = Vec::with_capacity(parts.len());
+        // The parts' blocking-terminal state, merged in shard order as
+        // each part's race resolves; aggregate stores gather onto the
+        // primary device.
+        let mut merged: Option<Blocking> = None;
+        let mut gathered = 0;
         let mut ran_on = mode;
 
         for (si, part) in parts.iter().enumerate() {
@@ -873,20 +881,20 @@ impl Driver<'_> {
                 Some(acc) => acc.merge(&profile),
                 None => profiles[wdev] = Some(profile),
             }
-            outs.push(blocking);
+            match merged.as_mut() {
+                Some(acc) => {
+                    if let Blocking::Agg(s) = &blocking {
+                        gathered += s.bytes();
+                    }
+                    acc.absorb(blocking);
+                }
+                None => merged = Some(blocking),
+            }
         }
 
-        // Merge the blocking-terminal state in shard order; aggregate
-        // stores gather onto the primary device.
-        let mut outs = outs.into_iter();
-        let mut merged = outs.next().expect("a stage has at least one shard");
-        let mut gathered = 0;
-        for part in outs {
-            if let Blocking::Agg(s) = &part {
-                gathered += s.bytes();
-            }
-            merged.absorb(part);
-        }
+        // `run_pool` refused zero shards, and a partition has one range
+        // per shard.
+        let merged = merged.ok_or(ExecError::InvalidConfig(ConfigError::ZeroShards))?;
         if let Blocking::Agg(_) = merged {
             let sim = &mut self.ctxs[primary].sim;
             sim.advance(gathered / broadcast_bandwidth(sim.spec()));
