@@ -45,9 +45,16 @@
 //! same files are tolerated and ignored), and panics with the minimal
 //! counterexample. Persisted seeds are re-run before fresh cases on
 //! every subsequent run.
+//!
+//! ## Pins
+//!
+//! [`pins::check`] is the other half of the test plane: expected values
+//! committed as plain text under `pins/`, written out as observed to
+//! `target/pins/` on every run, and re-pinned by one copy.
 
 pub mod collection;
 pub mod gen;
+pub mod pins;
 pub mod runner;
 pub mod shrink;
 pub mod strategy;

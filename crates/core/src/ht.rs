@@ -12,6 +12,7 @@
 //! kernel-at-a-time engines keep a whole range's traffic as a
 //! [`BucketTrace`] of 4-byte bucket ids and expand it per replay unit.
 
+use gpl_prng::Fnv1a;
 use gpl_sim::mem::{MemRange, MemoryMap, RegionClass, RegionId};
 use std::collections::{hash_map, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -364,28 +365,20 @@ impl SimHashTable {
     /// A mismatch means the shared table diverged from what the build
     /// terminal installed (a dropped or double-published slice).
     pub fn slice_checksum(&self, slice: u32, slices: u32) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
         let entries = &*self.entries;
         let mut keyed: Vec<(i64, u32)> = (entries.map.iter())
             .map(|(&k, &i)| (k, i))
             .filter(|&(k, _)| Self::slice_of(k, slices) == slice)
             .collect();
         keyed.sort_unstable_by_key(|&(k, _)| k);
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
+        let mut h = Fnv1a::new();
         for (k, i) in keyed {
-            mix(k as u64);
+            h.write_u64(k as u64);
             for &p in entries.payload(i) {
-                mix(p as u64);
+                h.write_u64(p as u64);
             }
         }
-        h
+        h.finish()
     }
 
     /// Content fingerprint of the whole table: [`Self::slice_checksum`]
@@ -634,23 +627,15 @@ impl GroupStore {
     /// same rows agree — the checkpoint-verification digest of
     /// slice-resume, mirroring [`SimHashTable::fingerprint`].
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.key_width as u64);
-        mix(self.kinds.len() as u64);
+        let mut h = Fnv1a::new();
+        h.write_u64(self.key_width as u64);
+        h.write_u64(self.kinds.len() as u64);
         for g in self.key_order() {
             for &v in self.key(g).iter().chain(self.accs_of(g)) {
-                mix(v as u64);
+                h.write_u64(v as u64);
             }
         }
-        h
+        h.finish()
     }
 
     /// Fold `values` into the aggregates of group `keys`; reports the
@@ -1007,21 +992,15 @@ mod tests {
         }
 
         fn fingerprint(&self) -> u64 {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut mix = |v: u64| {
-                for b in v.to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-            };
-            mix(self.key_width as u64);
-            mix(self.kinds.len() as u64);
+            let mut h = Fnv1a::new();
+            h.write_u64(self.key_width as u64);
+            h.write_u64(self.kinds.len() as u64);
             for (keys, aggs) in &self.groups {
                 for &v in keys.iter().chain(aggs) {
-                    mix(v as u64);
+                    h.write_u64(v as u64);
                 }
             }
-            h
+            h.finish()
         }
 
         fn into_rows(mut self) -> Vec<Vec<i64>> {

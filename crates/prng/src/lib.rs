@@ -14,15 +14,19 @@
 //!   `gpl-check` property-test harness, where speed matters more than
 //!   stream compatibility.
 //!
+//! * [`Fnv1a`] — 64-bit FNV-1a, the workspace's content digest.
+//!
 //! Everything is seeded and platform-independent: no ambient entropy,
 //! no `SystemTime`, no thread-local state. The same seed produces the
 //! same stream on every platform, forever (pinned by tests below).
 
 mod chacha;
+mod fnv;
 mod pcg;
 mod uniform;
 
 pub use chacha::StdRng;
+pub use fnv::{fnv1a, Fnv1a};
 pub use pcg::Pcg32;
 pub use uniform::UniformSample;
 

@@ -5,6 +5,7 @@
 use crate::request::QueryResponse;
 use crate::telemetry::{BreakerTransition, Telemetry};
 use gpl_obs::{Histogram, MetricsRegistry, Recorder};
+use gpl_prng::Fnv1a;
 use std::time::Duration;
 
 /// Everything a completed batch produced. `responses` are sorted by
@@ -40,16 +41,6 @@ fn histogram_pct(values: impl IntoIterator<Item = u64>, pct: f64) -> u64 {
         h.observe(v);
     }
     h.percentile(pct)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
 }
 
 impl BatchReport {
@@ -130,31 +121,31 @@ impl BatchReport {
     /// the error's display text. Identical across worker counts and
     /// machines; any scheduling-dependent field is excluded.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv1a::new();
         for r in &self.responses {
-            fnv1a(&mut h, &r.id.to_le_bytes());
-            fnv1a(&mut h, r.mode.name().as_bytes());
+            h.write(&r.id.to_le_bytes());
+            h.write(r.mode.name().as_bytes());
             match &r.result {
                 Ok(res) => {
-                    fnv1a(&mut h, &[1]);
+                    h.write(&[1]);
                     for c in &res.output.columns {
-                        fnv1a(&mut h, c.as_bytes());
+                        h.write(c.as_bytes());
                     }
-                    fnv1a(&mut h, &(res.output.rows.len() as u64).to_le_bytes());
+                    h.write_u64(res.output.rows.len() as u64);
                     for row in &res.output.rows {
                         for v in row {
-                            fnv1a(&mut h, &v.to_le_bytes());
+                            h.write(&v.to_le_bytes());
                         }
                     }
-                    fnv1a(&mut h, &res.cycles.to_le_bytes());
+                    h.write_u64(res.cycles);
                 }
                 Err(e) => {
-                    fnv1a(&mut h, &[0]);
-                    fnv1a(&mut h, e.to_string().as_bytes());
+                    h.write(&[0]);
+                    h.write(e.to_string().as_bytes());
                 }
             }
         }
-        h
+        h.finish()
     }
 
     /// Sum of recovery activity over the batch:
@@ -191,27 +182,27 @@ impl BatchReport {
     /// under this fingerprint (faults cost cycles, never rows), which is
     /// exactly what the `repro faults` experiment asserts.
     pub fn rows_fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv1a::new();
         for r in &self.responses {
-            fnv1a(&mut h, &r.id.to_le_bytes());
-            fnv1a(&mut h, r.mode.name().as_bytes());
+            h.write(&r.id.to_le_bytes());
+            h.write(r.mode.name().as_bytes());
             match &r.result {
                 Ok(res) => {
-                    fnv1a(&mut h, &[1]);
+                    h.write(&[1]);
                     for c in &res.output.columns {
-                        fnv1a(&mut h, c.as_bytes());
+                        h.write(c.as_bytes());
                     }
-                    fnv1a(&mut h, &(res.output.rows.len() as u64).to_le_bytes());
+                    h.write_u64(res.output.rows.len() as u64);
                     for row in &res.output.rows {
                         for v in row {
-                            fnv1a(&mut h, &v.to_le_bytes());
+                            h.write(&v.to_le_bytes());
                         }
                     }
                 }
-                Err(_) => fnv1a(&mut h, &[0]),
+                Err(_) => h.write(&[0]),
             }
         }
-        h
+        h.finish()
     }
 
     /// The `pct`-th percentile of *simulated completion latency* —

@@ -60,20 +60,14 @@ impl QueryOutput {
     /// names excluded): the digest bench artifacts and sharded-run checks
     /// compare results by.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(&(self.rows.len() as u64).to_le_bytes());
+        let mut h = gpl_prng::Fnv1a::new();
+        h.write_u64(self.rows.len() as u64);
         for row in &self.rows {
             for v in row {
-                mix(&v.to_le_bytes());
+                h.write(&v.to_le_bytes());
             }
         }
-        h
+        h.finish()
     }
 }
 

@@ -38,22 +38,23 @@ pub fn gamma() -> Arc<GammaTable> {
     G.get_or_init(|| Arc::new(gamma_for(&amd_a10()))).clone()
 }
 
-/// FNV-1a-shaped digest over the row values — order matters, so it pins
-/// ORDER BY output too. The multiplier is the one the golden
-/// fingerprints in `golden_results.rs` were pinned with.
+/// FNV-1a's shape with prime `0x1000_0000_01b3`, not FNV's
+/// `0x100_0000_01b3` ([`gpl_prng::Fnv1a`]). The golden result
+/// fingerprints and the seed-42 TPC-H digest in `pins/` were taken with
+/// this prime, so it stays.
+pub fn fnv1a_pinned(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// [`fnv1a_pinned`] over the row count and the row values — order
+/// matters, so it pins ORDER BY output too.
 pub fn fingerprint(out: &QueryOutput) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: i64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    mix(out.rows.len() as i64);
-    for row in &out.rows {
-        for &v in row {
-            mix(v);
-        }
-    }
-    h
+    let values = out.rows.iter().flatten().copied();
+    fnv1a_pinned(
+        std::iter::once(out.rows.len() as i64)
+            .chain(values)
+            .flat_map(i64::to_le_bytes),
+    )
 }
