@@ -12,6 +12,8 @@
 //! cycle/row/fingerprint/drift pins.
 //! Run it from the repo root. To re-pin after a deliberate change:
 //! `cp target/obs/BENCH_*.json .` and explain the diff in the commit.
+//! The tests' pins follow the same protocol with the other copy:
+//! `cp target/pins/* pins/` after `cargo test`.
 
 use crate::artifact::OUT_DIR;
 use std::process::Command;
@@ -235,7 +237,10 @@ pub fn verify() {
     }
     if failures > 0 {
         println!("verify FAILED: {failures} row(s)");
-        println!("(re-pin a deliberate change with `cp {OUT_DIR}/BENCH_*.json .`)");
+        println!(
+            "(re-pin a deliberate change with `cp {OUT_DIR}/BENCH_*.json .`; \
+             the tests' pins re-pin with `cp target/pins/* pins/` after `cargo test`)"
+        );
         std::process::exit(1);
     }
     println!("verify: every row reproducible, every pin byte-identical");

@@ -56,10 +56,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Locate the source file from a `file!()` path. `file!()` is relative
-/// to the *workspace* root but tests run with CWD at the *package*
-/// root, so probe a few parent levels.
-fn locate_source(file: &str) -> Option<PathBuf> {
+/// Locate a workspace-relative path such as a `file!()` path or
+/// `pins`. Paths are relative to the *workspace* root but tests run with
+/// CWD at the *package* root, so probe a few parent levels.
+pub(crate) fn locate_source(file: &str) -> Option<PathBuf> {
     for up in ["", "..", "../.."] {
         let p = Path::new(up).join(file);
         if p.exists() {

@@ -83,7 +83,8 @@ fn verify_transit(c: &Chunk, sum: u64, ch: ChannelId) {
 /// FNV-1a over a chunk's shape and every filled slot's values: the
 /// per-tile checksum producers stamp on each queued chunk.
 pub(crate) fn chunk_checksum(c: &Chunk) -> u64 {
-    // FNV-style chain over whole 64-bit words, not bytes: the checksum
+    // FNV-style chain over whole 64-bit words, not bytes (so not the
+    // byte-wise `gpl_prng::Fnv1a`): the checksum
     // is only ever compared against a checksum of the same chunk (push
     // vs pop), so what matters is purity and mutation sensitivity —
     // each step xors the full value then multiplies by an odd prime (a

@@ -82,8 +82,11 @@ gate "scheduler determinism, five runs" scheduler_determinism
 # table1, fig2/fig23 twice, fig3, fig11/fig24 twice (artifact only),
 # fig16/fig20/fig21/fig22 twice, `repro bench` twice, then the sixteen
 # root BENCH_*.json pins (BENCH_wall.json beside them is the host trajectory, not a pin).
-# Re-pin a deliberate change with `cp target/obs/BENCH_*.json .` and
-# explain the movement in the commit.
+# Re-pin a deliberate change with two copies from the repo root, each
+# after the gate that writes it: `cp target/pins/* pins/` after the
+# workspace test suite (every test pin, one plain-text file per plane)
+# and `cp target/obs/BENCH_*.json .` after repro verify. Explain the
+# movement in the commit.
 gate "repro verify: repeats and committed pins, by bytes" \
     cargo run --offline --release -p gpl-bench --bin repro -- verify
 
