@@ -5,7 +5,8 @@
 //!
 //! * [`plan`] — segmented physical plans: pipelines of operators cut at
 //!   blocking kernels, with hand-verified plans for the paper's workload
-//!   (TPC-H Q5/Q7/Q8/Q9/Q14 and the Listing-1 example).
+//!   (TPC-H Q5/Q7/Q8/Q9/Q14 and the Listing-1 example) and for
+//!   Q1/Q3/Q6/Q10/Q12 ([`plan_for`]).
 //! * [`segment`] — the shared segment IR: each stage lowers once to a
 //!   kernel DAG (nodes, channel edges, eager/lazy leaf columns) that
 //!   both executors and the Section-4 cost model consume, so the
@@ -16,8 +17,9 @@
 //! * [`gpl`] — the pipelined executor (Section 3): concurrent kernels in
 //!   a segment connected by channels, tiled input, fine-grained
 //!   work-group coordination.
-//! * [`exec`] — execution modes (KBE / GPL w/o CE / GPL), configuration
-//!   knobs (Δ, n, p, wg_Ki) and the query runner.
+//! * [`exec`] — the five execution modes (KBE / GPL w/o CE / GPL /
+//!   pipelined GPL / the Ocelot baseline), configuration knobs (Δ, n,
+//!   p, wg_Ki) and the query runner.
 //! * [`expr`], [`ops`], [`ht`] — the operator/kernel building blocks.
 //! * [`shard`] — multi-device sharding: per-shard tile streams over a
 //!   heterogeneous CPU/GPU [`shard::DevicePool`] with a deterministic

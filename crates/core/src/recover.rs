@@ -112,8 +112,10 @@ pub(crate) enum LastResort {
     Always,
 }
 
-/// Emit one `recover`-track instant on the context's recorder — `None`
-/// on pool contexts, so sharded runs record nothing.
+/// Emit one `recover`-track instant on the context's recorder, if it
+/// has one. In a pool run only the context a caller attached a recorder
+/// to (pool device 0 in the serving layer) records; the others are
+/// `None` and record nothing.
 pub(crate) fn instant(ctx: &ExecContext, name: &str, args: Vec<(&'static str, Value)>) {
     if let Some(r) = ctx.sim.recorder() {
         let t = r.track("recover");

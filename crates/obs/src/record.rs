@@ -256,7 +256,7 @@ impl Recorder {
     ///
     /// `Recorder` itself is an `Rc` handle and deliberately not `Send`;
     /// a dump is just vectors, so worker threads record locally and ship
-    /// the dump back for [`Recorder::absorb`] to merge.
+    /// the dump back with their response.
     pub fn dump(&self) -> RecorderDump {
         let inner = self.inner.borrow();
         RecorderDump {
@@ -266,44 +266,11 @@ impl Recorder {
             counters: inner.counters.clone(),
         }
     }
-
-    /// Merge a dump recorded elsewhere into this recorder, prefixing
-    /// every track and counter name with `prefix` (the serving layer
-    /// uses `q{id}/`, giving each query its own track group in the
-    /// merged trace). Timestamps are copied unchanged: per-query device
-    /// cycles all start at zero, so the merged trace lines queries up on
-    /// a common simulated-time axis rather than serializing them.
-    pub fn absorb(&self, prefix: &str, dump: &RecorderDump) {
-        // Intern the foreign tracks under their prefixed names, then
-        // remap ids. Interning goes through `self.track` so names already
-        // present (absorbing twice) reuse their ids.
-        let remap: Vec<TrackId> = dump
-            .tracks
-            .iter()
-            .map(|name| self.track(&format!("{prefix}{name}")))
-            .collect();
-        let mut inner = self.inner.borrow_mut();
-        for s in &dump.spans {
-            let mut s = s.clone();
-            s.track = remap[s.track.0 as usize];
-            inner.spans.push(s);
-        }
-        for e in &dump.events {
-            let mut e = e.clone();
-            e.track = remap[e.track.0 as usize];
-            inner.events.push(e);
-        }
-        for c in &dump.counters {
-            let mut c = c.clone();
-            c.name = format!("{prefix}{}", c.name);
-            inner.counters.push(c);
-        }
-    }
 }
 
 /// Plain-data snapshot of a recorder: no `Rc`, no interior mutability,
-/// `Send`. The bridge between per-worker recorders and the merged
-/// multi-track trace.
+/// `Send`. The bridge from a serving worker's per-query recorder to the
+/// thread that collects its response.
 #[derive(Debug, Clone, Default)]
 pub struct RecorderDump {
     pub tracks: Vec<String>,
@@ -372,51 +339,9 @@ mod tests {
     }
 
     #[test]
-    fn dump_is_send_and_absorb_prefixes_tracks() {
+    fn dump_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<RecorderDump>();
-
-        let worker = Recorder::new();
-        let t = worker.track("exec");
-        let s = worker.begin(t, "exec", "q1", 0);
-        worker.end(s, 100);
-        let c = worker.define_counter("channel0.packets");
-        worker.sample(c, 5, 2.0);
-        let dump = worker.dump();
-
-        let merged = Recorder::new();
-        merged.track("serve"); // pre-existing track keeps its id
-        merged.absorb("q0/", &dump);
-        merged.absorb("q1/", &dump);
-        assert_eq!(
-            merged.track_names(),
-            vec![
-                "serve".to_string(),
-                "q0/exec".to_string(),
-                "q1/exec".to_string()
-            ]
-        );
-        let spans = merged.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].track, TrackId(1));
-        assert_eq!(spans[1].track, TrackId(2));
-        assert_eq!(spans[0].start, spans[1].start, "timestamps unchanged");
-        let counters = merged.counters();
-        assert_eq!(counters[0].name, "q0/channel0.packets");
-        assert_eq!(counters[1].name, "q1/channel0.packets");
-    }
-
-    #[test]
-    fn absorbing_the_same_prefix_twice_reuses_tracks() {
-        let worker = Recorder::new();
-        let t = worker.track("exec");
-        worker.instant(t, "c", "e", 1, vec![]);
-        let dump = worker.dump();
-        let merged = Recorder::new();
-        merged.absorb("q0/", &dump);
-        merged.absorb("q0/", &dump);
-        assert_eq!(merged.track_names(), vec!["q0/exec".to_string()]);
-        assert_eq!(merged.events().len(), 2);
     }
 
     #[test]

@@ -60,6 +60,23 @@ pub struct BreakerStats {
     pub rejections: u64,
 }
 
+/// One breaker state change, stamped with the owning worker's device
+/// clock. Which worker saw which query is a scheduling accident, so a
+/// multi-worker transition log is reproducible only per seed and worker
+/// count; with one worker it is fully deterministic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BreakerTransition {
+    pub worker: usize,
+    /// Pool-device index when the transition belongs to one of a
+    /// sharded worker's *per-device* breakers; `None` for the classic
+    /// whole-worker breaker.
+    pub device: Option<usize>,
+    /// The worker's device-cycle clock at the transition.
+    pub cycle: u64,
+    pub from: BreakerState,
+    pub to: BreakerState,
+}
+
 /// One worker's breaker: plain sequential state, no interior mutability
 /// — the worker thread owns it.
 #[derive(Debug, Clone)]

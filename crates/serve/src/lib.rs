@@ -21,14 +21,13 @@
 //! * [`request`] — request/response types; failures surface as
 //!   structured [`ServeError`]s (the simulator's deadlock diagnostic
 //!   survives verbatim) instead of aborting the process.
-//! * [`report`] — batch aggregates: queries/sec, queue-latency
-//!   percentiles (one shared log2-histogram quantile path), a
-//!   deterministic FNV-1a result fingerprint, the merged
-//!   `q{id}/`-prefixed multi-track trace, and `serve.*` metrics.
-//! * [`telemetry`] — time-series telemetry sampled on the logical ticks
-//!   of the deterministic simulated schedule: queue depth, running/done,
-//!   plan-cache hit rate, recovery events, and breaker state
-//!   transitions, exported as metrics and Chrome-trace counter tracks.
+//! * [`report`] — batch aggregates over the responses: the
+//!   deterministic simulated schedule and its latency percentiles,
+//!   recovery and straggler-defense totals, and two FNV-1a digests —
+//!   results with cycles, and results alone.
+//! * [`breaker`] — the per-device circuit breaker, driven by simulated
+//!   device clocks; [`Server::breaker_transitions`] logs its state
+//!   changes.
 //!
 //! The `repro serve` experiment in `gpl-bench` drives this layer over
 //! the TPC-H corpus at worker counts 1/2/4/8.
@@ -38,7 +37,6 @@ pub mod cache;
 pub mod report;
 pub mod request;
 pub mod scheduler;
-pub mod telemetry;
 
 /// Lock a serve-layer mutex, recovering the guard if a panicking thread
 /// poisoned it. Sound for every mutex in this crate: each protects a
@@ -49,9 +47,8 @@ pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-pub use breaker::{BreakerConfig, BreakerState, BreakerStats, CircuitBreaker};
+pub use breaker::{BreakerConfig, BreakerState, BreakerStats, BreakerTransition, CircuitBreaker};
 pub use cache::{PlanCache, PlanEntry};
 pub use report::BatchReport;
-pub use request::{KernelRows, QueryRequest, QueryResponse, QueryResult, ServeError};
+pub use request::{QueryRequest, QueryResponse, QueryResult, ServeError};
 pub use scheduler::{FaultConfig, ServeConfig, Server, ShardServeConfig};
-pub use telemetry::{BreakerTransition, Telemetry, TelemetrySample};

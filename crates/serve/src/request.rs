@@ -79,18 +79,6 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Observed per-kernel row flow of one executed query, keyed by the
-/// lowered-IR kernel name — the serving layer's slice of the observed-λ
-/// plane. Deterministic per request (and therefore identical across
-/// worker counts), but excluded from the batch fingerprint so pinned
-/// hashes survive instrumentation changes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelRows {
-    pub name: String,
-    pub rows_in: u64,
-    pub rows_out: u64,
-}
-
 /// The deterministic part of a successful execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryResult {
@@ -98,9 +86,6 @@ pub struct QueryResult {
     /// Simulated device cycles — a pure function of (sql, mode, db,
     /// device), independent of worker count and queueing.
     pub cycles: u64,
-    /// Observed rows-in/rows-out per kernel, stage by stage in launch
-    /// order.
-    pub kernel_rows: Vec<KernelRows>,
 }
 
 /// The server's answer to one [`QueryRequest`].

@@ -9,12 +9,11 @@
 //! (`tests/determinism.rs` pins it): concurrency changes wall-clock
 //! latencies only.
 
-use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::breaker::{BreakerConfig, BreakerTransition, CircuitBreaker};
 use crate::cache::PlanCache;
 use crate::lock;
 use crate::report::BatchReport;
-use crate::request::{KernelRows, QueryRequest, QueryResponse, QueryResult, ServeError};
-use crate::telemetry::BreakerTransition;
+use crate::request::{QueryRequest, QueryResponse, QueryResult, ServeError};
 use gpl_core::shard::{run_pool, DevicePool, HedgePlan, PoolDevice, RunSpec, ShardPlan};
 use gpl_core::{ExecContext, ExecError, ExecLimits, ExecMode, RecoveryPolicy};
 use gpl_model::GammaTable;
@@ -122,8 +121,7 @@ struct Shared {
     queue: Mutex<Queue>,
     available: Condvar,
     config: ServeConfig,
-    /// `serve.queued/running/done` gauge backing (snapshot into the
-    /// metrics registry by [`BatchReport::metrics`]).
+    /// The `(queued, running, done)` gauges behind [`Server::gauges`].
     queued: AtomicU64,
     running: AtomicU64,
     done: AtomicU64,
@@ -134,19 +132,19 @@ struct Shared {
     breaker_rejections: AtomicU64,
     breaker_opens: AtomicU64,
     /// Cumulative wall-clock nanoseconds workers spent processing jobs
-    /// (the wall-clock plane: non-deterministic, never fingerprinted —
-    /// the denominator for worker-utilization telemetry).
+    /// (the wall-clock plane: non-deterministic, never fingerprinted),
+    /// read through [`Server::busy_wall`].
     busy_wall_ns: AtomicU64,
     /// Breaker state changes across all workers, each stamped with the
-    /// owning worker's device clock (telemetry; fully deterministic with
-    /// one worker).
+    /// owning worker's device clock (fully deterministic with one
+    /// worker).
     breaker_transitions: Mutex<Vec<BreakerTransition>>,
 }
 
 impl Shared {
-    /// Kernel rows and breaker transitions name the device only when the
-    /// pool has more than one, so an explicit one-device pool reads like
-    /// a server without `sharding`.
+    /// Breaker transitions name the device only when the pool has more
+    /// than one, so an explicit one-device pool reads like a server
+    /// without `sharding`.
     fn names_devices(&self) -> bool {
         self.sharding.pool.len() > 1
     }
@@ -363,21 +361,14 @@ impl Server {
         responses
     }
 
-    /// [`Server::run_batch`] wrapped into a [`BatchReport`] with
-    /// throughput/latency aggregates and cache statistics.
+    /// [`Server::run_batch`] wrapped into a [`BatchReport`] with the
+    /// worker count and the shed and breaker counters.
     pub fn run_batch_report(&self, reqs: Vec<QueryRequest>) -> BatchReport {
-        let workers = self.workers.len();
-        let t0 = Instant::now();
-        let responses = self.run_batch(reqs);
         BatchReport {
-            responses,
-            workers,
-            wall: t0.elapsed(),
-            plan_cache: self.shared.plans.stats(),
+            responses: self.run_batch(reqs),
+            workers: self.workers.len(),
             sheds: self.shed_count(),
             breaker: self.breaker_counts(),
-            breaker_transitions: self.breaker_transitions(),
-            busy_wall: self.busy_wall(),
         }
     }
 
@@ -698,21 +689,9 @@ fn process(
         .collect();
     let (result, recovery) = match run {
         Ok(run) => {
-            // The observed-λ plane, in stage launch order and keyed by
-            // the shared lowered-IR kernel names — `kernel@device` when
-            // the pool names its devices, so the same kernel on two
-            // devices yields two rows.
-            let named = shared.names_devices();
-            let kernel_rows = (run.per_device.iter())
-                .flat_map(|dr| {
-                    let kernels = dr.per_stage.iter().flat_map(|s| s.kernels.iter());
-                    kernels.map(move |k| kernel_rows(k, named.then_some(&dr.device)))
-                })
-                .collect();
             let result = QueryResult {
                 output: run.output,
                 cycles: run.cycles,
-                kernel_rows,
             };
             (Ok(result), run.recovery)
         }
@@ -728,18 +707,6 @@ fn process(
         ..response(idx, (req.id, req.mode), result)
     };
     (resp, outcomes)
-}
-
-/// One kernel's observed row flow, named `kernel` or `kernel@device`.
-fn kernel_rows(k: &gpl_sim::KernelProfile, device: Option<&String>) -> KernelRows {
-    KernelRows {
-        name: match device {
-            Some(d) => format!("{}@{d}", k.name),
-            None => k.name.to_string(),
-        },
-        rows_in: k.rows_in,
-        rows_out: k.rows_out,
-    }
 }
 
 #[cfg(test)]

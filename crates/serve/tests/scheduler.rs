@@ -147,15 +147,6 @@ fn traced_batch_merges_per_query_tracks() {
         let dump = r.trace.as_ref().expect("tracing enabled");
         assert!(!dump.spans.is_empty(), "q{} recorded no spans", r.id);
     }
-    let merged = srv_trace_tracks(&report);
-    assert!(merged.iter().any(|t| t.starts_with("q0/")), "{merged:?}");
-    assert!(merged.iter().any(|t| t.starts_with("q1/")));
-    let m = report.metrics();
-    assert!(m.get("serve.done", &[]).is_some());
-}
-
-fn srv_trace_tracks(report: &gpl_serve::BatchReport) -> Vec<String> {
-    report.merged_trace().track_names()
 }
 
 #[test]
@@ -281,7 +272,7 @@ fn one_device_pool_and_classic_server_walk_the_same_breaker_transitions() {
 /// traces on: a server without `sharding` and one with an explicit
 /// one-device pool draw the same faults, recover the same way and
 /// answer alike — result and rows fingerprints, and every response's
-/// trace and kernel rows.
+/// trace.
 #[test]
 fn one_device_pool_and_classic_server_answer_a_drawn_schedule_alike() {
     use gpl_core::RecoveryPolicy;
@@ -323,8 +314,6 @@ fn one_device_pool_and_classic_server_answer_a_drawn_schedule_alike() {
             "q{}",
             a.id
         );
-        let rows = |r: &gpl_serve::QueryResponse| r.result.as_ref().unwrap().kernel_rows.clone();
-        assert_eq!(rows(a), rows(b), "q{}", a.id);
     }
 }
 
