@@ -110,7 +110,12 @@ fn load_seeds(path: &Path, name: &str) -> Vec<u64> {
     seeds
 }
 
+/// Append `seed` to the regressions file unless the file already
+/// replays it for `name` (a persisted seed that fails again).
 fn persist_seed(path: &Path, name: &str, seed: u64, minimal: &str) {
+    if load_seeds(path, name).contains(&seed) {
+        return;
+    }
     let fresh = !path.exists();
     let Ok(mut f) = std::fs::OpenOptions::new()
         .create(true)
@@ -314,6 +319,28 @@ mod tests {
         .unwrap();
         assert_eq!(load_seeds(&p, "mine"), vec![42, 9]);
         assert_eq!(load_seeds(&p, "other"), vec![7, 9]);
+        let _ = std::fs::remove_file(&p);
+    }
+
+    #[test]
+    fn a_seed_already_persisted_for_the_property_is_not_appended_again() {
+        let dir = std::env::temp_dir().join("gpl-check-selftest");
+        let _ = std::fs::create_dir_all(&dir);
+        let p = dir.join("persist-twice.proptest-regressions");
+        let _ = std::fs::remove_file(&p);
+        persist_seed(&p, "mine", 0x2a, "(1,)");
+        persist_seed(&p, "mine", 0x2a, "(1,)");
+        persist_seed(&p, "other", 0x2a, "(1,)");
+        let text = std::fs::read_to_string(&p).unwrap();
+        let seeds: Vec<&str> = text.lines().filter(|l| l.starts_with("seed ")).collect();
+        assert_eq!(
+            seeds,
+            [
+                "seed 0x2a # mine: shrinks to (1,)",
+                "seed 0x2a # other: shrinks to (1,)"
+            ]
+        );
+        assert_eq!(load_seeds(&p, "mine"), vec![0x2a]);
         let _ = std::fs::remove_file(&p);
     }
 

@@ -9,7 +9,7 @@
 //! curve's unbounded-pipe runs, spread over all cores. Every Γ and
 //! pressure value equals its point run alone, for any thread count.
 
-use gpl_sim::{calibrate, CalibrationPoint, DeviceSpec, Vendor};
+use gpl_sim::{calibrate, DeviceSpec, Vendor};
 
 /// Calibrated Γ table with nearest-grid lookup and log-space
 /// interpolation over the data-size axis.
@@ -113,29 +113,6 @@ impl GammaTable {
         }
     }
 
-    /// Build from precomputed points (tests).
-    pub fn from_points(spec: &DeviceSpec, points: &[CalibrationPoint]) -> Self {
-        let ns = axis(points.iter().map(|p| p.n).collect());
-        let ps = axis(points.iter().map(|p| p.packet_bytes).collect());
-        let ds = axis(points.iter().map(|p| p.data_bytes).collect());
-        let mut throughput = vec![vec![vec![0.0; ds.len()]; ps.len()]; ns.len()];
-        for pt in points {
-            let ni = ns.binary_search(&pt.n).expect("grid point");
-            let pi = ps.binary_search(&pt.packet_bytes).expect("grid point");
-            let di = ds.binary_search(&pt.data_bytes).expect("grid point");
-            throughput[ni][pi][di] = pt.steady_throughput;
-        }
-        let pressure = vec![1.0; ds.len()];
-        GammaTable {
-            vendor: spec.vendor,
-            ns,
-            ps,
-            ds,
-            throughput,
-            pressure,
-        }
-    }
-
     pub fn vendor(&self) -> Vendor {
         self.vendor
     }
@@ -197,26 +174,35 @@ impl GammaTable {
         let t = ((b as f64).ln() - d0.ln()) / (d1.ln() - d0.ln());
         self.pressure[lo] + t * (self.pressure[hi] - self.pressure[lo])
     }
-
-    /// The `(n_max, p_max)` maximizing Γ for data size `d` (Section 4.1).
-    pub fn best_config(&self, d: u64) -> (u32, u32, f64) {
-        let mut best = (self.ns[0], self.ps[0], f64::MIN);
-        for &n in &self.ns {
-            for &p in &self.ps {
-                let g = self.lookup(n, p, d);
-                if g > best.2 {
-                    best = (n, p, g);
-                }
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpl_sim::amd_a10;
+    use gpl_sim::{amd_a10, CalibrationPoint};
+
+    /// A table built straight from precomputed points.
+    fn from_points(spec: &DeviceSpec, points: &[CalibrationPoint]) -> GammaTable {
+        let ns = axis(points.iter().map(|p| p.n).collect());
+        let ps = axis(points.iter().map(|p| p.packet_bytes).collect());
+        let ds = axis(points.iter().map(|p| p.data_bytes).collect());
+        let mut throughput = vec![vec![vec![0.0; ds.len()]; ps.len()]; ns.len()];
+        for pt in points {
+            let ni = ns.binary_search(&pt.n).expect("grid point");
+            let pi = ps.binary_search(&pt.packet_bytes).expect("grid point");
+            let di = ds.binary_search(&pt.data_bytes).expect("grid point");
+            throughput[ni][pi][di] = pt.steady_throughput;
+        }
+        let pressure = vec![1.0; ds.len()];
+        GammaTable {
+            vendor: spec.vendor,
+            ns,
+            ps,
+            ds,
+            throughput,
+            pressure,
+        }
+    }
 
     fn tiny_table() -> GammaTable {
         let spec = amd_a10();
@@ -254,7 +240,7 @@ mod tests {
                 steady_throughput: 5.0,
             },
         ];
-        GammaTable::from_points(&spec, &pts)
+        from_points(&spec, &pts)
     }
 
     #[test]
@@ -276,20 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn best_config_picks_max() {
-        let g = tiny_table();
-        let (n, p, t) = g.best_config(1 << 20);
-        assert_eq!((n, p), (4, 16));
-        assert_eq!(t, 5.0);
-    }
-
-    #[test]
     fn real_calibration_small_grid() {
         let spec = amd_a10();
         let g = GammaTable::calibrate_grid(&spec, vec![1, 4], vec![16], vec![1 << 20, 8 << 20]);
         assert!(g.lookup(4, 16, 1 << 20) > g.lookup(1, 16, 1 << 20));
-        let (n, _, _) = g.best_config(1 << 20);
-        assert_eq!(n, 4);
     }
 
     #[test]
