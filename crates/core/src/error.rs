@@ -7,7 +7,7 @@
 //! diagnostic is preserved verbatim, and the serving layer's per-query
 //! cycle budget and cancellation surface here too.
 
-use gpl_sim::{FaultKind, FaultRecord};
+use gpl_sim::FaultRecord;
 use std::fmt;
 
 /// Why a query execution stopped without producing a result.
@@ -30,9 +30,6 @@ pub enum ExecError {
     /// checksum-detected channel corruption) exhausted every retry and
     /// fallback. Carries the *last* structured fault record.
     Fault(FaultRecord),
-    /// The device was lost mid-query (a pinned
-    /// [`FaultKind::DeviceLost`]) and no fallback was available.
-    DeviceLost(FaultRecord),
     /// Load shedding: the admission queue was over its configured bound,
     /// so the request was rejected before execution (fast-fail instead
     /// of unbounded queueing latency).
@@ -50,16 +47,13 @@ pub enum ExecError {
 impl ExecError {
     /// Map an injected [`FaultRecord`] to its error variant.
     pub fn from_fault(record: FaultRecord) -> Self {
-        match record.kind {
-            FaultKind::DeviceLost => ExecError::DeviceLost(record),
-            _ => ExecError::Fault(record),
-        }
+        ExecError::Fault(record)
     }
 
-    /// The structured fault record, for the device-fault variants.
+    /// The structured fault record, for the device-fault variant.
     pub fn fault_record(&self) -> Option<&FaultRecord> {
         match self {
-            ExecError::Fault(r) | ExecError::DeviceLost(r) => Some(r),
+            ExecError::Fault(r) => Some(r),
             _ => None,
         }
     }
@@ -68,7 +62,7 @@ impl ExecError {
     /// serving layer's circuit breaker counts). Timeouts, cancellations
     /// and deadlocks are query problems, not device problems.
     pub fn is_device_fault(&self) -> bool {
-        matches!(self, ExecError::Fault(_) | ExecError::DeviceLost(_))
+        matches!(self, ExecError::Fault(_))
     }
 }
 
@@ -87,7 +81,6 @@ impl fmt::Display for ExecError {
             ),
             ExecError::Cancelled => write!(f, "query cancelled"),
             ExecError::Fault(r) => write!(f, "transient device fault: {r}"),
-            ExecError::DeviceLost(r) => write!(f, "device lost: {r}"),
             ExecError::Rejected { queue_depth, bound } => write!(
                 f,
                 "admission rejected: queue depth {queue_depth} over bound {bound}"
@@ -112,6 +105,7 @@ impl From<gpl_sim::DeadlockError> for ExecError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpl_sim::FaultKind;
 
     #[test]
     fn display_preserves_the_deadlock_diagnostic() {
@@ -145,7 +139,6 @@ mod tests {
             },
             ExecError::Cancelled,
             ExecError::Fault(record(FaultKind::KernelFault)),
-            ExecError::DeviceLost(record(FaultKind::DeviceLost)),
             ExecError::Rejected {
                 queue_depth: 9,
                 bound: 8,
@@ -177,7 +170,6 @@ mod tests {
                 | ExecError::Timeout { .. }
                 | ExecError::Cancelled
                 | ExecError::Fault(_)
-                | ExecError::DeviceLost(_)
                 | ExecError::Rejected { .. }
                 | ExecError::InvalidConfig(_)
                 | ExecError::InvalidPlan(_) => {}
@@ -216,10 +208,6 @@ mod tests {
             cycle: 1,
             launch: 0,
         };
-        assert!(matches!(
-            ExecError::from_fault(mk(FaultKind::DeviceLost)),
-            ExecError::DeviceLost(_)
-        ));
         assert!(matches!(
             ExecError::from_fault(mk(FaultKind::KernelFault)),
             ExecError::Fault(_)

@@ -10,7 +10,7 @@ use crate::ht::{GroupStore, SimHashTable};
 use crate::kbe::{self, Selection};
 use crate::ops::sort_rows;
 use crate::plan::{QueryPlan, Stage, Terminal};
-use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats, Spent};
+use crate::recover::{self, Ladder, RecoveryPolicy, RecoveryStats, Spent};
 use crate::replay::{alloc_array, launch, ReplayKernel};
 use crate::segment::{InterSegmentEdge, KernelFlavour, SegmentIr};
 use crate::shard::{run_pool, RunSpec, ShardPlan};
@@ -586,7 +586,7 @@ pub(crate) fn run_pair_fused(
     });
     let fused = Ladder {
         modes: vec![ExecMode::GplPipelined],
-        last_resort: LastResort::Never,
+        last_resort: false,
         ..Ladder::new(spec.recovery, ExecMode::GplPipelined, spec.limits, spent)
     };
     let attempt = |ctx: &mut ExecContext, _| {

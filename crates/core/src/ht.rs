@@ -12,7 +12,6 @@
 //! kernel-at-a-time engines keep a whole range's traffic as a
 //! [`BucketTrace`] of 4-byte bucket ids and expand it per replay unit.
 
-use gpl_prng::Fnv1a;
 use gpl_sim::mem::{MemRange, MemoryMap, RegionClass, RegionId};
 use std::collections::{hash_map, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -126,6 +125,13 @@ pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
+}
+
+/// `values` folded into `seed` one [`mix64`] at a time: one entry's
+/// digest. The content digests sum these, so they need no sort.
+#[inline]
+fn mix_chain(seed: u64, values: &[i64]) -> u64 {
+    values.iter().fold(seed, |h, &v| mix64(h ^ v as u64))
 }
 
 /// Deterministic single-`mix64` hasher for the i64-keyed simulated
@@ -359,26 +365,19 @@ impl SimHashTable {
         (mix64(key as u64) % slices.max(1) as u64) as u32
     }
 
-    /// FNV-1a over the `(key, payload)` entries of `slice`, in sorted
-    /// key order — the per-slice content checksum the overlap protocol
-    /// publishes with each installed slice and re-derives at the gate.
-    /// A mismatch means the shared table diverged from what the build
-    /// terminal installed (a dropped or double-published slice).
+    /// Content checksum of the `(key, payload)` entries of `slice`: the
+    /// wrapping sum of one [`mix64`] chain per entry, so the order the
+    /// map holds them in is invisible — the per-slice checksum the
+    /// overlap protocol publishes with each installed slice and
+    /// re-derives at the gate. A mismatch means the shared table
+    /// diverged from what the build terminal installed (a dropped or
+    /// double-published slice).
     pub fn slice_checksum(&self, slice: u32, slices: u32) -> u64 {
         let entries = &*self.entries;
-        let mut keyed: Vec<(i64, u32)> = (entries.map.iter())
-            .map(|(&k, &i)| (k, i))
-            .filter(|&(k, _)| Self::slice_of(k, slices) == slice)
-            .collect();
-        keyed.sort_unstable_by_key(|&(k, _)| k);
-        let mut h = Fnv1a::new();
-        for (k, i) in keyed {
-            h.write_u64(k as u64);
-            for &p in entries.payload(i) {
-                h.write_u64(p as u64);
-            }
-        }
-        h.finish()
+        (entries.map.iter())
+            .filter(|&(&k, _)| Self::slice_of(k, slices) == slice)
+            .map(|(&k, &i)| mix_chain(mix64(k as u64), entries.payload(i)))
+            .fold(0, u64::wrapping_add)
     }
 
     /// Content fingerprint of the whole table: [`Self::slice_checksum`]
@@ -446,9 +445,9 @@ const GROUP_INDEX_SLOTS: usize = 16;
 /// Groups live in three flat arenas indexed by group id (first-seen
 /// order): `key_width` keys, `kinds.len()` accumulators and the keys'
 /// `mix64` fold, which also picks the simulated bucket. An
-/// open-addressing index over the folds finds a group; every observer
-/// of the whole content (`into_rows`, `fingerprint`) visits groups in
-/// key order, so the order groups arrived in is invisible.
+/// open-addressing index over the folds finds a group; `into_rows`
+/// visits groups in key order and `fingerprint` sums over them, so the
+/// order groups arrived in is invisible.
 #[derive(Debug)]
 pub struct GroupStore {
     keys: Vec<i64>,
@@ -536,7 +535,7 @@ impl GroupStore {
     /// The `mix64` fold of a group's keys.
     #[inline]
     fn fold_keys(keys: &[i64]) -> u64 {
-        keys.iter().fold(0, |h, &k| mix64(h ^ k as u64))
+        mix_chain(0, keys)
     }
 
     fn key(&self, g: usize) -> &[i64] {
@@ -592,8 +591,8 @@ impl GroupStore {
         g
     }
 
-    /// Group ids in key order: the order every observer of the whole
-    /// content sees, whatever order the groups arrived in.
+    /// Group ids in key order: the order rows come out in, whatever
+    /// order the groups arrived in.
     fn key_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.num_groups()).collect();
         order.sort_unstable_by(|&a, &b| self.key(a).cmp(self.key(b)));
@@ -604,10 +603,10 @@ impl GroupStore {
     /// combining accumulators group-by-group, by key, with
     /// [`AggKind::combine`] (a group new to this store starts at the
     /// identities, which `combine` leaves the other side's value). Both
-    /// stores must have the same shape (key width + kinds). Observers
-    /// see groups in key order, so the merged state — and therefore
-    /// [`GroupStore::into_rows`] — is independent of the order shards
-    /// complete in.
+    /// stores must have the same shape (key width + kinds). No observer
+    /// sees the order groups arrived in, so the merged state — and
+    /// therefore [`GroupStore::into_rows`] — is independent of the order
+    /// shards complete in.
     pub fn absorb(&mut self, other: GroupStore) {
         assert_eq!(self.key_width, other.key_width, "key width mismatch");
         assert_eq!(self.kinds, other.kinds, "aggregate kinds mismatch");
@@ -621,21 +620,17 @@ impl GroupStore {
         }
     }
 
-    /// Content fingerprint of the partial aggregate state: FNV-1a over
-    /// the shape (key width + kinds) and every `(keys, accumulators)`
-    /// group in key order. Two stores that would produce the
-    /// same rows agree — the checkpoint-verification digest of
+    /// Content fingerprint of the partial aggregate state: the shape
+    /// (key width + kinds) plus the wrapping sum of one [`mix64`] chain
+    /// per group, its accumulators folded into its keys' fold. Two
+    /// stores that would produce the same rows agree, whatever order
+    /// their groups arrived in — the checkpoint-verification digest of
     /// slice-resume, mirroring [`SimHashTable::fingerprint`].
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(self.key_width as u64);
-        h.write_u64(self.kinds.len() as u64);
-        for g in self.key_order() {
-            for &v in self.key(g).iter().chain(self.accs_of(g)) {
-                h.write_u64(v as u64);
-            }
-        }
-        h.finish()
+        let shape = mix_chain(0, &[self.key_width as i64, self.kinds.len() as i64]);
+        (self.hashes.iter().enumerate())
+            .map(|(g, &h)| mix_chain(h, self.accs_of(g)))
+            .fold(shape, u64::wrapping_add)
     }
 
     /// Fold `values` into the aggregates of group `keys`; reports the
@@ -775,6 +770,35 @@ mod tests {
             ht2.slice_checksum(1 - s7, 2),
             "the untouched slice checksums identically"
         );
+    }
+
+    /// The content digests are order-independent: the same entries
+    /// inserted in two orders give the same table checksums, and the
+    /// same groups updated in two orders the same store fingerprint.
+    #[test]
+    fn digests_ignore_insertion_order() {
+        let mut mem = MemoryMap::new();
+        let forward: Vec<(i64, i64)> = (0..200).map(|k| (k * 37 - 900, k)).collect();
+        let backward: Vec<(i64, i64)> = forward.iter().rev().copied().collect();
+        let (a, b) = (
+            table_of(&mut mem, &forward, 2),
+            table_of(&mut mem, &backward, 2),
+        );
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        for s in 0..8 {
+            assert_eq!(a.slice_checksum(s, 8), b.slice_checksum(s, 8));
+        }
+        let kinds = vec![AggKind::Sum, AggKind::Min];
+        let mut stores = [forward, backward].map(|rows| {
+            let mut store = GroupStore::with_kinds(&mut mem, 64, 1, kinds.clone(), "g");
+            for (k, v) in rows {
+                store.update(&[k % 13], &[v, v], &mut Vec::new());
+            }
+            store
+        });
+        assert_eq!(stores[0].fingerprint(), stores[1].fingerprint());
+        stores[1].update(&[0], &[1, 1], &mut Vec::new());
+        assert_ne!(stores[0].fingerprint(), stores[1].fingerprint());
     }
 
     #[test]
@@ -992,15 +1016,10 @@ mod tests {
         }
 
         fn fingerprint(&self) -> u64 {
-            let mut h = Fnv1a::new();
-            h.write_u64(self.key_width as u64);
-            h.write_u64(self.kinds.len() as u64);
-            for (keys, aggs) in &self.groups {
-                for &v in keys.iter().chain(aggs) {
-                    h.write_u64(v as u64);
-                }
-            }
-            h.finish()
+            let shape = mix_chain(0, &[self.key_width as i64, self.kinds.len() as i64]);
+            (self.groups.iter())
+                .map(|(keys, aggs)| mix_chain(mix_chain(0, keys), aggs))
+                .fold(shape, u64::wrapping_add)
         }
 
         fn into_rows(mut self) -> Vec<Vec<i64>> {

@@ -100,18 +100,6 @@ fn backoff_for(attempt: u32) -> u64 {
     d.min(BACKOFF_CAP_CYCLES)
 }
 
-/// Whether a [`Ladder`] under a policy may end in the disarmed KBE
-/// attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LastResort {
-    /// Exhaustion surfaces the last fault: the caller degrades its own
-    /// way (the fused pair falls back to the sequential pair).
-    Never,
-    /// Not on a lost device: the caller reassigns the shard instead.
-    UnlessLost,
-    Always,
-}
-
 /// Emit one `recover`-track instant on the context's recorder, if it
 /// has one. In a pool run only the context a caller attached a recorder
 /// to (pool device 0 in the serving layer) records; the others are
@@ -142,15 +130,17 @@ impl Spent {
 /// The one retry/degrade loop. For each armed mode, `1 + max_retries`
 /// attempts separated by deterministic backoff on the context's clock;
 /// device faults are recorded and retried, query errors (timeout,
-/// cancellation, deadlock, bad config) propagate at once, device loss
-/// skips what is left of the armed modes; then, if allowed, one KBE
-/// attempt with injection disarmed. Without a policy it is a single
-/// unrecorded attempt.
+/// cancellation, deadlock, bad config) propagate at once; then, if
+/// allowed, one KBE attempt with injection disarmed. Without a policy it
+/// is a single unrecorded attempt.
 pub(crate) struct Ladder<'a> {
     pub policy: Option<&'a RecoveryPolicy>,
     /// Armed modes, most capable first.
     pub modes: Vec<ExecMode>,
-    pub last_resort: LastResort,
+    /// Whether exhaustion ends in the disarmed KBE attempt; without it
+    /// the last fault surfaces and the caller degrades its own way (the
+    /// fused pair falls back to the sequential pair).
+    pub last_resort: bool,
     pub limits: &'a ExecLimits,
     pub spent: Spent,
 }
@@ -166,7 +156,7 @@ impl<'a> Ladder<'a> {
         Ladder {
             policy,
             modes: policy.map_or_else(|| vec![mode], |p| p.ladder(mode)),
-            last_resort: LastResort::Always,
+            last_resort: true,
             limits,
             spent,
         }
@@ -187,7 +177,7 @@ impl<'a> Ladder<'a> {
             return attempt(ctx, mode).map(|out| (out, mode));
         };
         let mut last_fault = None;
-        'modes: for (rung, &mode) in self.modes.iter().enumerate() {
+        for (rung, &mode) in self.modes.iter().enumerate() {
             for retry in 0..=policy.max_retries {
                 if retry > 0 {
                     stats.retries += 1;
@@ -229,21 +219,11 @@ impl<'a> Ladder<'a> {
                 );
                 stats.faults.push(record.clone());
                 on_fault(ctx, stats);
-                // Retrying a lost device is futile.
-                let lost = matches!(e, ExecError::DeviceLost(_));
                 last_fault = Some(e);
-                if lost {
-                    break 'modes;
-                }
             }
         }
         let e = last_fault.expect("a ladder has at least one mode");
-        let allowed = match self.last_resort {
-            LastResort::Never => false,
-            LastResort::UnlessLost => !matches!(e, ExecError::DeviceLost(_)),
-            LastResort::Always => true,
-        };
-        if !allowed {
+        if !self.last_resort {
             return Err(e);
         }
         // Last resort: KBE with injection disarmed — the hardened path
@@ -329,7 +309,7 @@ mod tests {
             cycle: 0,
             launch: 0,
         };
-        let (soft, lost) = (fault(FaultKind::KernelFault), fault(FaultKind::DeviceLost));
+        let soft = fault(FaultKind::KernelFault);
         let policy = RecoveryPolicy::with_retries;
         let deadlock = ExecError::Deadlock {
             cycle: 1,
@@ -341,7 +321,7 @@ mod tests {
             /// The mode the ladder starts at.
             from: ExecMode,
             policy: Option<RecoveryPolicy>,
-            last_resort: LastResort,
+            last_resort: bool,
             budget: Option<u64>,
             /// One entry per attempt, in order; `None` succeeds.
             script: Vec<Option<ExecError>>,
@@ -355,7 +335,7 @@ mod tests {
                 name: "fault, fault, ok: two retries on the primary mode",
                 from: Gpl,
                 policy: Some(policy(2)),
-                last_resort: LastResort::Always,
+                last_resort: true,
                 budget: None,
                 script: vec![Some(ExecError::Fault(soft.clone())); 2],
                 want: Ok(Gpl),
@@ -369,42 +349,10 @@ mod tests {
                 },
             },
             Case {
-                name: "device loss goes straight to the last resort",
-                from: Gpl,
-                policy: Some(policy(2)),
-                last_resort: LastResort::Always,
-                budget: None,
-                script: vec![Some(ExecError::DeviceLost(lost.clone()))],
-                want: Ok(Kbe),
-                ran: vec![(Gpl, true), (Kbe, false)],
-                stats: RecoveryStats {
-                    fallbacks: 1,
-                    wasted_cycles: COST,
-                    faults: vec![lost.clone()],
-                    degraded_to: Some(Kbe),
-                    ..Default::default()
-                },
-            },
-            Case {
-                name: "device loss elsewhere than the last candidate surfaces",
-                from: Gpl,
-                policy: Some(policy(2)),
-                last_resort: LastResort::UnlessLost,
-                budget: None,
-                script: vec![Some(ExecError::DeviceLost(lost.clone()))],
-                want: Err(ExecError::DeviceLost(lost.clone())),
-                ran: vec![(Gpl, true)],
-                stats: RecoveryStats {
-                    wasted_cycles: COST,
-                    faults: vec![lost.clone()],
-                    ..Default::default()
-                },
-            },
-            Case {
                 name: "budget exhausted mid-backoff is a timeout",
                 from: Gpl,
                 policy: Some(policy(2)),
-                last_resort: LastResort::Always,
+                last_resort: true,
                 budget: Some(50 + COST + 8_191),
                 script: vec![Some(ExecError::Fault(soft.clone()))],
                 want: Err(ExecError::Timeout {
@@ -424,7 +372,7 @@ mod tests {
                 name: "every armed mode fails: degrade rung by rung, then disarm",
                 from: Gpl,
                 policy: Some(policy(0)),
-                last_resort: LastResort::Always,
+                last_resort: true,
                 budget: None,
                 script: vec![Some(ExecError::Fault(soft.clone())); 3],
                 want: Ok(Kbe),
@@ -441,7 +389,7 @@ mod tests {
                 name: "Ocelot exhausts: KBE, then disarmed KBE",
                 from: Ocelot,
                 policy: Some(policy(0)),
-                last_resort: LastResort::Always,
+                last_resort: true,
                 budget: None,
                 script: vec![Some(ExecError::Fault(soft.clone())); 2],
                 want: Ok(Kbe),
@@ -458,7 +406,7 @@ mod tests {
                 name: "no last resort: exhaustion surfaces for the caller to degrade",
                 from: Gpl,
                 policy: Some(policy(0)),
-                last_resort: LastResort::Never,
+                last_resort: false,
                 budget: None,
                 script: vec![Some(ExecError::Fault(soft.clone())); 3],
                 want: Err(ExecError::Fault(soft.clone())),
@@ -475,7 +423,7 @@ mod tests {
                 name: "a query error propagates at once, unrecorded",
                 from: Gpl,
                 policy: Some(policy(2)),
-                last_resort: LastResort::Always,
+                last_resort: true,
                 budget: None,
                 script: vec![Some(deadlock.clone())],
                 want: Err(deadlock),
@@ -486,7 +434,7 @@ mod tests {
                 name: "no policy: one unrecorded attempt",
                 from: Gpl,
                 policy: None,
-                last_resort: LastResort::Always,
+                last_resort: true,
                 budget: None,
                 script: vec![Some(ExecError::Fault(soft.clone()))],
                 want: Err(ExecError::Fault(soft.clone())),

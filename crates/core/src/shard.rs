@@ -33,7 +33,7 @@ use crate::exec::{
 use crate::ht::{GroupStore, SimHashTable};
 use crate::ops::sort_rows;
 use crate::plan::{PlanError, QueryPlan, Terminal};
-use crate::recover::{self, Ladder, LastResort, RecoveryPolicy, RecoveryStats, Spent};
+use crate::recover::{self, Ladder, RecoveryPolicy, RecoveryStats, Spent};
 use crate::segment::{overlap_pairs, ConfigError, InterSegmentEdge, SegmentIr};
 use gpl_sim::{DeviceSpec, FaultPlan, FaultSpec, LaunchProfile, Vendor};
 use gpl_tpch::{QueryOutput, TpchDb};
@@ -331,9 +331,6 @@ impl HedgePlan {
 /// One device's view of a sharded run.
 #[derive(Debug, Clone)]
 pub struct DeviceRun {
-    /// `DeviceSpec::name` of the pool device.
-    pub device: String,
-    pub kind: DeviceKind,
     /// This device's final simulated clock: launches it ran, backoff it
     /// charged, and merge broadcasts it received.
     pub cycles: u64,
@@ -343,8 +340,6 @@ pub struct DeviceRun {
     /// this device ran it, is appended as one extra entry. Positionally
     /// joinable against the stage models, like `QueryRun::per_stage`.
     pub per_stage: Vec<LaunchProfile>,
-    /// Whether the device was lost to a sticky fault during the run.
-    pub lost: bool,
 }
 
 /// The result of a sharded pool run.
@@ -423,10 +418,11 @@ pub struct RunSpec<'a> {
 /// devices out of the run, as a caller's per-device breakers decide; it
 /// is ignored when empty, of the wrong length, or when it would exclude
 /// every device. `cache` keeps built tables across queries ([`HtCache`]).
-/// Each stage splits into `spec.shard` parts, each run down the recovery
-/// ladder on a device of its anchor's class (a lost device's part moves
-/// to the next live one); the parts' blocking state merges in shard
-/// order, each part as it finishes; the stage's wall — the largest clock
+/// Each stage splits into `spec.shard` parts, each run once down the
+/// recovery ladder on a live device of its anchor's class, dealt round
+/// the class in shard order (on any live device when `excluded` leaves
+/// the class none); the parts' blocking state merges in shard order,
+/// each part as it finishes; the stage's wall — the largest clock
 /// advance over the devices, which run concurrently — adds to the
 /// query's cycles, so a backoff or a channel stall counts once, where it
 /// lands. Three rules follow from the
@@ -579,13 +575,10 @@ pub fn run_pool(
         }
         r.end(s, d.ctxs[0].sim.clock());
     }
-    let per_device = (d.ctxs.iter().zip(d.per_stage).enumerate())
-        .map(|(i, (c, per_stage))| DeviceRun {
-            device: c.sim.spec().name.clone(),
-            kind: DeviceKind::of(c.sim.spec()),
+    let per_device = (d.ctxs.iter().zip(d.per_stage))
+        .map(|(c, per_stage)| DeviceRun {
             cycles: c.sim.clock(),
             per_stage,
-            lost: !d.alive[i],
         })
         .collect();
     let run = ShardedRun {
@@ -602,6 +595,7 @@ pub fn run_pool(
 struct Driver<'a> {
     spec: &'a RunSpec<'a>,
     ctxs: &'a mut [ExecContext],
+    /// The devices `excluded` left in the run; fixed for the query.
     alive: Vec<bool>,
     rec: Option<gpl_obs::Recorder>,
     /// The tables built so far, as each device holds them.
@@ -611,8 +605,8 @@ struct Driver<'a> {
     per_stage: Vec<Vec<LaunchProfile>>,
     merged: LaunchProfile,
     stats: RecoveryStats,
-    /// The latest stage's primary device (its anchor while live); the
-    /// sort runs there.
+    /// The latest stage's primary device (its anchor unless excluded);
+    /// the sort runs there.
     primary: usize,
 }
 
@@ -674,7 +668,7 @@ impl Driver<'_> {
     }
 
     /// One stage under `mode`: the hash-table cache, then every part on
-    /// a candidate device (hedged when it straggles), then the merge.
+    /// its device (hedged when it straggles), then the merge.
     fn run_stage(
         &mut self,
         idx: usize,
@@ -710,18 +704,14 @@ impl Driver<'_> {
             .collect();
 
         // Devices eligible for this stage: live devices of the anchor's
-        // class, anchor first; any live device if the class died out.
+        // class, anchor first; any live device if the class is excluded.
+        // `run_pool` leaves at least one device live.
         let anchor = spec.anchors[idx];
         let mut class: Vec<usize> = (0..n)
             .filter(|&d| self.alive[d] && self.kind(d) == self.kind(anchor))
             .collect();
         if class.is_empty() {
             class = (0..n).filter(|&d| self.alive[d]).collect();
-        }
-        let exhausted = class.is_empty();
-        if exhausted {
-            // Every device lost: the disarmed last resort runs on the anchor.
-            class = vec![anchor];
         }
         if let Some(pos) = class.iter().position(|&d| d == anchor) {
             class.rotate_left(pos);
@@ -767,48 +757,12 @@ impl Driver<'_> {
         let mut ran_on = mode;
 
         for (si, part) in parts.iter().enumerate() {
-            // Candidate devices for this shard: the class rotated so
-            // shard si starts at class[si % len], then (on loss) the
-            // remaining live devices outside the class.
-            let len = class.len();
-            let mut cands: Vec<usize> = (0..len).map(|o| class[(si + o) % len]).collect();
-            let extra: Vec<usize> = (0..n)
-                .filter(|&d| self.alive[d] && !cands.contains(&d))
-                .collect();
-            cands.extend(extra);
-            let mut last_err: Option<ExecError> = None;
-            // (device, output, observed cycles, clock at attempt start)
-            let mut winner: Option<(usize, StageOut, u64, u64)> = None;
-            for (ci, &dev) in cands.iter().enumerate() {
-                if ci > 0 {
-                    self.stats.fallbacks += 1; // reassigned
-                }
-                // The disarmed last resort belongs to the final candidate
-                // only; earlier losses reassign instead.
-                let last = match ci + 1 == cands.len() || exhausted {
-                    true => LastResort::Always,
-                    false => LastResort::UnlessLost,
-                };
-                let a0 = self.ctxs[dev].sim.clock();
-                let run = stage_run(dev);
-                let ctx = &mut self.ctxs[dev];
-                match run_part(ctx, &run, mode, part.clone(), slices, &mut self.stats, last) {
-                    Ok((out, m)) => {
-                        ran_on = if m != mode { m } else { ran_on };
-                        let observed = ctx.sim.clock().saturating_sub(a0);
-                        winner = Some((dev, out, observed, a0));
-                        break;
-                    }
-                    Err(e @ ExecError::DeviceLost(_)) => {
-                        self.alive[dev] = false;
-                        last_err = Some(e);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            let Some((mut wdev, mut out, observed, p0)) = winner else {
-                return Err(last_err.expect("at least one candidate attempted"));
-            };
+            let mut wdev = class[si % class.len()];
+            let (p0, run) = (self.ctxs[wdev].sim.clock(), stage_run(wdev));
+            let ctx = &mut self.ctxs[wdev];
+            let (mut out, m) = run_part(ctx, &run, mode, part.clone(), slices, &mut self.stats)?;
+            ran_on = if m != mode { m } else { ran_on };
+            let observed = ctx.sim.clock().saturating_sub(p0);
 
             // Straggler hedging (see `HedgePlan`): the race resolves in
             // modeled-parallel time — the backup launches when the primary
@@ -832,9 +786,8 @@ impl Driver<'_> {
                     self.stats.hedges += 1;
                     let (run_b, ctx) = (stage_run(b), &mut self.ctxs[b]);
                     let b0 = ctx.sim.clock();
-                    let last = LastResort::UnlessLost;
                     let part = part.clone();
-                    let hedged = run_part(ctx, &run_b, mode, part, slices, &mut self.stats, last);
+                    let hedged = run_part(ctx, &run_b, mode, part, slices, &mut self.stats);
                     let d_backup = ctx.sim.clock().saturating_sub(b0);
                     match hedged {
                         Ok((bout, _)) => {
@@ -867,11 +820,8 @@ impl Driver<'_> {
                             return Err(e)
                         }
                         // Any other backup failure leaves the verified
-                        // primary standing; a lost backup device is dead.
-                        Err(e) => {
-                            self.alive[b] &= !matches!(e, ExecError::DeviceLost(_));
-                            self.stats.wasted_cycles += d_backup;
-                        }
+                        // primary standing.
+                        Err(_) => self.stats.wasted_cycles += d_backup,
                     }
                 }
             }
@@ -924,9 +874,7 @@ fn broadcast_bandwidth(spec: &DeviceSpec) -> u64 {
 }
 
 /// One part of a stage on one device, down the recovery ladder on its
-/// clock — as that many checkpoint `slices` when 2 or more. Only the part's
-/// last candidate device may end in the disarmed last resort; elsewhere
-/// a device loss returns at once so the caller can reassign the part.
+/// clock — as that many checkpoint `slices` when 2 or more.
 fn run_part(
     ctx: &mut ExecContext,
     run: &StageRun,
@@ -934,13 +882,9 @@ fn run_part(
     part: Range<usize>,
     slices: u32,
     stats: &mut RecoveryStats,
-    last_resort: LastResort,
 ) -> Result<(StageOut, ExecMode), ExecError> {
     let (policy, limits) = (run.spec.recovery, run.spec.limits);
-    let ladder = Ladder {
-        last_resort,
-        ..Ladder::new(policy, mode, limits, run.spent)
-    };
+    let ladder = Ladder::new(policy, mode, limits, run.spent);
     if slices >= 2 {
         return run_stage_checkpointed(ctx, run, mode, &ladder, part, slices, stats);
     }

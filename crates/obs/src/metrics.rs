@@ -62,14 +62,6 @@ impl Histogram {
         self.buckets[bucket_index(v)] += 1;
     }
 
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Nearest-rank percentile (`q` in `0..=100`) read off the log2
     /// buckets: the upper edge of the bucket holding the rank-th
     /// observation, clamped to the observed `[min, max]`. Exact for the
@@ -88,18 +80,6 @@ impl Histogram {
             }
         }
         self.max
-    }
-
-    pub fn p50(&self) -> u64 {
-        self.percentile(50.0)
-    }
-
-    pub fn p95(&self) -> u64 {
-        self.percentile(95.0)
-    }
-
-    pub fn p99(&self) -> u64 {
-        self.percentile(99.0)
     }
 }
 
@@ -328,23 +308,23 @@ mod tests {
         }
         // Ranks 50/95/99 land in buckets [32,63] / [64,127] / [64,127];
         // upper edges clamp to the observed max of 100.
-        assert_eq!(h.p50(), 63);
-        assert_eq!(h.p95(), 100);
-        assert_eq!(h.p99(), 100);
+        assert_eq!(h.percentile(50.0), 63);
+        assert_eq!(h.percentile(95.0), 100);
+        assert_eq!(h.percentile(99.0), 100);
         // A single observation is every percentile.
         let mut one = Histogram::default();
         one.observe(42);
-        assert_eq!(one.p50(), 42);
-        assert_eq!(one.p99(), 42);
+        assert_eq!(one.percentile(50.0), 42);
+        assert_eq!(one.percentile(99.0), 42);
         // All-zero observations stay at zero.
         let mut z = Histogram::default();
         z.observe(0);
         z.observe(0);
-        assert_eq!(z.p95(), 0);
+        assert_eq!(z.percentile(95.0), 0);
         // The top bucket's edge clamps to max, not u64::MAX.
         let mut big = Histogram::default();
         big.observe(u64::MAX - 3);
-        assert_eq!(big.p50(), u64::MAX - 3);
+        assert_eq!(big.percentile(50.0), u64::MAX - 3);
     }
 
     #[test]

@@ -523,9 +523,12 @@ fn worker_loop(
 #[derive(Debug, Clone, Copy, Default)]
 struct DeviceOutcome {
     cycles: u64,
-    lost: bool,
+    /// Whether the query failed on a device fault while the device was
+    /// in the run.
+    faulted: bool,
     /// Whether the device participated (breakers only hear from devices
-    /// that actually ran or died; an idle device's streak is untouched).
+    /// that actually ran or faulted; an idle device's streak is
+    /// untouched).
     ran: bool,
 }
 
@@ -567,7 +570,7 @@ fn run_job(idx: usize, shared: &Shared, job: Job, devices: &mut Devices) -> Quer
         };
         let opens_before = b.stats().opens;
         let before = b.state();
-        if o.lost {
+        if o.faulted {
             b.on_fault(clocks[d]);
         } else {
             b.on_success();
@@ -603,7 +606,7 @@ fn record_transition(
 /// Plan and run one job over a fresh context per pool device; returns
 /// the response plus each device's outcome (the cycles its simulator
 /// advanced — successful or not, wasted cycles count toward its clock —
-/// and whether it was lost) for the caller's breakers. `excluded` is per
+/// and whether it faulted) for the caller's breakers. `excluded` is per
 /// device, empty when no breaker is configured.
 fn process(
     idx: usize,
@@ -669,22 +672,23 @@ fn process(
     // Every device's clock is charged the cycles its simulator ran, on
     // success or error. A run that died gives no per-device facts, so a
     // device fault is charged to every device that was eligible to run —
-    // conservative, but a sticky pool-wide failure should trip the whole
+    // conservative, but a pool-wide failure should trip the whole
     // worker's pool anyway.
     let outcomes = (ctxs.iter().enumerate())
         .map(|(d, c)| {
-            let (lost, ran) = match &run {
-                Ok(run) => {
-                    let dr = &run.per_device[d];
-                    (dr.lost, dr.cycles > 0 || dr.lost)
-                }
+            let (faulted, ran) = match &run {
+                Ok(run) => (false, run.per_device[d].cycles > 0),
                 Err(e) => {
-                    let lost = e.is_device_fault() && excluded.get(d) != Some(&true);
-                    (lost, lost)
+                    let faulted = e.is_device_fault() && excluded.get(d) != Some(&true);
+                    (faulted, faulted)
                 }
             };
             let cycles = c.sim.clock();
-            DeviceOutcome { cycles, lost, ran }
+            DeviceOutcome {
+                cycles,
+                faulted,
+                ran,
+            }
         })
         .collect();
     let (result, recovery) = match run {

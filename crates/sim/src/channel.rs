@@ -32,11 +32,6 @@ pub struct ChannelId(pub u32);
 pub struct ChannelStats {
     pub packets_pushed: u64,
     pub packets_popped: u64,
-    pub bytes_pushed: u64,
-    /// Cycles producer work-groups spent on reservation + transfer.
-    pub push_cycles: u64,
-    /// Cycles consumer work-groups spent on synchronization + transfer.
-    pub pop_cycles: u64,
 }
 
 /// Timing-side state of a producer→consumer channel group.
@@ -248,11 +243,8 @@ impl Channel {
         // grow it: commits run in the event-drain phase, which must stay
         // allocation-free (see the engine's alloc_guard).
         self.avail.reserve(self.staged.len());
-        let cycles = end - now + self.sync_cycles;
         self.stats.packets_pushed += k;
-        self.stats.bytes_pushed += k * self.packet_bytes as u64;
-        self.stats.push_cycles += cycles;
-        cycles
+        end - now + self.sync_cycles
     }
 
     /// Producer completion: publish `k` previously reserved packets at
@@ -331,10 +323,8 @@ impl Channel {
             left -= take;
         }
         self.avail_packets -= k;
-        let cycles = t - now;
         self.stats.packets_popped += k;
-        self.stats.pop_cycles += cycles;
-        cycles
+        t - now
     }
 }
 

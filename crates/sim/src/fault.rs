@@ -1,7 +1,7 @@
 //! Deterministic fault injection — the simulator's fault plane.
 //!
 //! Real GPU serving fleets see transient kernel faults, wedged DMA
-//! channels, throughput loss and whole-device loss; the paper never
+//! channels and throughput loss; the paper never
 //! asks what happens then, but a production engine must (see
 //! "Accelerating Presto with GPUs" in PAPERS.md, which runs GPU
 //! operators behind a CPU-fallback path for exactly this reason).
@@ -53,10 +53,6 @@ pub enum FaultKind {
     /// Corrupted channel traffic, surfaced by the per-tile checksum the
     /// consumer verifies (`gpl-core`'s data queues): the launch fails.
     ChannelCorrupt,
-    /// Whole-device loss, injected only by a [`PinnedFault`]: every
-    /// subsequent armed launch fails until the plan is disarmed. Not
-    /// retryable on the same device.
-    DeviceLost,
     /// A gray failure: the device keeps working but loses throughput for
     /// [`FaultSpec::slowdown_cycles`], every overlapping launch's elapsed
     /// time multiplied by [`FaultSpec::slowdown_factor`]. Never fails a
@@ -75,15 +71,8 @@ impl FaultKind {
             FaultKind::KernelFault => "kernel_fault",
             FaultKind::ChannelStall => "channel_stall",
             FaultKind::ChannelCorrupt => "channel_corrupt",
-            FaultKind::DeviceLost => "device_lost",
             FaultKind::Slowdown => "slowdown",
         }
-    }
-
-    /// Whether retrying the same device can help. Everything transient
-    /// is retryable; a lost device is not.
-    pub fn retryable(self) -> bool {
-        !matches!(self, FaultKind::DeviceLost)
     }
 
     /// Stable index for per-kind counters.
@@ -92,16 +81,14 @@ impl FaultKind {
             FaultKind::KernelFault => 0,
             FaultKind::ChannelStall => 1,
             FaultKind::ChannelCorrupt => 2,
-            FaultKind::DeviceLost => 3,
-            FaultKind::Slowdown => 4,
+            FaultKind::Slowdown => 3,
         }
     }
 
-    pub const ALL: [FaultKind; 5] = [
+    pub const ALL: [FaultKind; 4] = [
         FaultKind::KernelFault,
         FaultKind::ChannelStall,
         FaultKind::ChannelCorrupt,
-        FaultKind::DeviceLost,
         FaultKind::Slowdown,
     ];
 }
@@ -134,8 +121,7 @@ impl fmt::Display for FaultRecord {
 /// containing `kernel` fails with `kind` at `max(clock, at_cycle) +
 /// DETECT_CYCLES` (a stall instead runs at `max(clock, at_cycle) +
 /// STALL_CYCLES`). Pinned faults fire once each, before any
-/// probabilistic draw, and consume no randomness. They are the only way
-/// to inject a [`FaultKind::DeviceLost`].
+/// probabilistic draw, and consume no randomness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PinnedFault {
     pub kind: FaultKind,
@@ -183,9 +169,8 @@ pub struct FaultSpec {
     /// launch's length is known — short launches become proportionally
     /// less likely to fail, making the failure rate per executed cycle
     /// constant instead of per launch. A rescinded fault leaves the
-    /// launch to succeed exactly as simulated. [`FaultKind::DeviceLost`]
-    /// is exempt (losing a device is not length-proportional). `None`
-    /// keeps the classic per-launch model.
+    /// launch to succeed exactly as simulated. `None` keeps the classic
+    /// per-launch model.
     pub fail_hazard_cycles: Option<u64>,
     /// "Fire at cycle N on kernel K" schedules, for tests.
     pub pinned: Vec<PinnedFault>,
@@ -399,7 +384,6 @@ pub struct FaultPlan {
     fired: Vec<bool>,
     launch_no: u64,
     armed: bool,
-    lost: bool,
     stats: FaultStats,
 }
 
@@ -415,7 +399,6 @@ impl FaultPlan {
             fired,
             launch_no: 0,
             armed: true,
-            lost: false,
             stats: FaultStats::default(),
         })
     }
@@ -445,12 +428,6 @@ impl FaultPlan {
         self.armed
     }
 
-    /// Whether a [`FaultKind::DeviceLost`] has fired: every later armed
-    /// launch fails immediately.
-    pub fn device_lost(&self) -> bool {
-        self.lost
-    }
-
     pub fn stats(&self) -> &FaultStats {
         &self.stats
     }
@@ -461,15 +438,12 @@ impl FaultPlan {
     /// `min(1, elapsed / window)` — constant hazard per executed cycle.
     /// Returns `false` when the fault is rescinded, in which case the
     /// launch stands exactly as simulated (the injection is un-counted).
-    /// A device loss is always kept. Consumes one uniform draw only when
-    /// hazard scaling is on, so classic fault streams are untouched.
+    /// Consumes one uniform draw only when hazard scaling is on, so
+    /// classic fault streams are untouched.
     pub(crate) fn confirm_mid_launch(&mut self, record: &FaultRecord, elapsed: u64) -> bool {
         let Some(window) = self.spec.fail_hazard_cycles else {
             return true;
         };
-        if record.kind == FaultKind::DeviceLost {
-            return true;
-        }
         let keep = (elapsed as f64 / window as f64).min(1.0);
         let r = (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         if r < keep {
@@ -489,19 +463,6 @@ impl FaultPlan {
         let launch = self.launch_no;
         self.launch_no += 1;
         self.stats.launches += 1;
-        if self.lost {
-            // The device stays lost; repeat records count separately so
-            // observed rates reflect every failed launch.
-            self.stats.injected[FaultKind::DeviceLost.idx()] += 1;
-            return Admission::Fail {
-                record: FaultRecord {
-                    kind: FaultKind::DeviceLost,
-                    kernel: None,
-                    cycle: clock + DETECT_CYCLES,
-                    launch,
-                },
-            };
-        }
         // Pinned schedules fire first and consume no randomness.
         for i in 0..self.spec.pinned.len() {
             if self.fired[i] {
@@ -511,9 +472,6 @@ impl FaultPlan {
             if kernels.iter().any(|k| *k == p.kernel) {
                 self.fired[i] = true;
                 self.stats.injected[p.kind.idx()] += 1;
-                if p.kind == FaultKind::DeviceLost {
-                    self.lost = true;
-                }
                 let at = clock.max(p.at_cycle);
                 let kernel = Some(p.kernel.clone());
                 let kind = p.kind;
@@ -659,36 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn device_loss_is_sticky_until_disarmed() {
-        let mut p = FaultPlan::new(
-            FaultSpec {
-                pinned: vec![PinnedFault {
-                    kind: FaultKind::DeviceLost,
-                    kernel: "k".into(),
-                    at_cycle: 0,
-                }],
-                ..FaultSpec::none()
-            },
-            1,
-        );
-        assert!(matches!(
-            p.admit(0, &["k"], false),
-            Admission::Fail {
-                record: FaultRecord {
-                    kind: FaultKind::DeviceLost,
-                    ..
-                }
-            }
-        ));
-        assert!(p.device_lost());
-        // Still lost on the next launch...
-        assert!(matches!(p.admit(10, &["k"], false), Admission::Fail { .. }));
-        // ...until disarmed (the hardened-path escape).
-        p.set_armed(false);
-        assert!(matches!(p.admit(20, &["k"], false), Admission::Clear));
-    }
-
-    #[test]
     fn channel_kinds_skip_channel_less_launches() {
         let spec = FaultSpec {
             channel_corrupt: 0.5,
@@ -743,10 +671,9 @@ mod tests {
             launch: 0,
         };
         // A launch spanning the whole window always keeps its fault; a
-        // zero-length launch never does; device loss is exempt.
+        // zero-length launch never does.
         assert!(plan.confirm_mid_launch(&rec(FaultKind::KernelFault), 1_000));
         assert!(!plan.confirm_mid_launch(&rec(FaultKind::KernelFault), 0));
-        assert!(plan.confirm_mid_launch(&rec(FaultKind::DeviceLost), 0));
         // Half-length launches keep theirs about half the time.
         let kept = (0..1_000)
             .filter(|_| plan.confirm_mid_launch(&rec(FaultKind::KernelFault), 500))
@@ -761,9 +688,8 @@ mod tests {
     #[test]
     fn kind_roundtrip_is_dense_and_unique() {
         // Exhaustive over FaultKind::ALL: indexes dense 0..COUNT, names
-        // unique and non-empty, retryability consistent — a new kind
-        // that collides on any axis fails here instead of silently
-        // sharing a counter slot.
+        // unique and non-empty — a new kind that collides on either axis
+        // fails here instead of silently sharing a counter slot.
         assert_eq!(FaultKind::ALL.len(), FaultKind::COUNT);
         let mut seen_idx = [false; FaultKind::COUNT];
         let mut names: Vec<&str> = Vec::new();
@@ -775,11 +701,6 @@ mod tests {
             assert!(!kind.name().is_empty());
             assert!(!names.contains(&kind.name()), "{:?} shares a name", kind);
             names.push(kind.name());
-            assert_eq!(
-                kind.retryable(),
-                kind != FaultKind::DeviceLost,
-                "only device loss is non-retryable"
-            );
         }
         assert!(seen_idx.iter().all(|&s| s), "indexes are dense");
     }
@@ -989,11 +910,11 @@ mod tests {
             "kernel_fault on kernel k_map at cycle 1234 (launch 7)"
         );
         let r2 = FaultRecord {
-            kind: FaultKind::DeviceLost,
+            kind: FaultKind::ChannelCorrupt,
             kernel: None,
             cycle: 9,
             launch: 0,
         };
-        assert_eq!(r2.to_string(), "device_lost at cycle 9 (launch 0)");
+        assert_eq!(r2.to_string(), "channel_corrupt at cycle 9 (launch 0)");
     }
 }

@@ -1,9 +1,8 @@
 //! Fault injection and the recovery stack, end to end: seeded faults
 //! must cost cycles, never rows. The top half drives the executor
-//! directly (retries, degradation ladder, pinned schedules, device
-//! loss, stalls); the bottom half drives the serving layer
-//! (per-query fault determinism across worker counts, load shedding,
-//! circuit breaking).
+//! directly (retries, degradation ladder, pinned schedules, stalls);
+//! the bottom half drives the serving layer (per-query fault
+//! determinism across worker counts, load shedding, circuit breaking).
 
 use gpl_check::prelude::*;
 use gpl_prng::SeedableRng;
@@ -156,28 +155,6 @@ fn exhausted_retries_degrade_down_the_ladder_to_disarmed_kbe() {
     assert_eq!(run.recovery.faults.len(), 6);
     assert_eq!(run.recovery.degraded_to, Some(ExecMode::Kbe));
     assert_eq!(run.recovery.retries, 3, "one retry per mode");
-}
-
-#[test]
-fn device_loss_skips_the_ladder_and_only_disarming_escapes() {
-    let sql = gpl_repro::sql::sql_for(QueryId::Q6).expect("Q6 in corpus");
-    let want = clean_rows(sql);
-    let spec = FaultSpec {
-        pinned: vec![PinnedFault {
-            kind: FaultKind::DeviceLost,
-            kernel: "k_reduce*".into(),
-            at_cycle: 0,
-        }],
-        ..FaultSpec::none()
-    };
-    let (run, _) = run_faulted(sql, ExecMode::Gpl, spec, 3, &RecoveryPolicy::default());
-    assert_eq!(run.output, want);
-    // Retrying a lost device is futile: one fault, one fallback
-    // (straight to the disarmed last resort), no same-mode retries.
-    assert_eq!(run.recovery.faults.len(), 1);
-    assert_eq!(run.recovery.faults[0].kind, FaultKind::DeviceLost);
-    assert_eq!(run.recovery.retries, 0);
-    assert_eq!(run.recovery.fallbacks, 1);
 }
 
 #[test]
@@ -540,15 +517,14 @@ fn shard_pool() -> &'static (gpl_repro::core::shard::DevicePool, Vec<GammaTable>
     })
 }
 
-/// Losing a device mid-query under sharded serving: a pinned
-/// device-loss fires on the first terminal-reduce launch of every
-/// device that reaches one, the recovery ladder reassigns the dead
-/// device's shards (falling to the disarmed last resort if the whole
-/// pool dies), and the rows stay bit-identical to a fault-free sharded
-/// server — at every worker count, with the full fingerprint (rows and
-/// recovered cycle counts) worker-count independent.
+/// A kernel fault mid-query under sharded serving: a pinned fault fires
+/// on the first terminal-reduce launch of every device that reaches
+/// one, the recovery ladder retries the shard on its device, and the
+/// rows stay bit-identical to a fault-free sharded server — at every
+/// worker count, with the full fingerprint (rows and recovered cycle
+/// counts) worker-count independent.
 #[test]
-fn sharded_device_loss_recovers_bit_identically_across_worker_counts() {
+fn sharded_kernel_faults_recover_bit_identically_across_worker_counts() {
     use gpl_repro::core::shard::ShardPlan;
     use gpl_repro::serve::ShardServeConfig;
 
@@ -585,7 +561,7 @@ fn sharded_device_loss_recovers_bit_identically_across_worker_counts() {
 
     let mut spec = FaultSpec::none();
     spec.pinned.push(PinnedFault {
-        kind: FaultKind::DeviceLost,
+        kind: FaultKind::KernelFault,
         kernel: "k_reduce*".into(),
         at_cycle: 0,
     });
@@ -610,7 +586,7 @@ fn sharded_device_loss_recovers_bit_identically_across_worker_counts() {
         assert_eq!(
             report.err_count(),
             0,
-            "recovery absorbs the device loss at {workers} workers"
+            "recovery absorbs the kernel faults at {workers} workers"
         );
         assert_eq!(
             report.rows_fingerprint(),
@@ -620,7 +596,7 @@ fn sharded_device_loss_recovers_bit_identically_across_worker_counts() {
         let (faults, _, _, _) = report.recovery_totals();
         assert!(
             faults > 0,
-            "the pinned device loss must actually fire at {workers} workers"
+            "the pinned kernel fault must actually fire at {workers} workers"
         );
         fingerprints.push(report.fingerprint());
     }

@@ -10,12 +10,12 @@ use gpl_check::pins;
 use gpl_check::prelude::*;
 use gpl_prng::{SeedableRng, StdRng};
 use gpl_repro::core::shard::{
-    try_run_query_sharded, DevicePool, ShardAssignment, ShardFaults, ShardPlan, ShardedRun,
+    try_run_query_sharded, DeviceKind, DevicePool, ShardAssignment, ShardPlan, ShardedRun,
 };
 use gpl_repro::core::{
-    plan_for, run_query, ExecContext, ExecLimits, ExecMode, QueryConfig, QueryPlan, RecoveryPolicy,
+    plan_for, run_query, ExecContext, ExecLimits, ExecMode, QueryConfig, QueryPlan,
 };
-use gpl_repro::sim::{amd_a10, FaultKind, FaultSpec, PinnedFault};
+use gpl_repro::sim::amd_a10;
 use gpl_repro::tpch::QueryId;
 use std::sync::OnceLock;
 
@@ -199,41 +199,45 @@ fn merge_cycle_plane_is_pinned_for_q5_and_q9() {
     pins::check("shard_merge_cycles", &lines.join("\n")).unwrap_or_else(|e| panic!("{e}"));
 }
 
-/// The merge under device loss: a pinned loss on the first build kernel
-/// kills every device that launches it armed, the shards reassign, and
-/// the merged table is broadcast to a pool with dead devices — rows
-/// still equal the KBE oracle and the cycle plane is the parent's.
+/// Breakers that exclude a whole device class: with both GPUs excluded,
+/// every stage — GPU-anchored ones included — runs on the live CPU, the
+/// merged tables are broadcast to it alone, and the rows still equal the
+/// KBE oracle.
 #[test]
-fn merge_after_device_loss_keeps_rows_and_pinned_cycles() {
+fn excluding_every_gpu_runs_every_stage_on_the_cpu() {
     let plan = plan_for(&db(), QueryId::Q5);
-    let mut spec = FaultSpec::none();
-    spec.pinned.push(PinnedFault {
-        kind: FaultKind::DeviceLost,
-        kernel: "k_hash_build(ht0)".into(),
-        at_cycle: 0,
-    });
+    let assignment = ShardAssignment::round_robin(pool(), &plan);
     let run = try_run_query_sharded(
         pool(),
         &db(),
         &plan,
         ExecMode::Gpl,
         &ShardPlan::range(2),
-        &ShardAssignment::round_robin(pool(), &plan),
+        &assignment,
         &ExecLimits::default(),
-        Some(&RecoveryPolicy::default()),
-        Some(&ShardFaults { spec, seed: 9 }),
         None,
         None,
+        None,
+        Some(&[true, true, false]),
     )
-    .expect("recovery absorbs the device loss");
+    .expect("the CPU runs the query alone");
     assert_eq!(run.output, oracle(&plan, ExecMode::Kbe).output);
-    let lost = run.per_device.iter().filter(|d| d.lost).count();
-    assert_eq!(
-        lost, 2,
-        "both GPUs die, the CPU survives to receive the merge"
+    let kinds: Vec<DeviceKind> = pool().devices().iter().map(|d| d.kind()).collect();
+    assert_eq!(kinds, [DeviceKind::Gpu, DeviceKind::Gpu, DeviceKind::Cpu]);
+    for gpu in &run.per_device[..2] {
+        assert_eq!(gpu.cycles, 0, "an excluded GPU's clock never moves");
+        assert!(gpu.per_stage.iter().all(|p| p.kernels.is_empty()));
+    }
+    let cpu = &run.per_device[2];
+    assert_eq!(cpu.per_stage.len(), plan.stages.len() + 1, "stages + sort");
+    assert!(
+        cpu.per_stage.iter().all(|p| !p.kernels.is_empty()),
+        "every stage and the sort launch on the CPU"
     );
-    let line = cycle_line("Q5", ExecMode::Gpl, 2, &run);
-    pins::check("shard_faulted_cycles", &line).unwrap_or_else(|e| panic!("{e}"));
+    assert!(
+        (assignment.stage_device.iter()).any(|&d| kinds[d] == DeviceKind::Gpu),
+        "some stage is anchored on an excluded GPU"
+    );
 }
 
 /// Empty shards, pinned: the compiled Q5 drives `region` (5 rows) and
