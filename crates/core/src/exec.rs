@@ -494,7 +494,7 @@ pub(crate) fn attempt_stage(
         }
     };
     if let Some(record) = ctx.sim.take_fault() {
-        return Err(ExecError::from_fault(record));
+        return Err(ExecError::Fault(record));
     }
     Ok((profile, Blocking::owned(build, agg)))
 }
@@ -609,7 +609,7 @@ pub(crate) fn run_pair_fused(
             agg.as_ref(),
         )?;
         if let Some(record) = ctx.sim.take_fault() {
-            return Err(ExecError::from_fault(record));
+            return Err(ExecError::Fault(record));
         }
         let outs = [Blocking::owned(shared, None), Blocking::owned(build_p, agg)];
         Ok((profile, outs))
@@ -751,13 +751,7 @@ pub(crate) fn estimate_build_rows(db: &TpchDb, stage: &Stage) -> usize {
     {
         return total.max(1);
     }
-    const SAMPLE: usize = 1024;
-    let rows: Vec<usize> = if total <= SAMPLE {
-        (0..total).collect()
-    } else {
-        let step = total as f64 / SAMPLE as f64;
-        (0..SAMPLE).map(|i| (i as f64 * step) as usize).collect()
-    };
+    let rows = crate::ops::sample_ids(total, 1024);
     let t = db.table(&stage.driver);
     let mut chunk = crate::ops::Chunk::new(stage.num_slots());
     for (s, name) in stage.loads.iter().enumerate() {

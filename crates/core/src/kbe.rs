@@ -231,11 +231,10 @@ fn run_stage_blocks(
         let op = &stage.ops[i];
         let (rows, live_rows) = (st.launch_rows(), st.rows as u64);
         let out_rows = trace.rows_out;
+        let mut in_slots = op.reads();
+        in_slots.dedup();
         match op {
             PipeOp::Filter(pred) => {
-                let mut in_slots = Vec::new();
-                pred.slots(&mut in_slots);
-                in_slots.dedup();
                 let writes = st.alloc_selection(ctx, &[]);
                 let mask = writes[0];
                 merged.merge(&launch(
@@ -249,7 +248,7 @@ fn run_stage_blocks(
                 ));
                 st.select(ctx, out_rows, &live[i + 1], mask, &mut merged);
             }
-            PipeOp::Probe { key, payloads, .. } => {
+            PipeOp::Probe { payloads, .. } => {
                 // Payload temporaries at input positions.
                 let writes = st.alloc_selection(ctx, payloads);
                 let mask = writes[0];
@@ -263,7 +262,7 @@ fn run_stage_blocks(
                         ops::op_compute_insts(op) + 2 * st.mask_insts(),
                         ops::op_mem_insts(op),
                     )
-                    .reads(st.reads(&[*key]))
+                    .reads(st.reads(&in_slots))
                     .writes(writes)
                     .extra(trace.extra)
                     .io_rows(live_rows, out_rows as u64),
@@ -271,9 +270,6 @@ fn run_stage_blocks(
                 st.select(ctx, out_rows, &live[i + 1], mask, &mut merged);
             }
             PipeOp::Compute { expr, out } => {
-                let mut in_slots = Vec::new();
-                expr.slots(&mut in_slots);
-                in_slots.dedup();
                 let arr = alloc_array(
                     ctx,
                     rows,
@@ -297,19 +293,13 @@ fn run_stage_blocks(
 
     // Terminal: one table operation per row, a bucket write per build
     // row and a read and a write per aggregated row.
-    let (name, flavour, in_slots) = match &stage.terminal {
-        Terminal::HashBuild { key, payloads, .. } => {
-            let in_slots = std::iter::once(*key).chain(payloads.iter().copied());
-            ("k_hash_build", KernelFlavour::Build, in_slots.collect())
-        }
-        Terminal::Aggregate { groups, aggs } => {
-            let mut in_slots: Vec<usize> = groups.clone();
-            for a in aggs {
-                a.expr.slots(&mut in_slots);
-            }
+    let mut in_slots = stage.terminal.reads();
+    let (name, flavour) = match &stage.terminal {
+        Terminal::HashBuild { .. } => ("k_hash_build", KernelFlavour::Build),
+        Terminal::Aggregate { .. } => {
             in_slots.sort_unstable();
             in_slots.dedup();
-            ("k_aggregate", KernelFlavour::Aggregate, in_slots)
+            ("k_aggregate", KernelFlavour::Aggregate)
         }
     };
     merged.merge(&launch(

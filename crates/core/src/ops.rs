@@ -377,6 +377,17 @@ pub fn terminal_mem_insts(t: &Terminal) -> u64 {
     }
 }
 
+/// `n` evenly spaced row ids of a `total`-row relation, or all of them
+/// when `total <= n`: the sample that build-size estimation and the cost
+/// model's statistics pass both evaluate.
+pub fn sample_ids(total: usize, n: usize) -> Vec<usize> {
+    if total <= n {
+        return (0..total).collect();
+    }
+    let step = total as f64 / n as f64;
+    (0..n).map(|i| (i as f64 * step) as usize).collect()
+}
+
 /// Live slots *entering* each kernel of the stage's GPL pipeline:
 /// element `0` is what the scan kernel must emit (live into `ops[0]`),
 /// element `i` what flows into `ops[i]`, and the final element what the
@@ -384,40 +395,16 @@ pub fn terminal_mem_insts(t: &Terminal) -> u64 {
 pub fn live_slots(stage: &Stage) -> Vec<Vec<Slot>> {
     let n = stage.ops.len();
     let mut live_after: Vec<BTreeSet<Slot>> = vec![BTreeSet::new(); n + 1];
-    // Live into the terminal.
-    let mut t = Vec::new();
-    match &stage.terminal {
-        Terminal::HashBuild { key, payloads, .. } => {
-            t.push(*key);
-            t.extend(payloads);
-        }
-        Terminal::Aggregate { groups, aggs } => {
-            t.extend(groups);
-            for a in aggs {
-                a.expr.slots(&mut t);
-            }
-        }
-    }
-    live_after[n] = t.into_iter().collect();
+    live_after[n] = stage.terminal.reads().into_iter().collect();
     // Walk backwards: live into op i = (live out of op i minus what it
-    // defines) plus what it reads.
+    // fills) plus what it reads.
     for i in (0..n).rev() {
+        let op = &stage.ops[i];
         let mut set = live_after[i + 1].clone();
-        let mut reads = Vec::new();
-        match &stage.ops[i] {
-            PipeOp::Filter(p) => p.slots(&mut reads),
-            PipeOp::Probe { key, payloads, .. } => {
-                for s in payloads {
-                    set.remove(s);
-                }
-                reads.push(*key);
-            }
-            PipeOp::Compute { expr, out } => {
-                set.remove(out);
-                expr.slots(&mut reads);
-            }
+        for s in op.fills() {
+            set.remove(s);
         }
-        set.extend(reads);
+        set.extend(op.reads());
         live_after[i] = set;
     }
     live_after

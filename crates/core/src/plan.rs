@@ -162,49 +162,55 @@ pub struct Stage {
     pub terminal: Terminal,
 }
 
+impl PipeOp {
+    /// Slots the op reads, in expression order (repeats kept): a
+    /// filter's or compute's expression slots, a probe's key.
+    pub fn reads(&self) -> Vec<Slot> {
+        let mut v = Vec::new();
+        match self {
+            PipeOp::Filter(p) => p.slots(&mut v),
+            PipeOp::Probe { key, .. } => v.push(*key),
+            PipeOp::Compute { expr, .. } => expr.slots(&mut v),
+        }
+        v
+    }
+
+    /// Slots the op fills: a probe's payloads, a compute's output.
+    pub fn fills(&self) -> &[Slot] {
+        match self {
+            PipeOp::Filter(_) => &[],
+            PipeOp::Probe { payloads, .. } => payloads,
+            PipeOp::Compute { out, .. } => std::slice::from_ref(out),
+        }
+    }
+}
+
+impl Terminal {
+    /// Slots the terminal reads: a build's key then its payloads; an
+    /// aggregate's groups then each aggregate's expression slots.
+    pub fn reads(&self) -> Vec<Slot> {
+        match self {
+            Terminal::HashBuild { key, payloads, .. } => [&[*key], &payloads[..]].concat(),
+            Terminal::Aggregate { groups, aggs } => {
+                let mut v = groups.clone();
+                for a in aggs {
+                    a.expr.slots(&mut v);
+                }
+                v
+            }
+        }
+    }
+}
+
 impl Stage {
     /// Total number of slots the stage's row context needs.
     pub fn num_slots(&self) -> usize {
-        let mut max = self.loads.len();
-        let mut track = |s: &[Slot]| {
-            for &x in s {
-                max = max.max(x + 1);
-            }
-        };
+        let mut slots = self.terminal.reads();
         for op in &self.ops {
-            match op {
-                PipeOp::Filter(p) => {
-                    let mut v = Vec::new();
-                    p.slots(&mut v);
-                    track(&v);
-                }
-                PipeOp::Probe { key, payloads, .. } => {
-                    track(&[*key]);
-                    track(payloads);
-                }
-                PipeOp::Compute { expr, out } => {
-                    let mut v = Vec::new();
-                    expr.slots(&mut v);
-                    track(&v);
-                    track(&[*out]);
-                }
-            }
+            slots.extend(op.reads());
+            slots.extend(op.fills());
         }
-        match &self.terminal {
-            Terminal::HashBuild { key, payloads, .. } => {
-                track(&[*key]);
-                track(payloads);
-            }
-            Terminal::Aggregate { groups, aggs } => {
-                track(groups);
-                for a in aggs {
-                    let mut v = Vec::new();
-                    a.expr.slots(&mut v);
-                    track(&v);
-                }
-            }
-        }
-        max
+        (slots.into_iter()).fold(self.loads.len(), |n, s| n.max(s + 1))
     }
 
     /// Verify slots are filled before use. Returns the filled-slot count.
@@ -223,42 +229,24 @@ impl Stage {
             unfilled.map_or(Ok(()), |&s| Err(misuse(what, s)))
         };
         for op in &self.ops {
-            match op {
-                PipeOp::Filter(p) => {
-                    let mut v = Vec::new();
-                    p.slots(&mut v);
-                    read(&filled, &v, "filter reads unfilled")?;
-                }
-                PipeOp::Probe { key, payloads, .. } => {
-                    read(&filled, &[*key], "probe key reads unfilled")?;
-                    for &p in payloads {
-                        if std::mem::replace(&mut filled[p], true) {
-                            return Err(misuse("probe payload overwrites filled", p));
-                        }
-                    }
-                }
-                PipeOp::Compute { expr, out } => {
-                    let mut v = Vec::new();
-                    expr.slots(&mut v);
-                    read(&filled, &v, "compute reads unfilled")?;
-                    filled[*out] = true;
+            let what = match op {
+                PipeOp::Filter(_) => "filter reads unfilled",
+                PipeOp::Probe { .. } => "probe key reads unfilled",
+                PipeOp::Compute { .. } => "compute reads unfilled",
+            };
+            read(&filled, &op.reads(), what)?;
+            for &s in op.fills() {
+                let was = std::mem::replace(&mut filled[s], true);
+                if was && matches!(op, PipeOp::Probe { .. }) {
+                    return Err(misuse("probe payload overwrites filled", s));
                 }
             }
         }
-        match &self.terminal {
-            Terminal::HashBuild { key, payloads, .. } => {
-                read(&filled, &[*key], "build key reads unfilled")?;
-                read(&filled, payloads, "build payload reads unfilled")?;
-            }
-            Terminal::Aggregate { groups, aggs } => {
-                read(&filled, groups, "group key reads unfilled")?;
-                for a in aggs {
-                    let mut v = Vec::new();
-                    a.expr.slots(&mut v);
-                    read(&filled, &v, "aggregate input reads unfilled")?;
-                }
-            }
-        }
+        let what = match &self.terminal {
+            Terminal::HashBuild { .. } => "build reads unfilled",
+            Terminal::Aggregate { .. } => "aggregate reads unfilled",
+        };
+        read(&filled, &self.terminal.reads(), what)?;
         Ok(filled.iter().filter(|&&f| f).count())
     }
 
@@ -266,30 +254,6 @@ impl Stage {
     /// where a malformed stage is a bug in this program).
     pub fn validate(&self) -> usize {
         self.check().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// GPL kernel fusion (Section 3.2) — delegates to the canonical
-    /// implementation in [`crate::segment::fusion_groups`], which also
-    /// drives [`crate::segment::SegmentIr::lower`]. Returns the op
-    /// indices of each kernel: element 0 is the leaf kernel's ops,
-    /// subsequent elements each start with a probe. The blocking
-    /// terminal is an additional kernel not listed here.
-    pub fn gpl_fusion(&self) -> Vec<Vec<usize>> {
-        crate::segment::fusion_groups(self)
-    }
-
-    /// Kernel names of this stage under GPL decomposition (Figure 7c):
-    /// the fused leaf map kernel, one kernel per probe (with fused
-    /// trailing maps), and the terminal kernel. Identical to the node
-    /// names of the stage's lowered [`crate::segment::SegmentIr`].
-    pub fn gpl_kernel_names(&self) -> Vec<String> {
-        crate::segment::gpl_kernel_names(self)
-    }
-
-    /// Kernel names under KBE decomposition: selections and probes expand
-    /// to map + prefix-sum + scatter (Figure 7b, the GDB selection \[13\]).
-    pub fn kbe_kernel_names(&self) -> Vec<String> {
-        crate::segment::kbe_kernel_names(self)
     }
 }
 
@@ -424,9 +388,17 @@ pub enum DisplayHint {
     },
 }
 
-/// Multiplier for Q9's composite partsupp key: `pk * COMP + sk`. Big
-/// enough for any supplier cardinality this repository generates.
-pub const COMPOSITE_KEY_MUL: i64 = 1 << 24;
+/// Multiplier for a two-column join key (Q9's partsupp): big enough
+/// for any supplier cardinality this repository generates.
+const COMPOSITE_KEY_MUL: i64 = 1 << 24;
+
+/// The composite join key `k0 * COMPOSITE_KEY_MUL + k1` over two slots,
+/// the one form both sides of a two-column key join compute.
+pub fn composite_key(k0: Slot, k1: Slot) -> Expr {
+    Expr::slot(k0)
+        .mul(Expr::lit(COMPOSITE_KEY_MUL))
+        .add(Expr::slot(k1))
+}
 
 /// Build the plan for any workload with its default parameters.
 pub fn plan_for(db: &TpchDb, q: QueryId) -> QueryPlan {
@@ -808,9 +780,7 @@ pub fn q9_plan(_db: &TpchDb) -> QueryPlan {
             ops: vec![
                 PipeOp::Filter(Pred::cmp(Lt, Expr::slot(0), Expr::lit(bound))),
                 PipeOp::Compute {
-                    expr: Expr::slot(0)
-                        .mul(Expr::lit(COMPOSITE_KEY_MUL))
-                        .add(Expr::slot(1)),
+                    expr: composite_key(0, 1),
                     out: 3,
                 },
             ],
@@ -859,9 +829,7 @@ pub fn q9_plan(_db: &TpchDb) -> QueryPlan {
                     payloads: vec![],
                 },
                 PipeOp::Compute {
-                    expr: Expr::slot(0)
-                        .mul(Expr::lit(COMPOSITE_KEY_MUL))
-                        .add(Expr::slot(1)),
+                    expr: composite_key(0, 1),
                     out: 6,
                 },
                 PipeOp::Probe {

@@ -19,7 +19,7 @@
 //!
 //! Lowering rules (all byte-identical to the pre-IR derivations):
 //!
-//! * **Fusion** ([`fusion_groups`], Section 3.2): the leaf `k_map*`
+//! * **Fusion** ([`Stage::gpl_fusion`], Section 3.2): the leaf `k_map*`
 //!   absorbs the scan and every leading non-probe op; each hash probe
 //!   starts a new kernel and absorbs the non-probe ops after it; a
 //!   probe that *is* the first op fuses into the scan kernel. The
@@ -280,11 +280,10 @@ impl SegmentIr {
             stage.name
         );
         let live = live_slots(stage);
-        let groups = fusion_groups(stage);
+        let groups = stage.gpl_fusion();
         // Intern the kernel names once at lowering: every launch built
         // from this IR (and every profile/span downstream) clones Arcs.
-        let names: Vec<std::sync::Arc<str>> = gpl_kernel_names(stage)
-            .into_iter()
+        let names: Vec<std::sync::Arc<str>> = (stage.gpl_kernel_names().into_iter())
             .map(std::sync::Arc::from)
             .collect();
 
@@ -306,14 +305,10 @@ impl SegmentIr {
         // Split the loads: columns read by the fused leading ops stream
         // eagerly; columns only shipped onward gather lazily post-filter;
         // the rest are dead.
-        let mut eager_slots: Vec<Slot> = Vec::new();
-        for &i in &groups[0] {
-            match &stage.ops[i] {
-                PipeOp::Filter(p) => p.slots(&mut eager_slots),
-                PipeOp::Probe { key, .. } => eager_slots.push(*key),
-                PipeOp::Compute { expr, .. } => expr.slots(&mut eager_slots),
-            }
-        }
+        let eager_slots: Vec<Slot> = groups[0]
+            .iter()
+            .flat_map(|&i| stage.ops[i].reads())
+            .collect();
         let mut eager = Vec::new();
         let mut lazy = Vec::new();
         for (slot, name) in stage.loads.iter().enumerate() {
@@ -564,7 +559,7 @@ impl InterSegmentEdge {
 /// overlap. A pair is two *adjacent* stages where stage `i` ends in a
 /// `HashBuild{ht}` terminal and stage `i + 1` probes that `ht` exactly
 /// once, at an op index `> 0` (so the paired probe starts its own
-/// kernel under [`fusion_groups`] and can be slice-gated without
+/// kernel under [`Stage::gpl_fusion`] and can be slice-gated without
 /// touching the leaf's tile loop). Every other hash table stage `i + 1`
 /// probes was built *before* stage `i`, so overlapping the pair is
 /// always safe. Pairs are chosen greedily left to right and never
@@ -608,65 +603,68 @@ pub fn overlap_pairs(stages: &[Stage]) -> Vec<InterSegmentEdge> {
     pairs
 }
 
-/// GPL kernel fusion (Section 3.2): the leaf `k_map` kernel absorbs the
-/// scan and every leading non-probe op; each hash probe starts a new
-/// kernel and absorbs the non-probe ops that follow it — except the
-/// very first op: a pipeline with no leading selection fuses its first
-/// probe into the scan kernel, so the first channel carries only
-/// surviving rows. Returns the op indices of each kernel; the blocking
-/// terminal is an additional kernel not listed here.
-pub fn fusion_groups(stage: &Stage) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new()];
-    for (i, op) in stage.ops.iter().enumerate() {
-        if matches!(op, PipeOp::Probe { .. }) && !groups[0].is_empty() {
-            groups.push(Vec::new());
+impl Stage {
+    /// GPL kernel fusion (Section 3.2): the leaf `k_map` kernel absorbs
+    /// the scan and every leading non-probe op; each hash probe starts a
+    /// new kernel and absorbs the non-probe ops that follow it — except
+    /// the very first op: a pipeline with no leading selection fuses its
+    /// first probe into the scan kernel, so the first channel carries
+    /// only surviving rows. Returns the op indices of each kernel; the
+    /// blocking terminal is an additional kernel not listed here.
+    pub fn gpl_fusion(&self) -> Vec<Vec<usize>> {
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new()];
+        for (i, op) in self.ops.iter().enumerate() {
+            if matches!(op, PipeOp::Probe { .. }) && !groups[0].is_empty() {
+                groups.push(Vec::new());
+            }
+            groups.last_mut().expect("non-empty").push(i);
         }
-        groups.last_mut().expect("non-empty").push(i);
+        groups
     }
-    groups
-}
 
-/// Kernel names of `stage` under GPL decomposition (Figure 7c): the
-/// fused leaf map kernel, one kernel per probe (with fused trailing
-/// maps), and the terminal kernel.
-pub fn gpl_kernel_names(stage: &Stage) -> Vec<String> {
-    let mut v = Vec::new();
-    for (g, ops) in fusion_groups(stage).into_iter().enumerate() {
-        if g == 0 {
-            v.push(format!("k_map*(scan {})", stage.driver));
-        } else {
-            let PipeOp::Probe { ht, .. } = &stage.ops[ops[0]] else {
-                unreachable!("group {g} must start with a probe");
-            };
-            let fused = if ops.len() > 1 { "+map" } else { "" };
-            v.push(format!("k_hash_probe*(ht{ht}{fused})"));
+    /// Kernel names under GPL decomposition (Figure 7c): the fused leaf
+    /// map kernel, one kernel per probe (with fused trailing maps), and
+    /// the terminal kernel. Identical to the node names of the stage's
+    /// lowered [`SegmentIr`].
+    pub fn gpl_kernel_names(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        for (g, ops) in self.gpl_fusion().into_iter().enumerate() {
+            if g == 0 {
+                v.push(format!("k_map*(scan {})", self.driver));
+            } else {
+                let PipeOp::Probe { ht, .. } = &self.ops[ops[0]] else {
+                    unreachable!("group {g} must start with a probe");
+                };
+                let fused = if ops.len() > 1 { "+map" } else { "" };
+                v.push(format!("k_hash_probe*(ht{ht}{fused})"));
+            }
         }
+        v.push(match &self.terminal {
+            Terminal::HashBuild { ht, .. } => format!("k_hash_build(ht{ht})"),
+            Terminal::Aggregate { groups, .. } if groups.is_empty() => "k_reduce*".to_string(),
+            Terminal::Aggregate { .. } => "k_groupby*".to_string(),
+        });
+        v
     }
-    v.push(match &stage.terminal {
-        Terminal::HashBuild { ht, .. } => format!("k_hash_build(ht{ht})"),
-        Terminal::Aggregate { groups, .. } if groups.is_empty() => "k_reduce*".to_string(),
-        Terminal::Aggregate { .. } => "k_groupby*".to_string(),
-    });
-    v
-}
 
-/// Kernel names of `stage` under KBE decomposition, as [`crate::kbe`]
-/// launches them: selections and probes expand to map + prefix-sum +
-/// scatter (Figure 7b, the GDB selection \[13\]).
-pub fn kbe_kernel_names(stage: &Stage) -> Vec<String> {
-    let mut v = Vec::new();
-    for op in &stage.ops {
-        match op {
-            PipeOp::Filter(_) => v.extend(["k_map", "k_prefix_sum", "k_scatter"]),
-            PipeOp::Probe { .. } => v.extend(["k_hash_probe", "k_prefix_sum", "k_scatter"]),
-            PipeOp::Compute { .. } => v.push("k_map"),
+    /// Kernel names under KBE decomposition, as [`crate::kbe`] launches
+    /// them: selections and probes expand to map + prefix-sum + scatter
+    /// (Figure 7b, the GDB selection \[13\]).
+    pub fn kbe_kernel_names(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        for op in &self.ops {
+            match op {
+                PipeOp::Filter(_) => v.extend(["k_map", "k_prefix_sum", "k_scatter"]),
+                PipeOp::Probe { .. } => v.extend(["k_hash_probe", "k_prefix_sum", "k_scatter"]),
+                PipeOp::Compute { .. } => v.push("k_map"),
+            }
         }
+        v.push(match &self.terminal {
+            Terminal::HashBuild { .. } => "k_hash_build",
+            Terminal::Aggregate { .. } => "k_aggregate",
+        });
+        v.into_iter().map(str::to_string).collect()
     }
-    v.push(match &stage.terminal {
-        Terminal::HashBuild { .. } => "k_hash_build",
-        Terminal::Aggregate { .. } => "k_aggregate",
-    });
-    v.into_iter().map(str::to_string).collect()
 }
 
 #[cfg(test)]

@@ -12,7 +12,6 @@
 
 use crate::stats::{PlanStats, SampledPass};
 use gpl_core::plan::{PipeOp, QueryPlan, Stage};
-use gpl_core::Slot;
 use gpl_tpch::TpchDb;
 use std::collections::HashMap;
 
@@ -25,25 +24,6 @@ use std::collections::HashMap;
 /// runs beside. SQL aliases make any count legal, so the bound is on
 /// time, not on arity.
 const MAX_DP_PROBES: usize = 12;
-
-/// Slots an op reads / fills.
-fn op_reads(op: &PipeOp) -> Vec<Slot> {
-    let mut v = Vec::new();
-    match op {
-        PipeOp::Filter(p) => p.slots(&mut v),
-        PipeOp::Probe { key, .. } => v.push(*key),
-        PipeOp::Compute { expr, .. } => expr.slots(&mut v),
-    }
-    v
-}
-
-fn op_fills(op: &PipeOp) -> Vec<Slot> {
-    match op {
-        PipeOp::Filter(_) => Vec::new(),
-        PipeOp::Probe { payloads, .. } => payloads.clone(),
-        PipeOp::Compute { out, .. } => vec![*out],
-    }
-}
 
 /// Deterministically extend `order` with every ready non-probe op
 /// (cheapest-λ filters first — they only shrink the stream), updating the
@@ -66,7 +46,7 @@ fn apply_ready_maps(
             if used[i] || matches!(op, PipeOp::Probe { .. }) {
                 continue;
             }
-            if !op_reads(op).iter().all(|&s| filled[s]) {
+            if !op.reads().iter().all(|&s| filled[s]) {
                 continue;
             }
             let is_filter = matches!(op, PipeOp::Filter(_));
@@ -86,7 +66,7 @@ fn apply_ready_maps(
         // make every compute eventually required, so run it if nothing
         // else is available — which is exactly this branch.
         used[i] = true;
-        for s in op_fills(&stage.ops[i]) {
+        for &s in stage.ops[i].fills() {
             filled[s] = true;
         }
         order.push(i);
@@ -157,12 +137,12 @@ fn reorder_stage(stage: &Stage, lambdas: &[f64], driver_rows: f64) -> Option<Vec
             if mask & (1 << bit) != 0 {
                 continue;
             }
-            if !op_reads(&stage.ops[p]).iter().all(|&s| cur.filled[s]) {
+            if !stage.ops[p].reads().iter().all(|&s| cur.filled[s]) {
                 continue;
             }
             let mut next = cur.clone();
             next.used[p] = true;
-            for s in op_fills(&stage.ops[p]) {
+            for &s in stage.ops[p].fills() {
                 next.filled[s] = true;
             }
             next.order.push(p);

@@ -16,7 +16,7 @@
 //! [`crate::joinopt::optimize_with_stats`].
 
 use gpl_core::ht::BuildMix64;
-use gpl_core::ops::{apply_compute, apply_filter, select_rows, Chunk};
+use gpl_core::ops::{apply_compute, apply_filter, sample_ids, select_rows, Chunk};
 use gpl_core::plan::{PipeOp, QueryPlan, Stage, Terminal};
 
 use gpl_tpch::TpchDb;
@@ -152,14 +152,7 @@ impl<'a> SampledPass<'a> {
     pub(crate) fn walk(&self, stage: &Stage) -> StageSample {
         let total = self.db.table(&stage.driver).rows();
         let is_build = matches!(stage.terminal, Terminal::HashBuild { .. });
-        let ids: Vec<usize> = if is_build || total <= SAMPLE_ROWS {
-            (0..total).collect()
-        } else {
-            let step = total as f64 / SAMPLE_ROWS as f64;
-            (0..SAMPLE_ROWS)
-                .map(|i| (i as f64 * step) as usize)
-                .collect()
-        };
+        let ids = sample_ids(total, if is_build { total } else { SAMPLE_ROWS });
         let mut chunk = load_chunk(self.db, stage, &ids);
         // The count is the loaded chunk's, not `ids.len()`: a stage that
         // loads no column (`count(*)` only) has a chunk of zero rows, so

@@ -523,8 +523,8 @@ fn worker_loop(
 #[derive(Debug, Clone, Copy, Default)]
 struct DeviceOutcome {
     cycles: u64,
-    /// Whether the query failed on a device fault while the device was
-    /// in the run.
+    /// Whether the query failed on a device fault and this device's
+    /// simulator confirmed a failing fault.
     faulted: bool,
     /// Whether the device participated (breakers only hear from devices
     /// that actually ran or faulted; an idle device's streak is
@@ -670,16 +670,17 @@ fn process(
     };
     let run = run_pool(&mut ctxs, &spec, excluded, None).map(|(run, _)| run);
     // Every device's clock is charged the cycles its simulator ran, on
-    // success or error. A run that died gives no per-device facts, so a
-    // device fault is charged to every device that was eligible to run —
-    // conservative, but a pool-wide failure should trip the whole
-    // worker's pool anyway.
+    // success or error. A run that died on a device fault charges it to
+    // each device whose simulator confirmed a failing fault (a rescinded
+    // hazard fault is not counted): the device that faulted trips, the
+    // ones that merely shared the query do not.
     let outcomes = (ctxs.iter().enumerate())
         .map(|(d, c)| {
             let (faulted, ran) = match &run {
                 Ok(run) => (false, run.per_device[d].cycles > 0),
                 Err(e) => {
-                    let faulted = e.is_device_fault() && excluded.get(d) != Some(&true);
+                    let failed = (c.sim.fault_stats()).is_some_and(|f| f.total_failures() > 0);
+                    let faulted = e.is_device_fault() && failed;
                     (faulted, faulted)
                 }
             };

@@ -317,19 +317,25 @@ fn one_device_pool_and_classic_server_answer_a_drawn_schedule_alike() {
     }
 }
 
-/// A pooled query that fails on a device fault still charges every
-/// device the cycles its simulator ran: the breaker of a device that ran
-/// the failed query opens at a cycle above 0, not at the clock it had
-/// before the query.
+/// A pooled query that fails on a device fault trips only the breaker
+/// of the device that faulted, and charges it the cycles its simulator
+/// ran: it opens at a cycle above 0, not at the clock it had before the
+/// query. The query's one stage runs its first part on the placement's
+/// anchor, which launches the pinned `k_reduce*` fault and fails the
+/// run; the pool's other two devices do not open.
 #[test]
 fn an_errored_pooled_query_charges_its_devices_clocks() {
     use gpl_serve::{BreakerConfig, BreakerState, FaultConfig};
     use gpl_sim::{FaultKind, FaultSpec, PinnedFault};
 
     let pool = DevicePool::default_pool();
-    let gammas = (pool.devices().iter())
+    let gammas: Vec<GammaTable> = (pool.devices().iter())
         .map(|d| GammaTable::calibrate_grid(&d.spec, vec![1], vec![16], vec![256 << 10]))
         .collect();
+    let db = Arc::new(TpchDb::at_scale(0.002));
+    let (plan, stats) = gpl_sql::compile_with_stats(&db, SIMPLE).expect("compiles");
+    let placement = gpl_model::place_with_stats(&pool, &gammas, &db, &plan, &stats, None);
+    let anchor = placement.assignment.stage_device[0];
     let config = ServeConfig {
         workers: 1,
         faults: Some(FaultConfig {
@@ -355,12 +361,7 @@ fn an_errored_pooled_query_charges_its_devices_clocks() {
         }),
         ..ServeConfig::default()
     };
-    let srv = Server::start(
-        config,
-        amd_a10(),
-        Arc::new(TpchDb::at_scale(0.002)),
-        gamma(),
-    );
+    let srv = Server::start(config, amd_a10(), db, gamma());
     let answers = srv.run_batch(vec![QueryRequest::new(0, SIMPLE, ExecMode::Gpl)]);
     assert!(
         matches!(&answers[0].result, Err(gpl_serve::ServeError::Exec(e)) if e.is_device_fault()),
@@ -371,11 +372,11 @@ fn an_errored_pooled_query_charges_its_devices_clocks() {
         .filter(|t| (t.from, t.to) == (BreakerState::Closed, BreakerState::Open))
         .map(|t| (t.device, t.cycle))
         .collect();
-    assert!(!opens.is_empty(), "the fault trips the breakers");
-    assert!(
-        opens.iter().any(|&(_, cycle)| cycle > 0),
-        "a device that ran the failed query is charged its cycles: {opens:?}"
-    );
+    let [(device, cycle)] = opens[..] else {
+        panic!("exactly one breaker opens, the faulting device's: {opens:?}");
+    };
+    assert_eq!(device, Some(anchor), "{opens:?}");
+    assert!(cycle > 0, "the device that faulted is charged its cycles");
 }
 
 /// A hedge threshold below 1 is a deployment error, caught when the

@@ -134,11 +134,6 @@ impl Channel {
         }
     }
 
-    /// Bytes of backing buffer a group with these parameters needs.
-    pub fn buffer_bytes(n: u32, packet_bytes: u32, spec: &ChannelSpec) -> u64 {
-        Self::buffer_bytes_cap(n, packet_bytes, spec.capacity_packets)
-    }
-
     /// Buffer bytes with an explicit per-port capacity.
     pub fn buffer_bytes_cap(n: u32, packet_bytes: u32, capacity_per_port: u32) -> u64 {
         n as u64 * capacity_per_port as u64 * packet_bytes as u64
@@ -393,7 +388,7 @@ mod tests {
     fn ring_addresses_stay_inside_buffer() {
         let spec = amd_a10().channel;
         let mut c = chan(2, 16);
-        let bytes = Channel::buffer_bytes(2, 16, &spec);
+        let bytes = Channel::buffer_bytes_cap(2, 16, spec.capacity_packets);
         let mut acc = Vec::new();
         // Push/pop more than capacity to force ring wraparound.
         for _ in 0..3 {

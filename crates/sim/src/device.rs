@@ -102,11 +102,6 @@ impl DeviceSpec {
         cycles as f64 / (self.core_freq_mhz as f64 * 1e3)
     }
 
-    /// Number of cache sets implied by size, line and associativity.
-    pub fn cache_sets(&self) -> u32 {
-        (self.cache_bytes / (self.cache_line as u64 * self.cache_assoc as u64)) as u32
-    }
-
     /// Theoretical maximum resident wavefronts on the whole device, used as
     /// the denominator of the kernel-occupancy counter (Section 2.2).
     pub fn max_wavefronts(&self) -> u64 {
@@ -315,11 +310,8 @@ mod tests {
     #[test]
     fn cache_geometry_is_consistent() {
         let d = amd_a10();
-        let sets = d.cache_sets();
-        assert_eq!(
-            sets as u64 * d.cache_line as u64 * d.cache_assoc as u64,
-            d.cache_bytes
-        );
+        let cache = crate::cache::CacheSim::new(d.cache_bytes, d.cache_line, d.cache_assoc);
+        assert_eq!(cache.capacity_lines() * cache.line_bytes(), d.cache_bytes);
     }
 
     #[test]

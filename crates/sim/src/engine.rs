@@ -443,12 +443,6 @@ impl Simulator {
         self.clock = self.clock.min(cycle);
     }
 
-    /// End of the current slowdown window (0 = healthy). Launches
-    /// starting before this clock pay the gray-failure surcharge.
-    pub fn slowed_until(&self) -> u64 {
-        self.slow_until
-    }
-
     /// Attach a structured-event recorder: every launch then records a
     /// launch span, per-kernel activity spans and channel-occupancy
     /// counter samples, timestamped in device cycles.
@@ -1422,7 +1416,6 @@ mod tests {
         assert!(!sim.fault_pending(), "slowdowns never fail a launch");
         assert_eq!(p.elapsed_cycles, healthy * 4);
         assert_eq!(sim.clock(), healthy * 4);
-        assert!(sim.slowed_until() > 0);
         assert_eq!(
             sim.fault_stats()
                 .unwrap()

@@ -17,7 +17,7 @@ use crate::ast::*;
 use crate::catalog::{primary_key, Catalog};
 use crate::parser::parse;
 use crate::token::{err, SqlError};
-use gpl_core::plan::{Agg, DisplayHint, PipeOp, QueryPlan, Stage, Terminal, COMPOSITE_KEY_MUL};
+use gpl_core::plan::{composite_key, Agg, DisplayHint, PipeOp, QueryPlan, Stage, Terminal};
 use gpl_core::{CmpOp as CoreCmp, Expr, Pred, Slot};
 use gpl_storage::DataType;
 use gpl_tpch::{QueryId, TpchDb};
@@ -161,29 +161,34 @@ fn coerce(a: Bound, b: Bound) -> Result<(Expr, Expr, Ty), SqlError> {
 }
 
 /// Binding context: which (relation, column) pairs are available at which
-/// slot of the current pipeline.
+/// slot of the current pipeline, one column map per relation.
 struct Scope<'a> {
     rels: &'a [Rel],
-    slots: HashMap<(usize, String), Slot>,
+    slots: Vec<HashMap<String, Slot>>,
     next_slot: Slot,
 }
 
-impl Scope<'_> {
+impl<'a> Scope<'a> {
+    fn new(rels: &'a [Rel]) -> Self {
+        Scope {
+            rels,
+            slots: vec![HashMap::new(); rels.len()],
+            next_slot: 0,
+        }
+    }
+
     fn slot_of(&self, rel: usize, col: &str) -> Result<Slot, SqlError> {
-        self.slots
-            .get(&(rel, col.to_string()))
-            .copied()
-            .ok_or_else(|| {
-                SqlError(format!(
-                    "column {}.{col} is not available in this pipeline stage",
-                    self.rels[rel].binding
-                ))
-            })
+        self.slots[rel].get(col).copied().ok_or_else(|| {
+            SqlError(format!(
+                "column {}.{col} is not available in this pipeline stage",
+                self.rels[rel].binding
+            ))
+        })
     }
 
     fn alloc(&mut self, rel: usize, col: &str) -> Slot {
         let s = self.next_slot;
-        self.slots.insert((rel, col.to_string()), s);
+        self.slots[rel].insert(col.to_string(), s);
         self.next_slot += 1;
         s
     }
@@ -202,16 +207,16 @@ struct Rel {
     rows: usize,
 }
 
-/// A dimension of the join tree.
+/// A dimension of the join tree; column names borrow from the statement.
 #[derive(Debug, Clone)]
-struct Dim {
+struct Dim<'s> {
     rel: usize,
     /// Primary-key columns on the dimension side.
-    keys: Vec<String>,
+    keys: &'static [&'static str],
     /// Matching (relation, column) pairs on the probing side.
-    src: Vec<(usize, String)>,
+    src: Vec<(usize, &'s str)>,
     /// Non-key columns the fact pipeline receives as probe payloads.
-    payloads: Vec<String>,
+    payloads: Vec<&'s str>,
 }
 
 pub(crate) struct Planner<'a> {
@@ -244,13 +249,13 @@ impl<'a> Planner<'a> {
     }
 
     /// Resolve a column reference to (relation index, column name).
-    fn resolve(&self, c: &ColumnRef) -> Result<(usize, String), SqlError> {
+    fn resolve<'c>(&self, c: &'c ColumnRef) -> Result<(usize, &'c str), SqlError> {
         if let Some(q) = &c.qualifier {
             let Some(rel) = self.rels.iter().position(|r| &r.binding == q) else {
                 return err(format!("unknown table or alias {q:?}"));
             };
             self.catalog.column_type(&self.rels[rel].table, &c.column)?;
-            return Ok((rel, c.column.clone()));
+            return Ok((rel, &c.column));
         }
         let mut hits = Vec::new();
         for (i, r) in self.rels.iter().enumerate() {
@@ -260,7 +265,7 @@ impl<'a> Planner<'a> {
         }
         match hits.len() {
             0 => err(format!("unknown column {:?}", c.column)),
-            1 => Ok((hits[0], c.column.clone())),
+            1 => Ok((hits[0], &c.column)),
             _ => {
                 // Same physical table aliased twice: the column exists in
                 // both instances and must be qualified.
@@ -280,117 +285,62 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// Relations mentioned by an expression.
-    fn expr_rels(&self, e: &SqlExpr, out: &mut Vec<usize>) -> Result<(), SqlError> {
-        match e {
-            SqlExpr::Column(c) => {
-                out.push(self.resolve(c)?.0);
-            }
-            SqlExpr::Binary { lhs, rhs, .. } => {
-                self.expr_rels(lhs, out)?;
-                self.expr_rels(rhs, out)?;
-            }
-            SqlExpr::Case {
-                cond,
-                then,
-                otherwise,
-            } => {
-                self.pred_rels(cond, out)?;
-                self.expr_rels(then, out)?;
-                self.expr_rels(otherwise, out)?;
-            }
-            SqlExpr::ExtractYear(e) => self.expr_rels(e, out)?,
-            SqlExpr::Agg { arg: Some(a), .. } => self.expr_rels(a, out)?,
-            _ => {}
-        }
-        Ok(())
-    }
-
-    fn pred_rels(&self, p: &SqlPred, out: &mut Vec<usize>) -> Result<(), SqlError> {
-        match p {
-            SqlPred::Cmp { lhs, rhs, .. } => {
-                self.expr_rels(lhs, out)?;
-                self.expr_rels(rhs, out)?;
-            }
-            SqlPred::Between { expr, lo, hi } => {
-                self.expr_rels(expr, out)?;
-                self.expr_rels(lo, out)?;
-                self.expr_rels(hi, out)?;
-            }
-            SqlPred::InList { expr, list } => {
-                self.expr_rels(expr, out)?;
-                for e in list {
-                    self.expr_rels(e, out)?;
-                }
-            }
-            SqlPred::LikePrefix { expr, .. } => self.expr_rels(expr, out)?,
-            SqlPred::And(v) => {
-                for q in v {
-                    self.pred_rels(q, out)?;
-                }
-            }
-            SqlPred::Or(a, b) => {
-                self.pred_rels(a, out)?;
-                self.pred_rels(b, out)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Collect every column an expression/predicate reads.
-    fn collect_cols(&self, e: &SqlExpr, out: &mut Vec<(usize, String)>) -> Result<(), SqlError> {
+    /// Every column an expression reads, resolved, in reference order:
+    /// the one walk behind predicate classification and load planning.
+    fn columns<'e>(&self, e: &'e SqlExpr, out: &mut Vec<(usize, &'e str)>) -> Result<(), SqlError> {
         match e {
             SqlExpr::Column(c) => out.push(self.resolve(c)?),
             SqlExpr::Binary { lhs, rhs, .. } => {
-                self.collect_cols(lhs, out)?;
-                self.collect_cols(rhs, out)?;
+                self.columns(lhs, out)?;
+                self.columns(rhs, out)?;
             }
             SqlExpr::Case {
                 cond,
                 then,
                 otherwise,
             } => {
-                self.collect_pred_cols(cond, out)?;
-                self.collect_cols(then, out)?;
-                self.collect_cols(otherwise, out)?;
+                self.pred_columns(cond, out)?;
+                self.columns(then, out)?;
+                self.columns(otherwise, out)?;
             }
-            SqlExpr::ExtractYear(e) => self.collect_cols(e, out)?,
-            SqlExpr::Agg { arg: Some(a), .. } => self.collect_cols(a, out)?,
+            SqlExpr::ExtractYear(e) => self.columns(e, out)?,
+            SqlExpr::Agg { arg: Some(a), .. } => self.columns(a, out)?,
             _ => {}
         }
         Ok(())
     }
 
-    fn collect_pred_cols(
+    /// [`Planner::columns`] over a predicate.
+    fn pred_columns<'e>(
         &self,
-        p: &SqlPred,
-        out: &mut Vec<(usize, String)>,
+        p: &'e SqlPred,
+        out: &mut Vec<(usize, &'e str)>,
     ) -> Result<(), SqlError> {
         match p {
             SqlPred::Cmp { lhs, rhs, .. } => {
-                self.collect_cols(lhs, out)?;
-                self.collect_cols(rhs, out)?;
+                self.columns(lhs, out)?;
+                self.columns(rhs, out)?;
             }
             SqlPred::Between { expr, lo, hi } => {
-                self.collect_cols(expr, out)?;
-                self.collect_cols(lo, out)?;
-                self.collect_cols(hi, out)?;
+                self.columns(expr, out)?;
+                self.columns(lo, out)?;
+                self.columns(hi, out)?;
             }
             SqlPred::InList { expr, list } => {
-                self.collect_cols(expr, out)?;
+                self.columns(expr, out)?;
                 for e in list {
-                    self.collect_cols(e, out)?;
+                    self.columns(e, out)?;
                 }
             }
-            SqlPred::LikePrefix { expr, .. } => self.collect_cols(expr, out)?,
+            SqlPred::LikePrefix { expr, .. } => self.columns(expr, out)?,
             SqlPred::And(v) => {
                 for q in v {
-                    self.collect_pred_cols(q, out)?;
+                    self.pred_columns(q, out)?;
                 }
             }
             SqlPred::Or(a, b) => {
-                self.collect_pred_cols(a, out)?;
-                self.collect_pred_cols(b, out)?;
+                self.pred_columns(a, out)?;
+                self.pred_columns(b, out)?;
             }
         }
         Ok(())
@@ -402,10 +352,10 @@ impl<'a> Planner<'a> {
         match e {
             SqlExpr::Column(c) => {
                 let (rel, col) = self.resolve(c)?;
-                let slot = scope.slot_of(rel, &col)?;
+                let slot = scope.slot_of(rel, col)?;
                 Ok(Bound {
                     expr: Expr::Slot(slot),
-                    ty: self.ty_of(rel, &col)?,
+                    ty: self.ty_of(rel, col)?,
                 })
             }
             SqlExpr::Number(n) => Ok(Bound {
@@ -560,7 +510,7 @@ impl<'a> Planner<'a> {
 
     pub(crate) fn plan(&self) -> Result<QueryPlan, SqlError> {
         // 1. Classify predicates.
-        let mut equi: Vec<(usize, String, usize, String)> = Vec::new(); // (rel_a, col_a, rel_b, col_b)
+        let mut equi: Vec<(usize, &str, usize, &str)> = Vec::new(); // (rel_a, col_a, rel_b, col_b)
         let mut single: Vec<Vec<&SqlPred>> = vec![Vec::new(); self.rels.len()];
         let mut cross: Vec<&SqlPred> = Vec::new();
         for p in &self.stmt.predicates {
@@ -577,13 +527,14 @@ impl<'a> Planner<'a> {
                     continue;
                 }
             }
+            // The relations the predicate reads, one entry each.
             let mut rels = Vec::new();
-            self.pred_rels(p, &mut rels)?;
-            rels.sort_unstable();
-            rels.dedup();
+            self.pred_columns(p, &mut rels)?;
+            rels.sort_unstable_by_key(|&(r, _)| r);
+            rels.dedup_by_key(|&mut (r, _)| r);
             match rels.len() {
                 0 => return err("constant predicates are not supported"),
-                1 => single[rels[0]].push(p),
+                1 => single[rels[0].0].push(p),
                 _ => cross.push(p),
             }
         }
@@ -600,7 +551,7 @@ impl<'a> Planner<'a> {
             .ok_or_else(|| SqlError("FROM clause is empty".into()))?;
         let mut in_tree = vec![false; self.rels.len()];
         in_tree[driver] = true;
-        let mut dims: Vec<Dim> = Vec::new();
+        let mut dims: Vec<Dim<'_>> = Vec::new();
         let mut edge_used = vec![false; equi.len()];
         loop {
             let mut grew = false;
@@ -617,19 +568,19 @@ impl<'a> Planner<'a> {
                 let mut src = Vec::new();
                 let mut used = Vec::new();
                 for &k in pk {
-                    let found = equi.iter().enumerate().find(|(i, (ra, ca, rb, cb))| {
-                        !edge_used[*i]
-                            && ((*ra == rel && ca == k && in_tree[*rb])
-                                || (*rb == rel && cb == k && in_tree[*ra]))
+                    let found = equi.iter().enumerate().find(|&(i, &(ra, ca, rb, cb))| {
+                        !edge_used[i]
+                            && ((ra == rel && ca == k && in_tree[rb])
+                                || (rb == rel && cb == k && in_tree[ra]))
                     });
                     match found {
-                        Some((i, (ra, ca, rb, cb))) => {
+                        Some((i, &(ra, ca, rb, cb))) => {
                             used.push(i);
-                            if *ra == rel && ca == k {
-                                src.push((*rb, cb.clone()));
+                            src.push(if ra == rel && ca == k {
+                                (rb, cb)
                             } else {
-                                src.push((*ra, ca.clone()));
-                            }
+                                (ra, ca)
+                            });
                         }
                         None => break,
                     }
@@ -640,7 +591,7 @@ impl<'a> Planner<'a> {
                     }
                     dims.push(Dim {
                         rel,
-                        keys: pk.iter().map(|s| s.to_string()).collect(),
+                        keys: pk,
                         src,
                         payloads: Vec::new(),
                     });
@@ -676,8 +627,8 @@ impl<'a> Planner<'a> {
                             return !equi.iter().zip(&edge_used).any(
                                 |((ea, eca, eb, ecb), used)| {
                                     *used
-                                        && ((*ea == ra && eca == &ca && *eb == rb && ecb == &cb)
-                                            || (*ea == rb && eca == &cb && *eb == ra && ecb == &ca))
+                                        && ((*ea == ra && *eca == ca && *eb == rb && *ecb == cb)
+                                            || (*ea == rb && *eca == cb && *eb == ra && *ecb == ca))
                                 },
                             );
                         }
@@ -692,25 +643,25 @@ impl<'a> Planner<'a> {
         // 3. Needed columns per relation (beyond keys and stage-local
         //    filters): select items, group by, cross filters, order-by
         //    expressions, and the source side of every join edge.
-        let mut needed: Vec<(usize, String)> = Vec::new();
+        let mut needed: Vec<(usize, &str)> = Vec::new();
         for item in &self.stmt.items {
-            self.collect_cols(&item.expr, &mut needed)?;
+            self.columns(&item.expr, &mut needed)?;
         }
         for g in &self.stmt.group_by {
-            self.collect_cols(g, &mut needed)?;
+            self.columns(g, &mut needed)?;
         }
         for p in &cross_preds {
-            self.collect_pred_cols(p, &mut needed)?;
+            self.pred_columns(p, &mut needed)?;
         }
         for (k, _) in &self.stmt.order_by {
             if let OrderKey::Expr(e) = k {
                 // Order keys referencing aliases resolve later; ignore
                 // unresolvable columns here.
-                let _ = self.collect_cols(e, &mut needed);
+                let _ = self.columns(e, &mut needed);
             }
         }
         for d in &dims {
-            needed.extend(d.src.iter().cloned());
+            needed.extend(&d.src);
         }
         needed.sort();
         needed.dedup();
@@ -719,10 +670,9 @@ impl<'a> Planner<'a> {
         // not its probe key (key equality makes the key recoverable from
         // the probing side, but selecting it is also fine via payload).
         for d in &mut dims {
-            d.payloads = needed
-                .iter()
-                .filter(|(r, c)| *r == d.rel && !d.keys.contains(c))
-                .map(|(_, c)| c.clone())
+            d.payloads = (needed.iter())
+                .filter(|&&(r, c)| r == d.rel && !d.keys.contains(&c))
+                .map(|&(_, c)| c)
                 .collect();
         }
 
@@ -743,10 +693,10 @@ impl<'a> Planner<'a> {
     fn build_stage(&self, ht: usize, d: &Dim, filters: &[&SqlPred]) -> Result<Stage, SqlError> {
         let rel = d.rel;
         // Loads: pk + filter columns + payload columns.
-        let mut load_cols: Vec<String> = d.keys.clone();
+        let mut load_cols: Vec<&str> = d.keys.to_vec();
         let mut fcols = Vec::new();
         for p in filters {
-            self.collect_pred_cols(p, &mut fcols)?;
+            self.pred_columns(p, &mut fcols)?;
         }
         for (r, c) in fcols {
             debug_assert_eq!(r, rel);
@@ -754,16 +704,12 @@ impl<'a> Planner<'a> {
                 load_cols.push(c);
             }
         }
-        for c in &d.payloads {
-            if !load_cols.contains(c) {
-                load_cols.push(c.clone());
+        for &c in &d.payloads {
+            if !load_cols.contains(&c) {
+                load_cols.push(c);
             }
         }
-        let mut scope = Scope {
-            rels: &self.rels,
-            slots: HashMap::new(),
-            next_slot: 0,
-        };
+        let mut scope = Scope::new(&self.rels);
         for c in &load_cols {
             scope.alloc(rel, c);
         }
@@ -773,17 +719,13 @@ impl<'a> Planner<'a> {
         }
         // Composite keys are composed arithmetically (as Q9 does).
         let key = if d.keys.len() == 1 {
-            scope.slot_of(rel, &d.keys[0])?
+            scope.slot_of(rel, d.keys[0])?
         } else {
-            let k0 = scope.slot_of(rel, &d.keys[0])?;
-            let k1 = scope.slot_of(rel, &d.keys[1])?;
+            let k0 = scope.slot_of(rel, d.keys[0])?;
+            let k1 = scope.slot_of(rel, d.keys[1])?;
             let out = scope.alloc_anon();
-            ops.push(PipeOp::Compute {
-                expr: Expr::Slot(k0)
-                    .mul(Expr::lit(COMPOSITE_KEY_MUL))
-                    .add(Expr::Slot(k1)),
-                out,
-            });
+            let expr = composite_key(k0, k1);
+            ops.push(PipeOp::Compute { expr, out });
             out
         };
         let payloads: Vec<Slot> = d
@@ -794,7 +736,7 @@ impl<'a> Planner<'a> {
         Ok(Stage {
             name: format!("build_{}", self.rels[rel].binding),
             driver: self.rels[rel].table.clone(),
-            loads: load_cols,
+            loads: load_cols.into_iter().map(str::to_string).collect(),
             ops,
             terminal: Terminal::HashBuild { ht, key, payloads },
         })
@@ -806,7 +748,7 @@ impl<'a> Planner<'a> {
         dims: &[Dim],
         fact_filters: &[&SqlPred],
         cross_preds: &[&SqlPred],
-        needed: &[(usize, String)],
+        needed: &[(usize, &str)],
     ) -> Result<(Stage, Scope<'_>), SqlError> {
         // Fact loads: needed driver columns + driver-side join keys +
         // fact filter columns.
@@ -816,31 +758,27 @@ impl<'a> Planner<'a> {
                 load_cols.push(c.to_string());
             }
         };
-        for (r, c) in needed {
-            if *r == driver {
+        for &(r, c) in needed {
+            if r == driver {
                 push(c, &mut load_cols);
             }
         }
         let mut fcols = Vec::new();
         for p in fact_filters {
-            self.collect_pred_cols(p, &mut fcols)?;
+            self.pred_columns(p, &mut fcols)?;
         }
         for (r, c) in &fcols {
             debug_assert_eq!(*r, driver);
             push(c, &mut load_cols);
         }
         for d in dims {
-            for (r, c) in &d.src {
-                if *r == driver {
+            for &(r, c) in &d.src {
+                if r == driver {
                     push(c, &mut load_cols);
                 }
             }
         }
-        let mut scope = Scope {
-            rels: &self.rels,
-            slots: HashMap::new(),
-            next_slot: 0,
-        };
+        let mut scope = Scope::new(&self.rels);
         for c in &load_cols {
             scope.alloc(driver, c);
         }
@@ -857,11 +795,8 @@ impl<'a> Planner<'a> {
             let mut i = 0;
             while i < pending.len() {
                 let mut cols = Vec::new();
-                self.collect_pred_cols(pending[i], &mut cols)?;
-                if cols
-                    .iter()
-                    .all(|(r, c)| scope.slots.contains_key(&(*r, c.clone())))
-                {
+                self.pred_columns(pending[i], &mut cols)?;
+                if cols.iter().all(|&(r, c)| scope.slots[r].contains_key(c)) {
                     let p = pending.remove(i);
                     ops.push(PipeOp::Filter(self.bind_pred(p, scope)?));
                 } else {
@@ -874,26 +809,22 @@ impl<'a> Planner<'a> {
         for (ht, d) in dims.iter().enumerate() {
             // Probe key on the fact side.
             let key = if d.src.len() == 1 {
-                scope.slot_of(d.src[0].0, &d.src[0].1)?
+                scope.slot_of(d.src[0].0, d.src[0].1)?
             } else {
-                let k0 = scope.slot_of(d.src[0].0, &d.src[0].1)?;
-                let k1 = scope.slot_of(d.src[1].0, &d.src[1].1)?;
+                let k0 = scope.slot_of(d.src[0].0, d.src[0].1)?;
+                let k1 = scope.slot_of(d.src[1].0, d.src[1].1)?;
                 let out = scope.alloc_anon();
-                ops.push(PipeOp::Compute {
-                    expr: Expr::Slot(k0)
-                        .mul(Expr::lit(COMPOSITE_KEY_MUL))
-                        .add(Expr::Slot(k1)),
-                    out,
-                });
+                let expr = composite_key(k0, k1);
+                ops.push(PipeOp::Compute { expr, out });
                 out
             };
             // Join-key equality makes the dimension's key columns
             // available on the probing side under their dimension name
             // (e.g. selecting or grouping by c_custkey after joining on
             // c_custkey = o_custkey reads the o_custkey slot).
-            for (i, kc) in d.keys.iter().enumerate() {
-                let s = scope.slot_of(d.src[i].0, &d.src[i].1)?;
-                scope.slots.entry((d.rel, kc.clone())).or_insert(s);
+            for (&kc, &(r, c)) in d.keys.iter().zip(&d.src) {
+                let s = scope.slot_of(r, c)?;
+                scope.slots[d.rel].entry(kc.to_string()).or_insert(s);
             }
             let payloads: Vec<Slot> = d.payloads.iter().map(|c| scope.alloc(d.rel, c)).collect();
             ops.push(PipeOp::Probe { ht, key, payloads });
@@ -931,7 +862,7 @@ impl<'a> Planner<'a> {
             let slot = match g {
                 SqlExpr::Column(c) => {
                     let (rel, col) = self.resolve(c)?;
-                    scope.slot_of(rel, &col)?
+                    scope.slot_of(rel, col)?
                 }
                 other => {
                     let b = self.bind_expr(other, &scope)?;

@@ -28,14 +28,6 @@ impl Tiling {
         }
     }
 
-    /// Tile by an explicit row count.
-    pub fn by_rows(rows: usize, rows_per_tile: usize) -> Self {
-        Tiling {
-            rows,
-            rows_per_tile: rows_per_tile.max(1),
-        }
-    }
-
     /// A single tile covering everything (KBE processes untiled input).
     pub fn whole(rows: usize) -> Self {
         Tiling {
@@ -82,7 +74,7 @@ mod tests {
 
     #[test]
     fn tiles_partition_the_rows() {
-        let t = Tiling::by_rows(10, 3);
+        let t = Tiling::by_bytes(10, 1, 3);
         let tiles: Vec<_> = t.iter().collect();
         assert_eq!(tiles, vec![0..3, 3..6, 6..9, 9..10]);
         assert_eq!(t.num_tiles(), 4);
@@ -115,7 +107,7 @@ mod tests {
 
     #[test]
     fn empty_input_has_no_tiles() {
-        let t = Tiling::by_rows(0, 8);
+        let t = Tiling::by_bytes(0, 1, 8);
         assert_eq!(t.num_tiles(), 0);
         assert_eq!(t.iter().count(), 0);
     }

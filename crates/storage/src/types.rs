@@ -126,17 +126,6 @@ impl Date {
     pub fn year_of_days(days: i32) -> i32 {
         Date::from_days(days).year
     }
-
-    /// First day of the month `months` after this date's month (used for
-    /// `date X + interval N month` predicates, e.g. Q14).
-    pub fn add_months(self, months: u32) -> Self {
-        let total = self.year * 12 + (self.month as i32 - 1) + months as i32;
-        Date {
-            year: total.div_euclid(12),
-            month: (total.rem_euclid(12) + 1) as u32,
-            day: self.day,
-        }
-    }
 }
 
 impl fmt::Display for Date {
@@ -193,14 +182,6 @@ mod tests {
         assert!(Date::parse("1995-01-32").is_none());
         assert!(Date::parse("1995-01").is_none());
         assert!(Date::parse("1995-01-01-01").is_none());
-    }
-
-    #[test]
-    fn add_months_handles_year_wrap() {
-        let d = Date::new(1995, 12, 1);
-        assert_eq!(d.add_months(1), Date::new(1996, 1, 1));
-        assert_eq!(d.add_months(13), Date::new(1997, 1, 1));
-        assert_eq!(Date::new(1995, 3, 15).add_months(0), Date::new(1995, 3, 15));
     }
 
     #[test]

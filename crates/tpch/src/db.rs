@@ -98,15 +98,6 @@ impl TpchDb {
             .unwrap_or_else(|| panic!("unknown nation {name:?}")) as i64
     }
 
-    /// Name of a nation code.
-    pub fn nation_name(&self, code: i64) -> &str {
-        self.nation
-            .col("n_name")
-            .dictionary()
-            .expect("n_name is dict")
-            .get(code as u32)
-    }
-
     /// Dictionary code of a part type ("ECONOMY ANODIZED STEEL", ...).
     pub fn part_type_code(&self, name: &str) -> i64 {
         self.part
@@ -170,7 +161,12 @@ mod tests {
         let asia = db.region_code("ASIA");
         assert_eq!(db.region.col("r_name").get_i64(asia as usize), asia);
         let fr = db.nation_code("FRANCE");
-        assert_eq!(db.nation_name(fr), "FRANCE");
+        let names = db
+            .nation
+            .col("n_name")
+            .dictionary()
+            .expect("n_name is dict");
+        assert_eq!(names.get(fr as u32), "FRANCE");
         assert_eq!(db.promo_type_codes().len(), 25);
         let _ = db.part_type_code("ECONOMY ANODIZED STEEL");
     }
