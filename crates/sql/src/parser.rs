@@ -340,21 +340,9 @@ impl Parser {
             days = if self.eat_kw("day") {
                 days + n
             } else if self.eat_kw("month") {
-                let d = Date::from_days(days);
-                let total = d.year * 12 + (d.month as i32 - 1) + n;
-                Date {
-                    year: total.div_euclid(12),
-                    month: (total.rem_euclid(12) + 1) as u32,
-                    day: d.day,
-                }
-                .to_days()
+                add_months(days, n)
             } else if self.eat_kw("year") {
-                let d = Date::from_days(days);
-                Date {
-                    year: d.year + n,
-                    ..d
-                }
-                .to_days()
+                add_months(days, 12 * n)
             } else {
                 return err("expected DAY, MONTH or YEAR after interval");
             };
@@ -458,6 +446,25 @@ impl Parser {
     }
 }
 
+/// Day number `days` moved by `months` calendar months, the day clamped
+/// to the target month's last day as SQL does: `1995-01-31 + 1 month` is
+/// 1995-02-28, and `1996-02-29 + 1 year` is 1997-02-28.
+fn add_months(days: i32, months: i32) -> i32 {
+    let d = Date::from_days(days);
+    let total = d.year * 12 + (d.month as i32 - 1) + months;
+    let first = |t: i32| Date {
+        year: t.div_euclid(12),
+        month: (t.rem_euclid(12) + 1) as u32,
+        day: 1,
+    };
+    let last_day = (first(total + 1).to_days() - first(total).to_days()) as u32;
+    Date {
+        day: d.day.min(last_day),
+        ..first(total)
+    }
+    .to_days()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,6 +527,35 @@ mod tests {
             panic!("want date literal")
         };
         assert_eq!(*d2, days("1998-12-01") - 90);
+    }
+
+    #[test]
+    fn month_and_year_intervals_clamp_the_day() {
+        let folded = |text: &str| {
+            let q = parse(&format!("select a from t where d < {text}")).unwrap();
+            let SqlPred::Cmp {
+                rhs: SqlExpr::DateLit(d),
+                ..
+            } = &q.predicates[0]
+            else {
+                panic!("want date literal")
+            };
+            *d
+        };
+        let cases = [
+            ("date '1995-01-31' + interval '1' month", "1995-02-28"),
+            ("date '1996-01-31' + interval '1' month", "1996-02-29"),
+            ("date '1995-03-31' - interval '1' month", "1995-02-28"),
+            ("date '1995-08-31' + interval '1' month", "1995-09-30"),
+            ("date '1995-01-31' + interval '13' month", "1996-02-29"),
+            ("date '1996-02-29' + interval '1' year", "1997-02-28"),
+            ("date '1996-02-29' + interval '4' year", "2000-02-29"),
+            ("date '1996-02-29' - interval '96' year", "1900-02-28"),
+            ("date '1995-09-01' + interval '1' month", "1995-10-01"),
+        ];
+        for (text, want) in cases {
+            assert_eq!(folded(text), days(want), "{text}");
+        }
     }
 
     #[test]
