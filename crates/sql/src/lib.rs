@@ -26,6 +26,7 @@ pub mod ast;
 pub mod catalog;
 pub mod corpus;
 pub mod gen;
+mod infer;
 pub mod parser;
 pub mod planner;
 #[cfg(test)]

@@ -20,16 +20,17 @@ gate() {
 # crates the hermetic-build PR removed must never come back. Panic sites
 # in library code may only go down: per crate, `panic!`, `.unwrap()`,
 # `.expect(`, `assert*!` (`debug_assert*!` included) and `unreachable!`
-# before each file's first `#[cfg(test)]`, comment lines and `src/bin`
-# excluded, must stay at or below the count committed here. Lower a
-# count when a change removes sites; a new crate starts at 0.
-PANIC_SITES="bench=71 check=10 core=73 model=16 obs=11 ocelot=1 prng=7 serve=3 sim=36 sql=43 storage=8 tpch=21"
+# before each file's first `#[cfg(test)]` (or `#![cfg(test)]`, which marks
+# a whole file as test code), comment lines and `src/bin` excluded, must
+# stay at or below the count committed here. Lower a count when a change
+# removes sites; a new crate starts at 0.
+PANIC_SITES="bench=71 check=10 core=73 model=16 obs=11 ocelot=1 prng=7 serve=3 sim=36 sql=17 storage=8 tpch=21"
 
 panic_sites() {
     local re='panic!|\.unwrap\(\)|\.expect\(|assert[a-z_]*!|unreachable!'
     find "$1/src" -name '*.rs' -not -path '*/src/bin/*' | sort | xargs awk -v re="$re" '
         FNR == 1 { live = 1 }
-        /#\[cfg\(test\)\]/ { live = 0 }
+        /#!?\[cfg\(test\)\]/ { live = 0 }
         live && !/^[[:space:]]*\/\// { n += gsub(re, "&") }
         END { print n + 0 }'
 }

@@ -240,15 +240,22 @@ fn excluding_every_gpu_runs_every_stage_on_the_cpu() {
     );
 }
 
-/// Empty shards, pinned: the compiled Q5 drives `region` (5 rows) and
-/// `nation` (25 rows), so at 7 shards two `region` shards hold no rows.
-/// An empty shard launches nothing, yet still creates its attempt's
-/// blocking outputs — an allocation that shifts every later address —
-/// so its cycle plane is pinned here.
+/// Empty shards, pinned: Q5's joins grouped by region instead of nation
+/// drive `region` (5 rows), which supplies `r_name` and so stays in the
+/// compiled plan, and `nation` (25 rows); at 7 shards two `region` shards
+/// hold no rows. An empty shard launches nothing, yet still creates its
+/// attempt's blocking outputs — an allocation that shifts every later
+/// address — so its cycle plane is pinned here.
 #[test]
 fn empty_shards_keep_the_pinned_cycle_plane() {
-    let sql = gpl_repro::sql::sql_for(QueryId::Q5).expect("Q5 is in the corpus");
-    let plan = gpl_repro::sql::compile(&db(), sql).expect("corpus Q5 compiles");
+    let sql = "select r_name, sum(l_extendedprice * (1 - l_discount)) as revenue \
+        from customer, orders, lineitem, supplier, nation, region \
+        where c_custkey = o_custkey and l_orderkey = o_orderkey \
+          and l_suppkey = s_suppkey and c_nationkey = s_nationkey \
+          and s_nationkey = n_nationkey and n_regionkey = r_regionkey \
+          and o_orderdate >= date '1994-01-01' and o_orderdate < date '1995-01-01' \
+        group by r_name order by revenue desc";
+    let plan = gpl_repro::sql::compile(&db(), sql).expect("Q5 by region compiles");
     let drivers: Vec<usize> = (plan.stages.iter())
         .map(|s| db().table(&s.driver).rows())
         .collect();
@@ -257,7 +264,7 @@ fn empty_shards_keep_the_pinned_cycle_plane() {
     for mode in [ExecMode::Gpl, ExecMode::Kbe] {
         let run = run_sharded(&plan, mode, 7);
         assert_eq!(run.output, oracle(&plan, mode).output, "{}", mode.name());
-        lines.push(cycle_line("Q5", mode, 7, &run));
+        lines.push(cycle_line("Q5-by-region", mode, 7, &run));
     }
     pins::check("shard_empty_cycles", &lines.join("\n")).unwrap_or_else(|e| panic!("{e}"));
 }
