@@ -1,6 +1,6 @@
 //! Program-analysis inputs (Table 2): per-kernel resource usage,
-//! instruction counts and data widths, assembled into a [`StageModel`]
-//! the Eq. 2–9 evaluator consumes.
+//! instruction counts and data widths, assembled into the [`StageModel`]
+//! that Eq. 2–9 (`cost::estimate_stage`) consume.
 //!
 //! The structural facts — fusion groups, kernel names, resources,
 //! per-op instruction counts, channel widths, and the eager/lazy leaf

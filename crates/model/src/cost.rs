@@ -65,256 +65,6 @@ fn cr_random(footprint: u64, tile_bytes: u64, cache_bytes: u64) -> f64 {
     (available / footprint as f64).clamp(0.05, 1.0)
 }
 
-/// What (Δ, n, p) fix for one kernel: every Eq. 2–6 quantity `wg_Ki`
-/// cannot change, carried as far as the f64 operations go before the
-/// first division by the CUs the kernel covers.
-#[derive(Debug, Clone, Copy)]
-struct KernelTerms {
-    /// Eq. 2: private and local bytes one resident work-group pins.
-    pm: u64,
-    lm: u64,
-    /// Eq. 3/4 numerator, `insts · issue_cycles`.
-    issue: f64,
-    /// Eq. 5 leaf scan, `bytes / mem_bytes_per_cycle` (leaf kernels only).
-    scan: Option<f64>,
-    /// Eq. 5 hash-structure traffic split by the cr surrogate, in cycles
-    /// before the division by CUs (kernels touching a structure only).
-    ht: Option<f64>,
-    /// Eq. 6, complete: Γ and the pressure curve see only (n, p, Δ·λ).
-    dc: f64,
-}
-
-/// Eq. 2–9 for one stage at one (Δ, n, p) grid point.
-///
-/// The search varies only `wg_Ki` at a grid point, so everything else —
-/// tiling, instruction counts, byte volumes, the four Γ/pressure look-ups
-/// per kernel — is computed once in [`StageEvaluator::new`], and
-/// [`StageEvaluator::total`] evaluates a `wg_counts` vector without
-/// allocating. The split never reassociates: each precomputed term is a
-/// prefix of the expression it came from, finished with the same
-/// operations in the same order, so every result is bit-identical to
-/// evaluating the equations from scratch (the search's `<` comparisons,
-/// and with them every chosen config and pinned cycle count, depend on
-/// the last bit).
-pub(crate) struct StageEvaluator<'a> {
-    spec: &'a DeviceSpec,
-    kernels: Vec<KernelTerms>,
-    num_tiles: u64,
-    batches_per_tile: f64,
-    /// Eq. 9's effective concurrency.
-    c_eff: f64,
-    /// `launch_cycles + num_tiles · TILE_DISPATCH_INSTS · issue_cycles`.
-    dispatch: f64,
-    lane_cost: f64,
-    // Scratch the evaluation overwrites: Eq. 2 demand and grant, and the
-    // per-kernel costs.
-    want: Vec<u32>,
-    residency: Vec<u32>,
-    per_kernel: Vec<KernelCost>,
-}
-
-impl<'a> StageEvaluator<'a> {
-    /// Fix (Δ, n, p) from `cfg` (whose shape is validated here, once).
-    pub(crate) fn new(
-        spec: &'a DeviceSpec,
-        gamma: &GammaTable,
-        sm: &StageModel,
-        cfg: &StageConfig,
-    ) -> Self {
-        sm.ir.validate_config(cfg).unwrap_or_else(|e| panic!("{e}"));
-        let tile_rows = (cfg.tile_bytes / sm.row_bytes).clamp(1, sm.driver_rows.max(1));
-        let num_tiles = sm.driver_rows.div_ceil(tile_rows).max(1);
-        let wavefront = spec.wavefront_size as f64;
-        let edge_buffer = gpl::edge_buffer_bytes(cfg.tile_bytes);
-
-        let kernels = (sm.kernels.iter())
-            .map(|k| {
-                let rows_in = tile_rows as f64 * k.in_ratio;
-                let rows_out = rows_in * k.lambda;
-                // Eq. 3/4: instruction issue. Vector ALUs serialize the
-                // resident work-groups of a CU, so issue bandwidth scales
-                // with the number of CUs the kernel's work-groups actually
-                // cover — `wg_Ki` and the Eq. 2 residency bound how many
-                // that is.
-                let insts = rows_in * (k.per_row_compute + k.per_row_mem) as f64 / wavefront;
-
-                // Eq. 5: global memory for the leaf scan (set_l) — a cold
-                // stream, so it moves at the miss-path bandwidth — plus
-                // random hash-structure traffic split by the cr surrogate.
-                let scan = (k.scan_bytes_per_row > 0).then(|| {
-                    let bytes = rows_in * k.scan_bytes_per_row as f64
-                        + rows_out * k.lazy_bytes_per_row as f64;
-                    bytes / spec.mem_bytes_per_cycle as f64
-                });
-                let ht = (k.ht_access_bytes > 0).then(|| {
-                    // Hash-build bucket writes are first touches:
-                    // whole-line cold misses. Probe reads hit according to
-                    // the footprint.
-                    let (bytes, cr) = if k.cold_ht {
-                        (rows_in * 64.0, 0.0)
-                    } else {
-                        (
-                            rows_in * k.ht_access_bytes as f64,
-                            cr_random(k.ht_footprint, cfg.tile_bytes, spec.cache_bytes),
-                        )
-                    };
-                    bytes * cr / spec.cache_bytes_per_cycle as f64
-                        + bytes * (1.0 - cr) / spec.mem_bytes_per_cycle as f64
-                });
-                // Eq. 6: channel transfers, in and out, over the calibrated
-                // Γ, de-rated by the cache pressure of the in-flight
-                // working set (at most an edge's channel buffer).
-                let inflight = |d: f64| (d as u64).min(edge_buffer).max(1);
-                let mut dc = 0.0;
-                if k.in_width > 0 {
-                    let d = rows_in * k.in_width as f64;
-                    let g = gamma
-                        .lookup(cfg.n_channels, cfg.packet_bytes, d as u64)
-                        .max(1e-6);
-                    dc += d / (g * gamma.pressure(inflight(d)));
-                }
-                if k.out_width > 0 {
-                    let d = rows_out * k.out_width as f64;
-                    if d > 0.0 {
-                        let g = gamma
-                            .lookup(cfg.n_channels, cfg.packet_bytes, d as u64)
-                            .max(1e-6);
-                        dc += d / (g * gamma.pressure(inflight(d)));
-                    }
-                }
-                // The calibrated Γ covers a full producer→consumer round
-                // trip; each endpoint bears half.
-                dc *= 0.5;
-                KernelTerms {
-                    pm: k.resources.private_bytes_per_wg(),
-                    lm: k.resources.local_bytes_per_wg as u64,
-                    issue: insts * spec.issue_cycles as f64,
-                    scan,
-                    ht,
-                    dc,
-                }
-            })
-            .collect::<Vec<_>>();
-
-        // Per-tile overheads beyond Eq. 9: the workload scheduler's
-        // dispatch, the pipeline-drain bubble at each tile barrier
-        // (downstream kernels finish the last batch with the scan idle —
-        // what makes very small tiles "dramatically degrade the data
-        // channel efficiency", Section 3.3), and ACE lane interleaving
-        // when the pipeline is deeper than `C`. Only the bubble depends on
-        // the kernel times.
-        let batches_per_tile = (tile_rows as f64 / gpl::SCAN_BATCH_ROWS as f64).max(1.0);
-        let lane_cost = spec.lane_switch_cycles as f64
-            * (sm.kernels.len() as f64 - spec.concurrency as f64).max(0.0)
-            * num_tiles as f64
-            * batches_per_tile
-            * 0.15;
-        let zero = KernelCost {
-            c: 0.0,
-            m: 0.0,
-            dc: 0.0,
-            a_wg: 0,
-        };
-        StageEvaluator {
-            spec,
-            num_tiles,
-            batches_per_tile,
-            // Eq. 9. The effective concurrency is capped by the pipeline
-            // depth and by the two hardware pipelines (VALU / memory unit)
-            // that actually overlap on a CU — the AMD device's C = 2
-            // coincides with that bound, which is why the paper's 1/C
-            // works there.
-            c_eff: spec.concurrency.min(sm.kernels.len() as u32).clamp(1, 2) as f64,
-            dispatch: spec.launch_cycles as f64
-                + num_tiles as f64 * gpl::TILE_DISPATCH_INSTS as f64 * spec.issue_cycles as f64,
-            lane_cost,
-            want: vec![0; kernels.len()],
-            residency: vec![0; kernels.len()],
-            per_kernel: vec![zero; kernels.len()],
-            kernels,
-        }
-    }
-
-    /// Eq. 2–9 under `wg_counts`: fills `per_kernel`, returns
-    /// `(delay, overhead, total)`.
-    fn evaluate(&mut self, wg_counts: &[u32]) -> (f64, f64, f64) {
-        let spec = self.spec;
-        let Self {
-            kernels,
-            want,
-            residency,
-            per_kernel,
-            ..
-        } = self;
-        assert_eq!(wg_counts.len(), kernels.len(), "one wg count per kernel");
-        spec.residency(
-            |i| (kernels[i].pm, kernels[i].lm, wg_counts[i]),
-            want,
-            residency,
-        );
-        let num_cus = spec.num_cus as u64;
-        for (i, k) in kernels.iter().enumerate() {
-            let slots = (residency[i] as u64 * num_cus).min(wg_counts[i] as u64);
-            let used_cus = (slots.min(num_cus)).max(1) as f64;
-            let c = k.issue / used_cus;
-            let mut m = 0.0;
-            if let Some(scan) = k.scan {
-                m += scan / used_cus + spec.mem_latency as f64;
-            }
-            if let Some(ht) = k.ht {
-                m += ht / used_cus + spec.cache_latency as f64;
-            }
-            m += k.dc;
-            per_kernel[i] = KernelCost {
-                c,
-                m,
-                dc: k.dc,
-                a_wg: residency[i],
-            };
-        }
-        let num_tiles = self.num_tiles as f64;
-
-        // Eq. 8: imbalance between adjacent kernels, accumulated per tile.
-        // The ½ is the pairwise-makespan identity max(a, b) = (a+b)/2 +
-        // |a−b|/2, which is what the imbalance of two concurrently
-        // executing kernels actually costs on top of the Eq. 9 term.
-        let delay: f64 = 0.5
-            * per_kernel
-                .windows(2)
-                .map(|w| (w[0].t() - w[1].t()).abs())
-                .sum::<f64>()
-            * num_tiles;
-
-        let sum_t: f64 = per_kernel.iter().map(KernelCost::t).sum::<f64>() * num_tiles;
-        let bubble: f64 = per_kernel.iter().skip(1).map(KernelCost::t).sum::<f64>()
-            / self.batches_per_tile
-            * num_tiles;
-        let overhead = self.dispatch + bubble + self.lane_cost;
-        // Eq. 9 refined with a makespan lower bound: the slowest kernel's
-        // total time floors the segment regardless of overlap.
-        let slowest = per_kernel.iter().map(KernelCost::t).fold(0.0, f64::max) * num_tiles;
-        let total = (sum_t / self.c_eff + delay).max(slowest) + overhead;
-        (delay, overhead, total)
-    }
-
-    /// Eq. 9 segment time under `wg_counts`; no allocation.
-    pub(crate) fn total(&mut self, wg_counts: &[u32]) -> f64 {
-        self.evaluate(wg_counts).2
-    }
-
-    /// The full estimate under `wg_counts`.
-    pub(crate) fn estimate(&mut self, wg_counts: &[u32]) -> StageEstimate {
-        let (delay, overhead, total) = self.evaluate(wg_counts);
-        StageEstimate {
-            per_kernel: self.per_kernel.clone(),
-            num_tiles: self.num_tiles,
-            delay,
-            overhead,
-            total,
-        }
-    }
-}
-
 /// Estimate one stage under `cfg` (Eq. 2–9).
 pub fn estimate_stage(
     spec: &DeviceSpec,
@@ -322,7 +72,140 @@ pub fn estimate_stage(
     sm: &StageModel,
     cfg: &StageConfig,
 ) -> StageEstimate {
-    StageEvaluator::new(spec, gamma, sm, cfg).estimate(&cfg.wg_counts)
+    sm.ir.validate_config(cfg).unwrap_or_else(|e| panic!("{e}"));
+    let tile_rows = (cfg.tile_bytes / sm.row_bytes).clamp(1, sm.driver_rows.max(1));
+    let num_tiles = sm.driver_rows.div_ceil(tile_rows).max(1);
+    let wavefront = spec.wavefront_size as f64;
+    let edge_buffer = gpl::edge_buffer_bytes(cfg.tile_bytes);
+
+    // Eq. 2: the device's own grant.
+    let (mut want, mut residency) = (vec![0; sm.kernels.len()], vec![0; sm.kernels.len()]);
+    spec.residency(
+        |i| {
+            let r = &sm.kernels[i].resources;
+            (
+                r.private_bytes_per_wg(),
+                r.local_bytes_per_wg as u64,
+                cfg.wg_counts[i],
+            )
+        },
+        &mut want,
+        &mut residency,
+    );
+    let num_cus = spec.num_cus as u64;
+
+    let per_kernel = (sm.kernels.iter().zip(&cfg.wg_counts).zip(residency))
+        .map(|((k, &wg), a_wg)| {
+            let rows_in = tile_rows as f64 * k.in_ratio;
+            let rows_out = rows_in * k.lambda;
+            // Eq. 3/4: instruction issue. Vector ALUs serialize the resident
+            // work-groups of a CU, so issue bandwidth scales with the number
+            // of CUs the kernel's work-groups actually cover — `wg_Ki` and
+            // the Eq. 2 residency bound how many that is.
+            let insts = rows_in * (k.per_row_compute + k.per_row_mem) as f64 / wavefront;
+            let slots = (a_wg as u64 * num_cus).min(wg as u64);
+            let used_cus = (slots.min(num_cus)).max(1) as f64;
+            let c = insts * spec.issue_cycles as f64 / used_cus;
+
+            // Eq. 5: global memory for the leaf scan (set_l) — a cold stream,
+            // so it moves at the miss-path bandwidth — plus random
+            // hash-structure traffic split by the cr surrogate.
+            let mut m = 0.0;
+            if k.scan_bytes_per_row > 0 {
+                let bytes =
+                    rows_in * k.scan_bytes_per_row as f64 + rows_out * k.lazy_bytes_per_row as f64;
+                m += bytes / spec.mem_bytes_per_cycle as f64 / used_cus + spec.mem_latency as f64;
+            }
+            if k.ht_access_bytes > 0 {
+                // Hash-build bucket writes are first touches: whole-line cold
+                // misses. Probe reads hit according to the footprint.
+                let (bytes, cr) = if k.cold_ht {
+                    (rows_in * 64.0, 0.0)
+                } else {
+                    (
+                        rows_in * k.ht_access_bytes as f64,
+                        cr_random(k.ht_footprint, cfg.tile_bytes, spec.cache_bytes),
+                    )
+                };
+                m += (bytes * cr / spec.cache_bytes_per_cycle as f64
+                    + bytes * (1.0 - cr) / spec.mem_bytes_per_cycle as f64)
+                    / used_cus
+                    + spec.cache_latency as f64;
+            }
+            // Eq. 6: channel transfers, in and out, over the calibrated Γ,
+            // de-rated by the cache pressure of the in-flight working set
+            // (at most an edge's channel buffer).
+            let inflight = |d: f64| (d as u64).min(edge_buffer).max(1);
+            let mut dc = 0.0;
+            if k.in_width > 0 {
+                let d = rows_in * k.in_width as f64;
+                let g = gamma
+                    .lookup(cfg.n_channels, cfg.packet_bytes, d as u64)
+                    .max(1e-6);
+                dc += d / (g * gamma.pressure(inflight(d)));
+            }
+            if k.out_width > 0 {
+                let d = rows_out * k.out_width as f64;
+                if d > 0.0 {
+                    let g = gamma
+                        .lookup(cfg.n_channels, cfg.packet_bytes, d as u64)
+                        .max(1e-6);
+                    dc += d / (g * gamma.pressure(inflight(d)));
+                }
+            }
+            // The calibrated Γ covers a full producer→consumer round trip;
+            // each endpoint bears half.
+            dc *= 0.5;
+            m += dc;
+            KernelCost { c, m, dc, a_wg }
+        })
+        .collect::<Vec<_>>();
+
+    // Eq. 8: imbalance between adjacent kernels, accumulated per tile.
+    // The ½ is the pairwise-makespan identity max(a, b) = (a+b)/2 +
+    // |a−b|/2, which is what the imbalance of two concurrently executing
+    // kernels actually costs on top of the Eq. 9 term.
+    let delay: f64 = 0.5
+        * per_kernel
+            .windows(2)
+            .map(|w| (w[0].t() - w[1].t()).abs())
+            .sum::<f64>()
+        * num_tiles as f64;
+
+    // Eq. 9. The effective concurrency is capped by the pipeline depth and
+    // by the two hardware pipelines (VALU / memory unit) that actually
+    // overlap on a CU — the AMD device's C = 2 coincides with that bound,
+    // which is why the paper's 1/C works there.
+    let c_eff = spec.concurrency.min(sm.kernels.len() as u32).clamp(1, 2) as f64;
+    let sum_t: f64 = per_kernel.iter().map(KernelCost::t).sum::<f64>() * num_tiles as f64;
+    // Per-tile overheads beyond Eq. 9: the workload scheduler's dispatch,
+    // the pipeline-drain bubble at each tile barrier (downstream kernels
+    // finish the last batch with the scan idle — what makes very small
+    // tiles "dramatically degrade the data channel efficiency", Section
+    // 3.3), and ACE lane interleaving when the pipeline is deeper than `C`.
+    let batches_per_tile = (tile_rows as f64 / gpl::SCAN_BATCH_ROWS as f64).max(1.0);
+    let bubble: f64 = per_kernel.iter().skip(1).map(KernelCost::t).sum::<f64>() / batches_per_tile
+        * num_tiles as f64;
+    let lane_cost = spec.lane_switch_cycles as f64
+        * (sm.kernels.len() as f64 - spec.concurrency as f64).max(0.0)
+        * num_tiles as f64
+        * batches_per_tile
+        * 0.15;
+    let overhead = spec.launch_cycles as f64
+        + num_tiles as f64 * gpl::TILE_DISPATCH_INSTS as f64 * spec.issue_cycles as f64
+        + bubble
+        + lane_cost;
+    // Eq. 9 refined with a makespan lower bound: the slowest kernel's total
+    // time floors the segment regardless of overlap.
+    let slowest = per_kernel.iter().map(KernelCost::t).fold(0.0, f64::max) * num_tiles as f64;
+    let total = (sum_t / c_eff + delay).max(slowest) + overhead;
+    StageEstimate {
+        per_kernel,
+        num_tiles,
+        delay,
+        overhead,
+        total,
+    }
 }
 
 /// Estimate a whole query: the sum of its stage estimates (stages are
@@ -345,10 +228,10 @@ pub fn estimate_query(
     total
 }
 
-/// `estimate_stage` and `allocate_residency` as they stood before the
-/// per-grid-point evaluator: every term recomputed on every call, the
-/// residency budgets re-summed on every grant. Kept as the reference
-/// the evaluator must match to the last bit.
+/// `estimate_stage` and `allocate_residency` written without the shared
+/// rules: the residency budgets re-summed on every grant, the engine's
+/// dispatch and channel-buffer constants restated. Kept as the reference
+/// `estimate_stage` must match to the last bit.
 #[cfg(test)]
 mod reference {
     use super::{cr_random, KernelCost, StageEstimate};
@@ -549,7 +432,7 @@ mod tests {
         gamma_for(&amd_a10())
     }
 
-    /// The Eq. 2 grant the evaluator asks of the device, for kernels of
+    /// The Eq. 2 grant `estimate_stage` asks of the device, for kernels of
     /// `(resources, wg count)`.
     fn grant(spec: &DeviceSpec, kernels: &[(ResourceUsage, u32)]) -> Vec<u32> {
         let (mut want, mut res) = (vec![0; kernels.len()], vec![0; kernels.len()]);
@@ -589,20 +472,23 @@ mod tests {
         GammaTable::calibrate_grid(spec, ns, ps, vec![256 << 10, 2 << 20, 16 << 20])
     }
 
-    #[test]
-    fn evaluator_is_bit_identical_to_the_reference_body() {
-        let db = TpchDb::at_scale(0.01);
-        // splitmix64: wg counts off the search's grid too (non-multiples
-        // of #CU, fewer work-groups than CUs).
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
+    /// splitmix64, for work-group vectors off the search's grid.
+    fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
-        };
-        let mut compared = 0usize;
+        }
+    }
+
+    /// Calls `f` at every (Δ, n, p) point of every stage of every TPC-H
+    /// plan on the three device profiles, with `wg_counts` at 4 × #CU.
+    /// The channel grid is uncapped on every profile, past the CPU's
+    /// fan-out too: the checks below must hold on any config.
+    fn for_each_grid_point(mut f: impl FnMut(&DeviceSpec, &GammaTable, &StageModel, StageConfig)) {
+        let db = TpchDb::at_scale(0.01);
         for spec in [amd_a10(), gpl_sim::nvidia_k40(), gpl_sim::cpu_host()] {
             let g = gamma_for(&spec);
             for q in QueryId::all() {
@@ -610,60 +496,97 @@ mod tests {
                 let st = stats::estimate(&db, &plan);
                 for sm in &analyze::build_models(&db, &plan, &st, &spec) {
                     for tile_bytes in tile_grid() {
-                        // The uncapped grid on every profile, past
-                        // the CPU's fan-out too: the evaluator must
-                        // match the reference on any config.
                         for n_channels in channel_grid(&amd_a10()) {
                             for packet_bytes in packet_grid(&spec) {
-                                let mut cfg = StageConfig {
+                                let cfg = StageConfig {
                                     tile_bytes,
                                     n_channels,
                                     packet_bytes,
                                     wg_counts: vec![4 * spec.num_cus; sm.kernels.len()],
                                     overlap_slices: 0,
                                 };
-                                let mut at = StageEvaluator::new(&spec, &g, sm, &cfg);
-                                // One evaluator, several wg vectors: stale
-                                // scratch from the previous one must not leak.
-                                for _ in 0..3 {
-                                    for wg in &mut cfg.wg_counts {
-                                        *wg = 1 + (next() % (17 * spec.num_cus as u64)) as u32;
-                                    }
-                                    let want = reference::estimate_stage(&spec, &g, sm, &cfg);
-                                    let got = at.estimate(&cfg.wg_counts);
-                                    let ctx = format!("{} {} {cfg:?}", q.name(), sm.name);
-                                    assert_eq!(got.total.to_bits(), want.total.to_bits(), "{ctx}");
-                                    assert_eq!(got.delay.to_bits(), want.delay.to_bits(), "{ctx}");
-                                    assert_eq!(
-                                        got.overhead.to_bits(),
-                                        want.overhead.to_bits(),
-                                        "{ctx}"
-                                    );
-                                    assert_eq!(got.num_tiles, want.num_tiles, "{ctx}");
-                                    assert_eq!(got.per_kernel.len(), want.per_kernel.len());
-                                    for (a, b) in got.per_kernel.iter().zip(&want.per_kernel) {
-                                        assert_eq!(a.c.to_bits(), b.c.to_bits(), "{ctx}");
-                                        assert_eq!(a.m.to_bits(), b.m.to_bits(), "{ctx}");
-                                        assert_eq!(a.dc.to_bits(), b.dc.to_bits(), "{ctx}");
-                                        assert_eq!(a.a_wg, b.a_wg, "{ctx}");
-                                    }
-                                    assert_eq!(
-                                        at.total(&cfg.wg_counts).to_bits(),
-                                        want.total.to_bits(),
-                                        "{ctx}"
-                                    );
-                                    compared += 1;
-                                }
+                                f(&spec, &g, sm, cfg);
                             }
                         }
                     }
                 }
             }
         }
+    }
+
+    /// `total`, `delay`, `overhead` and every `KernelCost` `c`/`m`/`dc`
+    /// of two estimates, by `to_bits()`.
+    fn assert_same_costs(got: &StageEstimate, want: &StageEstimate, ctx: &str) {
+        assert_eq!(got.total.to_bits(), want.total.to_bits(), "{ctx}");
+        assert_eq!(got.delay.to_bits(), want.delay.to_bits(), "{ctx}");
+        assert_eq!(got.overhead.to_bits(), want.overhead.to_bits(), "{ctx}");
+        assert_eq!(got.num_tiles, want.num_tiles, "{ctx}");
+        assert_eq!(got.per_kernel.len(), want.per_kernel.len(), "{ctx}");
+        for (a, b) in got.per_kernel.iter().zip(&want.per_kernel) {
+            assert_eq!(a.c.to_bits(), b.c.to_bits(), "{ctx}");
+            assert_eq!(a.m.to_bits(), b.m.to_bits(), "{ctx}");
+            assert_eq!(a.dc.to_bits(), b.dc.to_bits(), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn evaluator_is_bit_identical_to_the_reference_body() {
+        // wg counts of every kind: non-multiples of #CU, fewer
+        // work-groups than CUs.
+        let mut next = splitmix(0x9E37_79B9_7F4A_7C15);
+        let mut compared = 0usize;
+        for_each_grid_point(|spec, g, sm, mut cfg| {
+            for _ in 0..3 {
+                for wg in &mut cfg.wg_counts {
+                    *wg = 1 + (next() % (17 * spec.num_cus as u64)) as u32;
+                }
+                let want = reference::estimate_stage(spec, g, sm, &cfg);
+                let got = estimate_stage(spec, g, sm, &cfg);
+                let ctx = format!("{} {} {cfg:?}", spec.name, sm.name);
+                assert_same_costs(&got, &want, &ctx);
+                for (a, b) in got.per_kernel.iter().zip(&want.per_kernel) {
+                    assert_eq!(a.a_wg, b.a_wg, "{ctx}");
+                }
+                compared += 1;
+            }
+        });
         assert!(compared > 10_000, "compared {compared} evaluations");
     }
 
-    /// The device's Eq. 2 grant, which the evaluator and every simulated
+    /// Tripwire for the search's single `wg_Ki` value. Every work-group
+    /// count at or above #CU costs the same to the last bit: `used_cus`
+    /// saturates at #CU because the Eq. 2 grant gives every kernel at
+    /// least one slot on each CU, so the residency never reaches Eq. 3–9
+    /// (only `a_wg`, the grant itself, differs). That is why the search
+    /// scores each (Δ, n, p) point once at 4 × #CU. This test is meant to
+    /// fail once residency prices work-group counts (ROADMAP item 3(a));
+    /// the search must then search `wg_Ki` again.
+    #[test]
+    fn work_group_counts_at_or_above_the_cu_count_cost_the_same() {
+        let mut next = splitmix(0xD1B5_4A32_D192_ED03);
+        let mut compared = 0usize;
+        for_each_grid_point(|spec, g, sm, mut cfg| {
+            let seed = estimate_stage(spec, g, sm, &cfg);
+            let kernels = cfg.wg_counts.len();
+            let cus = spec.num_cus;
+            let mut vectors: Vec<Vec<u32>> = ([1, 2, 4, 8, 16].into_iter())
+                .map(|mult| vec![mult * cus; kernels])
+                .collect();
+            for _ in 0..3 {
+                let random = (0..kernels).map(|_| cus + (next() % (15 * cus as u64 + 1)) as u32);
+                vectors.push(random.collect());
+            }
+            for wg_counts in vectors {
+                cfg.wg_counts = wg_counts;
+                let ctx = format!("{} {} {cfg:?}", spec.name, sm.name);
+                assert_same_costs(&estimate_stage(spec, g, sm, &cfg), &seed, &ctx);
+                compared += 1;
+            }
+        });
+        assert!(compared > 10_000, "compared {compared} evaluations");
+    }
+
+    /// The device's Eq. 2 grant, which `estimate_stage` and every simulated
     /// launch call, against the reference's re-summing allocator.
     #[test]
     fn residency_wrapper_matches_the_reference_allocator() {

@@ -13,8 +13,9 @@
 //!   instruction counts and stream widths.
 //! * [`cost`] — Eq. 2–9: residency, computation, memory/channel and delay
 //!   costs, combined into the segment time `T_Sk`.
-//! * [`search`] — the pruned parameter search (n in \[1, 16\], wg multiples
-//!   of #CU, the Figure 12 tile grid) with its <5 ms budget.
+//! * [`search`] — the pruned parameter search (n in \[1, 16\], p, the
+//!   Figure 12 tile grid; wg_Ki kept at 4 × #CU, which Eq. 2–9 price the
+//!   same as every count at or above #CU) with its <5 ms budget.
 //! * [`overlap`] — the cross-segment pipelining predicate: decides per
 //!   eligible build→probe pair whether overlapping the build terminal
 //!   with the probe leaf pays off, and at how many slices K.

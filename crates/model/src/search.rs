@@ -1,12 +1,17 @@
-//! Parameter search (Section 4.1, last part): explore Δ, n, p and wg_Ki
-//! within their feasible ranges and pick the configuration minimizing the
-//! estimated segment time. The space is pruned exactly as the paper
-//! describes — n in [1, 16], wg as integral multiples of #CU, a small
-//! tile-size grid — and the whole optimization must stay in the
-//! low-millisecond range ("generally smaller than 5 ms").
+//! Parameter search (Section 4.1, last part): explore Δ, n and p within
+//! their feasible ranges and pick the configuration minimizing the
+//! estimated segment time. The space is pruned as the paper describes —
+//! n in [1, 16], a small tile-size grid — and the whole optimization must
+//! stay in the low-millisecond range ("generally smaller than 5 ms").
+//!
+//! The paper also tunes the per-kernel work-group counts `wg_Ki`; here
+//! every kernel keeps 4 × #CU and each (Δ, n, p) point is scored once.
+//! Eq. 2–9 price `wg_Ki` only below #CU, so every count at or above #CU
+//! costs the same to the last bit (a tripwire test in [`crate::cost`]
+//! pins that) and a search over them could never move a pick.
 
 use crate::analyze::{build_models, StageModel};
-use crate::cost::{estimate_query, StageEvaluator};
+use crate::cost::{estimate_query, estimate_stage};
 use crate::gamma::GammaTable;
 use crate::stats;
 use gpl_core::plan::QueryPlan;
@@ -47,13 +52,8 @@ pub fn packet_grid(spec: &DeviceSpec) -> Vec<u32> {
     }
 }
 
-/// Work-group multipliers (wg_Ki = multiplier × #CU).
-pub fn wg_multiplier_grid() -> Vec<u32> {
-    vec![1, 2, 4, 8, 16]
-}
-
 /// Overlap-slice grid (K) for cross-segment pipelining. This knob sits
-/// next to Δ/n/p/wg but is searched by [`crate::overlap::attach_overlap`]
+/// next to Δ/n/p but is searched by [`crate::overlap::attach_overlap`]
 /// as a *post-pass* over the already-optimized per-stage configs — the
 /// base search stays byte-identical for the three sequential modes,
 /// which pinned serve fingerprints depend on.
@@ -97,9 +97,9 @@ pub fn optimize_models(
 
 /// [`optimize_models`], recording the search into `rec` when present: one
 /// span per stage (carrying the winning configuration) and one instant
-/// event per explored (Δ, n, p) grid point with its post-descent Eq. 8
-/// score. Timestamps come from the recorder's logical clock — the search
-/// has no simulated cycles, and wall time would break determinism.
+/// event per explored (Δ, n, p) grid point with its Eq. 8 score.
+/// Timestamps come from the recorder's logical clock — the search has no
+/// simulated cycles, and wall time would break determinism.
 pub fn optimize_models_traced(
     spec: &DeviceSpec,
     gamma: &GammaTable,
@@ -151,49 +151,18 @@ fn optimize_stage(
     let mut best: Option<(f64, StageConfig)> = None;
     let ns = channel_grid(spec);
     let ps = packet_grid(spec);
-    let wgs: Vec<u32> = (wg_multiplier_grid().into_iter())
-        .map(|mult| mult * spec.num_cus)
-        .collect();
     for &tile in &tile_grid() {
         for &n in &ns {
             for &p in &ps {
-                let mut cfg = StageConfig {
+                let cfg = StageConfig {
                     tile_bytes: tile,
                     n_channels: n,
                     packet_bytes: p,
                     wg_counts: vec![4 * spec.num_cus; kernels],
                     overlap_slices: 0,
                 };
-                // Everything (Δ, n, p) decide is computed here, once; the
-                // descent below only varies `wg_counts`.
-                let mut at = StageEvaluator::new(spec, gamma, sm, &cfg);
-                // Coordinate descent on the per-kernel work-group counts,
-                // which the paper tunes to minimize the delay cost.
-                let mut cur = at.total(&cfg.wg_counts);
+                let est = estimate_stage(spec, gamma, sm, &cfg).total;
                 *evaluated += 1;
-                for _round in 0..2 {
-                    let mut improved = false;
-                    for k in 0..kernels {
-                        let orig = cfg.wg_counts[k];
-                        for &cand in &wgs {
-                            if cand == cfg.wg_counts[k] {
-                                continue;
-                            }
-                            cfg.wg_counts[k] = cand;
-                            let e = at.total(&cfg.wg_counts);
-                            *evaluated += 1;
-                            if e < cur {
-                                cur = e;
-                                improved = true;
-                            } else {
-                                cfg.wg_counts[k] = orig;
-                            }
-                        }
-                    }
-                    if !improved {
-                        break;
-                    }
-                }
                 if let Some(r) = rec {
                     let t = r.track("model.search");
                     r.instant(
@@ -206,12 +175,12 @@ fn optimize_stage(
                             ("tile_bytes", gpl_obs::Value::from(tile)),
                             ("n_channels", gpl_obs::Value::from(n)),
                             ("packet_bytes", gpl_obs::Value::from(p)),
-                            ("est_cycles", gpl_obs::Value::from(cur)),
+                            ("est_cycles", gpl_obs::Value::from(est)),
                         ],
                     );
                 }
-                if best.as_ref().map(|(b, _)| cur < *b).unwrap_or(true) {
-                    best = Some((cur, cfg));
+                if best.as_ref().map(|(b, _)| est < *b).unwrap_or(true) {
+                    best = Some((est, cfg));
                 }
             }
         }
@@ -248,11 +217,16 @@ mod tests {
             assert!(tile_grid().contains(&cfg.tile_bytes));
             assert!(cfg.n_channels >= 1 && cfg.n_channels <= 16);
             for &wg in &cfg.wg_counts {
-                assert_eq!(wg % spec.num_cus, 0, "wg must be a multiple of #CU");
+                assert_eq!(wg, 4 * spec.num_cus, "every kernel keeps 4 × #CU");
             }
         }
         assert!(out.estimate.is_finite() && out.estimate > 0.0);
-        assert!(out.evaluated > 100);
+        let grid = tile_grid().len() * channel_grid(&spec).len() * packet_grid(&spec).len();
+        assert_eq!(
+            out.evaluated,
+            plan.stages.len() * grid,
+            "one evaluation per grid point"
+        );
         // The paper reports <5 ms; allow slack for debug builds and the
         // λ-estimation pass.
         assert!(

@@ -118,8 +118,8 @@ impl DeviceSpec {
     /// and local bytes per resident work-group and its work-group count.
     /// `want` and `res` (the kernels' length) are overwritten with the
     /// demand and the grant; the budgets are running sums, so a grant is
-    /// three compares. Inlined: the cost model's search calls it once per
-    /// evaluation.
+    /// three compares. Inlined: the cost model's `estimate_stage` calls it
+    /// once per evaluation.
     #[inline]
     pub fn residency(
         &self,

@@ -1692,7 +1692,7 @@ mod tests {
     }
 
     /// The residency a launch of `kernels` grants: Eq. 2, the rule the
-    /// cost model's evaluator applies too.
+    /// cost model's `estimate_stage` applies too.
     fn residency(spec: &DeviceSpec, kernels: &[KernelDesc]) -> Vec<u32> {
         let (mut want, mut res) = (vec![0; kernels.len()], vec![0; kernels.len()]);
         spec.residency(|i| kernels[i].budget(), &mut want, &mut res);

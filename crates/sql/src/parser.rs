@@ -452,15 +452,11 @@ impl Parser {
 fn add_months(days: i32, months: i32) -> i32 {
     let d = Date::from_days(days);
     let total = d.year * 12 + (d.month as i32 - 1) + months;
-    let first = |t: i32| Date {
-        year: t.div_euclid(12),
-        month: (t.rem_euclid(12) + 1) as u32,
-        day: 1,
-    };
-    let last_day = (first(total + 1).to_days() - first(total).to_days()) as u32;
+    let (year, month) = (total.div_euclid(12), (total.rem_euclid(12) + 1) as u32);
     Date {
-        day: d.day.min(last_day),
-        ..first(total)
+        year,
+        month,
+        day: d.day.min(Date::days_in_month(year, month)),
     }
     .to_days()
 }
@@ -556,6 +552,16 @@ mod tests {
         for (text, want) in cases {
             assert_eq!(folded(text), days(want), "{text}");
         }
+    }
+
+    #[test]
+    fn rejects_impossible_days() {
+        let text = |lit: &str| format!("select a from t where d < date '{lit}'");
+        for lit in ["1995-02-29", "1995-02-31", "1995-04-31"] {
+            let e = parse(&text(lit)).unwrap_err();
+            assert!(e.0.contains("bad date"), "{lit}: {e:?}");
+        }
+        assert!(parse(&text("1996-02-29")).is_ok());
     }
 
     #[test]

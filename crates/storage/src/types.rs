@@ -77,20 +77,36 @@ pub struct Date {
 impl Date {
     pub fn new(year: i32, month: u32, day: u32) -> Self {
         assert!((1..=12).contains(&month), "month {month} out of range");
-        assert!((1..=31).contains(&day), "day {day} out of range");
+        let last = Date::days_in_month(year, month);
+        assert!((1..=last).contains(&day), "day {day} out of range");
         Date { year, month, day }
     }
 
-    /// Parse `YYYY-MM-DD`.
+    /// Parse `YYYY-MM-DD`; a day past the month's last (`1995-02-29`,
+    /// `1995-04-31`) is rejected, not carried into the next month.
     pub fn parse(s: &str) -> Option<Self> {
         let mut it = s.split('-');
         let year: i32 = it.next()?.parse().ok()?;
         let month: u32 = it.next()?.parse().ok()?;
         let day: u32 = it.next()?.parse().ok()?;
-        if it.next().is_some() || !(1..=12).contains(&month) || !(1..=31).contains(&day) {
+        if it.next().is_some()
+            || !(1..=12).contains(&month)
+            || !(1..=Date::days_in_month(year, month)).contains(&day)
+        {
             return None;
         }
         Some(Date { year, month, day })
+    }
+
+    /// The number of days in `month` (1–12) of `year`, in the proleptic
+    /// Gregorian calendar.
+    pub fn days_in_month(year: i32, month: u32) -> u32 {
+        match month {
+            2 if year % 4 == 0 && (year % 100 != 0 || year % 400 == 0) => 29,
+            2 => 28,
+            4 | 6 | 9 | 11 => 30,
+            _ => 31,
+        }
     }
 
     /// Days since 1970-01-01.
@@ -182,6 +198,29 @@ mod tests {
         assert!(Date::parse("1995-01-32").is_none());
         assert!(Date::parse("1995-01").is_none());
         assert!(Date::parse("1995-01-01-01").is_none());
+        for s in ["1995-02-29", "1995-02-31", "1995-04-31", "1900-02-29"] {
+            assert!(Date::parse(s).is_none(), "{s}");
+        }
+        for s in ["1996-02-29", "2000-02-29", "1995-01-31", "1995-04-30"] {
+            assert_eq!(Date::parse(s).map(|d| d.to_string()).as_deref(), Some(s));
+        }
+    }
+
+    /// Every month length agrees with the day numbers: the month's last
+    /// day is one before the next month's first.
+    #[test]
+    fn days_in_month_matches_the_day_numbers() {
+        for year in [1900, 1995, 1996, 2000] {
+            for month in 1..=12 {
+                let next = if month == 12 {
+                    Date::new(year + 1, 1, 1)
+                } else {
+                    Date::new(year, month + 1, 1)
+                };
+                let last = Date::days_in_month(year, month);
+                assert_eq!(Date::new(year, month, last).to_days() + 1, next.to_days());
+            }
+        }
     }
 
     #[test]

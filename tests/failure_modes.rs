@@ -450,6 +450,12 @@ fn cancelled_request_is_a_response_not_a_casualty() {
 /// the server stops comes back as a structured `Cancelled` response, so
 /// each of the N submissions is answered exactly once — no hang, no
 /// silently vanished work.
+///
+/// The backlog is sized from this host's own speed: one request run to
+/// completion first measures what a request costs here, and the batch
+/// then holds about two seconds of the single worker's work. Whatever
+/// the host, the worker could empty the queue before the drain only if
+/// this thread stalled that long between `submit_all` and `shutdown`.
 #[test]
 fn shutdown_drains_queued_queries_as_cancelled_responses() {
     let gamma = common::gamma();
@@ -465,15 +471,25 @@ fn shutdown_drains_queued_queries_as_cancelled_responses() {
         gamma,
     );
     let sql = gpl_repro::sql::sql_for(QueryId::Q8).unwrap();
-    srv.submit_all((0..6).map(|i| QueryRequest::new(i, sql, ExecMode::Gpl)));
-    // Shut down immediately: with one worker, most of the six are still
-    // queued. Each must surface as exactly one response.
+    // The measuring run also warms the plan cache, so every later request
+    // costs about its execution alone.
+    let warm = srv.run_batch(vec![QueryRequest::new(0, sql, ExecMode::Gpl)]);
+    assert!(warm[0].result.is_ok(), "{:?}", warm[0].result);
+    let per_request = warm[0].exec_wall.max(std::time::Duration::from_micros(1));
+    let n = (std::time::Duration::from_secs(2).as_nanos() / per_request.as_nanos()).max(6) as u64;
+    srv.submit_all((1..=n).map(|i| QueryRequest::new(i, sql, ExecMode::Gpl)));
+    // Shut down at once: the worker has popped at most the first few.
+    // Each submission must surface as exactly one response.
     let mut responses = srv.shutdown();
-    assert_eq!(responses.len(), 6, "every submission gets a response");
+    assert_eq!(
+        responses.len() as u64,
+        n,
+        "every submission gets a response"
+    );
     responses.sort_by_key(|r| r.id);
     let mut cancelled = 0;
-    for (i, r) in responses.iter().enumerate() {
-        assert_eq!(r.id, i as u64, "no duplicate or missing ids");
+    for (i, r) in (1..).zip(&responses) {
+        assert_eq!(r.id, i, "no duplicate or missing ids");
         match &r.result {
             Ok(run) => assert!(!run.output.rows.is_empty()),
             Err(ServeError::Exec(ExecError::Cancelled)) => cancelled += 1,

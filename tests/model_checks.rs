@@ -94,10 +94,10 @@ fn tuned_configs_do_not_regress_much_vs_default() {
 /// in which order, what it picks and what it costs — `evaluated`, the
 /// estimate (its shortest round-tripping decimal and its bits) and the
 /// per-stage config of every TPC-H plan on the three device profiles,
-/// one `pins/search_outcomes` line each. The values were first pinned
-/// (as one digest) at the commit before the per-grid-point evaluator
-/// replaced the per-call `estimate_stage` body; any reordering of an f64
-/// operation in the evaluator, or of the descent, moves them.
+/// one `pins/search_outcomes` line each. `evaluated` is one evaluation
+/// per (Δ, n, p) grid point of each stage; every config keeps 4 × #CU
+/// work-groups per kernel. Any reordering of an f64 operation in
+/// `estimate_stage`, or of the grid walk, moves them.
 #[test]
 fn search_outcomes_are_pinned_on_three_devices() {
     use gpl_repro::sim::cpu_host;
