@@ -111,6 +111,31 @@ fn all_modes_agree_on_sql_plans() {
 }
 
 #[test]
+fn order_by_with_limit_zero_returns_no_rows_in_every_mode() {
+    let db = db();
+    let plan = compile(
+        &db,
+        "select o_orderpriority, count(*) as c from orders \
+         group by o_orderpriority order by c desc limit 0",
+    )
+    .unwrap();
+    let spec = amd_a10();
+    let cfg = QueryConfig::default_for(&spec, &plan);
+    let mut ctx = ExecContext::new(spec, db);
+    for mode in [
+        ExecMode::Kbe,
+        ExecMode::GplNoCe,
+        ExecMode::Gpl,
+        ExecMode::GplPipelined,
+        ExecMode::Ocelot,
+    ] {
+        let run = run_query(&mut ctx, &plan, mode, &cfg);
+        assert!(run.output.rows.is_empty(), "{}", mode.name());
+        assert_eq!(run.output.columns, vec!["o_orderpriority", "c"]);
+    }
+}
+
+#[test]
 fn projection_reorders_output_columns() {
     let db = db();
     // Aggregate first, group key last: exercised through the projection.
