@@ -11,7 +11,7 @@
 //! pins that) and a search over them could never move a pick.
 
 use crate::analyze::{build_models, StageModel};
-use crate::cost::{estimate_query, estimate_stage};
+use crate::cost::{estimate_stage, query_total};
 use crate::gamma::GammaTable;
 use crate::stats;
 use gpl_core::plan::QueryPlan;
@@ -109,7 +109,7 @@ pub fn optimize_models_traced(
 ) -> SearchOutcome {
     let start = Instant::now();
     let mut evaluated = 0usize;
-    let stages = models
+    let (totals, stages): (Vec<f64>, _) = models
         .iter()
         .enumerate()
         .map(|(idx, sm)| {
@@ -118,7 +118,7 @@ pub fn optimize_models_traced(
                 r.begin(t, "search", format!("stage{idx}"), r.tick())
             });
             let before = evaluated;
-            let cfg = optimize_stage(spec, gamma, sm, &mut evaluated, rec, idx);
+            let (total, cfg) = optimize_stage(spec, gamma, sm, &mut evaluated, rec, idx);
             if let (Some(r), Some(s)) = (rec, span) {
                 r.arg(s, "tile_bytes", cfg.tile_bytes);
                 r.arg(s, "n_channels", cfg.n_channels);
@@ -126,11 +126,11 @@ pub fn optimize_models_traced(
                 r.arg(s, "evaluated", evaluated - before);
                 r.end(s, r.tick());
             }
-            cfg
+            (total, cfg)
         })
-        .collect();
+        .unzip();
     let config = QueryConfig { stages };
-    let estimate = estimate_query(spec, gamma, models, &config, !plan.order_by.is_empty());
+    let estimate = query_total(spec, totals.into_iter(), !plan.order_by.is_empty());
     SearchOutcome {
         config,
         estimate,
@@ -139,6 +139,7 @@ pub fn optimize_models_traced(
     }
 }
 
+/// One stage's best grid point, with its Eq. 8 total.
 fn optimize_stage(
     spec: &DeviceSpec,
     gamma: &GammaTable,
@@ -146,7 +147,7 @@ fn optimize_stage(
     evaluated: &mut usize,
     rec: Option<&gpl_obs::Recorder>,
     stage_idx: usize,
-) -> StageConfig {
+) -> (f64, StageConfig) {
     let kernels = sm.ir.nodes.len();
     let mut best: Option<(f64, StageConfig)> = None;
     let ns = channel_grid(spec);
@@ -185,12 +186,13 @@ fn optimize_stage(
             }
         }
     }
-    best.expect("non-empty search grids").1
+    best.expect("non-empty search grids")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::estimate_query;
     use gpl_core::plan_for;
     use gpl_sim::amd_a10;
     use gpl_tpch::QueryId;
